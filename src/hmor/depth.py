@@ -126,16 +126,9 @@ def loss_pose(pred_rel, gt_rel) -> float:
 
 
 def loss_abs_grad(pred_abs: Sequence[AbsolutePose], gt_abs: Sequence[AbsolutePose]):
-    """L1 loss on absolute camera-frame coordinates, averaged over
-    persons and joints, with the gradient w.r.t. the predictions."""
-    pred = _stack_poses(pred_abs, "joints")
-    gt = _stack_poses(gt_abs, "joints")
-    if pred.shape != gt.shape:
-        raise InvalidInputError(f"pose shape mismatch: {pred.shape} vs {gt.shape}")
-    n, j = pred.shape[0], pred.shape[1]
-    diff = pred - gt
-    grad = np.sign(diff) / (n * j)
-    return float(np.abs(diff).sum() / (n * j)), grad
+    """L1 loss on absolute camera-frame coordinates: the same L1 body as
+    :func:`loss_pose_grad`, applied to AbsolutePose joints."""
+    return loss_pose_grad(pred_abs, gt_abs)
 
 
 def loss_abs(pred_abs, gt_abs) -> float:

@@ -38,10 +38,7 @@ class HmorConfig:
     margins labeled 0; the default 0 keeps labels strict, which is right
     for exact synthetic ground truth. part_mode selects the bone-pair
     representation: "vector" compares turning directions, "particle"
-    compares the depths of bone midpoints. joint_label_clamped switches
-    the joint error to the variant that clamps the label instead of the
-    product, which silently drops every -1 pair; it exists only for
-    side-by-side comparison.
+    compares the depths of bone midpoints.
     """
 
     depth_unit_scale: float = 1e-3
@@ -51,7 +48,6 @@ class HmorConfig:
     w_joint: float = 1.0
     pair_cap: int | None = None
     part_mode: str = "vector"
-    joint_label_clamped: bool = False
     cross_person_parts: bool = True
     cross_person_joints: bool = True
 
@@ -86,12 +82,15 @@ class RelationPairs:
 
 @dataclass(frozen=True)
 class HmorLoss:
-    """Weighted total plus the per-level mean errors."""
+    """Weighted total, the per-level mean errors, and the per-level
+    (instance, part, joint) counts of pairs whose predicted label
+    disagrees with the ground truth."""
 
     total: float
     instance: float
     part: float
     joint: float
+    violations: tuple[int, int, int]
 
 
 def _view_array(view) -> np.ndarray:
@@ -145,28 +144,14 @@ def relation_joint(gt_a, gt_b, view, eps: float = 0.0) -> int:
     return relation_instance(gt_a, gt_b, view, eps)
 
 
-def err_joint_grad(pred_k1, pred_k2, label: int, view, clamp_label: bool = False):
-    """Joint ordinal error and gradients.
-
-    The default clamps the product, mirroring the instance error. With
-    clamp_label=True the label itself is clamped instead, which zeroes
-    out every -1 pair and lets correctly-ordered +1 pairs go negative;
-    kept only for comparing the two behaviors.
-    """
-    if not clamp_label:
-        return err_instance_grad(pred_k1, pred_k2, label, view)
-    n = _view_array(view)
-    d = float(np.dot(np.asarray(pred_k1, float) - np.asarray(pred_k2, float), n))
-    lab = max(label, 0)
-    g = lab * d
-    if lab == 0:
-        return 0.0, np.zeros(3), np.zeros(3)
-    w = lab / (1.0 + g)
-    return float(np.log1p(g)), w * n, -w * n
+def err_joint_grad(pred_k1, pred_k2, label: int, view):
+    """Joint ordinal error and gradients; clamps the label-product,
+    exactly as the instance error does."""
+    return err_instance_grad(pred_k1, pred_k2, label, view)
 
 
-def err_joint(pred_k1, pred_k2, label: int, view, clamp_label: bool = False) -> float:
-    return err_joint_grad(pred_k1, pred_k2, label, view, clamp_label)[0]
+def err_joint(pred_k1, pred_k2, label: int, view) -> float:
+    return err_joint_grad(pred_k1, pred_k2, label, view)[0]
 
 
 def relation_part(gt_t1, gt_t2, view, eps: float = 0.0) -> int:
@@ -333,38 +318,71 @@ def enumerate_pairs(gt_scene: Scene, view, config: HmorConfig | None = None,
     )
 
 
-def _level_depth_errors(entities: np.ndarray, idx_a, idx_b, labels, view):
-    margins = labels * ((entities[idx_a] - entities[idx_b]) @ view)
-    return np.log1p(np.maximum(0.0, margins)), margins
+def _label_margins(m: np.ndarray, labels: np.ndarray, eps: float):
+    """Signed margins ``labels * m`` of raw margins ``m``, and the number of
+    pairs whose label thresholded from ``m`` differs from ``labels``.
+
+    That count equals ``count_nonzero(_threshold_label(m, eps) != labels)``.
+    A +-1 pair agrees only when its signed margin is below -eps; a 0 pair
+    (signed margin 0) agrees only when |m| <= eps. Both tests are written
+    as negations so a NaN margin, which thresholds to 0, disagrees with
+    +-1 and agrees with 0.
+    """
+    margins = labels * m
+    violations = len(margins) - np.count_nonzero(margins < -eps)
+    if np.count_nonzero(labels) < len(labels):
+        violations -= np.count_nonzero((labels == 0) & ~(np.abs(m) > eps))
+    return margins, int(violations)
+
+
+def _level_depth_errors(entities: np.ndarray, idx_a, idx_b, labels, view, eps: float):
+    """Depth-order errors log(1 + [margin]_+), signed margins and the
+    violation count of one level."""
+    m = (np.take(entities, idx_a, axis=0) - np.take(entities, idx_b, axis=0)) @ view
+    margins, violations = _label_margins(m, labels, eps)
+    return np.log1p(np.maximum(0.0, margins)), margins, violations
+
+
+def _depth_grad_rows(margins: np.ndarray, labels: np.ndarray, scale: float,
+                     view: np.ndarray) -> np.ndarray:
+    """Gradient of ``scale`` times each depth-order error w.r.t. the first
+    entity of its pair, one (P, 3) row per pair; the second entity gets
+    the negation. Zero where the error is clamped."""
+    w = np.divide(labels, 1.0 + margins, out=np.zeros(len(margins)), where=margins > 0)
+    w *= scale
+    return w[:, None] * view[None, :]
 
 
 def hmor_loss_on_joints(K: np.ndarray, topology: SkeletonTopology,
                         pairs: RelationPairs, config: HmorConfig | None = None,
                         want_grad: bool = True):
-    """Loss and gradient on an (N, J, 3) scaled joint array.
+    """Loss, gradient and violation counts on an (N, J, 3) scaled joint array.
 
     Returns (HmorLoss, dK) where dK is the gradient of the weighted total
     with respect to every joint coordinate (None when want_grad is off).
-    Clamp boundaries contribute zero subgradient. This is the vectorized
-    core behind :func:`hmor_loss` and the refinement solver.
+    Each level derives its error, gradient weight and violation count
+    from one raw margin per pair. A level with weight 0 is still counted
+    but adds nothing to dK. Clamp boundaries contribute zero subgradient.
+    This is the vectorized core behind :func:`hmor_loss`,
+    :func:`count_violations` and the refinement solver.
     """
     cfg = config or HmorConfig()
     n = pairs.view
-    N, J, _ = K.shape
+    eps = cfg.equality_tolerance
+    J = K.shape[1]
+    S = topology.part_count
+    flat = K.reshape(-1, 3)
     dK = np.zeros_like(K) if want_grad else None
     flat_grad = dK.reshape(-1, 3) if want_grad else None
 
     # instance level
-    mean_instance = 0.0
+    mean_instance, v_instance = 0.0, 0
     if len(pairs.instance_pairs):
-        P = K.mean(axis=1)
         a, b, lab = pairs.instance_pairs.T
-        errs, margins = _level_depth_errors(P, a, b, lab, n)
+        errs, margins, v_instance = _level_depth_errors(K.mean(axis=1), a, b, lab, n, eps)
         mean_instance = float(errs.mean())
-        if want_grad:
-            w = np.where(margins > 0, lab / (1.0 + margins), 0.0)
-            w *= cfg.w_instance / (len(errs) * J)
-            dP = w[:, None] * n[None, :]
+        if want_grad and cfg.w_instance > 0:
+            dP = _depth_grad_rows(margins, lab, cfg.w_instance / (len(errs) * J), n)
             # each person's position averages its joints, so every joint
             # of person a (resp. b) receives the same share
             all_joints = np.arange(J)
@@ -374,72 +392,52 @@ def hmor_loss_on_joints(K: np.ndarray, topology: SkeletonTopology,
                       np.repeat(-dP, J, axis=0))
 
     # part level
-    mean_part = 0.0
+    mean_part, v_part = 0.0, 0
     if len(pairs.part_pairs):
         m1, s1, m2, s2, lab = pairs.part_pairs.T
-        starts, ends = _part_endpoints(topology)
-        ia_end = m1 * J + ends[s1]
-        ia_start = m1 * J + starts[s1]
-        ib_end = m2 * J + ends[s2]
-        ib_start = m2 * J + starts[s2]
-        flat = K.reshape(-1, 3)
+        pa, pb = m1 * S + s1, m2 * S + s2
         if cfg.part_mode == "particle":
-            ca = 0.5 * (flat[ia_end] + flat[ia_start])
-            cb = 0.5 * (flat[ib_end] + flat[ib_start])
-            margins = lab * ((ca - cb) @ n)
-            errs = np.log1p(np.maximum(0.0, margins))
-            mean_part = float(errs.mean())
-            if want_grad:
-                w = np.where(margins > 0, lab / (1.0 + margins), 0.0)
-                w *= cfg.w_part / len(errs)
-                dmid = w[:, None] * n[None, :]
-                np.add.at(flat_grad, ia_end, 0.5 * dmid)
-                np.add.at(flat_grad, ia_start, 0.5 * dmid)
-                np.add.at(flat_grad, ib_end, -0.5 * dmid)
-                np.add.at(flat_grad, ib_start, -0.5 * dmid)
+            errs, margins, v_part = _level_depth_errors(
+                _part_midpoints_flat(K, topology), pa, pb, lab, n, eps)
         else:
-            t1 = flat[ia_end] - flat[ia_start]
-            t2 = flat[ib_end] - flat[ib_start]
-            margins = lab * _cross_dot(t1, t2, n)
+            T = _part_vectors_flat(K, topology)
+            t1, t2 = np.take(T, pa, axis=0), np.take(T, pb, axis=0)
+            margins, v_part = _label_margins(_cross_dot(t1, t2, n), lab, eps)
             errs = np.maximum(0.0, margins)
-            mean_part = float(errs.mean())
-            if want_grad:
+        mean_part = float(errs.mean())
+        if want_grad and cfg.w_part > 0:
+            if cfg.part_mode == "particle":
+                half = 0.5 * _depth_grad_rows(margins, lab, cfg.w_part / len(errs), n)
+                grads = (half, half, -half, -half)
+            else:
                 coeff = np.where(margins > 0, lab * cfg.w_part / len(errs), 0.0)
                 g1 = coeff[:, None] * _cross_rows(t2, n)
                 g2 = -coeff[:, None] * _cross_rows(t1, n)
-                np.add.at(flat_grad, ia_end, g1)
-                np.add.at(flat_grad, ia_start, -g1)
-                np.add.at(flat_grad, ib_end, g2)
-                np.add.at(flat_grad, ib_start, -g2)
+                grads = (g1, -g1, g2, -g2)
+            # (end, start) joints of part a, then of part b
+            starts, ends = _part_endpoints(topology)
+            joints = (m1 * J + ends[s1], m1 * J + starts[s1],
+                      m2 * J + ends[s2], m2 * J + starts[s2])
+            for idx, g in zip(joints, grads):
+                np.add.at(flat_grad, idx, g)
 
     # joint level
-    mean_joint = 0.0
+    mean_joint, v_joint = 0.0, 0
     if len(pairs.joint_pairs):
         m1, j1, m2, j2, lab = pairs.joint_pairs.T
-        flat = K.reshape(-1, 3)
         ia = m1 * J + j1
         ib = m2 * J + j2
-        if cfg.joint_label_clamped:
-            lab_eff = np.maximum(lab, 0)
-            margins = lab_eff * ((flat[ia] - flat[ib]) @ n)
-            errs = np.log1p(margins)
-            mean_joint = float(errs.mean())
-            w = np.where(lab_eff > 0, lab_eff / (1.0 + margins), 0.0)
-        else:
-            errs, margins = _level_depth_errors(flat, ia, ib, lab, n)
-            mean_joint = float(errs.mean())
-            w = None
-            if want_grad:
-                w = np.where(margins > 0, lab / (1.0 + margins), 0.0)
-        if want_grad:
-            w = w * (cfg.w_joint / len(errs))
-            dj = w[:, None] * n[None, :]
+        errs, margins, v_joint = _level_depth_errors(flat, ia, ib, lab, n, eps)
+        mean_joint = float(errs.mean())
+        if want_grad and cfg.w_joint > 0:
+            dj = _depth_grad_rows(margins, lab, cfg.w_joint / len(errs), n)
             np.add.at(flat_grad, ia, dj)
             np.add.at(flat_grad, ib, -dj)
 
     total = (cfg.w_instance * mean_instance + cfg.w_part * mean_part
              + cfg.w_joint * mean_joint)
-    return HmorLoss(total, mean_instance, mean_part, mean_joint), dK
+    return (HmorLoss(total, mean_instance, mean_part, mean_joint,
+                     (v_instance, v_part, v_joint)), dK)
 
 
 def hmor_loss(pred_scene: Scene, pairs: RelationPairs, view=None,
@@ -460,55 +458,16 @@ def hmor_loss(pred_scene: Scene, pairs: RelationPairs, view=None,
     return loss
 
 
-def count_violations_on_joints(K: np.ndarray, topology: SkeletonTopology,
-                               pairs: RelationPairs,
-                               config: HmorConfig | None = None) -> tuple[int, int, int]:
-    """Array-level violation counter behind :func:`count_violations`."""
-    cfg = config or HmorConfig()
-    n = pairs.view
-    eps = cfg.equality_tolerance
-    N, J, _ = K.shape
-    S = topology.part_count
-
-    n_instance = 0
-    if len(pairs.instance_pairs):
-        P = K.mean(axis=1)
-        a, b, lab = pairs.instance_pairs.T
-        pred_lab = _threshold_label((P[a] - P[b]) @ n, eps)
-        n_instance = int(np.count_nonzero(pred_lab != lab))
-
-    n_part = 0
-    if len(pairs.part_pairs):
-        m1, s1, m2, s2, lab = pairs.part_pairs.T
-        if cfg.part_mode == "particle":
-            M = _part_midpoints_flat(K, topology)
-            pred_lab = _threshold_label((M[m1 * S + s1] - M[m2 * S + s2]) @ n, eps)
-        else:
-            T = _part_vectors_flat(K, topology)
-            pred_lab = _threshold_label(_cross_dot(T[m1 * S + s1], T[m2 * S + s2], n), eps)
-        n_part = int(np.count_nonzero(pred_lab != lab))
-
-    n_joint = 0
-    if len(pairs.joint_pairs):
-        m1, j1, m2, j2, lab = pairs.joint_pairs.T
-        flat = K.reshape(-1, 3)
-        pred_lab = _threshold_label((flat[m1 * J + j1] - flat[m2 * J + j2]) @ n, eps)
-        n_joint = int(np.count_nonzero(pred_lab != lab))
-
-    return n_instance, n_part, n_joint
-
-
 def count_violations(pred_scene: Scene, pairs: RelationPairs,
                      config: HmorConfig | None = None) -> tuple[int, int, int]:
     """Count pairs whose predicted relation label disagrees with ground truth.
 
     Returns (instance, part, joint) disagreement counts under the view
     the pairs were labeled with. Labels are recomputed from the predicted
-    scene with the same tolerance used for the ground truth.
+    scene with the same tolerance used for the ground truth; the counts
+    come from the same pass as :func:`hmor_loss`.
     """
-    cfg = config or HmorConfig()
-    K = scene_joint_array(pred_scene, cfg.depth_unit_scale)
-    return count_violations_on_joints(K, pred_scene.topology, pairs, cfg)
+    return hmor_loss(pred_scene, pairs, config=config).violations
 
 
 def part_relations_from_2d(gt_pixels: Sequence[np.ndarray],

@@ -8,11 +8,12 @@ Lengths are millimeters, pixel quantities pixels, areas pixels squared.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .errors import HmorError, InvalidInputError
+from .errors import HmorError, InvalidInputError, NumericalError
 from .geometry import Camera
 from .skeleton import (BoundingBox, Person, RelativePose, Scene,
                        SkeletonTopology)
@@ -113,17 +114,27 @@ def scene_from_dict(data: dict) -> Scene:
 
 
 def save_scene(scene: Scene, path) -> None:
-    text = json.dumps(scene_to_dict(scene), sort_keys=True, indent=2)
+    try:
+        text = json.dumps(scene_to_dict(scene), sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path}: scene has non-finite values, not written") from exc
     Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def _finite_number(token: str) -> float:
+    """JSON number hook: NaN, Infinity and overflowing literals are rejected."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise InvalidInputError(f"non-finite number {token}")
+    return value
 
 
 def load_scene(path) -> Scene:
     text = Path(path).read_text(encoding="utf-8")  # OSError -> CLI I/O failure
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+        return scene_from_dict(data)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
-    try:
-        return scene_from_dict(data)
     except HmorError as exc:
         raise type(exc)(f"{path}: {exc}") from exc

@@ -20,10 +20,10 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError, SolverError
 from .geometry import sample_view
-from .ordinal import (HmorConfig, RelationPairs, count_violations_on_joints,
-                      enumerate_pairs, err_instance_grad, err_joint_grad,
-                      err_part_grad, err_part_particle_grad,
-                      hmor_loss_on_joints, scene_joint_array)
+from .ordinal import (HmorConfig, RelationPairs, enumerate_pairs,
+                      err_instance_grad, err_joint_grad, err_part_grad,
+                      err_part_particle_grad, hmor_loss_on_joints,
+                      scene_joint_array)
 from .skeleton import RelativePose, Scene
 
 _TERMS = ("pose", "init", "refine", "hmor", "abs")
@@ -190,16 +190,21 @@ def _check_finite(term: str, value: float) -> float:
 
 def _objective_on_vars(sv: _SceneVars, pairs_list, anchors: _Anchors,
                        config: SolverConfig, want_grad: bool = True):
-    """Weighted objective value and gradient w.r.t. the packed variables."""
+    """Weighted objective value, its gradient w.r.t. the packed variables
+    (None when want_grad is off) and the total ordinal violations under
+    the first view of ``pairs_list``.
+
+    The first view is evaluated even when ``w_hmor`` is 0, for its
+    violation counts only.
+    """
+    if isinstance(pairs_list, RelationPairs):
+        pairs_list = [pairs_list]
     s = sv.scale
     nj = sv.N * sv.J
     value = 0.0
     grad = sv.zeros_like_x() if want_grad else None
-    K = d = a = b = None
     dK = np.zeros((sv.N, sv.J, 3))
-    need_joints = config.w_hmor > 0 or config.w_abs > 0
-    if need_joints:
-        K, d, a, b = sv.joints_scaled()
+    K, d, a, b = sv.joints_scaled()
 
     if config.w_pose > 0:
         pred = np.stack([sv.U, sv.V, sv.Zrel], axis=2)
@@ -232,21 +237,21 @@ def _objective_on_vars(sv: _SceneVars, pairs_list, anchors: _Anchors,
         if want_grad:
             dK += np.sign(diff) * (config.w_abs / (nj * s))
 
+    total, violations = 0.0, None
+    for pairs in pairs_list if config.w_hmor > 0 else pairs_list[:1]:
+        loss, dK_one = hmor_loss_on_joints(K, sv.topology, pairs, config.hmor,
+                                           want_grad=want_grad and config.w_hmor > 0)
+        total += loss.total
+        if violations is None:
+            violations = sum(loss.violations)
+        if dK_one is not None:
+            dK += dK_one * (config.w_hmor / len(pairs_list))
     if config.w_hmor > 0:
-        if isinstance(pairs_list, RelationPairs):
-            pairs_list = [pairs_list]
-        total = 0.0
-        for pairs in pairs_list:
-            loss, dK_one = hmor_loss_on_joints(K, sv.topology, pairs, config.hmor,
-                                               want_grad=want_grad)
-            total += loss.total
-            if want_grad:
-                dK += dK_one * (config.w_hmor / len(pairs_list))
         value += config.w_hmor * _check_finite("hmor", total / len(pairs_list))
 
-    if want_grad and need_joints:
+    if want_grad and (config.w_hmor > 0 or config.w_abs > 0):
         grad += sv.grad_to_x(dK, d, a, b)
-    return (value, grad) if want_grad else value
+    return value, grad, violations
 
 
 def objective(pred_scene: Scene, gt_pairs, anchors: Scene, config: SolverConfig):
@@ -258,17 +263,8 @@ def objective(pred_scene: Scene, gt_pairs, anchors: Scene, config: SolverConfig)
     vector selected by the config.
     """
     sv = _SceneVars(pred_scene, config)
-    return _objective_on_vars(sv, gt_pairs, _Anchors.from_scene(anchors), config)
-
-
-def _prune_zero_weight_levels(pairs: RelationPairs, hcfg: HmorConfig) -> RelationPairs:
-    """Drop levels whose weight is zero so the hot loop skips their math."""
-    return RelationPairs(
-        view=pairs.view,
-        instance_pairs=pairs.instance_pairs if hcfg.w_instance > 0 else np.empty((0, 3), int),
-        part_pairs=pairs.part_pairs if hcfg.w_part > 0 else np.empty((0, 5), int),
-        joint_pairs=pairs.joint_pairs if hcfg.w_joint > 0 else np.empty((0, 5), int),
-    )
+    value, grad, _ = _objective_on_vars(sv, gt_pairs, _Anchors.from_scene(anchors), config)
+    return value, grad
 
 
 def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = None):
@@ -286,48 +282,57 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
     anchors = _Anchors.from_scene(anchor_scene)
     sv = _SceneVars(pred_scene, cfg)
     normal_pairs = enumerate_pairs(gt_scene, gt_scene.camera.normal, cfg.hmor)
-    normal_pairs_opt = _prune_zero_weight_levels(normal_pairs, cfg.hmor)
 
-    def audit(x: np.ndarray) -> int:
+    def value_at(x: np.ndarray, pairs_list):
         sv.unpack(x)
-        K, _, _, _ = sv.joints_scaled()
-        return sum(count_violations_on_joints(K, sv.topology, normal_pairs, cfg.hmor))
+        value, _, violations = _objective_on_vars(sv, pairs_list, anchors, cfg,
+                                                  want_grad=False)
+        return value, violations
 
-    def value_at(x: np.ndarray, pairs_list) -> float:
-        sv.unpack(x)
-        return _objective_on_vars(sv, pairs_list, anchors, cfg, want_grad=False)
-
+    # a trace row's violations come from the evaluation of the point it reports
     x = sv.pack()
-    f0 = value_at(x, [normal_pairs_opt])
-    trace = [TraceEntry(0, f0, audit(x))]
+    trace = [TraceEntry(0, *value_at(x, [normal_pairs]))]
     eta = cfg.step_size
 
     for step in range(1, cfg.steps + 1):
-        pairs_list = [normal_pairs_opt]
+        pairs_list = [normal_pairs]
         for _ in range(cfg.views_per_step - 1):
             view = sample_view(rng=rng)
-            pairs_list.append(_prune_zero_weight_levels(
-                enumerate_pairs(gt_scene, view, cfg.hmor), cfg.hmor))
+            pairs_list.append(enumerate_pairs(gt_scene, view, cfg.hmor))
 
         sv.unpack(x)
-        f, g = _objective_on_vars(sv, pairs_list, anchors, cfg)
+        f, g, v = _objective_on_vars(sv, pairs_list, anchors, cfg)
         if f > cfg.divergence_limit:
             raise SolverError(f"objective diverged to {f!r} at step {step}")
 
         cand = x - eta * g
-        f_cand = value_at(cand, pairs_list)
+        f_cand, v_cand = value_at(cand, pairs_list)
         if cfg.step_halving:
             while f_cand > f and eta > cfg.min_step:
                 eta *= 0.5
                 cand = x - eta * g
-                f_cand = value_at(cand, pairs_list)
+                f_cand, v_cand = value_at(cand, pairs_list)
             if f_cand > f:
-                cand, f_cand = x, f
+                cand, f_cand, v_cand = x, f, v
         x = cand
-        trace.append(TraceEntry(step, f_cand, audit(x)))
+        trace.append(TraceEntry(step, f_cand, v_cand))
 
     sv.unpack(x)
     return sv.to_scene(), trace
+
+
+def _fd_max_rel_err(fn, x0: np.ndarray, grad: np.ndarray, epsilon: float) -> float:
+    worst = 0.0
+    for i in range(len(x0)):
+        xp = x0.copy()
+        xp[i] += epsilon
+        fp = fn(xp)
+        xp[i] -= 2 * epsilon
+        fm = fn(xp)
+        fd = (fp - fm) / (2 * epsilon)
+        denom = max(abs(grad[i]), abs(fd), 1e-8)
+        worst = max(worst, abs(grad[i] - fd) / denom)
+    return worst
 
 
 def grad_check(term: str, scene: Scene, gt_scene: Scene,
@@ -349,37 +354,14 @@ def grad_check(term: str, scene: Scene, gt_scene: Scene,
     pairs = enumerate_pairs(gt_scene, gt_scene.camera.normal, cfg.hmor)
 
     x0 = sv.pack()
-    _, g = _objective_on_vars(sv, [pairs], anchors, cfg)
+    _, g, _ = _objective_on_vars(sv, [pairs], anchors, cfg)
 
     def value_at(x):
         sv.unpack(x)
-        return _objective_on_vars(sv, [pairs], anchors, cfg, want_grad=False)
+        return _objective_on_vars(sv, [pairs], anchors, cfg, want_grad=False)[0]
 
-    worst = 0.0
-    for i in range(len(x0)):
-        xp = x0.copy()
-        xp[i] += epsilon
-        fp = value_at(xp)
-        xp[i] -= 2 * epsilon
-        fm = value_at(xp)
-        fd = (fp - fm) / (2 * epsilon)
-        denom = max(abs(g[i]), abs(fd), 1e-8)
-        worst = max(worst, abs(g[i] - fd) / denom)
+    worst = _fd_max_rel_err(value_at, x0, g, epsilon)
     sv.unpack(x0)
-    return worst
-
-
-def _fd_max_rel_err(fn, x0: np.ndarray, grad: np.ndarray, epsilon: float) -> float:
-    worst = 0.0
-    for i in range(len(x0)):
-        xp = x0.copy()
-        xp[i] += epsilon
-        fp = fn(xp)
-        xp[i] -= 2 * epsilon
-        fm = fn(xp)
-        fd = (fp - fm) / (2 * epsilon)
-        denom = max(abs(grad[i]), abs(fd), 1e-8)
-        worst = max(worst, abs(grad[i] - fd) / denom)
     return worst
 
 
@@ -435,29 +417,18 @@ def check_function_gradients(seed: int = 0, points: int = 100,
 
     cam = Camera(1000.0, 1000.0, 500.0, 500.0)
 
-    worst = 0.0
-    for _ in range(points):
-        gt = rng.normal(size=(2, 5, 3))
-        pred = gt + rng.choice([-1, 1], size=gt.shape) * rng.uniform(margin * 2, 1.0, gt.shape)
-        _, g = loss_pose_grad(pred, gt)
+    for name, loss_grad in (("loss_pose", loss_pose_grad), ("loss_abs", loss_abs_grad)):
+        worst = 0.0
+        for _ in range(points):
+            gt = rng.normal(size=(2, 5, 3))
+            pred = gt + rng.choice([-1, 1], size=gt.shape) * rng.uniform(margin * 2, 1.0, gt.shape)
+            _, g = loss_grad(pred, gt)
 
-        def fn(x, gt=gt, shape=pred.shape):
-            return loss_pose_grad(x.reshape(shape), gt)[0]
+            def fn(x, gt=gt, shape=pred.shape, loss_grad=loss_grad):
+                return loss_grad(x.reshape(shape), gt)[0]
 
-        worst = max(worst, _fd_max_rel_err(fn, pred.ravel(), g.ravel(), epsilon))
-    results["loss_pose"] = worst
-
-    worst = 0.0
-    for _ in range(points):
-        gt = rng.normal(size=(2, 5, 3))
-        pred = gt + rng.choice([-1, 1], size=gt.shape) * rng.uniform(margin * 2, 1.0, gt.shape)
-        _, g = loss_abs_grad(pred, gt)
-
-        def fn(x, gt=gt, shape=pred.shape):
-            return loss_abs_grad(x.reshape(shape), gt)[0]
-
-        worst = max(worst, _fd_max_rel_err(fn, pred.ravel(), g.ravel(), epsilon))
-    results["loss_abs"] = worst
+            worst = max(worst, _fd_max_rel_err(fn, pred.ravel(), g.ravel(), epsilon))
+        results[name] = worst
 
     worst = 0.0
     for _ in range(points):

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hmor import InvalidInputError, load_scene, save_scene
+from hmor import InvalidInputError, NumericalError, load_scene, save_scene
 from hmor.cli import main
 from hmor.sceneio import scene_from_dict, scene_to_dict
 from conftest import swap_root_depths, two_person_depth_fixture
@@ -56,6 +57,24 @@ class TestSceneIO:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(InvalidInputError):
             load_scene(path)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_rejected(self, tmp_path, camera, literal):
+        path = tmp_path / "scene.json"
+        save_scene(two_person_depth_fixture(camera), path)
+        text = path.read_text().replace('"root_depth_mm": 4000.0', f'"root_depth_mm": {literal}')
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            load_scene(path)
+
+    def test_non_finite_scene_not_written(self, tmp_path, camera):
+        scene = two_person_depth_fixture(camera)
+        bad = dataclasses.replace(scene, persons=(
+            dataclasses.replace(scene.persons[0], root_depth=float("nan")),
+            scene.persons[1]))
+        with pytest.raises(NumericalError):
+            save_scene(bad, tmp_path / "bad.json")
+        assert not (tmp_path / "bad.json").exists()
 
     def test_topology_field_optional(self, camera):
         from hmor import GenSpec, generate_scene
@@ -131,6 +150,16 @@ class TestLoss:
         assert run("loss", pa, pb) == 2
         err = capsys.readouterr().err
         assert "joint_count" in err
+
+    def test_nan_scene_file_is_validation_error(self, fixture_files, capsys):
+        pred, gt = fixture_files
+        text = pred.read_text().replace('"root_depth_mm": 4600.0', '"root_depth_mm": NaN')
+        assert "NaN" in text
+        pred.write_text(text)
+        assert run("loss", pred, gt) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "non-finite number NaN" in captured.err
 
     def test_csv_format(self, fixture_files, capsys):
         pred, gt = fixture_files

@@ -11,7 +11,7 @@ from hmor import (GaussNoise, GenSpec, HmorConfig, InvalidInputError, SkeletonTo
                   project_to_plane, relation_instance, relation_joint,
                   relation_part, sample_view)
 from hmor.ordinal import (err_instance_grad, err_joint_grad, err_part_grad,
-                          scene_joint_array)
+                          hmor_loss_on_joints, scene_joint_array)
 from conftest import swap_root_depths, two_person_depth_fixture
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -117,14 +117,6 @@ class TestErrJoint:
     def test_label_flips_with_argument_swap(self):
         a, b = [0.0, 0.0, 1.0], [0.0, 0.0, 4.0]
         assert relation_joint(a, b, Z) == -relation_joint(b, a, Z)
-
-    def test_label_clamped_variant_drops_minus_pairs(self):
-        # ground truth says the first joint is farther (label -1) but the
-        # prediction puts it closer: the product form penalizes this, the
-        # label-clamping form silently ignores every -1 pair
-        wrong_first, wrong_second = [0.0, 0.0, 1.0], [0.0, 0.0, 2.0]
-        assert err_joint(wrong_first, wrong_second, -1, Z) > 0.0
-        assert err_joint(wrong_first, wrong_second, -1, Z, clamp_label=True) == 0.0
 
 
 class TestEnumeratePairs:
@@ -416,19 +408,53 @@ class TestCountViolations:
         gt = generate_scene(spec)
         noisy = perturb(gt, spec)
         view = gt.camera.normal
-        pairs = enumerate_pairs(gt, view)
-        got = count_violations(noisy, pairs)
-
-        cfg = HmorConfig()
-        K = scene_joint_array(noisy, cfg.depth_unit_scale)
         topo = gt.topology
         S = topo.part_count
-        positions = [K[m].mean(axis=0) for m in range(2)]
-        parts = [(K[m][e] - K[m][s]) for m in range(2) for s, e in topo.parts]
-        ins = sum(1 for a, b, lab in pairs.instance_pairs
-                  if relation_instance(positions[a], positions[b], view) != lab)
-        prt = sum(1 for m1, s1, m2, s2, lab in pairs.part_pairs
-                  if relation_part(parts[m1 * S + s1], parts[m2 * S + s2], view) != lab)
-        jnt = sum(1 for m1, j1, m2, j2, lab in pairs.joint_pairs
-                  if relation_joint(K[m1][j1], K[m2][j2], view) != lab)
-        assert got == (ins, prt, jnt)
+        saw_zero_label = False
+        # default labels, particle parts, and a tolerance band wide enough
+        # that label-0 pairs occur at every level but the instance one
+        for cfg in (HmorConfig(), HmorConfig(part_mode="particle"),
+                    HmorConfig(equality_tolerance=0.02),
+                    HmorConfig(part_mode="particle", equality_tolerance=0.02)):
+            eps = cfg.equality_tolerance
+            pairs = enumerate_pairs(gt, view, cfg)
+            got = count_violations(noisy, pairs, cfg)
+
+            K = scene_joint_array(noisy, cfg.depth_unit_scale)
+            positions = [K[m].mean(axis=0) for m in range(2)]
+            if cfg.part_mode == "particle":
+                mids = [0.5 * (K[m][e] + K[m][s]) for m in range(2) for s, e in topo.parts]
+                part_label = [relation_instance(mids[m1 * S + s1], mids[m2 * S + s2], view, eps)
+                              for m1, s1, m2, s2, _ in pairs.part_pairs]
+            else:
+                parts = [(K[m][e] - K[m][s]) for m in range(2) for s, e in topo.parts]
+                part_label = [relation_part(parts[m1 * S + s1], parts[m2 * S + s2], view, eps)
+                              for m1, s1, m2, s2, _ in pairs.part_pairs]
+            ins = sum(1 for a, b, lab in pairs.instance_pairs
+                      if relation_instance(positions[a], positions[b], view, eps) != lab)
+            prt = sum(1 for pred, lab in zip(part_label, pairs.part_pairs[:, 4])
+                      if pred != lab)
+            jnt = sum(1 for m1, j1, m2, j2, lab in pairs.joint_pairs
+                      if relation_joint(K[m1][j1], K[m2][j2], view, eps) != lab)
+            assert got == (ins, prt, jnt)
+            assert hmor_loss(noisy, pairs, config=cfg).violations == got
+            if eps > 0:
+                assert np.any(pairs.part_pairs[:, 4] == 0)
+                assert np.any(pairs.joint_pairs[:, 4] == 0)
+                saw_zero_label = True
+        assert saw_zero_label
+
+    def test_zero_weight_level_is_counted_without_gradient(self):
+        spec = GenSpec(seed=17, n_persons=3, perturbation=GaussNoise(sigma_z=300.0))
+        gt = generate_scene(spec)
+        noisy = perturb(gt, spec)
+        K = scene_joint_array(noisy, 1e-3)
+        pairs = enumerate_pairs(gt, gt.camera.normal)
+        no_parts = dataclasses.replace(pairs, part_pairs=np.empty((0, 5), int))
+        cfg = HmorConfig(w_part=0.0)
+        loss, dK = hmor_loss_on_joints(K, gt.topology, pairs, cfg)
+        loss_np, dK_np = hmor_loss_on_joints(K, gt.topology, no_parts, cfg)
+        assert loss.violations[1] > 0 and loss_np.violations[1] == 0
+        assert loss.part > 0.0
+        assert loss.total == loss_np.total
+        assert np.array_equal(dK, dK_np)

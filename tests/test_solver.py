@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from hmor import (GaussNoise, GenSpec, HmorConfig, InvalidInputError,
-                  SolverConfig, SolverError, enumerate_pairs, generate_scene,
-                  grad_check, objective, ordinal_violations, perturb, refine)
+                  SolverConfig, SolverError, count_violations, enumerate_pairs,
+                  generate_scene, grad_check, objective, ordinal_violations,
+                  perturb, refine)
 from hmor.cli import _jitter_all_coordinates
 from hmor.solver import check_function_gradients
 from conftest import swap_root_depths, two_person_depth_fixture
@@ -139,6 +140,34 @@ class TestRefine:
         after = np.array([p.root_depth for p in refined.persons])
         truth = np.array([p.root_depth for p in gt.persons])
         assert np.abs(after - truth).mean() < np.abs(before - truth).mean()
+
+
+class TestTraceViolations:
+    """Each trace row's violations come from the objective evaluation of
+    the point it reports; they must equal a fresh count on that point.
+    With a fixed seed, refine(steps=k) is a prefix of refine(steps=5)."""
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"views_per_step": 4},
+        {"hmor": HmorConfig(w_part=0.0)},
+        {"w_hmor": 0.0, "w_abs": 1.0, "anchor": "input"},
+        # every candidate overshoots and halving stops above min_step
+        {"step_size": 1e3, "min_step": 1e2},
+    ], ids=["default", "views4", "w_part0", "hmor_off", "all_rejected"])
+    def test_last_row_matches_recount(self, overrides):
+        spec = GenSpec(seed=21, n_persons=3, perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        noisy = perturb(gt, spec)
+        cfg = SolverConfig(seed=5, **overrides)
+        normal_pairs = enumerate_pairs(gt, gt.camera.normal, cfg.hmor)
+        _, full = refine(noisy, gt, dataclasses.replace(cfg, steps=5))
+        for k in range(1, 6):
+            refined, trace = refine(noisy, gt, dataclasses.replace(cfg, steps=k))
+            assert trace == full[:k + 1]
+            assert trace[-1].violations == sum(count_violations(refined, normal_pairs, cfg.hmor))
+        if "min_step" in overrides:
+            assert len({(t.value, t.violations) for t in full}) == 1
 
 
 class TestGradCheck:
