@@ -15,6 +15,7 @@ import numpy as np
 from .errors import BehindCameraError, InvalidInputError
 
 _UNIT_TOL = 1e-9
+DEFAULT_NORMAL = (0.0, 0.0, 1.0)
 
 
 def _as_unit(vec, name: str) -> np.ndarray:
@@ -39,7 +40,7 @@ class Camera:
     fy: float
     cx: float
     cy: float
-    normal: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
+    normal: np.ndarray = field(default_factory=lambda: np.array(DEFAULT_NORMAL))
 
     def __post_init__(self):
         if self.fx <= 0 or self.fy <= 0:

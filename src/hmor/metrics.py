@@ -10,18 +10,18 @@ levels.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInputError
-from .geometry import project
-from .ordinal import HmorConfig, count_violations, enumerate_pairs
-from .skeleton import AbsolutePose, Scene, assemble_absolute
+from .ordinal import HmorConfig, count_violations, enumerate_pairs, scene_joint_array
+from .skeleton import AbsolutePose, Scene
 
 DEFAULT_PCK_THRESHOLD_MM = 150.0
 DEFAULT_AUC_THRESHOLDS_MM = np.arange(1.0, 151.0)
+DEFAULT_AUC_THRESHOLDS_MM.flags.writeable = False  # shared by every report's curve
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,38 @@ class ViolationCounts:
         return self.instance + self.part + self.joint
 
 
+class PckCurve(Sequence):
+    """PCK curve rows (threshold_mm, pck_rel, pck_abs), kept as correct-joint
+    counts in the smallest integer type that holds them: a 150-point curve
+    takes under 1 KB instead of ~20 KB of float tuples. Each row is built on
+    access with pck()'s arithmetic and equals the tuple it stands for."""
+
+    __slots__ = ("_thresholds", "_counts", "_total")
+
+    def __init__(self, thresholds: np.ndarray, rel_counts, abs_counts, total: int):
+        self._thresholds = thresholds
+        self._counts = np.stack([rel_counts, abs_counts]).astype(np.min_scalar_type(total))
+        self._total = total
+
+    def __len__(self) -> int:
+        return len(self._thresholds)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self)[k]
+        rel, ab = self._counts[:, k].tolist()
+        return (float(self._thresholds[k]), 100.0 * rel / self._total, 100.0 * ab / self._total)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (tuple, PckCurve)) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class MetricReport:
     mpjpe: float
@@ -56,7 +88,7 @@ class MetricReport:
     auc_rel: float
     ordinal_violations: ViolationCounts
     matched_pairs: tuple[tuple[int, int], ...]
-    pck_curve: tuple[tuple[float, float, float], ...] = ()
+    pck_curve: Sequence[tuple[float, float, float]] = ()
 
 
 def similarity_align(source: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -84,23 +116,26 @@ def similarity_align(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     return c * x @ R.T + (mu_y - c * R @ mu_x)
 
 
+def _aligned_distances(p: np.ndarray, g: np.ndarray, alignment: str,
+                       root: int) -> np.ndarray:
+    """Per-joint distances of matched (M, J, 3) joint stacks, shape (M, J)."""
+    if alignment == "root":
+        p = p - p[:, root, None]
+        g = g - g[:, root, None]
+    elif alignment == "procrustes":
+        p = np.array([similarity_align(a, b) for a, b in zip(p, g)]).reshape(g.shape)
+    elif alignment != "none":
+        raise InvalidInputError(f"unknown alignment {alignment!r}")
+    return np.linalg.norm(p - g, axis=-1)
+
+
 def joint_distances(pred: AbsolutePose, gt: AbsolutePose,
                     alignment: str = "root", root_index: int = 0) -> np.ndarray:
     """Per-joint Euclidean distances under the requested alignment."""
-    p = pred.joints
-    g = gt.joints
+    p, g = pred.joints, gt.joints
     if p.shape != g.shape:
         raise InvalidInputError(f"joint count mismatch: {p.shape} vs {g.shape}")
-    if alignment == "none":
-        pass
-    elif alignment == "root":
-        p = p - p[root_index]
-        g = g - g[root_index]
-    elif alignment == "procrustes":
-        p = similarity_align(p, g)
-    else:
-        raise InvalidInputError(f"unknown alignment {alignment!r}")
-    return np.linalg.norm(p - g, axis=1)
+    return _aligned_distances(p[None], g[None], alignment, root_index)[0]
 
 
 def mpjpe(pred: AbsolutePose, gt: AbsolutePose, alignment: str = "root",
@@ -114,30 +149,40 @@ def mpjpe(pred: AbsolutePose, gt: AbsolutePose, alignment: str = "root",
     return float(joint_distances(pred, gt, alignment, root_index).mean())
 
 
-def _match_cost(pred: Scene, gt: Scene, cost: str) -> np.ndarray:
-    root = gt.topology.root_index
-    pred_poses = [assemble_absolute(p, pred.camera) for p in pred.persons]
-    gt_poses = [assemble_absolute(p, gt.camera) for p in gt.persons]
-    out = np.empty((len(pred_poses), len(gt_poses)))
+def _joint_arrays(pred: Scene, gt: Scene) -> tuple[np.ndarray, np.ndarray]:
+    if pred.topology.joint_count != gt.topology.joint_count:
+        raise InvalidInputError("scenes use different joint counts")
+    return scene_joint_array(pred), scene_joint_array(gt)
+
+
+def _match_cost(pred: Scene, gt: Scene, P: np.ndarray, G: np.ndarray,
+                cost: str) -> np.ndarray:
     if cost == "root_aligned_3d":
-        for i, pp in enumerate(pred_poses):
-            for j, gp in enumerate(gt_poses):
-                out[i, j] = mpjpe(pp, gp, "root", root)
+        root = gt.topology.root_index
+        a, b = P - P[:, root, None], G - G[:, root, None]
     elif cost == "projected_2d":
-        for i, pp in enumerate(pred_poses):
-            pu = np.array([project(pred.camera, k) for k in pp.joints])
-            for j, gp in enumerate(gt_poses):
-                gu = np.array([project(gt.camera, k) for k in gp.joints])
-                out[i, j] = float(np.linalg.norm(pu - gu, axis=1).mean())
+        a, b = (np.stack([s.camera.fx * K[..., 0] / K[..., 2] + s.camera.cx,
+                          s.camera.fy * K[..., 1] / K[..., 2] + s.camera.cy], axis=-1)
+                for s, K in ((pred, P), (gt, G)))
     else:
         raise InvalidInputError(f"unknown matching cost {cost!r}")
-    return out
+    return np.linalg.norm(a[:, None] - b[None], axis=-1).mean(axis=-1)
 
 
 def optimal_assignment(cost_matrix: np.ndarray):
     """Row and column indices of the minimum-total-cost one-to-one
     assignment of a (possibly rectangular) cost matrix."""
+    # imported here because scipy.optimize takes longer to import than
+    # the rest of the package, and only matching needs it
+    from scipy.optimize import linear_sum_assignment
     return linear_sum_assignment(np.asarray(cost_matrix, dtype=float))
+
+
+def _match(pred: Scene, gt: Scene, P: np.ndarray, G: np.ndarray, cost: str) -> Matching:
+    rows, cols = (a.tolist() for a in optimal_assignment(_match_cost(pred, gt, P, G, cost)))
+    return Matching(tuple(zip(rows, cols)),
+                    tuple(sorted(set(range(len(P))) - set(rows))),
+                    tuple(sorted(set(range(len(G))) - set(cols))))
 
 
 def match_persons(pred: Scene, gt: Scene, cost: str = "root_aligned_3d") -> Matching:
@@ -146,27 +191,33 @@ def match_persons(pred: Scene, gt: Scene, cost: str = "root_aligned_3d") -> Matc
     The assignment is globally optimal, not greedy. Persons left over on
     either side (when counts differ) are reported unmatched.
     """
-    if pred.topology.joint_count != gt.topology.joint_count:
-        raise InvalidInputError("scenes use different joint counts")
-    cost_matrix = _match_cost(pred, gt, cost)
-    rows, cols = optimal_assignment(cost_matrix)
-    pairs = tuple((int(r), int(c)) for r, c in zip(rows, cols))
-    unmatched_pred = tuple(i for i in range(pred.person_count) if i not in set(rows))
-    unmatched_gt = tuple(j for j in range(gt.person_count) if j not in set(cols))
-    return Matching(pairs, unmatched_pred, unmatched_gt)
+    return _match(pred, gt, *_joint_arrays(pred, gt), cost)
 
 
-def _matched_distance_rows(pred: Scene, gt: Scene, alignment: str,
-                           matching: Matching) -> tuple[np.ndarray, int]:
-    """Distances for every matched gt joint plus the unmatched-gt count."""
+def _matched_distances(pred: Scene, gt: Scene, alignments, matching: Matching | None):
+    """Back-project each scene once, match the persons unless ``matching``
+    is given, and return the matching with the (M, J) per-joint distances
+    of the matched pairs under each alignment."""
+    P, G = _joint_arrays(pred, gt)
+    if matching is None:
+        matching = _match(pred, gt, P, G, "root_aligned_3d")
+    idx = np.array(matching.pairs, dtype=int).reshape(-1, 2)
+    p, g = P[idx[:, 0]], G[idx[:, 1]]
     root = gt.topology.root_index
-    rows = []
-    for i, j in matching.pairs:
-        rows.append(joint_distances(assemble_absolute(pred.persons[i], pred.camera),
-                                    assemble_absolute(gt.persons[j], gt.camera),
-                                    alignment, root))
-    dists = np.concatenate(rows) if rows else np.empty(0)
-    return dists, len(matching.unmatched_gt) * gt.topology.joint_count
+    return matching, {a: _aligned_distances(p, g, a, root) for a in alignments}
+
+
+def _pck_counts(dists: np.ndarray, matching: Matching, thresholds) -> tuple[np.ndarray, int]:
+    """Correct-joint counts at every threshold from one sort of the (M, J)
+    matched distances, and the gt joint total they are out of: all joints
+    of unmatched gt persons count as wrong. ``side="right"`` counts a
+    distance equal to the threshold as correct."""
+    t = np.asarray(thresholds, dtype=float).ravel()
+    bad = t[~(t > 0)]
+    if bad.size:
+        raise InvalidInputError(f"threshold must be positive, got {bad[0]}")
+    counts = np.searchsorted(np.sort(dists, axis=None), t, side="right")
+    return counts, (len(dists) + len(matching.unmatched_gt)) * dists.shape[1]
 
 
 def pck(pred: Scene, gt: Scene, alignment: str = "root",
@@ -177,13 +228,9 @@ def pck(pred: Scene, gt: Scene, alignment: str = "root",
     A joint exactly at the threshold counts as correct. Every joint of an
     unmatched ground-truth person counts as incorrect.
     """
-    if threshold_mm <= 0:
-        raise InvalidInputError(f"threshold must be positive, got {threshold_mm}")
-    if matching is None:
-        matching = match_persons(pred, gt)
-    dists, n_missed = _matched_distance_rows(pred, gt, alignment, matching)
-    total = len(dists) + n_missed
-    return 100.0 * int(np.count_nonzero(dists <= threshold_mm)) / total
+    matching, dists = _matched_distances(pred, gt, [alignment], matching)
+    counts, total = _pck_counts(dists[alignment], matching, [threshold_mm])
+    return 100.0 * int(counts[0]) / total
 
 
 def auc(pred: Scene, gt: Scene, alignment: str = "root",
@@ -192,13 +239,9 @@ def auc(pred: Scene, gt: Scene, alignment: str = "root",
     """Mean PCK over a threshold grid (default 1..150 mm, 1 mm step)."""
     if thresholds_mm is None:
         thresholds_mm = DEFAULT_AUC_THRESHOLDS_MM
-    if matching is None:
-        matching = match_persons(pred, gt)
-    dists, n_missed = _matched_distance_rows(pred, gt, alignment, matching)
-    total = len(dists) + n_missed
-    curve = np.array([100.0 * int(np.count_nonzero(dists <= t)) / total
-                      for t in thresholds_mm])
-    return float(curve.mean())
+    matching, dists = _matched_distances(pred, gt, [alignment], matching)
+    counts, total = _pck_counts(dists[alignment], matching, thresholds_mm)
+    return float((100.0 * counts / total).mean())
 
 
 def ordinal_violations(pred: Scene, gt: Scene, views,
@@ -235,26 +278,16 @@ def evaluate(pred: Scene, gt: Scene,
     additionally penalize unmatched ground-truth persons. Ordinal
     violations are audited under ``views`` (default: the camera normal).
     """
-    if auc_thresholds_mm is None:
-        auc_thresholds_mm = DEFAULT_AUC_THRESHOLDS_MM
-    matching = match_persons(pred, gt)
-    root = gt.topology.root_index
-
-    per_alignment = {}
-    for alignment in ("root", "procrustes", "none"):
-        vals = []
-        for i, j in matching.pairs:
-            vals.append(mpjpe(assemble_absolute(pred.persons[i], pred.camera),
-                              assemble_absolute(gt.persons[j], gt.camera),
-                              alignment, root))
-        per_alignment[alignment] = float(np.mean(vals))
-
-    curve = tuple(
-        (float(t),
-         pck(pred, gt, "root", float(t), matching),
-         pck(pred, gt, "none", float(t), matching))
-        for t in auc_thresholds_mm
-    )
+    thresholds = (DEFAULT_AUC_THRESHOLDS_MM if auc_thresholds_mm is None
+                  else np.array(auc_thresholds_mm, dtype=float).ravel())
+    # the PCK threshold rides last on the AUC grid: one searchsorted for both
+    grid = np.append(thresholds, pck_threshold_mm)
+    matching, dists = _matched_distances(pred, gt, ("root", "procrustes", "none"), None)
+    # per person, then over persons: the reduction order of mpjpe()
+    per_alignment = {a: float(np.mean([float(row.mean()) for row in d]))
+                     for a, d in dists.items()}
+    rel, total = _pck_counts(dists["root"], matching, grid)
+    absolute, _ = _pck_counts(dists["none"], matching, grid)
 
     if views is None:
         views = [gt.camera.normal]
@@ -265,10 +298,10 @@ def evaluate(pred: Scene, gt: Scene,
         mpjpe=per_alignment["root"],
         pa_mpjpe=per_alignment["procrustes"],
         abs_mpjpe=per_alignment["none"],
-        pck_rel=pck(pred, gt, "root", pck_threshold_mm, matching),
-        pck_abs=pck(pred, gt, "none", pck_threshold_mm, matching),
-        auc_rel=auc(pred, gt, "root", auc_thresholds_mm, matching),
+        pck_rel=100.0 * int(rel[-1]) / total,
+        pck_abs=100.0 * int(absolute[-1]) / total,
+        auc_rel=float((100.0 * rel[:-1] / total).mean()),
         ordinal_violations=violations,
         matched_pairs=matching.pairs,
-        pck_curve=curve,
+        pck_curve=PckCurve(thresholds, rel[:-1], absolute[:-1], total),
     )

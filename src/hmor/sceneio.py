@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import HmorError, InvalidInputError, NumericalError
-from .geometry import Camera
+from .geometry import DEFAULT_NORMAL, Camera
 from .skeleton import (BoundingBox, Person, RelativePose, Scene,
                        SkeletonTopology)
 
@@ -32,13 +32,38 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], context: str):
         raise InvalidInputError(f"{context} is missing fields {sorted(missing)}")
 
 
+def _number(value, context: str) -> float:
+    """A JSON number as a float; booleans, strings, lists, null and
+    integers too large for a float are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise InvalidInputError(f"{context} must be a finite number, got {value!r}")
+
+
+def _integer(value, context: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidInputError(f"{context} must be an integer, got {value!r}")
+
+
+def _fixed_list(value, length: int, context: str) -> list:
+    if not isinstance(value, list) or len(value) != length:
+        raise InvalidInputError(f"{context} must be a list of {length} values, got {value!r}")
+    return value
+
+
 def scene_to_dict(scene: Scene) -> dict:
+    camera = {"fx": scene.camera.fx, "fy": scene.camera.fy,
+              "cx": scene.camera.cx, "cy": scene.camera.cy}
+    # written only when it differs, so default-normal files keep their bytes
+    if not np.array_equal(scene.camera.normal, DEFAULT_NORMAL):
+        camera["normal"] = [float(x) for x in scene.camera.normal]
     return {
         "schema_version": SCHEMA_VERSION,
-        "camera": {
-            "fx": scene.camera.fx, "fy": scene.camera.fy,
-            "cx": scene.camera.cx, "cy": scene.camera.cy,
-        },
+        "camera": camera,
         "persons": [
             {
                 "box": {
@@ -71,15 +96,24 @@ def scene_from_dict(data: dict) -> Scene:
             f"expected {SCHEMA_VERSION!r}")
 
     cam = data["camera"]
-    _check_keys(cam, {"fx", "fy", "cx", "cy"}, {"fx", "fy", "cx", "cy"}, "camera")
-    camera = Camera(float(cam["fx"]), float(cam["fy"]), float(cam["cx"]), float(cam["cy"]))
+    _check_keys(cam, {"fx", "fy", "cx", "cy", "normal"}, {"fx", "fy", "cx", "cy"}, "camera")
+    normal = [_number(x, "camera.normal")
+              for x in _fixed_list(cam.get("normal", list(DEFAULT_NORMAL)), 3, "camera.normal")]
+    camera = Camera(*(_number(cam[k], f"camera.{k}") for k in ("fx", "fy", "cx", "cy")),
+                    normal=np.array(normal))
 
     if "topology" in data:
         topo = data["topology"]
         _check_keys(topo, {"joints", "root_index", "parts"},
                     {"joints", "root_index", "parts"}, "topology")
-        topology = SkeletonTopology(int(topo["joints"]), int(topo["root_index"]),
-                                    tuple((int(s), int(e)) for s, e in topo["parts"]))
+        if not isinstance(topo["parts"], list):
+            raise InvalidInputError(f"topology.parts must be a list, got {topo['parts']!r}")
+        parts = tuple(tuple(_integer(x, f"topology.parts[{k}]")
+                            for x in _fixed_list(part, 2, f"topology.parts[{k}]"))
+                      for k, part in enumerate(topo["parts"]))
+        topology = SkeletonTopology(_integer(topo["joints"], "topology.joints"),
+                                    _integer(topo["root_index"], "topology.root_index"),
+                                    parts)
     else:
         topology = SkeletonTopology()
 
@@ -102,13 +136,14 @@ def scene_from_dict(data: dict) -> Scene:
         for k, joint in enumerate(joints):
             _check_keys(joint, {"u", "v", "z_rel_mm"}, {"u", "v", "z_rel_mm"},
                         f"{ctx}.joints[{k}]")
-            rel[k] = (float(joint["u"]), float(joint["v"]), float(joint["z_rel_mm"]))
+            rel[k] = [_number(joint[c], f"{ctx}.joints[{k}].{c}")
+                      for c in ("u", "v", "z_rel_mm")]
         persons.append(Person(
-            box=BoundingBox(float(box["u_top"]), float(box["v_top"]),
-                            float(box["w"]), float(box["h"])),
+            box=BoundingBox(*(_number(box[c], f"{ctx}.box.{c}")
+                              for c in ("u_top", "v_top", "w", "h"))),
             rel_pose=RelativePose(rel, topology.root_index),
-            root_depth=float(entry["root_depth_mm"]),
-            roi_area=float(entry["roi_area"]),
+            root_depth=_number(entry["root_depth_mm"], f"{ctx}.root_depth_mm"),
+            roi_area=_number(entry["roi_area"], f"{ctx}.roi_area"),
         ))
     return Scene(camera=camera, persons=tuple(persons), topology=topology)
 
@@ -134,7 +169,7 @@ def load_scene(path) -> Scene:
     try:
         data = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
         return scene_from_dict(data)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
     except HmorError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
+        raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc

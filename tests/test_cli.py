@@ -67,6 +67,14 @@ class TestSceneIO:
         with pytest.raises(InvalidInputError, match="non-finite"):
             load_scene(path)
 
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_oversized_integer_rejected(self, tmp_path, camera, digits):
+        path = tmp_path / "scene.json"
+        save_scene(two_person_depth_fixture(camera), path)
+        path.write_text(path.read_text().replace('"fx": 1000.0', '"fx": ' + "9" * digits))
+        with pytest.raises(InvalidInputError):
+            load_scene(path)
+
     def test_non_finite_scene_not_written(self, tmp_path, camera):
         scene = two_person_depth_fixture(camera)
         bad = dataclasses.replace(scene, persons=(
@@ -75,6 +83,18 @@ class TestSceneIO:
         with pytest.raises(NumericalError):
             save_scene(bad, tmp_path / "bad.json")
         assert not (tmp_path / "bad.json").exists()
+
+    def test_camera_normal_round_trips(self, tmp_path, camera):
+        scene = two_person_depth_fixture(camera)
+        save_scene(scene, tmp_path / "default.json")
+        assert "normal" not in (tmp_path / "default.json").read_text()
+        normal = np.array([0.0, 0.6, 0.8])
+        tilted = dataclasses.replace(scene, camera=dataclasses.replace(camera, normal=normal))
+        save_scene(tilted, tmp_path / "tilted.json")
+        loaded = load_scene(tmp_path / "tilted.json")
+        assert np.array_equal(loaded.camera.normal, normal)
+        save_scene(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "tilted.json").read_bytes()
 
     def test_topology_field_optional(self, camera):
         from hmor import GenSpec, generate_scene
@@ -160,6 +180,31 @@ class TestLoss:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "non-finite number NaN" in captured.err
+
+    @pytest.mark.parametrize("where, value, named", [
+        ("joint", "abc", "persons[0].joints[1].u"),
+        ("joint", [1, 2], "persons[0].joints[1].u"),
+        ("joint", None, "persons[0].joints[1].u"),
+        ("part", [1], "topology.parts[0]"),
+        ("fx", True, "camera.fx"),
+        ("normal", [0.0, 0.0, 2.0], "normal"),
+        ("normal", [0.0, 1.0], "camera.normal"),
+    ])
+    def test_malformed_value_is_validation_error(self, fixture_files, capsys,
+                                                 where, value, named):
+        pred, gt = fixture_files
+        data = json.loads(pred.read_text())
+        if where == "joint":
+            data["persons"][0]["joints"][1]["u"] = value
+        elif where == "part":
+            data["topology"]["parts"][0] = value
+        else:
+            data["camera"][where] = value
+        pred.write_text(json.dumps(data))
+        assert run("loss", pred, gt) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and named in captured.err
 
     def test_csv_format(self, fixture_files, capsys):
         pred, gt = fixture_files
@@ -262,6 +307,15 @@ class TestEval:
         assert serial == parallel
         assert serial["aggregate"]["pck_rel"] == 100.0
         assert len(serial["scenes"]) == 3
+
+    def test_non_positive_auc_threshold_in_config_rejected(self, tmp_path, capsys):
+        assert run("gen", "--seed", 34, "--persons", 2, "--out", tmp_path) == 0
+        scene = tmp_path / "scene_000.json"
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"metrics": {"auc_min_mm": 0}}))
+        capsys.readouterr()
+        assert run("eval", scene, scene, "--config", cfg_path) == 2
+        assert "threshold must be positive" in capsys.readouterr().err
 
     def test_empty_scene_file_is_validation_error(self, tmp_path, capsys):
         bad = {"schema_version": "hmor-scene/1",

@@ -1,11 +1,15 @@
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hmor import (AbsolutePose, BoundingBox, Camera, GaussNoise, GenSpec, InvalidInputError,
-                  Person, RelativePose, Scene, SkeletonTopology, auc,
+                  MetricReport, Person, RelativePose, Scene, SkeletonTopology, auc,
                   assemble_absolute, evaluate, generate_scene, match_persons,
                   mpjpe, ordinal_violations, pck, perturb, similarity_align)
 from conftest import make_person, swap_root_depths, two_person_depth_fixture
@@ -309,3 +313,108 @@ class TestEvaluate:
                             assemble_absolute(gt.persons[j], gt.camera), "root")
                       for i, j in report.matched_pairs]
         assert abs(report.mpjpe - np.mean(per_person)) < 1e-12
+
+
+def _reference_distances(p, g, alignment, root):
+    if alignment == "root":
+        p, g = p - p[root], g - g[root]
+    elif alignment == "procrustes":
+        p = similarity_align(p, g)
+    return np.linalg.norm(p - g, axis=1)
+
+
+def _brute_force_report(pred, gt, pck_threshold, thresholds):
+    """evaluate() by the definitions: every person assembled on its own,
+    MPJPE per person then over persons, and each threshold scored apart."""
+    matching = match_persons(pred, gt)
+    root = gt.topology.root_index
+    dists = {a: [_reference_distances(assemble_absolute(pred.persons[i], pred.camera).joints,
+                                      assemble_absolute(gt.persons[j], gt.camera).joints,
+                                      a, root)
+                 for i, j in matching.pairs]
+             for a in ("root", "procrustes", "none")}
+    n_gt_joints = gt.person_count * gt.topology.joint_count  # unmatched ones are misses
+
+    def pck_at(alignment, t):
+        return 100.0 * sum(int(np.count_nonzero(d <= t)) for d in dists[alignment]) / n_gt_joints
+
+    def mean_error(alignment):
+        return float(np.mean([float(d.mean()) for d in dists[alignment]]))
+
+    order = sorted(matching.pairs, key=lambda ij: ij[1])
+    pred_sub = dataclasses.replace(pred, persons=tuple(pred.persons[i] for i, _ in order))
+    gt_sub = dataclasses.replace(gt, persons=tuple(gt.persons[j] for _, j in order))
+    return MetricReport(
+        mpjpe=mean_error("root"),
+        pa_mpjpe=mean_error("procrustes"),
+        abs_mpjpe=mean_error("none"),
+        pck_rel=pck_at("root", pck_threshold),
+        pck_abs=pck_at("none", pck_threshold),
+        auc_rel=float(np.mean([pck_at("root", float(t)) for t in thresholds])),
+        ordinal_violations=ordinal_violations(pred_sub, gt_sub, [gt.camera.normal]),
+        matched_pairs=matching.pairs,
+        pck_curve=tuple((float(t), pck_at("root", float(t)), pck_at("none", float(t)))
+                        for t in thresholds),
+    )
+
+
+class TestEvaluateOracle:
+    """The one-pass evaluate() equals the per-threshold brute force exactly."""
+
+    @staticmethod
+    def _noisy_pair(seed, n):
+        spec = GenSpec(seed=seed, n_persons=n,
+                       perturbation=GaussNoise(sigma_xy=35.0, sigma_z=300.0))
+        gt = generate_scene(spec)
+        pred = perturb(gt, spec)
+        order = np.random.default_rng(seed).permutation(n)
+        return dataclasses.replace(pred, persons=tuple(pred.persons[i] for i in order)), gt
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_noisy_scenes(self, n):
+        pred, gt = self._noisy_pair(60 + n, n)
+        grid = np.arange(1.0, 151.0)
+        assert evaluate(pred, gt) == _brute_force_report(pred, gt, 150.0, grid)
+        coarse = np.arange(5.0, 200.0, 7.5)
+        assert (evaluate(pred, gt, pck_threshold_mm=60.0, auc_thresholds_mm=coarse)
+                == _brute_force_report(pred, gt, 60.0, coarse))
+
+    @pytest.mark.parametrize("n_pred, n_gt", [(2, 5), (5, 2)])
+    def test_unequal_person_counts(self, n_pred, n_gt):
+        pred, _ = self._noisy_pair(70, n_pred)
+        _, gt = self._noisy_pair(70, n_gt)
+        report = evaluate(pred, gt)
+        assert len(report.matched_pairs) == min(n_pred, n_gt)
+        assert report == _brute_force_report(pred, gt, 150.0, np.arange(1.0, 151.0))
+
+    def test_thresholds_inclusive(self, camera):
+        # errors of exactly 0, 150, 75 and 100 mm sit on grid points
+        pred, gt = _exact_offset_pair(camera, [0.0, 37.5, 18.75, 25.0])
+        grid = np.arange(1.0, 151.0)
+        report = evaluate(pred, gt, pck_threshold_mm=100.0)
+        assert report == _brute_force_report(pred, gt, 100.0, grid)
+        assert report.pck_abs == 75.0
+        assert dict((t, ab) for t, _, ab in report.pck_curve)[150.0] == 100.0
+
+    def test_curve_behaves_as_its_rows(self):
+        pred, gt = self._noisy_pair(75, 4)
+        curve = evaluate(pred, gt).pck_curve
+        rows = tuple(curve)
+        assert len(rows) == 150 and all(type(v) is float for row in rows for v in row)
+        assert curve == rows and hash(curve) == hash(rows) and repr(curve) == repr(rows)
+        assert curve[24::25] == rows[24::25] and curve[-1] == rows[-1]
+        assert np.array_equal(np.asarray(curve, dtype=float), np.array(rows))
+
+    @pytest.mark.parametrize("bad", [0.0, -5.0, float("nan")])
+    def test_non_positive_threshold_rejected(self, bad):
+        pred, gt = self._noisy_pair(80, 2)
+        with pytest.raises(InvalidInputError, match="threshold must be positive"):
+            evaluate(pred, gt, auc_thresholds_mm=np.array([bad, 10.0, 20.0]))
+        with pytest.raises(InvalidInputError, match="threshold must be positive"):
+            evaluate(pred, gt, pck_threshold_mm=bad)
+
+
+def test_import_leaves_scipy_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    subprocess.run([sys.executable, "-c", "import hmor, sys; assert 'scipy' not in sys.modules"],
+                   env=env, check=True, timeout=120)
