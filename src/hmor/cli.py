@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -39,6 +40,7 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 GRADCHECK_TOLERANCE = 1e-5
+MAX_AUC_POINTS = 100_000
 
 log = logging.getLogger("hmor")
 
@@ -84,12 +86,32 @@ def load_run_config(path) -> RunConfig:
     solver_kwargs.pop("hmor", None)
     solver_cfg = dataclasses.replace(
         _build_strict(SolverConfig, solver_kwargs, "solver config"), hmor=hmor_cfg)
-    metrics = dict(data.get("metrics", {}))
+    metrics = data.get("metrics", {})
+    if not isinstance(metrics, dict):
+        raise InvalidInputError(f"{path}: metrics must be an object")
     unknown = set(metrics) - {"pck_threshold_mm", "auc_min_mm", "auc_max_mm", "auc_step_mm"}
     if unknown:
         raise InvalidInputError(f"{path}: unknown metrics keys {sorted(unknown)}")
-    return RunConfig(hmor=hmor_cfg, solver=solver_cfg, seed=int(data.get("seed", 0)),
-                     **{k: float(v) for k, v in metrics.items()})
+    for key, value in metrics.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise InvalidInputError(f"{path}: metrics.{key} must be a finite number, "
+                                    f"got {value!r}")
+        if value <= 0:
+            what = "step" if key == "auc_step_mm" else "threshold"
+            raise InvalidInputError(f"{path}: metrics.{key}: {what} must be positive, "
+                                    f"got {value!r}")
+    cfg = RunConfig(hmor=hmor_cfg, solver=solver_cfg, seed=int(data.get("seed", 0)),
+                    **{k: float(v) for k, v in metrics.items()})
+    # the length of RunConfig.auc_thresholds, checked before it is built
+    points = (cfg.auc_max_mm + 0.5 * cfg.auc_step_mm - cfg.auc_min_mm) / cfg.auc_step_mm
+    if points <= 0:
+        raise InvalidInputError(f"{path}: metrics.auc_max_mm {cfg.auc_max_mm!r} is below "
+                                f"auc_min_mm {cfg.auc_min_mm!r}; the AUC grid is empty")
+    if points > MAX_AUC_POINTS:
+        raise InvalidInputError(f"{path}: the AUC grid would have more than "
+                                f"{MAX_AUC_POINTS} thresholds")
+    return cfg
 
 
 def _config_from_args(args) -> RunConfig:

@@ -38,7 +38,10 @@ class HmorConfig:
     margins labeled 0; the default 0 keeps labels strict, which is right
     for exact synthetic ground truth. part_mode selects the bone-pair
     representation: "vector" compares turning directions, "particle"
-    compares the depths of bone midpoints.
+    compares the depths of bone midpoints. pair_cap keeps a uniform
+    subset of at most that many pairs per level; the subset depends only
+    on the pair count and the generator, so inside ``refine`` (which
+    passes none) one subset is shared by every view.
     """
 
     depth_unit_scale: float = 1e-3
@@ -103,9 +106,9 @@ def _view_array(view) -> np.ndarray:
 
 
 def _threshold_label(margin, eps: float):
-    """+1 for margin < -eps, -1 for margin > eps, 0 inside the band."""
+    """+1.0 for margin < -eps, -1.0 for margin > eps, 0.0 inside the band."""
     m = np.asarray(margin)
-    return np.where(m < -eps, 1, np.where(m > eps, -1, 0)).astype(int)
+    return np.where(m < -eps, 1.0, np.where(m > eps, -1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -216,20 +219,13 @@ def scene_joint_array(scene: Scene, scale: float = 1.0) -> np.ndarray:
     return K
 
 
-def _cross_dot(t1: np.ndarray, t2: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Row-wise (t1 x t2) . n, component order matching np.cross + dot."""
-    c0 = t1[:, 1] * t2[:, 2] - t1[:, 2] * t2[:, 1]
-    c1 = t1[:, 2] * t2[:, 0] - t1[:, 0] * t2[:, 2]
-    c2 = t1[:, 0] * t2[:, 1] - t1[:, 1] * t2[:, 0]
-    return c0 * n[0] + c1 * n[1] + c2 * n[2]
-
-
-def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of (P, 3) against one 3-vector."""
+def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-wise cross product of two (3, P) arrays, in np.cross's
+    component order."""
     out = np.empty_like(a)
-    out[:, 0] = a[:, 1] * b[2] - a[:, 2] * b[1]
-    out[:, 1] = a[:, 2] * b[0] - a[:, 0] * b[2]
-    out[:, 2] = a[:, 0] * b[1] - a[:, 1] * b[0]
+    out[0] = a[1] * b[2] - a[2] * b[1]
+    out[1] = a[2] * b[0] - a[0] * b[2]
+    out[2] = a[0] * b[1] - a[1] * b[0]
     return out
 
 
@@ -238,34 +234,116 @@ def _part_endpoints(topology: SkeletonTopology):
     return idx[:, 0], idx[:, 1]
 
 
-def _part_vectors_flat(joints: np.ndarray, topology: SkeletonTopology) -> np.ndarray:
-    starts, ends = _part_endpoints(topology)
-    return (joints[:, ends] - joints[:, starts]).reshape(-1, 3)
-
-
-def _part_midpoints_flat(joints: np.ndarray, topology: SkeletonTopology) -> np.ndarray:
-    starts, ends = _part_endpoints(topology)
-    return 0.5 * (joints[:, ends] + joints[:, starts]).reshape(-1, 3)
-
-
 @functools.lru_cache(maxsize=64)
 def _entity_pairs(n_entities: int, per_person: int, cross_person: bool) -> np.ndarray:
+    """(2, P) entity pairs a < b, optionally only within persons."""
     a, b = np.triu_indices(n_entities, k=1)
     if not cross_person and per_person > 0:
         keep = (a // per_person) == (b // per_person)
         a, b = a[keep], b[keep]
-    pairs = np.column_stack([a, b])
+    pairs = np.stack([a, b])
     pairs.setflags(write=False)  # cached, shared between callers
     return pairs
 
 
 def _subsample(pairs: np.ndarray, cap: int | None, rng) -> np.ndarray:
-    if cap is None or len(pairs) <= cap:
+    if cap is None or pairs.shape[1] <= cap:
         return pairs
     if rng is None:
         rng = np.random.default_rng(0)
-    keep = np.sort(rng.choice(len(pairs), size=cap, replace=False))
-    return pairs[keep]
+    keep = np.sort(rng.choice(pairs.shape[1], size=cap, replace=False))
+    return pairs[:, keep]
+
+
+def _level_rows(K: np.ndarray, topology: SkeletonTopology, index, part_mode: str):
+    """Each level's (3, P) rows of a scaled (N, J, 3) joint array whose
+    dot product with a view is the pair's raw margin: person position
+    differences, bone cross products ("vector" parts) or bone midpoint
+    differences ("particle" parts), and joint differences. Also returns
+    the two (3, P) bone vectors of each vector part pair (else None),
+    which the part gradient needs."""
+    (ia, ib), (pa, pb), (ja, jb) = index
+    positions = np.ascontiguousarray(K.mean(axis=1).T)
+    instance = positions.take(ia, axis=1) - positions.take(ib, axis=1)
+    starts, ends = _part_endpoints(topology)
+    if part_mode == "particle":
+        mids = np.ascontiguousarray((0.5 * (K[:, ends] + K[:, starts])).reshape(-1, 3).T)
+        part = mids.take(pa, axis=1) - mids.take(pb, axis=1)
+        bones = None
+    else:
+        T = np.ascontiguousarray((K[:, ends] - K[:, starts]).reshape(-1, 3).T)
+        bones = (T.take(pa, axis=1), T.take(pb, axis=1))
+        part = _cross3(*bones)
+    flat = np.ascontiguousarray(K.reshape(-1, 3).T)
+    joint = flat.take(ja, axis=1) - flat.take(jb, axis=1)
+    return (instance, part, joint), bones
+
+
+@dataclass(frozen=True)
+class LabelledViews:
+    """Ground-truth labels of one pair set under a stack of k views.
+
+    ``views`` is (k, 3). ``index`` holds each level's (2, P) entity
+    pairs: persons (instance), flat part ids ``person * S + part`` and
+    flat joint ids ``person * J + joint``. ``labels`` holds each level's
+    (k, P) float labels, one row per view.
+    """
+
+    views: np.ndarray
+    index: tuple[np.ndarray, np.ndarray, np.ndarray]
+    labels: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @classmethod
+    def from_pairs(cls, pairs_seq: Sequence[RelationPairs],
+                   topology: SkeletonTopology) -> LabelledViews:
+        """Stack RelationPairs enumerated under k views. Every element must
+        hold the same pairs (as ``enumerate_pairs`` gives for any view
+        with the same ``pair_cap`` generator)."""
+        first = pairs_seq[0]
+        cols = (first.instance_pairs[:, :2], first.part_pairs[:, :4], first.joint_pairs[:, :4])
+        for pairs in pairs_seq[1:]:
+            others = (pairs.instance_pairs, pairs.part_pairs, pairs.joint_pairs)
+            if not all(np.array_equal(o[:, :-1], c) for o, c in zip(others, cols)):
+                raise InvalidInputError("pair sets differ between views; enumerate "
+                                        "every view with the same pair_cap subset")
+        J, S = topology.joint_count, topology.part_count
+        inst, part, joint = (np.ascontiguousarray(c.T) for c in cols)
+        index = (inst, part[0::2] * S + part[1::2], joint[0::2] * J + joint[1::2])
+        labels = tuple(np.array([rows[:, -1] for rows in level], dtype=float) for level in zip(
+            *((p.instance_pairs, p.part_pairs, p.joint_pairs) for p in pairs_seq)))
+        return cls(np.array([p.view for p in pairs_seq]), index, labels)
+
+
+class LabelledTruth:
+    """The pair sets of a ground-truth scene, enumerated once and labelled
+    under any stack of views.
+
+    The pair indices (subsampled per ``pair_cap`` with ``rng``) and each
+    level's ground-truth rows (see :func:`_level_rows`) are built once;
+    labelling k views is then one (k, 3) @ (3, P) product per level.
+    """
+
+    def __init__(self, gt_scene: Scene, config: HmorConfig | None = None,
+                 rng: np.random.Generator | None = None):
+        cfg = config or HmorConfig()
+        K = scene_joint_array(gt_scene, cfg.depth_unit_scale)
+        N, J, _ = K.shape
+        S = gt_scene.topology.part_count
+        levels = ((N, 0, True), (N * S, S, cfg.cross_person_parts),
+                  (N * J, J, cfg.cross_person_joints))
+        self.index = tuple(_subsample(_entity_pairs(*level), cfg.pair_cap, rng)
+                           for level in levels)
+        self.rows, _ = _level_rows(K, gt_scene.topology, self.index, cfg.part_mode)
+        self.eps = cfg.equality_tolerance
+
+    def label(self, views, base: LabelledViews | None = None) -> LabelledViews:
+        """Label the (k, 3) ``views``, appended to the views of ``base``."""
+        views = np.asarray(views, dtype=float).reshape(-1, 3)
+        labels = tuple(_threshold_label(views @ rows, self.eps) for rows in self.rows)
+        if base is not None:
+            views = np.concatenate([base.views, views])
+            labels = tuple(np.concatenate(both) for both in zip(base.labels, labels))
+        return LabelledViews(views, self.index, labels)
 
 
 def enumerate_pairs(gt_scene: Scene, view, config: HmorConfig | None = None,
@@ -278,49 +356,25 @@ def enumerate_pairs(gt_scene: Scene, view, config: HmorConfig | None = None,
     pairs. ``pair_cap`` uniformly subsamples each level with the given
     generator (a fixed default generator if none is passed).
     """
-    cfg = config or HmorConfig()
     n = _view_array(view)
-    eps = cfg.equality_tolerance
-    K = scene_joint_array(gt_scene, cfg.depth_unit_scale)
-    N, J, _ = K.shape
-    S = gt_scene.topology.part_count
+    labelled = LabelledTruth(gt_scene, config, rng).label(n)
+    per_person = (None, gt_scene.topology.part_count, gt_scene.topology.joint_count)
+    rows = []
+    for (a, b), labels, per in zip(labelled.index, labelled.labels, per_person):
+        cols = [a, b] if per is None else [a // per, a % per, b // per, b % per]
+        rows.append(np.column_stack(cols + [labels[0].astype(int)]))
+    return RelationPairs(n, *rows)
 
-    positions = K.mean(axis=1)
-    ipairs = _entity_pairs(N, 0, True)
-    imargin = (positions[ipairs[:, 0]] - positions[ipairs[:, 1]]) @ n
-    instance = np.column_stack([ipairs, _threshold_label(imargin, eps)])
 
-    if cfg.part_mode == "particle":
-        mids = _part_midpoints_flat(K, gt_scene.topology)
-        ppairs = _entity_pairs(N * S, S, cfg.cross_person_parts)
-        pmargin = (mids[ppairs[:, 0]] - mids[ppairs[:, 1]]) @ n
-        plabels = _threshold_label(pmargin, eps)
-    else:
-        T = _part_vectors_flat(K, gt_scene.topology)
-        ppairs = _entity_pairs(N * S, S, cfg.cross_person_parts)
-        pmargin = _cross_dot(T[ppairs[:, 0]], T[ppairs[:, 1]], n)
-        plabels = _threshold_label(pmargin, eps)
-    part = np.column_stack([ppairs[:, 0] // S, ppairs[:, 0] % S,
-                            ppairs[:, 1] // S, ppairs[:, 1] % S, plabels])
-
-    flat = K.reshape(-1, 3)
-    jpairs = _entity_pairs(N * J, J, cfg.cross_person_joints)
-    jmargin = (flat[jpairs[:, 0]] - flat[jpairs[:, 1]]) @ n
-    joint = np.column_stack([jpairs[:, 0] // J, jpairs[:, 0] % J,
-                             jpairs[:, 1] // J, jpairs[:, 1] % J,
-                             _threshold_label(jmargin, eps)])
-
-    return RelationPairs(
-        view=n,
-        instance_pairs=_subsample(instance, cfg.pair_cap, rng),
-        part_pairs=_subsample(part, cfg.pair_cap, rng),
-        joint_pairs=_subsample(joint, cfg.pair_cap, rng),
-    )
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    # a loop over k rows beats count_nonzero(axis=1) for the few views used
+    return np.array([np.count_nonzero(row) for row in mask])
 
 
 def _label_margins(m: np.ndarray, labels: np.ndarray, eps: float):
-    """Signed margins ``labels * m`` of raw margins ``m``, and the number of
-    pairs whose label thresholded from ``m`` differs from ``labels``.
+    """Signed margins ``labels * m`` of (k, P) raw margins ``m``, and the
+    (k,) numbers of pairs whose label thresholded from ``m`` differs from
+    ``labels``.
 
     That count equals ``count_nonzero(_threshold_label(m, eps) != labels)``.
     A +-1 pair agrees only when its signed margin is below -eps; a 0 pair
@@ -329,28 +383,110 @@ def _label_margins(m: np.ndarray, labels: np.ndarray, eps: float):
     +-1 and agrees with 0.
     """
     margins = labels * m
-    violations = len(margins) - np.count_nonzero(margins < -eps)
-    if np.count_nonzero(labels) < len(labels):
-        violations -= np.count_nonzero((labels == 0) & ~(np.abs(m) > eps))
-    return margins, int(violations)
+    violations = m.shape[1] - _row_counts(margins < -eps)
+    if np.count_nonzero(labels) < labels.size:
+        violations -= _row_counts((labels == 0) & ~(np.abs(m) > eps))
+    return margins, violations
 
 
-def _level_depth_errors(entities: np.ndarray, idx_a, idx_b, labels, view, eps: float):
-    """Depth-order errors log(1 + [margin]_+), signed margins and the
-    violation count of one level."""
-    m = (np.take(entities, idx_a, axis=0) - np.take(entities, idx_b, axis=0)) @ view
-    margins, violations = _label_margins(m, labels, eps)
-    return np.log1p(np.maximum(0.0, margins)), margins, violations
-
-
-def _depth_grad_rows(margins: np.ndarray, labels: np.ndarray, scale: float,
-                     view: np.ndarray) -> np.ndarray:
-    """Gradient of ``scale`` times each depth-order error w.r.t. the first
-    entity of its pair, one (P, 3) row per pair; the second entity gets
-    the negation. Zero where the error is clamped."""
-    w = np.divide(labels, 1.0 + margins, out=np.zeros(len(margins)), where=margins > 0)
+def _depth_weights(margins: np.ndarray, labels: np.ndarray, scale: float) -> np.ndarray:
+    """d(scale * log(1 + [margin]_+)) / d(raw margin) per view and pair;
+    zero where the error is clamped."""
+    w = np.divide(labels, 1.0 + margins, out=np.zeros_like(margins), where=margins > 0)
     w *= scale
-    return w[:, None] * view[None, :]
+    return w
+
+
+def _sum_over_views(views: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(3, P) sum over views of ``weights[v, p] * views[v]``."""
+    # one view needs no sum; a matmul with an inner length of 1 is slow
+    return views.T @ weights if len(views) > 1 else views.T * weights
+
+
+def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: LabelledViews,
+                 config: HmorConfig | None = None, want_grad: bool = True):
+    """Per-view losses, violation counts and gradient of an (N, J, 3)
+    scaled joint array under k labelled views, in one pass per level.
+
+    Returns (totals, levels, violations, dK): the (k,) weighted totals;
+    the (3, k) per-level mean errors (instance, part, joint); the (3, k)
+    per-level counts of pairs whose predicted label disagrees with the
+    ground truth; and the gradient of ``totals.sum()`` with respect to
+    every joint coordinate (None when want_grad is off). Margins are laid
+    out (k, P); the gradient is summed over views before it is scattered
+    onto the joints. A level with weight 0 is still counted but adds
+    nothing to dK. Clamp boundaries contribute zero subgradient.
+    """
+    cfg = config or HmorConfig()
+    V = labelled.views
+    k = len(V)
+    eps = cfg.equality_tolerance
+    N, J, _ = K.shape
+    (inst, part, joint), bones = _level_rows(K, topology, labelled.index, cfg.part_mode)
+    (ia, ib), (pa, pb), (ja, jb) = labelled.index
+    L_inst, L_part, L_joint = labelled.labels
+    levels = np.zeros((3, k))
+    violations = np.zeros((3, k), dtype=int)
+    idx, grads = [], []  # joint ids and (3, P) gradient rows to scatter
+
+    P = inst.shape[1]
+    if P:
+        margins, violations[0] = _label_margins(V @ inst, L_inst, eps)
+        levels[0] = np.log1p(np.maximum(0.0, margins)).sum(axis=1) / P
+        if want_grad and cfg.w_instance > 0:
+            G = _sum_over_views(V, _depth_weights(margins, L_inst, cfg.w_instance / (P * J)))
+            # each person's position averages its joints, so every joint
+            # of person a (resp. b) receives the same share
+            all_joints = np.arange(J)
+            idx += [(ia[:, None] * J + all_joints).ravel(),
+                    (ib[:, None] * J + all_joints).ravel()]
+            grads += [np.repeat(G, J, axis=1), np.repeat(-G, J, axis=1)]
+
+    P = part.shape[1]
+    if P:
+        margins, violations[1] = _label_margins(V @ part, L_part, eps)
+        if bones is None:
+            errs = np.log1p(np.maximum(0.0, margins))
+        else:
+            errs = np.maximum(0.0, margins)
+        levels[1] = errs.sum(axis=1) / P
+        if want_grad and cfg.w_part > 0:
+            if bones is None:
+                half = 0.5 * _sum_over_views(V, _depth_weights(margins, L_part, cfg.w_part / P))
+                grads += [half, half, -half, -half]
+            else:
+                coeff = np.where(margins > 0, L_part * cfg.w_part / P, 0.0)
+                U = _sum_over_views(V, coeff)
+                t1, t2 = bones
+                g1, g2 = _cross3(t2, U), -_cross3(t1, U)
+                grads += [g1, -g1, g2, -g2]
+            # (end, start) joints of part a, then of part b
+            starts, ends = _part_endpoints(topology)
+            first_joint = np.arange(N)[:, None] * J
+            part_ends = (first_joint + ends).ravel()
+            part_starts = (first_joint + starts).ravel()
+            idx += [np.take(part_ends, pa), np.take(part_starts, pa),
+                    np.take(part_ends, pb), np.take(part_starts, pb)]
+
+    P = joint.shape[1]
+    if P:
+        margins, violations[2] = _label_margins(V @ joint, L_joint, eps)
+        levels[2] = np.log1p(np.maximum(0.0, margins)).sum(axis=1) / P
+        if want_grad and cfg.w_joint > 0:
+            G = _sum_over_views(V, _depth_weights(margins, L_joint, cfg.w_joint / P))
+            idx += [ja, jb]
+            grads += [G, -G]
+
+    totals = cfg.w_instance * levels[0] + cfg.w_part * levels[1] + cfg.w_joint * levels[2]
+    dK = None
+    if want_grad:
+        dK = np.zeros_like(K)
+        if idx:
+            idx, grads = np.concatenate(idx), np.concatenate(grads, axis=1)
+            flat = dK.reshape(-1, 3)
+            for c in range(3):
+                flat[:, c] = np.bincount(idx, grads[c], minlength=N * J)
+    return totals, levels, violations, dK
 
 
 def hmor_loss_on_joints(K: np.ndarray, topology: SkeletonTopology,
@@ -360,84 +496,14 @@ def hmor_loss_on_joints(K: np.ndarray, topology: SkeletonTopology,
 
     Returns (HmorLoss, dK) where dK is the gradient of the weighted total
     with respect to every joint coordinate (None when want_grad is off).
-    Each level derives its error, gradient weight and violation count
-    from one raw margin per pair. A level with weight 0 is still counted
-    but adds nothing to dK. Clamp boundaries contribute zero subgradient.
-    This is the vectorized core behind :func:`hmor_loss`,
-    :func:`count_violations` and the refinement solver.
+    This is :func:`ordinal_pass` with one view, and the core behind
+    :func:`hmor_loss` and :func:`count_violations`.
     """
-    cfg = config or HmorConfig()
-    n = pairs.view
-    eps = cfg.equality_tolerance
-    J = K.shape[1]
-    S = topology.part_count
-    flat = K.reshape(-1, 3)
-    dK = np.zeros_like(K) if want_grad else None
-    flat_grad = dK.reshape(-1, 3) if want_grad else None
-
-    # instance level
-    mean_instance, v_instance = 0.0, 0
-    if len(pairs.instance_pairs):
-        a, b, lab = pairs.instance_pairs.T
-        errs, margins, v_instance = _level_depth_errors(K.mean(axis=1), a, b, lab, n, eps)
-        mean_instance = float(errs.mean())
-        if want_grad and cfg.w_instance > 0:
-            dP = _depth_grad_rows(margins, lab, cfg.w_instance / (len(errs) * J), n)
-            # each person's position averages its joints, so every joint
-            # of person a (resp. b) receives the same share
-            all_joints = np.arange(J)
-            np.add.at(flat_grad, (a[:, None] * J + all_joints).ravel(),
-                      np.repeat(dP, J, axis=0))
-            np.add.at(flat_grad, (b[:, None] * J + all_joints).ravel(),
-                      np.repeat(-dP, J, axis=0))
-
-    # part level
-    mean_part, v_part = 0.0, 0
-    if len(pairs.part_pairs):
-        m1, s1, m2, s2, lab = pairs.part_pairs.T
-        pa, pb = m1 * S + s1, m2 * S + s2
-        if cfg.part_mode == "particle":
-            errs, margins, v_part = _level_depth_errors(
-                _part_midpoints_flat(K, topology), pa, pb, lab, n, eps)
-        else:
-            T = _part_vectors_flat(K, topology)
-            t1, t2 = np.take(T, pa, axis=0), np.take(T, pb, axis=0)
-            margins, v_part = _label_margins(_cross_dot(t1, t2, n), lab, eps)
-            errs = np.maximum(0.0, margins)
-        mean_part = float(errs.mean())
-        if want_grad and cfg.w_part > 0:
-            if cfg.part_mode == "particle":
-                half = 0.5 * _depth_grad_rows(margins, lab, cfg.w_part / len(errs), n)
-                grads = (half, half, -half, -half)
-            else:
-                coeff = np.where(margins > 0, lab * cfg.w_part / len(errs), 0.0)
-                g1 = coeff[:, None] * _cross_rows(t2, n)
-                g2 = -coeff[:, None] * _cross_rows(t1, n)
-                grads = (g1, -g1, g2, -g2)
-            # (end, start) joints of part a, then of part b
-            starts, ends = _part_endpoints(topology)
-            joints = (m1 * J + ends[s1], m1 * J + starts[s1],
-                      m2 * J + ends[s2], m2 * J + starts[s2])
-            for idx, g in zip(joints, grads):
-                np.add.at(flat_grad, idx, g)
-
-    # joint level
-    mean_joint, v_joint = 0.0, 0
-    if len(pairs.joint_pairs):
-        m1, j1, m2, j2, lab = pairs.joint_pairs.T
-        ia = m1 * J + j1
-        ib = m2 * J + j2
-        errs, margins, v_joint = _level_depth_errors(flat, ia, ib, lab, n, eps)
-        mean_joint = float(errs.mean())
-        if want_grad and cfg.w_joint > 0:
-            dj = _depth_grad_rows(margins, lab, cfg.w_joint / len(errs), n)
-            np.add.at(flat_grad, ia, dj)
-            np.add.at(flat_grad, ib, -dj)
-
-    total = (cfg.w_instance * mean_instance + cfg.w_part * mean_part
-             + cfg.w_joint * mean_joint)
-    return (HmorLoss(total, mean_instance, mean_part, mean_joint,
-                     (v_instance, v_part, v_joint)), dK)
+    labelled = LabelledViews.from_pairs([pairs], topology)
+    totals, levels, violations, dK = ordinal_pass(K, topology, labelled, config, want_grad)
+    loss = HmorLoss(float(totals[0]), *(float(x) for x in levels[:, 0]),
+                    tuple(int(v) for v in violations[:, 0]))
+    return loss, dK
 
 
 def hmor_loss(pred_scene: Scene, pairs: RelationPairs, view=None,
@@ -491,8 +557,7 @@ def part_relations_from_2d(gt_pixels: Sequence[np.ndarray],
     N = stacked.shape[0]
     S = topology.part_count
     T = (stacked[:, ends] - stacked[:, starts]).reshape(-1, 2)
-    pairs = _entity_pairs(N * S, S, cross_person)
-    a, b = pairs[:, 0], pairs[:, 1]
+    a, b = _entity_pairs(N * S, S, cross_person)
     cross = T[a, 0] * T[b, 1] - T[a, 1] * T[b, 0]
-    labels = _threshold_label(cross, eps)
+    labels = _threshold_label(cross, eps).astype(int)
     return np.column_stack([a // S, a % S, b // S, b % S, labels])

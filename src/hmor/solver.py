@@ -20,10 +20,9 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError, SolverError
 from .geometry import sample_view
-from .ordinal import (HmorConfig, RelationPairs, enumerate_pairs,
+from .ordinal import (HmorConfig, LabelledTruth, LabelledViews, RelationPairs,
                       err_instance_grad, err_joint_grad, err_part_grad,
-                      err_part_particle_grad, hmor_loss_on_joints,
-                      scene_joint_array)
+                      err_part_particle_grad, ordinal_pass, scene_joint_array)
 from .skeleton import RelativePose, Scene
 
 _TERMS = ("pose", "init", "refine", "hmor", "abs")
@@ -76,7 +75,7 @@ class SolverConfig:
             raise InvalidInputError(f"unknown anchor {self.anchor!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     step: int
     value: float
@@ -160,11 +159,12 @@ class _SceneVars:
     def to_scene(self) -> Scene:
         persons = []
         for m, person in enumerate(self.scene.persons):
-            rel = np.column_stack([self.U[m], self.V[m], self.Zrel[m]])
+            rel_pose = person.rel_pose  # unchanged when only root depths move
+            if self.cfg.free_variables == "full_pose":
+                rel_pose = RelativePose(
+                    np.column_stack([self.U[m], self.V[m], self.Zrel[m]]), self.root)
             persons.append(dataclasses.replace(
-                person,
-                rel_pose=RelativePose(rel, self.root),
-                root_depth=float(self.ZR[m])))
+                person, rel_pose=rel_pose, root_depth=float(self.ZR[m])))
         return dataclasses.replace(self.scene, persons=tuple(persons))
 
 
@@ -188,17 +188,16 @@ def _check_finite(term: str, value: float) -> float:
     return value
 
 
-def _objective_on_vars(sv: _SceneVars, pairs_list, anchors: _Anchors,
+def _objective_on_vars(sv: _SceneVars, labelled: LabelledViews, anchors: _Anchors,
                        config: SolverConfig, want_grad: bool = True):
     """Weighted objective value, its gradient w.r.t. the packed variables
     (None when want_grad is off) and the total ordinal violations under
-    the first view of ``pairs_list``.
+    the first of the ``labelled`` views (None when ``w_hmor`` is 0, as
+    the ordinal term is then not evaluated).
 
-    The first view is evaluated even when ``w_hmor`` is 0, for its
-    violation counts only.
+    The ordinal term is the mean over the labelled views, evaluated for
+    all of them in one :func:`ordinal_pass`.
     """
-    if isinstance(pairs_list, RelationPairs):
-        pairs_list = [pairs_list]
     s = sv.scale
     nj = sv.N * sv.J
     value = 0.0
@@ -237,17 +236,15 @@ def _objective_on_vars(sv: _SceneVars, pairs_list, anchors: _Anchors,
         if want_grad:
             dK += np.sign(diff) * (config.w_abs / (nj * s))
 
-    total, violations = 0.0, None
-    for pairs in pairs_list if config.w_hmor > 0 else pairs_list[:1]:
-        loss, dK_one = hmor_loss_on_joints(K, sv.topology, pairs, config.hmor,
-                                           want_grad=want_grad and config.w_hmor > 0)
-        total += loss.total
-        if violations is None:
-            violations = sum(loss.violations)
-        if dK_one is not None:
-            dK += dK_one * (config.w_hmor / len(pairs_list))
+    violations = None
     if config.w_hmor > 0:
-        value += config.w_hmor * _check_finite("hmor", total / len(pairs_list))
+        totals, _, counts, dK_hmor = ordinal_pass(K, sv.topology, labelled, config.hmor,
+                                                  want_grad=want_grad)
+        k = len(totals)
+        value += config.w_hmor * _check_finite("hmor", sum(totals.tolist()) / k)
+        violations = int(counts[:, 0].sum())
+        if want_grad:
+            dK += dK_hmor * (config.w_hmor / k)
 
     if want_grad and (config.w_hmor > 0 or config.w_abs > 0):
         grad += sv.grad_to_x(dK, d, a, b)
@@ -257,13 +254,17 @@ def _objective_on_vars(sv: _SceneVars, pairs_list, anchors: _Anchors,
 def objective(pred_scene: Scene, gt_pairs, anchors: Scene, config: SolverConfig):
     """Objective value and analytic gradient for a predicted scene.
 
-    ``gt_pairs`` is one RelationPairs or a sequence of them (the ordinal
-    term averages over the sequence); ``anchors`` supplies the data-term
-    targets. The gradient is with respect to the packed free-variable
-    vector selected by the config.
+    ``gt_pairs`` is one RelationPairs or a sequence of them holding the
+    same pairs under different views (the ordinal term averages over the
+    sequence); ``anchors`` supplies the data-term targets. The gradient
+    is with respect to the packed free-variable vector selected by the
+    config.
     """
+    if isinstance(gt_pairs, RelationPairs):
+        gt_pairs = [gt_pairs]
+    labelled = LabelledViews.from_pairs(gt_pairs, pred_scene.topology)
     sv = _SceneVars(pred_scene, config)
-    value, grad, _ = _objective_on_vars(sv, gt_pairs, _Anchors.from_scene(anchors), config)
+    value, grad, _ = _objective_on_vars(sv, labelled, _Anchors.from_scene(anchors), config)
     return value, grad
 
 
@@ -273,6 +274,10 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
     Returns the refined scene and a trace of (step, objective value,
     total ordinal violations under the camera normal). Deterministic
     given the config seed. Raises SolverError past the divergence limit.
+
+    The ground truth is enumerated once (:class:`LabelledTruth`) and
+    labelled under the camera normal once; each step labels only its
+    sampled views.
     """
     cfg = config or SolverConfig()
     if pred_scene.person_count != gt_scene.person_count:
@@ -281,41 +286,51 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
     anchor_scene = gt_scene if cfg.anchor == "ground_truth" else pred_scene
     anchors = _Anchors.from_scene(anchor_scene)
     sv = _SceneVars(pred_scene, cfg)
-    normal_pairs = enumerate_pairs(gt_scene, gt_scene.camera.normal, cfg.hmor)
+    truth = LabelledTruth(gt_scene, cfg.hmor)
+    normal = truth.label(gt_scene.camera.normal)
 
-    def value_at(x: np.ndarray, pairs_list):
+    def value_at(x: np.ndarray, labelled: LabelledViews):
         sv.unpack(x)
-        value, _, violations = _objective_on_vars(sv, pairs_list, anchors, cfg,
+        value, _, violations = _objective_on_vars(sv, labelled, anchors, cfg,
                                                   want_grad=False)
         return value, violations
 
-    # a trace row's violations come from the evaluation of the point it reports
+    def row(step: int, x: np.ndarray, value: float, violations):
+        # a row's violations come from the evaluation of the point it
+        # reports; with w_hmor == 0 there was none, so count them here
+        if violations is None:
+            sv.unpack(x)
+            counts = ordinal_pass(sv.joints_scaled()[0], sv.topology, normal, cfg.hmor,
+                                  want_grad=False)[2]
+            violations = int(counts[:, 0].sum())
+        return TraceEntry(step, value, violations)
+
     x = sv.pack()
-    trace = [TraceEntry(0, *value_at(x, [normal_pairs]))]
+    trace = [row(0, x, *value_at(x, normal))]
     eta = cfg.step_size
 
     for step in range(1, cfg.steps + 1):
-        pairs_list = [normal_pairs]
-        for _ in range(cfg.views_per_step - 1):
-            view = sample_view(rng=rng)
-            pairs_list.append(enumerate_pairs(gt_scene, view, cfg.hmor))
+        labelled = normal
+        if cfg.views_per_step > 1 and cfg.w_hmor > 0:
+            views = [sample_view(rng=rng).direction for _ in range(cfg.views_per_step - 1)]
+            labelled = truth.label(views, base=normal)
 
         sv.unpack(x)
-        f, g, v = _objective_on_vars(sv, pairs_list, anchors, cfg)
+        f, g, v = _objective_on_vars(sv, labelled, anchors, cfg)
         if f > cfg.divergence_limit:
             raise SolverError(f"objective diverged to {f!r} at step {step}")
 
         cand = x - eta * g
-        f_cand, v_cand = value_at(cand, pairs_list)
+        f_cand, v_cand = value_at(cand, labelled)
         if cfg.step_halving:
             while f_cand > f and eta > cfg.min_step:
                 eta *= 0.5
                 cand = x - eta * g
-                f_cand, v_cand = value_at(cand, pairs_list)
+                f_cand, v_cand = value_at(cand, labelled)
             if f_cand > f:
                 cand, f_cand, v_cand = x, f, v
         x = cand
-        trace.append(TraceEntry(step, f_cand, v_cand))
+        trace.append(row(step, x, f_cand, v_cand))
 
     sv.unpack(x)
     return sv.to_scene(), trace
@@ -351,14 +366,14 @@ def grad_check(term: str, scene: Scene, gt_scene: Scene,
     cfg = dataclasses.replace(base, **weights)
     sv = _SceneVars(scene, cfg)
     anchors = _Anchors.from_scene(gt_scene)
-    pairs = enumerate_pairs(gt_scene, gt_scene.camera.normal, cfg.hmor)
+    normal = LabelledTruth(gt_scene, cfg.hmor).label(gt_scene.camera.normal)
 
     x0 = sv.pack()
-    _, g, _ = _objective_on_vars(sv, [pairs], anchors, cfg)
+    _, g, _ = _objective_on_vars(sv, normal, anchors, cfg)
 
     def value_at(x):
         sv.unpack(x)
-        return _objective_on_vars(sv, [pairs], anchors, cfg, want_grad=False)[0]
+        return _objective_on_vars(sv, normal, anchors, cfg, want_grad=False)[0]
 
     worst = _fd_max_rel_err(value_at, x0, g, epsilon)
     sv.unpack(x0)

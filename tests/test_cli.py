@@ -317,6 +317,24 @@ class TestEval:
         assert run("eval", scene, scene, "--config", cfg_path) == 2
         assert "threshold must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("metrics, message", [
+        ({"auc_step_mm": 0}, "auc_step_mm: step must be positive"),
+        ({"auc_max_mm": 0.5}, "the AUC grid is empty"),
+        ({"pck_threshold_mm": True}, "pck_threshold_mm must be a finite number"),
+        ({"pck_threshold_mm": -5}, "pck_threshold_mm: threshold must be positive"),
+        ({"auc_step_mm": 1e-9}, "more than 100000 thresholds"),
+    ], ids=["zero_step", "empty_grid", "boolean", "negative_threshold", "huge_grid"])
+    def test_bad_metrics_config_rejected(self, tmp_path, capsys, metrics, message):
+        assert run("gen", "--seed", 34, "--persons", 2, "--out", tmp_path) == 0
+        scene = tmp_path / "scene_000.json"
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"metrics": metrics}))
+        capsys.readouterr()
+        assert run("eval", scene, scene, "--config", cfg_path) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "NaN" not in captured.out and "Traceback" not in captured.err
+
     def test_empty_scene_file_is_validation_error(self, tmp_path, capsys):
         bad = {"schema_version": "hmor-scene/1",
                "camera": {"fx": 1000.0, "fy": 1000.0, "cx": 500.0, "cy": 500.0},

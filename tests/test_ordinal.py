@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmor import (GaussNoise, GenSpec, HmorConfig, InvalidInputError, SkeletonTopology,
                   assemble_absolute, count_violations, enumerate_pairs,
@@ -10,8 +12,9 @@ from hmor import (GaussNoise, GenSpec, HmorConfig, InvalidInputError, SkeletonTo
                   part_relations_from_2d, part_vectors, perturb,
                   project_to_plane, relation_instance, relation_joint,
                   relation_part, sample_view)
-from hmor.ordinal import (err_instance_grad, err_joint_grad, err_part_grad,
-                          hmor_loss_on_joints, scene_joint_array)
+from hmor.ordinal import (LabelledTruth, err_instance_grad, err_joint_grad,
+                          err_part_grad, hmor_loss_on_joints, ordinal_pass,
+                          scene_joint_array)
 from conftest import swap_root_depths, two_person_depth_fixture
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -458,3 +461,95 @@ class TestCountViolations:
         assert loss.part > 0.0
         assert loss.total == loss_np.total
         assert np.array_equal(dK, dK_np)
+
+
+# configs the k-view kernel must agree with k single-view passes under
+KERNEL_CONFIGS = {
+    "vector": HmorConfig(),
+    "particle": HmorConfig(part_mode="particle"),
+    "tolerance": HmorConfig(part_mode="particle", equality_tolerance=0.02),
+    "vector_tolerance": HmorConfig(equality_tolerance=0.02),
+    "pair_cap": HmorConfig(pair_cap=200),
+    "within_person": HmorConfig(cross_person_parts=False, cross_person_joints=False),
+    "w_part0": HmorConfig(w_part=0.0),
+}
+KERNEL_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+
+
+def _kernel_case(seed: int, n_persons: int, k: int):
+    spec = GenSpec(seed=seed, n_persons=n_persons,
+                   perturbation=GaussNoise(sigma_xy=30.0, sigma_z=300.0))
+    gt = generate_scene(spec)
+    rng = np.random.default_rng(seed)
+    views = [gt.camera.normal] + [sample_view(rng=rng).direction for _ in range(k - 1)]
+    return gt, perturb(gt, spec), np.array(views)
+
+
+class TestOrdinalPass:
+    """ordinal_pass over k stacked views against k single-view passes."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CONFIGS))
+    @KERNEL_SETTINGS
+    @given(seed=st.integers(0, 10_000), n_persons=st.integers(1, 4), k=st.integers(1, 4))
+    def test_k_views_equal_mean_of_single_views(self, name, seed, n_persons, k):
+        cfg = KERNEL_CONFIGS[name]
+        gt, pred, views = _kernel_case(seed, n_persons, k)
+        K = scene_joint_array(pred, cfg.depth_unit_scale)
+        labelled = LabelledTruth(gt, cfg).label(views)
+        totals, levels, violations, dK = ordinal_pass(K, gt.topology, labelled, cfg)
+
+        singles = [hmor_loss_on_joints(K, gt.topology, enumerate_pairs(gt, v, cfg), cfg)
+                   for v in views]
+        for i, (loss, _) in enumerate(singles):
+            assert tuple(violations[:, i]) == loss.violations
+            assert abs(totals[i] - loss.total) <= 1e-12 * max(1.0, abs(loss.total))
+            assert np.allclose(levels[:, i], [loss.instance, loss.part, loss.joint],
+                               rtol=1e-12, atol=1e-12)
+        mean_total = np.mean([loss.total for loss, _ in singles])
+        assert abs(totals.mean() - mean_total) <= 1e-12 * max(1.0, mean_total)
+        mean_grad = np.mean([g for _, g in singles], axis=0)
+        scale = max(1.0, np.abs(mean_grad).max())
+        assert np.abs(dK / k - mean_grad).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CONFIGS))
+    @KERNEL_SETTINGS
+    @given(seed=st.integers(0, 10_000), n_persons=st.integers(1, 4), k=st.integers(1, 6))
+    def test_truth_scores_zero_under_every_batched_view(self, name, seed, n_persons, k):
+        cfg = KERNEL_CONFIGS[name]
+        gt, _, views = _kernel_case(seed, n_persons, k)
+        K = scene_joint_array(gt, cfg.depth_unit_scale)
+        labelled = LabelledTruth(gt, cfg).label(views)
+        totals, levels, violations, dK = ordinal_pass(K, gt.topology, labelled, cfg)
+        assert np.all(totals == 0.0) and np.all(levels == 0.0)
+        assert not violations.any()
+        assert np.all(dK == 0.0)
+
+    def test_appended_views_match_one_stack(self):
+        gt, pred, views = _kernel_case(5, 3, 4)
+        cfg = HmorConfig()
+        truth = LabelledTruth(gt, cfg)
+        appended = truth.label(views[1:], base=truth.label(views[:1]))
+        stacked = truth.label(views)
+        assert np.array_equal(appended.views, stacked.views)
+        for a, b in zip(appended.labels, stacked.labels):
+            assert np.array_equal(a, b)
+
+    def test_pair_cap_subset_is_shared_by_every_view(self):
+        scene = generate_scene(GenSpec(seed=2, n_persons=3))
+        cfg = HmorConfig(pair_cap=50)
+        rng = np.random.default_rng(3)
+        sets = [enumerate_pairs(scene, v, cfg) for v in
+                (scene.camera.normal, sample_view(rng=rng), sample_view(rng=rng))]
+        for other in sets[1:]:
+            for level in ("instance_pairs", "part_pairs", "joint_pairs"):
+                assert np.array_equal(getattr(sets[0], level)[:, :-1],
+                                      getattr(other, level)[:, :-1])
+        labelled = LabelledTruth(scene, cfg).label(np.array([v.view for v in sets]))
+        J, S = scene.topology.joint_count, scene.topology.part_count
+        for i, pairs in enumerate(sets):
+            m1, s1, m2, s2, lab = pairs.part_pairs.T
+            assert np.array_equal(labelled.index[1], [m1 * S + s1, m2 * S + s2])
+            assert np.array_equal(labelled.labels[1][i], lab)
+            m1, j1, m2, j2, lab = pairs.joint_pairs.T
+            assert np.array_equal(labelled.index[2], [m1 * J + j1, m2 * J + j2])
+            assert np.array_equal(labelled.labels[2][i], lab)

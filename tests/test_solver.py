@@ -7,8 +7,11 @@ from hmor import (GaussNoise, GenSpec, HmorConfig, InvalidInputError,
                   SolverConfig, SolverError, count_violations, enumerate_pairs,
                   generate_scene, grad_check, objective, ordinal_violations,
                   perturb, refine)
+from hmor import sample_view
 from hmor.cli import _jitter_all_coordinates
-from hmor.solver import check_function_gradients
+from hmor.ordinal import LabelledTruth
+from hmor.solver import (_Anchors, _fd_max_rel_err, _objective_on_vars, _SceneVars,
+                         check_function_gradients)
 from conftest import swap_root_depths, two_person_depth_fixture
 
 HMOR_ONLY = dict(w_pose=0.0, w_init=0.0, w_refine=0.0, w_hmor=1.0, w_abs=0.0)
@@ -54,6 +57,28 @@ class TestObjective:
             v2, _ = objective(moved, pairs, gt, cfg)
             assert np.sign(v2 - value) == np.sign(g)
 
+    def test_view_sequence_averages_single_views(self):
+        spec = GenSpec(seed=11, n_persons=3, perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        noisy = perturb(gt, spec)
+        cfg = SolverConfig(free_variables="full_pose", **HMOR_ONLY)
+        rng = np.random.default_rng(2)
+        pairs = [enumerate_pairs(gt, v, cfg.hmor) for v in
+                 [gt.camera.normal] + [sample_view(rng=rng) for _ in range(3)]]
+        value, grad = objective(noisy, pairs, gt, cfg)
+        singles = [objective(noisy, p, gt, cfg) for p in pairs]
+        assert value == pytest.approx(np.mean([v for v, _ in singles]), rel=1e-12)
+        assert np.allclose(grad, np.mean([g for _, g in singles], axis=0),
+                           rtol=1e-12, atol=1e-15)
+
+    def test_view_sequence_with_different_pair_sets_rejected(self):
+        gt = generate_scene(GenSpec(seed=12, n_persons=2))
+        cfg = SolverConfig(hmor=HmorConfig(pair_cap=20))
+        pairs = [enumerate_pairs(gt, gt.camera.normal, cfg.hmor, np.random.default_rng(s))
+                 for s in (1, 2)]
+        with pytest.raises(InvalidInputError, match="pair sets differ"):
+            objective(gt, pairs, gt, cfg)
+
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             SolverConfig(steps=0)
@@ -83,6 +108,14 @@ class TestRefine:
         assert trace[-1].violations == 0
         v = ordinal_violations(refined, gt, [gt.camera.normal])
         assert v.instance == 0
+
+    def test_root_only_keeps_relative_poses(self):
+        spec = GenSpec(seed=13, n_persons=2, perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        noisy = perturb(gt, spec)
+        refined, _ = refine(noisy, gt, SolverConfig(steps=3))
+        for before, after in zip(noisy.persons, refined.persons):
+            assert after.rel_pose is before.rel_pose
 
     def test_hmor_off_keeps_violations(self, camera):
         gt = two_person_depth_fixture(camera)
@@ -184,6 +217,24 @@ class TestGradCheck:
         cfg = SolverConfig(free_variables="root_depths_only")
         for term in ("init", "refine", "hmor", "abs"):
             assert grad_check(term, noisy, gt, config=cfg) < 1e-5
+
+    def test_four_view_objective_matches_finite_differences(self):
+        gt = generate_scene(GenSpec(seed=8, n_persons=2))
+        noisy = _jitter_all_coordinates(gt, 99)
+        cfg = SolverConfig(free_variables="full_pose")
+        rng = np.random.default_rng(4)
+        views = [gt.camera.normal] + [sample_view(rng=rng).direction for _ in range(3)]
+        labelled = LabelledTruth(gt, cfg.hmor).label(views)
+        sv = _SceneVars(noisy, cfg)
+        anchors = _Anchors.from_scene(gt)
+        x0 = sv.pack()
+        _, g, _ = _objective_on_vars(sv, labelled, anchors, cfg)
+
+        def value_at(x):
+            sv.unpack(x)
+            return _objective_on_vars(sv, labelled, anchors, cfg, want_grad=False)[0]
+
+        assert _fd_max_rel_err(value_at, x0, g, 1e-5) < 1e-5
 
     def test_unknown_term_rejected(self):
         gt = generate_scene(GenSpec(seed=10, n_persons=1))
