@@ -138,7 +138,17 @@ def _check_topologies_match(pred: Scene, gt: Scene) -> None:
         raise InvalidInputError("topology mismatch: " + "; ".join(problems))
 
 
+def _require_finite(record: dict, prefix: str = "") -> None:
+    """Raise NumericalError naming the first non-finite number of a record."""
+    for key, value in sorted(record.items()):
+        if isinstance(value, dict):
+            _require_finite(value, f"{prefix}{key}.")
+        elif not all(math.isfinite(x) for x in np.ravel(value) if isinstance(x, float)):
+            raise NumericalError(f"result {prefix}{key} is non-finite")
+
+
 def _emit(record: dict, fmt: str, stream=None) -> None:
+    _require_finite(record)
     stream = stream or sys.stdout
     if fmt == "json":
         json.dump(record, stream, sort_keys=True, indent=2)
@@ -525,21 +535,16 @@ def main(argv=None) -> int:
             raise InvalidInputError(f"--steps must be >= 1, got {args.steps}")
         if getattr(args, "jobs", None) is not None and args.jobs < 1:
             raise InvalidInputError(f"--jobs must be >= 1, got {args.jobs}")
-        return args.func(args)
+        # a non-finite result is reported once, as exit 4, not as warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (NumericalError, SolverError) as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except InvalidInputError as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except HmorError as exc:
-        log.error("%s", exc)
+    except HmorError as exc:  # InvalidInputError and the other input errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
-        log.error("%s", exc)
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

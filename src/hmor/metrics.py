@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .ordinal import HmorConfig, count_violations, enumerate_pairs, scene_joint_array
+from .errors import InvalidInputError, NumericalError
+from .ordinal import (HmorConfig, LabelledTruth, _view_array, ordinal_pass,
+                      scene_joint_array)
 from .skeleton import AbsolutePose, Scene
 
 DEFAULT_PCK_THRESHOLD_MM = 150.0
@@ -171,11 +172,15 @@ def _match_cost(pred: Scene, gt: Scene, P: np.ndarray, G: np.ndarray,
 
 def optimal_assignment(cost_matrix: np.ndarray):
     """Row and column indices of the minimum-total-cost one-to-one
-    assignment of a (possibly rectangular) cost matrix."""
+    assignment of a (possibly rectangular) cost matrix. A non-finite
+    entry raises NumericalError."""
     # imported here because scipy.optimize takes longer to import than
     # the rest of the package, and only matching needs it
     from scipy.optimize import linear_sum_assignment
-    return linear_sum_assignment(np.asarray(cost_matrix, dtype=float))
+    cost = np.asarray(cost_matrix, dtype=float)
+    if not np.isfinite(cost).all():
+        raise NumericalError("matching cost matrix has non-finite entries")
+    return linear_sum_assignment(cost)
 
 
 def _match(pred: Scene, gt: Scene, P: np.ndarray, G: np.ndarray, cost: str) -> Matching:
@@ -248,15 +253,16 @@ def ordinal_violations(pred: Scene, gt: Scene, views,
                        config: HmorConfig | None = None) -> ViolationCounts:
     """Pairs per relation level whose predicted order disagrees with the
     ground truth, summed over the audit views. Scenes must already be
-    matched person-for-person (same count, same order)."""
+    matched person-for-person (same count, same order). The ground truth
+    is enumerated once and every view is audited in one
+    :func:`ordinal_pass`."""
     if pred.person_count != gt.person_count:
         raise InvalidInputError("scenes must contain the same persons in the same order")
     cfg = config or HmorConfig()
-    counts = np.zeros(3, dtype=int)
-    for view in views:
-        pairs = enumerate_pairs(gt, view, cfg)
-        counts += np.array(count_violations(pred, pairs, cfg))
-    return ViolationCounts(int(counts[0]), int(counts[1]), int(counts[2]))
+    labelled = LabelledTruth(gt, cfg).label([_view_array(view) for view in views])
+    K = scene_joint_array(pred, cfg.depth_unit_scale)
+    counts = ordinal_pass(K, pred.topology, labelled, cfg, want_grad=False)[2].sum(axis=1)
+    return ViolationCounts(*(int(c) for c in counts))
 
 
 def _reordered_matched(pred: Scene, gt: Scene, matching: Matching):

@@ -219,16 +219,6 @@ def scene_joint_array(scene: Scene, scale: float = 1.0) -> np.ndarray:
     return K
 
 
-def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise cross product of two (3, P) arrays, in np.cross's
-    component order."""
-    out = np.empty_like(a)
-    out[0] = a[1] * b[2] - a[2] * b[1]
-    out[1] = a[2] * b[0] - a[0] * b[2]
-    out[2] = a[0] * b[1] - a[1] * b[0]
-    return out
-
-
 def _part_endpoints(topology: SkeletonTopology):
     idx = np.asarray(topology.parts, dtype=int).reshape(-1, 2)
     return idx[:, 0], idx[:, 1]
@@ -255,28 +245,54 @@ def _subsample(pairs: np.ndarray, cap: int | None, rng) -> np.ndarray:
     return pairs[:, keep]
 
 
-def _level_rows(K: np.ndarray, topology: SkeletonTopology, index, part_mode: str):
-    """Each level's (3, P) rows of a scaled (N, J, 3) joint array whose
-    dot product with a view is the pair's raw margin: person position
-    differences, bone cross products ("vector" parts) or bone midpoint
-    differences ("particle" parts), and joint differences. Also returns
-    the two (3, P) bone vectors of each vector part pair (else None),
-    which the part gradient needs."""
-    (ia, ib), (pa, pb), (ja, jb) = index
-    positions = np.ascontiguousarray(K.mean(axis=1).T)
-    instance = positions.take(ia, axis=1) - positions.take(ib, axis=1)
+@functools.lru_cache(maxsize=64)
+def _incidence(topology: SkeletonTopology, part_mode: str) -> np.ndarray:
+    """(J, S) matrix D: ``D.T`` maps a person's joints to its part points,
+    bone vectors end - start ("vector") or bone midpoints ("particle")."""
     starts, ends = _part_endpoints(topology)
-    if part_mode == "particle":
-        mids = np.ascontiguousarray((0.5 * (K[:, ends] + K[:, starts])).reshape(-1, 3).T)
-        part = mids.take(pa, axis=1) - mids.take(pb, axis=1)
-        bones = None
-    else:
-        T = np.ascontiguousarray((K[:, ends] - K[:, starts]).reshape(-1, 3).T)
-        bones = (T.take(pa, axis=1), T.take(pb, axis=1))
-        part = _cross3(*bones)
-    flat = np.ascontiguousarray(K.reshape(-1, 3).T)
-    joint = flat.take(ja, axis=1) - flat.take(jb, axis=1)
-    return (instance, part, joint), bones
+    D = np.zeros((topology.joint_count, topology.part_count))
+    parts = np.arange(topology.part_count)
+    D[ends, parts], D[starts, parts] = (0.5, 0.5) if part_mode == "particle" else (1.0, -1.0)
+    D.setflags(write=False)  # cached, shared between callers
+    return D
+
+
+def _entity_points(K: np.ndarray, D: np.ndarray):
+    """Each level's (n, 3) entity points of a scaled (N, J, 3) joint array:
+    person positions (joint means), part points ``D.T @ K`` (flat id
+    ``person * S + part``) and joints (flat id ``person * J + joint``)."""
+    return K.mean(axis=1), (D.T @ K).reshape(-1, 3), K.reshape(-1, 3)
+
+
+def _project(X: np.ndarray, views: np.ndarray) -> np.ndarray:
+    """(k, n) projections of (n, 3) points on (k, 3) views, written out so
+    a view's row has the same bits in any stack (a matmul's do not)."""
+    return views[:, :1] * X[:, 0] + views[:, 1:2] * X[:, 1] + views[:, 2:] * X[:, 2]
+
+
+def _cross_views(T: np.ndarray, views: np.ndarray) -> np.ndarray:
+    """(k, n, 3) cross products ``t x v`` of (n, 3) vectors and (k, 3) views."""
+    x, y, z = T.T
+    vx, vy, vz = views.T[:, :, None]
+    return np.stack([y * vz - z * vy, z * vx - x * vz, x * vy - y * vx], axis=-1)
+
+
+def _margins(points, views: np.ndarray, index, vector_parts: bool):
+    """Raw (k, P) margins of each level's (2, P) entity pairs under (k, 3)
+    views, from one scalar per entity and view: ``z_a - z_b`` of the
+    projections ``z`` for depth levels, and ``(t_a x t_b) . v = t_a .
+    (t_b x v)`` for vector parts, read from ``M = T @ C.T`` per view with
+    ``C = T x v``. Also returns C (None for particle parts)."""
+    out, C = [], None
+    for level, (X, (a, b)) in enumerate(zip(points, index)):
+        if level == 1 and vector_parts:
+            C = _cross_views(X, views)
+            M = X @ C.transpose(0, 2, 1)
+            out.append(M.reshape(len(views), len(X) ** 2).take(a * len(X) + b, axis=1))
+        else:
+            z = _project(X, views)
+            out.append(z.take(a, axis=1) - z.take(b, axis=1))
+    return out, C
 
 
 @dataclass(frozen=True)
@@ -319,8 +335,9 @@ class LabelledTruth:
     under any stack of views.
 
     The pair indices (subsampled per ``pair_cap`` with ``rng``) and each
-    level's ground-truth rows (see :func:`_level_rows`) are built once;
-    labelling k views is then one (k, 3) @ (3, P) product per level.
+    level's ground-truth entity points are kept; labelling k views
+    thresholds the margins :func:`ordinal_pass` computes for a prediction
+    (:func:`_margins`), so the ground truth itself scores exactly zero.
     """
 
     def __init__(self, gt_scene: Scene, config: HmorConfig | None = None,
@@ -333,13 +350,15 @@ class LabelledTruth:
                   (N * J, J, cfg.cross_person_joints))
         self.index = tuple(_subsample(_entity_pairs(*level), cfg.pair_cap, rng)
                            for level in levels)
-        self.rows, _ = _level_rows(K, gt_scene.topology, self.index, cfg.part_mode)
+        self.points = _entity_points(K, _incidence(gt_scene.topology, cfg.part_mode))
+        self.vector_parts = cfg.part_mode == "vector"
         self.eps = cfg.equality_tolerance
 
     def label(self, views, base: LabelledViews | None = None) -> LabelledViews:
         """Label the (k, 3) ``views``, appended to the views of ``base``."""
         views = np.asarray(views, dtype=float).reshape(-1, 3)
-        labels = tuple(_threshold_label(views @ rows, self.eps) for rows in self.rows)
+        margins, _ = _margins(self.points, views, self.index, self.vector_parts)
+        labels = tuple(_threshold_label(m, self.eps) for m in margins)
         if base is not None:
             views = np.concatenate([base.views, views])
             labels = tuple(np.concatenate(both) for both in zip(base.labels, labels))
@@ -397,12 +416,6 @@ def _depth_weights(margins: np.ndarray, labels: np.ndarray, scale: float) -> np.
     return w
 
 
-def _sum_over_views(views: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(3, P) sum over views of ``weights[v, p] * views[v]``."""
-    # one view needs no sum; a matmul with an inner length of 1 is slow
-    return views.T @ weights if len(views) > 1 else views.T * weights
-
-
 def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: LabelledViews,
                  config: HmorConfig | None = None, want_grad: bool = True):
     """Per-view losses, violation counts and gradient of an (N, J, 3)
@@ -412,80 +425,53 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: LabelledVi
     the (3, k) per-level mean errors (instance, part, joint); the (3, k)
     per-level counts of pairs whose predicted label disagrees with the
     ground truth; and the gradient of ``totals.sum()`` with respect to
-    every joint coordinate (None when want_grad is off). Margins are laid
-    out (k, P); the gradient is summed over views before it is scattered
-    onto the joints. A level with weight 0 is still counted but adds
-    nothing to dK. Clamp boundaries contribute zero subgradient.
+    every joint coordinate (None when want_grad is off). Margins come
+    from per-entity scalars (:func:`_margins`) and so does the gradient:
+    ``dX = g.T @ V`` with ``g[v, e] = sum_{a=e} W - sum_{b=e} W`` for
+    depth levels, ``dT = sum_v (W_v - W_v.T) @ C_v`` for vector parts;
+    a person's share goes ``/ J`` to each joint and a part's through D.
+    A level with weight 0 is still counted but adds nothing to dK. Clamp
+    boundaries contribute zero subgradient.
     """
     cfg = config or HmorConfig()
     V = labelled.views
     k = len(V)
-    eps = cfg.equality_tolerance
     N, J, _ = K.shape
-    (inst, part, joint), bones = _level_rows(K, topology, labelled.index, cfg.part_mode)
-    (ia, ib), (pa, pb), (ja, jb) = labelled.index
-    L_inst, L_part, L_joint = labelled.labels
+    vector_parts = cfg.part_mode == "vector"
+    D = _incidence(topology, cfg.part_mode)
+    points = _entity_points(K, D)
+    raw, C = _margins(points, V, labelled.index, vector_parts)
+    weights = (cfg.w_instance, cfg.w_part, cfg.w_joint)
     levels = np.zeros((3, k))
     violations = np.zeros((3, k), dtype=int)
-    idx, grads = [], []  # joint ids and (3, P) gradient rows to scatter
+    dK = np.zeros_like(K) if want_grad else None
 
-    P = inst.shape[1]
-    if P:
-        margins, violations[0] = _label_margins(V @ inst, L_inst, eps)
-        levels[0] = np.log1p(np.maximum(0.0, margins)).sum(axis=1) / P
-        if want_grad and cfg.w_instance > 0:
-            G = _sum_over_views(V, _depth_weights(margins, L_inst, cfg.w_instance / (P * J)))
-            # each person's position averages its joints, so every joint
-            # of person a (resp. b) receives the same share
-            all_joints = np.arange(J)
-            idx += [(ia[:, None] * J + all_joints).ravel(),
-                    (ib[:, None] * J + all_joints).ravel()]
-            grads += [np.repeat(G, J, axis=1), np.repeat(-G, J, axis=1)]
-
-    P = part.shape[1]
-    if P:
-        margins, violations[1] = _label_margins(V @ part, L_part, eps)
-        if bones is None:
-            errs = np.log1p(np.maximum(0.0, margins))
+    for level, (m, labels, (a, b), n, w) in enumerate(
+            zip(raw, labelled.labels, labelled.index, map(len, points), weights)):
+        P = m.shape[1]
+        if not m.size:  # no pairs or no views
+            continue
+        margins, violations[level] = _label_margins(m, labels, cfg.equality_tolerance)
+        linear = level == 1 and vector_parts
+        errs = np.maximum(0.0, margins)
+        levels[level] = (errs if linear else np.log1p(errs)).sum(axis=1) / P
+        if not (want_grad and w > 0):
+            continue
+        if linear:
+            Wd = np.zeros((k, n * n))
+            Wd[:, a * n + b] = np.where(margins > 0, labels * (w / P), 0.0)
+            Wd = Wd.reshape(k, n, n)
+            dX = ((Wd - Wd.transpose(0, 2, 1)) @ C).sum(axis=0)
         else:
-            errs = np.maximum(0.0, margins)
-        levels[1] = errs.sum(axis=1) / P
-        if want_grad and cfg.w_part > 0:
-            if bones is None:
-                half = 0.5 * _sum_over_views(V, _depth_weights(margins, L_part, cfg.w_part / P))
-                grads += [half, half, -half, -half]
-            else:
-                coeff = np.where(margins > 0, L_part * cfg.w_part / P, 0.0)
-                U = _sum_over_views(V, coeff)
-                t1, t2 = bones
-                g1, g2 = _cross3(t2, U), -_cross3(t1, U)
-                grads += [g1, -g1, g2, -g2]
-            # (end, start) joints of part a, then of part b
-            starts, ends = _part_endpoints(topology)
-            first_joint = np.arange(N)[:, None] * J
-            part_ends = (first_joint + ends).ravel()
-            part_starts = (first_joint + starts).ravel()
-            idx += [np.take(part_ends, pa), np.take(part_starts, pa),
-                    np.take(part_ends, pb), np.take(part_starts, pb)]
-
-    P = joint.shape[1]
-    if P:
-        margins, violations[2] = _label_margins(V @ joint, L_joint, eps)
-        levels[2] = np.log1p(np.maximum(0.0, margins)).sum(axis=1) / P
-        if want_grad and cfg.w_joint > 0:
-            G = _sum_over_views(V, _depth_weights(margins, L_joint, cfg.w_joint / P))
-            idx += [ja, jb]
-            grads += [G, -G]
+            W = _depth_weights(margins, labels, w / P)
+            dX = np.array([np.bincount(a, Wv, minlength=n) - np.bincount(b, Wv, minlength=n)
+                           for Wv in W]).T @ V
+        if level == 0:
+            dK += dX[:, None] / J  # a person's position averages its joints
+        else:
+            dK += D @ dX.reshape(N, -1, 3) if level == 1 else dX.reshape(N, J, 3)
 
     totals = cfg.w_instance * levels[0] + cfg.w_part * levels[1] + cfg.w_joint * levels[2]
-    dK = None
-    if want_grad:
-        dK = np.zeros_like(K)
-        if idx:
-            idx, grads = np.concatenate(idx), np.concatenate(grads, axis=1)
-            flat = dK.reshape(-1, 3)
-            for c in range(3):
-                flat[:, c] = np.bincount(idx, grads[c], minlength=N * J)
     return totals, levels, violations, dK
 
 

@@ -46,3 +46,77 @@ def swap_root_depths(scene):
         dataclasses.replace(a, root_depth=b.root_depth),
         dataclasses.replace(b, root_depth=a.root_depth),
     ))
+
+
+def brute_force_pairs(gt, config):
+    """Each level's (2, P) entity pairs a < b, enumerated one by one:
+    persons, flat parts ``person * S + part`` and flat joints ``person * J
+    + joint``, within persons only where the config says so."""
+    import itertools
+    topo = gt.topology
+    N, S, J = gt.person_count, topo.part_count, topo.joint_count
+    levels = ((N, None), (N * S, None if config.cross_person_parts else S),
+              (N * J, None if config.cross_person_joints else J))
+    return tuple(np.array([(a, b) for a, b in itertools.combinations(range(n), 2)
+                           if per is None or a // per == b // per], dtype=int).reshape(-1, 2).T
+                 for n, per in levels)
+
+
+def ordinal_brute_force(pred, gt, views, config, pairs):
+    """Per-pair reference for ``ordinal_pass`` under a stack of views.
+
+    Labels come from the scalar ``relation_*`` functions on the ground
+    truth, violations from the same functions on the prediction, errors
+    and gradients from ``err_*_grad``. ``pairs`` are each level's (2, P)
+    entity pairs. Returns (totals, levels, violations, dK) laid out as
+    ``ordinal_pass`` returns them.
+    """
+    from hmor.ordinal import (err_instance_grad, err_joint_grad, err_part_grad,
+                              err_part_particle_grad, relation_instance, relation_joint,
+                              relation_part, scene_joint_array)
+    topo = gt.topology
+    J = topo.joint_count
+    particle = config.part_mode == "particle"
+    eps = config.equality_tolerance
+    Kp, Kg = (scene_joint_array(s, config.depth_unit_scale) for s in (pred, gt))
+    N = len(Kp)
+
+    def entities(K):
+        parts = [0.5 * (K[m][e] + K[m][s]) if particle else K[m][e] - K[m][s]
+                 for m in range(N) for s, e in topo.parts]
+        return [K[m].mean(axis=0) for m in range(N)], parts, list(K.reshape(-1, 3))
+
+    def joints_of(level, e):
+        """(flat joint, coefficient) pairs that entity e's point is made of."""
+        if level == 0:
+            return [(e * J + j, 1.0 / J) for j in range(J)]
+        if level == 2:
+            return [(e, 1.0)]
+        start, end = topo.parts[e % topo.part_count]
+        first = e // topo.part_count * J
+        return [(first + end, 0.5 if particle else 1.0),
+                (first + start, 0.5 if particle else -1.0)]
+
+    relation = (relation_instance, relation_instance if particle else relation_part,
+                relation_joint)
+    err_grad = (err_instance_grad, err_part_particle_grad if particle else err_part_grad,
+                err_joint_grad)
+    weights = (config.w_instance, config.w_part, config.w_joint)
+    pred_points, gt_points = entities(Kp), entities(Kg)
+    k = len(views)
+    levels = np.zeros((3, k))
+    violations = np.zeros((3, k), dtype=int)
+    dK = np.zeros((N * J, 3))
+    for level, (a_idx, b_idx) in enumerate(pairs):
+        P, X, G = len(a_idx), pred_points[level], gt_points[level]
+        for i, view in enumerate(views):
+            for a, b in zip(a_idx.tolist(), b_idx.tolist()):
+                label = relation[level](G[a], G[b], view, eps)
+                violations[level, i] += relation[level](X[a], X[b], view, eps) != label
+                err, ga, gb = err_grad[level](X[a], X[b], label, view)
+                levels[level, i] += err / P
+                for entity, grad in ((a, ga), (b, gb)):
+                    for joint, coeff in joints_of(level, entity):
+                        dK[joint] += (weights[level] / P * coeff) * grad
+    totals = weights[0] * levels[0] + weights[1] * levels[1] + weights[2] * levels[2]
+    return totals, levels, violations, dK.reshape(Kp.shape)

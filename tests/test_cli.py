@@ -1,6 +1,9 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,15 @@ def read_bytes_tree(directory):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_process(*argv, env=None):
+    """``python -m hmor.cli`` in a fresh process, so its stderr holds every
+    line the CLI prints, logging included."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), **(env or {})}
+    return subprocess.run([sys.executable, "-m", "hmor.cli", *(str(a) for a in argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 class TestSceneIO:
@@ -342,6 +354,40 @@ class TestEval:
         path = tmp_path / "empty.json"
         path.write_text(json.dumps(bad))
         assert run("eval", path, path) == 2
+
+
+class TestOneErrorLine:
+    """Each failing exit code comes with exactly one stderr line, no
+    traceback, warning or NaN on stdout."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        assert run("gen", "--seed", 36, "--persons", 2, "--out", tmp_path,
+                   "--perturb", "gauss", "--sigma-z", 100) == 0
+        far = json.loads((tmp_path / "pred_000.json").read_text())
+        far["persons"][0]["root_depth_mm"] = 1e306  # finite, but overflows the losses
+        (tmp_path / "far.json").write_text(json.dumps(far))
+        (tmp_path / "bad.json").write_text(json.dumps({"metrics": {"auc_step_mm": 0}}))
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, env, code, message", [
+        (("eval", "--config", "bad.json", "pred_000.json", "scene_000.json"), {}, 2,
+         "metrics.auc_step_mm: step must be positive"),
+        (("eval", "pred_000.json", "scene_000.json"), {"HMOR_LOG": "bogus"}, 2,
+         "HMOR_LOG must be one of"),
+        (("eval", "missing.json", "scene_000.json"), {}, 3, "No such file"),
+        (("loss", "far.json", "scene_000.json"), {}, 4, "is non-finite"),
+        (("eval", "far.json", "scene_000.json"), {}, 4,
+         "matching cost matrix has non-finite entries"),
+    ], ids=["bad_config", "bad_log_level", "missing_file", "loss_non_finite",
+            "eval_non_finite"])
+    def test_exit_code_with_one_line(self, files, argv, env, code, message):
+        done = run_process(*(files / a if a.endswith(".json") else a for a in argv), env=env)
+        assert done.returncode == code
+        assert done.stdout == ""
+        assert done.stderr.count("\n") == 1
+        assert done.stderr.startswith("i/o error: " if code == 3 else "error: ")
+        assert message in done.stderr
 
 
 class TestGradcheckCommand:

@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hmor import (AbsolutePose, BoundingBox, Camera, GaussNoise, GenSpec, InvalidInputError,
-                  MetricReport, Person, RelativePose, Scene, SkeletonTopology, auc,
-                  assemble_absolute, evaluate, generate_scene, match_persons,
-                  mpjpe, ordinal_violations, pck, perturb, similarity_align)
-from conftest import make_person, swap_root_depths, two_person_depth_fixture
+from hmor import (AbsolutePose, BoundingBox, Camera, GaussNoise, GenSpec, HmorConfig,
+                  InvalidInputError, MetricReport, Person, RelativePose, Scene,
+                  SkeletonTopology, ViolationCounts, auc, assemble_absolute, evaluate,
+                  generate_scene, match_persons, mpjpe, ordinal_violations, pck, perturb,
+                  sample_view, similarity_align)
+from conftest import (brute_force_pairs, make_person, ordinal_brute_force, swap_root_depths,
+                      two_person_depth_fixture)
 
 
 def random_pose(rng, j=17):
@@ -274,6 +276,33 @@ class TestOrdinalViolations:
         with pytest.raises(InvalidInputError):
             ordinal_violations(solo, gt, [gt.camera.normal])
 
+    @pytest.mark.parametrize("cfg", [HmorConfig(), HmorConfig(part_mode="particle",
+                                                              equality_tolerance=0.02)],
+                             ids=["vector", "particle_tolerance"])
+    def test_equals_brute_force_summed_over_views(self, cfg):
+        spec = GenSpec(seed=25, n_persons=3, perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        pred = perturb(gt, spec)
+        rng = np.random.default_rng(25)
+        views = [sample_view(rng=rng) for _ in range(4)]
+        arrays = [v.direction for v in views]
+        counts = ordinal_brute_force(pred, gt, arrays, cfg, brute_force_pairs(gt, cfg))[2]
+        want = ViolationCounts(*counts.sum(axis=1).tolist())
+        assert want.part and want.joint
+        assert ordinal_violations(pred, gt, views, cfg) == want
+        assert ordinal_violations(pred, gt, arrays, cfg) == want
+        assert ordinal_violations(pred, gt, np.array(arrays), cfg) == want
+
+    def test_no_views_count_nothing(self):
+        spec = GenSpec(seed=26, n_persons=2, perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        assert ordinal_violations(perturb(gt, spec), gt, []) == ViolationCounts(0, 0, 0)
+
+    def test_view_must_be_a_3_vector(self):
+        scene = generate_scene(GenSpec(seed=27, n_persons=2))
+        with pytest.raises(InvalidInputError):
+            ordinal_violations(scene, scene, [scene.camera.normal, np.array([0.0, 1.0])])
+
 
 class TestEvaluate:
     def test_exact_prediction_report(self):
@@ -300,6 +329,40 @@ class TestEvaluate:
         assert len(report.matched_pairs) == 1
         assert report.pck_rel <= 50.0  # the unmatched person is all-wrong
         assert report.mpjpe < 1e-6     # the matched one is exact
+
+    def test_audit_of_shuffled_persons_uses_the_matching(self):
+        spec = GenSpec(seed=28, n_persons=4, perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        pred = perturb(gt, spec)
+        order = (2, 0, 3, 1)
+        shuffled = dataclasses.replace(pred, persons=tuple(pred.persons[i] for i in order))
+        rng = np.random.default_rng(28)
+        views = [sample_view(rng=rng) for _ in range(4)]
+        report = evaluate(shuffled, gt, views=views)
+        assert sorted(report.matched_pairs) == sorted((i, j) for i, j in enumerate(order))
+        assert report.ordinal_violations == ordinal_violations(pred, gt, views)
+        assert report.ordinal_violations.total > 0
+
+    def test_audit_enumerates_the_truth_once(self, monkeypatch):
+        import hmor.metrics
+        import hmor.ordinal
+        calls = []
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("enumerate_pairs", "count_violations"):
+            fn = getattr(hmor.ordinal, name)
+            monkeypatch.setattr(hmor.ordinal, name, spy(name, fn))
+            monkeypatch.setattr(hmor.metrics, name, spy(name, fn), raising=False)
+        spec = GenSpec(seed=29, n_persons=3, perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        rng = np.random.default_rng(29)
+        evaluate(perturb(gt, spec), gt, views=[sample_view(rng=rng) for _ in range(3)])
+        assert calls == []
 
     def test_report_consistent_with_direct_calls(self):
         spec = GenSpec(seed=23, n_persons=3, perturbation=GaussNoise(sigma_xy=30.0, sigma_z=350.0))

@@ -15,7 +15,8 @@ from hmor import (GaussNoise, GenSpec, HmorConfig, InvalidInputError, SkeletonTo
 from hmor.ordinal import (LabelledTruth, err_instance_grad, err_joint_grad,
                           err_part_grad, hmor_loss_on_joints, ordinal_pass,
                           scene_joint_array)
-from conftest import swap_root_depths, two_person_depth_fixture
+from conftest import (brute_force_pairs, ordinal_brute_force, swap_root_depths,
+                      two_person_depth_fixture)
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -534,6 +535,13 @@ class TestOrdinalPass:
         for a, b in zip(appended.labels, stacked.labels):
             assert np.array_equal(a, b)
 
+    def test_no_views_give_empty_totals_and_zero_gradient(self):
+        gt, pred, _ = _kernel_case(6, 2, 1)
+        K = scene_joint_array(pred, 1e-3)
+        totals, levels, violations, dK = ordinal_pass(K, gt.topology, LabelledTruth(gt).label([]))
+        assert totals.shape == (0,) and levels.shape == violations.shape == (3, 0)
+        assert dK.shape == K.shape and not dK.any()
+
     def test_pair_cap_subset_is_shared_by_every_view(self):
         scene = generate_scene(GenSpec(seed=2, n_persons=3))
         cfg = HmorConfig(pair_cap=50)
@@ -553,3 +561,46 @@ class TestOrdinalPass:
             m1, j1, m2, j2, lab = pairs.joint_pairs.T
             assert np.array_equal(labelled.index[2], [m1 * J + j1, m2 * J + j2])
             assert np.array_equal(labelled.labels[2][i], lab)
+
+
+# configs the kernel must agree with the per-pair brute force under
+ORACLE_CONFIGS = {
+    "vector": HmorConfig(),
+    "particle": HmorConfig(part_mode="particle"),
+    "vector_tolerance": HmorConfig(equality_tolerance=0.02),
+    "particle_tolerance": HmorConfig(part_mode="particle", equality_tolerance=0.02),
+    "within_person": HmorConfig(cross_person_parts=False, cross_person_joints=False),
+    "pair_cap": HmorConfig(pair_cap=150),
+}
+
+
+class TestOrdinalPassOracle:
+    """ordinal_pass against per-pair sums of the scalar relation and error
+    functions, for 1 and 4 random views."""
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    def test_equals_per_pair_brute_force(self, name, k):
+        cfg = ORACLE_CONFIGS[name]
+        gt, pred, _ = _kernel_case(40 + k, 3, 1)
+        rng = np.random.default_rng(k)
+        views = np.array([sample_view(rng=rng).direction for _ in range(k)])
+        truth = LabelledTruth(gt, cfg)
+        if cfg.pair_cap is None:
+            for got, want in zip(truth.index, brute_force_pairs(gt, cfg)):
+                assert np.array_equal(got, want)
+        else:
+            assert [index.shape[1] for index in truth.index[1:]] == [cfg.pair_cap] * 2
+        labelled = truth.label(views)
+        if cfg.equality_tolerance:
+            assert not all(labels.all() for labels in labelled.labels[1:])
+        K = scene_joint_array(pred, cfg.depth_unit_scale)
+        totals, levels, violations, dK = ordinal_pass(K, gt.topology, labelled, cfg)
+        want_totals, want_levels, want_violations, want_dK = ordinal_brute_force(
+            pred, gt, views, cfg, truth.index)
+
+        assert np.array_equal(violations, want_violations)
+        assert want_violations.any()
+        for got, want in ((totals, want_totals), (levels, want_levels), (dK, want_dK)):
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert np.abs(want_dK).max() > 0.0
