@@ -108,7 +108,7 @@ def _view_array(view) -> np.ndarray:
 def _threshold_label(margin, eps: float):
     """+1.0 for margin < -eps, -1.0 for margin > eps, 0.0 inside the band."""
     m = np.asarray(margin)
-    return np.where(m < -eps, 1.0, np.where(m > eps, -1.0, 0.0))
+    return np.subtract(m < -eps, m > eps, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +282,16 @@ def _margins(points, views: np.ndarray, index, vector_parts: bool):
     views, from one scalar per entity and view: ``z_a - z_b`` of the
     projections ``z`` for depth levels, and ``(t_a x t_b) . v = t_a .
     (t_b x v)`` for vector parts, read from ``M = T @ C.T`` per view with
-    ``C = T x v``. Also returns C (None for particle parts)."""
+    ``C = T x v``. Also returns C (None for particle parts). The (n, n)
+    products are made one view at a time: a (k, n, n) stack soon passes
+    glibc's default 128 KiB mmap threshold, and then every call pays for
+    fresh pages."""
     out, C = [], None
     for level, (X, (a, b)) in enumerate(zip(points, index)):
         if level == 1 and vector_parts:
             C = _cross_views(X, views)
-            M = X @ C.transpose(0, 2, 1)
-            out.append(M.reshape(len(views), len(X) ** 2).take(a * len(X) + b, axis=1))
+            flat = a * len(X) + b
+            out.append(np.array([(X @ Cv.T).take(flat) for Cv in C]).reshape(len(C), len(flat)))
         else:
             z = _project(X, views)
             out.append(z.take(a, axis=1) - z.take(b, axis=1))
@@ -328,6 +331,10 @@ class LabelledViews:
         labels = tuple(np.array([rows[:, -1] for rows in level], dtype=float) for level in zip(
             *((p.instance_pairs, p.part_pairs, p.joint_pairs) for p in pairs_seq)))
         return cls(np.array([p.view for p in pairs_seq]), index, labels)
+
+    def rows(self, rows) -> LabelledViews:
+        """The sub-stack of the view rows ``rows`` (any numpy index)."""
+        return LabelledViews(self.views[rows], self.index, tuple(m[rows] for m in self.labels))
 
 
 class LabelledTruth:
@@ -417,16 +424,20 @@ def _depth_weights(margins: np.ndarray, labels: np.ndarray, scale: float) -> np.
 
 
 def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: LabelledViews,
-                 config: HmorConfig | None = None, want_grad: bool = True):
+                 config: HmorConfig | None = None, want_grad: bool = True,
+                 grad_views=None):
     """Per-view losses, violation counts and gradient of an (N, J, 3)
     scaled joint array under k labelled views, in one pass per level.
 
     Returns (totals, levels, violations, dK): the (k,) weighted totals;
     the (3, k) per-level mean errors (instance, part, joint); the (3, k)
     per-level counts of pairs whose predicted label disagrees with the
-    ground truth; and the gradient of ``totals.sum()`` with respect to
-    every joint coordinate (None when want_grad is off). Margins come
-    from per-entity scalars (:func:`_margins`) and so does the gradient:
+    ground truth; and the gradient of ``totals[grad_views].sum()`` with
+    respect to every joint coordinate (None when want_grad is off).
+    ``grad_views`` indexes view rows (default all); the gradient runs the
+    same code on those rows alone, so its bits equal a pass over the
+    sub-stack ``labelled.rows(grad_views)``. Margins come from
+    per-entity scalars (:func:`_margins`) and so does the gradient:
     ``dX = g.T @ V`` with ``g[v, e] = sum_{a=e} W - sum_{b=e} W`` for
     depth levels, ``dT = sum_v (W_v - W_v.T) @ C_v`` for vector parts;
     a person's share goes ``/ J`` to each joint and a part's through D.
@@ -441,6 +452,8 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: LabelledVi
     D = _incidence(topology, cfg.part_mode)
     points = _entity_points(K, D)
     raw, C = _margins(points, V, labelled.index, vector_parts)
+    rows = slice(None) if grad_views is None else grad_views
+    V, C = V[rows], None if C is None else C[rows]
     weights = (cfg.w_instance, cfg.w_part, cfg.w_joint)
     levels = np.zeros((3, k))
     violations = np.zeros((3, k), dtype=int)
@@ -457,10 +470,11 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: LabelledVi
         levels[level] = (errs if linear else np.log1p(errs)).sum(axis=1) / P
         if not (want_grad and w > 0):
             continue
+        margins, labels = margins[rows], labels[rows]
         if linear:
-            Wd = np.zeros((k, n * n))
+            Wd = np.zeros((len(V), n * n))
             Wd[:, a * n + b] = np.where(margins > 0, labels * (w / P), 0.0)
-            Wd = Wd.reshape(k, n, n)
+            Wd = Wd.reshape(-1, n, n)
             dX = ((Wd - Wd.transpose(0, 2, 1)) @ C).sum(axis=0)
         else:
             W = _depth_weights(margins, labels, w / P)

@@ -34,7 +34,10 @@ class SolverConfig:
 
     ``views_per_step`` counts the views the ordinal term averages over
     each step: the camera normal is always included, and any additional
-    views are sampled fresh per step. ``free_variables`` is either
+    views are sampled fresh per step. They are sampled one step ahead
+    (step t+1's at the start of step t, in the same rng order), so each
+    line-search candidate is evaluated once under both steps' views; see
+    :func:`refine`. ``free_variables`` is either
     "root_depths_only" or "full_pose". ``anchor`` selects the target of
     the data terms: the ground-truth scene, or the solver's own input
     (useful as a no-restoring-force baseline). With ``step_halving`` the
@@ -188,19 +191,23 @@ def _check_finite(term: str, value: float) -> float:
     return value
 
 
-def _objective_on_vars(sv: _SceneVars, labelled: LabelledViews, anchors: _Anchors,
-                       config: SolverConfig, want_grad: bool = True):
-    """Weighted objective value, its gradient w.r.t. the packed variables
-    (None when want_grad is off) and the total ordinal violations under
-    the first of the ``labelled`` views (None when ``w_hmor`` is 0, as
-    the ordinal term is then not evaluated).
+def _evaluate(sv: _SceneVars, labelled: LabelledViews, anchors: _Anchors,
+              config: SolverConfig, value_rows, grad_rows):
+    """Objective at the current variables under row selections of the
+    ``labelled`` view stack, from one :func:`ordinal_pass`.
 
-    The ordinal term is the mean over the labelled views, evaluated for
-    all of them in one :func:`ordinal_pass`.
+    Returns (values, grad, violations): the weighted objective with the
+    ordinal term averaged over each selection in ``value_rows``; its
+    gradient w.r.t. the packed variables with the ordinal term averaged
+    over ``grad_rows`` (None when grad_rows is None); and the total
+    ordinal violations under the first labelled view (None when
+    ``w_hmor`` is 0, as the ordinal term is then not evaluated). The
+    data terms are computed once and shared by every value.
     """
+    want_grad = grad_rows is not None
     s = sv.scale
     nj = sv.N * sv.J
-    value = 0.0
+    data = 0.0
     grad = sv.zeros_like_x() if want_grad else None
     dK = np.zeros((sv.N, sv.J, 3))
     K, d, a, b = sv.joints_scaled()
@@ -208,7 +215,7 @@ def _objective_on_vars(sv: _SceneVars, labelled: LabelledViews, anchors: _Anchor
     if config.w_pose > 0:
         pred = np.stack([sv.U, sv.V, sv.Zrel], axis=2)
         diff = pred - anchors.rel
-        value += config.w_pose * _check_finite("pose", float(np.abs(diff).sum() / nj))
+        data += config.w_pose * _check_finite("pose", float(np.abs(diff).sum() / nj))
         if want_grad:
             g = np.sign(diff) * (config.w_pose / (nj * s))
             if config.free_variables == "full_pose":
@@ -219,35 +226,52 @@ def _objective_on_vars(sv: _SceneVars, labelled: LabelledViews, anchors: _Anchor
     froot = np.sqrt(sv.fx * sv.fy)
     if config.w_init > 0:
         resid = anchors.z_root / froot - sv.ZR / froot
-        value += config.w_init * _check_finite("init", float(np.abs(resid).mean()))
+        data += config.w_init * _check_finite("init", float(np.abs(resid).mean()))
         if want_grad:
             grad[:sv.N] += -np.sign(resid) * (config.w_init / (sv.N * froot * s))
 
     if config.w_refine > 0:
         ratio = np.sqrt(sv.a_box / sv.a_roi)
         resid = (anchors.z_root / froot) * ratio - (sv.ZR / froot) * ratio
-        value += config.w_refine * _check_finite("refine", float(np.abs(resid).mean()))
+        data += config.w_refine * _check_finite("refine", float(np.abs(resid).mean()))
         if want_grad:
             grad[:sv.N] += -np.sign(resid) * ratio * (config.w_refine / (sv.N * froot * s))
 
     if config.w_abs > 0:
         diff = K / s - anchors.abs_mm
-        value += config.w_abs * _check_finite("abs", float(np.abs(diff).sum() / nj))
+        data += config.w_abs * _check_finite("abs", float(np.abs(diff).sum() / nj))
         if want_grad:
             dK += np.sign(diff) * (config.w_abs / (nj * s))
 
+    values = [data] * len(value_rows)
     violations = None
     if config.w_hmor > 0:
         totals, _, counts, dK_hmor = ordinal_pass(K, sv.topology, labelled, config.hmor,
-                                                  want_grad=want_grad)
-        k = len(totals)
-        value += config.w_hmor * _check_finite("hmor", sum(totals.tolist()) / k)
+                                                  want_grad=want_grad, grad_views=grad_rows)
+
+        def mean(rows):
+            picked = totals[rows].tolist()
+            return _check_finite("hmor", sum(picked) / len(picked))
+
+        values = [data + config.w_hmor * mean(rows) for rows in value_rows]
         violations = int(counts[:, 0].sum())
         if want_grad:
-            dK += dK_hmor * (config.w_hmor / k)
+            dK += dK_hmor * (config.w_hmor / len(totals[grad_rows]))
 
     if want_grad and (config.w_hmor > 0 or config.w_abs > 0):
         grad += sv.grad_to_x(dK, d, a, b)
+    return values, grad, violations
+
+
+def _objective_on_vars(sv: _SceneVars, labelled: LabelledViews, anchors: _Anchors,
+                       config: SolverConfig, want_grad: bool = True):
+    """Weighted objective value, its gradient w.r.t. the packed variables
+    (None when want_grad is off) and the total ordinal violations under
+    the first of the ``labelled`` views; the ordinal term is the mean
+    over all of them (:func:`_evaluate`)."""
+    every = slice(None)
+    (value,), grad, violations = _evaluate(sv, labelled, anchors, config, (every,),
+                                           every if want_grad else None)
     return value, grad, violations
 
 
@@ -276,8 +300,13 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
     given the config seed. Raises SolverError past the divergence limit.
 
     The ground truth is enumerated once (:class:`LabelledTruth`) and
-    labelled under the camera normal once; each step labels only its
-    sampled views.
+    labelled under the camera normal once. Step t's stack is the union
+    ``[normal, views_t, views_t+1]``: step t+1's views are sampled and
+    labelled one step ahead, so one :func:`ordinal_pass` at a candidate
+    yields its value under step t's views (for the line search) and its
+    value and gradient under step t+1's, which an accepted candidate
+    carries into the next step. When halving rejects every candidate,
+    ``x`` is evaluated once under step t+1's views.
     """
     cfg = config or SolverConfig()
     if pred_scene.person_count != gt_scene.person_count:
@@ -288,12 +317,24 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
     sv = _SceneVars(pred_scene, cfg)
     truth = LabelledTruth(gt_scene, cfg.hmor)
     normal = truth.label(gt_scene.camera.normal)
+    k = cfg.views_per_step if cfg.w_hmor > 0 else 1
+    now = slice(0, k)                                # step t's rows of its stack
+    nxt = np.r_[0, k:2 * k - 1] if k > 1 else now    # step t+1's rows
+    every = slice(None)
 
-    def value_at(x: np.ndarray, labelled: LabelledViews):
+    def ahead(labelled: LabelledViews) -> LabelledViews:
+        # a step's stack with the next step's fresh views appended
+        if k == 1:
+            return labelled
+        views = [sample_view(rng=rng).direction for _ in range(k - 1)]
+        return truth.label(views, base=labelled)
+
+    def evaluate(x: np.ndarray, labelled: LabelledViews, value_rows, grad_rows):
+        # (value under value_rows[0], and what x carries into the next
+        # step: value under value_rows[-1], gradient, violations)
         sv.unpack(x)
-        value, _, violations = _objective_on_vars(sv, labelled, anchors, cfg,
-                                                  want_grad=False)
-        return value, violations
+        values, grad, violations = _evaluate(sv, labelled, anchors, cfg, value_rows, grad_rows)
+        return values[0], (values[-1], grad, violations)
 
     def row(step: int, x: np.ndarray, value: float, violations):
         # a row's violations come from the evaluation of the point it
@@ -306,31 +347,34 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
         return TraceEntry(step, value, violations)
 
     x = sv.pack()
-    trace = [row(0, x, *value_at(x, normal))]
+    labelled = ahead(normal)  # step 1's views
+    f0, (f, g, v) = evaluate(x, labelled, (slice(0, 1), every), every)
+    trace = [row(0, x, f0, v)]
     eta = cfg.step_size
 
     for step in range(1, cfg.steps + 1):
-        labelled = normal
-        if cfg.views_per_step > 1 and cfg.w_hmor > 0:
-            views = [sample_view(rng=rng).direction for _ in range(cfg.views_per_step - 1)]
-            labelled = truth.label(views, base=normal)
-
-        sv.unpack(x)
-        f, g, v = _objective_on_vars(sv, labelled, anchors, cfg)
         if f > cfg.divergence_limit:
             raise SolverError(f"objective diverged to {f!r} at step {step}")
+        last = step == cfg.steps
+        if last:
+            stack, value_rows, grad_rows = labelled, (now,), None
+        else:
+            stack, value_rows, grad_rows = ahead(labelled), (now, nxt), nxt
+            labelled = stack if k == 1 else stack.rows(nxt)  # step t+1's views
 
         cand = x - eta * g
-        f_cand, v_cand = value_at(cand, labelled)
+        f_cand, carried = evaluate(cand, stack, value_rows, grad_rows)
         if cfg.step_halving:
             while f_cand > f and eta > cfg.min_step:
                 eta *= 0.5
                 cand = x - eta * g
-                f_cand, v_cand = value_at(cand, labelled)
+                f_cand, carried = evaluate(cand, stack, value_rows, grad_rows)
             if f_cand > f:
-                cand, f_cand, v_cand = x, f, v
+                cand, f_cand = x, f
+                carried = (f, g, v) if last else evaluate(x, labelled, (every,), every)[1]
         x = cand
-        trace.append(row(step, x, f_cand, v_cand))
+        f, g, v = carried
+        trace.append(row(step, x, f_cand, v))
 
     sv.unpack(x)
     return sv.to_scene(), trace

@@ -218,6 +218,30 @@ class TestLoss:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and named in captured.err
 
+    @pytest.mark.parametrize("config", [
+        {},
+        {"solver": {"w_pose": 2, "w_abs": 1, "w_hmor": 0.5}},
+        {"solver": {"w_init": 0, "w_refine": 3, "w_abs": 0.25, "anchor": "input"}},
+        {"solver": {"free_variables": "full_pose", "w_abs": 2},
+         "hmor": {"part_mode": "particle", "w_joint": 0.5}},
+    ], ids=["default", "weights", "input_anchor", "full_pose_particle"])
+    def test_total_is_refine_objective(self, tmp_path, capsys, config):
+        assert run("gen", "--seed", 7, "--persons", 3, "--perturb", "gauss",
+                   "--sigma-z", 300, "--out", tmp_path / "s") == 0
+        pred, gt = tmp_path / "s" / "pred_000.json", tmp_path / "s" / "scene_000.json"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run("loss", pred, gt, "--config", config_path) == 0
+        total = json.loads(capsys.readouterr().out)["total"]
+        trace = tmp_path / "trace.csv"
+        assert run("refine", pred, gt, "--config", config_path, "--steps", 1,
+                   "--out", tmp_path / "r.json", "--trace", trace) == 0
+        with open(trace, newline="") as fh:
+            row0 = float(next(csv.DictReader(fh))["value"])
+        # row 0 is evaluated at unpack(pack(x)), 1 ulp off in full_pose
+        assert total == pytest.approx(row0, rel=1e-12, abs=0.0)
+
     def test_csv_format(self, fixture_files, capsys):
         pred, gt = fixture_files
         assert run("loss", pred, gt, "--format", "csv") == 0

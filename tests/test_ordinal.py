@@ -542,6 +542,24 @@ class TestOrdinalPass:
         assert totals.shape == (0,) and levels.shape == violations.shape == (3, 0)
         assert dK.shape == K.shape and not dK.any()
 
+    @pytest.mark.parametrize("part_mode", ["vector", "particle"])
+    @pytest.mark.parametrize("k, rows", [(1, [0]), (4, [0, 2, 3]), (7, [0, 4, 5, 6])])
+    def test_grad_views_gradient_equals_sub_stack(self, part_mode, k, rows):
+        cfg = HmorConfig(part_mode=part_mode)
+        gt, pred, views = _kernel_case(44, 3, k)
+        K = scene_joint_array(pred, cfg.depth_unit_scale)
+        labelled = LabelledTruth(gt, cfg).label(views)
+        full = ordinal_pass(K, gt.topology, labelled, cfg)
+        totals, levels, violations, dK = ordinal_pass(K, gt.topology, labelled, cfg,
+                                                      grad_views=np.array(rows))
+        # per-view results cover the whole stack, the gradient only ``rows``
+        for got, want in zip((totals, levels, violations), full):
+            assert np.array_equal(got, want)
+        sub_dK = ordinal_pass(K, gt.topology, labelled.rows(rows), cfg)[3]
+        assert np.array_equal(dK, sub_dK) and np.abs(dK).max() > 0.0
+        assert np.array_equal(ordinal_pass(K, gt.topology, labelled, cfg,
+                                           grad_views=slice(None))[3], full[3])
+
     def test_pair_cap_subset_is_shared_by_every_view(self):
         scene = generate_scene(GenSpec(seed=2, n_persons=3))
         cfg = HmorConfig(pair_cap=50)

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmor import (GaussNoise, GenSpec, HmorConfig, InvalidInputError,
                   SolverConfig, SolverError, count_violations, enumerate_pairs,
@@ -9,6 +11,7 @@ from hmor import (GaussNoise, GenSpec, HmorConfig, InvalidInputError,
                   perturb, refine)
 from hmor import sample_view
 from hmor.cli import _jitter_all_coordinates
+import hmor.solver
 from hmor.ordinal import LabelledTruth
 from hmor.solver import (_Anchors, _fd_max_rel_err, _objective_on_vars, _SceneVars,
                          check_function_gradients)
@@ -201,6 +204,55 @@ class TestTraceViolations:
             assert trace[-1].violations == sum(count_violations(refined, normal_pairs, cfg.hmor))
         if "min_step" in overrides:
             assert len({(t.value, t.violations) for t in full}) == 1
+
+
+class TestCarriedEvaluation:
+    """One ordinal pass per candidate: an accepted candidate's value and
+    gradient under the next step's views are carried, not recomputed."""
+
+    @pytest.mark.parametrize("views", [1, 4])
+    def test_one_pass_per_step(self, monkeypatch, views):
+        spec = GenSpec(seed=22, n_persons=4, perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        noisy = perturb(gt, spec)
+        calls = []
+        kernel = hmor.solver.ordinal_pass
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(hmor.solver, "ordinal_pass", spy)
+        cfg = SolverConfig(steps=10, views_per_step=views, step_halving=False)
+        _, trace = refine(noisy, gt, cfg)
+        # one pass at the start point for trace row 0 and step 1's
+        # gradient, then one per step's candidate
+        assert len(calls) == cfg.steps + 1 and len(trace) == cfg.steps + 1
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 10_000), n_persons=st.integers(1, 4),
+           step_size=st.sampled_from([1e-2, 5e-2, 0.5, 5.0]))
+    def test_one_view_trace_never_increases(self, seed, n_persons, step_size):
+        spec = GenSpec(seed=seed, n_persons=n_persons,
+                       perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        cfg = SolverConfig(steps=15, step_size=step_size, seed=seed)
+        _, trace = refine(perturb(gt, spec), gt, cfg)
+        values = [t.value for t in trace]
+        assert all(b <= a for a, b in zip(values, values[1:]))
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 10_000), n_persons=st.integers(1, 4),
+           steps=st.integers(1, 5))
+    def test_three_view_run_is_prefix_of_longer_run(self, seed, n_persons, steps):
+        spec = GenSpec(seed=seed, n_persons=n_persons,
+                       perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        noisy = perturb(gt, spec)
+        cfg = SolverConfig(steps=steps, views_per_step=3, seed=seed)
+        _, short = refine(noisy, gt, cfg)
+        _, longer = refine(noisy, gt, dataclasses.replace(cfg, steps=steps + 3))
+        assert short == longer[:steps + 1]
 
 
 class TestGradCheck:
