@@ -305,8 +305,12 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
     labelled one step ahead, so one :func:`ordinal_pass` at a candidate
     yields its value under step t's views (for the line search) and its
     value and gradient under step t+1's, which an accepted candidate
-    carries into the next step. When halving rejects every candidate,
-    ``x`` is evaluated once under step t+1's views.
+    carries into the next step. With fresh views, when the first
+    candidate is rejected the halved ones are evaluated under step t's
+    views alone, and the point the line search stops at (``x`` if every
+    candidate is rejected) once more under step t+1's. With one view
+    (or ``w_hmor == 0``) both steps share the stack, so every evaluation,
+    ``x``'s included, is carried as it is.
     """
     cfg = config or SolverConfig()
     if pred_scene.person_count != gt_scene.person_count:
@@ -356,22 +360,29 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
         if f > cfg.divergence_limit:
             raise SolverError(f"objective diverged to {f!r} at step {step}")
         last = step == cfg.steps
+        current = labelled  # step t's views
         if last:
-            stack, value_rows, grad_rows = labelled, (now,), None
+            first = (current, (every,), None)
         else:
-            stack, value_rows, grad_rows = ahead(labelled), (now, nxt), nxt
+            stack = ahead(current)
             labelled = stack if k == 1 else stack.rows(nxt)  # step t+1's views
+            first = (stack, (now, nxt), nxt)
 
         cand = x - eta * g
-        f_cand, carried = evaluate(cand, stack, value_rows, grad_rows)
-        if cfg.step_halving:
+        f_cand, carried = evaluate(cand, *first)
+        if cfg.step_halving and f_cand > f:
+            # with fresh views a retry needs only step t's value, and where
+            # the line search stops is then evaluated under step t+1's views;
+            # with one view every evaluation already serves both steps
+            retry = first if k == 1 else (current, (every,), None)
             while f_cand > f and eta > cfg.min_step:
                 eta *= 0.5
                 cand = x - eta * g
-                f_cand, carried = evaluate(cand, stack, value_rows, grad_rows)
+                f_cand, carried = evaluate(cand, *retry)
             if f_cand > f:
-                cand, f_cand = x, f
-                carried = (f, g, v) if last else evaluate(x, labelled, (every,), every)[1]
+                cand, f_cand, carried = x, f, (f, g, v)
+            if k > 1 and not last:
+                carried = evaluate(cand, labelled, (every,), every)[1]
         x = cand
         f, g, v = carried
         trace.append(row(step, x, f_cand, v))
