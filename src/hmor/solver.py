@@ -34,10 +34,8 @@ class SolverConfig:
 
     ``views_per_step`` counts the views the ordinal term averages over
     each step: the camera normal is always included, and any additional
-    views are sampled fresh per step. They are sampled one step ahead
-    (step t+1's at the start of step t, in the same rng order), so each
-    line-search candidate is evaluated once under both steps' views; see
-    :func:`refine`. ``free_variables`` is either
+    views are sampled fresh per step, one step ahead (see :func:`refine`).
+    ``free_variables`` is either
     "root_depths_only" or "full_pose". ``anchor`` selects the target of
     the data terms: the ground-truth scene, or the solver's own input
     (useful as a no-restoring-force baseline). With ``step_halving`` the
@@ -371,9 +369,6 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
         cand = x - eta * g
         f_cand, carried = evaluate(cand, *first)
         if cfg.step_halving and f_cand > f:
-            # with fresh views a retry needs only step t's value, and where
-            # the line search stops is then evaluated under step t+1's views;
-            # with one view every evaluation already serves both steps
             retry = first if k == 1 else (current, (every,), None)
             while f_cand > f and eta > cfg.min_step:
                 eta *= 0.5
