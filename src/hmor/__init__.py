@@ -15,7 +15,7 @@ A numpy library covering:
 
 from .depth import (DepthEstimate, equivalent_depth, loss_abs, loss_init,
                     loss_pose, loss_refine, normalize_depth,
-                    recover_absolute_depth, total_loss)
+                    recover_absolute_depth)
 from .errors import (BehindCameraError, GenerationError, HmorError,
                      InvalidDepthError, InvalidInputError, NumericalError,
                      SolverError)
@@ -32,7 +32,8 @@ from .sceneio import load_scene, save_scene
 from .skeleton import (AbsolutePose, BoundingBox, Person, RelativePose, Scene,
                        SkeletonTopology, assemble_absolute, instance_position,
                        part_vectors)
-from .solver import SolverConfig, TraceEntry, grad_check, objective, refine
+from .solver import (SolverConfig, TraceEntry, grad_check, objective, objective_terms,
+                     refine)
 from .synth import (DepthSwap, GaussNoise, GenSpec, RootOffset, generate_scene,
                     perturb)
 

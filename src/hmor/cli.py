@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: gen (synthetic scene files), loss (ordinal and data-term
-losses of a prediction against ground truth), refine (gradient-descent
-refinement with an objective trace), eval (pose metrics), and gradcheck
-(finite-difference validation of every analytic gradient).
+Subcommands: gen (synthetic scene files), loss (the unweighted terms of
+the objective under the config's anchor, and their weighted sum, which
+is refine's trace row 0), refine (gradient-descent refinement with an
+objective trace), eval (pose metrics), and gradcheck (finite-difference
+validation of every analytic gradient).
 
 Exit codes: 0 success, 2 validation error, 3 I/O error, 4 numerical or
 solver error. Set HMOR_LOG={error,info,debug} to control verbosity.
@@ -19,19 +20,19 @@ import logging
 import math
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import synth
-from .depth import DepthEstimate, loss_abs, loss_init, loss_pose, loss_refine
 from .errors import (HmorError, InvalidInputError, NumericalError, SolverError)
 from .metrics import (DEFAULT_PCK_THRESHOLD_MM, MetricReport, evaluate)
-from .ordinal import HmorConfig, enumerate_pairs, hmor_loss
+from .ordinal import HmorConfig
 from .sceneio import load_scene, save_scene
-from .skeleton import Scene, assemble_absolute
-from .solver import (SolverConfig, check_function_gradients, grad_check, objective,
+from .skeleton import Scene
+from .solver import (SolverConfig, check_function_gradients, grad_check, objective_terms,
                      refine)
 from .synth import GenSpec, generate_scene, perturb
 
@@ -49,12 +50,28 @@ log = logging.getLogger("hmor")
 # ---------------------------------------------------------------------------
 # run configuration file
 
+def _json_type_ok(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation: a bool only where
+    bool is allowed, an integer wherever a float is."""
+    allowed = typing.get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        return bool in allowed
+    return isinstance(value, allowed) or (isinstance(value, int) and float in allowed)
+
+
 def _build_strict(cls, kwargs: dict, context: str):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(kwargs) - fields
+    hints = typing.get_type_hints(cls)
+    unknown = set(kwargs) - set(hints)
     if unknown:
         raise InvalidInputError(f"{context} has unknown keys {sorted(unknown)}")
-    return cls(**kwargs)
+    for key, value in kwargs.items():
+        if not _json_type_ok(value, hints[key]):
+            kind = getattr(hints[key], "__name__", hints[key])
+            raise InvalidInputError(f"{context}.{key} must be {kind}, got {value!r}")
+    try:
+        return cls(**kwargs)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{context}: {exc}") from None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,31 +95,34 @@ def load_run_config(path) -> RunConfig:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"{path}: a run configuration must be a JSON object")
     allowed = {"hmor", "solver", "metrics", "seed"}
     unknown = set(data) - allowed
     if unknown:
         raise InvalidInputError(f"{path}: unknown config sections {sorted(unknown)}")
-    hmor_cfg = _build_strict(HmorConfig, data.get("hmor", {}), "hmor config")
-    solver_kwargs = dict(data.get("solver", {}))
-    solver_kwargs.pop("hmor", None)
+    for section in ("hmor", "solver", "metrics"):
+        if not isinstance(data.get(section, {}), dict):
+            raise InvalidInputError(f"{path}: {section} must be an object")
+    hmor_cfg = _build_strict(HmorConfig, data.get("hmor", {}), f"{path}: hmor")
     solver_cfg = dataclasses.replace(
-        _build_strict(SolverConfig, solver_kwargs, "solver config"), hmor=hmor_cfg)
+        _build_strict(SolverConfig, data.get("solver", {}), f"{path}: solver"), hmor=hmor_cfg)
     metrics = data.get("metrics", {})
-    if not isinstance(metrics, dict):
-        raise InvalidInputError(f"{path}: metrics must be an object")
     unknown = set(metrics) - {"pck_threshold_mm", "auc_min_mm", "auc_max_mm", "auc_step_mm"}
     if unknown:
         raise InvalidInputError(f"{path}: unknown metrics keys {sorted(unknown)}")
     for key, value in metrics.items():
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value)):
+        if not _json_type_ok(value, float) or not math.isfinite(value):
             raise InvalidInputError(f"{path}: metrics.{key} must be a finite number, "
                                     f"got {value!r}")
         if value <= 0:
             what = "step" if key == "auc_step_mm" else "threshold"
             raise InvalidInputError(f"{path}: metrics.{key}: {what} must be positive, "
                                     f"got {value!r}")
-    cfg = RunConfig(hmor=hmor_cfg, solver=solver_cfg, seed=int(data.get("seed", 0)),
+    seed = data.get("seed", 0)
+    if not _json_type_ok(seed, int) or seed < 0:
+        raise InvalidInputError(f"{path}: seed must be an integer >= 0, got {seed!r}")
+    cfg = RunConfig(hmor=hmor_cfg, solver=solver_cfg, seed=seed,
                     **{k: float(v) for k, v in metrics.items()})
     # the length of RunConfig.auc_thresholds, checked before it is built
     points = (cfg.auc_max_mm + 0.5 * cfg.auc_step_mm - cfg.auc_min_mm) / cfg.auc_step_mm
@@ -193,7 +213,11 @@ def _gen_spec_from_args(args, seed: int) -> GenSpec:
         pairs = []
         for token in args.swap:
             a, _, b = token.partition(",")
-            pairs.append((int(a), int(b)))
+            try:
+                pairs.append((int(a), int(b)))
+            except ValueError:
+                raise InvalidInputError(
+                    f"--swap takes two person indices A,B, got {token!r}") from None
         perturbation = synth.DepthSwap(tuple(pairs) or ((0, 1),))
     elif args.perturb == "root_offset":
         perturbation = synth.RootOffset(args.offset)
@@ -210,8 +234,9 @@ def _gen_spec_from_args(args, seed: int) -> GenSpec:
 
 def cmd_gen(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     base_seed = args.seed if args.seed is not None else 0
+    _gen_spec_from_args(args, base_seed)  # bad arguments fail before the directory is made
+    out.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
         spec = _gen_spec_from_args(args, base_seed + i)
         scene = generate_scene(spec)
@@ -226,48 +251,14 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 # loss
 
-def _loss_record(pred: Scene, gt: Scene, cfg: RunConfig) -> dict:
-    _check_topologies_match(pred, gt)
-    if pred.person_count != gt.person_count:
-        raise InvalidInputError(
-            f"person count mismatch: {pred.person_count} != {gt.person_count}")
-    camera = gt.camera
-    pairs = enumerate_pairs(gt, camera.normal, cfg.hmor)
-    hl = hmor_loss(pred, pairs, config=cfg.hmor)
-    anchors = gt if cfg.solver.anchor == "ground_truth" else pred
-
-    gt_z = [p.root_depth for p in gt.persons]
-    pred_norm = [p.root_depth / np.sqrt(camera.fx * camera.fy) for p in pred.persons]
-    estimates = [
-        DepthEstimate(
-            z_init_norm=zn,
-            z_eq_init=zn * np.sqrt(p.box.area / p.roi_area),
-            delta=0.0,
-            a_box=p.box.area,
-            a_roi=p.roi_area,
-        )
-        for zn, p in zip(pred_norm, pred.persons)
-    ]
-    pose = loss_pose([p.rel_pose for p in pred.persons], [p.rel_pose for p in gt.persons])
-    init = loss_init(pred_norm, gt_z, camera)
-    refine_term = loss_refine(estimates, gt_z, camera)
-    abs_term = loss_abs([assemble_absolute(p, pred.camera) for p in pred.persons],
-                        [assemble_absolute(p, gt.camera) for p in gt.persons])
-    return {
-        "hmor": {"total": hl.total, "instance": hl.instance,
-                 "part": hl.part, "joint": hl.joint},
-        "pose": pose,
-        "init": init,
-        "refine": refine_term,
-        "abs": abs_term,
-        # the weighted objective refine minimises, its trace row 0
-        "total": objective(pred, pairs, anchors, cfg.solver)[0],
-    }
-
-
 def cmd_loss(args) -> int:
     cfg = _config_from_args(args)
-    record = _loss_record(load_scene(args.pred), load_scene(args.gt), cfg)
+    pred, gt = load_scene(args.pred), load_scene(args.gt)
+    _check_topologies_match(pred, gt)
+    terms = objective_terms(pred, gt, cfg.solver)
+    record = {name: terms[name] for name in ("pose", "init", "refine", "abs", "total")}
+    record["hmor"] = {level: terms[f"hmor.{level}"] for level in ("instance", "part", "joint")}
+    record["hmor"]["total"] = terms["hmor"]
     _emit(record, args.format)
     return EXIT_OK
 
@@ -530,14 +521,11 @@ def main(argv=None) -> int:
     try:
         _setup_logging()
         args = build_parser().parse_args(argv)
-        if getattr(args, "persons", None) is not None and args.persons < 1:
-            raise InvalidInputError(f"--persons must be >= 1, got {args.persons}")
-        if getattr(args, "count", None) is not None and args.count < 1:
-            raise InvalidInputError(f"--count must be >= 1, got {args.count}")
-        if getattr(args, "steps", None) is not None and args.steps < 1:
-            raise InvalidInputError(f"--steps must be >= 1, got {args.steps}")
-        if getattr(args, "jobs", None) is not None and args.jobs < 1:
-            raise InvalidInputError(f"--jobs must be >= 1, got {args.jobs}")
+        for name, least in (("persons", 1), ("count", 1), ("steps", 1), ("jobs", 1),
+                            ("points", 1), ("seed", 0)):
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                raise InvalidInputError(f"--{name} must be >= {least}, got {value}")
         # a non-finite result is reported once, as exit 4, not as warnings
         with np.errstate(all="ignore"):
             return args.func(args)

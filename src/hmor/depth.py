@@ -4,7 +4,10 @@ Absolute root depths are made camera-independent by dividing out the
 focal lengths, then rescaled to the "equivalent depth" of the resized
 person crop via the box/RoI area ratio. The refinement residual is
 learned in that normalized space and inverted back to millimeters at
-recovery time. All losses are plain L1 means.
+recovery time. All losses are plain L1 means. The ``loss_*`` functions
+are the paper's per-person reference forms of the data terms; the
+objective the solver minimises and ``hmor loss`` reports computes the
+same terms on whole-scene arrays (:func:`hmor.solver.objective_terms`).
 """
 
 from __future__ import annotations
@@ -134,17 +137,3 @@ def loss_abs_grad(pred_abs: Sequence[AbsolutePose], gt_abs: Sequence[AbsolutePos
 def loss_abs(pred_abs, gt_abs) -> float:
     return loss_abs_grad(pred_abs, gt_abs)[0]
 
-
-def total_loss(components, weights=None) -> float:
-    """Weighted sum of loss components, default weight 1 for each.
-
-    ``components`` maps term names to values; ``weights`` may override
-    any subset. Every value must be finite.
-    """
-    total = 0.0
-    for name, value in components.items():
-        if not np.isfinite(value):
-            raise InvalidInputError(f"component {name!r} is not finite: {value}")
-        w = 1.0 if weights is None else weights.get(name, 1.0)
-        total += w * value
-    return float(total)

@@ -19,6 +19,7 @@ for human-size scenes.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,6 +28,13 @@ import numpy as np
 from .errors import InvalidDepthError, InvalidInputError
 from .geometry import ViewVector
 from .skeleton import Scene, SkeletonTopology
+
+
+def check_finite_fields(config) -> None:
+    """Reject a config dataclass with a non-finite float field."""
+    for name, value in vars(config).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +63,7 @@ class HmorConfig:
     cross_person_joints: bool = True
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.depth_unit_scale <= 0:
             raise InvalidInputError("depth_unit_scale must be positive")
         if self.equality_tolerance < 0:

@@ -18,14 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError, SolverError
+from .errors import InvalidDepthError, InvalidInputError, NumericalError, SolverError
 from .geometry import sample_view
 from .ordinal import (HmorConfig, LabelledTruth, LabelledViews, RelationPairs,
                       err_instance_grad, err_joint_grad, err_part_grad,
-                      err_part_particle_grad, ordinal_pass, scene_joint_array)
+                      check_finite_fields, err_part_particle_grad, ordinal_pass)
 from .skeleton import RelativePose, Scene
 
-_TERMS = ("pose", "init", "refine", "hmor", "abs")
+# the objective's terms, in the order the weighted total sums them
+_TERMS = ("pose", "init", "refine", "abs", "hmor")
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,8 @@ class SolverConfig:
     views are sampled fresh per step, one step ahead (see :func:`refine`).
     ``free_variables`` is either
     "root_depths_only" or "full_pose". ``anchor`` selects the target of
-    the data terms: the ground-truth scene, or the solver's own input
+    the data terms: the ground-truth scene, or the solver's own input at
+    its start point, where they read exactly 0 with a zero gradient
     (useful as a no-restoring-force baseline). With ``step_halving`` the
     step size is halved until the objective does not increase, which
     makes the trace monotone when the per-step views are fixed
@@ -62,6 +64,7 @@ class SolverConfig:
     min_step: float = 1e-12
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.steps < 1:
             raise InvalidInputError(f"steps must be >= 1, got {self.steps}")
         if self.step_size <= 0:
@@ -74,6 +77,8 @@ class SolverConfig:
             raise InvalidInputError(f"unknown free_variables {self.free_variables!r}")
         if self.anchor not in ("ground_truth", "input"):
             raise InvalidInputError(f"unknown anchor {self.anchor!r}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,7 +94,8 @@ class _SceneVars:
     Holds box-relative coordinates, root depths, and the fixed box and
     area data; converts between the packed scaled variable vector and
     absolute scaled joints, and pushes loss gradients w.r.t. those joints
-    back onto the variable vector.
+    back onto the variable vector. Every joint of the scene must lie in
+    front of the camera.
     """
 
     def __init__(self, scene: Scene, config: SolverConfig):
@@ -109,6 +115,8 @@ class _SceneVars:
         self.V = rel[:, :, 1].copy()
         self.Zrel = rel[:, :, 2].copy()
         self.ZR = np.array([p.root_depth for p in scene.persons])
+        if np.any(self.Zrel + self.ZR[:, None] <= 0):
+            raise InvalidDepthError("scene contains non-positive joint depths")
         self.N, self.J = self.U.shape
         self.nonroot = np.array([j for j in range(self.J) if j != self.root])
 
@@ -154,9 +162,6 @@ class _SceneVars:
         g_zrel = per_joint[:, self.nonroot]
         return np.concatenate([g_zr, g_u.ravel(), g_v.ravel(), g_zrel.ravel()])
 
-    def zeros_like_x(self) -> np.ndarray:
-        return np.zeros_like(self.pack())
-
     def to_scene(self) -> Scene:
         persons = []
         for m, person in enumerate(self.scene.persons):
@@ -176,11 +181,13 @@ class _Anchors:
     z_root: np.ndarray   # (N,) absolute root depths, millimeters
 
     @classmethod
-    def from_scene(cls, scene: Scene):
-        rel = np.stack([p.rel_pose.joints for p in scene.persons])
-        return cls(rel=rel,
-                   abs_mm=scene_joint_array(scene, 1.0),
-                   z_root=np.array([p.root_depth for p in scene.persons]))
+    def from_vars(cls, sv: _SceneVars):
+        """Targets at the variables' current point, back-projected with the
+        arithmetic of the prediction (:meth:`_SceneVars.joints_scaled`), so
+        a prediction at its anchor reads exactly 0 with a zero gradient in
+        every data term."""
+        return cls(rel=np.stack([sv.U, sv.V, sv.Zrel], axis=2),
+                   abs_mm=sv.joints_scaled()[0] / sv.scale, z_root=sv.ZR.copy())
 
 
 def _check_finite(term: str, value: float) -> float:
@@ -189,88 +196,76 @@ def _check_finite(term: str, value: float) -> float:
     return value
 
 
+def _total(terms: dict, config: SolverConfig) -> float:
+    """The weighted objective ``sum w_t * terms[t]``, summed in the order
+    of ``_TERMS`` (a term of weight 0 adds an exact 0.0)."""
+    return sum(getattr(config, f"w_{name}") * terms[name] for name in _TERMS)
+
+
 def _evaluate(sv: _SceneVars, labelled: LabelledViews, anchors: _Anchors,
               config: SolverConfig, value_rows, grad_rows):
     """Objective at the current variables under row selections of the
     ``labelled`` view stack, from one :func:`ordinal_pass`.
 
-    Returns (values, grad, violations): the weighted objective with the
-    ordinal term averaged over each selection in ``value_rows``; its
-    gradient w.r.t. the packed variables with the ordinal term averaged
-    over ``grad_rows`` (None when grad_rows is None); and the total
-    ordinal violations under the first labelled view (None when
-    ``w_hmor`` is 0, as the ordinal term is then not evaluated). The
-    data terms are computed once and shared by every value.
+    Returns (terms, grad, violations). ``terms`` holds one dict per
+    selection in ``value_rows``: every term's unweighted value by name
+    (pose, init, refine, abs; hmor, the ordinal term averaged over the
+    selection's views, with its levels hmor.instance, hmor.part and
+    hmor.joint) and the weighted ``total`` (:func:`_total`). ``grad`` is
+    the total's gradient w.r.t. the packed variables with the ordinal
+    term averaged over ``grad_rows`` (None when grad_rows is None), and
+    ``violations`` the total ordinal violations under the first labelled
+    view. The data terms are computed once and shared by every selection.
     """
     want_grad = grad_rows is not None
     s = sv.scale
     nj = sv.N * sv.J
-    data = 0.0
-    grad = sv.zeros_like_x() if want_grad else None
+    grad = np.zeros_like(sv.pack()) if want_grad else None
     dK = np.zeros((sv.N, sv.J, 3))
     K, d, a, b = sv.joints_scaled()
 
-    if config.w_pose > 0:
-        pred = np.stack([sv.U, sv.V, sv.Zrel], axis=2)
-        diff = pred - anchors.rel
-        data += config.w_pose * _check_finite("pose", float(np.abs(diff).sum() / nj))
-        if want_grad:
-            g = np.sign(diff) * (config.w_pose / (nj * s))
-            if config.free_variables == "full_pose":
-                grad[sv.N:sv.N + nj] += g[:, :, 0].ravel()
-                grad[sv.N + nj:sv.N + 2 * nj] += g[:, :, 1].ravel()
-                grad[sv.N + 2 * nj:] += g[:, sv.nonroot, 2].ravel()
+    diff = np.stack([sv.U, sv.V, sv.Zrel], axis=2) - anchors.rel
+    data = {"pose": _check_finite("pose", float(np.abs(diff).sum() / nj))}
+    if want_grad and config.w_pose > 0 and config.free_variables == "full_pose":
+        g = np.sign(diff) * (config.w_pose / (nj * s))
+        grad[sv.N:sv.N + nj] += g[:, :, 0].ravel()
+        grad[sv.N + nj:sv.N + 2 * nj] += g[:, :, 1].ravel()
+        grad[sv.N + 2 * nj:] += g[:, sv.nonroot, 2].ravel()
 
     froot = np.sqrt(sv.fx * sv.fy)
-    if config.w_init > 0:
-        resid = anchors.z_root / froot - sv.ZR / froot
-        data += config.w_init * _check_finite("init", float(np.abs(resid).mean()))
-        if want_grad:
-            grad[:sv.N] += -np.sign(resid) * (config.w_init / (sv.N * froot * s))
+    resid = anchors.z_root / froot - sv.ZR / froot
+    data["init"] = _check_finite("init", float(np.abs(resid).mean()))
+    if want_grad and config.w_init > 0:
+        grad[:sv.N] += -np.sign(resid) * (config.w_init / (sv.N * froot * s))
 
-    if config.w_refine > 0:
-        ratio = np.sqrt(sv.a_box / sv.a_roi)
-        resid = (anchors.z_root / froot) * ratio - (sv.ZR / froot) * ratio
-        data += config.w_refine * _check_finite("refine", float(np.abs(resid).mean()))
-        if want_grad:
-            grad[:sv.N] += -np.sign(resid) * ratio * (config.w_refine / (sv.N * froot * s))
+    ratio = np.sqrt(sv.a_box / sv.a_roi)
+    resid = (anchors.z_root / froot) * ratio - (sv.ZR / froot) * ratio
+    data["refine"] = _check_finite("refine", float(np.abs(resid).mean()))
+    if want_grad and config.w_refine > 0:
+        grad[:sv.N] += -np.sign(resid) * ratio * (config.w_refine / (sv.N * froot * s))
 
-    if config.w_abs > 0:
-        diff = K / s - anchors.abs_mm
-        data += config.w_abs * _check_finite("abs", float(np.abs(diff).sum() / nj))
-        if want_grad:
-            dK += np.sign(diff) * (config.w_abs / (nj * s))
+    diff = K / s - anchors.abs_mm
+    data["abs"] = _check_finite("abs", float(np.abs(diff).sum() / nj))
+    if want_grad and config.w_abs > 0:
+        dK += np.sign(diff) * (config.w_abs / (nj * s))
 
-    values = [data] * len(value_rows)
-    violations = None
-    if config.w_hmor > 0:
-        totals, _, counts, dK_hmor = ordinal_pass(K, sv.topology, labelled, config.hmor,
-                                                  want_grad=want_grad, grad_views=grad_rows)
+    hmor_grad = want_grad and config.w_hmor > 0
+    totals, levels, counts, dK_hmor = ordinal_pass(
+        K, sv.topology, labelled, config.hmor, want_grad=hmor_grad, grad_views=grad_rows)
 
-        def mean(rows):
-            picked = totals[rows].tolist()
-            return _check_finite("hmor", sum(picked) / len(picked))
+    def mean(per_view, rows):
+        picked = per_view[rows].tolist()
+        return sum(picked) / len(picked)
 
-        values = [data + config.w_hmor * mean(rows) for rows in value_rows]
-        violations = int(counts[:, 0].sum())
-        if want_grad:
-            dK += dK_hmor * (config.w_hmor / len(totals[grad_rows]))
-
+    terms = [{**data, "hmor": _check_finite("hmor", mean(totals, rows)),
+              **{f"hmor.{name}": mean(level, rows)
+                 for name, level in zip(("instance", "part", "joint"), levels)}}
+             for rows in value_rows]
+    if hmor_grad:
+        dK += dK_hmor * (config.w_hmor / len(totals[grad_rows]))
     if want_grad and (config.w_hmor > 0 or config.w_abs > 0):
         grad += sv.grad_to_x(dK, d, a, b)
-    return values, grad, violations
-
-
-def _objective_on_vars(sv: _SceneVars, labelled: LabelledViews, anchors: _Anchors,
-                       config: SolverConfig, want_grad: bool = True):
-    """Weighted objective value, its gradient w.r.t. the packed variables
-    (None when want_grad is off) and the total ordinal violations under
-    the first of the ``labelled`` views; the ordinal term is the mean
-    over all of them (:func:`_evaluate`)."""
-    every = slice(None)
-    (value,), grad, violations = _evaluate(sv, labelled, anchors, config, (every,),
-                                           every if want_grad else None)
-    return value, grad, violations
+    return [{**t, "total": _total(t, config)} for t in terms], grad, int(counts[:, 0].sum())
 
 
 def objective(pred_scene: Scene, gt_pairs, anchors: Scene, config: SolverConfig):
@@ -286,8 +281,35 @@ def objective(pred_scene: Scene, gt_pairs, anchors: Scene, config: SolverConfig)
         gt_pairs = [gt_pairs]
     labelled = LabelledViews.from_pairs(gt_pairs, pred_scene.topology)
     sv = _SceneVars(pred_scene, config)
-    value, grad, _ = _objective_on_vars(sv, labelled, _Anchors.from_scene(anchors), config)
-    return value, grad
+    every = slice(None)
+    (terms,), grad, _ = _evaluate(sv, labelled, _Anchors.from_vars(_SceneVars(anchors, config)),
+                                  config, (every,), every)
+    return terms["total"], grad
+
+
+def _targets(sv: _SceneVars, gt_scene: Scene, config: SolverConfig):
+    """The anchors ``config.anchor`` selects, the ground truth or the
+    prediction's variables where they stand, and the enumerated ground
+    truth."""
+    if sv.N != gt_scene.person_count:
+        raise InvalidInputError("scenes must be matched person-for-person")
+    anchor = sv if config.anchor == "input" else _SceneVars(gt_scene, config)
+    return _Anchors.from_vars(anchor), LabelledTruth(gt_scene, config.hmor)
+
+
+def objective_terms(pred_scene: Scene, gt_scene: Scene,
+                    config: SolverConfig | None = None) -> dict[str, float]:
+    """Every unweighted term of the objective :func:`refine` minimises,
+    by name (see :func:`_evaluate`), and the weighted ``total``, all from
+    one :func:`ordinal_pass` under the ground truth's camera normal.
+    ``total`` is ``refine``'s trace row 0 up to the packing of the
+    variables, which moves a coordinate by at most an ulp."""
+    cfg = config or SolverConfig()
+    sv = _SceneVars(pred_scene, cfg)
+    anchors, truth = _targets(sv, gt_scene, cfg)
+    (terms,), _, _ = _evaluate(sv, truth.label(gt_scene.camera.normal), anchors, cfg,
+                               (slice(None),), None)
+    return terms
 
 
 def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = None):
@@ -311,13 +333,11 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
     ``x``'s included, is carried as it is.
     """
     cfg = config or SolverConfig()
-    if pred_scene.person_count != gt_scene.person_count:
-        raise InvalidInputError("scenes must be matched person-for-person")
-    rng = np.random.default_rng(cfg.seed)
-    anchor_scene = gt_scene if cfg.anchor == "ground_truth" else pred_scene
-    anchors = _Anchors.from_scene(anchor_scene)
     sv = _SceneVars(pred_scene, cfg)
-    truth = LabelledTruth(gt_scene, cfg.hmor)
+    x = sv.pack()
+    sv.unpack(x)  # the start point, which anchor="input" anchors at
+    anchors, truth = _targets(sv, gt_scene, cfg)
+    rng = np.random.default_rng(cfg.seed)
     normal = truth.label(gt_scene.camera.normal)
     k = cfg.views_per_step if cfg.w_hmor > 0 else 1
     now = slice(0, k)                                # step t's rows of its stack
@@ -335,23 +355,12 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
         # (value under value_rows[0], and what x carries into the next
         # step: value under value_rows[-1], gradient, violations)
         sv.unpack(x)
-        values, grad, violations = _evaluate(sv, labelled, anchors, cfg, value_rows, grad_rows)
-        return values[0], (values[-1], grad, violations)
+        terms, grad, violations = _evaluate(sv, labelled, anchors, cfg, value_rows, grad_rows)
+        return terms[0]["total"], (terms[-1]["total"], grad, violations)
 
-    def row(step: int, x: np.ndarray, value: float, violations):
-        # a row's violations come from the evaluation of the point it
-        # reports; with w_hmor == 0 there was none, so count them here
-        if violations is None:
-            sv.unpack(x)
-            counts = ordinal_pass(sv.joints_scaled()[0], sv.topology, normal, cfg.hmor,
-                                  want_grad=False)[2]
-            violations = int(counts[:, 0].sum())
-        return TraceEntry(step, value, violations)
-
-    x = sv.pack()
     labelled = ahead(normal)  # step 1's views
     f0, (f, g, v) = evaluate(x, labelled, (slice(0, 1), every), every)
-    trace = [row(0, x, f0, v)]
+    trace = [TraceEntry(0, f0, v)]
     eta = cfg.step_size
 
     for step in range(1, cfg.steps + 1):
@@ -380,7 +389,7 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
                 carried = evaluate(cand, labelled, (every,), every)[1]
         x = cand
         f, g, v = carried
-        trace.append(row(step, x, f_cand, v))
+        trace.append(TraceEntry(step, f_cand, v))  # v is counted at x, the point reported
 
     sv.unpack(x)
     return sv.to_scene(), trace
@@ -415,15 +424,16 @@ def grad_check(term: str, scene: Scene, gt_scene: Scene,
     weights = {f"w_{t}": (1.0 if t == term else 0.0) for t in _TERMS}
     cfg = dataclasses.replace(base, **weights)
     sv = _SceneVars(scene, cfg)
-    anchors = _Anchors.from_scene(gt_scene)
+    anchors = _Anchors.from_vars(_SceneVars(gt_scene, cfg))
     normal = LabelledTruth(gt_scene, cfg.hmor).label(gt_scene.camera.normal)
+    every = (slice(None),)
 
     x0 = sv.pack()
-    _, g, _ = _objective_on_vars(sv, normal, anchors, cfg)
+    _, g, _ = _evaluate(sv, normal, anchors, cfg, every, every[0])
 
     def value_at(x):
         sv.unpack(x)
-        return _objective_on_vars(sv, normal, anchors, cfg, want_grad=False)[0]
+        return _evaluate(sv, normal, anchors, cfg, every, None)[0][0]["total"]
 
     worst = _fd_max_rel_err(value_at, x0, g, epsilon)
     sv.unpack(x0)
@@ -444,91 +454,63 @@ def check_function_gradients(seed: int = 0, points: int = 100,
 
     rng = np.random.default_rng(seed)
     margin = 10.0 * epsilon
-    results: dict[str, float] = {}
+    cam = Camera(1000.0, 1000.0, 500.0, 500.0)
+    froot = np.sqrt(cam.fx * cam.fy)
 
-    def unit(rng):
-        v = rng.normal(size=3)
-        return v / np.linalg.norm(v)
-
-    def pair_case(err_grad):
-        worst = 0.0
-        produced = 0
+    def worst_over(sample) -> float:
+        # sample() gives (fn, x0, analytic gradient), or None near a kink
+        worst, produced = 0.0, 0
         while produced < points:
-            a = rng.normal(size=3)
-            b = rng.normal(size=3)
-            n = unit(rng)
-            lab = int(rng.choice([-1, 1]))
-            val, ga, gb = err_grad(a, b, lab, n)
-            # keep the clamp argument away from its kink
-            if err_grad is err_part_grad:
-                arg = lab * float(np.cross(a, b) @ n)
-            else:
-                arg = lab * float((a - b) @ n)
-            if abs(arg) <= margin:
-                continue
-            produced += 1
-
-            def fn(x, lab=lab, n=n):
-                return err_grad(x[:3], x[3:], lab, n)[0]
-
-            worst = max(worst, _fd_max_rel_err(
-                fn, np.concatenate([a, b]), np.concatenate([ga, gb]), epsilon))
+            case = sample()
+            if case is not None:
+                produced += 1
+                worst = max(worst, _fd_max_rel_err(*case, epsilon))
         return worst
 
-    results["err_instance"] = pair_case(err_instance_grad)
-    results["err_part"] = pair_case(err_part_grad)
-    results["err_part_particle"] = pair_case(err_part_particle_grad)
-    results["err_joint"] = pair_case(err_joint_grad)
+    def pair(err_grad):
+        a, b, n = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        lab = int(rng.choice([-1, 1]))
+        _, ga, gb = err_grad(a, b, lab, n)
+        arg = lab * float((np.cross(a, b) if err_grad is err_part_grad else a - b) @ n)
+        if abs(arg) <= margin:
+            return None
+        return (lambda x: err_grad(x[:3], x[3:], lab, n)[0],
+                np.concatenate([a, b]), np.concatenate([ga, gb]))
 
-    cam = Camera(1000.0, 1000.0, 500.0, 500.0)
+    def off_kink(x):
+        return x + rng.choice([-1, 1], size=x.shape) * rng.uniform(margin * 2, 1.0, x.shape)
 
-    for name, loss_grad in (("loss_pose", loss_pose_grad), ("loss_abs", loss_abs_grad)):
-        worst = 0.0
-        for _ in range(points):
-            gt = rng.normal(size=(2, 5, 3))
-            pred = gt + rng.choice([-1, 1], size=gt.shape) * rng.uniform(margin * 2, 1.0, gt.shape)
-            _, g = loss_grad(pred, gt)
+    def pose(loss_grad):
+        gt = rng.normal(size=(2, 5, 3))
+        pred = off_kink(gt)
+        return (lambda x: loss_grad(x.reshape(gt.shape), gt)[0], pred.ravel(),
+                loss_grad(pred, gt)[1].ravel())
 
-            def fn(x, gt=gt, shape=pred.shape, loss_grad=loss_grad):
-                return loss_grad(x.reshape(shape), gt)[0]
-
-            worst = max(worst, _fd_max_rel_err(fn, pred.ravel(), g.ravel(), epsilon))
-        results[name] = worst
-
-    worst = 0.0
-    for _ in range(points):
+    def init():
         gt_z = rng.uniform(3000.0, 8000.0, size=3)
-        pred = gt_z / np.sqrt(cam.fx * cam.fy)
-        pred = pred + rng.choice([-1, 1], size=3) * rng.uniform(margin * 2, 1.0, 3)
-        _, g = loss_init_grad(pred, gt_z, cam)
+        pred = off_kink(gt_z / froot)
+        return lambda x: loss_init_grad(x, gt_z, cam)[0], pred, loss_init_grad(pred, gt_z, cam)[1]
 
-        def fn(x, gt_z=gt_z):
-            return loss_init_grad(x, gt_z, cam)[0]
-
-        worst = max(worst, _fd_max_rel_err(fn, pred, g, epsilon))
-    results["loss_init"] = worst
-
-    worst = 0.0
-    for _ in range(points):
+    def refine_residual():
         gt_z = rng.uniform(3000.0, 8000.0, size=3)
         a_box = rng.uniform(5000.0, 50000.0, size=3)
         a_roi = rng.uniform(5000.0, 50000.0, size=3)
         deltas = rng.normal(0.0, 1.0, size=3)
-        z_init = gt_z / np.sqrt(cam.fx * cam.fy)
+        if np.any(np.abs(deltas) <= margin * 2):  # the residual here is -delta
+            return None
 
-        def build(d):
-            return [DepthEstimate(z_init[i], z_init[i] * np.sqrt(a_box[i] / a_roi[i]),
-                                  d[i], a_box[i], a_roi[i]) for i in range(3)]
+        def loss_grad(d):
+            return loss_refine_grad([DepthEstimate(z, z * np.sqrt(b / r), di, b, r) for
+                                     z, di, b, r in zip(gt_z / froot, d, a_box, a_roi)], gt_z, cam)
 
-        val, g = loss_refine_grad(build(deltas), gt_z, cam)
-        # residuals must clear the L1 kink; the residual here is -delta
-        if np.any(np.abs(deltas) <= margin * 2):
-            continue
+        return lambda d: loss_grad(d)[0], deltas, loss_grad(deltas)[1]
 
-        def fn(d, build=build, gt_z=gt_z):
-            return loss_refine_grad(build(d), gt_z, cam)[0]
-
-        worst = max(worst, _fd_max_rel_err(fn, deltas, g, epsilon))
-    results["loss_refine"] = worst
-
+    results = {name: worst_over(lambda f=f: pair(f)) for name, f in (
+        ("err_instance", err_instance_grad), ("err_part", err_part_grad),
+        ("err_part_particle", err_part_particle_grad), ("err_joint", err_joint_grad))}
+    for name, loss_grad in (("loss_pose", loss_pose_grad), ("loss_abs", loss_abs_grad)):
+        results[name] = worst_over(lambda: pose(loss_grad))
+    results["loss_init"] = worst_over(init)
+    results["loss_refine"] = worst_over(refine_residual)
     return results

@@ -53,8 +53,9 @@ class GaussNoise:
     sigma_z: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_xy < 0 or self.sigma_z < 0:
-            raise InvalidInputError("noise sigmas must be >= 0")
+        sigmas = (self.sigma_xy, self.sigma_z)
+        if not np.all(np.isfinite(sigmas)) or min(sigmas) < 0:
+            raise InvalidInputError(f"noise sigmas must be finite and >= 0, got {sigmas}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,10 @@ class RootOffset:
     """Shift every person's root depth by a constant (mm)."""
 
     offset: float = 0.0
+
+    def __post_init__(self):
+        if not np.isfinite(self.offset):
+            raise InvalidInputError(f"root offset must be finite, got {self.offset!r}")
 
 
 Perturbation = GaussNoise | DepthSwap | RootOffset
@@ -90,10 +95,17 @@ class GenSpec:
     topology: SkeletonTopology = field(default_factory=SkeletonTopology)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.n_persons < 1:
             raise InvalidInputError(f"n_persons must be >= 1, got {self.n_persons}")
+        for name in ("depth_range", "lateral_range", "bone_scale", "joint_jitter", "image_size"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.depth_range[0] <= 0 or self.depth_range[1] < self.depth_range[0]:
             raise InvalidInputError(f"bad depth range {self.depth_range}")
+        if self.lateral_range < 0:
+            raise InvalidInputError(f"lateral_range must be >= 0, got {self.lateral_range!r}")
         if self.bone_scale <= 0:
             raise InvalidInputError("bone_scale must be positive")
         if self.joint_jitter < 0:

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from hmor import InvalidInputError, NumericalError, load_scene, save_scene
-from hmor.cli import main
+import hmor.ordinal
+import hmor.solver
+from hmor.cli import load_run_config, main
 from hmor.sceneio import scene_from_dict, scene_to_dict
 from conftest import swap_root_depths, two_person_depth_fixture
 
@@ -233,7 +235,13 @@ class TestLoss:
         config_path.write_text(json.dumps(config))
         capsys.readouterr()
         assert run("loss", pred, gt, "--config", config_path) == 0
-        total = json.loads(capsys.readouterr().out)["total"]
+        record = json.loads(capsys.readouterr().out)
+        total = record["total"]
+        weights = load_run_config(config_path).solver
+        fields = {**record, "hmor": record["hmor"]["total"]}
+        weighted = sum(getattr(weights, f"w_{t}") * fields[t]
+                       for t in ("pose", "init", "refine", "abs", "hmor"))
+        assert weighted == pytest.approx(total, rel=1e-12, abs=0.0)
         trace = tmp_path / "trace.csv"
         assert run("refine", pred, gt, "--config", config_path, "--steps", 1,
                    "--out", tmp_path / "r.json", "--trace", trace) == 0
@@ -241,6 +249,47 @@ class TestLoss:
             row0 = float(next(csv.DictReader(fh))["value"])
         # row 0 is evaluated at unpack(pack(x)), 1 ulp off in full_pose
         assert total == pytest.approx(row0, rel=1e-12, abs=0.0)
+
+    def test_one_ordinal_pass(self, fixture_files, monkeypatch, capsys):
+        calls = []
+        kernel = hmor.solver.ordinal_pass
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        for module in (hmor.ordinal, hmor.solver):
+            monkeypatch.setattr(module, "ordinal_pass", spy)
+        pred, gt = fixture_files
+        assert run("loss", pred, gt) == 0
+        assert len(calls) == 1
+
+    def test_fields_follow_the_anchor(self, tmp_path, capsys):
+        assert run("gen", "--seed", 8, "--persons", 3, "--perturb", "gauss",
+                   "--sigma-xy", 30, "--sigma-z", 300, "--out", tmp_path) == 0
+        pred, gt = tmp_path / "pred_000.json", tmp_path / "scene_000.json"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"solver": {"anchor": "input", "w_abs": 1.0}}))
+        capsys.readouterr()
+        assert run("loss", pred, gt, "--config", config_path) == 0
+        record = json.loads(capsys.readouterr().out)
+        # the data terms score the prediction against itself; hmor against gt
+        assert [record[t] for t in ("pose", "init", "refine", "abs")] == [0.0] * 4
+        assert record["hmor"]["total"] > 0.0
+        assert record["total"] == record["hmor"]["total"]
+
+    def test_depth_terms_normalise_by_the_pred_camera(self, tmp_path, capsys, camera):
+        gt = two_person_depth_fixture(camera, z1=4000.0, z2=4600.0)
+        wide = dataclasses.replace(camera, fx=2000.0, fy=2000.0)
+        pred = dataclasses.replace(gt, camera=wide, persons=tuple(
+            dataclasses.replace(p, root_depth=p.root_depth + 100.0) for p in gt.persons))
+        save_scene(pred, tmp_path / "pred.json")
+        save_scene(gt, tmp_path / "gt.json")
+        assert run("loss", tmp_path / "pred.json", tmp_path / "gt.json") == 0
+        record = json.loads(capsys.readouterr().out)
+        # box and RoI areas are equal, so the refine residual is the init one
+        assert record["init"] == pytest.approx(100.0 / 2000.0, rel=1e-12)
+        assert record["refine"] == pytest.approx(100.0 / 2000.0, rel=1e-12)
 
     def test_csv_format(self, fixture_files, capsys):
         pred, gt = fixture_files
@@ -414,12 +463,40 @@ class TestOneErrorLine:
         assert message in done.stderr
 
 
+    @pytest.mark.parametrize("args, message", [
+        (("--perturb", "depth_swap", "--swap", "x,1"), "--swap takes two person indices"),
+        (("--perturb", "depth_swap", "--swap", "0"), "--swap takes two person indices"),
+        (("--depth-min", "nan"), "depth_range must be finite"),
+        (("--depth-max", "nan"), "depth_range must be finite"),
+        (("--lateral", "-5"), "lateral_range must be >= 0"),
+        (("--jitter", "nan"), "joint_jitter must be finite"),
+        (("--perturb", "gauss", "--sigma-z", "nan"), "noise sigmas must be finite"),
+        (("--seed", "-1"), "--seed must be >= 0"),
+    ], ids=["swap_not_int", "swap_one_index", "depth_min_nan", "depth_max_nan",
+            "negative_lateral", "jitter_nan", "sigma_nan", "negative_seed"])
+    def test_gen_bad_argument(self, tmp_path, args, message):
+        out = tmp_path / "out"
+        done = run_process("gen", "--out", out, *args)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
+        assert message in done.stderr
+        assert not out.exists()
+
+
 class TestGradcheckCommand:
     def test_default_run_passes(self, capsys):
         assert run("gradcheck", "--points", 25) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "err_instance" in out and "objective[hmor]" in out
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_no_points_rejected(self, capsys, points):
+        assert run("gradcheck", "--points", points) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --points must be >= 1, got {points}\n"
 
     def test_seed_reproduces_output(self, capsys):
         assert run("gradcheck", "--points", 10, "--seed", 3) == 0
@@ -442,6 +519,29 @@ class TestEnvironment:
         scene = tmp_path / "scene_000.json"
         assert run("loss", scene, scene, "--config", cfg_path) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("config, message", [
+        ('{"solver": {"steps": "10"}}', "solver.steps must be int, got '10'"),
+        ('{"hmor": {"w_part": "a"}}', "hmor.w_part must be float, got 'a'"),
+        ('{"hmor": {"pair_cap": 2.5}}', "hmor.pair_cap must be int | None, got 2.5"),
+        ('{"solver": {"steps": true}}', "solver.steps must be int, got True"),
+        ('{"seed": "x"}', "seed must be an integer >= 0, got 'x'"),
+        ('{"solver": {"w_pose": NaN}}', "solver: w_pose must be finite, got nan"),
+        ('{"hmor": {"depth_unit_scale": Infinity}}',
+         "hmor: depth_unit_scale must be finite, got inf"),
+        ('{"solver": [1]}', "solver must be an object"),
+        ('{"solver": {"hmor": {"w_part": 0.5}}}', "solver.hmor must be HmorConfig"),
+    ], ids=["string_int", "string_float", "float_int", "bool_int", "string_seed",
+            "nan_weight", "infinite_scale", "list_section", "nested_hmor"])
+    def test_bad_config_value_names_the_key(self, tmp_path, capsys, camera, config, message):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(config)
+        scene = tmp_path / "scene.json"
+        save_scene(two_person_depth_fixture(camera), scene)
+        assert run("loss", scene, scene, "--config", cfg_path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"

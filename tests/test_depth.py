@@ -4,7 +4,7 @@ import pytest
 from hmor import (AbsolutePose, Camera, DepthEstimate, InvalidDepthError,
                   InvalidInputError, RelativePose, equivalent_depth, loss_abs,
                   loss_init, loss_pose, loss_refine, normalize_depth,
-                  recover_absolute_depth, total_loss)
+                  recover_absolute_depth)
 
 
 class TestNormalizeDepth:
@@ -181,20 +181,3 @@ class TestLossAbs:
         got = loss_abs([AbsolutePose(pred)], [AbsolutePose(gt)])
         assert abs(got - expected) < 1e-9
 
-
-class TestTotalLoss:
-    def test_all_zero(self):
-        assert total_loss({"pose": 0.0, "init": 0.0, "refine": 0.0, "hmor": 0.0}) == 0.0
-
-    def test_unit_weight_sum(self):
-        comps = {"pose": 0.1, "init": 0.2, "refine": 0.3, "hmor": 0.4}
-        assert abs(total_loss(comps) - 1.0) < 1e-12
-
-    def test_zero_hmor_weight_gives_data_objective(self):
-        comps = {"pose": 0.1, "init": 0.2, "refine": 0.3, "hmor": 0.4, "abs": 0.5}
-        got = total_loss(comps, weights={"hmor": 0.0})
-        assert abs(got - 1.1) < 1e-12
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInputError):
-            total_loss({"pose": float("nan")})

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmor import (GaussNoise, GenSpec, HmorConfig, InvalidInputError,
-                  SolverConfig, SolverError, count_violations, enumerate_pairs,
-                  generate_scene, grad_check, objective, ordinal_violations,
-                  perturb, refine)
+from hmor import (DepthEstimate, GaussNoise, GenSpec, HmorConfig, InvalidDepthError,
+                  InvalidInputError, SolverConfig, SolverError, assemble_absolute,
+                  count_violations, enumerate_pairs, generate_scene, grad_check,
+                  loss_abs, loss_init, loss_pose, loss_refine, objective,
+                  objective_terms, ordinal_violations, perturb, refine, save_scene)
 from hmor import sample_view
-from hmor.cli import _jitter_all_coordinates
+from hmor.cli import _jitter_all_coordinates, main
 import hmor.solver
 from hmor.ordinal import LabelledTruth
-from hmor.solver import (_Anchors, _fd_max_rel_err, _objective_on_vars, _SceneVars,
+from hmor.solver import (_Anchors, _evaluate, _fd_max_rel_err, _SceneVars,
                          check_function_gradients)
 from conftest import swap_root_depths, two_person_depth_fixture
 
@@ -91,6 +92,101 @@ class TestObjective:
             SolverConfig(free_variables="nope")
         with pytest.raises(InvalidInputError):
             SolverConfig(anchor="nope")
+
+
+def on_packed_grid(scene, cfg):
+    """The scene at the solver's packed variables: ``refine`` evaluates
+    its input at ``unpack(pack(x))``, where a coordinate v becomes
+    ``(v * s) / s``, one ulp off for about 1% of values. On the returned
+    scene that round trip is exact."""
+    sv = _SceneVars(scene, cfg)
+    sv.unpack(sv.pack())
+    snapped = sv.to_scene()
+    again = _SceneVars(snapped, cfg)
+    x = again.pack()
+    again.unpack(x)
+    assert np.array_equal(again.pack(), x) and np.array_equal(again.ZR, sv.ZR)
+    assert np.array_equal(again.U, sv.U) and np.array_equal(again.Zrel, sv.Zrel)
+    return snapped
+
+
+class TestAnchorIsExactZero:
+    """A prediction equal to its anchor reads exactly 0 with a zero
+    gradient in every data term, abs included: the anchor is
+    back-projected with the prediction's arithmetic."""
+
+    @pytest.fixture
+    def pair(self):
+        spec = GenSpec(seed=23, n_persons=3, perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        return perturb(gt, spec), gt
+
+    @pytest.mark.parametrize("free_variables", ["root_depths_only", "full_pose"])
+    def test_objective_at_its_anchor(self, pair, free_variables):
+        pred, _ = pair
+        cfg = SolverConfig(w_abs=1.0, free_variables=free_variables)
+        value, grad = objective(pred, enumerate_pairs(pred, pred.camera.normal), pred, cfg)
+        assert value == 0.0
+        assert not np.any(grad)
+
+    @pytest.mark.parametrize("free_variables", ["root_depths_only", "full_pose"])
+    @pytest.mark.parametrize("anchor", ["ground_truth", "input"])
+    def test_refine_trace_at_its_anchor(self, pair, anchor, free_variables):
+        pred, gt = pair
+        cfg = SolverConfig(steps=2, w_abs=1.0, w_hmor=0.0, step_halving=False,
+                           anchor=anchor, free_variables=free_variables)
+        if anchor == "ground_truth":  # unlike the input, the truth is not packed
+            pred = gt = on_packed_grid(pred, cfg)
+        _, trace = refine(pred, gt, cfg)
+        # row 0 is the value at the anchor, and a zero gradient keeps it there
+        assert [t.value for t in trace] == [0.0] * 3
+
+    def test_joint_behind_camera_rejected(self, pair, tmp_path, capsys):
+        pred, gt = pair
+        person = pred.persons[0]
+        joints = person.rel_pose.joints.copy()
+        joints[3, 2] = -person.root_depth - 1.0
+        behind = dataclasses.replace(pred, persons=(dataclasses.replace(
+            person, rel_pose=dataclasses.replace(person.rel_pose, joints=joints)),
+            *pred.persons[1:]))
+        with pytest.raises(InvalidDepthError):
+            refine(behind, gt, SolverConfig(steps=1))
+        with pytest.raises(InvalidDepthError):
+            objective_terms(behind, gt)
+        save_scene(behind, tmp_path / "behind.json")
+        save_scene(gt, tmp_path / "gt.json")
+        for argv in (["loss"], ["refine", "--out", str(tmp_path / "r.json")]):
+            argv += [str(tmp_path / "behind.json"), str(tmp_path / "gt.json")]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "non-positive joint depth" in err
+
+
+class TestTermsOracle:
+    """The solver's unweighted terms against the per-person reference
+    forms in ``hmor.depth``."""
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_terms_equal_depth_reference(self, seed):
+        spec = GenSpec(seed=seed, n_persons=1 + seed % 5,
+                       perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        pred = perturb(gt, spec)
+        terms = objective_terms(pred, gt)
+        cam = gt.camera
+        froot = np.sqrt(cam.fx * cam.fy)
+        gt_z = [p.root_depth for p in gt.persons]
+        pred_norm = [p.root_depth / froot for p in pred.persons]
+        estimates = [DepthEstimate(zn, zn * np.sqrt(p.box.area / p.roi_area), 0.0,
+                                   p.box.area, p.roi_area)
+                     for zn, p in zip(pred_norm, pred.persons)]
+        assert terms["pose"] == loss_pose([p.rel_pose for p in pred.persons],
+                                          [p.rel_pose for p in gt.persons])
+        assert terms["init"] == loss_init(pred_norm, gt_z, cam)
+        assert terms["refine"] == loss_refine(estimates, gt_z, cam)
+        reference = loss_abs([assemble_absolute(p, cam) for p in pred.persons],
+                             [assemble_absolute(p, cam) for p in gt.persons])
+        assert terms["abs"] == pytest.approx(reference, rel=1e-14, abs=0.0)
 
 
 class TestRefine:
@@ -278,13 +374,14 @@ class TestGradCheck:
         views = [gt.camera.normal] + [sample_view(rng=rng).direction for _ in range(3)]
         labelled = LabelledTruth(gt, cfg.hmor).label(views)
         sv = _SceneVars(noisy, cfg)
-        anchors = _Anchors.from_scene(gt)
+        anchors = _Anchors.from_vars(_SceneVars(gt, cfg))
+        every = (slice(None),)
         x0 = sv.pack()
-        _, g, _ = _objective_on_vars(sv, labelled, anchors, cfg)
+        _, g, _ = _evaluate(sv, labelled, anchors, cfg, every, every[0])
 
         def value_at(x):
             sv.unpack(x)
-            return _objective_on_vars(sv, labelled, anchors, cfg, want_grad=False)[0]
+            return _evaluate(sv, labelled, anchors, cfg, every, None)[0][0]["total"]
 
         assert _fd_max_rel_err(value_at, x0, g, 1e-5) < 1e-5
 
