@@ -146,19 +146,6 @@ def _config_from_args(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _check_topologies_match(pred: Scene, gt: Scene) -> None:
-    pt, gt_t = pred.topology, gt.topology
-    problems = []
-    if pt.joint_count != gt_t.joint_count:
-        problems.append(f"joint_count {pt.joint_count} != {gt_t.joint_count}")
-    if pt.root_index != gt_t.root_index:
-        problems.append(f"root_index {pt.root_index} != {gt_t.root_index}")
-    if pt.parts != gt_t.parts:
-        problems.append("parts differ")
-    if problems:
-        raise InvalidInputError("topology mismatch: " + "; ".join(problems))
-
-
 def _require_finite(record: dict, prefix: str = "") -> None:
     """Raise NumericalError naming the first non-finite number of a record."""
     for key, value in sorted(record.items()):
@@ -219,6 +206,10 @@ def _gen_spec_from_args(args, seed: int) -> GenSpec:
                 raise InvalidInputError(
                     f"--swap takes two person indices A,B, got {token!r}") from None
         perturbation = synth.DepthSwap(tuple(pairs) or ((0, 1),))
+        for a, b in perturbation.pairs:
+            if not (0 <= a < args.persons and 0 <= b < args.persons):
+                raise InvalidInputError(
+                    f"--swap pair {a},{b} is out of range for {args.persons} persons")
     elif args.perturb == "root_offset":
         perturbation = synth.RootOffset(args.offset)
     return GenSpec(
@@ -254,7 +245,6 @@ def cmd_gen(args) -> int:
 def cmd_loss(args) -> int:
     cfg = _config_from_args(args)
     pred, gt = load_scene(args.pred), load_scene(args.gt)
-    _check_topologies_match(pred, gt)
     terms = objective_terms(pred, gt, cfg.solver)
     record = {name: terms[name] for name in ("pose", "init", "refine", "abs", "total")}
     record["hmor"] = {level: terms[f"hmor.{level}"] for level in ("instance", "part", "joint")}
@@ -285,7 +275,6 @@ def cmd_refine(args) -> int:
 
     pred = load_scene(args.pred)
     gt = load_scene(args.gt)
-    _check_topologies_match(pred, gt)
     refined, trace = refine(pred, gt, solver_cfg)
 
     out = Path(args.out)
@@ -325,18 +314,17 @@ def _report_record(report: MetricReport) -> dict:
 
 
 def _eval_one(pred_path: str, gt_path: str, threshold: float,
-              thresholds: tuple) -> dict:
+              thresholds: tuple, hmor_cfg: HmorConfig) -> dict:
     pred = load_scene(pred_path)
     gt = load_scene(gt_path)
-    _check_topologies_match(pred, gt)
     report = evaluate(pred, gt, pck_threshold_mm=threshold,
-                      auc_thresholds_mm=np.asarray(thresholds))
+                      auc_thresholds_mm=np.asarray(thresholds), config=hmor_cfg)
     return _report_record(report)
 
 
 def _eval_worker(task):
-    name, pred_path, gt_path, threshold, thresholds = task
-    return name, _eval_one(pred_path, gt_path, threshold, thresholds)
+    name, *args = task
+    return name, _eval_one(*args)
 
 
 def _aggregate(records: list[dict]) -> dict:
@@ -365,7 +353,7 @@ def cmd_eval(args) -> int:
         missing = [n for n in names if not (gt_path / n).exists()]
         if missing:
             raise InvalidInputError(f"ground-truth files missing for {missing}")
-        tasks = [(n, str(pred_path / n), str(gt_path / n), threshold, thresholds)
+        tasks = [(n, str(pred_path / n), str(gt_path / n), threshold, thresholds, cfg.hmor)
                  for n in names]
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -380,7 +368,7 @@ def cmd_eval(args) -> int:
             "aggregate": _aggregate(ordered),
         }
     else:
-        record = _eval_one(str(pred_path), str(gt_path), threshold, thresholds)
+        record = _eval_one(str(pred_path), str(gt_path), threshold, thresholds, cfg.hmor)
 
     _emit(record, args.format)
     if args.out:

@@ -58,27 +58,38 @@ class ViewVector:
         object.__setattr__(self, "direction", _as_unit(self.direction, "direction"))
 
 
-def back_project(camera: Camera, pixel_u: float, pixel_v: float, depth_abs: float) -> np.ndarray:
-    """Lift a pixel and an absolute depth to a 3D camera-frame point.
+def back_project_points(camera: Camera, u, v, depth):
+    """Lift pixels ``(u, v)`` at absolute depths (arrays of one shape) to
+    camera-frame points ``(d*a, d*b, d)`` of shape ``(..., 3)``, with no
+    depth check; also returns the chain-rule factors ``a = (u-cx)/fx`` and
+    ``b = (v-cy)/fy``. This is the package's only back-projection."""
+    a = (u - camera.cx) / camera.fx
+    b = (v - camera.cy) / camera.fy
+    return np.stack([depth * a, depth * b, depth], axis=-1), a, b
 
-    Returns ``(z*(u-cx)/fx, z*(v-cy)/fy, z)`` in millimeters. Projecting
-    the result forward recovers ``(u, v)`` exactly.
-    """
+
+def project_points(camera: Camera, points):
+    """Pixels ``(fx*x/z + cx, fy*y/z + cy)`` of camera-frame points of shape
+    ``(..., 3)``, with no depth check. This is the package's only
+    projection."""
+    x, y, z = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
+    return camera.fx * x / z + camera.cx, camera.fy * y / z + camera.cy
+
+
+def back_project(camera: Camera, pixel_u: float, pixel_v: float, depth_abs: float) -> np.ndarray:
+    """Lift a pixel and an absolute depth to a 3D camera-frame point
+    (:func:`back_project_points`), in millimeters."""
     if depth_abs <= 0:
         raise InvalidInputError(f"depth must be positive, got {depth_abs}")
-    return np.array([
-        depth_abs * (pixel_u - camera.cx) / camera.fx,
-        depth_abs * (pixel_v - camera.cy) / camera.fy,
-        depth_abs,
-    ])
+    return back_project_points(camera, pixel_u, pixel_v, depth_abs)[0]
 
 
 def project(camera: Camera, point) -> tuple[float, float]:
     """Project a camera-frame 3D point to pixel coordinates."""
-    x, y, z = np.asarray(point, dtype=float)
-    if z <= 0:
-        raise BehindCameraError(f"cannot project point with depth {z} <= 0")
-    return (camera.fx * x / z + camera.cx, camera.fy * y / z + camera.cy)
+    p = np.asarray(point, dtype=float)
+    if p[2] <= 0:
+        raise BehindCameraError(f"cannot project point with depth {p[2]} <= 0")
+    return project_points(camera, p)
 
 
 def project_to_plane(vec, normal) -> np.ndarray:

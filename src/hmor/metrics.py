@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
+from .geometry import project_points
 from .ordinal import (HmorConfig, LabelledTruth, _view_array, ordinal_pass,
                       scene_joint_array)
-from .skeleton import AbsolutePose, Scene
+from .skeleton import AbsolutePose, Scene, check_topologies_match
 
 DEFAULT_PCK_THRESHOLD_MM = 150.0
 DEFAULT_AUC_THRESHOLDS_MM = np.arange(1.0, 151.0)
@@ -151,8 +152,7 @@ def mpjpe(pred: AbsolutePose, gt: AbsolutePose, alignment: str = "root",
 
 
 def _joint_arrays(pred: Scene, gt: Scene) -> tuple[np.ndarray, np.ndarray]:
-    if pred.topology.joint_count != gt.topology.joint_count:
-        raise InvalidInputError("scenes use different joint counts")
+    check_topologies_match(pred, gt)
     return scene_joint_array(pred), scene_joint_array(gt)
 
 
@@ -162,9 +162,7 @@ def _match_cost(pred: Scene, gt: Scene, P: np.ndarray, G: np.ndarray,
         root = gt.topology.root_index
         a, b = P - P[:, root, None], G - G[:, root, None]
     elif cost == "projected_2d":
-        a, b = (np.stack([s.camera.fx * K[..., 0] / K[..., 2] + s.camera.cx,
-                          s.camera.fy * K[..., 1] / K[..., 2] + s.camera.cy], axis=-1)
-                for s, K in ((pred, P), (gt, G)))
+        a, b = (np.stack(project_points(s.camera, K), axis=-1) for s, K in ((pred, P), (gt, G)))
     else:
         raise InvalidInputError(f"unknown matching cost {cost!r}")
     return np.linalg.norm(a[:, None] - b[None], axis=-1).mean(axis=-1)
@@ -256,6 +254,7 @@ def ordinal_violations(pred: Scene, gt: Scene, views,
     matched person-for-person (same count, same order). The ground truth
     is enumerated once and every view is audited in one
     :func:`ordinal_pass`."""
+    check_topologies_match(pred, gt)
     if pred.person_count != gt.person_count:
         raise InvalidInputError("scenes must contain the same persons in the same order")
     cfg = config or HmorConfig()

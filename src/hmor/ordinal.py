@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidDepthError, InvalidInputError
-from .geometry import ViewVector
+from .geometry import ViewVector, back_project_points
 from .skeleton import Scene, SkeletonTopology
 
 
@@ -78,18 +78,66 @@ class HmorConfig:
 
 @dataclass(frozen=True)
 class RelationPairs:
-    """Enumerated pair sets with ground-truth labels under one view.
+    """A ground-truth scene's pair sets, labelled under a stack of k views.
 
-    instance_pairs rows are (person_a, person_b, label); part_pairs rows
-    are (person_1, part_1, person_2, part_2, label); joint_pairs rows are
-    (person_1, joint_1, person_2, joint_2, label). Pairs are unordered
-    (first index lexicographically smaller) and deduplicated.
+    ``views`` is (k, 3). ``index`` holds each level's (2, P) entity pairs:
+    persons (instance), flat part ids ``person * S + part`` and flat joint
+    ids ``person * J + joint``, where ``per_person`` is (S, J). ``labels``
+    holds each level's (k, P) float labels, one row per view. Pairs are
+    unordered (first index smaller) and deduplicated.
+
+    ``view`` and the integer row arrays are read from view 0 and built on
+    access: instance_pairs rows are (person_a, person_b, label);
+    part_pairs rows are (person_1, part_1, person_2, part_2, label);
+    joint_pairs rows are (person_1, joint_1, person_2, joint_2, label).
     """
 
-    view: np.ndarray
-    instance_pairs: np.ndarray
-    part_pairs: np.ndarray
-    joint_pairs: np.ndarray
+    views: np.ndarray
+    index: tuple[np.ndarray, np.ndarray, np.ndarray]
+    labels: tuple[np.ndarray, np.ndarray, np.ndarray]
+    per_person: tuple[int, int]
+
+    def _level_rows(self, level: int) -> np.ndarray:
+        a, b = self.index[level]
+        per = (None, *self.per_person)[level]
+        cols = [a, b] if per is None else [*np.divmod(a, per), *np.divmod(b, per)]
+        return np.column_stack(cols + [self.labels[level][0].astype(int)])
+
+    view = property(lambda self: self.views[0])
+    instance_pairs = property(lambda self: self._level_rows(0))
+    part_pairs = property(lambda self: self._level_rows(1))
+    joint_pairs = property(lambda self: self._level_rows(2))
+
+    def rows(self, rows) -> RelationPairs:
+        """The sub-stack of the view rows ``rows`` (any numpy index)."""
+        return RelationPairs(self.views[rows], self.index,
+                             tuple(m[rows] for m in self.labels), self.per_person)
+
+    @classmethod
+    def stack(cls, pairs_seq: Sequence[RelationPairs]) -> RelationPairs:
+        """One pair set holding every element's views in order. Every element
+        must hold the same pairs (as ``enumerate_pairs`` gives for any view
+        with the same ``pair_cap`` generator)."""
+        first = pairs_seq[0]
+        for pairs in pairs_seq[1:]:
+            if pairs.index is not first.index and not (
+                    pairs.per_person == first.per_person
+                    and all(map(np.array_equal, pairs.index, first.index))):
+                raise InvalidInputError("pair sets differ between views; enumerate "
+                                        "every view with the same pair_cap subset")
+        labels = tuple(map(np.concatenate, zip(*(p.labels for p in pairs_seq))))
+        return cls(np.concatenate([p.views for p in pairs_seq]), first.index, labels,
+                   first.per_person)
+
+    def check_fits(self, topology: SkeletonTopology) -> None:
+        """Raise InvalidInputError unless ``topology`` has the parts and
+        joints per person the pairs were enumerated for."""
+        S, J = self.per_person
+        if (topology.part_count, topology.joint_count) != (S, J):
+            raise InvalidInputError(
+                f"topology mismatch: the scene has {topology.part_count} parts and "
+                f"{topology.joint_count} joints per person, the pairs were enumerated "
+                f"for {S} and {J}")
 
 
 @dataclass(frozen=True)
@@ -211,7 +259,6 @@ def scene_joint_array(scene: Scene, scale: float = 1.0) -> np.ndarray:
     Same arithmetic as per-person back-projection, vectorized across the
     scene (this sits on the hot path of loss evaluation).
     """
-    cam = scene.camera
     rel = np.stack([p.rel_pose.joints for p in scene.persons])
     u_top = np.array([p.box.u_top for p in scene.persons])[:, None]
     v_top = np.array([p.box.v_top for p in scene.persons])[:, None]
@@ -219,10 +266,7 @@ def scene_joint_array(scene: Scene, scale: float = 1.0) -> np.ndarray:
     d = rel[:, :, 2] + z_root
     if np.any(d <= 0):
         raise InvalidDepthError("scene contains non-positive joint depths")
-    K = np.empty_like(rel)
-    K[:, :, 0] = d * (rel[:, :, 0] + u_top - cam.cx) / cam.fx
-    K[:, :, 1] = d * (rel[:, :, 1] + v_top - cam.cy) / cam.fy
-    K[:, :, 2] = d
+    K, _, _ = back_project_points(scene.camera, rel[:, :, 0] + u_top, rel[:, :, 1] + v_top, d)
     if scale != 1.0:
         K *= scale
     return K
@@ -307,45 +351,6 @@ def _margins(points, views: np.ndarray, index, vector_parts: bool):
     return out, C
 
 
-@dataclass(frozen=True)
-class LabelledViews:
-    """Ground-truth labels of one pair set under a stack of k views.
-
-    ``views`` is (k, 3). ``index`` holds each level's (2, P) entity
-    pairs: persons (instance), flat part ids ``person * S + part`` and
-    flat joint ids ``person * J + joint``. ``labels`` holds each level's
-    (k, P) float labels, one row per view.
-    """
-
-    views: np.ndarray
-    index: tuple[np.ndarray, np.ndarray, np.ndarray]
-    labels: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    @classmethod
-    def from_pairs(cls, pairs_seq: Sequence[RelationPairs],
-                   topology: SkeletonTopology) -> LabelledViews:
-        """Stack RelationPairs enumerated under k views. Every element must
-        hold the same pairs (as ``enumerate_pairs`` gives for any view
-        with the same ``pair_cap`` generator)."""
-        first = pairs_seq[0]
-        cols = (first.instance_pairs[:, :2], first.part_pairs[:, :4], first.joint_pairs[:, :4])
-        for pairs in pairs_seq[1:]:
-            others = (pairs.instance_pairs, pairs.part_pairs, pairs.joint_pairs)
-            if not all(np.array_equal(o[:, :-1], c) for o, c in zip(others, cols)):
-                raise InvalidInputError("pair sets differ between views; enumerate "
-                                        "every view with the same pair_cap subset")
-        J, S = topology.joint_count, topology.part_count
-        inst, part, joint = (np.ascontiguousarray(c.T) for c in cols)
-        index = (inst, part[0::2] * S + part[1::2], joint[0::2] * J + joint[1::2])
-        labels = tuple(np.array([rows[:, -1] for rows in level], dtype=float) for level in zip(
-            *((p.instance_pairs, p.part_pairs, p.joint_pairs) for p in pairs_seq)))
-        return cls(np.array([p.view for p in pairs_seq]), index, labels)
-
-    def rows(self, rows) -> LabelledViews:
-        """The sub-stack of the view rows ``rows`` (any numpy index)."""
-        return LabelledViews(self.views[rows], self.index, tuple(m[rows] for m in self.labels))
-
-
 class LabelledTruth:
     """The pair sets of a ground-truth scene, enumerated once and labelled
     under any stack of views.
@@ -362,6 +367,7 @@ class LabelledTruth:
         K = scene_joint_array(gt_scene, cfg.depth_unit_scale)
         N, J, _ = K.shape
         S = gt_scene.topology.part_count
+        self.per_person = (S, J)
         levels = ((N, 0, True), (N * S, S, cfg.cross_person_parts),
                   (N * J, J, cfg.cross_person_joints))
         self.index = tuple(_subsample(_entity_pairs(*level), cfg.pair_cap, rng)
@@ -370,15 +376,13 @@ class LabelledTruth:
         self.vector_parts = cfg.part_mode == "vector"
         self.eps = cfg.equality_tolerance
 
-    def label(self, views, base: LabelledViews | None = None) -> LabelledViews:
+    def label(self, views, base: RelationPairs | None = None) -> RelationPairs:
         """Label the (k, 3) ``views``, appended to the views of ``base``."""
         views = np.asarray(views, dtype=float).reshape(-1, 3)
         margins, _ = _margins(self.points, views, self.index, self.vector_parts)
         labels = tuple(_threshold_label(m, self.eps) for m in margins)
-        if base is not None:
-            views = np.concatenate([base.views, views])
-            labels = tuple(np.concatenate(both) for both in zip(base.labels, labels))
-        return LabelledViews(views, self.index, labels)
+        labelled = RelationPairs(views, self.index, labels, self.per_person)
+        return labelled if base is None else RelationPairs.stack([base, labelled])
 
 
 def enumerate_pairs(gt_scene: Scene, view, config: HmorConfig | None = None,
@@ -391,14 +395,7 @@ def enumerate_pairs(gt_scene: Scene, view, config: HmorConfig | None = None,
     pairs. ``pair_cap`` uniformly subsamples each level with the given
     generator (a fixed default generator if none is passed).
     """
-    n = _view_array(view)
-    labelled = LabelledTruth(gt_scene, config, rng).label(n)
-    per_person = (None, gt_scene.topology.part_count, gt_scene.topology.joint_count)
-    rows = []
-    for (a, b), labels, per in zip(labelled.index, labelled.labels, per_person):
-        cols = [a, b] if per is None else [a // per, a % per, b // per, b % per]
-        rows.append(np.column_stack(cols + [labels[0].astype(int)]))
-    return RelationPairs(n, *rows)
+    return LabelledTruth(gt_scene, config, rng).label(_view_array(view))
 
 
 def _row_counts(mask: np.ndarray) -> np.ndarray:
@@ -432,7 +429,7 @@ def _depth_weights(margins: np.ndarray, labels: np.ndarray, scale: float) -> np.
     return w
 
 
-def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: LabelledViews,
+def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPairs,
                  config: HmorConfig | None = None, want_grad: bool = True,
                  grad_views=None):
     """Per-view losses, violation counts and gradient of an (N, J, 3)
@@ -498,39 +495,26 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: LabelledVi
     return totals, levels, violations, dK
 
 
-def hmor_loss_on_joints(K: np.ndarray, topology: SkeletonTopology,
-                        pairs: RelationPairs, config: HmorConfig | None = None,
-                        want_grad: bool = True):
-    """Loss, gradient and violation counts on an (N, J, 3) scaled joint array.
-
-    Returns (HmorLoss, dK) where dK is the gradient of the weighted total
-    with respect to every joint coordinate (None when want_grad is off).
-    This is :func:`ordinal_pass` with one view, and the core behind
-    :func:`hmor_loss` and :func:`count_violations`.
-    """
-    labelled = LabelledViews.from_pairs([pairs], topology)
-    totals, levels, violations, dK = ordinal_pass(K, topology, labelled, config, want_grad)
-    loss = HmorLoss(float(totals[0]), *(float(x) for x in levels[:, 0]),
-                    tuple(int(v) for v in violations[:, 0]))
-    return loss, dK
-
-
 def hmor_loss(pred_scene: Scene, pairs: RelationPairs, view=None,
               config: HmorConfig | None = None) -> HmorLoss:
     """Evaluate the hierarchical ordinal loss of a predicted scene.
 
     ``pairs`` must have been enumerated from the ground truth under the
-    same view. The total is the weighted sum of the per-level mean
-    errors; a level with no pairs contributes zero.
+    same view; the loss is read under its first view. The total is the
+    weighted sum of the per-level mean errors; a level with no pairs
+    contributes zero.
     """
     cfg = config or HmorConfig()
     if view is not None:
         v = _view_array(view)
         if not np.array_equal(v, pairs.view):
             raise InvalidInputError("view does not match the view the pairs were labeled under")
+    pairs.check_fits(pred_scene.topology)
     K = scene_joint_array(pred_scene, cfg.depth_unit_scale)
-    loss, _ = hmor_loss_on_joints(K, pred_scene.topology, pairs, cfg, want_grad=False)
-    return loss
+    totals, levels, violations, _ = ordinal_pass(K, pred_scene.topology, pairs, cfg,
+                                                 want_grad=False)
+    return HmorLoss(float(totals[0]), *(float(x) for x in levels[:, 0]),
+                    tuple(int(v) for v in violations[:, 0]))
 
 
 def count_violations(pred_scene: Scene, pairs: RelationPairs,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDepthError, InvalidInputError
-from .geometry import Camera
+from .geometry import Camera, back_project_points
 
 # Default 17-joint order: 0 pelvis (root), 1 spine, 2 neck, 3 head,
 # 4-6 left shoulder/elbow/wrist, 7-9 right shoulder/elbow/wrist,
@@ -188,24 +188,35 @@ class Scene:
         return len(self.persons)
 
 
+def check_topologies_match(pred: Scene, gt: Scene) -> None:
+    """Raise InvalidInputError naming every topology field in which a
+    predicted scene differs from its ground truth."""
+    pt, gt_t = pred.topology, gt.topology
+    problems = []
+    if pt.joint_count != gt_t.joint_count:
+        problems.append(f"joint_count {pt.joint_count} != {gt_t.joint_count}")
+    if pt.root_index != gt_t.root_index:
+        problems.append(f"root_index {pt.root_index} != {gt_t.root_index}")
+    if pt.parts != gt_t.parts:
+        problems.append("parts differ")
+    if problems:
+        raise InvalidInputError("topology mismatch: " + "; ".join(problems))
+
+
 def assemble_absolute(person: Person, camera: Camera) -> AbsolutePose:
     """Back-project a person's relative pose into absolute 3D coordinates.
 
     Joint j lifts the global pixel (u_j + u_top, v_j + v_top) at depth
-    z_rel_j + root_depth; the root joint lands exactly at the person's
-    human depth.
+    z_rel_j + root_depth (:func:`~hmor.geometry.back_project_points`);
+    the root joint lands exactly at the person's human depth.
     """
     rel = person.rel_pose.joints
     depth = rel[:, 2] + person.root_depth
     if np.any(depth <= 0):
         raise InvalidDepthError("relative pose plus root depth yields non-positive joint depth")
-    gu = rel[:, 0] + person.box.u_top
-    gv = rel[:, 1] + person.box.v_top
-    out = np.empty_like(rel)
-    out[:, 0] = depth * (gu - camera.cx) / camera.fx
-    out[:, 1] = depth * (gv - camera.cy) / camera.fy
-    out[:, 2] = depth
-    return AbsolutePose(out)
+    points, _, _ = back_project_points(camera, rel[:, 0] + person.box.u_top,
+                                       rel[:, 1] + person.box.v_top, depth)
+    return AbsolutePose(points)
 
 
 def part_vectors(pose: AbsolutePose, topology: SkeletonTopology) -> np.ndarray:

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDepthError, InvalidInputError, NumericalError, SolverError
-from .geometry import sample_view
-from .ordinal import (HmorConfig, LabelledTruth, LabelledViews, RelationPairs,
+from .geometry import back_project_points, sample_view
+from .ordinal import (HmorConfig, LabelledTruth, RelationPairs,
                       err_instance_grad, err_joint_grad, err_part_grad,
                       check_finite_fields, err_part_particle_grad, ordinal_pass)
-from .skeleton import RelativePose, Scene
+from .skeleton import RelativePose, Scene, check_topologies_match
 
 # the objective's terms, in the order the weighted total sums them
 _TERMS = ("pose", "init", "refine", "abs", "hmor")
@@ -104,8 +104,7 @@ class _SceneVars:
         self.scale = config.hmor.depth_unit_scale
         self.topology = scene.topology
         self.root = scene.topology.root_index
-        cam = scene.camera
-        self.fx, self.fy, self.cx, self.cy = cam.fx, cam.fy, cam.cx, cam.cy
+        self.camera = scene.camera
         self.u_top = np.array([p.box.u_top for p in scene.persons])
         self.v_top = np.array([p.box.v_top for p in scene.persons])
         self.a_box = np.array([p.box.area for p in scene.persons])
@@ -142,12 +141,8 @@ class _SceneVars:
     def joints_scaled(self):
         """Absolute joints in loss units plus the chain-rule factors."""
         d = self.Zrel + self.ZR[:, None]
-        a = (self.U + self.u_top[:, None] - self.cx) / self.fx
-        b = (self.V + self.v_top[:, None] - self.cy) / self.fy
-        K = np.empty((self.N, self.J, 3))
-        K[:, :, 0] = d * a
-        K[:, :, 1] = d * b
-        K[:, :, 2] = d
+        K, a, b = back_project_points(self.camera, self.U + self.u_top[:, None],
+                                      self.V + self.v_top[:, None], d)
         return K * self.scale, d, a, b
 
     def grad_to_x(self, dK: np.ndarray, d, a, b) -> np.ndarray:
@@ -157,8 +152,8 @@ class _SceneVars:
         g_zr = per_joint.sum(axis=1)
         if self.cfg.free_variables == "root_depths_only":
             return g_zr
-        g_u = dK[:, :, 0] * d / self.fx
-        g_v = dK[:, :, 1] * d / self.fy
+        g_u = dK[:, :, 0] * d / self.camera.fx
+        g_v = dK[:, :, 1] * d / self.camera.fy
         g_zrel = per_joint[:, self.nonroot]
         return np.concatenate([g_zr, g_u.ravel(), g_v.ravel(), g_zrel.ravel()])
 
@@ -182,10 +177,10 @@ class _Anchors:
 
     @classmethod
     def from_vars(cls, sv: _SceneVars):
-        """Targets at the variables' current point, back-projected with the
-        arithmetic of the prediction (:meth:`_SceneVars.joints_scaled`), so
-        a prediction at its anchor reads exactly 0 with a zero gradient in
-        every data term."""
+        """Targets at the variables' current point, back-projected as the
+        prediction is (:meth:`_SceneVars.joints_scaled`), so a prediction
+        at its anchor reads exactly 0 with a zero gradient in every data
+        term."""
         return cls(rel=np.stack([sv.U, sv.V, sv.Zrel], axis=2),
                    abs_mm=sv.joints_scaled()[0] / sv.scale, z_root=sv.ZR.copy())
 
@@ -202,7 +197,7 @@ def _total(terms: dict, config: SolverConfig) -> float:
     return sum(getattr(config, f"w_{name}") * terms[name] for name in _TERMS)
 
 
-def _evaluate(sv: _SceneVars, labelled: LabelledViews, anchors: _Anchors,
+def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors,
               config: SolverConfig, value_rows, grad_rows):
     """Objective at the current variables under row selections of the
     ``labelled`` view stack, from one :func:`ordinal_pass`.
@@ -232,7 +227,7 @@ def _evaluate(sv: _SceneVars, labelled: LabelledViews, anchors: _Anchors,
         grad[sv.N + nj:sv.N + 2 * nj] += g[:, :, 1].ravel()
         grad[sv.N + 2 * nj:] += g[:, sv.nonroot, 2].ravel()
 
-    froot = np.sqrt(sv.fx * sv.fy)
+    froot = np.sqrt(sv.camera.fx * sv.camera.fy)
     resid = anchors.z_root / froot - sv.ZR / froot
     data["init"] = _check_finite("init", float(np.abs(resid).mean()))
     if want_grad and config.w_init > 0:
@@ -277,9 +272,8 @@ def objective(pred_scene: Scene, gt_pairs, anchors: Scene, config: SolverConfig)
     is with respect to the packed free-variable vector selected by the
     config.
     """
-    if isinstance(gt_pairs, RelationPairs):
-        gt_pairs = [gt_pairs]
-    labelled = LabelledViews.from_pairs(gt_pairs, pred_scene.topology)
+    labelled = gt_pairs if isinstance(gt_pairs, RelationPairs) else RelationPairs.stack(gt_pairs)
+    labelled.check_fits(pred_scene.topology)
     sv = _SceneVars(pred_scene, config)
     every = slice(None)
     (terms,), grad, _ = _evaluate(sv, labelled, _Anchors.from_vars(_SceneVars(anchors, config)),
@@ -291,6 +285,7 @@ def _targets(sv: _SceneVars, gt_scene: Scene, config: SolverConfig):
     """The anchors ``config.anchor`` selects, the ground truth or the
     prediction's variables where they stand, and the enumerated ground
     truth."""
+    check_topologies_match(sv.scene, gt_scene)
     if sv.N != gt_scene.person_count:
         raise InvalidInputError("scenes must be matched person-for-person")
     anchor = sv if config.anchor == "input" else _SceneVars(gt_scene, config)
@@ -344,14 +339,14 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
     nxt = np.r_[0, k:2 * k - 1] if k > 1 else now    # step t+1's rows
     every = slice(None)
 
-    def ahead(labelled: LabelledViews) -> LabelledViews:
+    def ahead(labelled: RelationPairs) -> RelationPairs:
         # a step's stack with the next step's fresh views appended
         if k == 1:
             return labelled
         views = [sample_view(rng=rng).direction for _ in range(k - 1)]
         return truth.label(views, base=labelled)
 
-    def evaluate(x: np.ndarray, labelled: LabelledViews, value_rows, grad_rows):
+    def evaluate(x: np.ndarray, labelled: RelationPairs, value_rows, grad_rows):
         # (value under value_rows[0], and what x carries into the next
         # step: value under value_rows[-1], gradient, violations)
         sv.unpack(x)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationError, InvalidDepthError, InvalidInputError
-from .geometry import Camera
+from .geometry import Camera, project_points
 from .skeleton import (BoundingBox, Person, RelativePose, Scene,
                        SkeletonTopology)
 
@@ -117,11 +117,10 @@ def _rngs(spec: GenSpec):
     return np.random.default_rng(gen_seq), np.random.default_rng(perturb_seq)
 
 
-def _person_from_joints(joints_abs: np.ndarray, camera: Camera,
+def _person_from_joints(joints_abs: np.ndarray, u: np.ndarray, v: np.ndarray,
                         root_index: int) -> Person:
+    """A person whose joints are ``joints_abs``, projected to ``(u, v)``."""
     z = joints_abs[:, 2]
-    u = camera.fx * joints_abs[:, 0] / z + camera.cx
-    v = camera.fy * joints_abs[:, 1] / z + camera.cy
     u_top, v_top = u.min(), v.min()
     box = BoundingBox(float(u_top), float(v_top),
                       float(u.max() - u_top), float(v.max() - v_top))
@@ -162,11 +161,10 @@ def generate_scene(spec: GenSpec) -> Scene:
             joints = rotated + jitter + np.array([x_off, y_off, z_root])
             if np.any(joints[:, 2] <= 0):
                 continue
-            u = cam.fx * joints[:, 0] / joints[:, 2] + cam.cx
-            v = cam.fy * joints[:, 1] / joints[:, 2] + cam.cy
+            u, v = project_points(cam, joints)
             if u.min() < 0 or v.min() < 0 or u.max() > width or v.max() > height:
                 continue
-            persons.append(_person_from_joints(joints, cam, spec.topology.root_index))
+            persons.append(_person_from_joints(joints, u, v, spec.topology.root_index))
             break
         else:
             raise GenerationError(

@@ -420,6 +420,25 @@ class TestEval:
         assert message in captured.err
         assert "NaN" not in captured.out and "Traceback" not in captured.err
 
+    def test_config_hmor_section_reaches_the_audit(self, tmp_path, capsys):
+        assert run("gen", "--seed", 3, "--persons", 3, "--out", tmp_path,
+                   "--perturb", "gauss", "--sigma-xy", 30, "--sigma-z", 300) == 0
+        pred, gt = tmp_path / "pred_000.json", tmp_path / "scene_000.json"
+        for side, source in (("p", pred), ("g", gt)):  # directory mode's file pair
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "s.json").write_bytes(source.read_bytes())
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"hmor": {"equality_tolerance": 1000.0}}))
+        capsys.readouterr()
+        assert run("eval", pred, gt) == 0
+        assert sum(json.loads(capsys.readouterr().out)["violations"].values()) > 0
+        # a tolerance wider than the scene labels every pair 0, which no pair violates
+        zero = {"instance": 0, "part": 0, "joint": 0}
+        assert run("eval", pred, gt, "--config", cfg_path) == 0
+        assert json.loads(capsys.readouterr().out)["violations"] == zero
+        assert run("eval", tmp_path / "p", tmp_path / "g", "--config", cfg_path) == 0
+        assert json.loads(capsys.readouterr().out)["aggregate"]["violations"] == zero
+
     def test_empty_scene_file_is_validation_error(self, tmp_path, capsys):
         bad = {"schema_version": "hmor-scene/1",
                "camera": {"fx": 1000.0, "fy": 1000.0, "cx": 500.0, "cy": 500.0},
@@ -466,13 +485,15 @@ class TestOneErrorLine:
     @pytest.mark.parametrize("args, message", [
         (("--perturb", "depth_swap", "--swap", "x,1"), "--swap takes two person indices"),
         (("--perturb", "depth_swap", "--swap", "0"), "--swap takes two person indices"),
+        (("--count", "3", "--perturb", "depth_swap", "--swap", "0,5"),
+         "--swap pair 0,5 is out of range for 2 persons"),
         (("--depth-min", "nan"), "depth_range must be finite"),
         (("--depth-max", "nan"), "depth_range must be finite"),
         (("--lateral", "-5"), "lateral_range must be >= 0"),
         (("--jitter", "nan"), "joint_jitter must be finite"),
         (("--perturb", "gauss", "--sigma-z", "nan"), "noise sigmas must be finite"),
         (("--seed", "-1"), "--seed must be >= 0"),
-    ], ids=["swap_not_int", "swap_one_index", "depth_min_nan", "depth_max_nan",
+    ], ids=["swap_not_int", "swap_one_index", "swap_out_of_range", "depth_min_nan", "depth_max_nan",
             "negative_lateral", "jitter_nan", "sigma_nan", "negative_seed"])
     def test_gen_bad_argument(self, tmp_path, args, message):
         out = tmp_path / "out"

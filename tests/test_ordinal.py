@@ -13,8 +13,7 @@ from hmor import (GaussNoise, GenSpec, HmorConfig, InvalidInputError, SkeletonTo
                   project_to_plane, relation_instance, relation_joint,
                   relation_part, sample_view)
 from hmor.ordinal import (LabelledTruth, err_instance_grad, err_joint_grad,
-                          err_part_grad, hmor_loss_on_joints, ordinal_pass,
-                          scene_joint_array)
+                          err_part_grad, ordinal_pass, scene_joint_array)
 from conftest import (brute_force_pairs, ordinal_brute_force, swap_root_depths,
                       two_person_depth_fixture)
 
@@ -454,13 +453,15 @@ class TestCountViolations:
         noisy = perturb(gt, spec)
         K = scene_joint_array(noisy, 1e-3)
         pairs = enumerate_pairs(gt, gt.camera.normal)
-        no_parts = dataclasses.replace(pairs, part_pairs=np.empty((0, 5), int))
+        no_parts = dataclasses.replace(
+            pairs, index=(pairs.index[0], np.empty((2, 0), int), pairs.index[2]),
+            labels=(pairs.labels[0], np.empty((1, 0)), pairs.labels[2]))
         cfg = HmorConfig(w_part=0.0)
-        loss, dK = hmor_loss_on_joints(K, gt.topology, pairs, cfg)
-        loss_np, dK_np = hmor_loss_on_joints(K, gt.topology, no_parts, cfg)
-        assert loss.violations[1] > 0 and loss_np.violations[1] == 0
-        assert loss.part > 0.0
-        assert loss.total == loss_np.total
+        totals, levels, violations, dK = ordinal_pass(K, gt.topology, pairs, cfg)
+        totals_np, _, violations_np, dK_np = ordinal_pass(K, gt.topology, no_parts, cfg)
+        assert violations[1, 0] > 0 and violations_np[1, 0] == 0
+        assert levels[1, 0] > 0.0
+        assert totals[0] == totals_np[0]
         assert np.array_equal(dK, dK_np)
 
 
@@ -499,16 +500,15 @@ class TestOrdinalPass:
         labelled = LabelledTruth(gt, cfg).label(views)
         totals, levels, violations, dK = ordinal_pass(K, gt.topology, labelled, cfg)
 
-        singles = [hmor_loss_on_joints(K, gt.topology, enumerate_pairs(gt, v, cfg), cfg)
+        singles = [ordinal_pass(K, gt.topology, enumerate_pairs(gt, v, cfg), cfg)
                    for v in views]
-        for i, (loss, _) in enumerate(singles):
-            assert tuple(violations[:, i]) == loss.violations
-            assert abs(totals[i] - loss.total) <= 1e-12 * max(1.0, abs(loss.total))
-            assert np.allclose(levels[:, i], [loss.instance, loss.part, loss.joint],
-                               rtol=1e-12, atol=1e-12)
-        mean_total = np.mean([loss.total for loss, _ in singles])
+        for i, (total, level, violation, _) in enumerate(singles):
+            assert np.array_equal(violations[:, i], violation[:, 0])
+            assert abs(totals[i] - total[0]) <= 1e-12 * max(1.0, abs(total[0]))
+            assert np.allclose(levels[:, i], level[:, 0], rtol=1e-12, atol=1e-12)
+        mean_total = np.mean([total[0] for total, *_ in singles])
         assert abs(totals.mean() - mean_total) <= 1e-12 * max(1.0, mean_total)
-        mean_grad = np.mean([g for _, g in singles], axis=0)
+        mean_grad = np.mean([g for *_, g in singles], axis=0)
         scale = max(1.0, np.abs(mean_grad).max())
         assert np.abs(dK / k - mean_grad).max() <= 1e-12 * scale
 

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from hmor import (DepthEstimate, GaussNoise, GenSpec, HmorConfig, InvalidDepthError,
                   InvalidInputError, SolverConfig, SolverError, assemble_absolute,
                   count_violations, enumerate_pairs, generate_scene, grad_check,
-                  loss_abs, loss_init, loss_pose, loss_refine, objective,
+                  hmor_loss, loss_abs, loss_init, loss_pose, loss_refine, objective,
                   objective_terms, ordinal_violations, perturb, refine, save_scene)
 from hmor import sample_view
 from hmor.cli import _jitter_all_coordinates, main
 import hmor.solver
-from hmor.ordinal import LabelledTruth
+from hmor.ordinal import LabelledTruth, scene_joint_array
 from hmor.solver import (_Anchors, _evaluate, _fd_max_rel_err, _SceneVars,
                          check_function_gradients)
 from conftest import swap_root_depths, two_person_depth_fixture
@@ -160,6 +160,44 @@ class TestAnchorIsExactZero:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "non-positive joint depth" in err
+
+
+class TestOneCameraModel:
+    """Every scene is lifted to 3D by the same back-projection, so the
+    ground truth's labels and the prediction's margins share their bits."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.01])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_lift_is_bit_equal(self, seed, scale):
+        spec = GenSpec(seed=seed, n_persons=4, perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        cfg = SolverConfig(hmor=HmorConfig(depth_unit_scale=scale))
+        for scene in (gt, perturb(gt, spec)):
+            K = scene_joint_array(scene, scale)
+            stacked = np.stack([assemble_absolute(p, scene.camera).joints
+                                for p in scene.persons]) * scale
+            assert np.array_equal(K, stacked)
+            assert np.array_equal(K, _SceneVars(scene, cfg).joints_scaled()[0])
+        terms = objective_terms(gt, gt, cfg)
+        for name in ("hmor", "hmor.instance", "hmor.part", "hmor.joint"):
+            assert terms[name] == 0.0, name
+
+
+# every public entry point that compares a prediction with a ground truth
+MISMATCH_ENTRY_POINTS = {
+    "refine": lambda pred, gt: refine(pred, gt, SolverConfig(steps=1)),
+    "objective_terms": objective_terms,
+    "ordinal_violations": lambda pred, gt: ordinal_violations(pred, gt, [gt.camera.normal]),
+    "hmor_loss": lambda pred, gt: hmor_loss(pred, enumerate_pairs(gt, gt.camera.normal)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MISMATCH_ENTRY_POINTS))
+def test_topology_mismatch_is_invalid_input(camera, entry):
+    pred = two_person_depth_fixture(camera)  # 4 joints, 3 parts
+    gt = generate_scene(GenSpec(seed=0, n_persons=2))  # 17 joints, 14 parts
+    with pytest.raises(InvalidInputError, match="topology mismatch"):
+        MISMATCH_ENTRY_POINTS[entry](pred, gt)
 
 
 class TestTermsOracle:
