@@ -10,6 +10,7 @@ levels.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -168,17 +169,86 @@ def _match_cost(pred: Scene, gt: Scene, P: np.ndarray, G: np.ndarray,
     return np.linalg.norm(a[:, None] - b[None], axis=-1).mean(axis=-1)
 
 
+def _augmenting_path(cost: list, u: list, v: list, path: list, row4col: list, i: int):
+    """Shortest augmenting path from the free row ``i`` (Crouse 2016,
+    Algorithm 1): the sink column, the path length, the shortest reduced
+    path cost to every column, and the rows and columns visited. Columns
+    are scanned ``nc-1 ... 0`` with swap-removal; at an equal reduced cost
+    an unassigned column replaces the current pick."""
+    nc = len(v)
+    remaining = list(range(nc - 1, -1, -1))
+    shortest = [math.inf] * nc
+    rows_seen, cols_seen = [], []
+    min_val = 0.0
+    while True:
+        rows_seen.append(i)
+        row, ui = cost[i], u[i]
+        index, lowest = -1, math.inf
+        for it, j in enumerate(remaining):
+            s = shortest[j]
+            r = min_val + row[j] - ui - v[j]
+            if r < s:
+                path[j] = i
+                shortest[j] = s = r
+            if s < lowest:
+                lowest, index = s, it
+            elif s == lowest and row4col[j] < 0:
+                index = it
+        min_val = lowest
+        j = remaining[index]
+        cols_seen.append(j)
+        remaining[index] = remaining[-1]
+        remaining.pop()
+        if row4col[j] < 0:
+            return j, min_val, shortest, rows_seen, cols_seen
+        i = row4col[j]
+
+
 def optimal_assignment(cost_matrix: np.ndarray):
     """Row and column indices of the minimum-total-cost one-to-one
-    assignment of a (possibly rectangular) cost matrix. A non-finite
-    entry raises NumericalError."""
-    # imported here because scipy.optimize takes longer to import than
-    # the rest of the package, and only matching needs it
-    from scipy.optimize import linear_sum_assignment
+    assignment of a (possibly rectangular) 2-D cost matrix.
+
+    The solver is the shortest augmenting path method of Jonker and
+    Volgenant (1987) in Crouse's (2016) rectangular form, which scipy's
+    ``linear_sum_assignment`` runs, and it returns scipy's result, ties
+    included: a tall matrix is solved transposed and its rows returned in
+    ascending order, and each search scans the columns from last to first
+    and, at an equal reduced cost, takes an unassigned column, so a
+    constant matrix gives the identity. A matrix that is not 2-D raises
+    InvalidInputError; a non-finite entry raises NumericalError.
+    """
     cost = np.asarray(cost_matrix, dtype=float)
+    if cost.ndim != 2:
+        raise InvalidInputError(f"matching cost must be a 2-D matrix, got shape {cost.shape}")
     if not np.isfinite(cost).all():
         raise NumericalError("matching cost matrix has non-finite entries")
-    return linear_sum_assignment(cost)
+    if cost.size == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    transpose = cost.shape[1] < cost.shape[0]
+    c = (cost.T if transpose else cost).tolist()
+    nr, nc = len(c), len(c[0])
+    u, v = [0.0] * nr, [0.0] * nc
+    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        sink, min_val, shortest, rows_seen, cols_seen = _augmenting_path(
+            c, u, v, path, row4col, cur)
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        rows, cols = zip(*sorted(zip(col4row, range(nr))))
+    else:
+        rows, cols = range(nr), col4row
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
 
 
 def _match(pred: Scene, gt: Scene, P: np.ndarray, G: np.ndarray, cost: str) -> Matching:

@@ -82,7 +82,8 @@ class RelationPairs:
 
     ``views`` is (k, 3). ``index`` holds each level's (2, P) entity pairs:
     persons (instance), flat part ids ``person * S + part`` and flat joint
-    ids ``person * J + joint``, where ``per_person`` is (S, J). ``labels``
+    ids ``person * J + joint``, where ``per_person`` is (S, J) and
+    ``person_count`` the N persons of the scene enumerated. ``labels``
     holds each level's (k, P) float labels, one row per view. Pairs are
     unordered (first index smaller) and deduplicated.
 
@@ -96,6 +97,7 @@ class RelationPairs:
     index: tuple[np.ndarray, np.ndarray, np.ndarray]
     labels: tuple[np.ndarray, np.ndarray, np.ndarray]
     per_person: tuple[int, int]
+    person_count: int
 
     def _level_rows(self, level: int) -> np.ndarray:
         a, b = self.index[level]
@@ -111,7 +113,8 @@ class RelationPairs:
     def rows(self, rows) -> RelationPairs:
         """The sub-stack of the view rows ``rows`` (any numpy index)."""
         return RelationPairs(self.views[rows], self.index,
-                             tuple(m[rows] for m in self.labels), self.per_person)
+                             tuple(m[rows] for m in self.labels), self.per_person,
+                             self.person_count)
 
     @classmethod
     def stack(cls, pairs_seq: Sequence[RelationPairs]) -> RelationPairs:
@@ -121,23 +124,29 @@ class RelationPairs:
         first = pairs_seq[0]
         for pairs in pairs_seq[1:]:
             if pairs.index is not first.index and not (
-                    pairs.per_person == first.per_person
+                    (pairs.per_person, pairs.person_count)
+                    == (first.per_person, first.person_count)
                     and all(map(np.array_equal, pairs.index, first.index))):
                 raise InvalidInputError("pair sets differ between views; enumerate "
                                         "every view with the same pair_cap subset")
         labels = tuple(map(np.concatenate, zip(*(p.labels for p in pairs_seq))))
         return cls(np.concatenate([p.views for p in pairs_seq]), first.index, labels,
-                   first.per_person)
+                   first.per_person, first.person_count)
 
-    def check_fits(self, topology: SkeletonTopology) -> None:
-        """Raise InvalidInputError unless ``topology`` has the parts and
-        joints per person the pairs were enumerated for."""
+    def check_fits(self, scene: Scene) -> None:
+        """Raise InvalidInputError unless ``scene`` has the persons, and the
+        parts and joints per person, the pairs were enumerated for."""
         S, J = self.per_person
+        topology = scene.topology
         if (topology.part_count, topology.joint_count) != (S, J):
             raise InvalidInputError(
                 f"topology mismatch: the scene has {topology.part_count} parts and "
                 f"{topology.joint_count} joints per person, the pairs were enumerated "
                 f"for {S} and {J}")
+        if scene.person_count != self.person_count:
+            raise InvalidInputError(
+                f"person count mismatch: the scene has {scene.person_count} persons, "
+                f"the pairs were enumerated for {self.person_count}")
 
 
 @dataclass(frozen=True)
@@ -368,6 +377,7 @@ class LabelledTruth:
         N, J, _ = K.shape
         S = gt_scene.topology.part_count
         self.per_person = (S, J)
+        self.person_count = N
         levels = ((N, 0, True), (N * S, S, cfg.cross_person_parts),
                   (N * J, J, cfg.cross_person_joints))
         self.index = tuple(_subsample(_entity_pairs(*level), cfg.pair_cap, rng)
@@ -381,7 +391,7 @@ class LabelledTruth:
         views = np.asarray(views, dtype=float).reshape(-1, 3)
         margins, _ = _margins(self.points, views, self.index, self.vector_parts)
         labels = tuple(_threshold_label(m, self.eps) for m in margins)
-        labelled = RelationPairs(views, self.index, labels, self.per_person)
+        labelled = RelationPairs(views, self.index, labels, self.per_person, self.person_count)
         return labelled if base is None else RelationPairs.stack([base, labelled])
 
 
@@ -509,7 +519,7 @@ def hmor_loss(pred_scene: Scene, pairs: RelationPairs, view=None,
         v = _view_array(view)
         if not np.array_equal(v, pairs.view):
             raise InvalidInputError("view does not match the view the pairs were labeled under")
-    pairs.check_fits(pred_scene.topology)
+    pairs.check_fits(pred_scene)
     K = scene_joint_array(pred_scene, cfg.depth_unit_scale)
     totals, levels, violations, _ = ordinal_pass(K, pred_scene.topology, pairs, cfg,
                                                  want_grad=False)

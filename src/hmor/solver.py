@@ -273,7 +273,8 @@ def objective(pred_scene: Scene, gt_pairs, anchors: Scene, config: SolverConfig)
     config.
     """
     labelled = gt_pairs if isinstance(gt_pairs, RelationPairs) else RelationPairs.stack(gt_pairs)
-    labelled.check_fits(pred_scene.topology)
+    labelled.check_fits(pred_scene)
+    _check_matched(pred_scene, anchors)
     sv = _SceneVars(pred_scene, config)
     every = slice(None)
     (terms,), grad, _ = _evaluate(sv, labelled, _Anchors.from_vars(_SceneVars(anchors, config)),
@@ -281,13 +282,19 @@ def objective(pred_scene: Scene, gt_pairs, anchors: Scene, config: SolverConfig)
     return terms["total"], grad
 
 
+def _check_matched(pred_scene: Scene, other: Scene) -> None:
+    """Raise InvalidInputError unless ``other`` has the prediction's
+    topology and person count."""
+    check_topologies_match(pred_scene, other)
+    if pred_scene.person_count != other.person_count:
+        raise InvalidInputError("scenes must be matched person-for-person")
+
+
 def _targets(sv: _SceneVars, gt_scene: Scene, config: SolverConfig):
     """The anchors ``config.anchor`` selects, the ground truth or the
     prediction's variables where they stand, and the enumerated ground
     truth."""
-    check_topologies_match(sv.scene, gt_scene)
-    if sv.N != gt_scene.person_count:
-        raise InvalidInputError("scenes must be matched person-for-person")
+    _check_matched(sv.scene, gt_scene)
     anchor = sv if config.anchor == "input" else _SceneVars(gt_scene, config)
     return _Anchors.from_vars(anchor), LabelledTruth(gt_scene, config.hmor)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,10 @@ import pytest
 from hmor import (AbsolutePose, BoundingBox, Camera, GaussNoise, GenSpec, HmorConfig,
                   InvalidInputError, MetricReport, Person, RelativePose, Scene,
                   SkeletonTopology, ViolationCounts, auc, assemble_absolute, evaluate,
-                  generate_scene, match_persons, mpjpe, ordinal_violations, pck, perturb,
-                  sample_view, similarity_align)
+                  generate_scene, match_persons, mpjpe, optimal_assignment,
+                  ordinal_violations, pck, perturb, sample_view, save_scene,
+                  similarity_align)
+from hmor import metrics
 from conftest import (brute_force_pairs, make_person, ordinal_brute_force, swap_root_depths,
                       two_person_depth_fixture)
 
@@ -477,7 +480,92 @@ class TestEvaluateOracle:
             evaluate(pred, gt, pck_threshold_mm=bad)
 
 
-def test_import_leaves_scipy_unloaded():
+def _assignment_matrices(kind: str, rng):
+    """Cost matrices of every shape (r, c), 0 <= r, c <= 17, four of each."""
+    for r, c, _ in itertools.product(range(18), range(18), range(4)):
+        if kind == "uniform":
+            yield rng.uniform(0.0, 1.0, (r, c))
+        elif kind == "integer_ties":
+            yield rng.integers(0, 4, (r, c)).astype(float)
+        elif kind == "all_equal":
+            yield np.full((r, c), float(rng.integers(-2, 3)))
+        else:  # large magnitude, mixed sign
+            yield rng.uniform(-1.0, 1.0, (r, c)) * 10.0 ** int(rng.integers(6, 16))
+
+
+class TestOptimalAssignment:
+    def test_documented_tie_break(self):
+        rows, cols = optimal_assignment(np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]))
+        assert rows.tolist() == [1, 2] and cols.tolist() == [1, 0]
+        rows, cols = optimal_assignment(np.zeros((3, 3)))
+        assert rows.tolist() == [0, 1, 2] and cols.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), ()])
+    def test_not_a_matrix_rejected(self, shape):
+        with pytest.raises(InvalidInputError, match=re.escape(f"got shape {shape}")):
+            optimal_assignment(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4, 4), (1, 6)])
+    def test_optimal_by_exhaustion(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        r, c = shape
+        for _ in range(50):
+            cost = rng.integers(0, 6, shape).astype(float)
+            rows, cols = optimal_assignment(cost)
+            assert len(rows) == min(r, c) and list(rows) == sorted(rows)
+            assert len(set(rows)) == len(set(cols)) == min(r, c)
+            if r <= c:
+                best = min(sum(cost[i, p[i]] for i in range(r))
+                           for p in itertools.permutations(range(c), r))
+            else:
+                best = min(sum(cost[p[j], j] for j in range(c))
+                           for p in itertools.permutations(range(r), c))
+            assert cost[rows, cols].sum() == best
+
+    @pytest.mark.parametrize("kind", ["uniform", "integer_ties", "all_equal", "large"])
+    def test_equals_scipy(self, kind):
+        linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        rng = np.random.default_rng(len(kind))
+        for cost in _assignment_matrices(kind, rng):
+            want, got = linear_sum_assignment(cost), optimal_assignment(cost)
+            for w, g in zip(want, got):
+                assert w.dtype == g.dtype and np.array_equal(w, g), cost
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_match_persons_equals_scipy_on_eval_inputs(self, seed, monkeypatch):
+        linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        scenes = []
+        for k in range(20):  # the benchmark's eval workload inputs of this seed
+            spec = GenSpec(seed=seed * 1000 + k, n_persons=(2, 4, 8, 8, 16)[k % 5],
+                           perturbation=GaussNoise(30.0, 300.0))
+            gt = generate_scene(spec)
+            scenes.append((perturb(gt, spec), gt))
+        costs = ("root_aligned_3d", "projected_2d")
+        ours = [match_persons(pred, gt, cost) for pred, gt in scenes for cost in costs]
+        monkeypatch.setattr(metrics, "optimal_assignment", linear_sum_assignment)
+        assert ours == [match_persons(pred, gt, cost) for pred, gt in scenes for cost in costs]
+
+
+_SCIPY_FREE_EVAL = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import hmor, hmor.cli
+pred, gt = sys.argv[1:3]
+hmor.evaluate(hmor.load_scene(pred), hmor.load_scene(gt))
+sys.exit(hmor.cli.main(["eval", pred, gt]))
+"""
+
+
+def test_import_leaves_scipy_unloaded(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     subprocess.run([sys.executable, "-c", "import hmor, sys; assert 'scipy' not in sys.modules"],
                    env=env, check=True, timeout=120)
+    spec = GenSpec(seed=7, n_persons=3, perturbation=GaussNoise(30.0, 300.0))
+    gt = generate_scene(spec)
+    save_scene(gt, tmp_path / "gt.json")
+    save_scene(perturb(gt, spec), tmp_path / "pred.json")
+    done = subprocess.run([sys.executable, "-c", _SCIPY_FREE_EVAL, str(tmp_path / "pred.json"),
+                           str(tmp_path / "gt.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert '"matched_pairs"' in done.stdout

@@ -200,6 +200,24 @@ def test_topology_mismatch_is_invalid_input(camera, entry):
         MISMATCH_ENTRY_POINTS[entry](pred, gt)
 
 
+# pairs enumerated on a 3-person truth, read with a 2-person scene
+PERSON_COUNT_CALLS = {
+    "hmor_loss": lambda gt3, gt2, pairs, cfg: hmor_loss(gt2, pairs),
+    "count_violations": lambda gt3, gt2, pairs, cfg: count_violations(gt2, pairs),
+    "objective_pred": lambda gt3, gt2, pairs, cfg: objective(gt2, pairs, gt3, cfg),
+    "objective_anchors": lambda gt3, gt2, pairs, cfg: objective(gt3, pairs, gt2, cfg),
+}
+
+
+@pytest.mark.parametrize("call", sorted(PERSON_COUNT_CALLS))
+def test_person_count_mismatch_is_invalid_input(call):
+    gt3 = generate_scene(GenSpec(seed=0, n_persons=3))
+    gt2 = dataclasses.replace(gt3, persons=gt3.persons[:2])
+    pairs = enumerate_pairs(gt3, gt3.camera.normal)
+    with pytest.raises(InvalidInputError, match="person"):
+        PERSON_COUNT_CALLS[call](gt3, gt2, pairs, SolverConfig())
+
+
 class TestTermsOracle:
     """The solver's unweighted terms against the per-person reference
     forms in ``hmor.depth``."""
