@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .geometry import project_points
-from .ordinal import (HmorConfig, LabelledTruth, _view_array, ordinal_pass,
-                      scene_joint_array)
+from .ordinal import (HmorConfig, LabelledTruth, _view_array, scene_joint_array,
+                      violation_counts)
 from .skeleton import AbsolutePose, Scene, check_topologies_match
 
 DEFAULT_PCK_THRESHOLD_MM = 150.0
@@ -322,15 +322,15 @@ def ordinal_violations(pred: Scene, gt: Scene, views,
     """Pairs per relation level whose predicted order disagrees with the
     ground truth, summed over the audit views. Scenes must already be
     matched person-for-person (same count, same order). The ground truth
-    is enumerated once and every view is audited in one
-    :func:`ordinal_pass`."""
+    is enumerated once and every view is counted in one
+    :func:`violation_counts`, which forms no loss."""
     check_topologies_match(pred, gt)
     if pred.person_count != gt.person_count:
         raise InvalidInputError("scenes must contain the same persons in the same order")
     cfg = config or HmorConfig()
     labelled = LabelledTruth(gt, cfg).label([_view_array(view) for view in views])
     K = scene_joint_array(pred, cfg.depth_unit_scale)
-    counts = ordinal_pass(K, pred.topology, labelled, cfg, want_grad=False)[2].sum(axis=1)
+    counts = violation_counts(K, pred.topology, labelled, cfg).sum(axis=1)
     return ViolationCounts(*(int(c) for c in counts))
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -84,8 +84,11 @@ class RelationPairs:
     persons (instance), flat part ids ``person * S + part`` and flat joint
     ids ``person * J + joint``, where ``per_person`` is (S, J) and
     ``person_count`` the N persons of the scene enumerated. ``labels``
-    holds each level's (k, P) float labels, one row per view. Pairs are
-    unordered (first index smaller) and deduplicated.
+    holds each level's (k, P) int8 labels, one row per view. Pairs are
+    unordered (first index smaller) and deduplicated. ``layout`` is the
+    stacked depth-level layout of ``index`` the pairs were labelled with
+    (:class:`LabelledTruth`), or None; :meth:`stacked` builds one when it
+    is missing or belongs to another index.
 
     ``view`` and the integer row arrays are read from view 0 and built on
     access: instance_pairs rows are (person_a, person_b, label);
@@ -98,6 +101,7 @@ class RelationPairs:
     labels: tuple[np.ndarray, np.ndarray, np.ndarray]
     per_person: tuple[int, int]
     person_count: int
+    layout: _Layout | None = field(default=None, repr=False, compare=False)
 
     def _level_rows(self, level: int) -> np.ndarray:
         a, b = self.index[level]
@@ -114,7 +118,16 @@ class RelationPairs:
         """The sub-stack of the view rows ``rows`` (any numpy index)."""
         return RelationPairs(self.views[rows], self.index,
                              tuple(m[rows] for m in self.labels), self.per_person,
-                             self.person_count)
+                             self.person_count, self.layout)
+
+    def stacked(self, vector_parts: bool) -> _Layout:
+        """The stacked depth-level layout of ``index`` (see :class:`_Layout`)."""
+        layout = self.layout
+        if layout is None or layout.index is not self.index or layout.vector_parts != vector_parts:
+            S, J = self.per_person
+            N = self.person_count
+            layout = _Layout(self.index, (N, N * S, N * J), vector_parts)
+        return layout
 
     @classmethod
     def stack(cls, pairs_seq: Sequence[RelationPairs]) -> RelationPairs:
@@ -131,7 +144,7 @@ class RelationPairs:
                                         "every view with the same pair_cap subset")
         labels = tuple(map(np.concatenate, zip(*(p.labels for p in pairs_seq))))
         return cls(np.concatenate([p.views for p in pairs_seq]), first.index, labels,
-                   first.per_person, first.person_count)
+                   first.per_person, first.person_count, first.layout)
 
     def check_fits(self, scene: Scene) -> None:
         """Raise InvalidInputError unless ``scene`` has the persons, and the
@@ -172,9 +185,9 @@ def _view_array(view) -> np.ndarray:
 
 
 def _threshold_label(margin, eps: float):
-    """+1.0 for margin < -eps, -1.0 for margin > eps, 0.0 inside the band."""
+    """int8 +1 for margin < -eps, -1 for margin > eps, 0 inside the band."""
     m = np.asarray(margin)
-    return np.subtract(m < -eps, m > eps, dtype=float)
+    return np.subtract(m < -eps, m > eps, dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +332,58 @@ def _incidence(topology: SkeletonTopology, part_mode: str) -> np.ndarray:
     return D
 
 
-def _entity_points(K: np.ndarray, D: np.ndarray):
-    """Each level's (n, 3) entity points of a scaled (N, J, 3) joint array:
-    person positions (joint means), part points ``D.T @ K`` (flat id
-    ``person * S + part``) and joints (flat id ``person * J + joint``)."""
-    return K.mean(axis=1), (D.T @ K).reshape(-1, 3), K.reshape(-1, 3)
+class _Layout:
+    """The depth levels of one pair set stacked into one.
+
+    Depth levels (instance and joint, and part under particle parts)
+    differ only in their entity points, so their entities are stacked in
+    level order (persons, part points, joints) and their pairs form one
+    (2, P) ``pairs`` index into that stack. ``segments`` holds each depth
+    level's (level, pair slice, entity slice). ``flat`` is the vector-part
+    index ``a * n + b`` into a flattened (n, n) part product (None under
+    particle parts). ``index`` is the per-level index the layout was
+    built from.
+    """
+
+    def __init__(self, index, counts: tuple[int, int, int], vector_parts: bool):
+        self.index = index
+        self.vector_parts = vector_parts
+        self.segments, p, e = [], 0, 0
+        for level in (0, 2) if vector_parts else (0, 1, 2):
+            P, n = index[level].shape[1], counts[level]
+            self.segments.append((level, slice(p, p + P), slice(e, e + n)))
+            p, e = p + P, e + n
+        self.entities = e
+        # pairs and flat stay writeable although cached: ``take`` copies a
+        # read-only index array on every call
+        self.pairs = np.concatenate([index[level] + ents.start
+                                     for level, _, ents in self.segments], axis=1)
+        a, b = index[1]
+        self.flat = a * counts[1] + b if vector_parts else None
+
+    def depth_labels(self, labels) -> np.ndarray:
+        """The (k, P) labels of ``pairs`` from each level's (k, P_level) labels."""
+        return np.concatenate([labels[level] for level, *_ in self.segments], axis=1)
+
+
+@functools.lru_cache(maxsize=32)
+def _full_layout(levels: tuple, vector_parts: bool) -> _Layout:
+    """The cached layout of every pair of ``levels``, each (entities, per
+    person, cross person) as :func:`_entity_pairs` takes them."""
+    return _Layout(tuple(_entity_pairs(*level) for level in levels),
+                   tuple(n for n, _, _ in levels), vector_parts)
+
+
+def _entity_points(K: np.ndarray, D: np.ndarray, layout: _Layout):
+    """The (n, 3) depth entity points of a scaled (N, J, 3) joint array,
+    stacked as ``layout`` stacks them: person positions (joint means),
+    part points ``D.T @ K`` (flat id ``person * S + part``) under
+    particle parts, and joints (flat id ``person * J + joint``). Also
+    returns the (N * S, 3) bone vectors under vector parts, else None."""
+    parts = (D.T @ K).reshape(-1, 3)
+    if layout.vector_parts:
+        return np.concatenate((K.mean(axis=1), K.reshape(-1, 3))), parts
+    return np.concatenate((K.mean(axis=1), parts, K.reshape(-1, 3))), None
 
 
 def _project(X: np.ndarray, views: np.ndarray) -> np.ndarray:
@@ -339,35 +399,42 @@ def _cross_views(T: np.ndarray, views: np.ndarray) -> np.ndarray:
     return np.stack([y * vz - z * vy, z * vx - x * vz, x * vy - y * vx], axis=-1)
 
 
-def _margins(points, views: np.ndarray, index, vector_parts: bool):
-    """Raw (k, P) margins of each level's (2, P) entity pairs under (k, 3)
-    views, from one scalar per entity and view: ``z_a - z_b`` of the
-    projections ``z`` for depth levels, and ``(t_a x t_b) . v = t_a .
-    (t_b x v)`` for vector parts, read from ``M = T @ C.T`` per view with
-    ``C = T x v``. Also returns C (None for particle parts). The (n, n)
-    products are made one view at a time: a (k, n, n) stack soon passes
-    glibc's default 128 KiB mmap threshold, and then every call pays for
-    fresh pages."""
-    out, C = [], None
-    for level, (X, (a, b)) in enumerate(zip(points, index)):
-        if level == 1 and vector_parts:
-            C = _cross_views(X, views)
-            flat = a * len(X) + b
-            out.append(np.array([(X @ Cv.T).take(flat) for Cv in C]).reshape(len(C), len(flat)))
-        else:
-            z = _project(X, views)
-            out.append(z.take(a, axis=1) - z.take(b, axis=1))
-    return out, C
+def _depth_margins(X: np.ndarray, views: np.ndarray, layout: _Layout) -> np.ndarray:
+    """Raw (k, P) margins ``z_a - z_b`` of the stacked depth pairs under
+    (k, 3) views, from the projections ``z`` of the stacked points ``X``
+    (one scalar per entity and view)."""
+    z = _project(X, views)
+    a, b = layout.pairs
+    depth = z.take(a, axis=1)
+    depth -= z.take(b, axis=1)
+    return depth
+
+
+def _part_margins(T: np.ndarray, views: np.ndarray, layout: _Layout):
+    """Raw (k, P) vector-part margins ``(t_a x t_b) . v = t_a . (t_b x v)``
+    of the bone vectors ``T`` under (k, 3) views, read from ``M = T @
+    C_v.T`` with ``C = T x v``; also returns C. The (n, n) products are
+    made one view at a time: a (k, n, n) stack soon passes glibc's
+    default 128 KiB mmap threshold, and then every call pays for fresh
+    pages."""
+    C = _cross_views(T, views)
+    parts = np.empty((len(views), len(layout.flat)))
+    for row, Cv in zip(parts, C):
+        # the index is in range; mode="raise" would buffer ``out``
+        (T @ Cv.T).take(layout.flat, out=row, mode="clip")
+    return parts, C
 
 
 class LabelledTruth:
     """The pair sets of a ground-truth scene, enumerated once and labelled
     under any stack of views.
 
-    The pair indices (subsampled per ``pair_cap`` with ``rng``) and each
-    level's ground-truth entity points are kept; labelling k views
-    thresholds the margins :func:`ordinal_pass` computes for a prediction
-    (:func:`_margins`), so the ground truth itself scores exactly zero.
+    The pair indices (subsampled per ``pair_cap`` with ``rng``), their
+    stacked depth-level layout (:class:`_Layout`, shared between scenes
+    of the same shape when nothing is subsampled) and the ground truth's
+    entity points are kept; labelling k views thresholds the margins
+    :func:`ordinal_pass` computes for a prediction into int8 labels, so
+    the ground truth itself scores exactly zero.
     """
 
     def __init__(self, gt_scene: Scene, config: HmorConfig | None = None,
@@ -380,18 +447,30 @@ class LabelledTruth:
         self.person_count = N
         levels = ((N, 0, True), (N * S, S, cfg.cross_person_parts),
                   (N * J, J, cfg.cross_person_joints))
-        self.index = tuple(_subsample(_entity_pairs(*level), cfg.pair_cap, rng)
-                           for level in levels)
-        self.points = _entity_points(K, _incidence(gt_scene.topology, cfg.part_mode))
-        self.vector_parts = cfg.part_mode == "vector"
+        vector_parts = cfg.part_mode == "vector"
+        if cfg.pair_cap is None:
+            self.layout = _full_layout(levels, vector_parts)
+        else:
+            index = tuple(_subsample(_entity_pairs(*level), cfg.pair_cap, rng)
+                          for level in levels)
+            self.layout = _Layout(index, (N, N * S, N * J), vector_parts)
+        self.index = self.layout.index
+        self.points = _entity_points(K, _incidence(gt_scene.topology, cfg.part_mode),
+                                     self.layout)
         self.eps = cfg.equality_tolerance
 
     def label(self, views, base: RelationPairs | None = None) -> RelationPairs:
         """Label the (k, 3) ``views``, appended to the views of ``base``."""
         views = np.asarray(views, dtype=float).reshape(-1, 3)
-        margins, _ = _margins(self.points, views, self.index, self.vector_parts)
-        labels = tuple(_threshold_label(m, self.eps) for m in margins)
-        labelled = RelationPairs(views, self.index, labels, self.per_person, self.person_count)
+        X, T = self.points
+        depth = _threshold_label(_depth_margins(X, views, self.layout), self.eps)
+        labels = [None, None, None]
+        if T is not None:
+            labels[1] = _threshold_label(_part_margins(T, views, self.layout)[0], self.eps)
+        for level, pairs, _ in self.layout.segments:
+            labels[level] = depth[:, pairs]
+        labelled = RelationPairs(views, self.index, tuple(labels), self.per_person,
+                                 self.person_count, self.layout)
         return labelled if base is None else RelationPairs.stack([base, labelled])
 
 
@@ -408,99 +487,122 @@ def enumerate_pairs(gt_scene: Scene, view, config: HmorConfig | None = None,
     return LabelledTruth(gt_scene, config, rng).label(_view_array(view))
 
 
-def _row_counts(mask: np.ndarray) -> np.ndarray:
-    # a loop over k rows beats count_nonzero(axis=1) for the few views used
-    return np.array([np.count_nonzero(row) for row in mask])
+def _count_disagreements(m: np.ndarray, labels: np.ndarray, eps: float, segments,
+                         out: np.ndarray) -> None:
+    """Count into ``out[level]``, per view row, the pairs of each (level,
+    pair slice, ...) segment whose label thresholded from the (k, P) raw
+    margins ``m`` differs from ``labels``. A NaN margin thresholds to 0,
+    so it disagrees with +-1 and agrees with 0."""
+    differ = _threshold_label(m, eps) != labels
+    for level, pairs, *_ in segments:
+        # a loop over k rows beats count_nonzero(axis=1) for the few views used
+        out[level] = [np.count_nonzero(row) for row in differ[:, pairs]]
 
 
-def _label_margins(m: np.ndarray, labels: np.ndarray, eps: float):
-    """Signed margins ``labels * m`` of (k, P) raw margins ``m``, and the
-    (k,) numbers of pairs whose label thresholded from ``m`` differs from
-    ``labels``.
-
-    That count equals ``count_nonzero(_threshold_label(m, eps) != labels)``.
-    A +-1 pair agrees only when its signed margin is below -eps; a 0 pair
-    (signed margin 0) agrees only when |m| <= eps. Both tests are written
-    as negations so a NaN margin, which thresholds to 0, disagrees with
-    +-1 and agrees with 0.
-    """
-    margins = labels * m
-    violations = m.shape[1] - _row_counts(margins < -eps)
-    if np.count_nonzero(labels) < labels.size:
-        violations -= _row_counts((labels == 0) & ~(np.abs(m) > eps))
-    return margins, violations
-
-
-def _depth_weights(margins: np.ndarray, labels: np.ndarray, scale: float) -> np.ndarray:
-    """d(scale * log(1 + [margin]_+)) / d(raw margin) per view and pair;
-    zero where the error is clamped."""
-    w = np.divide(labels, 1.0 + margins, out=np.zeros_like(margins), where=margins > 0)
-    w *= scale
-    return w
+def violation_counts(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPairs,
+                     config: HmorConfig | None = None) -> np.ndarray:
+    """The (3, k) violations of :func:`ordinal_pass` alone: per level
+    (instance, part, joint) and view, the pairs whose label thresholded
+    from the margins of the (N, J, 3) scaled joint array differs from the
+    ground truth's. No weights, errors or float labels are formed."""
+    cfg = config or HmorConfig()
+    layout = labelled.stacked(cfg.part_mode == "vector")
+    X, T = _entity_points(K, _incidence(topology, cfg.part_mode), layout)
+    V = labelled.views
+    counts = np.zeros((3, len(V)), dtype=int)
+    eps = cfg.equality_tolerance
+    _count_disagreements(_depth_margins(X, V, layout), layout.depth_labels(labelled.labels),
+                         eps, layout.segments, counts)
+    if T is not None:
+        _count_disagreements(_part_margins(T, V, layout)[0], labelled.labels[1], eps,
+                             ((1, slice(None)),), counts)
+    return counts
 
 
 def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPairs,
                  config: HmorConfig | None = None, want_grad: bool = True,
                  grad_views=None):
     """Per-view losses, violation counts and gradient of an (N, J, 3)
-    scaled joint array under k labelled views, in one pass per level.
+    scaled joint array under k labelled views, in one pass over the
+    stacked depth levels and one over vector parts.
 
     Returns (totals, levels, violations, dK): the (k,) weighted totals;
     the (3, k) per-level mean errors (instance, part, joint); the (3, k)
     per-level counts of pairs whose predicted label disagrees with the
-    ground truth; and the gradient of ``totals[grad_views].sum()`` with
-    respect to every joint coordinate (None when want_grad is off).
-    ``grad_views`` indexes view rows (default all); the gradient runs the
-    same code on those rows alone, so its bits equal a pass over the
-    sub-stack ``labelled.rows(grad_views)``. Margins come from
-    per-entity scalars (:func:`_margins`) and so does the gradient:
-    ``dX = g.T @ V`` with ``g[v, e] = sum_{a=e} W - sum_{b=e} W`` for
-    depth levels, ``dT = sum_v (W_v - W_v.T) @ C_v`` for vector parts;
-    a person's share goes ``/ J`` to each joint and a part's through D.
-    A level with weight 0 is still counted but adds nothing to dK. Clamp
-    boundaries contribute zero subgradient.
+    ground truth (as :func:`violation_counts` counts them); and the
+    gradient of ``totals[grad_views].sum()`` with respect to every joint
+    coordinate (None when want_grad is off). ``grad_views`` indexes view
+    rows (default all); the gradient runs the same code on those rows
+    alone, so its bits equal a pass over the sub-stack
+    ``labelled.rows(grad_views)``. Margins come from per-entity scalars
+    (:func:`_depth_margins`, :func:`_part_margins`) and so does the
+    gradient: ``dX = g.T @ V`` with ``g[v, e] = sum_{a=e} W - sum_{b=e}
+    W`` over the stacked depth entities, ``dT = sum_v (W_v - W_v.T) @
+    C_v`` for vector parts; a person's share goes ``/ J`` to each joint
+    and a part's through D. Per-level means and counts come from
+    contiguous slices of the stack. Labels are int8 and upcast where
+    they meet the float margins. A level with weight 0 is still counted
+    but adds nothing to dK. Clamp boundaries contribute zero
+    subgradient.
     """
     cfg = config or HmorConfig()
     V = labelled.views
-    k = len(V)
     N, J, _ = K.shape
-    vector_parts = cfg.part_mode == "vector"
     D = _incidence(topology, cfg.part_mode)
-    points = _entity_points(K, D)
-    raw, C = _margins(points, V, labelled.index, vector_parts)
+    layout = labelled.stacked(cfg.part_mode == "vector")
+    X, T = _entity_points(K, D, layout)
+    eps = cfg.equality_tolerance
     rows = slice(None) if grad_views is None else grad_views
-    V, C = V[rows], None if C is None else C[rows]
     weights = (cfg.w_instance, cfg.w_part, cfg.w_joint)
-    levels = np.zeros((3, k))
-    violations = np.zeros((3, k), dtype=int)
-    dK = np.zeros_like(K) if want_grad else None
+    levels = np.zeros((3, len(V)))
+    violations = np.zeros((3, len(V)), dtype=int)
+    dX = [None, None, None]  # each level's (n, 3) entity gradient
 
-    for level, (m, labels, (a, b), n, w) in enumerate(
-            zip(raw, labelled.labels, labelled.index, map(len, points), weights)):
-        P = m.shape[1]
-        if not m.size:  # no pairs or no views
-            continue
-        margins, violations[level] = _label_margins(m, labels, cfg.equality_tolerance)
-        linear = level == 1 and vector_parts
-        errs = np.maximum(0.0, margins)
-        levels[level] = (errs if linear else np.log1p(errs)).sum(axis=1) / P
-        if not (want_grad and w > 0):
-            continue
+    margins = _depth_margins(X, V, layout)
+    labels = layout.depth_labels(labelled.labels)
+    _count_disagreements(margins, labels, eps, layout.segments, violations)
+    margins *= labels  # signed margins from here on
+    errs = np.maximum(0.0, margins)
+    np.log1p(errs, out=errs)
+    sizes = [max(pairs.stop - pairs.start, 1) for _, pairs, _ in layout.segments]
+    for (level, pairs, _), P in zip(layout.segments, sizes):
+        levels[level] = errs[:, pairs].sum(axis=1) / P
+    if want_grad and any(weights[level] > 0 for level, *_ in layout.segments):
         margins, labels = margins[rows], labels[rows]
-        if linear:
-            Wd = np.zeros((len(V), n * n))
-            Wd[:, a * n + b] = np.where(margins > 0, labels * (w / P), 0.0)
-            Wd = Wd.reshape(-1, n, n)
-            dX = ((Wd - Wd.transpose(0, 2, 1)) @ C).sum(axis=0)
-        else:
-            W = _depth_weights(margins, labels, w / P)
-            dX = np.array([np.bincount(a, Wv, minlength=n) - np.bincount(b, Wv, minlength=n)
-                           for Wv in W]).T @ V
-        if level == 0:
-            dK += dX[:, None] / J  # a person's position averages its joints
-        else:
-            dK += D @ dX.reshape(N, -1, 3) if level == 1 else dX.reshape(N, J, 3)
+        W = np.divide(labels, 1.0 + margins, out=np.zeros_like(margins), where=margins > 0)
+        for (level, pairs, _), P in zip(layout.segments, sizes):
+            W[:, pairs] *= weights[level] / P
+        a, b = layout.pairs
+        n = layout.entities
+        g = np.empty((len(W), n))
+        for gv, Wv in zip(g, W):
+            np.subtract(np.bincount(a, Wv, minlength=n), np.bincount(b, Wv, minlength=n), out=gv)
+        dX_all = g.T @ V[rows]
+        for level, _, ents in layout.segments:
+            if weights[level] > 0:
+                dX[level] = dX_all[ents]
 
+    if T is not None:
+        margins, C = _part_margins(T, V, layout)
+        labels = labelled.labels[1]
+        P = max(margins.shape[1], 1)
+        _count_disagreements(margins, labels, eps, ((1, slice(None)),), violations)
+        margins *= labels
+        levels[1] = np.maximum(0.0, margins).sum(axis=1) / P
+        if want_grad and cfg.w_part > 0:
+            n, C = len(T), C[rows]
+            Wd = np.zeros((len(C), n * n))
+            Wd[:, layout.flat] = np.where(margins[rows] > 0, labels[rows] * (cfg.w_part / P), 0.0)
+            Wd = Wd.reshape(-1, n, n)
+            dX[1] = ((Wd - Wd.transpose(0, 2, 1)) @ C).sum(axis=0)
+
+    dK = np.zeros_like(K) if want_grad else None
+    if dX[0] is not None:
+        dK += dX[0][:, None] / J  # a person's position averages its joints
+    if dX[1] is not None:
+        dK += D @ dX[1].reshape(N, -1, 3)
+    if dX[2] is not None:
+        dK += dX[2].reshape(N, J, 3)
     totals = cfg.w_instance * levels[0] + cfg.w_part * levels[1] + cfg.w_joint * levels[2]
     return totals, levels, violations, dK
 
@@ -533,10 +635,15 @@ def count_violations(pred_scene: Scene, pairs: RelationPairs,
 
     Returns (instance, part, joint) disagreement counts under the view
     the pairs were labeled with. Labels are recomputed from the predicted
-    scene with the same tolerance used for the ground truth; the counts
-    come from the same pass as :func:`hmor_loss`.
+    scene with the same tolerance used for the ground truth, by
+    :func:`violation_counts` (the counts :func:`hmor_loss` reports,
+    without the loss).
     """
-    return hmor_loss(pred_scene, pairs, config=config).violations
+    cfg = config or HmorConfig()
+    pairs.check_fits(pred_scene)
+    K = scene_joint_array(pred_scene, cfg.depth_unit_scale)
+    counts = violation_counts(K, pred_scene.topology, pairs.rows(slice(0, 1)), cfg)
+    return tuple(int(c) for c in counts[:, 0])
 
 
 def part_relations_from_2d(gt_pixels: Sequence[np.ndarray],

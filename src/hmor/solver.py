@@ -22,7 +22,8 @@ from .errors import InvalidDepthError, InvalidInputError, NumericalError, Solver
 from .geometry import back_project_points, sample_view
 from .ordinal import (HmorConfig, LabelledTruth, RelationPairs,
                       err_instance_grad, err_joint_grad, err_part_grad,
-                      check_finite_fields, err_part_particle_grad, ordinal_pass)
+                      check_finite_fields, err_part_particle_grad, ordinal_pass,
+                      violation_counts)
 from .skeleton import RelativePose, Scene, check_topologies_match
 
 # the objective's terms, in the order the weighted total sums them
@@ -193,12 +194,13 @@ def _check_finite(term: str, value: float) -> float:
 
 def _total(terms: dict, config: SolverConfig) -> float:
     """The weighted objective ``sum w_t * terms[t]``, summed in the order
-    of ``_TERMS`` (a term of weight 0 adds an exact 0.0)."""
-    return sum(getattr(config, f"w_{name}") * terms[name] for name in _TERMS)
+    of ``_TERMS``. A term of weight 0 would add an exact 0.0, so it is
+    left out and may be missing from ``terms``."""
+    return sum((w * terms[name] for name in _TERMS if (w := getattr(config, f"w_{name}"))), 0.0)
 
 
 def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors,
-              config: SolverConfig, value_rows, grad_rows):
+              config: SolverConfig, value_rows, grad_rows, all_terms: bool = True):
     """Objective at the current variables under row selections of the
     ``labelled`` view stack, from one :func:`ordinal_pass`.
 
@@ -211,6 +213,8 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors,
     term averaged over ``grad_rows`` (None when grad_rows is None), and
     ``violations`` the total ordinal violations under the first labelled
     view. The data terms are computed once and shared by every selection.
+    With ``all_terms`` off and ``w_hmor == 0`` the ordinal term is left
+    out and the violations are counted alone (:func:`violation_counts`).
     """
     want_grad = grad_rows is not None
     s = sv.scale
@@ -244,20 +248,24 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors,
     if want_grad and config.w_abs > 0:
         dK += np.sign(diff) * (config.w_abs / (nj * s))
 
-    hmor_grad = want_grad and config.w_hmor > 0
-    totals, levels, counts, dK_hmor = ordinal_pass(
-        K, sv.topology, labelled, config.hmor, want_grad=hmor_grad, grad_views=grad_rows)
+    if all_terms or config.w_hmor > 0:
+        hmor_grad = want_grad and config.w_hmor > 0
+        totals, levels, counts, dK_hmor = ordinal_pass(
+            K, sv.topology, labelled, config.hmor, want_grad=hmor_grad, grad_views=grad_rows)
 
-    def mean(per_view, rows):
-        picked = per_view[rows].tolist()
-        return sum(picked) / len(picked)
+        def mean(per_view, rows):
+            picked = per_view[rows].tolist()
+            return sum(picked) / len(picked)
 
-    terms = [{**data, "hmor": _check_finite("hmor", mean(totals, rows)),
-              **{f"hmor.{name}": mean(level, rows)
-                 for name, level in zip(("instance", "part", "joint"), levels)}}
-             for rows in value_rows]
-    if hmor_grad:
-        dK += dK_hmor * (config.w_hmor / len(totals[grad_rows]))
+        terms = [{**data, "hmor": _check_finite("hmor", mean(totals, rows)),
+                  **{f"hmor.{name}": mean(level, rows)
+                     for name, level in zip(("instance", "part", "joint"), levels)}}
+                 for rows in value_rows]
+        if hmor_grad:
+            dK += dK_hmor * (config.w_hmor / len(totals[grad_rows]))
+    else:
+        counts = violation_counts(K, sv.topology, labelled.rows(slice(0, 1)), config.hmor)
+        terms = [data for _ in value_rows]
     if want_grad and (config.w_hmor > 0 or config.w_abs > 0):
         grad += sv.grad_to_x(dK, d, a, b)
     return [{**t, "total": _total(t, config)} for t in terms], grad, int(counts[:, 0].sum())
@@ -357,7 +365,8 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
         # (value under value_rows[0], and what x carries into the next
         # step: value under value_rows[-1], gradient, violations)
         sv.unpack(x)
-        terms, grad, violations = _evaluate(sv, labelled, anchors, cfg, value_rows, grad_rows)
+        terms, grad, violations = _evaluate(sv, labelled, anchors, cfg, value_rows, grad_rows,
+                                            all_terms=False)
         return terms[0]["total"], (terms[-1]["total"], grad, violations)
 
     labelled = ahead(normal)  # step 1's views

@@ -306,6 +306,45 @@ class TestOrdinalViolations:
         with pytest.raises(InvalidInputError):
             ordinal_violations(scene, scene, [scene.camera.normal, np.array([0.0, 1.0])])
 
+    def test_audit_forms_no_loss(self, monkeypatch):
+        from hmor import ordinal, solver
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        real = ordinal.ordinal_pass
+        for module in (ordinal, solver, metrics):
+            monkeypatch.setattr(module, "ordinal_pass", spy, raising=False)
+        spec = GenSpec(seed=28, n_persons=4, perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        pred = perturb(gt, spec)
+        ordinal.hmor_loss(pred, ordinal.enumerate_pairs(gt, gt.camera.normal))
+        assert len(calls) == 1  # the spy sees the loss pass
+        calls.clear()
+        evaluate(pred, gt, views=[gt.camera.normal, sample_view(rng=np.random.default_rng(1))])
+        ordinal_violations(pred, gt, [gt.camera.normal],
+                           HmorConfig(part_mode="particle", equality_tolerance=0.02))
+        assert calls == []
+
+    def test_sixteen_person_audit_peak_memory(self):
+        import tracemalloc
+        spec = GenSpec(seed=29, n_persons=16, perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        pred = perturb(gt, spec)
+        views = [gt.camera.normal]
+        tracemalloc.start()
+        try:
+            ordinal_violations(pred, gt, views)  # warm-up: cached pair layout
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ordinal_violations(pred, gt, views)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1200 * 1024
+
 
 class TestEvaluate:
     def test_exact_prediction_report(self):

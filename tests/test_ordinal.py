@@ -13,7 +13,7 @@ from hmor import (GaussNoise, GenSpec, HmorConfig, InvalidInputError, SkeletonTo
                   project_to_plane, relation_instance, relation_joint,
                   relation_part, sample_view)
 from hmor.ordinal import (LabelledTruth, err_instance_grad, err_joint_grad,
-                          err_part_grad, ordinal_pass, scene_joint_array)
+                          err_part_grad, ordinal_pass, scene_joint_array, violation_counts)
 from conftest import (brute_force_pairs, ordinal_brute_force, swap_root_depths,
                       two_person_depth_fixture)
 
@@ -622,3 +622,86 @@ class TestOrdinalPassOracle:
         for got, want in ((totals, want_totals), (levels, want_levels), (dK, want_dK)):
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
         assert np.abs(want_dK).max() > 0.0
+
+
+# every knob the loss-free count must follow; each example draws one
+COUNT_CONFIGS = [HmorConfig(part_mode=mode, equality_tolerance=eps, pair_cap=cap,
+                            cross_person_parts=cross, cross_person_joints=cross)
+                 for mode in ("vector", "particle") for eps in (0.0, 0.02)
+                 for cross in (True, False) for cap in (None, 60)]
+
+
+class TestViolationCounts:
+    """violation_counts, which forms no loss, against the counts of
+    ordinal_pass and of the per-pair brute force."""
+
+    @settings(max_examples=24, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 10_000), n_persons=st.integers(1, 5), k=st.integers(0, 4),
+           cfg=st.sampled_from(COUNT_CONFIGS))
+    def test_equals_ordinal_pass_and_brute_force(self, seed, n_persons, k, cfg):
+        gt, pred, views = _kernel_case(seed, n_persons, max(k, 1))
+        views = views[:k]
+        truth = LabelledTruth(gt, cfg, np.random.default_rng(seed))
+        labelled = truth.label(views)
+        K = scene_joint_array(pred, cfg.depth_unit_scale)
+        counts = violation_counts(K, gt.topology, labelled, cfg)
+        assert counts.shape == (3, k)
+        assert np.array_equal(counts, ordinal_pass(K, gt.topology, labelled, cfg,
+                                                   want_grad=False)[2])
+        assert np.array_equal(counts, ordinal_brute_force(pred, gt, views, cfg, truth.index)[2])
+
+    @pytest.mark.parametrize("part_mode", ["vector", "particle"])
+    def test_sixteen_persons_equal_ordinal_pass(self, part_mode):
+        cfg = HmorConfig(part_mode=part_mode, equality_tolerance=0.02)
+        gt, pred, views = _kernel_case(16, 16, 2)
+        labelled = LabelledTruth(gt, cfg).label(views)
+        assert all(labels.dtype == np.int8 for labels in labelled.labels)
+        assert not all(labels.all() for labels in labelled.labels[1:])  # label-0 pairs
+        K = scene_joint_array(pred, cfg.depth_unit_scale)
+        counts = violation_counts(K, gt.topology, labelled, cfg)
+        assert counts.all()
+        assert np.array_equal(counts, ordinal_pass(K, gt.topology, labelled, cfg,
+                                                   want_grad=False)[2])
+
+    def test_count_violations_reads_the_first_view(self):
+        gt, pred, views = _kernel_case(8, 3, 3)
+        cfg = HmorConfig(part_mode="particle")
+        labelled = LabelledTruth(gt, cfg).label(views)
+        K = scene_joint_array(pred, cfg.depth_unit_scale)
+        want = violation_counts(K, gt.topology, labelled, cfg)[:, 0]
+        assert count_violations(pred, labelled, cfg) == tuple(want.tolist())
+        assert hmor_loss(pred, labelled, config=cfg).violations == tuple(want.tolist())
+
+
+PROPERTY_CONFIGS = [HmorConfig(part_mode=mode, equality_tolerance=eps)
+                    for mode in ("vector", "particle") for eps in (0.0, 0.02)]
+
+
+class TestLossProperties:
+    """On random scenes and views: the loss is >= 0 and a level without
+    violations has zero loss. The converse holds only away from ties (a
+    +-1 pair whose signed margin lies in [-eps, 0], or a 0 pair with a
+    nonzero margin, violates at zero error), so it is checked with eps = 0
+    on draws where neither the truth nor the prediction labels a pair 0."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 10_000), n_persons=st.integers(1, 4), k=st.integers(1, 4),
+           noise=st.sampled_from([(0.0, 0.0), (0.5, 5.0), (2.0, 30.0), (30.0, 300.0)]),
+           cfg=st.sampled_from(PROPERTY_CONFIGS))
+    def test_nonnegative_and_zero_without_violations(self, seed, n_persons, k, noise, cfg):
+        spec = GenSpec(seed=seed, n_persons=n_persons, perturbation=GaussNoise(*noise))
+        gt = generate_scene(spec)
+        pred = perturb(gt, spec)
+        rng = np.random.default_rng(seed)
+        views = np.array([gt.camera.normal] + [sample_view(rng=rng).direction
+                                               for _ in range(k - 1)])
+        labelled = LabelledTruth(gt, cfg).label(views)
+        K = scene_joint_array(pred, cfg.depth_unit_scale)
+        totals, levels, violations, _ = ordinal_pass(K, gt.topology, labelled, cfg,
+                                                     want_grad=False)
+        assert np.all(levels >= 0.0) and np.all(totals >= 0.0)
+        assert np.all(levels[violations == 0] == 0.0)
+        if cfg.equality_tolerance == 0.0:
+            own = LabelledTruth(pred, cfg).label(views)
+            if all(labels.all() for labels in (*labelled.labels, *own.labels)):
+                assert np.all(violations[levels == 0.0] == 0)

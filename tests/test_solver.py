@@ -281,6 +281,20 @@ class TestRefine:
         assert trace[-1].violations == trace[0].violations
         assert ordinal_violations(refined, gt, [gt.camera.normal]).instance == 1
 
+    def test_hmor_off_counts_without_the_loss_pass(self, monkeypatch):
+        spec = GenSpec(seed=5, n_persons=3, perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        noisy = perturb(gt, spec)
+        pairs = enumerate_pairs(gt, gt.camera.normal)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("refine with w_hmor = 0 ran the loss pass")
+
+        monkeypatch.setattr(hmor.solver, "ordinal_pass", forbidden)
+        refined, trace = refine(noisy, gt, SolverConfig(steps=5, w_hmor=0.0, w_abs=1.0))
+        assert trace[0].violations == sum(count_violations(noisy, pairs)) > 0
+        assert trace[-1].violations == sum(count_violations(refined, pairs))
+
     def test_trace_monotone_with_halving(self):
         spec = GenSpec(seed=3, n_persons=3, perturbation=GaussNoise(40.0, 400.0))
         gt = generate_scene(spec)
