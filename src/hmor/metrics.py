@@ -9,7 +9,6 @@ levels.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -96,27 +95,42 @@ class MetricReport:
 
 def similarity_align(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Align source points to target with the least-squares similarity
-    transform (rotation, translation, uniform scale)."""
+    transform (rotation, translation, uniform scale) of Umeyama (1991).
+
+    ``source`` and ``target`` are (J, D) point sets, or stacks of them of
+    shape (..., J, D), D = 3 for joints. Each set of a stack is aligned
+    on its own, with one batched SVD and determinant pair for the stack,
+    and its result equals, bit for bit, a 2-D call on that set alone. A
+    set with a reflection as its best rotation takes the best proper
+    rotation; a set whose points coincide (variance under 1e-18) is only
+    translated. A shape mismatch, fewer than 2 dimensions or an empty
+    point set raises InvalidInputError; a NaN or infinite coordinate
+    raises NumericalError.
+    """
     x = np.asarray(source, dtype=float)
     y = np.asarray(target, dtype=float)
-    if x.shape != y.shape or x.ndim != 2:
+    if x.shape != y.shape:
         raise InvalidInputError(f"point sets must share shape, got {x.shape} vs {y.shape}")
-    n = x.shape[0]
-    mu_x = x.mean(axis=0)
-    mu_y = y.mean(axis=0)
+    if x.ndim < 2 or 0 in x.shape[-2:]:
+        raise InvalidInputError(f"point sets must be non-empty (..., J, D) arrays, got {x.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NumericalError("point sets have non-finite coordinates")
+    n = x.shape[-2]
+    mu_x = x.mean(axis=-2, keepdims=True)
+    mu_y = y.mean(axis=-2, keepdims=True)
     xc = x - mu_x
     yc = y - mu_y
-    var_x = (xc ** 2).sum() / n
-    if var_x < 1e-18:
-        return x - mu_x + mu_y
-    cov = yc.T @ xc / n
+    var_x = (xc ** 2).sum(axis=(-2, -1)) / n
+    degenerate = var_x < 1e-18
+    cov = np.swapaxes(yc, -1, -2) @ xc / n
     U, d, Vt = np.linalg.svd(cov)
     s = np.ones_like(d)
-    if np.linalg.det(U) * np.linalg.det(Vt) < 0:
-        s[-1] = -1.0
-    R = U @ np.diag(s) @ Vt
-    c = (d * s).sum() / var_x
-    return c * x @ R.T + (mu_y - c * R @ mu_x)
+    s[..., -1] = np.where(np.linalg.det(U) * np.linalg.det(Vt) < 0, -1.0, 1.0)
+    Rt = np.swapaxes((U * s[..., None, :]) @ Vt, -1, -2)
+    # a degenerate set divides by 1 here and takes the translation below
+    c = ((d * s).sum(axis=-1) / np.where(degenerate, 1.0, var_x))[..., None, None]
+    aligned = c * x @ Rt + (mu_y - mu_x @ (c * Rt))
+    return np.where(degenerate[..., None, None], x - mu_x + mu_y, aligned)
 
 
 def _aligned_distances(p: np.ndarray, g: np.ndarray, alignment: str,
@@ -126,7 +140,7 @@ def _aligned_distances(p: np.ndarray, g: np.ndarray, alignment: str,
         p = p - p[:, root, None]
         g = g - g[:, root, None]
     elif alignment == "procrustes":
-        p = np.array([similarity_align(a, b) for a, b in zip(p, g)]).reshape(g.shape)
+        p = similarity_align(p, g)
     elif alignment != "none":
         raise InvalidInputError(f"unknown alignment {alignment!r}")
     return np.linalg.norm(p - g, axis=-1)
@@ -269,15 +283,15 @@ def match_persons(pred: Scene, gt: Scene, cost: str = "root_aligned_3d") -> Matc
 
 def _matched_distances(pred: Scene, gt: Scene, alignments, matching: Matching | None):
     """Back-project each scene once, match the persons unless ``matching``
-    is given, and return the matching with the (M, J) per-joint distances
-    of the matched pairs under each alignment."""
+    is given, and return the matching, the (M, J) per-joint distances of
+    the matched pairs under each alignment, and both (N, J, 3) arrays."""
     P, G = _joint_arrays(pred, gt)
     if matching is None:
         matching = _match(pred, gt, P, G, "root_aligned_3d")
     idx = np.array(matching.pairs, dtype=int).reshape(-1, 2)
     p, g = P[idx[:, 0]], G[idx[:, 1]]
     root = gt.topology.root_index
-    return matching, {a: _aligned_distances(p, g, a, root) for a in alignments}
+    return matching, {a: _aligned_distances(p, g, a, root) for a in alignments}, P, G
 
 
 def _pck_counts(dists: np.ndarray, matching: Matching, thresholds) -> tuple[np.ndarray, int]:
@@ -301,7 +315,7 @@ def pck(pred: Scene, gt: Scene, alignment: str = "root",
     A joint exactly at the threshold counts as correct. Every joint of an
     unmatched ground-truth person counts as incorrect.
     """
-    matching, dists = _matched_distances(pred, gt, [alignment], matching)
+    matching, dists, _, _ = _matched_distances(pred, gt, [alignment], matching)
     counts, total = _pck_counts(dists[alignment], matching, [threshold_mm])
     return 100.0 * int(counts[0]) / total
 
@@ -312,34 +326,35 @@ def auc(pred: Scene, gt: Scene, alignment: str = "root",
     """Mean PCK over a threshold grid (default 1..150 mm, 1 mm step)."""
     if thresholds_mm is None:
         thresholds_mm = DEFAULT_AUC_THRESHOLDS_MM
-    matching, dists = _matched_distances(pred, gt, [alignment], matching)
+    matching, dists, _, _ = _matched_distances(pred, gt, [alignment], matching)
     counts, total = _pck_counts(dists[alignment], matching, thresholds_mm)
     return float((100.0 * counts / total).mean())
+
+
+def _audit(P: np.ndarray, G: np.ndarray, gt: Scene, views,
+           config: HmorConfig | None) -> ViolationCounts:
+    """:func:`ordinal_violations` of the (M, J, 3) joint arrays of matched
+    persons, lifted at scale 1 and in the same order. Scaling them here
+    repeats :func:`scene_joint_array`'s own multiply, so no bit moves."""
+    cfg = config or HmorConfig()
+    scale = cfg.depth_unit_scale
+    labelled = LabelledTruth(gt, cfg, joints=G * scale).label(
+        [_view_array(view) for view in views])
+    counts = violation_counts(P * scale, gt.topology, labelled, cfg).sum(axis=1)
+    return ViolationCounts(*(int(c) for c in counts))
 
 
 def ordinal_violations(pred: Scene, gt: Scene, views,
                        config: HmorConfig | None = None) -> ViolationCounts:
     """Pairs per relation level whose predicted order disagrees with the
     ground truth, summed over the audit views. Scenes must already be
-    matched person-for-person (same count, same order). The ground truth
-    is enumerated once and every view is counted in one
-    :func:`violation_counts`, which forms no loss."""
+    matched person-for-person (same count, same order). Each scene is
+    lifted once, the ground truth enumerated once and every view counted
+    in one :func:`violation_counts`, which forms no loss."""
     check_topologies_match(pred, gt)
     if pred.person_count != gt.person_count:
         raise InvalidInputError("scenes must contain the same persons in the same order")
-    cfg = config or HmorConfig()
-    labelled = LabelledTruth(gt, cfg).label([_view_array(view) for view in views])
-    K = scene_joint_array(pred, cfg.depth_unit_scale)
-    counts = violation_counts(K, pred.topology, labelled, cfg).sum(axis=1)
-    return ViolationCounts(*(int(c) for c in counts))
-
-
-def _reordered_matched(pred: Scene, gt: Scene, matching: Matching):
-    """Sub-scenes containing only matched persons, in gt order."""
-    order = sorted(matching.pairs, key=lambda ij: ij[1])
-    pred_sub = dataclasses.replace(pred, persons=tuple(pred.persons[i] for i, _ in order))
-    gt_sub = dataclasses.replace(gt, persons=tuple(gt.persons[j] for _, j in order))
-    return pred_sub, gt_sub
+    return _audit(scene_joint_array(pred), scene_joint_array(gt), gt, views, config)
 
 
 def evaluate(pred: Scene, gt: Scene,
@@ -357,17 +372,17 @@ def evaluate(pred: Scene, gt: Scene,
                   else np.array(auc_thresholds_mm, dtype=float).ravel())
     # the PCK threshold rides last on the AUC grid: one searchsorted for both
     grid = np.append(thresholds, pck_threshold_mm)
-    matching, dists = _matched_distances(pred, gt, ("root", "procrustes", "none"), None)
+    matching, dists, P, G = _matched_distances(pred, gt, ("root", "procrustes", "none"), None)
     # per person, then over persons: the reduction order of mpjpe()
-    per_alignment = {a: float(np.mean([float(row.mean()) for row in d]))
-                     for a, d in dists.items()}
+    per_alignment = {a: float(d.mean(axis=1).mean()) for a, d in dists.items()}
     rel, total = _pck_counts(dists["root"], matching, grid)
     absolute, _ = _pck_counts(dists["none"], matching, grid)
 
     if views is None:
         views = [gt.camera.normal]
-    pred_sub, gt_sub = _reordered_matched(pred, gt, matching)
-    violations = ordinal_violations(pred_sub, gt_sub, views, config)
+    # the audit pairs persons up in gt order
+    order = np.array(sorted(matching.pairs, key=lambda ij: ij[1]), dtype=int)
+    violations = _audit(P[order[:, 0]], G[order[:, 1]], gt, views, config)
 
     return MetricReport(
         mpjpe=per_alignment["root"],

@@ -434,13 +434,15 @@ class LabelledTruth:
     of the same shape when nothing is subsampled) and the ground truth's
     entity points are kept; labelling k views thresholds the margins
     :func:`ordinal_pass` computes for a prediction into int8 labels, so
-    the ground truth itself scores exactly zero.
+    the ground truth itself scores exactly zero. ``joints``, when given,
+    is the (N, J, 3) array :func:`scene_joint_array` would lift at
+    ``depth_unit_scale``, and the scene then gives only the topology.
     """
 
     def __init__(self, gt_scene: Scene, config: HmorConfig | None = None,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None, *, joints: np.ndarray | None = None):
         cfg = config or HmorConfig()
-        K = scene_joint_array(gt_scene, cfg.depth_unit_scale)
+        K = scene_joint_array(gt_scene, cfg.depth_unit_scale) if joints is None else joints
         N, J, _ = K.shape
         S = gt_scene.topology.part_count
         self.per_person = (S, J)
@@ -540,8 +542,9 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     W`` over the stacked depth entities, ``dT = sum_v (W_v - W_v.T) @
     C_v`` for vector parts; a person's share goes ``/ J`` to each joint
     and a part's through D. Per-level means and counts come from
-    contiguous slices of the stack. Labels are int8 and upcast where
-    they meet the float margins. A level with weight 0 is still counted
+    contiguous slices of the stack. Labels are int8 and count
+    disagreements as such; they are cast to float64 once before they
+    meet the float margins. A level with weight 0 is still counted
     but adds nothing to dK. Clamp boundaries contribute zero
     subgradient.
     """
@@ -558,18 +561,22 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     violations = np.zeros((3, len(V)), dtype=int)
     dX = [None, None, None]  # each level's (n, 3) entity gradient
 
+    # Float labels keep the multiplies float64 x float64 (int8 x float64
+    # casts in buffered chunks). Signed margins become the errors and float
+    # labels the weights in place, so the cast adds no (k, P) temporary,
+    # whose allocation can cost fresh pages on every pass.
+    # An inactive pair's weight may be -0.0, which changes no nonzero sum,
+    # and dK starts at +0.0, so no result bit depends on that sign.
     margins = _depth_margins(X, V, layout)
     labels = layout.depth_labels(labelled.labels)
     _count_disagreements(margins, labels, eps, layout.segments, violations)
+    labels = labels.astype(float)
     margins *= labels  # signed margins from here on
-    errs = np.maximum(0.0, margins)
-    np.log1p(errs, out=errs)
     sizes = [max(pairs.stop - pairs.start, 1) for _, pairs, _ in layout.segments]
-    for (level, pairs, _), P in zip(layout.segments, sizes):
-        levels[level] = errs[:, pairs].sum(axis=1) / P
     if want_grad and any(weights[level] > 0 for level, *_ in layout.segments):
-        margins, labels = margins[rows], labels[rows]
-        W = np.divide(labels, 1.0 + margins, out=np.zeros_like(margins), where=margins > 0)
+        m, W = margins[rows], labels[rows]
+        W /= 1.0 + np.fmax(m, 0.0)  # fmax: a NaN margin divides by 1
+        W *= m > 0  # no masked ufunc or assignment: those branch per element
         for (level, pairs, _), P in zip(layout.segments, sizes):
             W[:, pairs] *= weights[level] / P
         a, b = layout.pairs
@@ -581,20 +588,27 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
         for level, _, ents in layout.segments:
             if weights[level] > 0:
                 dX[level] = dX_all[ents]
+    errs = np.log1p(np.maximum(0.0, margins, out=margins), out=margins)
+    for (level, pairs, _), P in zip(layout.segments, sizes):
+        levels[level] = errs[:, pairs].sum(axis=1) / P
 
     if T is not None:
         margins, C = _part_margins(T, V, layout)
         labels = labelled.labels[1]
         P = max(margins.shape[1], 1)
         _count_disagreements(margins, labels, eps, ((1, slice(None)),), violations)
+        labels = labels.astype(float)
         margins *= labels
-        levels[1] = np.maximum(0.0, margins).sum(axis=1) / P
         if want_grad and cfg.w_part > 0:
             n, C = len(T), C[rows]
+            W = labels[rows]
+            W *= cfg.w_part / P
+            W *= margins[rows] > 0
             Wd = np.zeros((len(C), n * n))
-            Wd[:, layout.flat] = np.where(margins[rows] > 0, labels[rows] * (cfg.w_part / P), 0.0)
+            Wd[:, layout.flat] = W
             Wd = Wd.reshape(-1, n, n)
             dX[1] = ((Wd - Wd.transpose(0, 2, 1)) @ C).sum(axis=0)
+        levels[1] = np.maximum(0.0, margins, out=margins).sum(axis=1) / P
 
     dK = np.zeros_like(K) if want_grad else None
     if dX[0] is not None:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hmor import (AbsolutePose, BoundingBox, Camera, GaussNoise, GenSpec, HmorConfig,
-                  InvalidInputError, MetricReport, Person, RelativePose, Scene,
+                  InvalidInputError, MetricReport, NumericalError, Person, RelativePose, Scene,
                   SkeletonTopology, ViolationCounts, auc, assemble_absolute, evaluate,
                   generate_scene, match_persons, mpjpe, optimal_assignment,
                   ordinal_violations, pck, perturb, sample_view, save_scene,
@@ -40,6 +40,54 @@ class TestSimilarityAlign:
         source = 1.7 * target @ R.T + np.array([100.0, -50.0, 300.0])
         aligned = similarity_align(source, target)
         assert np.abs(aligned - target).max() < 1e-6
+
+    def test_recovers_stacked_transforms(self):
+        rng = np.random.default_rng(1)
+        target = np.stack([random_pose(rng).joints for _ in range(6)])
+        R = np.linalg.qr(rng.normal(size=(6, 3, 3)))[0]
+        R *= np.sign(np.linalg.det(R))[:, None, None]  # proper rotations
+        scale = rng.uniform(0.5, 2.0, (6, 1, 1))
+        source = scale * target @ R + rng.normal(0.0, 500.0, (6, 1, 3))
+        assert np.abs(similarity_align(source, target) - target).max() < 1e-9
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_stack_equals_per_set_calls(self, m):
+        rng = np.random.default_rng(100 + m)
+        source = np.stack([random_pose(rng).joints for _ in range(m)])
+        target = np.stack([random_pose(rng).joints for _ in range(m)])
+        # row 0: a mirrored target, whose best orthogonal fit is a reflection
+        target[0] = source[0] * np.array([1.0, 1.0, -1.0]) + rng.normal(0.0, 5.0, (17, 3))
+        xc, yc = (a[0] - a[0].mean(axis=0) for a in (source, target))
+        assert np.linalg.det(yc.T @ xc) < 0
+        if m > 1:
+            source[-1] = source[-1, 0]  # row m-1: every point the same
+        aligned = similarity_align(source, target)
+        assert aligned.shape == source.shape
+        for k in range(m):
+            assert np.array_equal(aligned[k], similarity_align(source[k], target[k]))
+        if m > 1:
+            assert np.abs(aligned[-1] - target[-1].mean(axis=0)).max() < 1e-9  # translated
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_point_rejected(self, bad, side):
+        pts = [random_pose(np.random.default_rng(2)).joints for _ in range(2)]
+        pts[side][3, 1] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            similarity_align(*pts)
+        with pytest.raises(NumericalError, match="non-finite"):
+            similarity_align(*(np.stack([p, p]) for p in pts))
+
+    @pytest.mark.parametrize("source, target", [
+        (np.zeros((0, 3)), np.zeros((0, 3))),
+        (np.zeros((2, 0, 3)), np.zeros((2, 0, 3))),
+        (np.ones((4, 3)), np.ones((5, 3))),
+        (np.ones((2, 4, 3)), np.ones((4, 3))),
+        (np.ones(3), np.ones(3)),
+    ])
+    def test_empty_or_mismatched_sets_rejected(self, source, target):
+        with pytest.raises(InvalidInputError):
+            similarity_align(source, target)
 
 
 class TestMpjpe:
@@ -386,25 +434,27 @@ class TestEvaluate:
         assert report.ordinal_violations.total > 0
 
     def test_audit_enumerates_the_truth_once(self, monkeypatch):
+        """No per-view enumeration or loss pass, and each scene lifted once."""
         import hmor.metrics
         import hmor.ordinal
         calls = []
 
         def spy(name, fn):
             def wrapper(*args, **kwargs):
-                calls.append(name)
+                calls.append((name, id(args[0])))
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("enumerate_pairs", "count_violations"):
+        for name in ("enumerate_pairs", "count_violations", "scene_joint_array"):
             fn = getattr(hmor.ordinal, name)
             monkeypatch.setattr(hmor.ordinal, name, spy(name, fn))
             monkeypatch.setattr(hmor.metrics, name, spy(name, fn), raising=False)
         spec = GenSpec(seed=29, n_persons=3, perturbation=GaussNoise(30.0, 300.0))
         gt = generate_scene(spec)
+        pred = perturb(gt, spec)
         rng = np.random.default_rng(29)
-        evaluate(perturb(gt, spec), gt, views=[sample_view(rng=rng) for _ in range(3)])
-        assert calls == []
+        evaluate(pred, gt, views=[sample_view(rng=rng) for _ in range(3)])
+        assert sorted(calls) == sorted(("scene_joint_array", id(s)) for s in (pred, gt))
 
     def test_report_consistent_with_direct_calls(self):
         spec = GenSpec(seed=23, n_persons=3, perturbation=GaussNoise(sigma_xy=30.0, sigma_z=350.0))
@@ -483,6 +533,17 @@ class TestEvaluateOracle:
         coarse = np.arange(5.0, 200.0, 7.5)
         assert (evaluate(pred, gt, pck_threshold_mm=60.0, auc_thresholds_mm=coarse)
                 == _brute_force_report(pred, gt, 60.0, coarse))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_eval_inputs(self, seed):
+        """The eval benchmark's 20 input pairs of one seed."""
+        for k in range(20):
+            spec = GenSpec(seed=seed * 1000 + k, n_persons=(2, 4, 8, 8, 16)[k % 5],
+                           perturbation=GaussNoise(30.0, 300.0))
+            gt = generate_scene(spec)
+            pred = perturb(gt, spec)
+            assert evaluate(pred, gt) == _brute_force_report(pred, gt, 150.0,
+                                                             np.arange(1.0, 151.0))
 
     @pytest.mark.parametrize("n_pred, n_gt", [(2, 5), (5, 2)])
     def test_unequal_person_counts(self, n_pred, n_gt):
