@@ -26,6 +26,7 @@ from hmor.depth import (loss_abs_grad, loss_init_grad, loss_pose_grad,
                         loss_refine_grad)
 from hmor.ordinal import (err_instance_grad, err_joint_grad, err_part_grad,
                           err_part_particle_grad)
+from hmor.solver import _fd_max_rel_err
 from conftest import swap_root_depths, two_person_depth_fixture
 
 
@@ -50,23 +51,6 @@ def test_criterion_1_zero_on_truth():
     elapsed = time.perf_counter() - start
     report(1, worst == 0.0 and elapsed < 10.0,
            f"200 scenes x 32 views, worst |loss| = {worst!r}, {elapsed:.1f}s (< 10s)")
-
-
-def _fd_gradient(fn, x, step=1e-5):
-    grad = np.empty_like(x)
-    for i in range(len(x)):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += step
-        xm[i] -= step
-        grad[i] = (fn(xp) - fn(xm)) / (2.0 * step)
-    return grad
-
-
-def _max_rel_err(analytic, numeric):
-    out = 0.0
-    for a, f in zip(analytic, numeric):
-        out = max(out, abs(a - f) / max(abs(a), abs(f), 1e-8))
-    return out
 
 
 def test_criterion_2_gradient_correctness():
@@ -96,9 +80,9 @@ def test_criterion_2_gradient_correctness():
                 continue
             done += 1
             _, ga, gb = grad_fn(a, b, lab, n)
-            fd = _fd_gradient(lambda x: grad_fn(x[:3], x[3:], lab, n)[0],
-                              np.concatenate([a, b]), step)
-            worst[name] = max(worst[name], _max_rel_err(np.concatenate([ga, gb]), fd))
+            err = _fd_max_rel_err(lambda x: grad_fn(x[:3], x[3:], lab, n)[0],
+                                  np.concatenate([a, b]), np.concatenate([ga, gb]), step)
+            worst[name] = max(worst[name], err)
 
     cam = Camera(1000.0, 1000.0, 500.0, 500.0)
     worst["loss_pose"] = worst["loss_abs"] = 0.0
@@ -107,16 +91,17 @@ def test_criterion_2_gradient_correctness():
         pred = gt + rng.choice([-1, 1], gt.shape) * rng.uniform(2 * margin, 1.0, gt.shape)
         for name, fn in (("loss_pose", loss_pose_grad), ("loss_abs", loss_abs_grad)):
             _, g = fn(pred, gt)
-            fd = _fd_gradient(lambda x: fn(x.reshape(gt.shape), gt)[0], pred.ravel(), step)
-            worst[name] = max(worst[name], _max_rel_err(g.ravel(), fd))
+            err = _fd_max_rel_err(lambda x: fn(x.reshape(gt.shape), gt)[0], pred.ravel(),
+                                  g.ravel(), step)
+            worst[name] = max(worst[name], err)
 
     worst["loss_init"] = 0.0
     for _ in range(100):
         gt_z = rng.uniform(3000.0, 8000.0, 4)
         pred = gt_z / 1000.0 + rng.choice([-1, 1], 4) * rng.uniform(2 * margin, 1.0, 4)
         _, g = loss_init_grad(pred, gt_z, cam)
-        fd = _fd_gradient(lambda x: loss_init_grad(x, gt_z, cam)[0], pred, step)
-        worst["loss_init"] = max(worst["loss_init"], _max_rel_err(g, fd))
+        err = _fd_max_rel_err(lambda x: loss_init_grad(x, gt_z, cam)[0], pred, g, step)
+        worst["loss_init"] = max(worst["loss_init"], err)
 
     worst["loss_refine"] = 0.0
     for _ in range(100):
@@ -131,8 +116,9 @@ def test_criterion_2_gradient_correctness():
                                   d[i], a_box[i], a_roi[i]) for i in range(4)]
 
         _, g = loss_refine_grad(build(deltas), gt_z, cam)
-        fd = _fd_gradient(lambda d: loss_refine_grad(build(d), gt_z, cam)[0], deltas, step)
-        worst["loss_refine"] = max(worst["loss_refine"], _max_rel_err(g, fd))
+        err = _fd_max_rel_err(lambda d: loss_refine_grad(build(d), gt_z, cam)[0], deltas, g,
+                              step)
+        worst["loss_refine"] = max(worst["loss_refine"], err)
 
     elapsed = time.perf_counter() - start
     peak = max(worst.values())

@@ -505,12 +505,77 @@ class TestOneErrorLine:
         assert not out.exists()
 
 
+GRADCHECK_ROWS = [f"objective[{term}]" for term in ("pose", "init", "refine", "abs", "hmor")]
+
+
+def gradcheck_statuses(out):
+    """The status of each row of a gradcheck table, by row name."""
+    header, *rows = out.splitlines()
+    assert header.split() == ["term", "max_rel_err", "status"]
+    return {name: status for name, _, status in map(str.split, rows)}
+
+
+def negate_ordinal_gradient(monkeypatch):
+    real = hmor.solver.ordinal_pass
+
+    def wrapped(*args, **kwargs):
+        totals, levels, counts, dK = real(*args, **kwargs)
+        return totals, levels, counts, None if dK is None else -dK
+
+    monkeypatch.setattr(hmor.solver, "ordinal_pass", wrapped)
+
+
+def double_joint_pullback(monkeypatch):
+    real = hmor.solver._SceneVars.grad_to_x
+    monkeypatch.setattr(hmor.solver._SceneVars, "grad_to_x",
+                        lambda self, *args: 2.0 * real(self, *args))
+
+
+def negate_init_only_gradient(monkeypatch):
+    real = hmor.solver._evaluate
+
+    def wrapped(sv, labelled, anchors, config, *args, **kwargs):
+        terms, grad, violations = real(sv, labelled, anchors, config, *args, **kwargs)
+        weights = {term: getattr(config, f"w_{term}") for term in hmor.solver._TERMS}
+        if grad is not None and weights == {**dict.fromkeys(weights, 0.0), "init": 1.0}:
+            grad = -grad
+        return terms, grad, violations
+
+    monkeypatch.setattr(hmor.solver, "_evaluate", wrapped)
+
+
 class TestGradcheckCommand:
     def test_default_run_passes(self, capsys):
         assert run("gradcheck", "--points", 25) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert "err_instance" in out and "objective[hmor]" in out
+        statuses = gradcheck_statuses(capsys.readouterr().out)
+        assert list(statuses) == GRADCHECK_ROWS
+        assert set(statuses.values()) == {"PASS"}
+
+    @pytest.mark.parametrize("config", [
+        {}, {"hmor": {"part_mode": "particle"}}, {"hmor": {"equality_tolerance": 0.05}},
+        {"solver": {"views_per_step": 4}},
+    ], ids=["default", "particle_parts", "equality_tolerance", "four_views"])
+    def test_passes_where_gradients_are_right(self, tmp_path, capsys, config):
+        # three points cover 1, 2 and 3 persons and both free-variable modes
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        for seed in range(10):
+            code = run("gradcheck", "--config", path, "--seed", seed, "--points", 3)
+            assert code == 0, f"seed {seed}:\n{capsys.readouterr().out}"
+
+    @pytest.mark.parametrize("mutate, failing", [
+        (negate_ordinal_gradient, {"objective[hmor]"}),
+        (double_joint_pullback, {"objective[abs]", "objective[hmor]"}),
+        (negate_init_only_gradient, {"objective[init]"}),
+    ], ids=["ordinal_pass_dK_negated", "grad_to_x_doubled", "init_gradient_negated"])
+    def test_wrong_gradient_fails(self, monkeypatch, capsys, mutate, failing):
+        mutate(monkeypatch)
+        assert run("gradcheck", "--points", 3) == 4
+        captured = capsys.readouterr()
+        statuses = gradcheck_statuses(captured.out)
+        assert list(statuses) == GRADCHECK_ROWS
+        assert {row for row, status in statuses.items() if status == "FAIL"} == failing
+        assert captured.err == "error: gradient check exceeded 1e-05\n"
 
     @pytest.mark.parametrize("points", [0, -3])
     def test_no_points_rejected(self, capsys, points):

@@ -14,6 +14,7 @@ from hmor import (GaussNoise, GenSpec, HmorConfig, InvalidInputError, SkeletonTo
                   relation_part, sample_view)
 from hmor.ordinal import (LabelledTruth, err_instance_grad, err_joint_grad,
                           err_part_grad, ordinal_pass, scene_joint_array, violation_counts)
+from hmor.solver import _fd_max_rel_err
 from conftest import (brute_force_pairs, ordinal_brute_force, swap_root_depths,
                       two_person_depth_fixture)
 
@@ -296,16 +297,9 @@ class TestHmorLoss:
                     continue
                 checked += 1
                 _, ga, gb = err_grad(a, b, lab, n)
-                x = np.concatenate([a, b])
-                g = np.concatenate([ga, gb])
-                for i in range(6):
-                    xp, xm = x.copy(), x.copy()
-                    xp[i] += step
-                    xm[i] -= step
-                    fp = err_grad(xp[:3], xp[3:], lab, n)[0]
-                    fm = err_grad(xm[:3], xm[3:], lab, n)[0]
-                    fd = (fp - fm) / (2 * step)
-                    assert abs(g[i] - fd) / max(abs(g[i]), abs(fd), 1e-8) < 1e-5
+                err = _fd_max_rel_err(lambda x: err_grad(x[:3], x[3:], lab, n)[0],
+                                      np.concatenate([a, b]), np.concatenate([ga, gb]), step)
+                assert err < 1e-5
 
 
 class TestPlanarIdentity:

@@ -11,11 +11,11 @@ from hmor import (DepthEstimate, GaussNoise, GenSpec, HmorConfig, InvalidDepthEr
                   hmor_loss, loss_abs, loss_init, loss_pose, loss_refine, objective,
                   objective_terms, ordinal_violations, perturb, refine, save_scene)
 from hmor import sample_view
-from hmor.cli import _jitter_all_coordinates, main
+from hmor.cli import main
 import hmor.solver
 from hmor.ordinal import LabelledTruth, scene_joint_array
-from hmor.solver import (_Anchors, _evaluate, _fd_max_rel_err, _SceneVars,
-                         check_function_gradients)
+from hmor.solver import (_Anchors, _evaluate, _fd_max_rel_err, _gradcheck_point,
+                         _SceneVars)
 from conftest import swap_root_depths, two_person_depth_fixture
 
 HMOR_ONLY = dict(w_pose=0.0, w_init=0.0, w_refine=0.0, w_hmor=1.0, w_abs=0.0)
@@ -423,50 +423,41 @@ class TestCarriedEvaluation:
 
 class TestGradCheck:
     def test_every_term_matches_finite_differences(self):
-        gt = generate_scene(GenSpec(seed=8, n_persons=2))
-        noisy = _jitter_all_coordinates(gt, 99)
-        cfg = SolverConfig(free_variables="full_pose")
-        for term in ("pose", "init", "refine", "hmor", "abs"):
-            assert grad_check(term, noisy, gt, config=cfg) < 1e-5
+        pred, gt, cfg = _gradcheck_point(np.random.default_rng(8), 1, SolverConfig())
+        assert (pred.person_count, cfg.free_variables) == (2, "full_pose")
+        errors = grad_check(pred, gt, config=cfg)
+        assert list(errors) == ["pose", "init", "refine", "abs", "hmor"]
+        assert max(errors.values()) < 1e-5
 
     def test_root_only_mode(self):
-        gt = generate_scene(GenSpec(seed=9, n_persons=3))
-        noisy = _jitter_all_coordinates(gt, 100)
-        cfg = SolverConfig(free_variables="root_depths_only")
-        for term in ("init", "refine", "hmor", "abs"):
-            assert grad_check(term, noisy, gt, config=cfg) < 1e-5
+        pred, gt, cfg = _gradcheck_point(np.random.default_rng(9), 2, SolverConfig())
+        assert (pred.person_count, cfg.free_variables) == (3, "root_depths_only")
+        assert max(grad_check(pred, gt, config=cfg).values()) < 1e-5
 
     def test_four_view_objective_matches_finite_differences(self):
-        gt = generate_scene(GenSpec(seed=8, n_persons=2))
-        noisy = _jitter_all_coordinates(gt, 99)
-        cfg = SolverConfig(free_variables="full_pose")
-        rng = np.random.default_rng(4)
-        views = [gt.camera.normal] + [sample_view(rng=rng).direction for _ in range(3)]
-        labelled = LabelledTruth(gt, cfg.hmor).label(views)
-        sv = _SceneVars(noisy, cfg)
-        anchors = _Anchors.from_vars(_SceneVars(gt, cfg))
-        every = (slice(None),)
-        x0 = sv.pack()
-        _, g, _ = _evaluate(sv, labelled, anchors, cfg, every, every[0])
+        pred, gt, cfg = _gradcheck_point(np.random.default_rng(8), 1,
+                                         SolverConfig(views_per_step=4))
+        assert max(grad_check(pred, gt, config=cfg).values()) < 1e-5
 
+    def test_zero_gradient_against_roundoff_agrees(self):
+        # the value is constant, but its rounding moves with x: the old
+        # constant 1e-8 floor read this difference as a 1.1e-3 error
         def value_at(x):
-            sv.unpack(x)
-            return _evaluate(sv, labelled, anchors, cfg, every, None)[0][0]["total"]
+            return (x[0] + 4.0) * 0.3 - x[0] * 0.3
 
-        assert _fd_max_rel_err(value_at, x0, g, 1e-5) < 1e-5
+        x0 = np.array([0.1234])
+        assert (value_at(x0 + 1e-5) - value_at(x0 - 1e-5)) != 0.0
+        assert _fd_max_rel_err(value_at, x0, np.zeros(1), 1e-5) < 1e-5
+        assert _fd_max_rel_err(value_at, x0, np.full(1, 1e-6), 1e-5) > 1e-5
 
-    def test_unknown_term_rejected(self):
-        gt = generate_scene(GenSpec(seed=10, n_persons=1))
-        with pytest.raises(InvalidInputError):
-            grad_check("banana", gt, gt)
+    def test_vector_values_give_one_error_each(self):
+        def values_at(x):
+            return [x[0] ** 2, 3.0 * x[1]]
 
-    def test_function_level_primitives(self):
-        results = check_function_gradients(seed=1, points=40)
-        assert set(results) == {"err_instance", "err_part", "err_part_particle",
-                                "err_joint", "loss_pose", "loss_abs", "loss_init",
-                                "loss_refine"}
-        for name, err in results.items():
-            assert err < 1e-5, name
+        x0 = np.array([0.5, -2.0])
+        errors = _fd_max_rel_err(values_at, x0, np.array([[1.0, 0.0], [0.0, 6.0]]), 1e-5)
+        assert errors.shape == (2,)
+        assert errors[0] < 1e-9 and errors[1] == pytest.approx(0.5)
 
 
 class TestWrongOrderDescent:
