@@ -22,8 +22,9 @@ def _as_unit(vec, name: str) -> np.ndarray:
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,):
         raise InvalidInputError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
-        raise InvalidInputError(f"{name} must be a unit vector, |{name}| = {np.linalg.norm(v)!r}")
+    norm = float(np.linalg.norm(v))
+    if not abs(norm - 1.0) <= _UNIT_TOL:  # a NaN or infinite vector fails too
+        raise InvalidInputError(f"{name} must be a finite unit vector, |{name}| = {norm!r}")
     return v
 
 

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidDepthError, InvalidInputError
-from .geometry import ViewVector, back_project_points
+from .geometry import _UNIT_TOL, ViewVector, _as_unit, back_project_points
 from .skeleton import Scene, SkeletonTopology
 
 
@@ -80,35 +80,45 @@ class HmorConfig:
 class RelationPairs:
     """A ground-truth scene's pair sets, labelled under a stack of k views.
 
-    ``views`` is (k, 3). ``index`` holds each level's (2, P) entity pairs:
-    persons (instance), flat part ids ``person * S + part`` and flat joint
-    ids ``person * J + joint``, where ``per_person`` is (S, J) and
-    ``person_count`` the N persons of the scene enumerated. ``labels``
-    holds each level's (k, P) int8 labels, one row per view. Pairs are
-    unordered (first index smaller) and deduplicated. ``layout`` is the
-    stacked depth-level layout of ``index`` the pairs were labelled with
-    (:class:`LabelledTruth`), or None; :meth:`stacked` builds one when it
-    is missing or belongs to another index.
+    ``views`` is (k, 3). ``layout`` (:class:`_Layout`) holds the pairs and
+    their labelling settings; ``depth_labels`` and ``part_labels`` hold the
+    (k, P) int8 labels of its stacked depth pairs and of its vector parts
+    (none under particle parts), one row per view. ``per_person`` (S, J)
+    and ``person_count`` (N) are read from the layout.
 
-    ``view`` and the integer row arrays are read from view 0 and built on
-    access: instance_pairs rows are (person_a, person_b, label);
+    Built on access: ``index``, each level's (2, P) entity pairs (persons,
+    flat part ids ``person * S + part``, flat joint ids ``person * J +
+    joint``; pairs are unordered, first index smaller), and ``labels``,
+    each level's (k, P) labels. ``view`` and the integer row arrays are
+    read from view 0: instance_pairs rows are (person_a, person_b, label);
     part_pairs rows are (person_1, part_1, person_2, part_2, label);
     joint_pairs rows are (person_1, joint_1, person_2, joint_2, label).
     """
 
     views: np.ndarray
-    index: tuple[np.ndarray, np.ndarray, np.ndarray]
-    labels: tuple[np.ndarray, np.ndarray, np.ndarray]
-    per_person: tuple[int, int]
-    person_count: int
-    layout: _Layout | None = field(default=None, repr=False, compare=False)
+    layout: _Layout
+    depth_labels: np.ndarray = field(repr=False)
+    part_labels: np.ndarray = field(repr=False)
+
+    def _level(self, level: int):
+        """Level ``level``'s (2, P) entity pairs and (k, P) labels."""
+        layout = self.layout
+        for depth_level, pairs, ents in layout.segments:
+            if depth_level == level:
+                return layout.pairs[:, pairs] - ents.start, self.depth_labels[:, pairs]
+        n = layout.person_count * layout.per_person[0]
+        return np.stack(np.divmod(layout.flat, n)), self.part_labels
 
     def _level_rows(self, level: int) -> np.ndarray:
-        a, b = self.index[level]
+        (a, b), labels = self._level(level)
         per = (None, *self.per_person)[level]
         cols = [a, b] if per is None else [*np.divmod(a, per), *np.divmod(b, per)]
-        return np.column_stack(cols + [self.labels[level][0].astype(int)])
+        return np.column_stack(cols + [labels[0].astype(int)])
 
+    index = property(lambda self: tuple(self._level(level)[0] for level in range(3)))
+    labels = property(lambda self: tuple(self._level(level)[1] for level in range(3)))
+    per_person = property(lambda self: self.layout.per_person)
+    person_count = property(lambda self: self.layout.person_count)
     view = property(lambda self: self.views[0])
     instance_pairs = property(lambda self: self._level_rows(0))
     part_pairs = property(lambda self: self._level_rows(1))
@@ -116,39 +126,31 @@ class RelationPairs:
 
     def rows(self, rows) -> RelationPairs:
         """The sub-stack of the view rows ``rows`` (any numpy index)."""
-        return RelationPairs(self.views[rows], self.index,
-                             tuple(m[rows] for m in self.labels), self.per_person,
-                             self.person_count, self.layout)
-
-    def stacked(self, vector_parts: bool) -> _Layout:
-        """The stacked depth-level layout of ``index`` (see :class:`_Layout`)."""
-        layout = self.layout
-        if layout is None or layout.index is not self.index or layout.vector_parts != vector_parts:
-            S, J = self.per_person
-            N = self.person_count
-            layout = _Layout(self.index, (N, N * S, N * J), vector_parts)
-        return layout
+        return RelationPairs(self.views[rows], self.layout, self.depth_labels[rows],
+                             self.part_labels[rows])
 
     @classmethod
     def stack(cls, pairs_seq: Sequence[RelationPairs]) -> RelationPairs:
         """One pair set holding every element's views in order. Every element
-        must hold the same pairs (as ``enumerate_pairs`` gives for any view
-        with the same ``pair_cap`` generator)."""
+        must hold the same pairs under the same labelling settings (as
+        ``enumerate_pairs`` gives for any view with the same config and
+        ``pair_cap`` generator)."""
+        if not pairs_seq:
+            raise InvalidInputError("no pair sets to stack")
         first = pairs_seq[0]
-        for pairs in pairs_seq[1:]:
-            if pairs.index is not first.index and not (
-                    (pairs.per_person, pairs.person_count)
-                    == (first.per_person, first.person_count)
-                    and all(map(np.array_equal, pairs.index, first.index))):
-                raise InvalidInputError("pair sets differ between views; enumerate "
-                                        "every view with the same pair_cap subset")
-        labels = tuple(map(np.concatenate, zip(*(p.labels for p in pairs_seq))))
-        return cls(np.concatenate([p.views for p in pairs_seq]), first.index, labels,
-                   first.per_person, first.person_count, first.layout)
+        if any(p.layout != first.layout for p in pairs_seq[1:]):
+            raise InvalidInputError("pair sets differ between views; enumerate every view "
+                                    "with the same config and pair_cap subset")
+        return cls(np.concatenate([p.views for p in pairs_seq]), first.layout,
+                   *(np.concatenate([getattr(p, name) for p in pairs_seq])
+                     for name in ("depth_labels", "part_labels")))
 
     def check_fits(self, scene: Scene) -> None:
-        """Raise InvalidInputError unless ``scene`` has the persons, and the
-        parts and joints per person, the pairs were enumerated for."""
+        """Raise InvalidInputError unless the pairs hold a view and ``scene``
+        has the persons, and the parts and joints per person, the pairs
+        were enumerated for."""
+        if not len(self.views):
+            raise InvalidInputError("the pair set holds no views")
         S, J = self.per_person
         topology = scene.topology
         if (topology.part_count, topology.joint_count) != (S, J):
@@ -176,12 +178,8 @@ class HmorLoss:
 
 
 def _view_array(view) -> np.ndarray:
-    if isinstance(view, ViewVector):
-        return view.direction
-    v = np.asarray(view, dtype=float)
-    if v.shape != (3,):
-        raise InvalidInputError(f"view must be a 3-vector, got shape {v.shape}")
-    return v
+    """``view`` as a finite unit 3-vector (InvalidInputError otherwise)."""
+    return view.direction if isinstance(view, ViewVector) else _as_unit(view, "view")
 
 
 def _threshold_label(margin, eps: float):
@@ -299,16 +297,13 @@ def _part_endpoints(topology: SkeletonTopology):
     return idx[:, 0], idx[:, 1]
 
 
-@functools.lru_cache(maxsize=64)
 def _entity_pairs(n_entities: int, per_person: int, cross_person: bool) -> np.ndarray:
     """(2, P) entity pairs a < b, optionally only within persons."""
     a, b = np.triu_indices(n_entities, k=1)
     if not cross_person and per_person > 0:
         keep = (a // per_person) == (b // per_person)
         a, b = a[keep], b[keep]
-    pairs = np.stack([a, b])
-    pairs.setflags(write=False)  # cached, shared between callers
-    return pairs
+    return np.stack([a, b])
 
 
 def _subsample(pairs: np.ndarray, cap: int | None, rng) -> np.ndarray:
@@ -332,8 +327,12 @@ def _incidence(topology: SkeletonTopology, part_mode: str) -> np.ndarray:
     return D
 
 
+# the HmorConfig fields labels are thresholded under, which a _Layout records
+_LABEL_SETTINGS = ("part_mode", "equality_tolerance", "depth_unit_scale")
+
+
 class _Layout:
-    """The depth levels of one pair set stacked into one.
+    """A pair set in the stacked form the kernels read: its only stored form.
 
     Depth levels (instance and joint, and part under particle parts)
     differ only in their entity points, so their entities are stacked in
@@ -341,19 +340,23 @@ class _Layout:
     (2, P) ``pairs`` index into that stack. ``segments`` holds each depth
     level's (level, pair slice, entity slice). ``flat`` is the vector-part
     index ``a * n + b`` into a flattened (n, n) part product (None under
-    particle parts). ``index`` is the per-level index the layout was
-    built from.
+    particle parts). ``per_person`` is (S, J), ``person_count`` the N
+    persons, ``sizes`` each level's pair count, and the ``_LABEL_SETTINGS``
+    attributes the settings the labels are thresholded under.
     """
 
-    def __init__(self, index, counts: tuple[int, int, int], vector_parts: bool):
-        self.index = index
-        self.vector_parts = vector_parts
+    def __init__(self, index, per_person: tuple[int, int], person_count: int, settings):
+        self.per_person, self.person_count = per_person, person_count
+        self.part_mode, self.equality_tolerance, self.depth_unit_scale = settings
+        counts = (person_count, *(person_count * n for n in per_person))
+        vector_parts = self.part_mode == "vector"
         self.segments, p, e = [], 0, 0
         for level in (0, 2) if vector_parts else (0, 1, 2):
             P, n = index[level].shape[1], counts[level]
             self.segments.append((level, slice(p, p + P), slice(e, e + n)))
             p, e = p + P, e + n
         self.entities = e
+        self.sizes = tuple(level.shape[1] for level in index)
         # pairs and flat stay writeable although cached: ``take`` copies a
         # read-only index array on every call
         self.pairs = np.concatenate([index[level] + ents.start
@@ -361,17 +364,31 @@ class _Layout:
         a, b = index[1]
         self.flat = a * counts[1] + b if vector_parts else None
 
-    def depth_labels(self, labels) -> np.ndarray:
-        """The (k, P) labels of ``pairs`` from each level's (k, P_level) labels."""
-        return np.concatenate([labels[level] for level, *_ in self.segments], axis=1)
+    def check_labels(self, config: HmorConfig) -> None:
+        """Raise InvalidInputError unless ``config`` labels as these pairs were."""
+        for name in _LABEL_SETTINGS:
+            if (theirs := getattr(config, name)) != (mine := getattr(self, name)):
+                raise InvalidInputError(f"{name} mismatch: the config has {theirs!r}, "
+                                        f"the pairs were labelled with {mine!r}")
+
+    def __repr__(self) -> str:
+        return (f"_Layout(pairs={self.sizes}, N={self.person_count}, (S, J)={self.per_person}, "
+                + ", ".join(f"{name}={getattr(self, name)!r}" for name in _LABEL_SETTINGS) + ")")
+
+    def __eq__(self, other) -> bool:  # equal content, however it was enumerated
+        names = ("sizes", "person_count", "per_person", *_LABEL_SETTINGS)
+        return self is other or (isinstance(other, _Layout)
+                                 and all(getattr(self, n) == getattr(other, n) for n in names)
+                                 and np.array_equal(self.pairs, other.pairs)
+                                 and np.array_equal(self.flat, other.flat))
 
 
 @functools.lru_cache(maxsize=32)
-def _full_layout(levels: tuple, vector_parts: bool) -> _Layout:
+def _full_layout(levels: tuple, settings: tuple) -> _Layout:
     """The cached layout of every pair of ``levels``, each (entities, per
     person, cross person) as :func:`_entity_pairs` takes them."""
-    return _Layout(tuple(_entity_pairs(*level) for level in levels),
-                   tuple(n for n, _, _ in levels), vector_parts)
+    (N, _, _), (_, S, _), (_, J, _) = levels
+    return _Layout(tuple(_entity_pairs(*level) for level in levels), (S, J), N, settings)
 
 
 def _entity_points(K: np.ndarray, D: np.ndarray, layout: _Layout):
@@ -381,7 +398,7 @@ def _entity_points(K: np.ndarray, D: np.ndarray, layout: _Layout):
     particle parts, and joints (flat id ``person * J + joint``). Also
     returns the (N * S, 3) bone vectors under vector parts, else None."""
     parts = (D.T @ K).reshape(-1, 3)
-    if layout.vector_parts:
+    if layout.flat is not None:
         return np.concatenate((K.mean(axis=1), K.reshape(-1, 3))), parts
     return np.concatenate((K.mean(axis=1), parts, K.reshape(-1, 3))), None
 
@@ -429,10 +446,10 @@ class LabelledTruth:
     """The pair sets of a ground-truth scene, enumerated once and labelled
     under any stack of views.
 
-    The pair indices (subsampled per ``pair_cap`` with ``rng``), their
-    stacked depth-level layout (:class:`_Layout`, shared between scenes
-    of the same shape when nothing is subsampled) and the ground truth's
-    entity points are kept; labelling k views thresholds the margins
+    The pairs (subsampled per ``pair_cap`` with ``rng``) are kept as one
+    :class:`_Layout`, shared between scenes of the same shape and
+    settings when nothing is subsampled, with the ground truth's entity
+    points; labelling k views thresholds the margins
     :func:`ordinal_pass` computes for a prediction into int8 labels, so
     the ground truth itself scores exactly zero. ``joints``, when given,
     is the (N, J, 3) array :func:`scene_joint_array` would lift at
@@ -445,34 +462,31 @@ class LabelledTruth:
         K = scene_joint_array(gt_scene, cfg.depth_unit_scale) if joints is None else joints
         N, J, _ = K.shape
         S = gt_scene.topology.part_count
-        self.per_person = (S, J)
-        self.person_count = N
         levels = ((N, 0, True), (N * S, S, cfg.cross_person_parts),
                   (N * J, J, cfg.cross_person_joints))
-        vector_parts = cfg.part_mode == "vector"
+        settings = tuple(getattr(cfg, name) for name in _LABEL_SETTINGS)
         if cfg.pair_cap is None:
-            self.layout = _full_layout(levels, vector_parts)
+            self.layout = _full_layout(levels, settings)
         else:
             index = tuple(_subsample(_entity_pairs(*level), cfg.pair_cap, rng)
                           for level in levels)
-            self.layout = _Layout(index, (N, N * S, N * J), vector_parts)
-        self.index = self.layout.index
+            self.layout = _Layout(index, (S, J), N, settings)
         self.points = _entity_points(K, _incidence(gt_scene.topology, cfg.part_mode),
                                      self.layout)
-        self.eps = cfg.equality_tolerance
 
     def label(self, views, base: RelationPairs | None = None) -> RelationPairs:
-        """Label the (k, 3) ``views``, appended to the views of ``base``."""
+        """Label the (k, 3) ``views`` (finite unit vectors), appended to the
+        views of ``base``."""
         views = np.asarray(views, dtype=float).reshape(-1, 3)
+        bad = ~(np.abs(np.linalg.norm(views, axis=1) - 1.0) <= _UNIT_TOL)  # _as_unit's rule
+        if bad.any():
+            raise InvalidInputError(f"view must be a finite unit vector, got {views[bad][0]}")
         X, T = self.points
-        depth = _threshold_label(_depth_margins(X, views, self.layout), self.eps)
-        labels = [None, None, None]
-        if T is not None:
-            labels[1] = _threshold_label(_part_margins(T, views, self.layout)[0], self.eps)
-        for level, pairs, _ in self.layout.segments:
-            labels[level] = depth[:, pairs]
-        labelled = RelationPairs(views, self.index, tuple(labels), self.per_person,
-                                 self.person_count, self.layout)
+        eps = self.layout.equality_tolerance
+        depth = _threshold_label(_depth_margins(X, views, self.layout), eps)
+        parts = (np.empty((len(views), 0), np.int8) if T is None
+                 else _threshold_label(_part_margins(T, views, self.layout)[0], eps))
+        labelled = RelationPairs(views, self.layout, depth, parts)
         return labelled if base is None else RelationPairs.stack([base, labelled])
 
 
@@ -506,17 +520,20 @@ def violation_counts(K: np.ndarray, topology: SkeletonTopology, labelled: Relati
     """The (3, k) violations of :func:`ordinal_pass` alone: per level
     (instance, part, joint) and view, the pairs whose label thresholded
     from the margins of the (N, J, 3) scaled joint array differs from the
-    ground truth's. No weights, errors or float labels are formed."""
+    ground truth's. No weights, errors or float labels are formed. A
+    config that labels otherwise than the pairs were labelled is
+    InvalidInputError."""
     cfg = config or HmorConfig()
-    layout = labelled.stacked(cfg.part_mode == "vector")
+    layout = labelled.layout
+    layout.check_labels(cfg)
     X, T = _entity_points(K, _incidence(topology, cfg.part_mode), layout)
     V = labelled.views
     counts = np.zeros((3, len(V)), dtype=int)
     eps = cfg.equality_tolerance
-    _count_disagreements(_depth_margins(X, V, layout), layout.depth_labels(labelled.labels),
+    _count_disagreements(_depth_margins(X, V, layout), labelled.depth_labels,
                          eps, layout.segments, counts)
     if T is not None:
-        _count_disagreements(_part_margins(T, V, layout)[0], labelled.labels[1], eps,
+        _count_disagreements(_part_margins(T, V, layout)[0], labelled.part_labels, eps,
                              ((1, slice(None)),), counts)
     return counts
 
@@ -546,13 +563,15 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     disagreements as such; they are cast to float64 once before they
     meet the float margins. A level with weight 0 is still counted
     but adds nothing to dK. Clamp boundaries contribute zero
-    subgradient.
+    subgradient. A config that labels otherwise than the pairs were
+    labelled (:meth:`_Layout.check_labels`) is InvalidInputError.
     """
     cfg = config or HmorConfig()
     V = labelled.views
     N, J, _ = K.shape
     D = _incidence(topology, cfg.part_mode)
-    layout = labelled.stacked(cfg.part_mode == "vector")
+    layout = labelled.layout
+    layout.check_labels(cfg)
     X, T = _entity_points(K, D, layout)
     eps = cfg.equality_tolerance
     rows = slice(None) if grad_views is None else grad_views
@@ -568,7 +587,7 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     # An inactive pair's weight may be -0.0, which changes no nonzero sum,
     # and dK starts at +0.0, so no result bit depends on that sign.
     margins = _depth_margins(X, V, layout)
-    labels = layout.depth_labels(labelled.labels)
+    labels = labelled.depth_labels
     _count_disagreements(margins, labels, eps, layout.segments, violations)
     labels = labels.astype(float)
     margins *= labels  # signed margins from here on
@@ -594,7 +613,7 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
 
     if T is not None:
         margins, C = _part_margins(T, V, layout)
-        labels = labelled.labels[1]
+        labels = labelled.part_labels
         P = max(margins.shape[1], 1)
         _count_disagreements(margins, labels, eps, ((1, slice(None)),), violations)
         labels = labels.astype(float)
@@ -631,11 +650,9 @@ def hmor_loss(pred_scene: Scene, pairs: RelationPairs, view=None,
     contributes zero.
     """
     cfg = config or HmorConfig()
-    if view is not None:
-        v = _view_array(view)
-        if not np.array_equal(v, pairs.view):
-            raise InvalidInputError("view does not match the view the pairs were labeled under")
     pairs.check_fits(pred_scene)
+    if view is not None and not np.array_equal(_view_array(view), pairs.view):
+        raise InvalidInputError("view does not match the view the pairs were labeled under")
     K = scene_joint_array(pred_scene, cfg.depth_unit_scale)
     totals, levels, violations, _ = ordinal_pass(K, pred_scene.topology, pairs, cfg,
                                                  want_grad=False)

@@ -492,8 +492,7 @@ def _gradcheck_point(rng: np.random.Generator, i: int, config: SolverConfig):
         x0 = sv.pack()
         x0 += rng.normal(0.0, np.where(np.arange(len(x0)) < sv.N, 250.0, 25.0)) * sv.scale
         anchors, labelled = _checked_objective(sv, gt, cfg)
-        layout, V = labelled.stacked(cfg.hmor.part_mode == "vector"), labelled.views
-        labels = layout.depth_labels(labelled.labels)
+        layout, V = labelled.layout, labelled.views
 
         def residuals(x):
             sv.unpack(x)
@@ -501,9 +500,9 @@ def _gradcheck_point(rng: np.random.Generator, i: int, config: SolverConfig):
             X, T = _entity_points(K, _incidence(sv.topology, cfg.hmor.part_mode), layout)
             out = [np.stack([sv.U, sv.V, sv.Zrel], axis=2) - anchors.rel,
                    sv.ZR - anchors.z_root, K / sv.scale - anchors.abs_mm,
-                   _depth_margins(X, V, layout) * labels]
+                   _depth_margins(X, V, layout) * labelled.depth_labels]
             if T is not None:
-                out.append(_part_margins(T, V, layout)[0] * labelled.labels[1])
+                out.append(_part_margins(T, V, layout)[0] * labelled.part_labels)
             return np.concatenate([r.ravel() for r in out])
 
         at_x0 = residuals(x0)

@@ -62,6 +62,36 @@ def brute_force_pairs(gt, config):
                  for n, per in levels)
 
 
+def _brute_force_entities(K, topo, particle):
+    """Each level's points of an (N, J, 3) joint array, one by one: person
+    means, bone midpoints (particle) or bone vectors, and joints."""
+    N = len(K)
+    parts = [0.5 * (K[m][e] + K[m][s]) if particle else K[m][e] - K[m][s]
+             for m in range(N) for s, e in topo.parts]
+    return [K[m].mean(axis=0) for m in range(N)], parts, list(K.reshape(-1, 3))
+
+
+def _brute_force_relations(particle):
+    from hmor.ordinal import relation_instance, relation_joint, relation_part
+    return (relation_instance, relation_instance if particle else relation_part,
+            relation_joint)
+
+
+def brute_force_labels(gt, views, config, pairs):
+    """Each level's (k, P) ground-truth labels of ``pairs`` (each level's
+    (2, P) entity pairs), one pair and view at a time from the scalar
+    ``relation_*`` functions."""
+    from hmor.ordinal import scene_joint_array
+    particle = config.part_mode == "particle"
+    points = _brute_force_entities(scene_joint_array(gt, config.depth_unit_scale),
+                                   gt.topology, particle)
+    relation = _brute_force_relations(particle)
+    return tuple(np.array([[relation[level](G[a], G[b], view, config.equality_tolerance)
+                            for a, b in zip(*index.tolist())] for view in views],
+                          dtype=int).reshape(len(views), -1)
+                 for level, (index, G) in enumerate(zip(pairs, points)))
+
+
 def ordinal_brute_force(pred, gt, views, config, pairs):
     """Per-pair reference for ``ordinal_pass`` under a stack of views.
 
@@ -72,19 +102,13 @@ def ordinal_brute_force(pred, gt, views, config, pairs):
     ``ordinal_pass`` returns them.
     """
     from hmor.ordinal import (err_instance_grad, err_joint_grad, err_part_grad,
-                              err_part_particle_grad, relation_instance, relation_joint,
-                              relation_part, scene_joint_array)
+                              err_part_particle_grad, scene_joint_array)
     topo = gt.topology
     J = topo.joint_count
     particle = config.part_mode == "particle"
     eps = config.equality_tolerance
     Kp, Kg = (scene_joint_array(s, config.depth_unit_scale) for s in (pred, gt))
     N = len(Kp)
-
-    def entities(K):
-        parts = [0.5 * (K[m][e] + K[m][s]) if particle else K[m][e] - K[m][s]
-                 for m in range(N) for s, e in topo.parts]
-        return [K[m].mean(axis=0) for m in range(N)], parts, list(K.reshape(-1, 3))
 
     def joints_of(level, e):
         """(flat joint, coefficient) pairs that entity e's point is made of."""
@@ -97,12 +121,11 @@ def ordinal_brute_force(pred, gt, views, config, pairs):
         return [(first + end, 0.5 if particle else 1.0),
                 (first + start, 0.5 if particle else -1.0)]
 
-    relation = (relation_instance, relation_instance if particle else relation_part,
-                relation_joint)
+    relation = _brute_force_relations(particle)
     err_grad = (err_instance_grad, err_part_particle_grad if particle else err_part_grad,
                 err_joint_grad)
     weights = (config.w_instance, config.w_part, config.w_joint)
-    pred_points, gt_points = entities(Kp), entities(Kg)
+    pred_points, gt_points = (_brute_force_entities(K, topo, particle) for K in (Kp, Kg))
     k = len(views)
     levels = np.zeros((3, k))
     violations = np.zeros((3, k), dtype=int)

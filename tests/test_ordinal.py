@@ -1,22 +1,24 @@
-import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmor import (GaussNoise, GenSpec, HmorConfig, InvalidInputError, SkeletonTopology,
-                  assemble_absolute, count_violations, enumerate_pairs,
-                  err_instance, err_joint, err_part, err_part_particle,
-                  generate_scene, hmor_loss, instance_position,
+from hmor import (GaussNoise, GenSpec, HmorConfig, HmorLoss, InvalidInputError,
+                  SkeletonTopology, SolverConfig, ViewVector, assemble_absolute,
+                  count_violations, enumerate_pairs, err_instance, err_joint, err_part,
+                  err_part_particle, evaluate, generate_scene, hmor_loss,
+                  instance_position, objective, ordinal_violations,
                   part_relations_from_2d, part_vectors, perturb,
                   project_to_plane, relation_instance, relation_joint,
                   relation_part, sample_view)
-from hmor.ordinal import (LabelledTruth, err_instance_grad, err_joint_grad,
-                          err_part_grad, ordinal_pass, scene_joint_array, violation_counts)
+from hmor.ordinal import (LabelledTruth, RelationPairs, _full_layout, _incidence, _Layout,
+                          err_instance_grad, err_joint_grad, err_part_grad, ordinal_pass,
+                          scene_joint_array, violation_counts)
 from hmor.solver import _fd_max_rel_err
-from conftest import (brute_force_pairs, ordinal_brute_force, swap_root_depths,
-                      two_person_depth_fixture)
+from conftest import (brute_force_labels, brute_force_pairs, ordinal_brute_force,
+                      swap_root_depths, two_person_depth_fixture)
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -447,9 +449,11 @@ class TestCountViolations:
         noisy = perturb(gt, spec)
         K = scene_joint_array(noisy, 1e-3)
         pairs = enumerate_pairs(gt, gt.camera.normal)
-        no_parts = dataclasses.replace(
-            pairs, index=(pairs.index[0], np.empty((2, 0), int), pairs.index[2]),
-            labels=(pairs.labels[0], np.empty((1, 0)), pairs.labels[2]))
+        index = pairs.index
+        layout = _Layout((index[0], np.empty((2, 0), int), index[2]), pairs.per_person,
+                         pairs.person_count, ("vector", 0.0, 1e-3))
+        no_parts = RelationPairs(pairs.views, layout, pairs.depth_labels,
+                                 pairs.part_labels[:, :0])
         cfg = HmorConfig(w_part=0.0)
         totals, levels, violations, dK = ordinal_pass(K, gt.topology, pairs, cfg)
         totals_np, _, violations_np, dK_np = ordinal_pass(K, gt.topology, no_parts, cfg)
@@ -597,19 +601,18 @@ class TestOrdinalPassOracle:
         gt, pred, _ = _kernel_case(40 + k, 3, 1)
         rng = np.random.default_rng(k)
         views = np.array([sample_view(rng=rng).direction for _ in range(k)])
-        truth = LabelledTruth(gt, cfg)
+        labelled = LabelledTruth(gt, cfg).label(views)
         if cfg.pair_cap is None:
-            for got, want in zip(truth.index, brute_force_pairs(gt, cfg)):
+            for got, want in zip(labelled.index, brute_force_pairs(gt, cfg)):
                 assert np.array_equal(got, want)
         else:
-            assert [index.shape[1] for index in truth.index[1:]] == [cfg.pair_cap] * 2
-        labelled = truth.label(views)
+            assert [index.shape[1] for index in labelled.index[1:]] == [cfg.pair_cap] * 2
         if cfg.equality_tolerance:
             assert not all(labels.all() for labels in labelled.labels[1:])
         K = scene_joint_array(pred, cfg.depth_unit_scale)
         totals, levels, violations, dK = ordinal_pass(K, gt.topology, labelled, cfg)
         want_totals, want_levels, want_violations, want_dK = ordinal_brute_force(
-            pred, gt, views, cfg, truth.index)
+            pred, gt, views, cfg, labelled.index)
 
         assert np.array_equal(violations, want_violations)
         assert want_violations.any()
@@ -642,7 +645,8 @@ class TestViolationCounts:
         assert counts.shape == (3, k)
         assert np.array_equal(counts, ordinal_pass(K, gt.topology, labelled, cfg,
                                                    want_grad=False)[2])
-        assert np.array_equal(counts, ordinal_brute_force(pred, gt, views, cfg, truth.index)[2])
+        assert np.array_equal(counts,
+                              ordinal_brute_force(pred, gt, views, cfg, labelled.index)[2])
 
     @pytest.mark.parametrize("part_mode", ["vector", "particle"])
     def test_sixteen_persons_equal_ordinal_pass(self, part_mode):
@@ -699,3 +703,172 @@ class TestLossProperties:
             own = LabelledTruth(pred, cfg).label(views)
             if all(labels.all() for labels in (*labelled.labels, *own.labels)):
                 assert np.all(violations[levels == 0.0] == 0)
+
+
+class TestOneStoredForm:
+    """A pair set stores only the stacked layout and its stacked labels;
+    the per-level index, labels and rows are read from them."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    def test_levels_equal_brute_force(self, name):
+        cfg = ORACLE_CONFIGS[name]
+        gt, _, views = _kernel_case(21, 3, 3)
+        labelled = LabelledTruth(gt, cfg, np.random.default_rng(4)).label(views)
+        index = labelled.index
+        full = brute_force_pairs(gt, cfg)
+        for got, want in zip(index, full):
+            if cfg.pair_cap is None or want.shape[1] <= cfg.pair_cap:
+                assert np.array_equal(got, want)
+            else:  # a sorted subset of the full level
+                assert got.shape[1] == cfg.pair_cap
+                keys = got[0] * 10**6 + got[1]
+                assert np.all(np.diff(keys) > 0)
+                assert np.isin(keys, want[0] * 10**6 + want[1]).all()
+        want_labels = brute_force_labels(gt, views, cfg, index)
+        first = labelled.rows([0])
+        level_rows = (first.instance_pairs, first.part_pairs, first.joint_pairs)
+        for level, (got, want) in enumerate(zip(labelled.labels, want_labels)):
+            assert got.dtype == np.int8 and np.array_equal(got, want)
+            per = (None, *labelled.per_person)[level]
+            a, b = index[level]
+            cols = [a, b] if per is None else [a // per, a % per, b // per, b % per]
+            assert np.array_equal(level_rows[level], np.column_stack(cols + [want[0]]))
+        if cfg.equality_tolerance:
+            assert not all(labels.all() for labels in labelled.labels[1:])
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    def test_rows_and_stack_keep_every_label(self, name):
+        cfg = ORACLE_CONFIGS[name]
+        gt, _, views = _kernel_case(22, 2, 4)
+        truth = LabelledTruth(gt, cfg)
+        labelled = truth.label(views)
+        parts = [labelled.rows([0]), labelled.rows(slice(1, 3)), labelled.rows(np.array([3]))]
+        restacked = RelationPairs.stack(parts)
+        for got in (restacked, truth.label(views[2:], base=truth.label(views[:2]))):
+            assert np.array_equal(got.views, labelled.views)
+            assert np.array_equal(got.depth_labels, labelled.depth_labels)
+            assert np.array_equal(got.part_labels, labelled.part_labels)
+            for a, b in zip(got.labels, labelled.labels):
+                assert np.array_equal(a, b)
+        for rows in ([2], [0, 3], slice(1, None)):
+            sub = labelled.rows(rows)
+            assert np.array_equal(sub.views, labelled.views[rows])
+            for a, b in zip(sub.labels, labelled.labels):
+                assert np.array_equal(a, b[rows])
+
+    def test_separate_pair_cap_enumerations_stack(self):
+        scene = generate_scene(GenSpec(seed=2, n_persons=3))
+        cfg = HmorConfig(pair_cap=300)
+        rng = np.random.default_rng(5)
+        sets = [enumerate_pairs(scene, v, cfg) for v in
+                (scene.camera.normal, sample_view(rng=rng), sample_view(rng=rng))]
+        assert sets[0].layout is not sets[1].layout and sets[0].layout == sets[1].layout
+        stacked = RelationPairs.stack(sets)
+        assert np.array_equal(stacked.views, [p.view for p in sets])
+        for level in range(3):
+            assert np.array_equal(stacked.labels[level],
+                                  np.concatenate([p.labels[level] for p in sets]))
+
+    def test_sets_that_differ_do_not_stack(self):
+        scene = generate_scene(GenSpec(seed=2, n_persons=3))
+        normal = scene.camera.normal
+        base = enumerate_pairs(scene, normal, HmorConfig(pair_cap=300))
+        others = [enumerate_pairs(scene, normal, HmorConfig(pair_cap=300),
+                                  np.random.default_rng(1)),
+                  enumerate_pairs(scene, normal, HmorConfig(pair_cap=300, equality_tolerance=0.02)),
+                  enumerate_pairs(scene, normal, HmorConfig(pair_cap=299)),
+                  enumerate_pairs(generate_scene(GenSpec(seed=2, n_persons=2)), normal,
+                                  HmorConfig(pair_cap=300))]
+        for other in others:
+            assert base.layout != other.layout
+            with pytest.raises(InvalidInputError, match="pair sets differ"):
+                RelationPairs.stack([base, other])
+
+    def test_sixteen_persons_retain_one_form(self):
+        # the layout is the one stored form: no per-level index is kept
+        # beside it, in a cache or in the pair set
+        gt = generate_scene(GenSpec(seed=16, n_persons=16))
+        _full_layout.cache_clear()
+        _incidence.cache_clear()
+        tracemalloc.start()
+        try:
+            labelled = LabelledTruth(gt).label(gt.camera.normal)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert labelled.layout.pairs.shape == (2, 120 + 36856)
+        assert retained <= 1100 * 1024
+
+    def test_repr_is_short_and_holds_no_address(self):
+        gt, _, views = _kernel_case(23, 4, 2)
+        cfg = HmorConfig(part_mode="particle", pair_cap=200)
+        a = LabelledTruth(gt, cfg).label(views)
+        b = LabelledTruth(gt, cfg).label(views)
+        assert a.layout is not b.layout and repr(a) == repr(b)
+        assert "0x" not in repr(a) and len(repr(a)) < 400
+        assert repr(a.layout) == ("_Layout(pairs=(6, 200, 200), N=4, (S, J)=(14, 17), "
+                                  "part_mode='particle', equality_tolerance=0.0, "
+                                  "depth_unit_scale=0.001)")
+
+
+# (labelling config, scoring config): each scores the ground truth non-zero
+# when the mismatch goes unnoticed
+MISMATCHES = {
+    "part_mode": (HmorConfig(part_mode="particle"), HmorConfig()),
+    "equality_tolerance": (HmorConfig(equality_tolerance=0.05), HmorConfig()),
+    "depth_unit_scale": (HmorConfig(equality_tolerance=0.02),
+                         HmorConfig(equality_tolerance=0.02, depth_unit_scale=1.0)),
+}
+BAD_VIEWS = {"zero": [0.0, 0.0, 0.0], "nan": [np.nan, 0.0, 1.0], "long": [0.0, 0.0, 5.0],
+             "inf": [np.inf, 0.0, 0.0]}
+
+
+class TestPairInputChecks:
+    """Labelling settings, views and empty pair sets that the kernels
+    cannot score end in InvalidInputError."""
+
+    @pytest.mark.parametrize("name", sorted(MISMATCHES))
+    def test_label_settings_mismatch_raises(self, name):
+        label_cfg, score_cfg = MISMATCHES[name]
+        gt, _, views = _kernel_case(3, 3, 2)
+        pairs = LabelledTruth(gt, label_cfg).label(views)
+        K = scene_joint_array(gt, score_cfg.depth_unit_scale)
+        calls = (lambda: ordinal_pass(K, gt.topology, pairs, score_cfg),
+                 lambda: violation_counts(K, gt.topology, pairs, score_cfg),
+                 lambda: hmor_loss(gt, pairs, config=score_cfg),
+                 lambda: count_violations(gt, pairs, score_cfg),
+                 lambda: objective(gt, pairs, gt, SolverConfig(hmor=score_cfg)))
+        for call in calls:
+            with pytest.raises(InvalidInputError, match=f"^{name} mismatch: "):
+                call()
+        assert hmor_loss(gt, pairs, config=label_cfg) == HmorLoss(0.0, 0.0, 0.0, 0.0, (0, 0, 0))
+
+    @pytest.mark.parametrize("name", sorted(BAD_VIEWS))
+    def test_bad_view_raises(self, name):
+        view = BAD_VIEWS[name]
+        gt, pred, views = _kernel_case(4, 2, 2)
+        calls = (lambda: enumerate_pairs(gt, view),
+                 lambda: LabelledTruth(gt).label([views[0], view]),
+                 lambda: ordinal_violations(pred, gt, [view]),
+                 lambda: evaluate(pred, gt, views=[views[0], view]),
+                 lambda: relation_instance(Z, -Z, view))
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="^view must be a finite unit vector"):
+                call()
+        with pytest.raises(InvalidInputError, match="^direction must be a finite unit vector"):
+            ViewVector(np.array(view))
+
+    def test_empty_pair_inputs_raise(self):
+        gt, pred, _ = _kernel_case(6, 2, 1)
+        cfg = SolverConfig()
+        none = LabelledTruth(gt).label([])
+        calls = (lambda: RelationPairs.stack([]),
+                 lambda: objective(pred, [], gt, cfg),
+                 lambda: hmor_loss(pred, none),
+                 lambda: count_violations(pred, none),
+                 lambda: objective(pred, none, gt, cfg))
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="^no pair sets to stack$|no views$"):
+                call()
+        K = scene_joint_array(pred, 1e-3)
+        assert violation_counts(K, gt.topology, none).shape == (3, 0)
