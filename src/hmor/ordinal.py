@@ -103,9 +103,10 @@ class RelationPairs:
     def _level(self, level: int):
         """Level ``level``'s (2, P) entity pairs and (k, P) labels."""
         layout = self.layout
-        for depth_level, pairs, ents in layout.segments:
+        for depth_level, pairs, per, row in layout.segments:
             if depth_level == level:
-                return layout.pairs[:, pairs] - ents.start, self.depth_labels[:, pairs]
+                m, r = np.divmod(layout.pairs[:, pairs], layout.width)
+                return m * per + r - row, self.depth_labels[:, pairs]
         n = layout.person_count * layout.per_person[0]
         return np.stack(np.divmod(layout.flat, n)), self.part_labels
 
@@ -125,7 +126,10 @@ class RelationPairs:
     joint_pairs = property(lambda self: self._level_rows(2))
 
     def rows(self, rows) -> RelationPairs:
-        """The sub-stack of the view rows ``rows`` (any numpy index)."""
+        """The sub-stack of the view rows ``rows`` (any numpy index; an
+        integer keeps the view axis, as a one-row slice does)."""
+        if isinstance(rows, (int, np.integer)):
+            rows = [rows]
         return RelationPairs(self.views[rows], self.layout, self.depth_labels[rows],
                              self.part_labels[rows])
 
@@ -292,11 +296,6 @@ def scene_joint_array(scene: Scene, scale: float = 1.0) -> np.ndarray:
     return K
 
 
-def _part_endpoints(topology: SkeletonTopology):
-    idx = np.asarray(topology.parts, dtype=int).reshape(-1, 2)
-    return idx[:, 0], idx[:, 1]
-
-
 def _entity_pairs(n_entities: int, per_person: int, cross_person: bool) -> np.ndarray:
     """(2, P) entity pairs a < b, optionally only within persons."""
     a, b = np.triu_indices(n_entities, k=1)
@@ -316,15 +315,22 @@ def _subsample(pairs: np.ndarray, cap: int | None, rng) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _incidence(topology: SkeletonTopology, part_mode: str) -> np.ndarray:
-    """(J, S) matrix D: ``D.T`` maps a person's joints to its part points,
-    bone vectors end - start ("vector") or bone midpoints ("particle")."""
-    starts, ends = _part_endpoints(topology)
-    D = np.zeros((topology.joint_count, topology.part_count))
-    parts = np.arange(topology.part_count)
-    D[ends, parts], D[starts, parts] = (0.5, 0.5) if part_mode == "particle" else (1.0, -1.0)
-    D.setflags(write=False)  # cached, shared between callers
-    return D
+def _entity_map(topology: SkeletonTopology, part_mode: str) -> np.ndarray:
+    """(1 + S + J, J) matrix E, one row per entity of a person: ``E @ K``
+    maps a person's (J, 3) joints to its position (row 0, weights 1/J),
+    its part points (rows 1..S: bone vectors end - start under "vector"
+    parts, bone midpoints under "particle" parts) and its joints (the
+    identity). Every level's points are these rows and every gradient
+    goes back through ``E.T``."""
+    S, J = topology.part_count, topology.joint_count
+    starts, ends = np.asarray(topology.parts, dtype=int).reshape(-1, 2).T
+    E = np.zeros((1 + S + J, J))
+    E[0] = 1.0 / J
+    parts = np.arange(1, 1 + S)
+    E[parts, ends], E[parts, starts] = (0.5, 0.5) if part_mode == "particle" else (1.0, -1.0)
+    E[1 + S:] = np.eye(J)
+    E.setflags(write=False)  # cached, shared between callers
+    return E
 
 
 # the HmorConfig fields labels are thresholded under, which a _Layout records
@@ -334,35 +340,40 @@ _LABEL_SETTINGS = ("part_mode", "equality_tolerance", "depth_unit_scale")
 class _Layout:
     """A pair set in the stacked form the kernels read: its only stored form.
 
-    Depth levels (instance and joint, and part under particle parts)
-    differ only in their entity points, so their entities are stacked in
-    level order (persons, part points, joints) and their pairs form one
-    (2, P) ``pairs`` index into that stack. ``segments`` holds each depth
-    level's (level, pair slice, entity slice). ``flat`` is the vector-part
-    index ``a * n + b`` into a flattened (n, n) part product (None under
-    particle parts). ``per_person`` is (S, J), ``person_count`` the N
-    persons, ``sizes`` each level's pair count, and the ``_LABEL_SETTINGS``
-    attributes the settings the labels are thresholded under.
+    Entities are the rows of a scene's (N, width = 1 + S + J, 3) points
+    ``E @ K`` (:func:`_entity_map`) flattened person-major: entity ``m *
+    width + row`` is row ``row`` of person m. The depth levels' pairs
+    (instance, joint, and part under particle parts) form one (2, P)
+    ``pairs`` index into them, in level order, built from the per-level
+    ``index`` (:attr:`RelationPairs.index`); ``segments`` holds each
+    depth level's (level, pair slice, entities per person, first row).
+    ``flat`` is the vector-part index ``a * n + b`` into a flattened (n,
+    n) part product (None under particle parts). ``per_person`` is (S,
+    J), ``person_count`` the N persons, ``sizes`` each level's pair
+    count, and the ``_LABEL_SETTINGS`` attributes the settings the
+    labels are thresholded under.
     """
 
     def __init__(self, index, per_person: tuple[int, int], person_count: int, settings):
         self.per_person, self.person_count = per_person, person_count
         self.part_mode, self.equality_tolerance, self.depth_unit_scale = settings
-        counts = (person_count, *(person_count * n for n in per_person))
+        S, J = per_person
+        self.width = 1 + S + J  # entity rows per person
         vector_parts = self.part_mode == "vector"
-        self.segments, p, e = [], 0, 0
+        self.segments, ids, p = [], [], 0
         for level in (0, 2) if vector_parts else (0, 1, 2):
-            P, n = index[level].shape[1], counts[level]
-            self.segments.append((level, slice(p, p + P), slice(e, e + n)))
-            p, e = p + P, e + n
-        self.entities = e
+            per, row = ((1, 0), (S, 1), (J, 1 + S))[level]
+            P = index[level].shape[1]
+            self.segments.append((level, slice(p, p + P), per, row))
+            m, r = np.divmod(index[level], per)
+            ids.append(m * self.width + r + row)
+            p += P
         self.sizes = tuple(level.shape[1] for level in index)
         # pairs and flat stay writeable although cached: ``take`` copies a
         # read-only index array on every call
-        self.pairs = np.concatenate([index[level] + ents.start
-                                     for level, _, ents in self.segments], axis=1)
+        self.pairs = np.concatenate(ids, axis=1)
         a, b = index[1]
-        self.flat = a * counts[1] + b if vector_parts else None
+        self.flat = a * (person_count * S) + b if vector_parts else None
 
     def check_labels(self, config: HmorConfig) -> None:
         """Raise InvalidInputError unless ``config`` labels as these pairs were."""
@@ -391,18 +402,6 @@ def _full_layout(levels: tuple, settings: tuple) -> _Layout:
     return _Layout(tuple(_entity_pairs(*level) for level in levels), (S, J), N, settings)
 
 
-def _entity_points(K: np.ndarray, D: np.ndarray, layout: _Layout):
-    """The (n, 3) depth entity points of a scaled (N, J, 3) joint array,
-    stacked as ``layout`` stacks them: person positions (joint means),
-    part points ``D.T @ K`` (flat id ``person * S + part``) under
-    particle parts, and joints (flat id ``person * J + joint``). Also
-    returns the (N * S, 3) bone vectors under vector parts, else None."""
-    parts = (D.T @ K).reshape(-1, 3)
-    if layout.flat is not None:
-        return np.concatenate((K.mean(axis=1), K.reshape(-1, 3))), parts
-    return np.concatenate((K.mean(axis=1), parts, K.reshape(-1, 3))), None
-
-
 def _project(X: np.ndarray, views: np.ndarray) -> np.ndarray:
     """(k, n) projections of (n, 3) points on (k, 3) views, written out so
     a view's row has the same bits in any stack (a matmul's do not)."""
@@ -418,22 +417,23 @@ def _cross_views(T: np.ndarray, views: np.ndarray) -> np.ndarray:
 
 def _depth_margins(X: np.ndarray, views: np.ndarray, layout: _Layout) -> np.ndarray:
     """Raw (k, P) margins ``z_a - z_b`` of the stacked depth pairs under
-    (k, 3) views, from the projections ``z`` of the stacked points ``X``
-    (one scalar per entity and view)."""
-    z = _project(X, views)
+    (k, 3) views, from the projections ``z`` of a scene's (N, 1 + S + J,
+    3) entity points ``X`` (one scalar per entity and view)."""
+    z = _project(X.reshape(-1, 3), views)
     a, b = layout.pairs
     depth = z.take(a, axis=1)
     depth -= z.take(b, axis=1)
     return depth
 
 
-def _part_margins(T: np.ndarray, views: np.ndarray, layout: _Layout):
+def _part_margins(X: np.ndarray, views: np.ndarray, layout: _Layout):
     """Raw (k, P) vector-part margins ``(t_a x t_b) . v = t_a . (t_b x v)``
-    of the bone vectors ``T`` under (k, 3) views, read from ``M = T @
-    C_v.T`` with ``C = T x v``; also returns C. The (n, n) products are
-    made one view at a time: a (k, n, n) stack soon passes glibc's
-    default 128 KiB mmap threshold, and then every call pays for fresh
-    pages."""
+    of the bone vectors ``T`` (the part rows of the entity points ``X``)
+    under (k, 3) views, read from ``M = T @ C_v.T`` with ``C = T x v``;
+    also returns C. The (n, n) products are made one view at a time: a
+    (k, n, n) stack soon passes glibc's default 128 KiB mmap threshold,
+    and then every call pays for fresh pages."""
+    T = X[:, 1:1 + layout.per_person[0]].reshape(-1, 3)
     C = _cross_views(T, views)
     parts = np.empty((len(views), len(layout.flat)))
     for row, Cv in zip(parts, C):
@@ -448,10 +448,11 @@ class LabelledTruth:
 
     The pairs (subsampled per ``pair_cap`` with ``rng``) are kept as one
     :class:`_Layout`, shared between scenes of the same shape and
-    settings when nothing is subsampled, with the ground truth's entity
-    points; labelling k views thresholds the margins
-    :func:`ordinal_pass` computes for a prediction into int8 labels, so
-    the ground truth itself scores exactly zero. ``joints``, when given,
+    settings when nothing is subsampled, with the ground truth's (N, 1 +
+    S + J, 3) entity points ``E @ K`` (:func:`_entity_map`, as
+    :func:`ordinal_pass` maps a prediction); labelling k views thresholds
+    the margins of those points into int8 labels, so the ground truth
+    itself scores exactly zero. ``joints``, when given,
     is the (N, J, 3) array :func:`scene_joint_array` would lift at
     ``depth_unit_scale``, and the scene then gives only the topology.
     """
@@ -471,21 +472,26 @@ class LabelledTruth:
             index = tuple(_subsample(_entity_pairs(*level), cfg.pair_cap, rng)
                           for level in levels)
             self.layout = _Layout(index, (S, J), N, settings)
-        self.points = _entity_points(K, _incidence(gt_scene.topology, cfg.part_mode),
-                                     self.layout)
+        self.points = _entity_map(gt_scene.topology, cfg.part_mode) @ K
 
     def label(self, views, base: RelationPairs | None = None) -> RelationPairs:
         """Label the (k, 3) ``views`` (finite unit vectors), appended to the
         views of ``base``."""
-        views = np.asarray(views, dtype=float).reshape(-1, 3)
+        try:
+            views = np.asarray(views, dtype=float)
+            if views.ndim > 2 or views.shape[-1:] != (3,) and views.shape != (0,):
+                raise ValueError
+        except ValueError:  # a ragged stack raises it too
+            raise InvalidInputError("views must be one 3-vector or a (k, 3) stack of them") from None
+        views = views.reshape(-1, 3)
         bad = ~(np.abs(np.linalg.norm(views, axis=1) - 1.0) <= _UNIT_TOL)  # _as_unit's rule
         if bad.any():
             raise InvalidInputError(f"view must be a finite unit vector, got {views[bad][0]}")
-        X, T = self.points
-        eps = self.layout.equality_tolerance
-        depth = _threshold_label(_depth_margins(X, views, self.layout), eps)
-        parts = (np.empty((len(views), 0), np.int8) if T is None
-                 else _threshold_label(_part_margins(T, views, self.layout)[0], eps))
+        X, layout = self.points, self.layout
+        eps = layout.equality_tolerance
+        depth = _threshold_label(_depth_margins(X, views, layout), eps)
+        parts = (np.empty((len(views), 0), np.int8) if layout.flat is None
+                 else _threshold_label(_part_margins(X, views, layout)[0], eps))
         labelled = RelationPairs(views, self.layout, depth, parts)
         return labelled if base is None else RelationPairs.stack([base, labelled])
 
@@ -526,14 +532,14 @@ def violation_counts(K: np.ndarray, topology: SkeletonTopology, labelled: Relati
     cfg = config or HmorConfig()
     layout = labelled.layout
     layout.check_labels(cfg)
-    X, T = _entity_points(K, _incidence(topology, cfg.part_mode), layout)
+    X = _entity_map(topology, cfg.part_mode) @ K
     V = labelled.views
     counts = np.zeros((3, len(V)), dtype=int)
     eps = cfg.equality_tolerance
     _count_disagreements(_depth_margins(X, V, layout), labelled.depth_labels,
                          eps, layout.segments, counts)
-    if T is not None:
-        _count_disagreements(_part_margins(T, V, layout)[0], labelled.part_labels, eps,
+    if layout.flat is not None:
+        _count_disagreements(_part_margins(X, V, layout)[0], labelled.part_labels, eps,
                              ((1, slice(None)),), counts)
     return counts
 
@@ -553,89 +559,80 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     coordinate (None when want_grad is off). ``grad_views`` indexes view
     rows (default all); the gradient runs the same code on those rows
     alone, so its bits equal a pass over the sub-stack
-    ``labelled.rows(grad_views)``. Margins come from per-entity scalars
-    (:func:`_depth_margins`, :func:`_part_margins`) and so does the
-    gradient: ``dX = g.T @ V`` with ``g[v, e] = sum_{a=e} W - sum_{b=e}
-    W`` over the stacked depth entities, ``dT = sum_v (W_v - W_v.T) @
-    C_v`` for vector parts; a person's share goes ``/ J`` to each joint
-    and a part's through D. Per-level means and counts come from
-    contiguous slices of the stack. Labels are int8 and count
-    disagreements as such; they are cast to float64 once before they
-    meet the float margins. A level with weight 0 is still counted
-    but adds nothing to dK. Clamp boundaries contribute zero
-    subgradient. A config that labels otherwise than the pairs were
-    labelled (:meth:`_Layout.check_labels`) is InvalidInputError.
+    ``labelled.rows(grad_views)``. Every level's points are rows of one
+    product ``X = E @ K`` (:func:`_entity_map`), margins come from
+    per-entity scalars (:func:`_depth_margins`, :func:`_part_margins`)
+    and so does the gradient: ``dX = g.T @ V`` with ``g[v, e] = sum_{a=e}
+    W - sum_{b=e} W`` over the stacked depth pairs, plus ``dT = sum_v
+    (W_v - W_v.T) @ C_v`` in the part rows under vector parts, and ``dK =
+    E.T @ dX``. Per-level means and counts come from contiguous slices of
+    the stack. Labels are int8 and count disagreements as such; they are
+    cast to float64 once before they meet the float margins. A level
+    with weight 0 is still counted, and its zeroed weights add nothing
+    to dK. Clamp boundaries contribute zero subgradient. A config that
+    labels otherwise than the pairs were labelled
+    (:meth:`_Layout.check_labels`) is InvalidInputError.
     """
     cfg = config or HmorConfig()
     V = labelled.views
-    N, J, _ = K.shape
-    D = _incidence(topology, cfg.part_mode)
     layout = labelled.layout
     layout.check_labels(cfg)
-    X, T = _entity_points(K, D, layout)
+    E = _entity_map(topology, cfg.part_mode)
+    X = E @ K
     eps = cfg.equality_tolerance
     rows = slice(None) if grad_views is None else grad_views
     weights = (cfg.w_instance, cfg.w_part, cfg.w_joint)
     levels = np.zeros((3, len(V)))
     violations = np.zeros((3, len(V)), dtype=int)
-    dX = [None, None, None]  # each level's (n, 3) entity gradient
 
     # Float labels keep the multiplies float64 x float64 (int8 x float64
     # casts in buffered chunks). Signed margins become the errors and float
     # labels the weights in place, so the cast adds no (k, P) temporary,
     # whose allocation can cost fresh pages on every pass.
-    # An inactive pair's weight may be -0.0, which changes no nonzero sum,
-    # and dK starts at +0.0, so no result bit depends on that sign.
+    # An inactive pair's weight may be -0.0, which changes no nonzero sum.
     margins = _depth_margins(X, V, layout)
     labels = labelled.depth_labels
     _count_disagreements(margins, labels, eps, layout.segments, violations)
     labels = labels.astype(float)
     margins *= labels  # signed margins from here on
-    sizes = [max(pairs.stop - pairs.start, 1) for _, pairs, _ in layout.segments]
-    if want_grad and any(weights[level] > 0 for level, *_ in layout.segments):
+    sizes = [max(pairs.stop - pairs.start, 1) for _, pairs, *_ in layout.segments]
+    if want_grad:
         m, W = margins[rows], labels[rows]
         W /= 1.0 + np.fmax(m, 0.0)  # fmax: a NaN margin divides by 1
         W *= m > 0  # no masked ufunc or assignment: those branch per element
-        for (level, pairs, _), P in zip(layout.segments, sizes):
+        for (level, pairs, *_), P in zip(layout.segments, sizes):
             W[:, pairs] *= weights[level] / P
         a, b = layout.pairs
-        n = layout.entities
+        n = len(X) * layout.width
         g = np.empty((len(W), n))
         for gv, Wv in zip(g, W):
             np.subtract(np.bincount(a, Wv, minlength=n), np.bincount(b, Wv, minlength=n), out=gv)
-        dX_all = g.T @ V[rows]
-        for level, _, ents in layout.segments:
-            if weights[level] > 0:
-                dX[level] = dX_all[ents]
+        dX = (g.T @ V[rows]).reshape(X.shape)
     errs = np.log1p(np.maximum(0.0, margins, out=margins), out=margins)
-    for (level, pairs, _), P in zip(layout.segments, sizes):
+    for (level, pairs, *_), P in zip(layout.segments, sizes):
         levels[level] = errs[:, pairs].sum(axis=1) / P
 
-    if T is not None:
-        margins, C = _part_margins(T, V, layout)
+    if layout.flat is not None:
+        margins, C = _part_margins(X, V, layout)
         labels = labelled.part_labels
         P = max(margins.shape[1], 1)
         _count_disagreements(margins, labels, eps, ((1, slice(None)),), violations)
         labels = labels.astype(float)
         margins *= labels
         if want_grad and cfg.w_part > 0:
-            n, C = len(T), C[rows]
+            S = layout.per_person[0]
+            n, C = len(X) * S, C[rows]
             W = labels[rows]
             W *= cfg.w_part / P
             W *= margins[rows] > 0
             Wd = np.zeros((len(C), n * n))
             Wd[:, layout.flat] = W
             Wd = Wd.reshape(-1, n, n)
-            dX[1] = ((Wd - Wd.transpose(0, 2, 1)) @ C).sum(axis=0)
+            dT = ((Wd - Wd.transpose(0, 2, 1)) @ C).sum(axis=0)
+            dX[:, 1:1 + S] += dT.reshape(len(X), S, 3)  # the part rows
         levels[1] = np.maximum(0.0, margins, out=margins).sum(axis=1) / P
 
-    dK = np.zeros_like(K) if want_grad else None
-    if dX[0] is not None:
-        dK += dX[0][:, None] / J  # a person's position averages its joints
-    if dX[1] is not None:
-        dK += D @ dX[1].reshape(N, -1, 3)
-    if dX[2] is not None:
-        dK += dX[2].reshape(N, J, 3)
+    dK = E.T @ dX if want_grad else None
     totals = cfg.w_instance * levels[0] + cfg.w_part * levels[1] + cfg.w_joint * levels[2]
     return totals, levels, violations, dK
 
@@ -694,7 +691,7 @@ def part_relations_from_2d(gt_pixels: Sequence[np.ndarray],
     if stacked.shape[1] != topology.joint_count:
         raise InvalidInputError(
             f"keypoints have {stacked.shape[1]} joints, topology expects {topology.joint_count}")
-    starts, ends = _part_endpoints(topology)
+    starts, ends = np.asarray(topology.parts, dtype=int).reshape(-1, 2).T
     N = stacked.shape[0]
     S = topology.part_count
     T = (stacked[:, ends] - stacked[:, starts]).reshape(-1, 2)

@@ -20,9 +20,8 @@ import numpy as np
 
 from .errors import InvalidDepthError, InvalidInputError, NumericalError, SolverError
 from .geometry import back_project_points, sample_view
-from .ordinal import (HmorConfig, LabelledTruth, RelationPairs, _depth_margins, _entity_points,
-                      _incidence, _part_margins, check_finite_fields, ordinal_pass,
-                      violation_counts)
+from .ordinal import (HmorConfig, LabelledTruth, RelationPairs, _depth_margins, _entity_map,
+                      _part_margins, check_finite_fields, ordinal_pass, violation_counts)
 from .skeleton import RelativePose, Scene, check_topologies_match
 from .synth import GenSpec, generate_scene
 
@@ -497,12 +496,12 @@ def _gradcheck_point(rng: np.random.Generator, i: int, config: SolverConfig):
         def residuals(x):
             sv.unpack(x)
             K = sv.joints_scaled()[0]
-            X, T = _entity_points(K, _incidence(sv.topology, cfg.hmor.part_mode), layout)
+            X = _entity_map(sv.topology, cfg.hmor.part_mode) @ K
             out = [np.stack([sv.U, sv.V, sv.Zrel], axis=2) - anchors.rel,
                    sv.ZR - anchors.z_root, K / sv.scale - anchors.abs_mm,
                    _depth_margins(X, V, layout) * labelled.depth_labels]
-            if T is not None:
-                out.append(_part_margins(T, V, layout)[0] * labelled.part_labels)
+            if layout.flat is not None:
+                out.append(_part_margins(X, V, layout)[0] * labelled.part_labels)
             return np.concatenate([r.ravel() for r in out])
 
         at_x0 = residuals(x0)

@@ -13,7 +13,7 @@ from hmor import (GaussNoise, GenSpec, HmorConfig, HmorLoss, InvalidInputError,
                   part_relations_from_2d, part_vectors, perturb,
                   project_to_plane, relation_instance, relation_joint,
                   relation_part, sample_view)
-from hmor.ordinal import (LabelledTruth, RelationPairs, _full_layout, _incidence, _Layout,
+from hmor.ordinal import (LabelledTruth, RelationPairs, _entity_map, _full_layout, _Layout,
                           err_instance_grad, err_joint_grad, err_part_grad, ordinal_pass,
                           scene_joint_array, violation_counts)
 from hmor.solver import _fd_max_rel_err
@@ -587,6 +587,9 @@ ORACLE_CONFIGS = {
     "particle_tolerance": HmorConfig(part_mode="particle", equality_tolerance=0.02),
     "within_person": HmorConfig(cross_person_parts=False, cross_person_joints=False),
     "pair_cap": HmorConfig(pair_cap=150),
+    # zero-weight levels leave dK through zeroed weights
+    "particle_w_part0": HmorConfig(part_mode="particle", w_part=0.0),
+    "w_instance0": HmorConfig(w_instance=0.0, w_joint=0.5),
 }
 
 
@@ -756,6 +759,18 @@ class TestOneStoredForm:
             for a, b in zip(sub.labels, labelled.labels):
                 assert np.array_equal(a, b[rows])
 
+    def test_integer_row_keeps_the_view_axis(self):
+        gt, pred, views = _kernel_case(24, 2, 3)
+        labelled = LabelledTruth(gt).label(views)
+        for i in range(3):
+            got, want = labelled.rows(i), labelled.rows(slice(i, i + 1))
+            assert got.views.shape == (1, 3)
+            for name in ("views", "depth_labels", "part_labels", "instance_pairs",
+                         "part_pairs", "joint_pairs"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert hmor_loss(pred, got) == hmor_loss(pred, want)
+        assert hmor_loss(pred, labelled.rows(np.int64(0))) == hmor_loss(pred, labelled)
+
     def test_separate_pair_cap_enumerations_stack(self):
         scene = generate_scene(GenSpec(seed=2, n_persons=3))
         cfg = HmorConfig(pair_cap=300)
@@ -789,7 +804,7 @@ class TestOneStoredForm:
         # beside it, in a cache or in the pair set
         gt = generate_scene(GenSpec(seed=16, n_persons=16))
         _full_layout.cache_clear()
-        _incidence.cache_clear()
+        _entity_map.cache_clear()
         tracemalloc.start()
         try:
             labelled = LabelledTruth(gt).label(gt.camera.normal)
@@ -821,6 +836,9 @@ MISMATCHES = {
 }
 BAD_VIEWS = {"zero": [0.0, 0.0, 0.0], "nan": [np.nan, 0.0, 1.0], "long": [0.0, 0.0, 5.0],
              "inf": [np.inf, 0.0, 0.0]}
+# view stacks that are not (k, 3)
+BAD_VIEW_STACKS = {"four_components": [[0.0, 0.0, 1.0, 0.0]],
+                   "ragged": [[0.0, 0.0, 1.0], [0.0, 1.0]]}
 
 
 class TestPairInputChecks:
@@ -857,6 +875,18 @@ class TestPairInputChecks:
                 call()
         with pytest.raises(InvalidInputError, match="^direction must be a finite unit vector"):
             ViewVector(np.array(view))
+
+    @pytest.mark.parametrize("name", sorted(BAD_VIEW_STACKS))
+    def test_malformed_view_stack_raises(self, name):
+        views = BAD_VIEW_STACKS[name]
+        gt, pred, _ = _kernel_case(4, 2, 1)
+        with pytest.raises(InvalidInputError, match="^views must be one 3-vector or a "
+                                                    r"\(k, 3\) stack of them$"):
+            LabelledTruth(gt).label(views)
+        for call in (lambda: ordinal_violations(pred, gt, views),
+                     lambda: evaluate(pred, gt, views=views)):
+            with pytest.raises(InvalidInputError, match="^view must be a 3-vector, got shape"):
+                call()
 
     def test_empty_pair_inputs_raise(self):
         gt, pred, _ = _kernel_case(6, 2, 1)

@@ -6,6 +6,10 @@ scene must equal ``refine_pin.json``. Regenerate the file only when a
 change is meant to alter ``refine``'s results:
 
     PYTHONPATH=src python tests/test_refine_pin.py
+
+which prints, per config, how the new record differs from the file it
+overwrites: the largest relative change of a trace value, the steps
+whose violation count changed, and whether the scene's sha256 changed.
 """
 
 import hashlib
@@ -50,8 +54,27 @@ def test_refine_matches_pinned_bits(name, tmp_path):
     assert pinned_run(name, tmp_path) == pinned
 
 
+def pin_change(old: dict | None, new: dict) -> str:
+    """One line saying how the record ``new`` differs from ``old``."""
+    if old is None:
+        return "new config"
+    before, after = ([float(v) for v in r["values"]] for r in (old, new))
+    if len(before) != len(after):
+        return f"trace length {len(before)} -> {len(after)}"
+    rel = max(abs(a - b) / abs(b) if b else abs(a) for a, b in zip(after, before))
+    flips = [(step, b, a) for step, (b, a) in
+             enumerate(zip(old["violations"], new["violations"])) if a != b]
+    sha = "changed" if old["scene_sha256"] != new["scene_sha256"] else "unchanged"
+    return (f"max relative value change {rel:.3g}; "
+            f"violations {'unchanged' if not flips else f'(step, old, new) {flips}'}; "
+            f"scene sha256 {sha}")
+
+
 if __name__ == "__main__":
+    previous = json.loads(PIN_FILE.read_text()) if PIN_FILE.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         record = {name: pinned_run(name, Path(tmp)) for name in CONFIGS}
+    for name, new in record.items():
+        print(f"{name}: {pin_change(previous.get(name), new)}")
     PIN_FILE.write_text(json.dumps(record, indent=1) + "\n")
     sys.exit(0)
