@@ -118,6 +118,7 @@ class _SceneVars:
             raise InvalidDepthError("scene contains non-positive joint depths")
         self.N, self.J = self.U.shape
         self.nonroot = np.array([j for j in range(self.J) if j != self.root])
+        self.start = (self.pack(), self.ZR, self.U, self.V, self.Zrel)
 
     def pack(self) -> np.ndarray:
         s = self.scale
@@ -129,14 +130,19 @@ class _SceneVars:
         ])
 
     def unpack(self, x: np.ndarray):
-        s = self.scale
+        """Move the variables to ``x`` as the scene's values plus ``(x - x0) /
+        s``, so ``unpack(pack())`` restores the scene exactly (``x0 / s``
+        can miss a coordinate by an ulp)."""
+        x0, ZR, U, V, Zrel = self.start
+        d = (x - x0) / self.scale
         n, j = self.N, self.J
-        self.ZR = x[:n] / s
+        self.ZR = ZR + d[:n]
         if self.cfg.free_variables == "full_pose":
             nj = n * j
-            self.U = x[n:n + nj].reshape(n, j) / s
-            self.V = x[n + nj:n + 2 * nj].reshape(n, j) / s
-            self.Zrel[:, self.nonroot] = x[n + 2 * nj:].reshape(n, j - 1) / s
+            self.U = U + d[n:n + nj].reshape(n, j)
+            self.V = V + d[n + nj:n + 2 * nj].reshape(n, j)
+            self.Zrel = Zrel.copy()
+            self.Zrel[:, self.nonroot] += d[n + 2 * nj:].reshape(n, j - 1)
 
     def joints_scaled(self):
         """Absolute joints in loss units plus the chain-rule factors."""
@@ -311,8 +317,7 @@ def objective_terms(pred_scene: Scene, gt_scene: Scene,
     """Every unweighted term of the objective :func:`refine` minimises,
     by name (see :func:`_evaluate`), and the weighted ``total``, all from
     one :func:`ordinal_pass` under the ground truth's camera normal.
-    ``total`` is ``refine``'s trace row 0 up to the packing of the
-    variables, which moves a coordinate by at most an ulp."""
+    ``total`` is ``refine``'s trace row 0, bit for bit."""
     cfg = config or SolverConfig()
     sv = _SceneVars(pred_scene, cfg)
     anchors, truth = _targets(sv, gt_scene, cfg)
@@ -344,8 +349,7 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
     cfg = config or SolverConfig()
     sv = _SceneVars(pred_scene, cfg)
     x = sv.pack()
-    sv.unpack(x)  # the start point, which anchor="input" anchors at
-    anchors, truth = _targets(sv, gt_scene, cfg)
+    anchors, truth = _targets(sv, gt_scene, cfg)  # anchor="input" anchors at the input
     rng = np.random.default_rng(cfg.seed)
     normal = truth.label(gt_scene.camera.normal)
     k = cfg.views_per_step if cfg.w_hmor > 0 else 1
@@ -369,7 +373,7 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
         return terms[0]["total"], (terms[-1]["total"], grad, violations)
 
     labelled = ahead(normal)  # step 1's views
-    f0, (f, g, v) = evaluate(x, labelled, (slice(0, 1), every), every)
+    f0, (f, g, v) = evaluate(x, labelled, (slice(0, 1), every), every)  # at the input itself
     trace = [TraceEntry(0, f0, v)]
     eta = cfg.step_size
 
