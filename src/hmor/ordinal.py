@@ -324,11 +324,9 @@ def _entity_map(topology: SkeletonTopology, part_mode: str) -> np.ndarray:
     goes back through ``E.T``."""
     S, J = topology.part_count, topology.joint_count
     starts, ends = np.asarray(topology.parts, dtype=int).reshape(-1, 2).T
-    E = np.zeros((1 + S + J, J))
-    E[0] = 1.0 / J
+    E = np.vstack([np.full((1, J), 1.0 / J), np.zeros((S, J)), np.eye(J)])
     parts = np.arange(1, 1 + S)
     E[parts, ends], E[parts, starts] = (0.5, 0.5) if part_mode == "particle" else (1.0, -1.0)
-    E[1 + S:] = np.eye(J)
     E.setflags(write=False)  # cached, shared between callers
     return E
 

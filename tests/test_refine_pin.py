@@ -64,9 +64,9 @@ def pin_change(old: dict | None, new: dict) -> str:
     rel = max(abs(a - b) / abs(b) if b else abs(a) for a, b in zip(after, before))
     flips = [(step, b, a) for step, (b, a) in
              enumerate(zip(old["violations"], new["violations"])) if a != b]
+    violations = f"(step, old, new) {flips}" if flips else "unchanged"
     sha = "changed" if old["scene_sha256"] != new["scene_sha256"] else "unchanged"
-    return (f"max relative value change {rel:.3g}; "
-            f"violations {'unchanged' if not flips else f'(step, old, new) {flips}'}; "
+    return (f"max relative value change {rel:.3g}; violations {violations}; "
             f"scene sha256 {sha}")
 
 
