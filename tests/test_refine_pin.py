@@ -1,6 +1,6 @@
 """``refine`` output pinned to recorded bits.
 
-One generated pair is refined under six configs; every trace value (its
+One generated pair is refined under seven configs; every trace value (its
 ``repr``), every violation count and the sha256 of the saved refined
 scene must equal ``refine_pin.json``. Regenerate the file only when a
 change is meant to alter ``refine``'s results:
@@ -34,6 +34,8 @@ CONFIGS = {
     "full_pose": dict(steps=10, free_variables="full_pose", views_per_step=2),
     "particle_tolerance": dict(steps=10, views_per_step=3, hmor=HmorConfig(
         part_mode="particle", equality_tolerance=0.02)),
+    # every data term's gradient, abs into U/V included
+    "all_data_terms": dict(steps=10, free_variables="full_pose", w_abs=1.0),
 }
 
 
