@@ -25,9 +25,7 @@ from .metrics import (Matching, MetricReport, ViolationCounts, auc, evaluate,
                       match_persons, mpjpe, optimal_assignment,
                       ordinal_violations, pck, similarity_align)
 from .ordinal import (HmorConfig, HmorLoss, RelationPairs, count_violations,
-                      enumerate_pairs, err_instance, err_joint, err_part,
-                      err_part_particle, hmor_loss, part_relations_from_2d,
-                      relation_instance, relation_joint, relation_part)
+                      enumerate_pairs, hmor_loss, part_relations_from_2d)
 from .sceneio import load_scene, save_scene
 from .skeleton import (AbsolutePose, BoundingBox, Person, RelativePose, Scene,
                        SkeletonTopology, assemble_absolute, instance_position,

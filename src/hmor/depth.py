@@ -4,14 +4,15 @@ Absolute root depths are made camera-independent by dividing out the
 focal lengths, then rescaled to the "equivalent depth" of the resized
 person crop via the box/RoI area ratio. The refinement residual is
 learned in that normalized space and inverted back to millimeters at
-recovery time. All losses are plain L1 means. The ``loss_*`` functions
-are the paper's per-person reference forms of the data terms; the
-objective the solver minimises and ``hmor loss`` reports computes the
-same terms on whole-scene arrays (:func:`hmor.solver.objective_terms`).
+recovery time. All losses are plain L1 means, defined once on
+whole-scene arrays (:func:`l1_term`, :func:`init_term`,
+:func:`refine_term`); the solver's objective calls them, and the
+``loss_*`` functions read their values for per-person arguments.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,6 +21,17 @@ import numpy as np
 from .errors import InvalidDepthError, InvalidInputError
 from .geometry import Camera
 from .skeleton import AbsolutePose, RelativePose
+
+
+def _positive(x) -> bool:
+    """Whether every value of ``x`` is positive and finite (NaN is not)."""
+    return bool(np.all((np.asarray(x, dtype=float) > 0) & np.isfinite(x)))
+
+
+def _check_areas(a_box, a_roi) -> None:
+    if not (_positive(a_box) and _positive(a_roi)):
+        raise InvalidInputError(
+            f"areas must be positive and finite, got a_box={a_box}, a_roi={a_roi}")
 
 
 @dataclass(frozen=True)
@@ -38,102 +50,92 @@ class DepthEstimate:
     a_roi: float
 
     def __post_init__(self):
-        if self.a_box <= 0 or self.a_roi <= 0:
-            raise InvalidInputError(
-                f"areas must be positive, got a_box={self.a_box}, a_roi={self.a_roi}")
+        _check_areas(self.a_box, self.a_roi)
 
 
-def normalize_depth(z_abs: float, camera: Camera) -> float:
-    """Divide an absolute depth by the geometric mean of the focal lengths."""
-    if z_abs <= 0:
-        raise InvalidDepthError(f"depth must be positive, got {z_abs}")
+def normalize_depth(z_abs, camera: Camera):
+    """Divide an absolute depth, or an array of them, by the geometric mean
+    of the focal lengths."""
+    if not _positive(z_abs):
+        raise InvalidDepthError(f"depth must be positive and finite, got {z_abs}")
     return z_abs / np.sqrt(camera.fx * camera.fy)
 
 
-def equivalent_depth(z_norm: float, a_box: float, a_roi: float) -> float:
+def equivalent_depth(z_norm, a_box, a_roi):
     """Rescale a normalized depth to the resized-crop equivalent.
 
     Shrinking a person's box to a fixed RoI looks, under the pinhole
     model, like moving the person farther by sqrt(a_box / a_roi).
     """
-    if a_box <= 0 or a_roi <= 0:
-        raise InvalidInputError(f"areas must be positive, got a_box={a_box}, a_roi={a_roi}")
+    _check_areas(a_box, a_roi)
     return z_norm * np.sqrt(a_box / a_roi)
 
 
 def recover_absolute_depth(delta: float, z_eq_init: float, camera: Camera,
                            a_box: float, a_roi: float) -> float:
     """Invert the normalization chain: refined equivalent depth back to mm."""
-    if a_box <= 0 or a_roi <= 0:
-        raise InvalidInputError(f"areas must be positive, got a_box={a_box}, a_roi={a_roi}")
+    _check_areas(a_box, a_roi)
     z_abs = (delta + z_eq_init) * np.sqrt(camera.fx * camera.fy * a_roi / a_box)
-    if z_abs <= 0:
-        raise InvalidDepthError(f"recovered depth {z_abs} is not positive")
+    if not _positive(z_abs):
+        raise InvalidDepthError(f"recovered depth {z_abs} is not positive and finite")
     return float(z_abs)
 
 
-def loss_init_grad(pred_z_norm, gt_z_abs, camera: Camera):
-    """Mean L1 gap between normalized ground-truth depths and initial
-    predictions, plus the gradient w.r.t. the predictions."""
-    pred = np.asarray(pred_z_norm, dtype=float)
-    gt = np.asarray(gt_z_abs, dtype=float)
-    if pred.shape != gt.shape or pred.ndim != 1 or len(pred) < 1:
-        raise InvalidInputError(f"mismatched depth vectors: {pred.shape} vs {gt.shape}")
-    resid = gt / np.sqrt(camera.fx * camera.fy) - pred
-    grad = -np.sign(resid) / len(pred)
-    return float(np.abs(resid).mean()), grad
+def _checked(*arrays) -> list[np.ndarray]:
+    """The arrays as floats, if they share one non-empty shape."""
+    out = [np.asarray(a, dtype=float) for a in arrays]
+    if len({a.shape for a in out}) > 1 or out[0].size == 0:
+        raise InvalidInputError(
+            f"data-term arrays must share one non-empty shape, got {[a.shape for a in out]}")
+    return out
+
+
+def _l1(diff: np.ndarray):
+    return float(np.abs(diff).sum() / math.prod(diff.shape[:2])), np.sign(diff)
+
+
+def l1_term(pred, target):
+    """The pose ((N, J, 3) box-relative coordinates) and abs ((N, J, 3)
+    camera-frame ones) data terms: the mean over persons and joints of
+    ``|pred - target|`` summed over coordinates, and ``sign(pred - target)``.
+    Every term returns its sign, the gradient of its summed ``|residual|``:
+    the term's own gradient is the sign over its N·J (or N) rows, a factor
+    a caller folds into its weight."""
+    pred, target = _checked(pred, target)
+    return _l1(pred - target)
+
+
+def init_term(pred_z_norm, gt_z_abs, camera: Camera):
+    """The init term of (N,) focal-normalized initial depths against
+    absolute ground-truth depths (:func:`normalize_depth`)."""
+    pred, gt = _checked(pred_z_norm, gt_z_abs)
+    return _l1(pred - normalize_depth(gt, camera))
+
+
+def refine_term(delta, z_eq_init, gt_z_abs, camera: Camera, a_box, a_roi):
+    """The refine term of (N,) predicted residuals against the ones that
+    take the initial equivalent depths to the ground truth's
+    (:func:`equivalent_depth`); its sign is the gradient w.r.t. both."""
+    delta, z_eq_init, gt, a_box, a_roi = _checked(delta, z_eq_init, gt_z_abs, a_box, a_roi)
+    return _l1(delta - (equivalent_depth(normalize_depth(gt, camera), a_box, a_roi) - z_eq_init))
 
 
 def loss_init(pred_z_norm, gt_z_abs, camera: Camera) -> float:
-    return loss_init_grad(pred_z_norm, gt_z_abs, camera)[0]
-
-
-def loss_refine_grad(pred: Sequence[DepthEstimate], gt_z_abs, camera: Camera):
-    """Mean L1 residual gap of the refinement step and its gradient
-    w.r.t. the per-person deltas."""
-    gt = np.asarray(gt_z_abs, dtype=float)
-    if len(pred) != len(gt) or len(pred) < 1:
-        raise InvalidInputError(f"{len(pred)} estimates vs {len(gt)} ground-truth depths")
-    resid = np.empty(len(pred))
-    for i, (est, z) in enumerate(zip(pred, gt)):
-        gt_eq = equivalent_depth(normalize_depth(z, camera), est.a_box, est.a_roi)
-        resid[i] = gt_eq - est.z_eq_init - est.delta
-    grad = -np.sign(resid) / len(pred)
-    return float(np.abs(resid).mean()), grad
+    """Mean L1 gap of focal-normalized initial depths (:func:`init_term`)."""
+    return init_term(pred_z_norm, gt_z_abs, camera)[0]
 
 
 def loss_refine(pred: Sequence[DepthEstimate], gt_z_abs, camera: Camera) -> float:
-    return loss_refine_grad(pred, gt_z_abs, camera)[0]
+    """Mean L1 gap of the refinement residuals (:func:`refine_term`)."""
+    return refine_term([e.delta for e in pred], [e.z_eq_init for e in pred], gt_z_abs, camera,
+                       [e.a_box for e in pred], [e.a_roi for e in pred])[0]
 
 
-def _stack_poses(poses, attr: str) -> np.ndarray:
-    return np.stack([np.asarray(getattr(p, attr) if hasattr(p, attr) else p, dtype=float)
-                     for p in poses])
+def loss_pose(pred_rel: Sequence[RelativePose], gt_rel: Sequence[RelativePose]) -> float:
+    """L1 loss on box-relative coordinates (:func:`l1_term`)."""
+    return l1_term(*([getattr(p, "joints", p) for p in poses] for poses in (pred_rel, gt_rel)))[0]
 
 
-def loss_pose_grad(pred_rel: Sequence[RelativePose], gt_rel: Sequence[RelativePose]):
-    """L1 regression loss on box-relative coordinates, averaged over
-    persons and joints, with the gradient w.r.t. the predictions."""
-    pred = _stack_poses(pred_rel, "joints")
-    gt = _stack_poses(gt_rel, "joints")
-    if pred.shape != gt.shape:
-        raise InvalidInputError(f"pose shape mismatch: {pred.shape} vs {gt.shape}")
-    n, j = pred.shape[0], pred.shape[1]
-    diff = pred - gt
-    grad = np.sign(diff) / (n * j)
-    return float(np.abs(diff).sum() / (n * j)), grad
-
-
-def loss_pose(pred_rel, gt_rel) -> float:
-    return loss_pose_grad(pred_rel, gt_rel)[0]
-
-
-def loss_abs_grad(pred_abs: Sequence[AbsolutePose], gt_abs: Sequence[AbsolutePose]):
-    """L1 loss on absolute camera-frame coordinates: the same L1 body as
-    :func:`loss_pose_grad`, applied to AbsolutePose joints."""
-    return loss_pose_grad(pred_abs, gt_abs)
-
-
-def loss_abs(pred_abs, gt_abs) -> float:
-    return loss_abs_grad(pred_abs, gt_abs)[0]
-
+def loss_abs(pred_abs: Sequence[AbsolutePose], gt_abs: Sequence[AbsolutePose]) -> float:
+    """L1 loss on absolute camera-frame coordinates (:func:`l1_term`)."""
+    return loss_pose(pred_abs, gt_abs)

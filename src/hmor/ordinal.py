@@ -193,88 +193,6 @@ def _threshold_label(margin, eps: float):
 
 
 # ---------------------------------------------------------------------------
-# scalar relations and errors (reference forms; the scene-level loss is
-# vectorized but must agree with these exactly)
-
-def relation_instance(gt_a, gt_b, view, eps: float = 0.0) -> int:
-    """+1 if a is closer than b along the view, -1 if farther, 0 if tied."""
-    n = _view_array(view)
-    margin = float(np.dot(np.asarray(gt_a, float) - np.asarray(gt_b, float), n))
-    return int(_threshold_label(margin, eps))
-
-
-def err_instance_grad(pred_a, pred_b, label: int, view):
-    """Instance ordinal error and its gradients w.r.t. both positions.
-
-    err = log(1 + max(0, label * (pred_a - pred_b) . view)); the
-    subgradient at the clamp boundary is taken as zero.
-    """
-    n = _view_array(view)
-    a = np.asarray(pred_a, float)
-    b = np.asarray(pred_b, float)
-    g = label * float(np.dot(a - b, n))
-    if g <= 0.0:
-        return 0.0, np.zeros(3), np.zeros(3)
-    w = label / (1.0 + g)
-    return float(np.log1p(g)), w * n, -w * n
-
-
-def err_instance(pred_a, pred_b, label: int, view) -> float:
-    return err_instance_grad(pred_a, pred_b, label, view)[0]
-
-
-def relation_joint(gt_a, gt_b, view, eps: float = 0.0) -> int:
-    """Joint-level depth relation; same rule as the instance level."""
-    return relation_instance(gt_a, gt_b, view, eps)
-
-
-def err_joint_grad(pred_k1, pred_k2, label: int, view):
-    """Joint ordinal error and gradients; clamps the label-product,
-    exactly as the instance error does."""
-    return err_instance_grad(pred_k1, pred_k2, label, view)
-
-
-def err_joint(pred_k1, pred_k2, label: int, view) -> float:
-    return err_joint_grad(pred_k1, pred_k2, label, view)[0]
-
-
-def relation_part(gt_t1, gt_t2, view, eps: float = 0.0) -> int:
-    """Turning-direction relation of two bone vectors seen along ``view``.
-
-    The label is -sign((t1 x t2) . view), banded by eps, so that a
-    correctly ordered prediction makes label * (t1 x t2) . view negative
-    and the part error clamp to zero. Parallel projections give 0.
-    """
-    n = _view_array(view)
-    c = float(np.dot(np.cross(np.asarray(gt_t1, float), np.asarray(gt_t2, float)), n))
-    return int(_threshold_label(c, eps))
-
-
-def err_part_grad(pred_t1, pred_t2, label: int, view):
-    """Part ordinal error [label * (t1 x t2) . view]_+ and gradients."""
-    n = _view_array(view)
-    t1 = np.asarray(pred_t1, float)
-    t2 = np.asarray(pred_t2, float)
-    a = label * float(np.dot(np.cross(t1, t2), n))
-    if a <= 0.0:
-        return 0.0, np.zeros(3), np.zeros(3)
-    return float(a), label * np.cross(t2, n), -label * np.cross(t1, n)
-
-
-def err_part(pred_t1, pred_t2, label: int, view) -> float:
-    return err_part_grad(pred_t1, pred_t2, label, view)[0]
-
-
-def err_part_particle_grad(pred_c1, pred_c2, label: int, view):
-    """Particle-part variant: depth-order error of bone midpoints."""
-    return err_instance_grad(pred_c1, pred_c2, label, view)
-
-
-def err_part_particle(pred_c1, pred_c2, label: int, view) -> float:
-    return err_part_particle_grad(pred_c1, pred_c2, label, view)[0]
-
-
-# ---------------------------------------------------------------------------
 # scene-level enumeration and loss
 
 def scene_joint_array(scene: Scene, scale: float = 1.0) -> np.ndarray:

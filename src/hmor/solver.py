@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .depth import init_term, l1_term, refine_term
 from .errors import InvalidDepthError, InvalidInputError, NumericalError, SolverError
 from .geometry import back_project_points, sample_view
 from .ordinal import (HmorConfig, LabelledTruth, RelationPairs, _depth_margins, _entity_map,
@@ -45,6 +46,14 @@ class SolverConfig:
     makes the trace monotone when the per-step views are fixed
     (views_per_step == 1); fresh sampled views re-randomize the objective
     between steps.
+
+    Every data term is L1, so its gradient does not shrink with its
+    residual. Under ``full_pose`` the pose term adds ``w_pose / (N·J·s)``
+    (``s = hmor.depth_unit_scale``) to the gradient of every box-relative
+    coordinate whose residual is nonzero, however small: 19.6 at 3
+    persons of 17 joints, so one step of the default ``step_size`` moves
+    such a coordinate by 196 mm or px, and it oscillates around its
+    anchor instead of settling.
     """
 
     steps: int = 500
@@ -217,7 +226,9 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors,
     the total's gradient w.r.t. the packed variables with the ordinal
     term averaged over ``grad_rows`` (None when grad_rows is None), and
     ``violations`` the total ordinal violations under the first labelled
-    view. The data terms are computed once and shared by every selection.
+    view. The data terms are :mod:`hmor.depth`'s, computed once and shared
+    by every selection; each term's gradient is its sign times the term's
+    weight over its rows and the chain to the scaled variables.
     With ``all_terms`` off and ``w_hmor == 0`` the ordinal term is left
     out and the violations are counted alone (:func:`violation_counts`).
     """
@@ -228,30 +239,27 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors,
     dK = np.zeros((sv.N, sv.J, 3))
     K, d, a, b = sv.joints_scaled()
 
-    diff = np.stack([sv.U, sv.V, sv.Zrel], axis=2) - anchors.rel
-    data = {"pose": _check_finite("pose", float(np.abs(diff).sum() / nj))}
+    froot = np.sqrt(sv.camera.fx * sv.camera.fy)
+    ratio = np.sqrt(sv.a_box / sv.a_roi)
+    z_norm = sv.ZR / froot  # initial depths, normalized; times ratio, equivalent
+    data_terms = {
+        "pose": l1_term(np.stack([sv.U, sv.V, sv.Zrel], axis=2), anchors.rel),
+        "init": init_term(z_norm, anchors.z_root, sv.camera),
+        "refine": refine_term(np.zeros(sv.N), z_norm * ratio, anchors.z_root, sv.camera,
+                              sv.a_box, sv.a_roi),
+        "abs": l1_term(K / s, anchors.abs_mm)}
+    data = {name: _check_finite(name, value) for name, (value, _) in data_terms.items()}
     if want_grad and config.w_pose > 0 and config.free_variables == "full_pose":
-        g = np.sign(diff) * (config.w_pose / (nj * s))
+        g = data_terms["pose"][1] * (config.w_pose / (nj * s))
         grad[sv.N:sv.N + nj] += g[:, :, 0].ravel()
         grad[sv.N + nj:sv.N + 2 * nj] += g[:, :, 1].ravel()
         grad[sv.N + 2 * nj:] += g[:, sv.nonroot, 2].ravel()
-
-    froot = np.sqrt(sv.camera.fx * sv.camera.fy)
-    resid = anchors.z_root / froot - sv.ZR / froot
-    data["init"] = _check_finite("init", float(np.abs(resid).mean()))
     if want_grad and config.w_init > 0:
-        grad[:sv.N] += -np.sign(resid) * (config.w_init / (sv.N * froot * s))
-
-    ratio = np.sqrt(sv.a_box / sv.a_roi)
-    resid = (anchors.z_root / froot) * ratio - (sv.ZR / froot) * ratio
-    data["refine"] = _check_finite("refine", float(np.abs(resid).mean()))
+        grad[:sv.N] += data_terms["init"][1] * (config.w_init / (sv.N * froot * s))
     if want_grad and config.w_refine > 0:
-        grad[:sv.N] += -np.sign(resid) * ratio * (config.w_refine / (sv.N * froot * s))
-
-    diff = K / s - anchors.abs_mm
-    data["abs"] = _check_finite("abs", float(np.abs(diff).sum() / nj))
+        grad[:sv.N] += data_terms["refine"][1] * ratio * (config.w_refine / (sv.N * froot * s))
     if want_grad and config.w_abs > 0:
-        dK += np.sign(diff) * (config.w_abs / (nj * s))
+        dK += data_terms["abs"][1] * (config.w_abs / (nj * s))
 
     if all_terms or config.w_hmor > 0:
         hmor_grad = want_grad and config.w_hmor > 0

@@ -2,7 +2,127 @@ import numpy as np
 import pytest
 
 from hmor import (BoundingBox, Camera, Person, RelativePose, Scene,
-                  SkeletonTopology)
+                  SkeletonTopology, equivalent_depth, normalize_depth)
+from hmor.ordinal import _threshold_label, _view_array
+
+
+# ---------------------------------------------------------------------------
+# Per-pair relations and errors: the reference forms the vectorized
+# ordinal kernel (hmor.ordinal.ordinal_pass) must agree with exactly.
+
+def relation_instance(gt_a, gt_b, view, eps: float = 0.0) -> int:
+    """+1 if a is closer than b along the view, -1 if farther, 0 if tied."""
+    n = _view_array(view)
+    margin = float(np.dot(np.asarray(gt_a, float) - np.asarray(gt_b, float), n))
+    return int(_threshold_label(margin, eps))
+
+
+def err_instance_grad(pred_a, pred_b, label: int, view):
+    """Instance ordinal error and its gradients w.r.t. both positions.
+
+    err = log(1 + max(0, label * (pred_a - pred_b) . view)); the
+    subgradient at the clamp boundary is taken as zero.
+    """
+    n = _view_array(view)
+    a = np.asarray(pred_a, float)
+    b = np.asarray(pred_b, float)
+    g = label * float(np.dot(a - b, n))
+    if g <= 0.0:
+        return 0.0, np.zeros(3), np.zeros(3)
+    w = label / (1.0 + g)
+    return float(np.log1p(g)), w * n, -w * n
+
+
+def err_instance(pred_a, pred_b, label: int, view) -> float:
+    return err_instance_grad(pred_a, pred_b, label, view)[0]
+
+
+def relation_joint(gt_a, gt_b, view, eps: float = 0.0) -> int:
+    """Joint-level depth relation; same rule as the instance level."""
+    return relation_instance(gt_a, gt_b, view, eps)
+
+
+def err_joint_grad(pred_k1, pred_k2, label: int, view):
+    """Joint ordinal error and gradients; clamps the label-product,
+    exactly as the instance error does."""
+    return err_instance_grad(pred_k1, pred_k2, label, view)
+
+
+def err_joint(pred_k1, pred_k2, label: int, view) -> float:
+    return err_joint_grad(pred_k1, pred_k2, label, view)[0]
+
+
+def relation_part(gt_t1, gt_t2, view, eps: float = 0.0) -> int:
+    """Turning-direction relation of two bone vectors seen along ``view``.
+
+    The label is -sign((t1 x t2) . view), banded by eps, so that a
+    correctly ordered prediction makes label * (t1 x t2) . view negative
+    and the part error clamp to zero. Parallel projections give 0.
+    """
+    n = _view_array(view)
+    c = float(np.dot(np.cross(np.asarray(gt_t1, float), np.asarray(gt_t2, float)), n))
+    return int(_threshold_label(c, eps))
+
+
+def err_part_grad(pred_t1, pred_t2, label: int, view):
+    """Part ordinal error [label * (t1 x t2) . view]_+ and gradients."""
+    n = _view_array(view)
+    t1 = np.asarray(pred_t1, float)
+    t2 = np.asarray(pred_t2, float)
+    a = label * float(np.dot(np.cross(t1, t2), n))
+    if a <= 0.0:
+        return 0.0, np.zeros(3), np.zeros(3)
+    return float(a), label * np.cross(t2, n), -label * np.cross(t1, n)
+
+
+def err_part(pred_t1, pred_t2, label: int, view) -> float:
+    return err_part_grad(pred_t1, pred_t2, label, view)[0]
+
+
+def err_part_particle_grad(pred_c1, pred_c2, label: int, view):
+    """Particle-part variant: depth-order error of bone midpoints."""
+    return err_instance_grad(pred_c1, pred_c2, label, view)
+
+
+def err_part_particle(pred_c1, pred_c2, label: int, view) -> float:
+    return err_part_particle_grad(pred_c1, pred_c2, label, view)[0]
+
+
+# ---------------------------------------------------------------------------
+# Per-person data terms with their gradients: the reference forms the
+# whole-scene terms of hmor.depth must agree with.
+
+def loss_init_grad(pred_z_norm, gt_z_abs, camera):
+    """Mean L1 gap between normalized ground-truth depths and initial
+    predictions, plus the gradient w.r.t. the predictions."""
+    pred = np.asarray(pred_z_norm, dtype=float)
+    gt = np.asarray(gt_z_abs, dtype=float)
+    resid = gt / np.sqrt(camera.fx * camera.fy) - pred
+    grad = -np.sign(resid) / len(pred)
+    return float(np.abs(resid).mean()), grad
+
+
+def loss_refine_grad(pred, gt_z_abs, camera):
+    """Mean L1 residual gap of the refinement step and its gradient
+    w.r.t. the per-person deltas."""
+    resid = np.empty(len(pred))
+    for i, (est, z) in enumerate(zip(pred, gt_z_abs)):
+        gt_eq = equivalent_depth(normalize_depth(z, camera), est.a_box, est.a_roi)
+        resid[i] = gt_eq - est.z_eq_init - est.delta
+    grad = -np.sign(resid) / len(pred)
+    return float(np.abs(resid).mean()), grad
+
+
+def loss_pose_grad(pred_rel, gt_rel):
+    """L1 regression loss on (box-relative or absolute) joint coordinates,
+    averaged over persons and joints, with the gradient w.r.t. the
+    predictions."""
+    pred, gt = (np.stack([np.asarray(getattr(p, "joints", p), dtype=float) for p in poses])
+                for poses in (pred_rel, gt_rel))
+    n, j = pred.shape[0], pred.shape[1]
+    diff = pred - gt
+    grad = np.sign(diff) / (n * j)
+    return float(np.abs(diff).sum() / (n * j)), grad
 
 
 @pytest.fixture
@@ -72,7 +192,6 @@ def _brute_force_entities(K, topo, particle):
 
 
 def _brute_force_relations(particle):
-    from hmor.ordinal import relation_instance, relation_joint, relation_part
     return (relation_instance, relation_instance if particle else relation_part,
             relation_joint)
 
@@ -101,8 +220,7 @@ def ordinal_brute_force(pred, gt, views, config, pairs):
     entity pairs. Returns (totals, levels, violations, dK) laid out as
     ``ordinal_pass`` returns them.
     """
-    from hmor.ordinal import (err_instance_grad, err_joint_grad, err_part_grad,
-                              err_part_particle_grad, scene_joint_array)
+    from hmor.ordinal import scene_joint_array
     topo = gt.topology
     J = topo.joint_count
     particle = config.part_mode == "particle"

@@ -14,20 +14,18 @@ from pathlib import Path
 import numpy as np
 
 import hmor
-from hmor import (Camera, DepthEstimate, GaussNoise, GenSpec, HmorConfig,
+from hmor import (Camera, GaussNoise, GenSpec, HmorConfig,
                   SolverConfig, assemble_absolute, back_project,
-                  enumerate_pairs, equivalent_depth, err_instance,
+                  enumerate_pairs, equivalent_depth,
                   generate_scene, hmor_loss, mpjpe, normalize_depth,
                   optimal_assignment, ordinal_violations, perturb, project,
                   project_to_plane, recover_absolute_depth, refine,
                   sample_view, similarity_align)
 from hmor.cli import main as cli_main
-from hmor.depth import (loss_abs_grad, loss_init_grad, loss_pose_grad,
-                        loss_refine_grad)
-from hmor.ordinal import (err_instance_grad, err_joint_grad, err_part_grad,
-                          err_part_particle_grad)
+from hmor.depth import init_term, l1_term, refine_term
 from hmor.solver import _fd_max_rel_err
-from conftest import swap_root_depths, two_person_depth_fixture
+from conftest import (err_instance, err_instance_grad, err_joint_grad, err_part_grad,
+                      err_part_particle_grad, swap_root_depths, two_person_depth_fixture)
 
 
 def report(number, passed, detail):
@@ -84,41 +82,38 @@ def test_criterion_2_gradient_correctness():
                                   np.concatenate([a, b]), np.concatenate([ga, gb]), step)
             worst[name] = max(worst[name], err)
 
+    # the data terms as the solver calls them; each returns the sign of its
+    # residuals, so its gradient is the sign over the term's rows
     cam = Camera(1000.0, 1000.0, 500.0, 500.0)
-    worst["loss_pose"] = worst["loss_abs"] = 0.0
+    worst["pose"] = worst["abs"] = 0.0
     for _ in range(100):
-        gt = rng.normal(size=(2, 6, 3))
-        pred = gt + rng.choice([-1, 1], gt.shape) * rng.uniform(2 * margin, 1.0, gt.shape)
-        for name, fn in (("loss_pose", loss_pose_grad), ("loss_abs", loss_abs_grad)):
-            _, g = fn(pred, gt)
-            err = _fd_max_rel_err(lambda x: fn(x.reshape(gt.shape), gt)[0], pred.ravel(),
+        for name, centre in (("pose", 0.0), ("abs", 3000.0)):
+            gt = centre + rng.normal(size=(2, 6, 3))
+            pred = gt + rng.choice([-1, 1], gt.shape) * rng.uniform(2 * margin, 1.0, gt.shape)
+            g = l1_term(pred, gt)[1] / 12
+            err = _fd_max_rel_err(lambda x: l1_term(x.reshape(gt.shape), gt)[0], pred.ravel(),
                                   g.ravel(), step)
             worst[name] = max(worst[name], err)
 
-    worst["loss_init"] = 0.0
+    worst["init"] = 0.0
     for _ in range(100):
         gt_z = rng.uniform(3000.0, 8000.0, 4)
         pred = gt_z / 1000.0 + rng.choice([-1, 1], 4) * rng.uniform(2 * margin, 1.0, 4)
-        _, g = loss_init_grad(pred, gt_z, cam)
-        err = _fd_max_rel_err(lambda x: loss_init_grad(x, gt_z, cam)[0], pred, g, step)
-        worst["loss_init"] = max(worst["loss_init"], err)
+        g = init_term(pred, gt_z, cam)[1] / 4
+        err = _fd_max_rel_err(lambda x: init_term(x, gt_z, cam)[0], pred, g, step)
+        worst["init"] = max(worst["init"], err)
 
-    worst["loss_refine"] = 0.0
+    worst["refine"] = 0.0
     for _ in range(100):
         gt_z = rng.uniform(3000.0, 8000.0, 4)
         a_box = rng.uniform(5e3, 5e4, 4)
         a_roi = rng.uniform(5e3, 5e4, 4)
         deltas = rng.choice([-1, 1], 4) * rng.uniform(2 * margin, 1.0, 4)
-        z_init = gt_z / 1000.0
-
-        def build(d):
-            return [DepthEstimate(z_init[i], z_init[i] * np.sqrt(a_box[i] / a_roi[i]),
-                                  d[i], a_box[i], a_roi[i]) for i in range(4)]
-
-        _, g = loss_refine_grad(build(deltas), gt_z, cam)
-        err = _fd_max_rel_err(lambda d: loss_refine_grad(build(d), gt_z, cam)[0], deltas, g,
-                              step)
-        worst["loss_refine"] = max(worst["loss_refine"], err)
+        z_eq_init = gt_z / 1000.0 * np.sqrt(a_box / a_roi)
+        g = refine_term(deltas, z_eq_init, gt_z, cam, a_box, a_roi)[1] / 4
+        err = _fd_max_rel_err(lambda d: refine_term(d, z_eq_init, gt_z, cam, a_box, a_roi)[0],
+                              deltas, g, step)
+        worst["refine"] = max(worst["refine"], err)
 
     elapsed = time.perf_counter() - start
     peak = max(worst.values())

@@ -16,8 +16,9 @@ class TestNormalizeDepth:
         assert normalize_depth(5000.0, camera) == 5.0
 
     def test_rejects_non_positive(self, camera):
-        with pytest.raises(InvalidDepthError):
-            normalize_depth(0.0, camera)
+        for z in (0.0, np.nan, np.inf):
+            with pytest.raises(InvalidDepthError):
+                normalize_depth(z, camera)
 
     def test_homogeneous_in_depth(self, camera):
         rng = np.random.default_rng(0)
@@ -41,8 +42,16 @@ class TestEquivalentDepth:
             assert np.isclose(equivalent_depth(z, c * ab, c * ar), equivalent_depth(z, ab, ar))
 
     def test_rejects_bad_areas(self):
+        for a_box in (0.0, np.nan, np.inf):
+            with pytest.raises(InvalidInputError):
+                equivalent_depth(5.0, a_box, 100.0)
+
+
+class TestDepthEstimate:
+    @pytest.mark.parametrize("a_box", [0.0, np.nan, np.inf])
+    def test_rejects_bad_areas(self, a_box):
         with pytest.raises(InvalidInputError):
-            equivalent_depth(5.0, 0.0, 100.0)
+            DepthEstimate(5.0, 5.0, 0.0, a_box, 100.0)
 
 
 class TestRecoverAbsoluteDepth:
@@ -67,8 +76,9 @@ class TestRecoverAbsoluteDepth:
         assert np.isclose(two, 2.0 * one)
 
     def test_rejects_non_positive_result(self, camera):
-        with pytest.raises(InvalidDepthError):
-            recover_absolute_depth(-10.0, 5.0, camera, 10000.0, 10000.0)
+        for delta in (-10.0, np.nan, np.inf):
+            with pytest.raises(InvalidDepthError):
+                recover_absolute_depth(delta, 5.0, camera, 10000.0, 10000.0)
 
 
 class TestLossInit:
@@ -88,6 +98,15 @@ class TestLossInit:
     def test_shape_mismatch_rejected(self, camera):
         with pytest.raises(InvalidInputError):
             loss_init([1.0, 2.0], [1000.0], camera)
+
+    @pytest.mark.parametrize("z", [-5.0, 0.0, np.nan, np.inf])
+    def test_rejects_non_positive_truth(self, camera, z):
+        # the same check as loss_refine's, through normalize_depth
+        est = DepthEstimate(1.0, 1.0, 0.0, 100.0, 100.0)
+        for call in (lambda: loss_init([1.0], [z], camera),
+                     lambda: loss_refine([est], [z], camera)):
+            with pytest.raises(InvalidDepthError):
+                call()
 
 
 class TestLossRefine:
@@ -181,3 +200,17 @@ class TestLossAbs:
         got = loss_abs([AbsolutePose(pred)], [AbsolutePose(gt)])
         assert abs(got - expected) < 1e-9
 
+
+
+EMPTY_CALLS = {
+    "loss_init": lambda cam: loss_init([], [], cam),
+    "loss_refine": lambda cam: loss_refine([], [], cam),
+    "loss_pose": lambda cam: loss_pose([], []),
+    "loss_abs": lambda cam: loss_abs([], []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_CALLS))
+def test_empty_input_rejected(camera, name):
+    with pytest.raises(InvalidInputError, match="one non-empty shape"):
+        EMPTY_CALLS[name](camera)

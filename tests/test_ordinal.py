@@ -7,17 +7,16 @@ from hypothesis import strategies as st
 
 from hmor import (GaussNoise, GenSpec, HmorConfig, HmorLoss, InvalidInputError,
                   SkeletonTopology, SolverConfig, ViewVector, assemble_absolute,
-                  count_violations, enumerate_pairs, err_instance, err_joint, err_part,
-                  err_part_particle, evaluate, generate_scene, hmor_loss,
+                  count_violations, enumerate_pairs, evaluate, generate_scene, hmor_loss,
                   instance_position, objective, ordinal_violations,
                   part_relations_from_2d, part_vectors, perturb,
-                  project_to_plane, relation_instance, relation_joint,
-                  relation_part, sample_view)
+                  project_to_plane, sample_view)
 from hmor.ordinal import (LabelledTruth, RelationPairs, _entity_map, _full_layout, _Layout,
-                          err_instance_grad, err_joint_grad, err_part_grad, ordinal_pass,
-                          scene_joint_array, violation_counts)
+                          ordinal_pass, scene_joint_array, violation_counts)
 from hmor.solver import _fd_max_rel_err
-from conftest import (brute_force_labels, brute_force_pairs, ordinal_brute_force,
+from conftest import (brute_force_labels, brute_force_pairs, err_instance, err_instance_grad,
+                      err_joint, err_joint_grad, err_part, err_part_grad, err_part_particle,
+                      ordinal_brute_force, relation_instance, relation_joint, relation_part,
                       swap_root_depths, two_person_depth_fixture)
 
 Z = np.array([0.0, 0.0, 1.0])

@@ -16,7 +16,8 @@ import hmor.solver
 from hmor.ordinal import LabelledTruth, scene_joint_array
 from hmor.solver import (_Anchors, _evaluate, _fd_max_rel_err, _gradcheck_point,
                          _SceneVars)
-from conftest import swap_root_depths, two_person_depth_fixture
+from conftest import (loss_init_grad, loss_pose_grad, loss_refine_grad, swap_root_depths,
+                      two_person_depth_fixture)
 
 HMOR_ONLY = dict(w_pose=0.0, w_init=0.0, w_refine=0.0, w_hmor=1.0, w_abs=0.0)
 
@@ -203,30 +204,49 @@ def test_person_count_mismatch_is_invalid_input(call):
 
 
 class TestTermsOracle:
-    """The solver's unweighted terms against the per-person reference
-    forms in ``hmor.depth``."""
+    """The solver's unweighted terms, and the public ``loss_*`` values,
+    against the per-person reference forms in ``conftest``."""
 
-    @pytest.mark.parametrize("seed", range(1, 7))
-    def test_terms_equal_depth_reference(self, seed):
-        spec = GenSpec(seed=seed, n_persons=1 + seed % 5,
-                       perturbation=GaussNoise(30.0, 300.0))
+    @staticmethod
+    def _case(seed, n_persons, delta_sd):
+        """A generated pair, its root depths, and the prediction's depth
+        estimates with residuals drawn at ``delta_sd``."""
+        spec = GenSpec(seed=seed, n_persons=n_persons, perturbation=GaussNoise(30.0, 300.0))
         gt = generate_scene(spec)
         pred = perturb(gt, spec)
-        terms = objective_terms(pred, gt)
         cam = gt.camera
         froot = np.sqrt(cam.fx * cam.fy)
         gt_z = [p.root_depth for p in gt.persons]
         pred_norm = [p.root_depth / froot for p in pred.persons]
-        estimates = [DepthEstimate(zn, zn * np.sqrt(p.box.area / p.roi_area), 0.0,
+        deltas = np.random.default_rng(seed).normal(0.0, delta_sd, n_persons)
+        estimates = [DepthEstimate(zn, zn * np.sqrt(p.box.area / p.roi_area), delta,
                                    p.box.area, p.roi_area)
-                     for zn, p in zip(pred_norm, pred.persons)]
-        assert terms["pose"] == loss_pose([p.rel_pose for p in pred.persons],
-                                          [p.rel_pose for p in gt.persons])
-        assert terms["init"] == loss_init(pred_norm, gt_z, cam)
-        assert terms["refine"] == loss_refine(estimates, gt_z, cam)
-        reference = loss_abs([assemble_absolute(p, cam) for p in pred.persons],
-                             [assemble_absolute(p, cam) for p in gt.persons])
+                     for zn, delta, p in zip(pred_norm, deltas.tolist(), pred.persons)]
+        return gt, pred, gt_z, pred_norm, estimates
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_terms_equal_depth_reference(self, seed):
+        gt, pred, gt_z, pred_norm, estimates = self._case(seed, 1 + seed % 5, 0.0)
+        terms = objective_terms(pred, gt)
+        cam = gt.camera
+        assert terms["pose"] == loss_pose_grad([p.rel_pose for p in pred.persons],
+                                               [p.rel_pose for p in gt.persons])[0]
+        assert terms["init"] == loss_init_grad(pred_norm, gt_z, cam)[0]
+        assert terms["refine"] == loss_refine_grad(estimates, gt_z, cam)[0]
+        reference = loss_pose_grad([assemble_absolute(p, cam) for p in pred.persons],
+                                   [assemble_absolute(p, cam) for p in gt.persons])[0]
         assert terms["abs"] == pytest.approx(reference, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(1, 5))
+    def test_public_losses_equal_reference(self, seed):
+        gt, pred, gt_z, pred_norm, estimates = self._case(seed, 1 + seed, 0.3)
+        cam = gt.camera
+        rel = [[p.rel_pose for p in s.persons] for s in (pred, gt)]
+        absolute = [[assemble_absolute(p, cam) for p in s.persons] for s in (pred, gt)]
+        assert loss_init(pred_norm, gt_z, cam) == loss_init_grad(pred_norm, gt_z, cam)[0]
+        assert loss_refine(estimates, gt_z, cam) == loss_refine_grad(estimates, gt_z, cam)[0]
+        assert loss_pose(*rel) == loss_pose_grad(*rel)[0]
+        assert loss_abs(*absolute) == loss_pose_grad(*absolute)[0]
 
 
 class TestRefine:
