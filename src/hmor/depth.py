@@ -25,7 +25,7 @@ from .skeleton import AbsolutePose, RelativePose
 
 def _positive(x) -> bool:
     """Whether every value of ``x`` is positive and finite (NaN is not)."""
-    return bool(np.all((np.asarray(x, dtype=float) > 0) & np.isfinite(x)))
+    return all(0 < v < math.inf for v in np.ravel(x).tolist())
 
 
 def _check_areas(a_box, a_roi) -> None:
