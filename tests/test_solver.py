@@ -12,6 +12,7 @@ from hmor import (DepthEstimate, GaussNoise, GenSpec, HmorConfig, InvalidDepthEr
                   objective_terms, ordinal_violations, perturb, refine, save_scene)
 from hmor import sample_view
 from hmor.cli import main
+from hmor.depth import init_term, l1_term, refine_term
 import hmor.solver
 from hmor.ordinal import LabelledTruth, scene_joint_array
 from hmor.solver import (_Anchors, _evaluate, _fd_max_rel_err, _gradcheck_point,
@@ -238,15 +239,26 @@ class TestTermsOracle:
         assert terms["abs"] == pytest.approx(reference, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("seed", range(1, 5))
-    def test_public_losses_equal_reference(self, seed):
+    def test_public_terms_equal_reference(self, seed):
+        """The ``loss_*`` values, and each term's sign over its rows as the
+        gradient, for several persons and nonzero residuals."""
         gt, pred, gt_z, pred_norm, estimates = self._case(seed, 1 + seed, 0.3)
         cam = gt.camera
         rel = [[p.rel_pose for p in s.persons] for s in (pred, gt)]
         absolute = [[assemble_absolute(p, cam) for p in s.persons] for s in (pred, gt)]
-        assert loss_init(pred_norm, gt_z, cam) == loss_init_grad(pred_norm, gt_z, cam)[0]
-        assert loss_refine(estimates, gt_z, cam) == loss_refine_grad(estimates, gt_z, cam)[0]
-        assert loss_pose(*rel) == loss_pose_grad(*rel)[0]
+        init = loss_init_grad(pred_norm, gt_z, cam)
+        refine = loss_refine_grad(estimates, gt_z, cam)
+        pose = loss_pose_grad(*rel)
+        assert loss_init(pred_norm, gt_z, cam) == init[0]
+        assert loss_refine(estimates, gt_z, cam) == refine[0]
+        assert loss_pose(*rel) == pose[0]
         assert loss_abs(*absolute) == loss_pose_grad(*absolute)[0]
+        n, j = pose[1].shape[:2]
+        sign = refine_term([e.delta for e in estimates], [e.z_eq_init for e in estimates], gt_z,
+                           cam, [e.a_box for e in estimates], [e.a_roi for e in estimates])[1]
+        assert np.array_equal(init_term(pred_norm, gt_z, cam)[1] / n, init[1])
+        assert np.array_equal(sign / n, refine[1])
+        assert np.array_equal(l1_term(*([p.joints for p in r] for r in rel))[1] / (n * j), pose[1])
 
 
 class TestRefine:
