@@ -115,7 +115,8 @@ def init_term(pred_z_norm, gt_z_abs, camera: Camera):
 def refine_term(delta, z_eq_init, gt_z_abs, camera: Camera, a_box, a_roi):
     """The refine term of (N,) predicted residuals against the ones that
     take the initial equivalent depths to the ground truth's
-    (:func:`equivalent_depth`); its sign is the gradient w.r.t. both."""
+    (:func:`equivalent_depth`); its sign is the gradient w.r.t. ``delta``
+    and ``z_eq_init`` alike."""
     delta, z_eq_init, gt, a_box, a_roi = _checked(delta, z_eq_init, gt_z_abs, a_box, a_roi)
     return _l1(delta - (equivalent_depth(normalize_depth(gt, camera), a_box, a_roi) - z_eq_init))
 

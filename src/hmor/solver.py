@@ -241,7 +241,7 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors,
 
     froot = np.sqrt(sv.camera.fx * sv.camera.fy)
     ratio = np.sqrt(sv.a_box / sv.a_roi)
-    z_norm = sv.ZR / froot  # initial depths, normalized; times ratio, equivalent
+    z_norm = sv.ZR / froot  # normalized root depths; times ratio, equivalent ones
     data_terms = {
         "pose": l1_term(np.stack([sv.U, sv.V, sv.Zrel], axis=2), anchors.rel),
         "init": init_term(z_norm, anchors.z_root, sv.camera),
