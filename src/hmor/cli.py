@@ -21,18 +21,18 @@ import math
 import os
 import sys
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import synth
 from .errors import (HmorError, InvalidInputError, NumericalError, SolverError)
-from .metrics import (DEFAULT_PCK_THRESHOLD_MM, MetricReport, evaluate)
-from .ordinal import HmorConfig
 from .sceneio import load_scene, save_scene
-from .solver import SolverConfig, _gradcheck_point, grad_check, objective_terms, refine
-from .synth import GenSpec, generate_scene, perturb
+
+if typing.TYPE_CHECKING:
+    from .metrics import MetricReport
+    from .ordinal import HmorConfig
+    from .solver import SolverConfig
+    from .synth import GenSpec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -74,9 +74,14 @@ def _build_strict(cls, kwargs: dict, context: str):
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    hmor: HmorConfig = dataclasses.field(default_factory=HmorConfig)
-    solver: SolverConfig = dataclasses.field(default_factory=SolverConfig)
-    pck_threshold_mm: float = DEFAULT_PCK_THRESHOLD_MM
+    """A run configuration. ``hmor``, ``solver`` and ``pck_threshold_mm``
+    are None where no file sets them, and stand for the defaults of
+    ``HmorConfig``, ``SolverConfig`` and ``hmor.metrics``; a subcommand
+    fills in only those it reads, so it loads no module it does not run."""
+
+    hmor: HmorConfig | None = None
+    solver: SolverConfig | None = None
+    pck_threshold_mm: float | None = None
     auc_min_mm: float = 1.0
     auc_max_mm: float = 150.0
     auc_step_mm: float = 1.0
@@ -89,6 +94,8 @@ class RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
+    from .ordinal import HmorConfig
+    from .solver import SolverConfig
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -135,10 +142,17 @@ def load_run_config(path) -> RunConfig:
 
 def _config_from_args(args) -> RunConfig:
     cfg = load_run_config(args.config) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed,
-                                  solver=dataclasses.replace(cfg.solver, seed=args.seed))
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
+
+
+def _solver_config(args, cfg: RunConfig) -> SolverConfig:
+    """The run's solver section (``SolverConfig()`` if no file sets it),
+    with ``--seed`` applied."""
+    from .solver import SolverConfig
+    solver = cfg.solver or SolverConfig()
+    return solver if args.seed is None else dataclasses.replace(solver, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +205,10 @@ def _scalar_str(value) -> str:
 # gen
 
 def _gen_spec_from_args(args, seed: int) -> GenSpec:
+    from .synth import DepthSwap, GaussNoise, GenSpec, RootOffset
     perturbation = None
     if args.perturb == "gauss":
-        perturbation = synth.GaussNoise(args.sigma_xy, args.sigma_z)
+        perturbation = GaussNoise(args.sigma_xy, args.sigma_z)
     elif args.perturb == "depth_swap":
         pairs = []
         for token in args.swap:
@@ -203,13 +218,13 @@ def _gen_spec_from_args(args, seed: int) -> GenSpec:
             except ValueError:
                 raise InvalidInputError(
                     f"--swap takes two person indices A,B, got {token!r}") from None
-        perturbation = synth.DepthSwap(tuple(pairs) or ((0, 1),))
+        perturbation = DepthSwap(tuple(pairs) or ((0, 1),))
         for a, b in perturbation.pairs:
             if not (0 <= a < args.persons and 0 <= b < args.persons):
                 raise InvalidInputError(
                     f"--swap pair {a},{b} is out of range for {args.persons} persons")
     elif args.perturb == "root_offset":
-        perturbation = synth.RootOffset(args.offset)
+        perturbation = RootOffset(args.offset)
     return GenSpec(
         seed=seed,
         n_persons=args.persons,
@@ -222,8 +237,9 @@ def _gen_spec_from_args(args, seed: int) -> GenSpec:
 
 
 def cmd_gen(args) -> int:
+    from .synth import generate_scene, perturb
     out = Path(args.out)
-    base_seed = args.seed if args.seed is not None else 0
+    base_seed = _config_from_args(args).seed
     _gen_spec_from_args(args, base_seed)  # bad arguments fail before the directory is made
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
@@ -241,9 +257,10 @@ def cmd_gen(args) -> int:
 # loss
 
 def cmd_loss(args) -> int:
-    cfg = _config_from_args(args)
+    from .solver import objective_terms
+    solver_cfg = _solver_config(args, _config_from_args(args))
     pred, gt = load_scene(args.pred), load_scene(args.gt)
-    terms = objective_terms(pred, gt, cfg.solver)
+    terms = objective_terms(pred, gt, solver_cfg)
     record = {name: terms[name] for name in ("pose", "init", "refine", "abs", "total")}
     record["hmor"] = {level: terms[f"hmor.{level}"] for level in ("instance", "part", "joint")}
     record["hmor"]["total"] = terms["hmor"]
@@ -255,8 +272,8 @@ def cmd_loss(args) -> int:
 # refine
 
 def cmd_refine(args) -> int:
-    cfg = _config_from_args(args)
-    solver_cfg = cfg.solver
+    from .solver import refine
+    solver_cfg = _solver_config(args, _config_from_args(args))
     overrides = {}
     if args.steps is not None:
         overrides["steps"] = args.steps
@@ -312,7 +329,8 @@ def _report_record(report: MetricReport) -> dict:
 
 
 def _eval_one(pred_path: str, gt_path: str, threshold: float,
-              thresholds: tuple, hmor_cfg: HmorConfig) -> dict:
+              thresholds: tuple, hmor_cfg: HmorConfig | None) -> dict:
+    from .metrics import evaluate
     pred = load_scene(pred_path)
     gt = load_scene(gt_path)
     report = evaluate(pred, gt, pck_threshold_mm=threshold,
@@ -336,8 +354,10 @@ def _aggregate(records: list[dict]) -> dict:
 
 
 def cmd_eval(args) -> int:
+    from .metrics import DEFAULT_PCK_THRESHOLD_MM
     cfg = _config_from_args(args)
-    threshold = args.threshold if args.threshold is not None else cfg.pck_threshold_mm
+    threshold = next((t for t in (args.threshold, cfg.pck_threshold_mm) if t is not None),
+                     DEFAULT_PCK_THRESHOLD_MM)
     thresholds = tuple(float(t) for t in cfg.auc_thresholds)
     pred_path = Path(args.pred)
     gt_path = Path(args.gt)
@@ -354,6 +374,7 @@ def cmd_eval(args) -> int:
         tasks = [(n, str(pred_path / n), str(gt_path / n), threshold, thresholds, cfg.hmor)
                  for n in names]
         if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 results = dict(pool.map(_eval_worker, tasks))
         else:
@@ -383,10 +404,12 @@ def cmd_eval(args) -> int:
 # gradcheck
 
 def cmd_gradcheck(args) -> int:
+    from .solver import _gradcheck_point, grad_check
     cfg = _config_from_args(args)
     rng = np.random.default_rng(cfg.seed)
+    base = _solver_config(args, cfg)
     errors = [grad_check(pred, gt, config=solver_cfg) for pred, gt, solver_cfg in
-              (_gradcheck_point(rng, i, cfg.solver) for i in range(args.points))]
+              (_gradcheck_point(rng, i, base) for i in range(args.points))]
     worst = {term: float(np.max([e[term] for e in errors])) for term in errors[0]}  # NaN stays
     print(f"{'term':<24}{'max_rel_err':>14}  status")
     for term, err in worst.items():

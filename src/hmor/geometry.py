@@ -8,6 +8,7 @@ Every function here is pure; the view sampler takes an explicit
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +45,12 @@ class Camera:
     normal: np.ndarray = field(default_factory=lambda: np.array(DEFAULT_NORMAL))
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise InvalidInputError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise InvalidInputError(
+                f"focal lengths must be positive and finite, got fx={self.fx}, fy={self.fy}")
+        if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
+            raise InvalidInputError(
+                f"principal point must be finite, got cx={self.cx}, cy={self.cy}")
         object.__setattr__(self, "normal", _as_unit(self.normal, "normal"))
 
 

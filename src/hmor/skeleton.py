@@ -9,6 +9,7 @@ the pinhole camera by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,8 +83,12 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
-        if self.w <= 0 or self.h <= 0:
-            raise InvalidInputError(f"box size must be positive, got w={self.w}, h={self.h}")
+        if not (math.isfinite(self.u_top) and math.isfinite(self.v_top)):
+            raise InvalidInputError(
+                f"box corner must be finite, got u_top={self.u_top}, v_top={self.v_top}")
+        if not (0 < self.w < math.inf and 0 < self.h < math.inf):
+            raise InvalidInputError(
+                f"box size must be positive and finite, got w={self.w}, h={self.h}")
 
     @property
     def area(self) -> float:
@@ -96,7 +101,8 @@ class RelativePose:
 
     ``joints`` has shape (J, 3) with columns (u, v, z_rel); u and v are
     pixels with respect to the box corner, z_rel is millimeters relative
-    to the root joint. The root row's z_rel is forced to exactly zero.
+    to the root joint. Every value must be finite, and the root row's
+    z_rel is forced to exactly zero.
     """
 
     joints: np.ndarray
@@ -106,6 +112,8 @@ class RelativePose:
         arr = np.array(self.joints, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise InvalidInputError(f"relative pose must have shape (J, 3), got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise InvalidInputError("relative pose contains non-finite values")
         if not 0 <= self.root_index < arr.shape[0]:
             raise InvalidInputError(f"root_index {self.root_index} out of range")
         if abs(arr[self.root_index, 2]) > 1e-6:
@@ -121,7 +129,8 @@ class RelativePose:
 
 @dataclass(frozen=True)
 class AbsolutePose:
-    """Per-joint camera-frame 3D coordinates in millimeters, all depths > 0."""
+    """Per-joint camera-frame 3D coordinates in millimeters, all depths
+    positive and finite."""
 
     joints: np.ndarray
 
@@ -129,8 +138,9 @@ class AbsolutePose:
         arr = np.array(self.joints, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise InvalidInputError(f"absolute pose must have shape (J, 3), got {arr.shape}")
-        if np.any(arr[:, 2] <= 0):
-            raise InvalidDepthError("absolute pose contains non-positive joint depths")
+        if not ((arr[:, 2] > 0) & (arr[:, 2] < math.inf)).all():
+            raise InvalidDepthError("absolute pose contains non-positive or non-finite "
+                                    "joint depths")
         object.__setattr__(self, "joints", arr)
 
     @property
@@ -153,12 +163,13 @@ class Person:
     roi_area: float = 0.0
 
     def __post_init__(self):
-        if self.root_depth <= 0:
-            raise InvalidDepthError(f"root depth must be positive, got {self.root_depth}")
+        if not 0 < self.root_depth < math.inf:
+            raise InvalidDepthError(
+                f"root depth must be positive and finite, got {self.root_depth}")
         if self.roi_area == 0.0:
             object.__setattr__(self, "roi_area", self.box.area)
-        if self.roi_area <= 0:
-            raise InvalidInputError(f"roi_area must be positive, got {self.roi_area}")
+        if not 0 < self.roi_area < math.inf:
+            raise InvalidInputError(f"roi_area must be positive and finite, got {self.roi_area}")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .geometry import back_project_points, sample_view
 from .ordinal import (HmorConfig, LabelledTruth, RelationPairs, _depth_margins, _entity_map,
                       _part_margins, check_finite_fields, ordinal_pass, violation_counts)
 from .skeleton import RelativePose, Scene, check_topologies_match
-from .synth import GenSpec, generate_scene
 
 # the objective's terms, in the order the weighted total sums them
 _TERMS = ("pose", "init", "refine", "abs", "hmor")
@@ -496,6 +495,7 @@ def _gradcheck_point(rng: np.random.Generator, i: int, config: SolverConfig):
     by more than its size over ``2e-5 e_j`` (twice grad_check's default
     epsilon): linear along a coordinate (vector-part margins nearly), none
     then changes sign within 2e-5 of the point."""
+    from .synth import GenSpec, generate_scene
     cfg = dataclasses.replace(config, free_variables=("root_depths_only", "full_pose")[i % 2])
     while True:
         gt = generate_scene(GenSpec(seed=int(rng.integers(2**31)), n_persons=1 + i % 3))

@@ -8,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hmor import InvalidInputError, NumericalError, load_scene, save_scene
+from hmor import (Camera, GaussNoise, GenSpec, InvalidInputError, NumericalError,
+                  generate_scene, load_scene, perturb, save_scene)
 import hmor.ordinal
 import hmor.solver
 from hmor.cli import load_run_config, main
@@ -90,10 +93,9 @@ class TestSceneIO:
             load_scene(path)
 
     def test_non_finite_scene_not_written(self, tmp_path, camera):
-        scene = two_person_depth_fixture(camera)
-        bad = dataclasses.replace(scene, persons=(
-            dataclasses.replace(scene.persons[0], root_depth=float("nan")),
-            scene.persons[1]))
+        bad = two_person_depth_fixture(camera)
+        # the constructors reject NaN, but a pose array can still be written in place
+        bad.persons[0].rel_pose.joints[1, 2] = float("nan")
         with pytest.raises(NumericalError):
             save_scene(bad, tmp_path / "bad.json")
         assert not (tmp_path / "bad.json").exists()
@@ -110,8 +112,36 @@ class TestSceneIO:
         save_scene(loaded, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == (tmp_path / "tilted.json").read_bytes()
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**31), n_persons=st.integers(1, 4), noisy=st.booleans(),
+           intrinsics=st.tuples(*[st.floats(800.0, 1500.0)] * 2, *[st.floats(400.0, 600.0)] * 2),
+           normal=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+               lambda v: np.linalg.norm(v) > 0.1))
+    def test_generated_scene_round_trips_bit_for_bit(self, tmp_path_factory, seed, n_persons,
+                                                     noisy, intrinsics, normal):
+        camera = Camera(*intrinsics, normal=np.array(normal) / np.linalg.norm(normal))
+        spec = GenSpec(seed=seed, n_persons=n_persons, camera=camera,
+                       perturbation=GaussNoise(30.0, 300.0) if noisy else None)
+        scene = generate_scene(spec)
+        if noisy:
+            scene = perturb(scene, spec)
+        path = tmp_path_factory.getbasetemp() / "round_trip.json"
+        save_scene(scene, path)
+        loaded = load_scene(path)
+
+        def floats(s):
+            cam = s.camera
+            rows = [[cam.fx, cam.fy, cam.cx, cam.cy, *cam.normal]]
+            for p in s.persons:
+                rows.append([p.box.u_top, p.box.v_top, p.box.w, p.box.h, p.roi_area,
+                             p.root_depth, *p.rel_pose.joints.ravel()])
+            return np.concatenate(rows).astype(float).tobytes()
+
+        assert floats(loaded) == floats(scene)
+        assert loaded.topology == scene.topology
+        assert loaded.person_count == scene.person_count
+
     def test_topology_field_optional(self, camera):
-        from hmor import GenSpec, generate_scene
         data = scene_to_dict(generate_scene(GenSpec(seed=50, n_persons=1)))
         del data["topology"]
         scene = scene_from_dict(data)
@@ -134,6 +164,18 @@ class TestGen:
         assert run("gen", "--seed", 3, "--persons", 2, "--out", tmp_path) == 0
         scene = load_scene(tmp_path / "scene_000.json")
         assert scene.person_count == 2
+
+    def test_config_seed_is_the_base_seed(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"seed": 12}))
+        for name, args in (("flag", ("--seed", 12)), ("config", ("--config", cfg_path)),
+                           ("flag_wins", ("--seed", 12, "--config", tmp_path / "other.json"))):
+            (tmp_path / "other.json").write_text(json.dumps({"seed": 99}))
+            assert run("gen", *args, "--count", 2, "--out", tmp_path / name) == 0
+        assert (read_bytes_tree(tmp_path / "flag") == read_bytes_tree(tmp_path / "config")
+                == read_bytes_tree(tmp_path / "flag_wins"))
+        assert run("gen", "--seed", 13, "--out", tmp_path / "other") == 0
+        assert read_bytes_tree(tmp_path / "other") != read_bytes_tree(tmp_path / "flag")
 
     def test_perturbed_pred_files(self, tmp_path):
         assert run("gen", "--seed", 5, "--persons", 2, "--out", tmp_path,
@@ -501,6 +543,23 @@ class TestOneErrorLine:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
+        assert message in done.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, code, message", [
+        (None, 3, "No such file"),
+        ('{"hmor": {"w_banana": 1.0}}', 2, "hmor has unknown keys ['w_banana']"),
+    ], ids=["missing_config", "bad_config_key"])
+    def test_gen_bad_config(self, tmp_path, config, code, message):
+        cfg_path = tmp_path / "run.json"
+        if config is not None:
+            cfg_path.write_text(config)
+        out = tmp_path / "out"
+        done = run_process("gen", "--config", cfg_path, "--out", out)
+        assert done.returncode == code
+        assert done.stdout == ""
+        assert done.stderr.count("\n") == 1
+        assert done.stderr.startswith("i/o error: " if code == 3 else "error: ")
         assert message in done.stderr
         assert not out.exists()
 

@@ -12,6 +12,13 @@ class TestCamera:
         with pytest.raises(InvalidInputError):
             Camera(1000.0, -5.0, 500.0, 500.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    def test_rejects_non_finite_intrinsics(self, field, bad):
+        values = {"fx": 1000.0, "fy": 1000.0, "cx": 500.0, "cy": 500.0, field: bad}
+        with pytest.raises(InvalidInputError):
+            Camera(**values)
+
     def test_validates_unit_normal(self):
         with pytest.raises(InvalidInputError):
             Camera(1000.0, 1000.0, 500.0, 500.0, normal=np.array([0.0, 0.0, 2.0]))

@@ -669,3 +669,12 @@ def test_import_leaves_scipy_unloaded(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert '"matched_pairs"' in done.stdout
+
+
+def test_module_entry_point_starts_without_warnings():
+    """``python -m hmor.cli`` with warnings as errors: runpy warns when the
+    package's ``__init__`` has already imported ``hmor.cli``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "hmor.cli", "--help"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""

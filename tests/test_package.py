@@ -1,0 +1,113 @@
+"""The lazy ``hmor`` package: its public names, and the modules each
+subcommand loads in a fresh interpreter."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hmor
+from hmor.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# public names that left the package; they must not come back through __getattr__
+REMOVED = ("err_instance", "err_joint", "err_part", "err_part_particle",
+           "relation_instance", "relation_joint", "relation_part")
+
+
+def run_python(*args):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+class TestPublicNames:
+    def test_each_name_is_its_submodules_object(self):
+        for name in hmor.__all__:
+            obj = getattr(hmor, name)
+            assert obj.__module__.startswith("hmor."), name
+            assert obj is getattr(importlib.import_module(obj.__module__), name)
+
+    def test_dir_lists_every_public_name(self):
+        assert set(hmor.__all__) <= set(dir(hmor))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            hmor.no_such_name
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from hmor import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(hmor.__all__)
+        assert all(namespace[name] is getattr(hmor, name) for name in namespace)
+
+    @pytest.mark.parametrize("name", REMOVED)
+    def test_removed_name_stays_absent(self, name):
+        assert name not in hmor.__all__ and name not in dir(hmor)
+        assert not hasattr(hmor, name)
+
+    def test_fresh_import_loads_no_submodule(self):
+        done = run_python("-c", "import hmor, sys\n"
+                                "print(sorted(m for m in sys.modules if m.startswith('hmor')))\n"
+                                "assert hmor.solver.refine is hmor.refine\n"
+                                "from hmor import evaluate\n"
+                                "assert evaluate is sys.modules['hmor.metrics'].evaluate\n")
+        assert done.stdout.split("\n")[0] == "['hmor']"
+
+
+_LOADED = """
+import json, sys
+import hmor.cli
+out, *argv = sys.argv[1:]
+code = hmor.cli.main(argv)
+with open(out, "w") as fh:
+    json.dump({"code": code, "modules": sorted(sys.modules)}, fh)
+"""
+
+
+class TestSubcommandModules:
+    """What a cold ``hmor`` process imports, per subcommand."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("modules")
+        for k, seed in enumerate((61, 62)):
+            assert main(["gen", "--seed", str(seed), "--persons", "2", "--out", str(root / "gen"),
+                         "--perturb", "gauss", "--sigma-z", "300"]) == 0
+            for kind, name in (("pred", "pred_000.json"), ("gt", "scene_000.json")):
+                (root / kind).mkdir(exist_ok=True)
+                (root / kind / f"s{k}.json").write_bytes((root / "gen" / name).read_bytes())
+        return root
+
+    def loaded(self, files, *argv):
+        out = files / "modules.json"
+        run_python("-c", _LOADED, out, *argv)
+        record = json.loads(out.read_text())
+        assert record["code"] == 0
+        return set(record["modules"])
+
+    @pytest.mark.parametrize("argv, absent", [
+        (("gen", "--out", "{root}/out"), {"hmor.solver", "hmor.ordinal", "hmor.metrics",
+                                          "hmor.depth"}),
+        (("loss", "{root}/pred/s0.json", "{root}/gt/s0.json"), {"hmor.metrics", "hmor.synth"}),
+        (("refine", "{root}/pred/s0.json", "{root}/gt/s0.json", "--out", "{root}/r.json",
+          "--steps", "2"), {"hmor.metrics", "hmor.synth"}),
+        (("eval", "{root}/pred/s0.json", "{root}/gt/s0.json"), {"hmor.synth"}),
+        (("eval", "{root}/pred", "{root}/gt", "--jobs", "1"), {"hmor.synth"}),
+    ], ids=["gen", "loss", "refine", "eval_file", "eval_dir"])
+    def test_subcommand_skips_what_it_does_not_run(self, files, argv, absent):
+        modules = self.loaded(files, *(a.format(root=files) for a in argv))
+        assert not absent & modules
+        assert "concurrent.futures" not in modules
+
+    def test_process_pool_only_for_parallel_eval(self, files):
+        modules = self.loaded(files, "eval", files / "pred", files / "gt", "--jobs", "2")
+        assert "concurrent.futures" in modules and "hmor.synth" not in modules

@@ -35,6 +35,11 @@ class TestBoundingBox:
             BoundingBox(0.0, 0.0, 0.0, 10.0)
         with pytest.raises(InvalidInputError):
             BoundingBox(0.0, 0.0, 10.0, -1.0)
+        for field in ("u_top", "v_top", "w", "h"):
+            for bad in (np.nan, np.inf, -np.inf):
+                values = {"u_top": 0.0, "v_top": 0.0, "w": 10.0, "h": 10.0, field: bad}
+                with pytest.raises(InvalidInputError):
+                    BoundingBox(**values)
 
 
 class TestRelativePose:
@@ -43,18 +48,44 @@ class TestRelativePose:
         assert pose.joints[0, 2] == 0.0
 
     def test_rejects_nonzero_root_depth(self):
-        with pytest.raises(InvalidInputError):
-            RelativePose(np.array([[1.0, 2.0, 0.5], [3.0, 4.0, 50.0]]), 0)
+        for root_z in (0.5, np.nan, np.inf, -np.inf):  # a NaN is not read as 0
+            with pytest.raises(InvalidInputError):
+                RelativePose(np.array([[1.0, 2.0, root_z], [3.0, 4.0, 50.0]]), 0)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(InvalidInputError):
             RelativePose(np.zeros((3, 2)), 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row, col", [(0, 0), (1, 1), (1, 2)],
+                             ids=["root_u", "joint_v", "joint_z"])
+    def test_rejects_non_finite_joint(self, row, col, bad):
+        joints = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 50.0]])
+        joints[row, col] = bad
+        with pytest.raises(InvalidInputError):
+            RelativePose(joints, 0)
+
 
 class TestAbsolutePose:
     def test_rejects_non_positive_depths(self):
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InvalidDepthError):
+                AbsolutePose(np.array([[0.0, 0.0, 100.0], [0.0, 0.0, bad]]))
+
+
+class TestPerson:
+    @pytest.mark.parametrize("bad", [0.0, -5.0, np.nan, np.inf])
+    def test_rejects_non_positive_root_depth(self, bad):
         with pytest.raises(InvalidDepthError):
-            AbsolutePose(np.array([[0.0, 0.0, 100.0], [0.0, 0.0, 0.0]]))
+            make_person([[0.0, 0.0, 0.0]], bad)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_rejects_non_positive_roi_area(self, bad):
+        with pytest.raises(InvalidInputError):
+            make_person([[0.0, 0.0, 0.0]], 5000.0, roi_area=bad)
+
+    def test_roi_area_defaults_to_box_area(self):
+        assert make_person([[0.0, 0.0, 0.0]], 5000.0).roi_area == 200.0 * 200.0
 
 
 class TestScene:
