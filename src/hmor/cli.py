@@ -51,10 +51,9 @@ log = logging.getLogger("hmor")
 def _json_type_ok(value, hint) -> bool:
     """Whether a JSON value fits a field annotation: a bool only where
     bool is allowed, an integer wherever a float is."""
-    allowed = typing.get_args(hint) or (hint,)
     if isinstance(value, bool):
-        return bool in allowed
-    return isinstance(value, allowed) or (isinstance(value, int) and float in allowed)
+        return hint is bool
+    return isinstance(value, hint) or (isinstance(value, int) and hint is float)
 
 
 def _build_strict(cls, kwargs: dict, context: str):
@@ -64,8 +63,8 @@ def _build_strict(cls, kwargs: dict, context: str):
         raise InvalidInputError(f"{context} has unknown keys {sorted(unknown)}")
     for key, value in kwargs.items():
         if not _json_type_ok(value, hints[key]):
-            kind = getattr(hints[key], "__name__", hints[key])
-            raise InvalidInputError(f"{context}.{key} must be {kind}, got {value!r}")
+            raise InvalidInputError(f"{context}.{key} must be {hints[key].__name__}, "
+                                    f"got {value!r}")
     try:
         return cls(**kwargs)
     except InvalidInputError as exc:

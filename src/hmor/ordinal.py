@@ -39,17 +39,15 @@ def check_finite_fields(config) -> None:
 
 @dataclass(frozen=True)
 class HmorConfig:
-    """Knobs for pair enumeration and loss aggregation.
+    """Labelling settings and level weights of the ordinal loss.
 
     depth_unit_scale converts millimeters into the unit depth margins are
     penalized in (1/1000 = meters). equality_tolerance widens the band of
     margins labeled 0; the default 0 keeps labels strict, which is right
     for exact synthetic ground truth. part_mode selects the bone-pair
     representation: "vector" compares turning directions, "particle"
-    compares the depths of bone midpoints. pair_cap keeps a uniform
-    subset of at most that many pairs per level; the subset depends only
-    on the pair count and the generator, so inside ``refine`` (which
-    passes none) one subset is shared by every view.
+    compares the depths of bone midpoints. Every level holds every pair
+    of its entities, within and across persons.
     """
 
     depth_unit_scale: float = 1e-3
@@ -57,10 +55,7 @@ class HmorConfig:
     w_instance: float = 1.0
     w_part: float = 1.0
     w_joint: float = 1.0
-    pair_cap: int | None = None
     part_mode: str = "vector"
-    cross_person_parts: bool = True
-    cross_person_joints: bool = True
 
     def __post_init__(self):
         check_finite_fields(self)
@@ -72,8 +67,6 @@ class HmorConfig:
             raise InvalidInputError("level weights must be >= 0")
         if self.part_mode not in ("vector", "particle"):
             raise InvalidInputError(f"unknown part_mode {self.part_mode!r}")
-        if self.pair_cap is not None and self.pair_cap < 0:
-            raise InvalidInputError("pair_cap must be >= 0 or None")
 
 
 @dataclass(frozen=True)
@@ -137,14 +130,13 @@ class RelationPairs:
     def stack(cls, pairs_seq: Sequence[RelationPairs]) -> RelationPairs:
         """One pair set holding every element's views in order. Every element
         must hold the same pairs under the same labelling settings (as
-        ``enumerate_pairs`` gives for any view with the same config and
-        ``pair_cap`` generator)."""
+        ``enumerate_pairs`` gives for any view of one scene and config)."""
         if not pairs_seq:
             raise InvalidInputError("no pair sets to stack")
         first = pairs_seq[0]
         if any(p.layout != first.layout for p in pairs_seq[1:]):
             raise InvalidInputError("pair sets differ between views; enumerate every view "
-                                    "with the same config and pair_cap subset")
+                                    "of one scene with the same config")
         return cls(np.concatenate([p.views for p in pairs_seq]), first.layout,
                    *(np.concatenate([getattr(p, name) for p in pairs_seq])
                      for name in ("depth_labels", "part_labels")))
@@ -212,24 +204,6 @@ def scene_joint_array(scene: Scene, scale: float = 1.0) -> np.ndarray:
     if scale != 1.0:
         K *= scale
     return K
-
-
-def _entity_pairs(n_entities: int, per_person: int, cross_person: bool) -> np.ndarray:
-    """(2, P) entity pairs a < b, optionally only within persons."""
-    a, b = np.triu_indices(n_entities, k=1)
-    if not cross_person and per_person > 0:
-        keep = (a // per_person) == (b // per_person)
-        a, b = a[keep], b[keep]
-    return np.stack([a, b])
-
-
-def _subsample(pairs: np.ndarray, cap: int | None, rng) -> np.ndarray:
-    if cap is None or pairs.shape[1] <= cap:
-        return pairs
-    if rng is None:
-        rng = np.random.default_rng(0)
-    keep = np.sort(rng.choice(pairs.shape[1], size=cap, replace=False))
-    return pairs[:, keep]
 
 
 @functools.lru_cache(maxsize=64)
@@ -302,7 +276,7 @@ class _Layout:
         return (f"_Layout(pairs={self.sizes}, N={self.person_count}, (S, J)={self.per_person}, "
                 + ", ".join(f"{name}={getattr(self, name)!r}" for name in _LABEL_SETTINGS) + ")")
 
-    def __eq__(self, other) -> bool:  # equal content, however it was enumerated
+    def __eq__(self, other) -> bool:  # content: an evicted cache entry is rebuilt as a new object
         names = ("sizes", "person_count", "per_person", *_LABEL_SETTINGS)
         return self is other or (isinstance(other, _Layout)
                                  and all(getattr(self, n) == getattr(other, n) for n in names)
@@ -311,11 +285,11 @@ class _Layout:
 
 
 @functools.lru_cache(maxsize=32)
-def _full_layout(levels: tuple, settings: tuple) -> _Layout:
-    """The cached layout of every pair of ``levels``, each (entities, per
-    person, cross person) as :func:`_entity_pairs` takes them."""
-    (N, _, _), (_, S, _), (_, J, _) = levels
-    return _Layout(tuple(_entity_pairs(*level) for level in levels), (S, J), N, settings)
+def _full_layout(N: int, S: int, J: int, settings: tuple) -> _Layout:
+    """The cached layout of every pair a < b of the N persons, N * S parts
+    and N * J joints of a scene, labelled under ``settings``."""
+    index = tuple(np.stack(np.triu_indices(n, k=1)) for n in (N, N * S, N * J))
+    return _Layout(index, (S, J), N, settings)
 
 
 def _project(X: np.ndarray, views: np.ndarray) -> np.ndarray:
@@ -362,32 +336,23 @@ class LabelledTruth:
     """The pair sets of a ground-truth scene, enumerated once and labelled
     under any stack of views.
 
-    The pairs (subsampled per ``pair_cap`` with ``rng``) are kept as one
-    :class:`_Layout`, shared between scenes of the same shape and
-    settings when nothing is subsampled, with the ground truth's (N, 1 +
-    S + J, 3) entity points ``E @ K`` (:func:`_entity_map`, as
-    :func:`ordinal_pass` maps a prediction); labelling k views thresholds
-    the margins of those points into int8 labels, so the ground truth
-    itself scores exactly zero. ``joints``, when given,
-    is the (N, J, 3) array :func:`scene_joint_array` would lift at
+    The pairs are kept as one :class:`_Layout` (:func:`_full_layout`),
+    shared between scenes of the same shape and settings, with the
+    ground truth's (N, 1 + S + J, 3) entity points ``E @ K``
+    (:func:`_entity_map`, as :func:`ordinal_pass` maps a prediction);
+    labelling k views thresholds the margins of those points into int8
+    labels, so the ground truth itself scores exactly zero. ``joints``,
+    when given, is the (N, J, 3) array :func:`scene_joint_array` would lift at
     ``depth_unit_scale``, and the scene then gives only the topology.
     """
 
-    def __init__(self, gt_scene: Scene, config: HmorConfig | None = None,
-                 rng: np.random.Generator | None = None, *, joints: np.ndarray | None = None):
+    def __init__(self, gt_scene: Scene, config: HmorConfig | None = None, *,
+                 joints: np.ndarray | None = None):
         cfg = config or HmorConfig()
         K = scene_joint_array(gt_scene, cfg.depth_unit_scale) if joints is None else joints
         N, J, _ = K.shape
-        S = gt_scene.topology.part_count
-        levels = ((N, 0, True), (N * S, S, cfg.cross_person_parts),
-                  (N * J, J, cfg.cross_person_joints))
         settings = tuple(getattr(cfg, name) for name in _LABEL_SETTINGS)
-        if cfg.pair_cap is None:
-            self.layout = _full_layout(levels, settings)
-        else:
-            index = tuple(_subsample(_entity_pairs(*level), cfg.pair_cap, rng)
-                          for level in levels)
-            self.layout = _Layout(index, (S, J), N, settings)
+        self.layout = _full_layout(N, gt_scene.topology.part_count, J, settings)
         self.points = _entity_map(gt_scene.topology, cfg.part_mode) @ K
 
     def label(self, views, base: RelationPairs | None = None) -> RelationPairs:
@@ -412,17 +377,14 @@ class LabelledTruth:
         return labelled if base is None else RelationPairs.stack([base, labelled])
 
 
-def enumerate_pairs(gt_scene: Scene, view, config: HmorConfig | None = None,
-                    rng: np.random.Generator | None = None) -> RelationPairs:
+def enumerate_pairs(gt_scene: Scene, view, config: HmorConfig | None = None) -> RelationPairs:
     """Enumerate all relation pairs of a scene and label them from ground truth.
 
     Instance pairs are all unordered person pairs (none for a single
     person). Part and joint pairs cover the whole scene, both within and
-    across persons, unless the config restricts them to within-person
-    pairs. ``pair_cap`` uniformly subsamples each level with the given
-    generator (a fixed default generator if none is passed).
+    across persons.
     """
-    return LabelledTruth(gt_scene, config, rng).label(_view_array(view))
+    return LabelledTruth(gt_scene, config).label(_view_array(view))
 
 
 def _count_disagreements(m: np.ndarray, labels: np.ndarray, eps: float, segments,
@@ -592,26 +554,34 @@ def count_violations(pred_scene: Scene, pairs: RelationPairs,
 
 def part_relations_from_2d(gt_pixels: Sequence[np.ndarray],
                            topology: SkeletonTopology,
-                           eps: float = 0.0,
-                           cross_person: bool = True) -> np.ndarray:
+                           eps: float = 0.0) -> np.ndarray:
     """Part-pair labels from 2D keypoints alone.
 
     2D skeletons are treated as image-plane projections of the bone
     vectors: each pixel-space bone (du, dv) lifts to (du, dv, 0) and the
     turning-direction rule is applied with the view (0, 0, 1). Rows match
-    the part_pairs layout (m1, s1, m2, s2, label).
+    the part_pairs layout (m1, s1, m2, s2, label). At least one person's
+    finite keypoints and a finite ``eps >= 0`` are required
+    (InvalidInputError otherwise).
     """
-    stacked = np.stack([np.asarray(p, dtype=float) for p in gt_pixels])
+    if not 0.0 <= eps < math.inf:  # HmorConfig.equality_tolerance's rule
+        raise InvalidInputError(f"eps must be finite and >= 0, got {eps!r}")
+    try:
+        stacked = np.stack([np.asarray(p, dtype=float) for p in gt_pixels])
+    except ValueError:  # no persons, or persons of different shapes
+        raise InvalidInputError("expected one (J, 2) keypoint array per person") from None
     if stacked.ndim != 3 or stacked.shape[2] != 2:
         raise InvalidInputError(f"expected per-person (J, 2) keypoints, got {stacked.shape}")
     if stacked.shape[1] != topology.joint_count:
         raise InvalidInputError(
             f"keypoints have {stacked.shape[1]} joints, topology expects {topology.joint_count}")
+    if not np.isfinite(stacked).all():
+        raise InvalidInputError("keypoints must be finite")
     starts, ends = np.asarray(topology.parts, dtype=int).reshape(-1, 2).T
     N = stacked.shape[0]
     S = topology.part_count
     T = (stacked[:, ends] - stacked[:, starts]).reshape(-1, 2)
-    a, b = _entity_pairs(N * S, S, cross_person)
+    a, b = np.triu_indices(N * S, k=1)
     cross = T[a, 0] * T[b, 1] - T[a, 1] * T[b, 0]
     labels = _threshold_label(cross, eps).astype(int)
     return np.column_stack([a // S, a % S, b // S, b % S, labels])

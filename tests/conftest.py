@@ -168,18 +168,15 @@ def swap_root_depths(scene):
     ))
 
 
-def brute_force_pairs(gt, config):
+def brute_force_pairs(gt):
     """Each level's (2, P) entity pairs a < b, enumerated one by one:
     persons, flat parts ``person * S + part`` and flat joints ``person * J
-    + joint``, within persons only where the config says so."""
+    + joint``."""
     import itertools
     topo = gt.topology
     N, S, J = gt.person_count, topo.part_count, topo.joint_count
-    levels = ((N, None), (N * S, None if config.cross_person_parts else S),
-              (N * J, None if config.cross_person_joints else J))
-    return tuple(np.array([(a, b) for a, b in itertools.combinations(range(n), 2)
-                           if per is None or a // per == b // per], dtype=int).reshape(-1, 2).T
-                 for n, per in levels)
+    return tuple(np.array(list(itertools.combinations(range(n), 2)), dtype=int).reshape(-1, 2).T
+                 for n in (N, N * S, N * J))
 
 
 def _brute_force_entities(K, topo, particle):

@@ -668,7 +668,7 @@ class TestEnvironment:
     @pytest.mark.parametrize("config, message", [
         ('{"solver": {"steps": "10"}}', "solver.steps must be int, got '10'"),
         ('{"hmor": {"w_part": "a"}}', "hmor.w_part must be float, got 'a'"),
-        ('{"hmor": {"pair_cap": 2.5}}', "hmor.pair_cap must be int | None, got 2.5"),
+        ('{"solver": {"steps": 2.5}}', "solver.steps must be int, got 2.5"),
         ('{"solver": {"steps": true}}', "solver.steps must be int, got True"),
         ('{"seed": "x"}', "seed must be an integer >= 0, got 'x'"),
         ('{"solver": {"w_pose": NaN}}', "solver: w_pose must be finite, got nan"),
@@ -688,9 +688,19 @@ class TestEnvironment:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and message in captured.err
 
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+    # the last three name HmorConfig fields that were removed
+    @pytest.mark.parametrize("key, value", [("w_banana", 1.0), ("pair_cap", 100),
+                                            ("cross_person_parts", False),
+                                            ("cross_person_joints", False)],
+                             ids=["w_banana", "pair_cap", "cross_person_parts",
+                                  "cross_person_joints"])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"hmor": {"w_banana": 1.0}}))
+        cfg_path.write_text(json.dumps({"hmor": {key: value}}))
         assert run("gen", "--seed", 41, "--persons", 2, "--out", tmp_path) == 0
+        capsys.readouterr()
         scene = tmp_path / "scene_000.json"
         assert run("loss", scene, scene, "--config", cfg_path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and f"hmor has unknown keys ['{key}']" in captured.err

@@ -337,7 +337,7 @@ class TestOrdinalViolations:
         rng = np.random.default_rng(25)
         views = [sample_view(rng=rng) for _ in range(4)]
         arrays = [v.direction for v in views]
-        counts = ordinal_brute_force(pred, gt, arrays, cfg, brute_force_pairs(gt, cfg))[2]
+        counts = ordinal_brute_force(pred, gt, arrays, cfg, brute_force_pairs(gt))[2]
         want = ViolationCounts(*counts.sum(axis=1).tolist())
         assert want.part and want.joint
         assert ordinal_violations(pred, gt, views, cfg) == want

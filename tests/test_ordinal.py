@@ -139,30 +139,6 @@ class TestEnumeratePairs:
         assert len(pairs.part_pairs) == 378   # C(28, 2)
         assert len(pairs.joint_pairs) == 561  # C(34, 2)
 
-    def test_intra_person_restriction(self):
-        scene = generate_scene(GenSpec(seed=1, n_persons=2))
-        cfg = HmorConfig(cross_person_parts=False, cross_person_joints=False)
-        pairs = enumerate_pairs(scene, scene.camera.normal, cfg)
-        assert len(pairs.part_pairs) == 2 * 91
-        assert len(pairs.joint_pairs) == 2 * 136
-        assert np.all(pairs.part_pairs[:, 0] == pairs.part_pairs[:, 2])
-        assert np.all(pairs.joint_pairs[:, 0] == pairs.joint_pairs[:, 2])
-
-    def test_pair_cap_larger_than_available_is_identity(self):
-        scene = generate_scene(GenSpec(seed=2, n_persons=2))
-        capped = enumerate_pairs(scene, scene.camera.normal, HmorConfig(pair_cap=10**6))
-        full = enumerate_pairs(scene, scene.camera.normal)
-        assert np.array_equal(capped.part_pairs, full.part_pairs)
-        assert np.array_equal(capped.joint_pairs, full.joint_pairs)
-
-    def test_pair_cap_subsamples_deterministically(self):
-        scene = generate_scene(GenSpec(seed=2, n_persons=2))
-        cfg = HmorConfig(pair_cap=50)
-        a = enumerate_pairs(scene, scene.camera.normal, cfg, np.random.default_rng(9))
-        b = enumerate_pairs(scene, scene.camera.normal, cfg, np.random.default_rng(9))
-        assert len(a.part_pairs) == 50 and len(a.joint_pairs) == 50
-        assert np.array_equal(a.part_pairs, b.part_pairs)
-
     def test_labels_match_scalar_relations(self):
         scene = generate_scene(GenSpec(seed=3, n_persons=2))
         cfg = HmorConfig()
@@ -371,6 +347,24 @@ class TestPartRelationsFrom2D:
         with pytest.raises(InvalidInputError):
             part_relations_from_2d([np.zeros((17, 3))], SkeletonTopology())
 
+    # no persons, persons of different joint counts, non-finite keypoints
+    # (one of them is enough) and an eps that is not finite and >= 0
+    @pytest.mark.parametrize("pixels, eps, message", [
+        ([], 0.0, "one \\(J, 2\\) keypoint array per person"),
+        ([np.zeros((17, 2)), np.zeros((16, 2))], 0.0, "one \\(J, 2\\) keypoint array per person"),
+        ([np.full((17, 2), np.nan)], 0.0, "keypoints must be finite"),
+        ([np.full((17, 2), np.inf)], 0.0, "keypoints must be finite"),
+        ([np.ones((17, 2)), np.vstack([[-np.inf, 1.0], np.ones((16, 2))])], 0.0,
+         "keypoints must be finite"),
+        ([np.ones((17, 2))], -1.0, "eps must be finite and >= 0"),
+        ([np.ones((17, 2))], np.nan, "eps must be finite and >= 0"),
+        ([np.ones((17, 2))], np.inf, "eps must be finite and >= 0"),
+    ], ids=["no_persons", "joint_counts_differ", "all_nan", "all_inf", "one_minus_inf",
+            "negative_eps", "nan_eps", "inf_eps"])
+    def test_rejects_bad_input(self, pixels, eps, message):
+        with pytest.raises(InvalidInputError, match=message):
+            part_relations_from_2d(pixels, SkeletonTopology(), eps=eps)
+
 
 class TestSceneJointArray:
     def test_bitwise_equal_to_per_person_assembly(self):
@@ -468,8 +462,6 @@ KERNEL_CONFIGS = {
     "particle": HmorConfig(part_mode="particle"),
     "tolerance": HmorConfig(part_mode="particle", equality_tolerance=0.02),
     "vector_tolerance": HmorConfig(equality_tolerance=0.02),
-    "pair_cap": HmorConfig(pair_cap=200),
-    "within_person": HmorConfig(cross_person_parts=False, cross_person_joints=False),
     "w_part0": HmorConfig(w_part=0.0),
 }
 KERNEL_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -557,26 +549,6 @@ class TestOrdinalPass:
         assert np.array_equal(ordinal_pass(K, gt.topology, labelled, cfg,
                                            grad_views=slice(None))[3], full[3])
 
-    def test_pair_cap_subset_is_shared_by_every_view(self):
-        scene = generate_scene(GenSpec(seed=2, n_persons=3))
-        cfg = HmorConfig(pair_cap=50)
-        rng = np.random.default_rng(3)
-        sets = [enumerate_pairs(scene, v, cfg) for v in
-                (scene.camera.normal, sample_view(rng=rng), sample_view(rng=rng))]
-        for other in sets[1:]:
-            for level in ("instance_pairs", "part_pairs", "joint_pairs"):
-                assert np.array_equal(getattr(sets[0], level)[:, :-1],
-                                      getattr(other, level)[:, :-1])
-        labelled = LabelledTruth(scene, cfg).label(np.array([v.view for v in sets]))
-        J, S = scene.topology.joint_count, scene.topology.part_count
-        for i, pairs in enumerate(sets):
-            m1, s1, m2, s2, lab = pairs.part_pairs.T
-            assert np.array_equal(labelled.index[1], [m1 * S + s1, m2 * S + s2])
-            assert np.array_equal(labelled.labels[1][i], lab)
-            m1, j1, m2, j2, lab = pairs.joint_pairs.T
-            assert np.array_equal(labelled.index[2], [m1 * J + j1, m2 * J + j2])
-            assert np.array_equal(labelled.labels[2][i], lab)
-
 
 # configs the kernel must agree with the per-pair brute force under
 ORACLE_CONFIGS = {
@@ -584,8 +556,6 @@ ORACLE_CONFIGS = {
     "particle": HmorConfig(part_mode="particle"),
     "vector_tolerance": HmorConfig(equality_tolerance=0.02),
     "particle_tolerance": HmorConfig(part_mode="particle", equality_tolerance=0.02),
-    "within_person": HmorConfig(cross_person_parts=False, cross_person_joints=False),
-    "pair_cap": HmorConfig(pair_cap=150),
     # zero-weight levels leave dK through zeroed weights
     "particle_w_part0": HmorConfig(part_mode="particle", w_part=0.0),
     "w_instance0": HmorConfig(w_instance=0.0, w_joint=0.5),
@@ -604,11 +574,8 @@ class TestOrdinalPassOracle:
         rng = np.random.default_rng(k)
         views = np.array([sample_view(rng=rng).direction for _ in range(k)])
         labelled = LabelledTruth(gt, cfg).label(views)
-        if cfg.pair_cap is None:
-            for got, want in zip(labelled.index, brute_force_pairs(gt, cfg)):
-                assert np.array_equal(got, want)
-        else:
-            assert [index.shape[1] for index in labelled.index[1:]] == [cfg.pair_cap] * 2
+        for got, want in zip(labelled.index, brute_force_pairs(gt)):
+            assert np.array_equal(got, want)
         if cfg.equality_tolerance:
             assert not all(labels.all() for labels in labelled.labels[1:])
         K = scene_joint_array(pred, cfg.depth_unit_scale)
@@ -624,10 +591,8 @@ class TestOrdinalPassOracle:
 
 
 # every knob the loss-free count must follow; each example draws one
-COUNT_CONFIGS = [HmorConfig(part_mode=mode, equality_tolerance=eps, pair_cap=cap,
-                            cross_person_parts=cross, cross_person_joints=cross)
-                 for mode in ("vector", "particle") for eps in (0.0, 0.02)
-                 for cross in (True, False) for cap in (None, 60)]
+COUNT_CONFIGS = [HmorConfig(part_mode=mode, equality_tolerance=eps)
+                 for mode in ("vector", "particle") for eps in (0.0, 0.02)]
 
 
 class TestViolationCounts:
@@ -640,8 +605,7 @@ class TestViolationCounts:
     def test_equals_ordinal_pass_and_brute_force(self, seed, n_persons, k, cfg):
         gt, pred, views = _kernel_case(seed, n_persons, max(k, 1))
         views = views[:k]
-        truth = LabelledTruth(gt, cfg, np.random.default_rng(seed))
-        labelled = truth.label(views)
+        labelled = LabelledTruth(gt, cfg).label(views)
         K = scene_joint_array(pred, cfg.depth_unit_scale)
         counts = violation_counts(K, gt.topology, labelled, cfg)
         assert counts.shape == (3, k)
@@ -715,17 +679,10 @@ class TestOneStoredForm:
     def test_levels_equal_brute_force(self, name):
         cfg = ORACLE_CONFIGS[name]
         gt, _, views = _kernel_case(21, 3, 3)
-        labelled = LabelledTruth(gt, cfg, np.random.default_rng(4)).label(views)
+        labelled = LabelledTruth(gt, cfg).label(views)
         index = labelled.index
-        full = brute_force_pairs(gt, cfg)
-        for got, want in zip(index, full):
-            if cfg.pair_cap is None or want.shape[1] <= cfg.pair_cap:
-                assert np.array_equal(got, want)
-            else:  # a sorted subset of the full level
-                assert got.shape[1] == cfg.pair_cap
-                keys = got[0] * 10**6 + got[1]
-                assert np.all(np.diff(keys) > 0)
-                assert np.isin(keys, want[0] * 10**6 + want[1]).all()
+        for got, want in zip(index, brute_force_pairs(gt)):
+            assert np.array_equal(got, want)
         want_labels = brute_force_labels(gt, views, cfg, index)
         first = labelled.rows([0])
         level_rows = (first.instance_pairs, first.part_pairs, first.joint_pairs)
@@ -771,11 +728,13 @@ class TestOneStoredForm:
         assert hmor_loss(pred, labelled.rows(np.int64(0))) == hmor_loss(pred, labelled)
 
     def test_separate_pair_cap_enumerations_stack(self):
+        # an evicted cache entry is rebuilt as a new object, which still stacks
         scene = generate_scene(GenSpec(seed=2, n_persons=3))
-        cfg = HmorConfig(pair_cap=300)
         rng = np.random.default_rng(5)
-        sets = [enumerate_pairs(scene, v, cfg) for v in
-                (scene.camera.normal, sample_view(rng=rng), sample_view(rng=rng))]
+        sets = []
+        for v in (scene.camera.normal, sample_view(rng=rng), sample_view(rng=rng)):
+            _full_layout.cache_clear()
+            sets.append(enumerate_pairs(scene, v))
         assert sets[0].layout is not sets[1].layout and sets[0].layout == sets[1].layout
         stacked = RelationPairs.stack(sets)
         assert np.array_equal(stacked.views, [p.view for p in sets])
@@ -786,13 +745,9 @@ class TestOneStoredForm:
     def test_sets_that_differ_do_not_stack(self):
         scene = generate_scene(GenSpec(seed=2, n_persons=3))
         normal = scene.camera.normal
-        base = enumerate_pairs(scene, normal, HmorConfig(pair_cap=300))
-        others = [enumerate_pairs(scene, normal, HmorConfig(pair_cap=300),
-                                  np.random.default_rng(1)),
-                  enumerate_pairs(scene, normal, HmorConfig(pair_cap=300, equality_tolerance=0.02)),
-                  enumerate_pairs(scene, normal, HmorConfig(pair_cap=299)),
-                  enumerate_pairs(generate_scene(GenSpec(seed=2, n_persons=2)), normal,
-                                  HmorConfig(pair_cap=300))]
+        base = enumerate_pairs(scene, normal)
+        others = [enumerate_pairs(scene, normal, HmorConfig(equality_tolerance=0.02)),
+                  enumerate_pairs(generate_scene(GenSpec(seed=2, n_persons=2)), normal)]
         for other in others:
             assert base.layout != other.layout
             with pytest.raises(InvalidInputError, match="pair sets differ"):
@@ -815,12 +770,13 @@ class TestOneStoredForm:
 
     def test_repr_is_short_and_holds_no_address(self):
         gt, _, views = _kernel_case(23, 4, 2)
-        cfg = HmorConfig(part_mode="particle", pair_cap=200)
+        cfg = HmorConfig(part_mode="particle")
         a = LabelledTruth(gt, cfg).label(views)
+        _full_layout.cache_clear()
         b = LabelledTruth(gt, cfg).label(views)
         assert a.layout is not b.layout and repr(a) == repr(b)
         assert "0x" not in repr(a) and len(repr(a)) < 400
-        assert repr(a.layout) == ("_Layout(pairs=(6, 200, 200), N=4, (S, J)=(14, 17), "
+        assert repr(a.layout) == ("_Layout(pairs=(6, 1540, 2278), N=4, (S, J)=(14, 17), "
                                   "part_mode='particle', equality_tolerance=0.0, "
                                   "depth_unit_scale=0.001)")
 

@@ -79,9 +79,9 @@ class TestObjective:
 
     def test_view_sequence_with_different_pair_sets_rejected(self):
         gt = generate_scene(GenSpec(seed=12, n_persons=2))
-        cfg = SolverConfig(hmor=HmorConfig(pair_cap=20))
-        pairs = [enumerate_pairs(gt, gt.camera.normal, cfg.hmor, np.random.default_rng(s))
-                 for s in (1, 2)]
+        cfg = SolverConfig()
+        pairs = [enumerate_pairs(gt, gt.camera.normal, HmorConfig(equality_tolerance=eps))
+                 for eps in (0.0, 0.02)]
         with pytest.raises(InvalidInputError, match="pair sets differ"):
             objective(gt, pairs, gt, cfg)
 
