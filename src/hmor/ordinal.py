@@ -236,12 +236,12 @@ class _Layout:
     (instance, joint, and part under particle parts) form one (2, P)
     ``pairs`` index into them, in level order, built from the per-level
     ``index`` (:attr:`RelationPairs.index`); ``segments`` holds each
-    depth level's (level, pair slice, entities per person, first row).
-    ``flat`` is the vector-part index ``a * n + b`` into a flattened (n,
-    n) part product (None under particle parts). ``per_person`` is (S,
-    J), ``person_count`` the N persons, ``sizes`` each level's pair
-    count, and the ``_LABEL_SETTINGS`` attributes the settings the
-    labels are thresholded under.
+    depth level's (level, pair slice, entities per person, first row) and
+    ``ends`` their stops. ``flat`` is the vector-part index ``a * n + b``
+    into a flattened (n, n) part product (None under particle parts).
+    ``per_person`` is (S, J), ``person_count`` the N persons, ``sizes``
+    each level's pair count, and the ``_LABEL_SETTINGS`` attributes the
+    settings the labels are thresholded under.
     """
 
     def __init__(self, index, per_person: tuple[int, int], person_count: int, settings):
@@ -259,6 +259,7 @@ class _Layout:
             ids.append(m * self.width + r + row)
             p += P
         self.sizes = tuple(level.shape[1] for level in index)
+        self.ends = np.array([pairs.stop for _, pairs, *_ in self.segments])
         # pairs and flat stay writeable although cached: ``take`` copies a
         # read-only index array on every call
         self.pairs = np.concatenate(ids, axis=1)
@@ -422,6 +423,18 @@ def violation_counts(K: np.ndarray, topology: SkeletonTopology, labelled: Relati
     return counts
 
 
+def _violated(signed: np.ndarray, rows):
+    """The violated entries (> 0; a NaN margin is not) of the (k, P)
+    ``signed`` margins in the view rows ``rows``, in the order of
+    ``signed[rows].ravel()``: flat index, view row, pair, place in rows."""
+    P = signed.shape[1]
+    hit = (signed > 0)[rows].ravel().nonzero()[0]
+    pos = hit // P  # not divmod, whose remainder is several times slower
+    pair = hit - pos * P
+    row = np.arange(len(signed))[rows].take(pos)
+    return row * P + pair, row, pair, pos
+
+
 def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPairs,
                  config: HmorConfig | None = None, want_grad: bool = True,
                  grad_views=None):
@@ -435,21 +448,24 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     ground truth (as :func:`violation_counts` counts them); and the
     gradient of ``totals[grad_views].sum()`` with respect to every joint
     coordinate (None when want_grad is off). ``grad_views`` indexes view
-    rows (default all); the gradient runs the same code on those rows
-    alone, so its bits equal a pass over the sub-stack
-    ``labelled.rows(grad_views)``. Every level's points are rows of one
-    product ``X = E @ K`` (:func:`_entity_map`), margins come from
-    per-entity scalars (:func:`_depth_margins`, :func:`_part_margins`)
-    and so does the gradient: ``dX = g.T @ V`` with ``g[v, e] = sum_{a=e}
-    W - sum_{b=e} W`` over the stacked depth pairs, plus ``dT = sum_v
-    (W_v - W_v.T) @ C_v`` in the part rows under vector parts, and ``dK =
-    E.T @ dX``. Per-level means and counts come from contiguous slices of
-    the stack. Labels are int8 and count disagreements as such; they are
-    cast to float64 once before they meet the float margins. A level
-    with weight 0 is still counted, and its zeroed weights add nothing
-    to dK. Clamp boundaries contribute zero subgradient. A config that
-    labels otherwise than the pairs were labelled
-    (:meth:`_Layout.check_labels`) is InvalidInputError.
+    rows (default all); its gradient has the bits of a pass over the
+    sub-stack ``labelled.rows(grad_views)``. Margins come from the
+    per-entity points ``X = E @ K`` (:func:`_entity_map`), means and
+    counts from contiguous slices of the stack; int8 labels count
+    disagreements and are cast to float64 once for the rest.
+
+    Only violated pairs have a gradient, so it is built from the violated
+    (view, pair) entries alone (:func:`_violated`) and its work grows with
+    them, not with pairs times views. A depth pair (a, b) violated under
+    view v weighs ``W = label / (1 + m) * (w_level / P_level)``, added at
+    ``g[v, a]`` and subtracted at ``g[v, b]``; ``dX = g.T @ V``. A vector
+    part pair weighs ``W = label * w_part / P`` and adds ``W * C_v[b]`` to
+    part row a of dX and ``-W * C_v[a]`` to part row b (``C_v = T x v``);
+    ``dK = E.T @ dX``. A NaN margin is not violated, so dK stays finite
+    where levels read NaN. Weight-0 levels are counted and move no
+    gradient, nor do clamp boundaries. A config that labels otherwise than
+    the pairs were labelled (:meth:`_Layout.check_labels`) is
+    InvalidInputError.
     """
     cfg = config or HmorConfig()
     V = labelled.views
@@ -463,11 +479,8 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     levels = np.zeros((3, len(V)))
     violations = np.zeros((3, len(V)), dtype=int)
 
-    # Float labels keep the multiplies float64 x float64 (int8 x float64
-    # casts in buffered chunks). Signed margins become the errors and float
-    # labels the weights in place, so the cast adds no (k, P) temporary,
-    # whose allocation can cost fresh pages on every pass.
-    # An inactive pair's weight may be -0.0, which changes no nonzero sum.
+    # Float labels keep the multiplies float64 x float64 (int8 x float64 casts in
+    # buffered chunks); margins turn signed, then errors, in place (no (k, P) temporary).
     margins = _depth_margins(X, V, layout)
     labels = labelled.depth_labels
     _count_disagreements(margins, labels, eps, layout.segments, violations)
@@ -475,17 +488,14 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     margins *= labels  # signed margins from here on
     sizes = [max(pairs.stop - pairs.start, 1) for _, pairs, *_ in layout.segments]
     if want_grad:
-        m, W = margins[rows], labels[rows]
-        W /= 1.0 + np.fmax(m, 0.0)  # fmax: a NaN margin divides by 1
-        W *= m > 0  # no masked ufunc or assignment: those branch per element
-        for (level, pairs, *_), P in zip(layout.segments, sizes):
-            W[:, pairs] *= weights[level] / P
-        a, b = layout.pairs
-        n = len(X) * layout.width
-        g = np.empty((len(W), n))
-        for gv, Wv in zip(g, W):
-            np.subtract(np.bincount(a, Wv, minlength=n), np.bincount(b, Wv, minlength=n), out=gv)
-        dX = (g.T @ V[rows]).reshape(X.shape)
+        flat, _, pair, pos = _violated(margins, rows)
+        W = labels.take(flat) / (1.0 + margins.take(flat))  # take reads the flattened array
+        scale = np.array([weights[level] / P for (level, *_), P in zip(layout.segments, sizes)])
+        W *= scale.take(layout.ends.searchsorted(pair, "right"))  # each pair's level weight / P
+        Vg, n = V[rows], len(X) * layout.width
+        a, b = pos * n + layout.pairs.take(pair, axis=1)  # (view, entity) ids of the ends
+        g = np.bincount(a, W, len(Vg) * n) - np.bincount(b, W, len(Vg) * n)
+        dX = (g.reshape(-1, n).T @ Vg).reshape(X.shape)
     errs = np.log1p(np.maximum(0.0, margins, out=margins), out=margins)
     for (level, pairs, *_), P in zip(layout.segments, sizes):
         levels[level] = errs[:, pairs].sum(axis=1) / P
@@ -499,14 +509,18 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
         margins *= labels
         if want_grad and cfg.w_part > 0:
             S = layout.per_person[0]
-            n, C = len(X) * S, C[rows]
-            W = labels[rows]
-            W *= cfg.w_part / P
-            W *= margins[rows] > 0
-            Wd = np.zeros((len(C), n * n))
-            Wd[:, layout.flat] = W
-            Wd = Wd.reshape(-1, n, n)
-            dT = ((Wd - Wd.transpose(0, 2, 1)) @ C).sum(axis=0)
+            n = len(X) * S
+            flat, row, pair, _ = _violated(margins, rows)
+            W = labels.take(flat) * (cfg.w_part / P)
+            b = layout.flat.take(pair)
+            a = b // n
+            b -= a * n
+            row *= n  # C's (k * n, 3) form: end a gets W * C_v[b], end b -W * C_v[a]
+            ends, other = np.concatenate([a, b]), np.concatenate([row + b, row + a])
+            W = np.concatenate([W, -W])
+            dT = np.empty((n, 3))
+            for c, Cc in enumerate(C.reshape(-1, 3).T):
+                dT[:, c] = np.bincount(ends, W * Cc.take(other), n)
             dX[:, 1:1 + S] += dT.reshape(len(X), S, 3)  # the part rows
         levels[1] = np.maximum(0.0, margins, out=margins).sum(axis=1) / P
 

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmor import (GaussNoise, GenSpec, HmorConfig, HmorLoss, InvalidInputError,
-                  SkeletonTopology, SolverConfig, ViewVector, assemble_absolute,
+                  NumericalError, SkeletonTopology, SolverConfig, ViewVector, assemble_absolute,
                   count_violations, enumerate_pairs, evaluate, generate_scene, hmor_loss,
                   instance_position, objective, ordinal_violations,
                   part_relations_from_2d, part_vectors, perturb,
-                  project_to_plane, sample_view)
+                  project_to_plane, refine, sample_view)
 from hmor.ordinal import (LabelledTruth, RelationPairs, _entity_map, _full_layout, _Layout,
                           ordinal_pass, scene_joint_array, violation_counts)
 from hmor.solver import _fd_max_rel_err
@@ -467,9 +467,8 @@ KERNEL_CONFIGS = {
 KERNEL_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 
 
-def _kernel_case(seed: int, n_persons: int, k: int):
-    spec = GenSpec(seed=seed, n_persons=n_persons,
-                   perturbation=GaussNoise(sigma_xy=30.0, sigma_z=300.0))
+def _kernel_case(seed: int, n_persons: int, k: int, noise=(30.0, 300.0)):
+    spec = GenSpec(seed=seed, n_persons=n_persons, perturbation=GaussNoise(*noise))
     gt = generate_scene(spec)
     rng = np.random.default_rng(seed)
     views = [gt.camera.normal] + [sample_view(rng=rng).direction for _ in range(k - 1)]
@@ -532,10 +531,35 @@ class TestOrdinalPass:
         assert dK.shape == K.shape and not dK.any()
 
     @pytest.mark.parametrize("part_mode", ["vector", "particle"])
+    def test_nan_coordinate_leaves_the_gradient_finite(self, part_mode):
+        # a NaN margin is no violation: every level reads the NaN joint and
+        # is NaN, but no NaN reaches dK (the dense part matmul spread 0 * NaN)
+        cfg = HmorConfig(part_mode=part_mode)
+        gt, pred, views = _kernel_case(3, 3, 2)
+        K = scene_joint_array(pred, cfg.depth_unit_scale)
+        K[1, 5, 2] = np.nan
+        totals, levels, violations, dK = ordinal_pass(K, gt.topology,
+                                                      LabelledTruth(gt, cfg).label(views), cfg)
+        assert np.isnan(levels).all() and np.isnan(totals).all()
+        assert np.isfinite(dK).all() and np.abs(dK).max() > 0.0
+        pred.persons[1].rel_pose.joints[5, 2] = np.nan  # the constructors reject NaN
+        with pytest.raises(NumericalError, match="non-finite"):
+            refine(pred, gt, SolverConfig(steps=2, views_per_step=2, hmor=cfg))
+
+    @pytest.mark.parametrize("part_mode", ["vector", "particle"])
     @pytest.mark.parametrize("k, rows", [(1, [0]), (4, [0, 2, 3]), (7, [0, 4, 5, 6])])
     def test_grad_views_gradient_equals_sub_stack(self, part_mode, k, rows):
+        self._check_grad_views_equal_sub_stack(part_mode, k, rows, (30.0, 300.0))
+
+    @pytest.mark.parametrize("part_mode", ["vector", "particle"])
+    def test_grad_views_gradient_equals_sub_stack_heavy(self, part_mode):
+        # many violated (view, pair) entries in and out of the gradient rows
+        self._check_grad_views_equal_sub_stack(part_mode, 7, [0, 4, 5, 6], (300.0, 1500.0))
+
+    @staticmethod
+    def _check_grad_views_equal_sub_stack(part_mode, k, rows, noise):
         cfg = HmorConfig(part_mode=part_mode)
-        gt, pred, views = _kernel_case(44, 3, k)
+        gt, pred, views = _kernel_case(44, 3, k, noise)
         K = scene_joint_array(pred, cfg.depth_unit_scale)
         labelled = LabelledTruth(gt, cfg).label(views)
         full = ordinal_pass(K, gt.topology, labelled, cfg)
@@ -578,16 +602,38 @@ class TestOrdinalPassOracle:
             assert np.array_equal(got, want)
         if cfg.equality_tolerance:
             assert not all(labels.all() for labels in labelled.labels[1:])
-        K = scene_joint_array(pred, cfg.depth_unit_scale)
-        totals, levels, violations, dK = ordinal_pass(K, gt.topology, labelled, cfg)
-        want_totals, want_levels, want_violations, want_dK = ordinal_brute_force(
-            pred, gt, views, cfg, labelled.index)
+        _assert_equals_brute_force(pred, gt, views, labelled, cfg)
 
-        assert np.array_equal(violations, want_violations)
-        assert want_violations.any()
-        for got, want in ((totals, want_totals), (levels, want_levels), (dK, want_dK)):
-            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-        assert np.abs(want_dK).max() > 0.0
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("n_persons", [3, 8])
+    @pytest.mark.parametrize("name", ["vector", "particle", "w_instance0"])
+    def test_heavily_violated_equals_per_pair_brute_force(self, name, n_persons, k):
+        # the gradient is built from the violated entries alone; seed 61
+        # violates 43-52% of the depth pairs in every case
+        cfg = ORACLE_CONFIGS[name]
+        gt, pred, _ = _kernel_case(61, n_persons, 1, noise=(300.0, 1500.0))
+        rng = np.random.default_rng(61)
+        views = np.array([sample_view(rng=rng).direction for _ in range(k)])
+        labelled = LabelledTruth(gt, cfg).label(views)
+        violations = _assert_equals_brute_force(pred, gt, views, labelled, cfg)
+        depth = [0, 2] if cfg.part_mode == "vector" else [0, 1, 2]
+        assert violations[depth].sum() >= 0.25 * k * sum(labelled.layout.sizes[i] for i in depth)
+
+
+def _assert_equals_brute_force(pred, gt, views, labelled, cfg):
+    """Assert ordinal_pass equals ordinal_brute_force (counts exactly, the
+    rest to 1e-12) with violations and a gradient; return the counts."""
+    K = scene_joint_array(pred, cfg.depth_unit_scale)
+    totals, levels, violations, dK = ordinal_pass(K, gt.topology, labelled, cfg)
+    want_totals, want_levels, want_violations, want_dK = ordinal_brute_force(
+        pred, gt, views, cfg, labelled.index)
+
+    assert np.array_equal(violations, want_violations)
+    assert want_violations.any()
+    for got, want in ((totals, want_totals), (levels, want_levels), (dK, want_dK)):
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    assert np.abs(want_dK).max() > 0.0
+    return violations
 
 
 # every knob the loss-free count must follow; each example draws one
