@@ -41,6 +41,7 @@ EXIT_NUMERIC = 4
 
 GRADCHECK_TOLERANCE = 1e-5
 MAX_AUC_POINTS = 100_000
+_AUC_KEYS = ("auc_min_mm", "auc_max_mm", "auc_step_mm")  # DEFAULT_AUC_GRID_MM's order
 
 log = logging.getLogger("hmor")
 
@@ -73,23 +74,28 @@ def _build_strict(cls, kwargs: dict, context: str):
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """A run configuration. ``hmor``, ``solver`` and ``pck_threshold_mm``
-    are None where no file sets them, and stand for the defaults of
-    ``HmorConfig``, ``SolverConfig`` and ``hmor.metrics``; a subcommand
-    fills in only those it reads, so it loads no module it does not run."""
+    """A run configuration. ``hmor``, ``solver``, ``pck_threshold_mm``
+    and the ``auc_*_mm`` grid are None where no file sets them, and stand
+    for the defaults of ``HmorConfig``, ``SolverConfig`` and
+    ``hmor.metrics``; a subcommand fills in only those it reads, so it
+    loads no module it does not run. A file that sets one ``auc_*_mm``
+    key gets the other two from ``hmor.metrics.DEFAULT_AUC_GRID_MM``."""
 
     hmor: HmorConfig | None = None
     solver: SolverConfig | None = None
     pck_threshold_mm: float | None = None
-    auc_min_mm: float = 1.0
-    auc_max_mm: float = 150.0
-    auc_step_mm: float = 1.0
+    auc_min_mm: float | None = None
+    auc_max_mm: float | None = None
+    auc_step_mm: float | None = None
     seed: int = 0
 
     @property
-    def auc_thresholds(self) -> np.ndarray:
-        return np.arange(self.auc_min_mm, self.auc_max_mm + 0.5 * self.auc_step_mm,
-                         self.auc_step_mm)
+    def auc_thresholds(self) -> np.ndarray | None:
+        """The file's AUC grid, or None for ``hmor.metrics``' default."""
+        if self.auc_min_mm is None:
+            return None
+        from .metrics import auc_grid
+        return auc_grid(self.auc_min_mm, self.auc_max_mm, self.auc_step_mm)
 
 
 def load_run_config(path) -> RunConfig:
@@ -112,7 +118,7 @@ def load_run_config(path) -> RunConfig:
     solver_cfg = dataclasses.replace(
         _build_strict(SolverConfig, data.get("solver", {}), f"{path}: solver"), hmor=hmor_cfg)
     metrics = data.get("metrics", {})
-    unknown = set(metrics) - {"pck_threshold_mm", "auc_min_mm", "auc_max_mm", "auc_step_mm"}
+    unknown = set(metrics) - {"pck_threshold_mm", *_AUC_KEYS}
     if unknown:
         raise InvalidInputError(f"{path}: unknown metrics keys {sorted(unknown)}")
     for key, value in metrics.items():
@@ -126,8 +132,13 @@ def load_run_config(path) -> RunConfig:
     seed = data.get("seed", 0)
     if not _json_type_ok(seed, int) or seed < 0:
         raise InvalidInputError(f"{path}: seed must be an integer >= 0, got {seed!r}")
-    cfg = RunConfig(hmor=hmor_cfg, solver=solver_cfg, seed=seed,
-                    **{k: float(v) for k, v in metrics.items()})
+    metrics = {k: float(v) for k, v in metrics.items()}
+    if metrics.keys() & set(_AUC_KEYS):
+        from .metrics import DEFAULT_AUC_GRID_MM
+        metrics = {**dict(zip(_AUC_KEYS, DEFAULT_AUC_GRID_MM)), **metrics}
+    cfg = RunConfig(hmor=hmor_cfg, solver=solver_cfg, seed=seed, **metrics)
+    if cfg.auc_min_mm is None:
+        return cfg
     # the length of RunConfig.auc_thresholds, checked before it is built
     points = (cfg.auc_max_mm + 0.5 * cfg.auc_step_mm - cfg.auc_min_mm) / cfg.auc_step_mm
     if points <= 0:
@@ -207,7 +218,10 @@ def _gen_spec_from_args(args, seed: int) -> GenSpec:
     from .synth import DepthSwap, GaussNoise, GenSpec, RootOffset
     perturbation = None
     if args.perturb == "gauss":
-        perturbation = GaussNoise(args.sigma_xy, args.sigma_z)
+        if args.sigma_xy is None and args.sigma_z is None:
+            raise InvalidInputError("--perturb gauss needs --sigma-xy or --sigma-z; "
+                                    "without either the predictions equal the scenes")
+        perturbation = GaussNoise(args.sigma_xy or 0.0, args.sigma_z or 0.0)
     elif args.perturb == "depth_swap":
         pairs = []
         for token in args.swap:
@@ -328,12 +342,12 @@ def _report_record(report: MetricReport) -> dict:
 
 
 def _eval_one(pred_path: str, gt_path: str, threshold: float,
-              thresholds: tuple, hmor_cfg: HmorConfig | None) -> dict:
+              thresholds: np.ndarray | None, hmor_cfg: HmorConfig | None) -> dict:
     from .metrics import evaluate
     pred = load_scene(pred_path)
     gt = load_scene(gt_path)
     report = evaluate(pred, gt, pck_threshold_mm=threshold,
-                      auc_thresholds_mm=np.asarray(thresholds), config=hmor_cfg)
+                      auc_thresholds_mm=thresholds, config=hmor_cfg)
     return _report_record(report)
 
 
@@ -357,7 +371,7 @@ def cmd_eval(args) -> int:
     cfg = _config_from_args(args)
     threshold = next((t for t in (args.threshold, cfg.pck_threshold_mm) if t is not None),
                      DEFAULT_PCK_THRESHOLD_MM)
-    thresholds = tuple(float(t) for t in cfg.auc_thresholds)
+    thresholds = cfg.auc_thresholds
     pred_path = Path(args.pred)
     gt_path = Path(args.gt)
 
@@ -445,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jitter", type=float, default=20.0)
     p.add_argument("--perturb", choices=["none", "gauss", "depth_swap", "root_offset"],
                    default="none", help="also write perturbed pred_*.json files")
-    p.add_argument("--sigma-xy", type=float, default=0.0)
-    p.add_argument("--sigma-z", type=float, default=0.0)
+    p.add_argument("--sigma-xy", type=float, help="gauss lateral noise in mm (default 0)")
+    p.add_argument("--sigma-z", type=float, help="gauss depth noise in mm (default 0)")
     p.add_argument("--swap", action="append", default=[], metavar="A,B",
                    help="person index pair for depth_swap (repeatable)")
     p.add_argument("--offset", type=float, default=0.0, help="root_offset shift in mm")

@@ -22,7 +22,15 @@ from .ordinal import (HmorConfig, LabelledTruth, _view_array, scene_joint_array,
 from .skeleton import AbsolutePose, Scene, check_topologies_match
 
 DEFAULT_PCK_THRESHOLD_MM = 150.0
-DEFAULT_AUC_THRESHOLDS_MM = np.arange(1.0, 151.0)
+DEFAULT_AUC_GRID_MM = (1.0, 150.0, 1.0)  # first and last threshold, step
+
+
+def auc_grid(min_mm: float, max_mm: float, step_mm: float) -> np.ndarray:
+    """AUC thresholds from min_mm to max_mm inclusive, step_mm apart."""
+    return np.arange(min_mm, max_mm + 0.5 * step_mm, step_mm)
+
+
+DEFAULT_AUC_THRESHOLDS_MM = auc_grid(*DEFAULT_AUC_GRID_MM)
 DEFAULT_AUC_THRESHOLDS_MM.flags.writeable = False  # shared by every report's curve
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmor import (Camera, GaussNoise, GenSpec, InvalidInputError, NumericalError,
-                  generate_scene, load_scene, perturb, save_scene)
+                  evaluate, generate_scene, load_scene, perturb, save_scene)
 import hmor.ordinal
 import hmor.solver
 from hmor.cli import load_run_config, main
@@ -435,6 +435,36 @@ class TestEval:
         assert serial["aggregate"]["pck_rel"] == 100.0
         assert len(serial["scenes"]) == 3
 
+    def test_auc_without_config_equals_evaluate(self, tmp_path, capsys):
+        assert run("gen", "--seed", 35, "--persons", 3, "--out", tmp_path,
+                   "--perturb", "gauss", "--sigma-xy", 30, "--sigma-z", 300) == 0
+        pred, gt = tmp_path / "pred_000.json", tmp_path / "scene_000.json"
+        capsys.readouterr()
+        assert run("eval", pred, gt) == 0
+        auc_rel = json.loads(capsys.readouterr().out)["auc_rel"]
+        assert auc_rel == evaluate(load_scene(pred), load_scene(gt)).auc_rel
+        assert 0.0 < auc_rel < 100.0
+
+    def test_one_auc_key_takes_the_others_from_metrics(self, tmp_path, capsys):
+        from hmor.metrics import DEFAULT_AUC_GRID_MM
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"metrics": {"auc_max_mm": 100}}))
+        cfg = load_run_config(cfg_path)
+        first, _, step = DEFAULT_AUC_GRID_MM
+        assert (cfg.auc_min_mm, cfg.auc_max_mm, cfg.auc_step_mm) == (first, 100.0, step)
+        assert np.array_equal(cfg.auc_thresholds, np.arange(1.0, 101.0))
+        cfg_path.write_text(json.dumps({"metrics": {"pck_threshold_mm": 100}}))
+        assert load_run_config(cfg_path).auc_thresholds is None  # evaluate's own default
+
+        assert run("gen", "--seed", 35, "--persons", 3, "--out", tmp_path,
+                   "--perturb", "gauss", "--sigma-xy", 30, "--sigma-z", 300) == 0
+        pred, gt = tmp_path / "pred_000.json", tmp_path / "scene_000.json"
+        cfg_path.write_text(json.dumps({"metrics": {"auc_max_mm": 100}}))
+        capsys.readouterr()
+        assert run("eval", pred, gt, "--config", cfg_path) == 0
+        want = evaluate(load_scene(pred), load_scene(gt), auc_thresholds_mm=np.arange(1.0, 101.0))
+        assert json.loads(capsys.readouterr().out)["auc_rel"] == want.auc_rel
+
     def test_non_positive_auc_threshold_in_config_rejected(self, tmp_path, capsys):
         assert run("gen", "--seed", 34, "--persons", 2, "--out", tmp_path) == 0
         scene = tmp_path / "scene_000.json"
@@ -534,9 +564,10 @@ class TestOneErrorLine:
         (("--lateral", "-5"), "lateral_range must be >= 0"),
         (("--jitter", "nan"), "joint_jitter must be finite"),
         (("--perturb", "gauss", "--sigma-z", "nan"), "noise sigmas must be finite"),
+        (("--perturb", "gauss"), "--perturb gauss needs --sigma-xy or --sigma-z"),
         (("--seed", "-1"), "--seed must be >= 0"),
     ], ids=["swap_not_int", "swap_one_index", "swap_out_of_range", "depth_min_nan", "depth_max_nan",
-            "negative_lateral", "jitter_nan", "sigma_nan", "negative_seed"])
+            "negative_lateral", "jitter_nan", "sigma_nan", "sigma_unset", "negative_seed"])
     def test_gen_bad_argument(self, tmp_path, args, message):
         out = tmp_path / "out"
         done = run_process("gen", "--out", out, *args)
