@@ -461,11 +461,10 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     ``g[v, a]`` and subtracted at ``g[v, b]``; ``dX = g.T @ V``. A vector
     part pair weighs ``W = label * w_part / P`` and adds ``W * C_v[b]`` to
     part row a of dX and ``-W * C_v[a]`` to part row b (``C_v = T x v``);
-    ``dK = E.T @ dX``. A NaN margin is not violated, so dK stays finite
+    ``dK = E.T @ dX``. A NaN margin is no violation, so dK stays finite
     where levels read NaN. Weight-0 levels are counted and move no
-    gradient, nor do clamp boundaries. A config that labels otherwise than
-    the pairs were labelled (:meth:`_Layout.check_labels`) is
-    InvalidInputError.
+    gradient, nor do clamp boundaries. A config that labels otherwise
+    than the pairs (:meth:`_Layout.check_labels`) is InvalidInputError.
     """
     cfg = config or HmorConfig()
     V = labelled.views

@@ -533,7 +533,7 @@ class TestOrdinalPass:
     @pytest.mark.parametrize("part_mode", ["vector", "particle"])
     def test_nan_coordinate_leaves_the_gradient_finite(self, part_mode):
         # a NaN margin is no violation: every level reads the NaN joint and
-        # is NaN, but no NaN reaches dK (the dense part matmul spread 0 * NaN)
+        # is NaN, while dK, built from violated entries alone, stays finite
         cfg = HmorConfig(part_mode=part_mode)
         gt, pred, views = _kernel_case(3, 3, 2)
         K = scene_joint_array(pred, cfg.depth_unit_scale)
