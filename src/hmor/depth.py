@@ -6,8 +6,11 @@ person crop via the box/RoI area ratio. The refinement residual is
 learned in that normalized space and inverted back to millimeters at
 recovery time. All losses are plain L1 means, defined once on
 whole-scene arrays (:func:`l1_term`, :func:`init_term`,
-:func:`refine_term`); the solver's objective calls them, and the
-``loss_*`` functions read their values for per-person arguments.
+:func:`refine_term`) from one residual each (:func:`l1_residual`,
+:func:`refine_residual`). The depth terms take prepared targets, the
+ground truth's depths through :func:`normalize_depth` (and
+:func:`equivalent_depth`), which the solver builds once per run and the
+``loss_*`` functions per call for per-person arguments.
 """
 
 from __future__ import annotations
@@ -94,42 +97,59 @@ def _l1(diff: np.ndarray):
     return float(np.abs(diff).sum() / math.prod(diff.shape[:2])), np.sign(diff)
 
 
+def l1_residual(pred, target) -> np.ndarray:
+    """``pred - target``: the residual of the pose, abs and init terms."""
+    pred, target = _checked(pred, target)
+    return pred - target
+
+
+def refine_residual(delta, z_eq_init, target_z_eq) -> np.ndarray:
+    """The refine term's residual ``delta - (target_z_eq - z_eq_init)``:
+    predicted residuals against the ones that take the initial equivalent
+    depths to the targets."""
+    delta, z_eq_init, target = _checked(delta, z_eq_init, target_z_eq)
+    return delta - (target - z_eq_init)
+
+
 def l1_term(pred, target):
     """The pose ((N, J, 3) box-relative coordinates) and abs ((N, J, 3)
     camera-frame ones) data terms: the mean over persons and joints of
-    ``|pred - target|`` summed over coordinates, and ``sign(pred - target)``.
-    Every term returns its sign, the gradient of its summed ``|residual|``:
-    the term's own gradient is the sign over its N·J (or N) rows, a factor
-    a caller folds into its weight."""
-    pred, target = _checked(pred, target)
-    return _l1(pred - target)
+    ``|pred - target|`` summed over coordinates, and ``sign(pred - target)``
+    (:func:`l1_residual`). Every term returns its sign, the gradient of its
+    summed ``|residual|``: the term's own gradient is the sign over its N·J
+    (or N) rows, a factor a caller folds into its weight."""
+    return _l1(l1_residual(pred, target))
 
 
-def init_term(pred_z_norm, gt_z_abs, camera: Camera):
+def init_term(pred_z_norm, target_z_norm):
     """The init term of (N,) focal-normalized initial depths against
-    absolute ground-truth depths (:func:`normalize_depth`)."""
-    pred, gt = _checked(pred_z_norm, gt_z_abs)
-    return _l1(pred - normalize_depth(gt, camera))
+    prepared targets, the ground truth's depths through
+    :func:`normalize_depth`: :func:`l1_term` of the two."""
+    return l1_term(pred_z_norm, target_z_norm)
 
 
-def refine_term(delta, z_eq_init, gt_z_abs, camera: Camera, a_box, a_roi):
-    """The refine term of (N,) predicted residuals against the ones that
-    take the initial equivalent depths to the ground truth's
-    (:func:`equivalent_depth`); its sign is the gradient w.r.t. ``delta``
-    and ``z_eq_init`` alike."""
-    delta, z_eq_init, gt, a_box, a_roi = _checked(delta, z_eq_init, gt_z_abs, a_box, a_roi)
-    return _l1(delta - (equivalent_depth(normalize_depth(gt, camera), a_box, a_roi) - z_eq_init))
+def refine_term(delta, z_eq_init, target_z_eq):
+    """The refine term of (N,) predicted residuals (:func:`refine_residual`)
+    against prepared targets, the ground truth's depths through
+    :func:`normalize_depth` and :func:`equivalent_depth` under the
+    prediction's boxes; its sign is the gradient w.r.t. ``delta`` and
+    ``z_eq_init`` alike."""
+    return _l1(refine_residual(delta, z_eq_init, target_z_eq))
 
 
 def loss_init(pred_z_norm, gt_z_abs, camera: Camera) -> float:
     """Mean L1 gap of focal-normalized initial depths (:func:`init_term`)."""
-    return init_term(pred_z_norm, gt_z_abs, camera)[0]
+    pred, gt = _checked(pred_z_norm, gt_z_abs)
+    return init_term(pred, normalize_depth(gt, camera))[0]
 
 
 def loss_refine(pred: Sequence[DepthEstimate], gt_z_abs, camera: Camera) -> float:
     """Mean L1 gap of the refinement residuals (:func:`refine_term`)."""
-    return refine_term([e.delta for e in pred], [e.z_eq_init for e in pred], gt_z_abs, camera,
-                       [e.a_box for e in pred], [e.a_roi for e in pred])[0]
+    delta, z_eq_init, gt, a_box, a_roi = _checked(
+        [e.delta for e in pred], [e.z_eq_init for e in pred], gt_z_abs,
+        [e.a_box for e in pred], [e.a_roi for e in pred])
+    return refine_term(delta, z_eq_init,
+                       equivalent_depth(normalize_depth(gt, camera), a_box, a_roi))[0]
 
 
 def loss_pose(pred_rel: Sequence[RelativePose], gt_rel: Sequence[RelativePose]) -> float:

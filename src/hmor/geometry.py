@@ -105,6 +105,13 @@ def project_to_plane(vec, normal) -> np.ndarray:
     return v - np.dot(v, n) * n
 
 
+def _hemisphere(theta, u):
+    """``(sqrt(1-u^2) cos(theta), sqrt(1-u^2) sin(theta), u)``, of scalars
+    (shape (3,)) or of arrays of one shape (shape (..., 3))."""
+    r = np.sqrt(np.maximum(0.0, 1.0 - u * u))
+    return np.stack([r * np.cos(theta), r * np.sin(theta), u], axis=-1)
+
+
 def sample_view(theta: float | None = None,
                 u: float | None = None,
                 rng: np.random.Generator | None = None) -> ViewVector:
@@ -125,5 +132,14 @@ def sample_view(theta: float | None = None,
         raise InvalidInputError(f"u must lie in [0, 1], got {u}")
     if not 0.0 <= theta < 2.0 * np.pi:
         raise InvalidInputError(f"theta must lie in [0, 2*pi), got {theta}")
-    r = np.sqrt(max(0.0, 1.0 - u * u))
-    return ViewVector(np.array([r * np.cos(theta), r * np.sin(theta), u]))
+    return ViewVector(_hemisphere(theta, u))
+
+
+def sample_views(n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` view directions as an (n, 3) array, from one
+    ``rng.uniform(size=(n, 2))``: bit for bit the directions of ``n``
+    successive ``sample_view(rng=rng)`` calls, which draw the same
+    ``(theta / 2pi, u)`` pairs in the same order, and ``rng`` is left in
+    the state those calls leave it in."""
+    theta, u = rng.uniform(size=(n, 2)).T
+    return _hemisphere(theta * (2.0 * np.pi), u)

@@ -14,13 +14,15 @@ in, so the default step size is meaningful across terms.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .depth import init_term, l1_term, refine_term
+from .depth import (equivalent_depth, init_term, l1_residual, l1_term, normalize_depth,
+                    refine_residual, refine_term)
 from .errors import InvalidDepthError, InvalidInputError, NumericalError, SolverError
-from .geometry import back_project_points, sample_view
+from .geometry import back_project_points, sample_views
 from .ordinal import (HmorConfig, LabelledTruth, RelationPairs, _depth_margins, _entity_map,
                       _part_margins, check_finite_fields, ordinal_pass, violation_counts)
 from .skeleton import RelativePose, Scene, check_topologies_match
@@ -117,6 +119,8 @@ class _SceneVars:
         self.v_top = np.array([p.box.v_top for p in scene.persons])
         self.a_box = np.array([p.box.area for p in scene.persons])
         self.a_roi = np.array([p.roi_area for p in scene.persons])
+        self.froot = np.sqrt(self.camera.fx * self.camera.fy)
+        self.ratio = np.sqrt(self.a_box / self.a_roi)
         rel = np.stack([p.rel_pose.joints for p in scene.persons])
         self.U = rel[:, :, 0].copy()
         self.V = rel[:, :, 1].copy()
@@ -152,6 +156,18 @@ class _SceneVars:
             self.Zrel = Zrel.copy()
             self.Zrel[:, self.nonroot] += d[n + 2 * nj:].reshape(n, j - 1)
 
+    def rel(self) -> np.ndarray:
+        """The (N, J, 3) box-relative coordinates, the pose term's input."""
+        return np.stack([self.U, self.V, self.Zrel], axis=2)
+
+    def z_norm(self) -> np.ndarray:
+        """Root depths, focal-normalized (the init term's input)."""
+        return self.ZR / self.froot
+
+    def z_eq(self) -> np.ndarray:
+        """Root depths at their equivalent depth (the refine term's input)."""
+        return self.z_norm() * self.ratio
+
     def joints_scaled(self):
         """Absolute joints in loss units plus the chain-rule factors."""
         d = self.Zrel + self.ZR[:, None]
@@ -183,104 +199,138 @@ class _SceneVars:
         return dataclasses.replace(self.scene, persons=tuple(persons))
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Anchors:
+    """What every evaluation of one run shares: the data terms' targets,
+    and the pose term when no step can move it."""
+
     rel: np.ndarray      # (N, J, 3) box-relative targets
     abs_mm: np.ndarray   # (N, J, 3) absolute targets, millimeters
-    z_root: np.ndarray   # (N,) absolute root depths, millimeters
+    z_norm: np.ndarray   # (N,) init targets, focal-normalized root depths
+    z_eq: np.ndarray     # (N,) refine targets, their equivalent depths
+    pose: tuple | None   # the pose term, under root_depths_only (U, V, Zrel fixed)
 
     @classmethod
-    def from_vars(cls, sv: _SceneVars):
-        """Targets at the variables' current point, back-projected as the
-        prediction is (:meth:`_SceneVars.joints_scaled`), so a prediction
-        at its anchor reads exactly 0 with a zero gradient in every data
-        term."""
-        return cls(rel=np.stack([sv.U, sv.V, sv.Zrel], axis=2),
-                   abs_mm=sv.joints_scaled()[0] / sv.scale, z_root=sv.ZR.copy())
+    def of(cls, anchor: _SceneVars, sv: _SceneVars):
+        """Targets at ``anchor``'s current point for the prediction ``sv``.
+        Joints are back-projected as the prediction is
+        (:meth:`_SceneVars.joints_scaled`), so a prediction at its anchor
+        reads exactly 0 with a zero gradient in every data term; root
+        depths go through :func:`normalize_depth` under the prediction's
+        camera and :func:`equivalent_depth` under its boxes, validated
+        here once."""
+        rel = anchor.rel()
+        z_norm = normalize_depth(anchor.ZR, sv.camera)
+        return cls(rel, anchor.joints_scaled()[0] / anchor.scale, z_norm,
+                   equivalent_depth(z_norm, sv.a_box, sv.a_roi),
+                   l1_term(sv.rel(), rel) if sv.cfg.free_variables == "root_depths_only"
+                   else None)
+
+
+@dataclass(frozen=True, slots=True)
+class _Evaluation:
+    """One objective evaluation (:func:`_evaluate`)."""
+
+    totals: list[float]         # the weighted total under each value_rows selection
+    data: dict[str, float]      # each computed data term's unweighted value, by name
+    hmor: list[dict] | None     # per selection: hmor and its levels, by name (all_terms)
+    violations: np.ndarray      # (3,) per-level violations under the first labelled view
+    grad: np.ndarray | None
+
+    def terms(self) -> dict[str, float]:
+        """Every unweighted term of the first selection, by name, and its
+        total."""
+        return {**self.data, **self.hmor[0], "total": self.totals[0]}
 
 
 def _check_finite(term: str, value: float) -> float:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NumericalError(f"objective term {term!r} is non-finite: {value}")
     return value
 
 
-def _total(terms: dict, config: SolverConfig) -> float:
-    """The weighted objective ``sum w_t * terms[t]``, summed in the order
-    of ``_TERMS``. A term of weight 0 would add an exact 0.0, so it is
-    left out and may be missing from ``terms``."""
-    return sum((w * terms[name] for name in _TERMS if (w := getattr(config, f"w_{name}"))), 0.0)
+def _mean(per_view: np.ndarray, rows) -> float:
+    picked = per_view[rows].tolist()
+    return sum(picked) / len(picked)
 
 
-def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors,
-              config: SolverConfig, value_rows, grad_rows, all_terms: bool = True):
-    """Objective at the current variables under row selections of the
-    ``labelled`` view stack, from one :func:`ordinal_pass`.
+def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config: SolverConfig,
+              value_rows, grad_rows, all_terms: bool = True) -> _Evaluation:
+    """The objective at the current variables under row selections of the
+    ``labelled`` view stack, from one :func:`ordinal_pass`, as one
+    :class:`_Evaluation`.
 
-    Returns (terms, grad, violations). ``terms`` holds one dict per
-    selection in ``value_rows``: every term's unweighted value by name
-    (pose, init, refine, abs; hmor, the ordinal term averaged over the
-    selection's views, with its levels hmor.instance, hmor.part and
-    hmor.joint) and the weighted ``total`` (:func:`_total`). ``grad`` is
-    the total's gradient w.r.t. the packed variables with the ordinal
-    term averaged over ``grad_rows`` (None when grad_rows is None), and
-    ``violations`` the total ordinal violations under the first labelled
-    view. The data terms are :mod:`hmor.depth`'s, computed once and shared
-    by every selection; each term's gradient is its sign times the term's
+    ``totals`` holds the weighted total ``sum w_t * term_t`` of each
+    selection in ``value_rows``, summed in the order of ``_TERMS`` with
+    weight-0 terms left out; the ordinal term ``hmor`` is averaged over the
+    selection's views. ``grad`` is the total's gradient w.r.t. the packed
+    variables with the ordinal term averaged over ``grad_rows`` (None when
+    grad_rows is None), and ``violations`` the per-level counts under the
+    first labelled view. The data terms are :mod:`hmor.depth`'s on the
+    run's prepared targets (:class:`_Anchors`), computed once and shared by
+    every selection; each term's gradient is its sign times the term's
     weight over its rows and the chain to the scaled variables.
-    With ``all_terms`` off and ``w_hmor == 0`` the ordinal term is left
-    out and the violations are counted alone (:func:`violation_counts`).
+
+    With ``all_terms`` (every caller but :func:`refine`) every term is
+    computed, and ``hmor`` holds each selection's ordinal term and its
+    levels hmor.instance, hmor.part and hmor.joint. Without it a term of
+    weight 0 is not computed at all, ``data`` holds the others, and with
+    ``w_hmor == 0`` the violations are counted alone
+    (:func:`violation_counts`). Under ``root_depths_only`` the pose term
+    is the one :class:`_Anchors` computed.
     """
     want_grad = grad_rows is not None
-    s = sv.scale
-    nj = sv.N * sv.J
-    grad = np.zeros_like(sv.pack()) if want_grad else None
-    dK = np.zeros((sv.N, sv.J, 3))
+    s, n = sv.scale, sv.N
+    nj = n * sv.J
+    grad = np.zeros_like(sv.start[0]) if want_grad else None
+    dK = None  # gradient w.r.t. the scaled joints
     K, d, a, b = sv.joints_scaled()
+    data = {}
+    if all_terms or config.w_pose:
+        data["pose"], sign = anchors.pose or l1_term(sv.rel(), anchors.rel)
+        if want_grad and config.w_pose and config.free_variables == "full_pose":
+            g = sign * (config.w_pose / (nj * s))
+            grad[n:n + nj] += g[:, :, 0].ravel()
+            grad[n + nj:n + 2 * nj] += g[:, :, 1].ravel()
+            grad[n + 2 * nj:] += g[:, sv.nonroot, 2].ravel()
+    if all_terms or config.w_init:
+        data["init"], sign = init_term(sv.z_norm(), anchors.z_norm)
+        if want_grad and config.w_init:
+            grad[:n] += sign * (config.w_init / (n * sv.froot * s))
+    if all_terms or config.w_refine:
+        data["refine"], sign = refine_term(np.zeros(n), sv.z_eq(), anchors.z_eq)
+        if want_grad and config.w_refine:
+            grad[:n] += sign * sv.ratio * (config.w_refine / (n * sv.froot * s))
+    if all_terms or config.w_abs:
+        data["abs"], sign = l1_term(K / s, anchors.abs_mm)
+        if want_grad and config.w_abs:
+            dK = sign * (config.w_abs / (nj * s))
+    total = 0.0
+    for name, value in data.items():
+        _check_finite(name, value)
+        if w := getattr(config, f"w_{name}"):
+            total += w * value
 
-    froot = np.sqrt(sv.camera.fx * sv.camera.fy)
-    ratio = np.sqrt(sv.a_box / sv.a_roi)
-    z_norm = sv.ZR / froot  # normalized root depths; times ratio, equivalent ones
-    data_terms = {
-        "pose": l1_term(np.stack([sv.U, sv.V, sv.Zrel], axis=2), anchors.rel),
-        "init": init_term(z_norm, anchors.z_root, sv.camera),
-        "refine": refine_term(np.zeros(sv.N), z_norm * ratio, anchors.z_root, sv.camera,
-                              sv.a_box, sv.a_roi),
-        "abs": l1_term(K / s, anchors.abs_mm)}
-    data = {name: _check_finite(name, value) for name, (value, _) in data_terms.items()}
-    if want_grad and config.w_pose > 0 and config.free_variables == "full_pose":
-        g = data_terms["pose"][1] * (config.w_pose / (nj * s))
-        grad[sv.N:sv.N + nj] += g[:, :, 0].ravel()
-        grad[sv.N + nj:sv.N + 2 * nj] += g[:, :, 1].ravel()
-        grad[sv.N + 2 * nj:] += g[:, sv.nonroot, 2].ravel()
-    if want_grad and config.w_init > 0:
-        grad[:sv.N] += data_terms["init"][1] * (config.w_init / (sv.N * froot * s))
-    if want_grad and config.w_refine > 0:
-        grad[:sv.N] += data_terms["refine"][1] * ratio * (config.w_refine / (sv.N * froot * s))
-    if want_grad and config.w_abs > 0:
-        dK += data_terms["abs"][1] * (config.w_abs / (nj * s))
-
-    if all_terms or config.w_hmor > 0:
+    hmor = None
+    if all_terms or config.w_hmor:
         hmor_grad = want_grad and config.w_hmor > 0
-        totals, levels, counts, dK_hmor = ordinal_pass(
+        per_view, levels, counts, dK_hmor = ordinal_pass(
             K, sv.topology, labelled, config.hmor, want_grad=hmor_grad, grad_views=grad_rows)
-
-        def mean(per_view, rows):
-            picked = per_view[rows].tolist()
-            return sum(picked) / len(picked)
-
-        terms = [{**data, "hmor": _check_finite("hmor", mean(totals, rows)),
-                  **{f"hmor.{name}": mean(level, rows)
-                     for name, level in zip(("instance", "part", "joint"), levels)}}
-                 for rows in value_rows]
+        means = [_check_finite("hmor", _mean(per_view, rows)) for rows in value_rows]
+        totals = [total + config.w_hmor * m if config.w_hmor else total for m in means]
+        if all_terms:
+            hmor = [{"hmor": m, **{f"hmor.{name}": _mean(level, rows)
+                                   for name, level in zip(("instance", "part", "joint"), levels)}}
+                    for m, rows in zip(means, value_rows)]
         if hmor_grad:
-            dK += dK_hmor * (config.w_hmor / len(totals[grad_rows]))
+            dK_hmor = dK_hmor * (config.w_hmor / len(per_view[grad_rows]))
+            dK = dK_hmor if dK is None else dK + dK_hmor
     else:
         counts = violation_counts(K, sv.topology, labelled.rows(slice(0, 1)), config.hmor)
-        terms = [data for _ in value_rows]
-    if want_grad and (config.w_hmor > 0 or config.w_abs > 0):
+        totals = [total] * len(value_rows)
+    if dK is not None:
         grad += sv.grad_to_x(dK, d, a, b)
-    return [{**t, "total": _total(t, config)} for t in terms], grad, int(counts[:, 0].sum())
+    return _Evaluation(totals, data, hmor, counts[:, 0], grad)
 
 
 def objective(pred_scene: Scene, gt_pairs, anchors: Scene, config: SolverConfig):
@@ -297,9 +347,9 @@ def objective(pred_scene: Scene, gt_pairs, anchors: Scene, config: SolverConfig)
     _check_matched(pred_scene, anchors)
     sv = _SceneVars(pred_scene, config)
     every = slice(None)
-    (terms,), grad, _ = _evaluate(sv, labelled, _Anchors.from_vars(_SceneVars(anchors, config)),
-                                  config, (every,), every)
-    return terms["total"], grad
+    record = _evaluate(sv, labelled, _Anchors.of(_SceneVars(anchors, config), sv), config,
+                       (every,), every, all_terms=False)
+    return record.totals[0], record.grad
 
 
 def _check_matched(pred_scene: Scene, other: Scene) -> None:
@@ -316,7 +366,7 @@ def _targets(sv: _SceneVars, gt_scene: Scene, config: SolverConfig):
     truth."""
     _check_matched(sv.scene, gt_scene)
     anchor = sv if config.anchor == "input" else _SceneVars(gt_scene, config)
-    return _Anchors.from_vars(anchor), LabelledTruth(gt_scene, config.hmor)
+    return _Anchors.of(anchor, sv), LabelledTruth(gt_scene, config.hmor)
 
 
 def objective_terms(pred_scene: Scene, gt_scene: Scene,
@@ -328,9 +378,8 @@ def objective_terms(pred_scene: Scene, gt_scene: Scene,
     cfg = config or SolverConfig()
     sv = _SceneVars(pred_scene, cfg)
     anchors, truth = _targets(sv, gt_scene, cfg)
-    (terms,), _, _ = _evaluate(sv, truth.label(gt_scene.camera.normal), anchors, cfg,
-                               (slice(None),), None)
-    return terms
+    return _evaluate(sv, truth.label(gt_scene.camera.normal), anchors, cfg,
+                     (slice(None),), None).terms()
 
 
 def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = None):
@@ -352,6 +401,13 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
     candidate is rejected) once more under step t+1's. With one view
     (or ``w_hmor == 0``) both steps share the stack, so every evaluation,
     ``x``'s included, is carried as it is.
+
+    Each evaluation is one :func:`_evaluate` record, and reads only what
+    the descent uses: the totals, the gradient and view 0's violations.
+    The ground truth's targets are prepared once (:class:`_Anchors`), terms
+    of weight 0 are not computed, under ``root_depths_only`` the pose term
+    is computed once, and a step's fresh views are one
+    :func:`~hmor.geometry.sample_views` draw.
     """
     cfg = config or SolverConfig()
     sv = _SceneVars(pred_scene, cfg)
@@ -368,23 +424,21 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
         # a step's stack with the next step's fresh views appended
         if k == 1:
             return labelled
-        views = [sample_view(rng=rng).direction for _ in range(k - 1)]
-        return truth.label(views, base=labelled)
+        return truth.label(sample_views(k - 1, rng), base=labelled)
 
     def evaluate(x: np.ndarray, labelled: RelationPairs, value_rows, grad_rows):
-        # (value under value_rows[0], and what x carries into the next
-        # step: value under value_rows[-1], gradient, violations)
+        # value under value_rows[0]; x carries value_rows[-1]'s value, the
+        # gradient and the violations into the next step
         sv.unpack(x)
-        terms, grad, violations = _evaluate(sv, labelled, anchors, cfg, value_rows, grad_rows,
-                                            all_terms=False)
-        return terms[0]["total"], (terms[-1]["total"], grad, violations)
+        return _evaluate(sv, labelled, anchors, cfg, value_rows, grad_rows, all_terms=False)
 
     labelled = ahead(normal)  # step 1's views
-    f0, (f, g, v) = evaluate(x, labelled, (slice(0, 1), every), every)  # at the input itself
-    trace = [TraceEntry(0, f0, v)]
+    here = evaluate(x, labelled, (slice(0, 1), every), every)  # at the input itself
+    trace = [TraceEntry(0, here.totals[0], int(here.violations.sum()))]
     eta = cfg.step_size
 
     for step in range(1, cfg.steps + 1):
+        f, g = here.totals[-1], here.grad
         if f > cfg.divergence_limit:
             raise SolverError(f"objective diverged to {f!r} at step {step}")
         last = step == cfg.steps
@@ -397,20 +451,22 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
             first = (stack, (now, nxt), nxt)
 
         cand = x - eta * g
-        f_cand, carried = evaluate(cand, *first)
+        record = evaluate(cand, *first)
+        f_cand = record.totals[0]
         if cfg.step_halving and f_cand > f:
             retry = first if k == 1 else (current, (every,), None)
             while f_cand > f and eta > cfg.min_step:
                 eta *= 0.5
                 cand = x - eta * g
-                f_cand, carried = evaluate(cand, *retry)
+                record = evaluate(cand, *retry)
+                f_cand = record.totals[0]
             if f_cand > f:
-                cand, f_cand, carried = x, f, (f, g, v)
+                cand, f_cand, record = x, f, here
             if k > 1 and not last:
-                carried = evaluate(cand, labelled, (every,), every)[1]
-        x = cand
-        f, g, v = carried
-        trace.append(TraceEntry(step, f_cand, v))  # v is counted at x, the point reported
+                record = evaluate(cand, labelled, (every,), every)
+        x, here = cand, record
+        # the violations are counted at x, the point reported
+        trace.append(TraceEntry(step, f_cand, int(here.violations.sum())))
 
     sv.unpack(x)
     return sv.to_scene(), trace
@@ -439,8 +495,7 @@ def _checked_objective(sv: _SceneVars, gt_scene: Scene, config: SolverConfig):
     """The ground truth's anchors and the views :func:`refine`'s first step
     labels: the normal, then ``views_per_step - 1`` from ``default_rng(seed)``."""
     anchors, truth = _targets(sv, gt_scene, dataclasses.replace(config, anchor="ground_truth"))
-    rng = np.random.default_rng(config.seed)
-    views = [sample_view(rng=rng).direction for _ in range(config.views_per_step - 1)]
+    views = sample_views(config.views_per_step - 1, np.random.default_rng(config.seed))
     return anchors, truth.label([gt_scene.camera.normal, *views])
 
 
@@ -475,11 +530,11 @@ def grad_check(scene: Scene, gt_scene: Scene, epsilon: float = 1e-5,
     every = (slice(None),)
     grads = [_evaluate(sv, labelled, anchors,
                        dataclasses.replace(cfg, **{f"w_{t}": float(t == term) for t in _TERMS}),
-                       every, every[0])[1] for term in _TERMS]
+                       every, every[0], all_terms=False).grad for term in _TERMS]
 
     def terms_at(x):
         sv.unpack(x)
-        (terms,), _, _ = _evaluate(sv, labelled, anchors, cfg, every, None)
+        terms = _evaluate(sv, labelled, anchors, cfg, every, None).terms()
         return [terms[t] for t in _TERMS]
 
     worst = _fd_max_rel_err(terms_at, sv.pack(), np.array(grads), epsilon)
@@ -506,11 +561,13 @@ def _gradcheck_point(rng: np.random.Generator, i: int, config: SolverConfig):
         layout, V = labelled.layout, labelled.views
 
         def residuals(x):
+            # every data term's residual (hmor.depth's), then the labelled margins
             sv.unpack(x)
             K = sv.joints_scaled()[0]
             X = _entity_map(sv.topology, cfg.hmor.part_mode) @ K
-            out = [np.stack([sv.U, sv.V, sv.Zrel], axis=2) - anchors.rel,
-                   sv.ZR - anchors.z_root, K / sv.scale - anchors.abs_mm,
+            out = [l1_residual(sv.rel(), anchors.rel), l1_residual(sv.z_norm(), anchors.z_norm),
+                   refine_residual(np.zeros(sv.N), sv.z_eq(), anchors.z_eq),
+                   l1_residual(K / sv.scale, anchors.abs_mm),
                    _depth_margins(X, V, layout) * labelled.depth_labels]
             if layout.flat is not None:
                 out.append(_part_margins(X, V, layout)[0] * labelled.part_labels)

@@ -99,8 +99,9 @@ def test_criterion_2_gradient_correctness():
     for _ in range(100):
         gt_z = rng.uniform(3000.0, 8000.0, 4)
         pred = gt_z / 1000.0 + rng.choice([-1, 1], 4) * rng.uniform(2 * margin, 1.0, 4)
-        g = init_term(pred, gt_z, cam)[1] / 4
-        err = _fd_max_rel_err(lambda x: init_term(x, gt_z, cam)[0], pred, g, step)
+        target = normalize_depth(gt_z, cam)
+        g = init_term(pred, target)[1] / 4
+        err = _fd_max_rel_err(lambda x: init_term(x, target)[0], pred, g, step)
         worst["init"] = max(worst["init"], err)
 
     worst["refine"] = 0.0
@@ -110,9 +111,9 @@ def test_criterion_2_gradient_correctness():
         a_roi = rng.uniform(5e3, 5e4, 4)
         deltas = rng.choice([-1, 1], 4) * rng.uniform(2 * margin, 1.0, 4)
         z_eq_init = gt_z / 1000.0 * np.sqrt(a_box / a_roi)
-        g = refine_term(deltas, z_eq_init, gt_z, cam, a_box, a_roi)[1] / 4
-        err = _fd_max_rel_err(lambda d: refine_term(d, z_eq_init, gt_z, cam, a_box, a_roi)[0],
-                              deltas, g, step)
+        target = equivalent_depth(normalize_depth(gt_z, cam), a_box, a_roi)
+        g = refine_term(deltas, z_eq_init, target)[1] / 4
+        err = _fd_max_rel_err(lambda d: refine_term(d, z_eq_init, target)[0], deltas, g, step)
         worst["refine"] = max(worst["refine"], err)
 
     elapsed = time.perf_counter() - start

@@ -625,11 +625,11 @@ def negate_init_only_gradient(monkeypatch):
     real = hmor.solver._evaluate
 
     def wrapped(sv, labelled, anchors, config, *args, **kwargs):
-        terms, grad, violations = real(sv, labelled, anchors, config, *args, **kwargs)
+        record = real(sv, labelled, anchors, config, *args, **kwargs)
         weights = {term: getattr(config, f"w_{term}") for term in hmor.solver._TERMS}
-        if grad is not None and weights == {**dict.fromkeys(weights, 0.0), "init": 1.0}:
-            grad = -grad
-        return terms, grad, violations
+        if record.grad is not None and weights == {**dict.fromkeys(weights, 0.0), "init": 1.0}:
+            record = dataclasses.replace(record, grad=-record.grad)
+        return record
 
     monkeypatch.setattr(hmor.solver, "_evaluate", wrapped)
 

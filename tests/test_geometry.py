@@ -3,6 +3,7 @@ import pytest
 
 from hmor import (BehindCameraError, Camera, InvalidInputError, ViewVector,
                   back_project, project, project_to_plane, sample_view)
+from hmor.geometry import sample_views
 
 
 class TestCamera:
@@ -133,6 +134,17 @@ class TestSampleView:
     def test_requires_rng_or_explicit_values(self):
         with pytest.raises(InvalidInputError):
             sample_view()
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2024, 910_000])
+    def test_batched_draw_is_sequential_draws(self, seed, n):
+        one_by_one, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+        sequential = [sample_view(rng=one_by_one).direction for _ in range(n)]
+        views = sample_views(n, batched)
+        assert views.shape == (n, 3) and views.dtype == np.float64
+        assert views.tobytes() == np.array(sequential).reshape(n, 3).tobytes()
+        # the generator is left where the n calls leave it
+        assert batched.random(4).tobytes() == one_by_one.random(4).tobytes()
 
 
 class TestViewVector:

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,9 +9,10 @@ from hypothesis import strategies as st
 
 from hmor import (DepthEstimate, GaussNoise, GenSpec, HmorConfig, InvalidDepthError,
                   InvalidInputError, SolverConfig, SolverError, assemble_absolute,
-                  count_violations, enumerate_pairs, generate_scene, grad_check,
-                  hmor_loss, loss_abs, loss_init, loss_pose, loss_refine, objective,
-                  objective_terms, ordinal_violations, perturb, refine, save_scene)
+                  count_violations, enumerate_pairs, equivalent_depth, generate_scene,
+                  grad_check, hmor_loss, loss_abs, loss_init, loss_pose, loss_refine,
+                  normalize_depth, objective, objective_terms, ordinal_violations, perturb,
+                  refine, save_scene)
 from hmor import sample_view
 from hmor.cli import main
 from hmor.depth import init_term, l1_term, refine_term
@@ -254,9 +257,12 @@ class TestTermsOracle:
         assert loss_pose(*rel) == pose[0]
         assert loss_abs(*absolute) == loss_pose_grad(*absolute)[0]
         n, j = pose[1].shape[:2]
-        sign = refine_term([e.delta for e in estimates], [e.z_eq_init for e in estimates], gt_z,
-                           cam, [e.a_box for e in estimates], [e.a_roi for e in estimates])[1]
-        assert np.array_equal(init_term(pred_norm, gt_z, cam)[1] / n, init[1])
+        gt_norm = normalize_depth(np.array(gt_z), cam)
+        target = equivalent_depth(gt_norm, np.array([e.a_box for e in estimates]),
+                                  np.array([e.a_roi for e in estimates]))
+        sign = refine_term([e.delta for e in estimates], [e.z_eq_init for e in estimates],
+                           target)[1]
+        assert np.array_equal(init_term(pred_norm, gt_norm)[1] / n, init[1])
         assert np.array_equal(sign / n, refine[1])
         assert np.array_equal(l1_term(*([p.joints for p in r] for r in rel))[1] / (n * j), pose[1])
 
@@ -435,6 +441,89 @@ class TestCarriedEvaluation:
         _, short = refine(noisy, gt, cfg)
         _, longer = refine(noisy, gt, dataclasses.replace(cfg, steps=steps + 3))
         assert short == longer[:steps + 1]
+
+
+# objective_terms of the GenSpec(seed=31) pair below under the default config (w_abs = 0),
+# as float.hex, recorded when every evaluation computed every term
+PINNED_TERMS = {
+    "pose": "0x1.1d2163496d531p+3", "init": "0x1.6b94a499c1835p-3",
+    "refine": "0x1.6b94a499c1835p-3", "abs": "0x1.e19e982527749p+7",
+    "hmor": "0x1.764e16a8c7760p-9", "hmor.instance": "0x0.0p+0",
+    "hmor.part": "0x1.9cf4b2c507565p-10", "hmor.joint": "0x1.4fa77a8c8795bp-10",
+    "total": "0x1.28956d4fa5ebap+3",
+}
+
+
+class TestWhatAnEvaluationComputes:
+    """One refine run normalizes the ground truth's depths once, computes
+    no term of weight 0, and computes the pose term once where no step
+    moves it; callers that report every term still get all five."""
+
+    @staticmethod
+    def _pair(seed=31):
+        spec = GenSpec(seed=seed, n_persons=3, perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        return perturb(gt, spec), gt
+
+    @pytest.mark.parametrize("w_abs", [0.0, 1.0])
+    @pytest.mark.parametrize("free_variables", ["root_depths_only", "full_pose"])
+    def test_refine_computes_only_what_it_reads(self, monkeypatch, free_variables, w_abs):
+        calls = Counter()
+
+        def spy(name):
+            real = getattr(hmor.solver, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(hmor.solver, name, counted)
+
+        for name in ("normalize_depth", "equivalent_depth", "l1_term", "init_term",
+                     "refine_term", "ordinal_pass"):
+            spy(name)
+        cfg = SolverConfig(steps=8, views_per_step=2, step_size=0.5,
+                           free_variables=free_variables, w_abs=w_abs)
+        refine(*self._pair(), cfg)
+        evaluations = calls["ordinal_pass"]  # w_hmor > 0: one pass per evaluation
+        assert evaluations > cfg.steps + 1  # some first candidates were rejected
+        assert calls["normalize_depth"] == calls["equivalent_depth"] == 1
+        assert calls["init_term"] == calls["refine_term"] == evaluations
+        pose = 1 if free_variables == "root_depths_only" else evaluations
+        assert calls["l1_term"] == pose + (evaluations if w_abs else 0)  # pose, then abs
+
+    def test_every_term_reported_at_weight_zero(self, tmp_path, capsys):
+        pred, gt = self._pair()
+        terms = objective_terms(pred, gt)
+        assert {name: value.hex() for name, value in terms.items()} == PINNED_TERMS
+        save_scene(pred, tmp_path / "pred.json")
+        save_scene(gt, tmp_path / "gt.json")
+        assert main(["loss", str(tmp_path / "pred.json"), str(tmp_path / "gt.json")]) == 0
+        record = json.loads(capsys.readouterr().out)
+        reported = {**{name: record[name] for name in ("pose", "init", "refine", "abs", "total")},
+                    "hmor": record["hmor"]["total"],
+                    **{f"hmor.{level}": record["hmor"][level]
+                       for level in ("instance", "part", "joint")}}
+        assert {name: value.hex() for name, value in reported.items()} == PINNED_TERMS
+
+    @pytest.mark.parametrize("views", [1, 2, 4])
+    def test_grad_check_draws_refine_first_step_views(self, monkeypatch, views):
+        stacks = []
+        kernel = hmor.solver.ordinal_pass
+
+        def spy(K, topology, labelled, *args, **kwargs):
+            stacks.append(labelled.views)
+            return kernel(K, topology, labelled, *args, **kwargs)
+
+        monkeypatch.setattr(hmor.solver, "ordinal_pass", spy)
+        pred, gt = self._pair(32)
+        cfg = SolverConfig(steps=1, views_per_step=views, seed=41)
+        refine(pred, gt, cfg)
+        first_step = stacks[0]  # the pass at the input, under step 1's views
+        stacks.clear()
+        grad_check(pred, gt, config=cfg)
+        assert first_step.shape == (views, 3)
+        assert all(stack.tobytes() == first_step.tobytes() for stack in stacks)
 
 
 class TestGradCheck:
