@@ -1,8 +1,9 @@
 """``refine`` output pinned to recorded bits.
 
-One generated pair is refined under seven configs; every trace value (its
-``repr``), every violation count and the sha256 of the saved refined
-scene must equal ``refine_pin.json``. Regenerate the file only when a
+One generated pair (three persons, unless a config names ``n_persons``) is
+refined under each config; every trace value (its ``repr``), every
+violation count and the sha256 of the saved refined scene must equal
+``refine_pin.json``. Regenerate the file only when a
 change is meant to alter ``refine``'s results:
 
     PYTHONPATH=src python tests/test_refine_pin.py
@@ -36,13 +37,17 @@ CONFIGS = {
         part_mode="particle", equality_tolerance=0.02)),
     # every data term's gradient, abs into U/V included
     "all_data_terms": dict(steps=10, free_variables="full_pose", w_abs=1.0),
+    # the shape of perfbench's refine op: 4 persons, 10 steps of 4 views
+    "benchmark_shaped": dict(n_persons=4, steps=10, views_per_step=4),
 }
 
 
 def pinned_run(name: str, directory: Path) -> dict:
-    spec = GenSpec(seed=7, n_persons=3, perturbation=GaussNoise(30.0, 300.0))
+    config = dict(CONFIGS[name])
+    spec = GenSpec(seed=7, n_persons=config.pop("n_persons", 3),
+                   perturbation=GaussNoise(30.0, 300.0))
     gt = generate_scene(spec)
-    refined, trace = refine(perturb(gt, spec), gt, SolverConfig(seed=5, **CONFIGS[name]))
+    refined, trace = refine(perturb(gt, spec), gt, SolverConfig(seed=5, **config))
     path = directory / f"{name}.json"
     save_scene(refined, path)
     return {"values": [repr(t.value) for t in trace],
