@@ -29,8 +29,8 @@ _EXPORTS = {
     "metrics": ("Matching", "MetricReport", "ViolationCounts", "auc", "evaluate",
                 "match_persons", "mpjpe", "optimal_assignment", "ordinal_violations", "pck",
                 "similarity_align"),
-    "ordinal": ("HmorConfig", "HmorLoss", "RelationPairs", "count_violations",
-                "enumerate_pairs", "hmor_loss", "part_relations_from_2d"),
+    "ordinal": ("HmorConfig", "HmorLoss", "RelationPairs", "enumerate_pairs", "hmor_loss",
+                "part_relations_from_2d"),
     "sceneio": ("load_scene", "save_scene"),
     "skeleton": ("AbsolutePose", "BoundingBox", "Person", "RelativePose", "Scene",
                  "SkeletonTopology", "assemble_absolute", "instance_position",

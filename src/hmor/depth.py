@@ -68,10 +68,11 @@ def equivalent_depth(z_norm, a_box, a_roi):
     """Rescale a normalized depth to the resized-crop equivalent.
 
     Shrinking a person's box to a fixed RoI looks, under the pinhole
-    model, like moving the person farther by sqrt(a_box / a_roi).
+    model, like moving the person farther by sqrt(a_box / a_roi). The
+    areas may be numbers, arrays or lists of per-person areas.
     """
     _check_areas(a_box, a_roi)
-    return z_norm * np.sqrt(a_box / a_roi)
+    return z_norm * np.sqrt(np.asarray(a_box, dtype=float) / np.asarray(a_roi, dtype=float))
 
 
 def recover_absolute_depth(delta: float, z_eq_init: float, camera: Camera,

@@ -333,6 +333,22 @@ def _part_margins(X: np.ndarray, views: np.ndarray, layout: _Layout):
     return parts, C
 
 
+def _view_stack(views) -> np.ndarray:
+    """``views`` as a (k, 3) float stack of finite unit vectors (one
+    3-vector is a stack of one); InvalidInputError otherwise."""
+    try:
+        views = np.asarray(views, dtype=float)
+        if views.ndim > 2 or views.shape[-1:] != (3,) and views.shape != (0,):
+            raise ValueError
+    except ValueError:  # a ragged stack raises it too
+        raise InvalidInputError("views must be one 3-vector or a (k, 3) stack of them") from None
+    views = views.reshape(-1, 3)
+    bad = ~(np.abs(np.linalg.norm(views, axis=1) - 1.0) <= _UNIT_TOL)  # _as_unit's rule
+    if bad.any():
+        raise InvalidInputError(f"view must be a finite unit vector, got {views[bad][0]}")
+    return views
+
+
 class LabelledTruth:
     """The pair sets of a ground-truth scene, enumerated once and labelled
     under any stack of views.
@@ -359,16 +375,11 @@ class LabelledTruth:
     def label(self, views, base: RelationPairs | None = None) -> RelationPairs:
         """Label the (k, 3) ``views`` (finite unit vectors), appended to the
         views of ``base``."""
-        try:
-            views = np.asarray(views, dtype=float)
-            if views.ndim > 2 or views.shape[-1:] != (3,) and views.shape != (0,):
-                raise ValueError
-        except ValueError:  # a ragged stack raises it too
-            raise InvalidInputError("views must be one 3-vector or a (k, 3) stack of them") from None
-        views = views.reshape(-1, 3)
-        bad = ~(np.abs(np.linalg.norm(views, axis=1) - 1.0) <= _UNIT_TOL)  # _as_unit's rule
-        if bad.any():
-            raise InvalidInputError(f"view must be a finite unit vector, got {views[bad][0]}")
+        return self._label(_view_stack(views), base)
+
+    def _label(self, views: np.ndarray, base: RelationPairs | None = None) -> RelationPairs:
+        """:meth:`label` of a (k, 3) float stack :func:`_view_stack` has
+        checked."""
         X, layout = self.points, self.layout
         eps = layout.equality_tolerance
         depth = _threshold_label(_depth_margins(X, views, layout), eps)
@@ -443,28 +454,32 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     stacked depth levels and one over vector parts.
 
     Returns (totals, levels, violations, dK): the (k,) weighted totals;
-    the (3, k) per-level mean errors (instance, part, joint); the (3, k)
+    the (3, k) per-level mean errors (instance, part, joint); the (3,)
     per-level counts of pairs whose predicted label disagrees with the
-    ground truth (as :func:`violation_counts` counts them); and the
-    gradient of ``totals[grad_views].sum()`` with respect to every joint
-    coordinate (None when want_grad is off). ``grad_views`` indexes view
-    rows (default all); its gradient has the bits of a pass over the
-    sub-stack ``labelled.rows(grad_views)``. Margins come from the
-    per-entity points ``X = E @ K`` (:func:`_entity_map`), means and
-    counts from contiguous slices of the stack; int8 labels count
-    disagreements and are cast to float64 once for the rest.
+    ground truth under the first labelled view only (as
+    :func:`violation_counts`, the per-view counter, counts them; zeros
+    with no view); and the gradient of ``totals[grad_views].sum()`` with
+    respect to every joint coordinate (None when want_grad is off).
+    ``grad_views`` indexes view rows (default all); its gradient has the
+    bits of a pass over the sub-stack ``labelled.rows(grad_views)``.
+    Margins come from the per-entity points ``X = E @ K``
+    (:func:`_entity_map`), means and counts from contiguous slices of the
+    stack; int8 labels count disagreements and are cast to float64 once
+    for the rest.
 
-    Only violated pairs have a gradient, so it is built from the violated
-    (view, pair) entries alone (:func:`_violated`) and its work grows with
-    them, not with pairs times views. A depth pair (a, b) violated under
-    view v weighs ``W = label / (1 + m) * (w_level / P_level)``, added at
-    ``g[v, a]`` and subtracted at ``g[v, b]``; ``dX = g.T @ V``. A vector
-    part pair weighs ``W = label * w_part / P`` and adds ``W * C_v[b]`` to
-    part row a of dX and ``-W * C_v[a]`` to part row b (``C_v = T x v``);
-    ``dK = E.T @ dX``. A NaN margin is no violation, so dK stays finite
-    where levels read NaN. Weight-0 levels are counted and move no
-    gradient, nor do clamp boundaries. A config that labels otherwise
-    than the pairs (:meth:`_Layout.check_labels`) is InvalidInputError.
+    Only violated pairs have a gradient or an error, so both are built
+    from the violated (view, pair) entries alone (:func:`_violated`; a
+    NaN margin's error is NaN) and their work grows with them, not with
+    pairs times views. A depth pair (a, b) violated by m under view v
+    errs by ``log1p(m)`` and weighs ``W = label / (1 + m) * (w_level /
+    P_level)``, added at ``g[v, a]`` and subtracted at ``g[v, b]``; ``dX
+    = g.T @ V``. A vector part pair weighs ``W = label * w_part / P`` and
+    adds ``W * C_v[b]`` to part row a of dX and ``-W * C_v[a]`` to part
+    row b (``C_v = T x v``); ``dK = E.T @ dX``. A NaN margin is no
+    violation, so dK stays finite where levels read NaN. Weight-0 levels
+    are counted and move no gradient, nor do clamp boundaries. A config
+    that labels otherwise than the pairs (:meth:`_Layout.check_labels`)
+    is InvalidInputError.
     """
     cfg = config or HmorConfig()
     V = labelled.views
@@ -476,13 +491,14 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     rows = slice(None) if grad_views is None else grad_views
     weights = (cfg.w_instance, cfg.w_part, cfg.w_joint)
     levels = np.zeros((3, len(V)))
-    violations = np.zeros((3, len(V)), dtype=int)
+    first = slice(0, 1)  # the view counted
+    violations = np.zeros((3, len(V[first])), dtype=int)
 
     # Float labels keep the multiplies float64 x float64 (int8 x float64 casts in
     # buffered chunks); margins turn signed, then errors, in place (no (k, P) temporary).
     margins = _depth_margins(X, V, layout)
     labels = labelled.depth_labels
-    _count_disagreements(margins, labels, eps, layout.segments, violations)
+    _count_disagreements(margins[first], labels[first], eps, layout.segments, violations)
     labels = labels.astype(float)
     margins *= labels  # signed margins from here on
     sizes = [max(pairs.stop - pairs.start, 1) for _, pairs, *_ in layout.segments]
@@ -495,15 +511,21 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
         a, b = pos * n + layout.pairs.take(pair, axis=1)  # (view, entity) ids of the ends
         g = np.bincount(a, W, len(Vg) * n) - np.bincount(b, W, len(Vg) * n)
         dX = (g.reshape(-1, n).T @ Vg).reshape(X.shape)
-    errs = np.log1p(np.maximum(0.0, margins, out=margins), out=margins)
+    # errors: log1p of the violated or NaN entries, +0.0 elsewhere (as
+    # log1p(max(0, m)) reads), summed in the same order
+    hit = np.flatnonzero(~(margins <= 0.0))
+    errs = np.log1p(margins.take(hit))
+    margins.fill(0.0)
+    margins.put(hit, errs)
     for (level, pairs, *_), P in zip(layout.segments, sizes):
-        levels[level] = errs[:, pairs].sum(axis=1) / P
+        levels[level] = margins[:, pairs].sum(axis=1) / P
 
     if layout.flat is not None:
         margins, C = _part_margins(X, V, layout)
         labels = labelled.part_labels
         P = max(margins.shape[1], 1)
-        _count_disagreements(margins, labels, eps, ((1, slice(None)),), violations)
+        _count_disagreements(margins[first], labels[first], eps, ((1, slice(None)),),
+                             violations)
         labels = labels.astype(float)
         margins *= labels
         if want_grad and cfg.w_part > 0:
@@ -517,15 +539,17 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
             row *= n  # C's (k * n, 3) form: end a gets W * C_v[b], end b -W * C_v[a]
             ends, other = np.concatenate([a, b]), np.concatenate([row + b, row + a])
             W = np.concatenate([W, -W])
-            dT = np.empty((n, 3))
-            for c, Cc in enumerate(C.reshape(-1, 3).T):
-                dT[:, c] = np.bincount(ends, W * Cc.take(other), n)
+            # one bincount over the (end, component) cells of dT, each summed
+            # in the order of ``ends``
+            cells = (ends * 3)[:, None] + np.arange(3)
+            dT = np.bincount(cells.ravel(), (W[:, None] * C.reshape(-1, 3).take(other, axis=0))
+                             .ravel(), 3 * n)
             dX[:, 1:1 + S] += dT.reshape(len(X), S, 3)  # the part rows
         levels[1] = np.maximum(0.0, margins, out=margins).sum(axis=1) / P
 
     dK = E.T @ dX if want_grad else None
     totals = cfg.w_instance * levels[0] + cfg.w_part * levels[1] + cfg.w_joint * levels[2]
-    return totals, levels, violations, dK
+    return totals, levels, violations.sum(axis=1), dK  # the sum of one column, or zeros
 
 
 def hmor_loss(pred_scene: Scene, pairs: RelationPairs, view=None,
@@ -545,24 +569,7 @@ def hmor_loss(pred_scene: Scene, pairs: RelationPairs, view=None,
     totals, levels, violations, _ = ordinal_pass(K, pred_scene.topology, pairs, cfg,
                                                  want_grad=False)
     return HmorLoss(float(totals[0]), *(float(x) for x in levels[:, 0]),
-                    tuple(int(v) for v in violations[:, 0]))
-
-
-def count_violations(pred_scene: Scene, pairs: RelationPairs,
-                     config: HmorConfig | None = None) -> tuple[int, int, int]:
-    """Count pairs whose predicted relation label disagrees with ground truth.
-
-    Returns (instance, part, joint) disagreement counts under the view
-    the pairs were labeled with. Labels are recomputed from the predicted
-    scene with the same tolerance used for the ground truth, by
-    :func:`violation_counts` (the counts :func:`hmor_loss` reports,
-    without the loss).
-    """
-    cfg = config or HmorConfig()
-    pairs.check_fits(pred_scene)
-    K = scene_joint_array(pred_scene, cfg.depth_unit_scale)
-    counts = violation_counts(K, pred_scene.topology, pairs.rows(slice(0, 1)), cfg)
-    return tuple(int(c) for c in counts[:, 0])
+                    tuple(violations.tolist()))
 
 
 def part_relations_from_2d(gt_pixels: Sequence[np.ndarray],

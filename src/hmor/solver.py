@@ -24,7 +24,8 @@ from .depth import (equivalent_depth, init_term, l1_residual, l1_term, normalize
 from .errors import InvalidDepthError, InvalidInputError, NumericalError, SolverError
 from .geometry import back_project_points, sample_views
 from .ordinal import (HmorConfig, LabelledTruth, RelationPairs, _depth_margins, _entity_map,
-                      _part_margins, check_finite_fields, ordinal_pass, violation_counts)
+                      _part_margins, _view_stack, check_finite_fields, ordinal_pass,
+                      violation_counts)
 from .skeleton import RelativePose, Scene, check_topologies_match
 
 # the objective's terms, in the order the weighted total sums them
@@ -37,7 +38,8 @@ class SolverConfig:
 
     ``views_per_step`` counts the views the ordinal term averages over
     each step: the camera normal is always included, and any additional
-    views are sampled fresh per step, one step ahead (see :func:`refine`).
+    views are fresh each step, drawn for the whole run at its start (see
+    :func:`refine`).
     ``free_variables`` is either
     "root_depths_only" or "full_pose". ``anchor`` selects the target of
     the data terms: the ground-truth scene, or the solver's own input at
@@ -326,11 +328,11 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config
             dK_hmor = dK_hmor * (config.w_hmor / len(per_view[grad_rows]))
             dK = dK_hmor if dK is None else dK + dK_hmor
     else:
-        counts = violation_counts(K, sv.topology, labelled.rows(slice(0, 1)), config.hmor)
+        counts = violation_counts(K, sv.topology, labelled.rows(slice(0, 1)), config.hmor)[:, 0]
         totals = [total] * len(value_rows)
     if dK is not None:
         grad += sv.grad_to_x(dK, d, a, b)
-    return _Evaluation(totals, data, hmor, counts[:, 0], grad)
+    return _Evaluation(totals, data, hmor, counts, grad)
 
 
 def objective(pred_scene: Scene, gt_pairs, anchors: Scene, config: SolverConfig):
@@ -390,8 +392,10 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
     given the config seed. Raises SolverError past the divergence limit.
 
     The ground truth is enumerated once (:class:`LabelledTruth`) and
-    labelled under the camera normal once. Step t's stack is the union
-    ``[normal, views_t, views_t+1]``: step t+1's views are sampled and
+    labelled under the camera normal once. The fresh views of every step
+    are one :func:`~hmor.geometry.sample_views` draw per run, checked
+    once (bit for bit the views of one draw per step). Step t's stack is
+    the union ``[normal, views_t, views_t+1]``: step t+1's views are
     labelled one step ahead, so one :func:`ordinal_pass` at a candidate
     yields its value under step t's views (for the line search) and its
     value and gradient under step t+1's, which an accepted candidate
@@ -405,26 +409,27 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
     Each evaluation is one :func:`_evaluate` record, and reads only what
     the descent uses: the totals, the gradient and view 0's violations.
     The ground truth's targets are prepared once (:class:`_Anchors`), terms
-    of weight 0 are not computed, under ``root_depths_only`` the pose term
-    is computed once, and a step's fresh views are one
-    :func:`~hmor.geometry.sample_views` draw.
+    of weight 0 are not computed, and under ``root_depths_only`` the pose
+    term is computed once.
     """
     cfg = config or SolverConfig()
     sv = _SceneVars(pred_scene, cfg)
     x = sv.pack()
     anchors, truth = _targets(sv, gt_scene, cfg)  # anchor="input" anchors at the input
-    rng = np.random.default_rng(cfg.seed)
     normal = truth.label(gt_scene.camera.normal)
     k = cfg.views_per_step if cfg.w_hmor > 0 else 1
     now = slice(0, k)                                # step t's rows of its stack
     nxt = np.r_[0, k:2 * k - 1] if k > 1 else now    # step t+1's rows
     every = slice(None)
+    if k > 1:  # fresh[t - 1] holds step t's k - 1 fresh views
+        draw = sample_views(cfg.steps * (k - 1), np.random.default_rng(cfg.seed))
+        fresh = _view_stack(draw).reshape(cfg.steps, k - 1, 3)
 
-    def ahead(labelled: RelationPairs) -> RelationPairs:
-        # a step's stack with the next step's fresh views appended
+    def ahead(labelled: RelationPairs, step: int) -> RelationPairs:
+        # a step's stack with step ``step``'s fresh views appended
         if k == 1:
             return labelled
-        return truth.label(sample_views(k - 1, rng), base=labelled)
+        return truth._label(fresh[step - 1], base=labelled)
 
     def evaluate(x: np.ndarray, labelled: RelationPairs, value_rows, grad_rows):
         # value under value_rows[0]; x carries value_rows[-1]'s value, the
@@ -432,7 +437,7 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
         sv.unpack(x)
         return _evaluate(sv, labelled, anchors, cfg, value_rows, grad_rows, all_terms=False)
 
-    labelled = ahead(normal)  # step 1's views
+    labelled = ahead(normal, 1)  # step 1's views
     here = evaluate(x, labelled, (slice(0, 1), every), every)  # at the input itself
     trace = [TraceEntry(0, here.totals[0], int(here.violations.sum()))]
     eta = cfg.step_size
@@ -446,7 +451,7 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
         if last:
             first = (current, (every,), None)
         else:
-            stack = ahead(current)
+            stack = ahead(current, step + 1)
             labelled = stack if k == 1 else stack.rows(nxt)  # step t+1's views
             first = (stack, (now, nxt), nxt)
 

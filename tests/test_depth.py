@@ -46,6 +46,15 @@ class TestEquivalentDepth:
             with pytest.raises(InvalidInputError):
                 equivalent_depth(5.0, a_box, 100.0)
 
+    def test_list_areas_give_the_array_result(self):
+        # per-person areas as lists, as normalize_depth takes its depths
+        got = equivalent_depth(4.0, [1.0, 2.0], [3.0, 4.0])
+        want = equivalent_depth(4.0, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+        assert got.tobytes() == want.tobytes()
+        assert equivalent_depth([4.0, 8.0], [1.0, 2.0], [3.0, 4.0]).tobytes() == \
+            equivalent_depth(np.array([4.0, 8.0]), np.array([1.0, 2.0]),
+                             np.array([3.0, 4.0])).tobytes()
+
 
 class TestDepthEstimate:
     @pytest.mark.parametrize("a_box", [0.0, np.nan, np.inf])

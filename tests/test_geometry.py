@@ -135,7 +135,7 @@ class TestSampleView:
         with pytest.raises(InvalidInputError):
             sample_view()
 
-    @pytest.mark.parametrize("n", [0, 1, 3, 7])
+    @pytest.mark.parametrize("n", [0, 1, 3, 7, 30])  # 30: one 10-step, 4-view refine run
     @pytest.mark.parametrize("seed", [0, 1, 17, 2024, 910_000])
     def test_batched_draw_is_sequential_draws(self, seed, n):
         one_by_one, batched = np.random.default_rng(seed), np.random.default_rng(seed)

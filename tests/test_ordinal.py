@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hmor import (GaussNoise, GenSpec, HmorConfig, HmorLoss, InvalidInputError,
                   NumericalError, SkeletonTopology, SolverConfig, ViewVector, assemble_absolute,
-                  count_violations, enumerate_pairs, evaluate, generate_scene, hmor_loss,
+                  enumerate_pairs, evaluate, generate_scene, hmor_loss,
                   instance_position, objective, ordinal_violations,
                   part_relations_from_2d, part_vectors, perturb,
                   project_to_plane, refine, sample_view)
@@ -249,7 +249,7 @@ class TestHmorLoss:
             view = sample_view(rng=rng).direction
             pairs = enumerate_pairs(gt, view)
             loss = hmor_loss(noisy, pairs)
-            violations = sum(count_violations(noisy, pairs))
+            violations = sum(loss.violations)
             assert (loss.total == 0.0) == (violations == 0)
             saw_zero = saw_zero or violations == 0
             saw_nonzero = saw_nonzero or violations > 0
@@ -385,13 +385,13 @@ class TestCountViolations:
     def test_exact_prediction_has_none(self):
         scene = generate_scene(GenSpec(seed=15, n_persons=3))
         pairs = enumerate_pairs(scene, scene.camera.normal)
-        assert count_violations(scene, pairs) == (0, 0, 0)
+        assert hmor_loss(scene, pairs).violations == (0, 0, 0)
 
     def test_depth_swap_violates_instance_pair(self, camera):
         gt = two_person_depth_fixture(camera)
         swapped = swap_root_depths(gt)
         pairs = enumerate_pairs(gt, gt.camera.normal)
-        ins, _, _ = count_violations(swapped, pairs)
+        ins, _, _ = hmor_loss(swapped, pairs).violations
         assert ins == 1
 
     def test_counts_match_bruteforce_recheck(self):
@@ -410,7 +410,7 @@ class TestCountViolations:
                     HmorConfig(part_mode="particle", equality_tolerance=0.02)):
             eps = cfg.equality_tolerance
             pairs = enumerate_pairs(gt, view, cfg)
-            got = count_violations(noisy, pairs, cfg)
+            got = hmor_loss(noisy, pairs, config=cfg).violations
 
             K = scene_joint_array(noisy, cfg.depth_unit_scale)
             positions = [K[m].mean(axis=0) for m in range(2)]
@@ -429,7 +429,7 @@ class TestCountViolations:
             jnt = sum(1 for m1, j1, m2, j2, lab in pairs.joint_pairs
                       if relation_joint(K[m1][j1], K[m2][j2], view, eps) != lab)
             assert got == (ins, prt, jnt)
-            assert hmor_loss(noisy, pairs, config=cfg).violations == got
+            assert tuple(violation_counts(K, topo, pairs, cfg)[:, 0].tolist()) == got
             if eps > 0:
                 assert np.any(pairs.part_pairs[:, 4] == 0)
                 assert np.any(pairs.joint_pairs[:, 4] == 0)
@@ -450,7 +450,7 @@ class TestCountViolations:
         cfg = HmorConfig(w_part=0.0)
         totals, levels, violations, dK = ordinal_pass(K, gt.topology, pairs, cfg)
         totals_np, _, violations_np, dK_np = ordinal_pass(K, gt.topology, no_parts, cfg)
-        assert violations[1, 0] > 0 and violations_np[1, 0] == 0
+        assert violations[1] > 0 and violations_np[1] == 0
         assert levels[1, 0] > 0.0
         assert totals[0] == totals_np[0]
         assert np.array_equal(dK, dK_np)
@@ -487,11 +487,13 @@ class TestOrdinalPass:
         K = scene_joint_array(pred, cfg.depth_unit_scale)
         labelled = LabelledTruth(gt, cfg).label(views)
         totals, levels, violations, dK = ordinal_pass(K, gt.topology, labelled, cfg)
+        counts = violation_counts(K, gt.topology, labelled, cfg)
+        assert np.array_equal(violations, counts[:, 0])  # the pass counts the first view
 
         singles = [ordinal_pass(K, gt.topology, enumerate_pairs(gt, v, cfg), cfg)
                    for v in views]
         for i, (total, level, violation, _) in enumerate(singles):
-            assert np.array_equal(violations[:, i], violation[:, 0])
+            assert np.array_equal(counts[:, i], violation)
             assert abs(totals[i] - total[0]) <= 1e-12 * max(1.0, abs(total[0]))
             assert np.allclose(levels[:, i], level[:, 0], rtol=1e-12, atol=1e-12)
         mean_total = np.mean([total[0] for total, *_ in singles])
@@ -511,6 +513,7 @@ class TestOrdinalPass:
         totals, levels, violations, dK = ordinal_pass(K, gt.topology, labelled, cfg)
         assert np.all(totals == 0.0) and np.all(levels == 0.0)
         assert not violations.any()
+        assert not violation_counts(K, gt.topology, labelled, cfg).any()
         assert np.all(dK == 0.0)
 
     def test_appended_views_match_one_stack(self):
@@ -527,7 +530,8 @@ class TestOrdinalPass:
         gt, pred, _ = _kernel_case(6, 2, 1)
         K = scene_joint_array(pred, 1e-3)
         totals, levels, violations, dK = ordinal_pass(K, gt.topology, LabelledTruth(gt).label([]))
-        assert totals.shape == (0,) and levels.shape == violations.shape == (3, 0)
+        assert totals.shape == (0,) and levels.shape == (3, 0)
+        assert violations.shape == (3,) and not violations.any()
         assert dK.shape == K.shape and not dK.any()
 
     @pytest.mark.parametrize("part_mode", ["vector", "particle"])
@@ -622,18 +626,21 @@ class TestOrdinalPassOracle:
 
 def _assert_equals_brute_force(pred, gt, views, labelled, cfg):
     """Assert ordinal_pass equals ordinal_brute_force (counts exactly, the
-    rest to 1e-12) with violations and a gradient; return the counts."""
+    rest to 1e-12) with violations and a gradient, and violation_counts
+    the brute force's per-view counts; return those counts."""
     K = scene_joint_array(pred, cfg.depth_unit_scale)
     totals, levels, violations, dK = ordinal_pass(K, gt.topology, labelled, cfg)
     want_totals, want_levels, want_violations, want_dK = ordinal_brute_force(
         pred, gt, views, cfg, labelled.index)
 
-    assert np.array_equal(violations, want_violations)
+    assert np.array_equal(violations, want_violations[:, 0])
+    counts = violation_counts(K, gt.topology, labelled, cfg)
+    assert np.array_equal(counts, want_violations)
     assert want_violations.any()
     for got, want in ((totals, want_totals), (levels, want_levels), (dK, want_dK)):
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
     assert np.abs(want_dK).max() > 0.0
-    return violations
+    return counts
 
 
 # every knob the loss-free count must follow; each example draws one
@@ -655,8 +662,9 @@ class TestViolationCounts:
         K = scene_joint_array(pred, cfg.depth_unit_scale)
         counts = violation_counts(K, gt.topology, labelled, cfg)
         assert counts.shape == (3, k)
-        assert np.array_equal(counts, ordinal_pass(K, gt.topology, labelled, cfg,
-                                                   want_grad=False)[2])
+        first = counts[:, 0] if k else np.zeros(3, int)  # the pass counts the first view
+        assert np.array_equal(first, ordinal_pass(K, gt.topology, labelled, cfg,
+                                                  want_grad=False)[2])
         assert np.array_equal(counts,
                               ordinal_brute_force(pred, gt, views, cfg, labelled.index)[2])
 
@@ -670,17 +678,17 @@ class TestViolationCounts:
         K = scene_joint_array(pred, cfg.depth_unit_scale)
         counts = violation_counts(K, gt.topology, labelled, cfg)
         assert counts.all()
-        assert np.array_equal(counts, ordinal_pass(K, gt.topology, labelled, cfg,
-                                                   want_grad=False)[2])
+        assert np.array_equal(counts[:, 0], ordinal_pass(K, gt.topology, labelled, cfg,
+                                                         want_grad=False)[2])
 
-    def test_count_violations_reads_the_first_view(self):
+    def test_hmor_loss_reads_the_first_view(self):
         gt, pred, views = _kernel_case(8, 3, 3)
         cfg = HmorConfig(part_mode="particle")
         labelled = LabelledTruth(gt, cfg).label(views)
         K = scene_joint_array(pred, cfg.depth_unit_scale)
-        want = violation_counts(K, gt.topology, labelled, cfg)[:, 0]
-        assert count_violations(pred, labelled, cfg) == tuple(want.tolist())
-        assert hmor_loss(pred, labelled, config=cfg).violations == tuple(want.tolist())
+        counts = violation_counts(K, gt.topology, labelled, cfg)
+        assert not np.array_equal(counts[:, 0], counts[:, 1])  # the views disagree
+        assert hmor_loss(pred, labelled, config=cfg).violations == tuple(counts[:, 0].tolist())
 
 
 PROPERTY_CONFIGS = [HmorConfig(part_mode=mode, equality_tolerance=eps)
@@ -709,12 +717,14 @@ class TestLossProperties:
         K = scene_joint_array(pred, cfg.depth_unit_scale)
         totals, levels, violations, _ = ordinal_pass(K, gt.topology, labelled, cfg,
                                                      want_grad=False)
+        counts = violation_counts(K, gt.topology, labelled, cfg)
+        assert np.array_equal(violations, counts[:, 0])
         assert np.all(levels >= 0.0) and np.all(totals >= 0.0)
-        assert np.all(levels[violations == 0] == 0.0)
+        assert np.all(levels[counts == 0] == 0.0)
         if cfg.equality_tolerance == 0.0:
             own = LabelledTruth(pred, cfg).label(views)
             if all(labels.all() for labels in (*labelled.labels, *own.labels)):
-                assert np.all(violations[levels == 0.0] == 0)
+                assert np.all(counts[levels == 0.0] == 0)
 
 
 class TestOneStoredForm:
@@ -855,7 +865,6 @@ class TestPairInputChecks:
         calls = (lambda: ordinal_pass(K, gt.topology, pairs, score_cfg),
                  lambda: violation_counts(K, gt.topology, pairs, score_cfg),
                  lambda: hmor_loss(gt, pairs, config=score_cfg),
-                 lambda: count_violations(gt, pairs, score_cfg),
                  lambda: objective(gt, pairs, gt, SolverConfig(hmor=score_cfg)))
         for call in calls:
             with pytest.raises(InvalidInputError, match=f"^{name} mismatch: "):
@@ -896,7 +905,6 @@ class TestPairInputChecks:
         calls = (lambda: RelationPairs.stack([]),
                  lambda: objective(pred, [], gt, cfg),
                  lambda: hmor_loss(pred, none),
-                 lambda: count_violations(pred, none),
                  lambda: objective(pred, none, gt, cfg))
         for call in calls:
             with pytest.raises(InvalidInputError, match="^no pair sets to stack$|no views$"):

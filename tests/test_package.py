@@ -16,7 +16,7 @@ from hmor.cli import main
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # public names that left the package; they must not come back through __getattr__
-REMOVED = ("err_instance", "err_joint", "err_part", "err_part_particle",
+REMOVED = ("count_violations", "err_instance", "err_joint", "err_part", "err_part_particle",
            "relation_instance", "relation_joint", "relation_part")
 
 

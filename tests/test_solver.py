@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hmor import (DepthEstimate, GaussNoise, GenSpec, HmorConfig, InvalidDepthError,
                   InvalidInputError, SolverConfig, SolverError, assemble_absolute,
-                  count_violations, enumerate_pairs, equivalent_depth, generate_scene,
+                  enumerate_pairs, equivalent_depth, generate_scene,
                   grad_check, hmor_loss, loss_abs, loss_init, loss_pose, loss_refine,
                   normalize_depth, objective, objective_terms, ordinal_violations, perturb,
                   refine, save_scene)
@@ -192,7 +192,6 @@ def test_topology_mismatch_is_invalid_input(camera, entry):
 # pairs enumerated on a 3-person truth, read with a 2-person scene
 PERSON_COUNT_CALLS = {
     "hmor_loss": lambda gt3, gt2, pairs, cfg: hmor_loss(gt2, pairs),
-    "count_violations": lambda gt3, gt2, pairs, cfg: count_violations(gt2, pairs),
     "objective_pred": lambda gt3, gt2, pairs, cfg: objective(gt2, pairs, gt3, cfg),
     "objective_anchors": lambda gt3, gt2, pairs, cfg: objective(gt3, pairs, gt2, cfg),
 }
@@ -314,8 +313,8 @@ class TestRefine:
 
         monkeypatch.setattr(hmor.solver, "ordinal_pass", forbidden)
         refined, trace = refine(noisy, gt, SolverConfig(steps=5, w_hmor=0.0, w_abs=1.0))
-        assert trace[0].violations == sum(count_violations(noisy, pairs)) > 0
-        assert trace[-1].violations == sum(count_violations(refined, pairs))
+        assert trace[0].violations == sum(hmor_loss(noisy, pairs).violations) > 0
+        assert trace[-1].violations == sum(hmor_loss(refined, pairs).violations)
 
     def test_trace_monotone_with_halving(self):
         spec = GenSpec(seed=3, n_persons=3, perturbation=GaussNoise(40.0, 400.0))
@@ -389,9 +388,48 @@ class TestTraceViolations:
         for k in range(1, 6):
             refined, trace = refine(noisy, gt, dataclasses.replace(cfg, steps=k))
             assert trace == full[:k + 1]
-            assert trace[-1].violations == sum(count_violations(refined, normal_pairs, cfg.hmor))
+            assert trace[-1].violations == sum(
+                hmor_loss(refined, normal_pairs, config=cfg.hmor).violations)
         if "min_step" in overrides:
             assert len({(t.value, t.violations) for t in full}) == 1
+
+
+def _permuted(scene, order):
+    return dataclasses.replace(scene, persons=tuple(scene.persons[i] for i in order))
+
+
+class TestPersonPermutation:
+    """Permuting the persons of both scenes only reorders the pairs and the
+    sums over them: the loss, every refine trace value and the refined
+    depths agree to 1e-12 relative, and every count is equal."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 10_000), n_persons=st.integers(2, 5),
+           part_mode=st.sampled_from(["vector", "particle"]), data=st.data())
+    def test_loss_and_refine_are_invariant(self, seed, n_persons, part_mode, data):
+        order = data.draw(st.permutations(range(n_persons)))
+        spec = GenSpec(seed=seed, n_persons=n_persons, perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        pred = perturb(gt, spec)
+        gt_p, pred_p = _permuted(gt, order), _permuted(pred, order)
+        hcfg = HmorConfig(part_mode=part_mode)
+
+        def close(a, b):
+            return abs(a - b) <= 1e-12 * abs(b)
+
+        for view in (gt.camera.normal, sample_view(rng=np.random.default_rng(seed))):
+            loss = hmor_loss(pred, enumerate_pairs(gt, view, hcfg), config=hcfg)
+            loss_p = hmor_loss(pred_p, enumerate_pairs(gt_p, view, hcfg), config=hcfg)
+            assert loss_p.violations == loss.violations
+            assert all(close(getattr(loss_p, f), getattr(loss, f))
+                       for f in ("total", "instance", "part", "joint"))
+        cfg = SolverConfig(steps=10, views_per_step=3, seed=seed, hmor=hcfg)
+        refined, trace = refine(pred, gt, cfg)
+        refined_p, trace_p = refine(pred_p, gt_p, cfg)
+        assert [t.violations for t in trace_p] == [t.violations for t in trace]
+        assert all(close(tp.value, t.value) for tp, t in zip(trace_p, trace))
+        assert all(close(p.root_depth, refined.persons[i].root_depth)
+                   for p, i in zip(refined_p.persons, order))
 
 
 class TestCarriedEvaluation:
@@ -517,13 +555,39 @@ class TestWhatAnEvaluationComputes:
 
         monkeypatch.setattr(hmor.solver, "ordinal_pass", spy)
         pred, gt = self._pair(32)
-        cfg = SolverConfig(steps=1, views_per_step=views, seed=41)
-        refine(pred, gt, cfg)
-        first_step = stacks[0]  # the pass at the input, under step 1's views
-        stacks.clear()
-        grad_check(pred, gt, config=cfg)
-        assert first_step.shape == (views, 3)
-        assert all(stack.tobytes() == first_step.tobytes() for stack in stacks)
+        for steps in (1, 10):  # one run's draw holds every step's views
+            cfg = SolverConfig(steps=steps, views_per_step=views, seed=41)
+            stacks.clear()
+            refine(pred, gt, cfg)
+            first_step = stacks[0]  # the pass at the input, under step 1's views
+            stacks.clear()
+            grad_check(pred, gt, config=cfg)
+            assert first_step.shape == (views, 3)
+            assert all(stack.tobytes() == first_step.tobytes() for stack in stacks)
+
+    @pytest.mark.parametrize("views", [1, 4])
+    def test_refine_draws_and_checks_its_views_once(self, monkeypatch, views):
+        draws, checks = [], []
+        sample_views, view_stack = hmor.solver.sample_views, hmor.ordinal._view_stack
+
+        def drawn(n, rng):
+            draws.append(n)
+            return sample_views(n, rng)
+
+        def checked(stack):
+            views = view_stack(stack)
+            checks.append(len(views))
+            return views
+
+        monkeypatch.setattr(hmor.solver, "sample_views", drawn)
+        for module in (hmor.ordinal, hmor.solver):
+            monkeypatch.setattr(module, "_view_stack", checked)
+        cfg = SolverConfig(steps=10, views_per_step=views, step_size=0.5)
+        refine(*self._pair(), cfg)
+        # the camera normal, then (with fresh views) one draw of every step's
+        fresh = cfg.steps * (views - 1)
+        assert draws == ([fresh] if fresh else [])
+        assert checks == ([1, fresh] if fresh else [1])
 
 
 class TestGradCheck:
