@@ -413,12 +413,12 @@ def _count_disagreements(m: np.ndarray, labels: np.ndarray, eps: float, segments
 
 def violation_counts(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPairs,
                      config: HmorConfig | None = None) -> np.ndarray:
-    """The (3, k) violations of :func:`ordinal_pass` alone: per level
-    (instance, part, joint) and view, the pairs whose label thresholded
-    from the margins of the (N, J, 3) scaled joint array differs from the
-    ground truth's. No weights, errors or float labels are formed. A
-    config that labels otherwise than the pairs were labelled is
-    InvalidInputError."""
+    """The violations :func:`ordinal_pass` counts, alone and under every
+    view, as (3, k): per level (instance, part, joint) and view, the
+    pairs whose label thresholded from the margins of the (N, J, 3)
+    scaled joint array differs from the ground truth's. No weights,
+    errors or float labels are formed. A config that labels otherwise
+    than the pairs were labelled is InvalidInputError."""
     cfg = config or HmorConfig()
     layout = labelled.layout
     layout.check_labels(cfg)

@@ -575,9 +575,9 @@ class TestWhatAnEvaluationComputes:
             return sample_views(n, rng)
 
         def checked(stack):
-            views = view_stack(stack)
-            checks.append(len(views))
-            return views
+            out = view_stack(stack)
+            checks.append(len(out))
+            return out
 
         monkeypatch.setattr(hmor.solver, "sample_views", drawn)
         for module in (hmor.ordinal, hmor.solver):
