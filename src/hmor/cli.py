@@ -482,7 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--step-size", type=float, default=None)
     p.add_argument("--free-vars", choices=["root_depths_only", "full_pose"], default=None)
-    p.add_argument("--views-per-step", type=int, default=None)
+    p.add_argument("--views-per-step", type=int, default=None,
+                   help="views the ordinal term averages over: the camera normal plus "
+                        "k - 1 seeded views, drawn once per run")
     p.add_argument("--no-halving", action="store_true")
     p.set_defaults(func=cmd_refine)
 

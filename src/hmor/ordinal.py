@@ -372,21 +372,15 @@ class LabelledTruth:
         self.layout = _full_layout(N, gt_scene.topology.part_count, J, settings)
         self.points = _entity_map(gt_scene.topology, cfg.part_mode) @ K
 
-    def label(self, views, base: RelationPairs | None = None) -> RelationPairs:
-        """Label the (k, 3) ``views`` (finite unit vectors), appended to the
-        views of ``base``."""
-        return self._label(_view_stack(views), base)
-
-    def _label(self, views: np.ndarray, base: RelationPairs | None = None) -> RelationPairs:
-        """:meth:`label` of a (k, 3) float stack :func:`_view_stack` has
-        checked."""
+    def label(self, views) -> RelationPairs:
+        """Label the (k, 3) ``views`` (finite unit vectors)."""
+        views = _view_stack(views)
         X, layout = self.points, self.layout
         eps = layout.equality_tolerance
         depth = _threshold_label(_depth_margins(X, views, layout), eps)
         parts = (np.empty((len(views), 0), np.int8) if layout.flat is None
                  else _threshold_label(_part_margins(X, views, layout)[0], eps))
-        labelled = RelationPairs(views, self.layout, depth, parts)
-        return labelled if base is None else RelationPairs.stack([base, labelled])
+        return RelationPairs(views, self.layout, depth, parts)
 
 
 def enumerate_pairs(gt_scene: Scene, view, config: HmorConfig | None = None) -> RelationPairs:
@@ -434,21 +428,18 @@ def violation_counts(K: np.ndarray, topology: SkeletonTopology, labelled: Relati
     return counts
 
 
-def _violated(signed: np.ndarray, rows):
+def _violated(signed: np.ndarray):
     """The violated entries (> 0; a NaN margin is not) of the (k, P)
-    ``signed`` margins in the view rows ``rows``, in the order of
-    ``signed[rows].ravel()``: flat index, view row, pair, place in rows."""
+    ``signed`` margins, in the order of ``signed.ravel()``: flat index,
+    view row, pair."""
     P = signed.shape[1]
-    hit = (signed > 0)[rows].ravel().nonzero()[0]
-    pos = hit // P  # not divmod, whose remainder is several times slower
-    pair = hit - pos * P
-    row = np.arange(len(signed))[rows].take(pos)
-    return row * P + pair, row, pair, pos
+    hit = (signed > 0).ravel().nonzero()[0]
+    row = hit // P  # not divmod, whose remainder is several times slower
+    return hit, row, hit - row * P
 
 
 def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPairs,
-                 config: HmorConfig | None = None, want_grad: bool = True,
-                 grad_views=None):
+                 config: HmorConfig | None = None, want_grad: bool = True):
     """Per-view losses, violation counts and gradient of an (N, J, 3)
     scaled joint array under k labelled views, in one pass over the
     stacked depth levels and one over vector parts.
@@ -458,11 +449,8 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     per-level counts of pairs whose predicted label disagrees with the
     ground truth under the first labelled view only (as
     :func:`violation_counts`, the per-view counter, counts them; zeros
-    with no view); and the gradient of ``totals[grad_views].sum()`` with
-    respect to every joint coordinate (None when want_grad is off).
-    ``grad_views`` indexes view rows (default all); its gradient has the
-    bits of a pass over the sub-stack ``labelled.rows(grad_views)``.
-    Margins come from the per-entity points ``X = E @ K``
+    with no view); and the gradient of ``totals.sum()`` with respect to
+    every joint coordinate (None when want_grad is off). Margins come from the per-entity points ``X = E @ K``
     (:func:`_entity_map`), means and counts from contiguous slices of the
     stack; int8 labels count disagreements and are cast to float64 once
     for the rest.
@@ -488,7 +476,6 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     E = _entity_map(topology, cfg.part_mode)
     X = E @ K
     eps = cfg.equality_tolerance
-    rows = slice(None) if grad_views is None else grad_views
     weights = (cfg.w_instance, cfg.w_part, cfg.w_joint)
     levels = np.zeros((3, len(V)))
     first = slice(0, 1)  # the view counted
@@ -503,14 +490,14 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     margins *= labels  # signed margins from here on
     sizes = [max(pairs.stop - pairs.start, 1) for _, pairs, *_ in layout.segments]
     if want_grad:
-        flat, _, pair, pos = _violated(margins, rows)
+        flat, row, pair = _violated(margins)
         W = labels.take(flat) / (1.0 + margins.take(flat))  # take reads the flattened array
         scale = np.array([weights[level] / P for (level, *_), P in zip(layout.segments, sizes)])
         W *= scale.take(layout.ends.searchsorted(pair, "right"))  # each pair's level weight / P
-        Vg, n = V[rows], len(X) * layout.width
-        a, b = pos * n + layout.pairs.take(pair, axis=1)  # (view, entity) ids of the ends
-        g = np.bincount(a, W, len(Vg) * n) - np.bincount(b, W, len(Vg) * n)
-        dX = (g.reshape(-1, n).T @ Vg).reshape(X.shape)
+        n = len(X) * layout.width
+        a, b = row * n + layout.pairs.take(pair, axis=1)  # (view, entity) ids of the ends
+        g = np.bincount(a, W, len(V) * n) - np.bincount(b, W, len(V) * n)
+        dX = (g.reshape(-1, n).T @ V).reshape(X.shape)
     # errors: log1p of the violated or NaN entries, +0.0 elsewhere (as
     # log1p(max(0, m)) reads), summed in the same order
     hit = np.flatnonzero(~(margins <= 0.0))
@@ -531,7 +518,7 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
         if want_grad and cfg.w_part > 0:
             S = layout.per_person[0]
             n = len(X) * S
-            flat, row, pair, _ = _violated(margins, rows)
+            flat, row, pair = _violated(margins)
             W = labels.take(flat) * (cfg.w_part / P)
             b = layout.flat.take(pair)
             a = b // n

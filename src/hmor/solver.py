@@ -24,8 +24,7 @@ from .depth import (equivalent_depth, init_term, l1_residual, l1_term, normalize
 from .errors import InvalidDepthError, InvalidInputError, NumericalError, SolverError
 from .geometry import back_project_points, sample_views
 from .ordinal import (HmorConfig, LabelledTruth, RelationPairs, _depth_margins, _entity_map,
-                      _part_margins, _view_stack, check_finite_fields, ordinal_pass,
-                      violation_counts)
+                      _part_margins, check_finite_fields, ordinal_pass, violation_counts)
 from .skeleton import RelativePose, Scene, check_topologies_match
 
 # the objective's terms, in the order the weighted total sums them
@@ -36,19 +35,17 @@ _TERMS = ("pose", "init", "refine", "abs", "hmor")
 class SolverConfig:
     """Descent parameters and objective term weights.
 
-    ``views_per_step`` counts the views the ordinal term averages over
-    each step: the camera normal is always included, and any additional
-    views are fresh each step, drawn for the whole run at its start (see
-    :func:`refine`).
+    ``views_per_step`` counts the views the ordinal term averages over:
+    the camera normal and ``views_per_step - 1`` views drawn once per run
+    from the seed, the same views at every step (see :func:`refine`).
     ``free_variables`` is either
     "root_depths_only" or "full_pose". ``anchor`` selects the target of
     the data terms: the ground-truth scene, or the solver's own input at
     its start point, where they read exactly 0 with a zero gradient
     (useful as a no-restoring-force baseline). With ``step_halving`` the
     step size is halved until the objective does not increase, which
-    makes the trace monotone when the per-step views are fixed
-    (views_per_step == 1); fresh sampled views re-randomize the objective
-    between steps.
+    keeps the trace monotone from row 1 on at every ``views_per_step``
+    (row 0 reads the input under the camera normal alone).
 
     Every data term is L1, so its gradient does not shrink with its
     residual. Under ``full_pose`` the pose term adds ``w_pose / (N·J·s)``
@@ -257,7 +254,7 @@ def _mean(per_view: np.ndarray, rows) -> float:
 
 
 def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config: SolverConfig,
-              value_rows, grad_rows, all_terms: bool = True) -> _Evaluation:
+              value_rows, want_grad: bool, all_terms: bool = True) -> _Evaluation:
     """The objective at the current variables under row selections of the
     ``labelled`` view stack, from one :func:`ordinal_pass`, as one
     :class:`_Evaluation`.
@@ -266,8 +263,8 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config
     selection in ``value_rows``, summed in the order of ``_TERMS`` with
     weight-0 terms left out; the ordinal term ``hmor`` is averaged over the
     selection's views. ``grad`` is the total's gradient w.r.t. the packed
-    variables with the ordinal term averaged over ``grad_rows`` (None when
-    grad_rows is None), and ``violations`` the per-level counts under the
+    variables with the ordinal term averaged over every view (None unless
+    ``want_grad``), and ``violations`` the per-level counts under the
     first labelled view. The data terms are :mod:`hmor.depth`'s on the
     run's prepared targets (:class:`_Anchors`), computed once and shared by
     every selection; each term's gradient is its sign times the term's
@@ -281,7 +278,6 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config
     (:func:`violation_counts`). Under ``root_depths_only`` the pose term
     is the one :class:`_Anchors` computed.
     """
-    want_grad = grad_rows is not None
     s, n = sv.scale, sv.N
     nj = n * sv.J
     grad = np.zeros_like(sv.start[0]) if want_grad else None
@@ -317,7 +313,7 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config
     if all_terms or config.w_hmor:
         hmor_grad = want_grad and config.w_hmor > 0
         per_view, levels, counts, dK_hmor = ordinal_pass(
-            K, sv.topology, labelled, config.hmor, want_grad=hmor_grad, grad_views=grad_rows)
+            K, sv.topology, labelled, config.hmor, want_grad=hmor_grad)
         means = [_check_finite("hmor", _mean(per_view, rows)) for rows in value_rows]
         totals = [total + config.w_hmor * m if config.w_hmor else total for m in means]
         if all_terms:
@@ -325,7 +321,7 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config
                                    for name, level in zip(("instance", "part", "joint"), levels)}}
                     for m, rows in zip(means, value_rows)]
         if hmor_grad:
-            dK_hmor = dK_hmor * (config.w_hmor / len(per_view[grad_rows]))
+            dK_hmor = dK_hmor * (config.w_hmor / len(per_view))
             dK = dK_hmor if dK is None else dK + dK_hmor
     else:
         counts = violation_counts(K, sv.topology, labelled.rows(slice(0, 1)), config.hmor)[:, 0]
@@ -348,9 +344,8 @@ def objective(pred_scene: Scene, gt_pairs, anchors: Scene, config: SolverConfig)
     labelled.check_fits(pred_scene)
     _check_matched(pred_scene, anchors)
     sv = _SceneVars(pred_scene, config)
-    every = slice(None)
     record = _evaluate(sv, labelled, _Anchors.of(_SceneVars(anchors, config), sv), config,
-                       (every,), every, all_terms=False)
+                       (slice(None),), True, all_terms=False)
     return record.totals[0], record.grad
 
 
@@ -381,7 +376,14 @@ def objective_terms(pred_scene: Scene, gt_scene: Scene,
     sv = _SceneVars(pred_scene, cfg)
     anchors, truth = _targets(sv, gt_scene, cfg)
     return _evaluate(sv, truth.label(gt_scene.camera.normal), anchors, cfg,
-                     (slice(None),), None).terms()
+                     (slice(None),), False).terms()
+
+
+def _labelled_views(truth: LabelledTruth, gt_scene: Scene, k: int, seed: int) -> RelationPairs:
+    """The ground truth labelled under the camera normal and ``k - 1``
+    views from one ``sample_views`` draw of ``default_rng(seed)``."""
+    views = sample_views(k - 1, np.random.default_rng(seed))
+    return truth.label([gt_scene.camera.normal, *views])
 
 
 def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = None):
@@ -392,19 +394,15 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
     given the config seed. Raises SolverError past the divergence limit.
 
     The ground truth is enumerated once (:class:`LabelledTruth`) and
-    labelled under the camera normal once. The fresh views of every step
-    are one :func:`~hmor.geometry.sample_views` draw per run, checked
-    once (bit for bit the views of one draw per step). Step t's stack is
-    the union ``[normal, views_t, views_t+1]``: step t+1's views are
-    labelled one step ahead, so one :func:`ordinal_pass` at a candidate
-    yields its value under step t's views (for the line search) and its
-    value and gradient under step t+1's, which an accepted candidate
-    carries into the next step. With fresh views, when the first
-    candidate is rejected the halved ones are evaluated under step t's
-    views alone, and the point the line search stops at (``x`` if every
-    candidate is rejected) once more under step t+1's. With one view
-    (or ``w_hmor == 0``) both steps share the stack, so every evaluation,
-    ``x``'s included, is carried as it is.
+    labelled once, under the camera normal and ``views_per_step - 1``
+    views drawn once per run (:func:`_labelled_views`, the stack
+    :func:`grad_check` checks). Every evaluation reads its value and
+    gradient on that one stack, so each step descends the same objective:
+    with ``step_halving`` the trace does not increase from row 1 on at any
+    view count. Row 0 is the input's value under the camera normal alone,
+    ``objective_terms``' ``total``. A step that leaves ``x`` and the step
+    size unchanged, bit for bit, is repeated by every later step, so the
+    remaining rows are copies of its row.
 
     Each evaluation is one :func:`_evaluate` record, and reads only what
     the descent uses: the totals, the gradient and view 0's violations.
@@ -416,59 +414,39 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
     sv = _SceneVars(pred_scene, cfg)
     x = sv.pack()
     anchors, truth = _targets(sv, gt_scene, cfg)  # anchor="input" anchors at the input
-    normal = truth.label(gt_scene.camera.normal)
     k = cfg.views_per_step if cfg.w_hmor > 0 else 1
-    now = slice(0, k)                                # step t's rows of its stack
-    nxt = np.r_[0, k:2 * k - 1] if k > 1 else now    # step t+1's rows
-    every = slice(None)
-    if k > 1:  # fresh[t - 1] holds step t's k - 1 fresh views
-        draw = sample_views(cfg.steps * (k - 1), np.random.default_rng(cfg.seed))
-        fresh = _view_stack(draw).reshape(cfg.steps, k - 1, 3)
+    labelled = _labelled_views(truth, gt_scene, k, cfg.seed)
 
-    def ahead(labelled: RelationPairs, step: int) -> RelationPairs:
-        # a step's stack with step ``step``'s fresh views appended
-        if k == 1:
-            return labelled
-        return truth._label(fresh[step - 1], base=labelled)
+    def evaluate(point: np.ndarray, want_grad: bool, value_rows=(slice(None),)):
+        sv.unpack(point)
+        return _evaluate(sv, labelled, anchors, cfg, value_rows, want_grad, all_terms=False)
 
-    def evaluate(x: np.ndarray, labelled: RelationPairs, value_rows, grad_rows):
-        # value under value_rows[0]; x carries value_rows[-1]'s value, the
-        # gradient and the violations into the next step
-        sv.unpack(x)
-        return _evaluate(sv, labelled, anchors, cfg, value_rows, grad_rows, all_terms=False)
-
-    labelled = ahead(normal, 1)  # step 1's views
-    here = evaluate(x, labelled, (slice(0, 1), every), every)  # at the input itself
+    # at the input itself: trace row 0 under the normal alone, step 1's f under every view
+    here = evaluate(x, True, (slice(0, 1), slice(None)))
     trace = [TraceEntry(0, here.totals[0], int(here.violations.sum()))]
-    eta = cfg.step_size
+    eta, fixed = cfg.step_size, False
 
     for step in range(1, cfg.steps + 1):
         f, g = here.totals[-1], here.grad
         if f > cfg.divergence_limit:
             raise SolverError(f"objective diverged to {f!r} at step {step}")
-        last = step == cfg.steps
-        current = labelled  # step t's views
-        if last:
-            first = (current, (every,), None)
-        else:
-            stack = ahead(current, step + 1)
-            labelled = stack if k == 1 else stack.rows(nxt)  # step t+1's views
-            first = (stack, (now, nxt), nxt)
-
+        if fixed:
+            trace += [dataclasses.replace(trace[-1], step=t) for t in range(step, cfg.steps + 1)]
+            break
+        want_grad, eta_in = step < cfg.steps, eta
         cand = x - eta * g
-        record = evaluate(cand, *first)
+        record = evaluate(cand, want_grad)
         f_cand = record.totals[0]
-        if cfg.step_halving and f_cand > f:
-            retry = first if k == 1 else (current, (every,), None)
+        if cfg.step_halving:
             while f_cand > f and eta > cfg.min_step:
                 eta *= 0.5
                 cand = x - eta * g
-                record = evaluate(cand, *retry)
+                record = evaluate(cand, want_grad)
                 f_cand = record.totals[0]
             if f_cand > f:
                 cand, f_cand, record = x, f, here
-            if k > 1 and not last:
-                record = evaluate(cand, labelled, (every,), every)
+        # same x and step size: every later step evaluates what this one did
+        fixed = eta == eta_in and cand.tobytes() == x.tobytes()
         x, here = cand, record
         # the violations are counted at x, the point reported
         trace.append(TraceEntry(step, f_cand, int(here.violations.sum())))
@@ -497,11 +475,10 @@ def _fd_max_rel_err(fn, x0: np.ndarray, grad, epsilon: float):
 
 
 def _checked_objective(sv: _SceneVars, gt_scene: Scene, config: SolverConfig):
-    """The ground truth's anchors and the views :func:`refine`'s first step
-    labels: the normal, then ``views_per_step - 1`` from ``default_rng(seed)``."""
+    """The ground truth's anchors and the view stack every :func:`refine`
+    step evaluates (:func:`_labelled_views`)."""
     anchors, truth = _targets(sv, gt_scene, dataclasses.replace(config, anchor="ground_truth"))
-    views = sample_views(config.views_per_step - 1, np.random.default_rng(config.seed))
-    return anchors, truth.label([gt_scene.camera.normal, *views])
+    return anchors, _labelled_views(truth, gt_scene, config.views_per_step, config.seed)
 
 
 def grad_check(scene: Scene, gt_scene: Scene, epsilon: float = 1e-5,
@@ -510,7 +487,7 @@ def grad_check(scene: Scene, gt_scene: Scene, epsilon: float = 1e-5,
     gradient of each objective term, by name (pose, init, refine, abs,
     hmor), at ``scene`` against ``gt_scene``.
 
-    Views: the objective is the one :func:`refine`'s first step descends,
+    Views: the objective is the one every :func:`refine` step descends,
     its ordinal term averaged over the camera normal and ``views_per_step
     - 1`` views drawn from ``default_rng(seed)``, its data terms anchored
     at the ground truth. One sweep of :func:`_evaluate` at ``x +-
@@ -535,11 +512,11 @@ def grad_check(scene: Scene, gt_scene: Scene, epsilon: float = 1e-5,
     every = (slice(None),)
     grads = [_evaluate(sv, labelled, anchors,
                        dataclasses.replace(cfg, **{f"w_{t}": float(t == term) for t in _TERMS}),
-                       every, every[0], all_terms=False).grad for term in _TERMS]
+                       every, True, all_terms=False).grad for term in _TERMS]
 
     def terms_at(x):
         sv.unpack(x)
-        terms = _evaluate(sv, labelled, anchors, cfg, every, None).terms()
+        terms = _evaluate(sv, labelled, anchors, cfg, every, False).terms()
         return [terms[t] for t in _TERMS]
 
     worst = _fd_max_rel_err(terms_at, sv.pack(), np.array(grads), epsilon)

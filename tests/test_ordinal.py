@@ -516,16 +516,6 @@ class TestOrdinalPass:
         assert not violation_counts(K, gt.topology, labelled, cfg).any()
         assert np.all(dK == 0.0)
 
-    def test_appended_views_match_one_stack(self):
-        gt, pred, views = _kernel_case(5, 3, 4)
-        cfg = HmorConfig()
-        truth = LabelledTruth(gt, cfg)
-        appended = truth.label(views[1:], base=truth.label(views[:1]))
-        stacked = truth.label(views)
-        assert np.array_equal(appended.views, stacked.views)
-        for a, b in zip(appended.labels, stacked.labels):
-            assert np.array_equal(a, b)
-
     def test_no_views_give_empty_totals_and_zero_gradient(self):
         gt, pred, _ = _kernel_case(6, 2, 1)
         K = scene_joint_array(pred, 1e-3)
@@ -549,33 +539,6 @@ class TestOrdinalPass:
         pred.persons[1].rel_pose.joints[5, 2] = np.nan  # the constructors reject NaN
         with pytest.raises(NumericalError, match="non-finite"):
             refine(pred, gt, SolverConfig(steps=2, views_per_step=2, hmor=cfg))
-
-    @pytest.mark.parametrize("part_mode", ["vector", "particle"])
-    @pytest.mark.parametrize("k, rows", [(1, [0]), (4, [0, 2, 3]), (7, [0, 4, 5, 6])])
-    def test_grad_views_gradient_equals_sub_stack(self, part_mode, k, rows):
-        self._check_grad_views_equal_sub_stack(part_mode, k, rows, (30.0, 300.0))
-
-    @pytest.mark.parametrize("part_mode", ["vector", "particle"])
-    def test_grad_views_gradient_equals_sub_stack_heavy(self, part_mode):
-        # many violated (view, pair) entries in and out of the gradient rows
-        self._check_grad_views_equal_sub_stack(part_mode, 7, [0, 4, 5, 6], (300.0, 1500.0))
-
-    @staticmethod
-    def _check_grad_views_equal_sub_stack(part_mode, k, rows, noise):
-        cfg = HmorConfig(part_mode=part_mode)
-        gt, pred, views = _kernel_case(44, 3, k, noise)
-        K = scene_joint_array(pred, cfg.depth_unit_scale)
-        labelled = LabelledTruth(gt, cfg).label(views)
-        full = ordinal_pass(K, gt.topology, labelled, cfg)
-        totals, levels, violations, dK = ordinal_pass(K, gt.topology, labelled, cfg,
-                                                      grad_views=np.array(rows))
-        # per-view results cover the whole stack, the gradient only ``rows``
-        for got, want in zip((totals, levels, violations), full):
-            assert np.array_equal(got, want)
-        sub_dK = ordinal_pass(K, gt.topology, labelled.rows(rows), cfg)[3]
-        assert np.array_equal(dK, sub_dK) and np.abs(dK).max() > 0.0
-        assert np.array_equal(ordinal_pass(K, gt.topology, labelled, cfg,
-                                           grad_views=slice(None))[3], full[3])
 
 
 # configs the kernel must agree with the per-pair brute force under
@@ -759,7 +722,8 @@ class TestOneStoredForm:
         labelled = truth.label(views)
         parts = [labelled.rows([0]), labelled.rows(slice(1, 3)), labelled.rows(np.array([3]))]
         restacked = RelationPairs.stack(parts)
-        for got in (restacked, truth.label(views[2:], base=truth.label(views[:2]))):
+        labelled_apart = RelationPairs.stack([truth.label(views[:2]), truth.label(views[2:])])
+        for got in (restacked, labelled_apart):
             assert np.array_equal(got.views, labelled.views)
             assert np.array_equal(got.depth_labels, labelled.depth_labels)
             assert np.array_equal(got.part_labels, labelled.part_labels)

@@ -18,8 +18,8 @@ from hmor.cli import main
 from hmor.depth import init_term, l1_term, refine_term
 import hmor.solver
 from hmor.ordinal import LabelledTruth, scene_joint_array
-from hmor.solver import (_Anchors, _evaluate, _fd_max_rel_err, _gradcheck_point,
-                         _SceneVars)
+from hmor.solver import (_Anchors, _checked_objective, _evaluate, _fd_max_rel_err,
+                         _gradcheck_point, _SceneVars)
 from conftest import (loss_init_grad, loss_pose_grad, loss_refine_grad, swap_root_depths,
                       two_person_depth_fixture)
 
@@ -467,6 +467,20 @@ class TestCarriedEvaluation:
         values = [t.value for t in trace]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 10_000), n_persons=st.integers(1, 4),
+           step_size=st.sampled_from([1e-2, 5e-2, 0.5, 5.0]))
+    def test_three_view_trace_never_increases_from_row_1(self, seed, n_persons, step_size):
+        # row 0 reads the input under the camera normal alone, every later
+        # row the one stack of three views every step descends
+        spec = GenSpec(seed=seed, n_persons=n_persons,
+                       perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        cfg = SolverConfig(steps=15, step_size=step_size, views_per_step=3, seed=seed)
+        _, trace = refine(perturb(gt, spec), gt, cfg)
+        values = [t.value for t in trace[1:]]
+        assert all(b <= a for a, b in zip(values, values[1:]))
+
     @settings(max_examples=10, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 10_000), n_persons=st.integers(1, 4),
            steps=st.integers(1, 5))
@@ -580,14 +594,98 @@ class TestWhatAnEvaluationComputes:
             return out
 
         monkeypatch.setattr(hmor.solver, "sample_views", drawn)
-        for module in (hmor.ordinal, hmor.solver):
-            monkeypatch.setattr(module, "_view_stack", checked)
+        monkeypatch.setattr(hmor.ordinal, "_view_stack", checked)
         cfg = SolverConfig(steps=10, views_per_step=views, step_size=0.5)
         refine(*self._pair(), cfg)
-        # the camera normal, then (with fresh views) one draw of every step's
-        fresh = cfg.steps * (views - 1)
-        assert draws == ([fresh] if fresh else [])
-        assert checks == ([1, fresh] if fresh else [1])
+        # k - 1 views drawn once, then the camera normal and them checked once
+        assert draws == [views - 1]
+        assert checks == [views]
+
+    @pytest.mark.parametrize("views", [1, 3])
+    @pytest.mark.parametrize("free_variables", ["root_depths_only", "full_pose"])
+    def test_every_step_evaluates_the_checked_stack(self, monkeypatch, views, free_variables):
+        # grad_check differences _checked_objective's stack, so it covers every step
+        stacks = []
+        evaluate = hmor.solver._evaluate
+
+        def spy(sv, labelled, *args, **kwargs):
+            stacks.append(labelled)
+            return evaluate(sv, labelled, *args, **kwargs)
+
+        monkeypatch.setattr(hmor.solver, "_evaluate", spy)
+        pred, gt = self._pair(33)
+        cfg = SolverConfig(steps=6, views_per_step=views, seed=17, step_size=0.5,
+                           free_variables=free_variables)
+        refine(pred, gt, cfg)
+        checked = _checked_objective(_SceneVars(pred, cfg), gt, cfg)[1]
+        assert len(stacks) > cfg.steps and all(s is stacks[0] for s in stacks)
+        assert stacks[0].views.shape == (views, 3)
+        for name in ("views", "depth_labels", "part_labels"):
+            assert getattr(stacks[0], name).tobytes() == getattr(checked, name).tobytes()
+
+
+# acceptance criterion 7's two configs
+CRITERION_7 = {
+    "hmor": SolverConfig(steps=500, step_size=5e-2, w_pose=0.0, w_init=0.0, w_refine=0.0,
+                         w_hmor=1.0, w_abs=0.0,
+                         hmor=HmorConfig(w_instance=1.0, w_part=0.0, w_joint=1.0)),
+    "baseline": SolverConfig(steps=500, step_size=5e-2, w_pose=0.0, w_init=0.0, w_refine=0.0,
+                             w_hmor=0.0, w_abs=1.0, anchor="input"),
+}
+
+
+class TestFixedPoint:
+    """A step that leaves x and the step size unchanged, bit for bit, is
+    repeated by every later step: refine evaluates no more and copies its
+    row."""
+
+    @staticmethod
+    def _criterion_7_pair(s=0):
+        spec = GenSpec(seed=70_000 + s, n_persons=4, depth_range=(4000.0, 4400.0),
+                       perturbation=GaussNoise(sigma_z=300.0))
+        gt = generate_scene(spec)
+        return perturb(gt, spec), gt
+
+    @pytest.mark.parametrize("name", sorted(CRITERION_7))
+    def test_evaluations_stop_at_the_fixed_point(self, monkeypatch, name):
+        calls = []
+        evaluate = hmor.solver._evaluate
+
+        def spy(*args, **kwargs):
+            calls.append(None)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(hmor.solver, "_evaluate", spy)
+        pred, gt = self._criterion_7_pair(2)  # fixed at step 127 under the HMOR config
+        cfg = CRITERION_7[name]
+        _, trace = refine(pred, gt, cfg)
+        full_run = len(calls)
+        # the trace is constant from row t - 1, where x last moved; step t is
+        # the first that leaves x where it is and the last that evaluates
+        t = 1 + next(i for i in range(len(trace))
+                     if all(row.value == trace[i].value and row.violations == trace[i].violations
+                            for row in trace[i:]))
+        assert t < cfg.steps
+        calls.clear()
+        _, head = refine(pred, gt, dataclasses.replace(cfg, steps=t))
+        assert head == trace[:t + 1] and [row.step for row in trace] == list(range(cfg.steps + 1))
+        # a run that evaluated every step would make at least steps + 1 evaluations
+        assert len(calls) == full_run < cfg.steps + 1
+
+    def test_fixed_point_above_the_limit_still_raises(self):
+        # the pose term alone has a nonzero value and, with root depths the
+        # only variables, a zero gradient: step 1 leaves x where it is. The
+        # step that reaches a fixed point has checked its value already, so
+        # the raise comes at step 1, as in a run that evaluates every step.
+        spec = GenSpec(seed=9, n_persons=3, perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        pred = perturb(gt, spec)
+        cfg = SolverConfig(steps=5, w_pose=1.0, w_init=0.0, w_refine=0.0, w_hmor=0.0)
+        _, trace = refine(pred, gt, cfg)
+        value = trace[0].value
+        assert value > 0.0 and all(row.value == value for row in trace)
+        with pytest.raises(SolverError, match="at step 1$"):
+            refine(pred, gt, dataclasses.replace(cfg, divergence_limit=value / 2))
 
 
 class TestGradCheck:
