@@ -450,10 +450,10 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     ground truth under the first labelled view only (as
     :func:`violation_counts`, the per-view counter, counts them; zeros
     with no view); and the gradient of ``totals.sum()`` with respect to
-    every joint coordinate (None when want_grad is off). Margins come from the per-entity points ``X = E @ K``
-    (:func:`_entity_map`), means and counts from contiguous slices of the
-    stack; int8 labels count disagreements and are cast to float64 once
-    for the rest.
+    every joint coordinate (None when want_grad is off). Margins come
+    from the per-entity points ``X = E @ K`` (:func:`_entity_map`), means
+    and counts from contiguous slices of the stack; int8 labels count
+    disagreements and are cast to float64 once for the rest.
 
     Only violated pairs have a gradient or an error, so both are built
     from the violated (view, pair) entries alone (:func:`_violated`; a

