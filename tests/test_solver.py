@@ -434,7 +434,7 @@ class TestPersonPermutation:
 
 class TestCarriedEvaluation:
     """One ordinal pass per candidate: an accepted candidate's value and
-    gradient under the next step's views are carried, not recomputed."""
+    gradient are carried into the next step, not recomputed."""
 
     @pytest.mark.parametrize("views", [1, 4])
     def test_one_pass_per_step(self, monkeypatch, views):
