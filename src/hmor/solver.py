@@ -443,10 +443,12 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
             while f_cand > f and eta > cfg.min_step:
                 eta *= 0.5
                 cand = x - eta * g
-                record = evaluate(cand, want_grad)
+                record = evaluate(cand, False)  # most halved candidates are rejected
                 f_cand = record.totals[0]
             if f_cand > f:
                 cand, f_cand, record = x, f, here
+            elif want_grad and record.grad is None:  # an accepted halved candidate
+                record = evaluate(cand, True)
         # same x and step size: every later step evaluates what this one did
         fixed = eta == eta_in and cand.tobytes() == x.tobytes()
         x, here = cand, record

@@ -455,6 +455,37 @@ class TestCarriedEvaluation:
         # gradient, then one per step's candidate
         assert len(calls) == cfg.steps + 1 and len(trace) == cfg.steps + 1
 
+    @pytest.mark.parametrize("seed", [910_000, 910_001])
+    def test_halved_candidates_skip_the_gradient(self, monkeypatch, seed):
+        # a large step overshoots, so most first candidates are halved: a
+        # halved candidate is evaluated without the gradient, and an accepted
+        # one once more with it
+        spec = GenSpec(seed=seed, n_persons=4, perturbation=GaussNoise(sigma_z=300.0))
+        gt = generate_scene(spec)
+        noisy = perturb(gt, spec)
+        cfg = SolverConfig(steps=10, views_per_step=4, step_size=100.0, seed=seed)
+        evaluate = hmor.solver._evaluate
+        points = []
+
+        def spy(sv, *args, forced=False, **kwargs):
+            points.append((sv.ZR.tobytes(), args[4]))
+            return evaluate(sv, *args[:4], args[4] or forced, *args[5:], **kwargs)
+
+        monkeypatch.setattr(hmor.solver, "_evaluate", spy)
+        refined, trace = refine(noisy, gt, cfg)
+        grads = [point for point, want in points if want]
+        halved = [point for point, want in points[1:] if not want]
+        again = [point for point in grads if point in halved]  # accepted halved candidates
+        assert len(set(grads)) == len(grads)
+        # one at the input, one per step but the last at its first candidate,
+        # and one per accepted halved candidate; the rest go without
+        assert len(grads) == cfg.steps + len(again) and len(halved) > len(again) > 0
+        points.clear()
+        monkeypatch.setattr(hmor.solver, "_evaluate",
+                            lambda *args, **kwargs: spy(*args, forced=True, **kwargs))
+        every, every_trace = refine(noisy, gt, cfg)  # a gradient at every evaluation
+        assert every_trace == trace and every == refined
+
     @settings(max_examples=15, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 10_000), n_persons=st.integers(1, 4),
            step_size=st.sampled_from([1e-2, 5e-2, 0.5, 5.0]))
