@@ -24,8 +24,7 @@ _EXPORTS = {
               "loss_refine", "normalize_depth", "recover_absolute_depth"),
     "errors": ("BehindCameraError", "GenerationError", "HmorError", "InvalidDepthError",
                "InvalidInputError", "NumericalError", "SolverError"),
-    "geometry": ("Camera", "ViewVector", "back_project", "project", "project_to_plane",
-                 "sample_view"),
+    "geometry": ("Camera", "ViewVector", "back_project", "project", "sample_view"),
     "metrics": ("Matching", "MetricReport", "ViolationCounts", "auc", "evaluate",
                 "match_persons", "mpjpe", "optimal_assignment", "ordinal_violations", "pck",
                 "similarity_align"),
@@ -33,8 +32,7 @@ _EXPORTS = {
                 "part_relations_from_2d"),
     "sceneio": ("load_scene", "save_scene"),
     "skeleton": ("AbsolutePose", "BoundingBox", "Person", "RelativePose", "Scene",
-                 "SkeletonTopology", "assemble_absolute", "instance_position",
-                 "part_vectors"),
+                 "SkeletonTopology", "assemble_absolute"),
     "solver": ("SolverConfig", "TraceEntry", "grad_check", "objective", "objective_terms",
                "refine"),
     "synth": ("DepthSwap", "GaussNoise", "GenSpec", "RootOffset", "generate_scene",

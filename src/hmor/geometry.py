@@ -1,5 +1,5 @@
-"""Pinhole camera model: projection, back-projection, plane projection,
-and uniform sampling of virtual view directions.
+"""Pinhole camera model: projection, back-projection, and uniform
+sampling of virtual view directions.
 
 All lengths are in millimeters and all pixel coordinates in pixels.
 Every function here is pure; the view sampler takes an explicit
@@ -96,13 +96,6 @@ def project(camera: Camera, point) -> tuple[float, float]:
     if p[2] <= 0:
         raise BehindCameraError(f"cannot project point with depth {p[2]} <= 0")
     return project_points(camera, p)
-
-
-def project_to_plane(vec, normal) -> np.ndarray:
-    """Remove from ``vec`` its component along the unit vector ``normal``."""
-    v = np.asarray(vec, dtype=float)
-    n = _as_unit(normal, "normal")
-    return v - np.dot(v, n) * n
 
 
 def _hemisphere(theta, u):

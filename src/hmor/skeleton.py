@@ -228,14 +228,3 @@ def assemble_absolute(person: Person, camera: Camera) -> AbsolutePose:
     points, _, _ = back_project_points(camera, rel[:, 0] + person.box.u_top,
                                        rel[:, 1] + person.box.v_top, depth)
     return AbsolutePose(points)
-
-
-def part_vectors(pose: AbsolutePose, topology: SkeletonTopology) -> np.ndarray:
-    """Directed bone vectors end_joint - start_joint, shape (S, 3)."""
-    idx = np.asarray(topology.parts)
-    return pose.joints[idx[:, 1]] - pose.joints[idx[:, 0]]
-
-
-def instance_position(pose: AbsolutePose) -> np.ndarray:
-    """Position of a person: the arithmetic mean of its joints."""
-    return pose.joints.mean(axis=0)

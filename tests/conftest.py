@@ -3,7 +3,32 @@ import pytest
 
 from hmor import (BoundingBox, Camera, Person, RelativePose, Scene,
                   SkeletonTopology, equivalent_depth, normalize_depth)
+from hmor.geometry import _as_unit
 from hmor.ordinal import _threshold_label, _view_array
+
+
+# ---------------------------------------------------------------------------
+# Per-person geometry: the reference forms of the entity rows the ordinal
+# kernel maps joints to (hmor.ordinal._entity_map) and of the plane
+# projection the turning-direction rule is read through.
+
+def part_vectors(pose, topology: SkeletonTopology) -> np.ndarray:
+    """Directed bone vectors end_joint - start_joint of an AbsolutePose,
+    shape (S, 3)."""
+    idx = np.asarray(topology.parts)
+    return pose.joints[idx[:, 1]] - pose.joints[idx[:, 0]]
+
+
+def instance_position(pose) -> np.ndarray:
+    """Position of a person (an AbsolutePose): the mean of its joints."""
+    return pose.joints.mean(axis=0)
+
+
+def project_to_plane(vec, normal) -> np.ndarray:
+    """Remove from ``vec`` its component along the unit vector ``normal``."""
+    v = np.asarray(vec, dtype=float)
+    n = _as_unit(normal, "normal")
+    return v - np.dot(v, n) * n
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,13 @@ from hmor import (Camera, GaussNoise, GenSpec, HmorConfig,
                   enumerate_pairs, equivalent_depth,
                   generate_scene, hmor_loss, mpjpe, normalize_depth,
                   optimal_assignment, ordinal_violations, perturb, project,
-                  project_to_plane, recover_absolute_depth, refine,
-                  sample_view, similarity_align)
+                  recover_absolute_depth, refine, sample_view, similarity_align)
 from hmor.cli import main as cli_main
 from hmor.depth import init_term, l1_term, refine_term
 from hmor.solver import _fd_max_rel_err
 from conftest import (err_instance, err_instance_grad, err_joint_grad, err_part_grad,
-                      err_part_particle_grad, swap_root_depths, two_person_depth_fixture)
+                      err_part_particle_grad, project_to_plane, swap_root_depths,
+                      two_person_depth_fixture)
 
 
 def report(number, passed, detail):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from hmor import (BehindCameraError, Camera, InvalidInputError, ViewVector,
-                  back_project, project, project_to_plane, sample_view)
+                  back_project, project, sample_view)
 from hmor.geometry import sample_views
+from conftest import project_to_plane
 
 
 class TestCamera:

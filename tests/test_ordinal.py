@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 
 from hmor import (GaussNoise, GenSpec, HmorConfig, HmorLoss, InvalidInputError,
                   NumericalError, SkeletonTopology, SolverConfig, ViewVector, assemble_absolute,
-                  enumerate_pairs, evaluate, generate_scene, hmor_loss,
-                  instance_position, objective, ordinal_violations,
-                  part_relations_from_2d, part_vectors, perturb,
-                  project_to_plane, refine, sample_view)
+                  enumerate_pairs, evaluate, generate_scene, hmor_loss, objective,
+                  ordinal_violations, part_relations_from_2d, perturb, refine, sample_view)
 from hmor.ordinal import (LabelledTruth, RelationPairs, _entity_map, _full_layout, _Layout,
                           ordinal_pass, scene_joint_array, violation_counts)
 from hmor.solver import _fd_max_rel_err
 from conftest import (brute_force_labels, brute_force_pairs, err_instance, err_instance_grad,
                       err_joint, err_joint_grad, err_part, err_part_grad, err_part_particle,
-                      ordinal_brute_force, relation_instance, relation_joint, relation_part,
-                      swap_root_depths, two_person_depth_fixture)
+                      ordinal_brute_force, project_to_plane, relation_instance, relation_joint,
+                      relation_part, swap_root_depths, two_person_depth_fixture)
 
 Z = np.array([0.0, 0.0, 1.0])
 

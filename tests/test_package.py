@@ -17,7 +17,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # public names that left the package; they must not come back through __getattr__
 REMOVED = ("count_violations", "err_instance", "err_joint", "err_part", "err_part_particle",
-           "relation_instance", "relation_joint", "relation_part")
+           "instance_position", "part_vectors", "project_to_plane", "relation_instance",
+           "relation_joint", "relation_part")
 
 
 def run_python(*args):

@@ -3,9 +3,8 @@ import pytest
 
 from hmor import (AbsolutePose, BoundingBox, Camera, InvalidDepthError,
                   InvalidInputError, Person, RelativePose, Scene,
-                  SkeletonTopology, assemble_absolute, instance_position,
-                  part_vectors, project)
-from conftest import make_person
+                  SkeletonTopology, assemble_absolute, project)
+from conftest import instance_position, make_person, part_vectors
 
 
 class TestSkeletonTopology:

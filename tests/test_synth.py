@@ -6,8 +6,9 @@ import pytest
 from hmor import (DepthSwap, GaussNoise, GenerationError, GenSpec,
                   InvalidInputError, RootOffset, assemble_absolute,
                   enumerate_pairs, generate_scene, hmor_loss,
-                  ordinal_violations, part_vectors, perturb)
+                  ordinal_violations, perturb)
 from hmor.sceneio import scene_to_dict
+from conftest import part_vectors
 
 
 def scene_bytes(scene):
