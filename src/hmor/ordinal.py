@@ -293,6 +293,26 @@ def _full_layout(N: int, S: int, J: int, settings: tuple) -> _Layout:
     return _Layout(index, (S, J), N, settings)
 
 
+@functools.lru_cache(maxsize=32)
+def _root_columns(layout_key: tuple):
+    """For :class:`_RootForm` of a :func:`_full_layout`: the (2, P)
+    persons of its depth pairs and then of its vector part pairs, and the
+    index of each part pair's four coefficients ``T0_a . (T0_b x v)``,
+    ``Ht_a . (T0_b x v)``, ``T0_a . (Ht_b x v)`` and ``Ht_a . (Ht_b x v)``
+    in a flattened ``[T0; Ht] @ [T0 x v; Ht x v].T`` product, one row
+    each (None under particle parts). Cached apart from the layout, which
+    labelling alone keeps."""
+    layout = _full_layout(*layout_key)
+    persons = layout.pairs // layout.width
+    if layout.flat is None:
+        return persons, None
+    n = layout.person_count * layout.per_person[0]
+    a, b = np.divmod(layout.flat, n)
+    at = a * (2 * n) + b
+    return (np.concatenate([persons, np.stack([a, b]) // layout.per_person[0]], axis=1),
+            np.stack([at, at + 2 * n * n, at + n, at + 2 * n * n + n]))
+
+
 def _project(X: np.ndarray, views: np.ndarray) -> np.ndarray:
     """(k, n) projections of (n, 3) points on (k, 3) views, written out so
     a view's row has the same bits in any stack (a matmul's do not)."""
@@ -428,14 +448,65 @@ def violation_counts(K: np.ndarray, topology: SkeletonTopology, labelled: Relati
     return counts
 
 
-def _violated(signed: np.ndarray):
-    """The violated entries (> 0; a NaN margin is not) of the (k, P)
-    ``signed`` margins, in the order of ``signed.ravel()``: flat index,
-    view row, pair."""
+def _signs(labels: np.ndarray) -> np.ndarray:
+    """Float +-1 of int8 labels, +1 for a label 0: a margin times its sign
+    keeps its size, so a label-0 pair is still counted (:func:`_score`)."""
+    return (labels | 1).astype(float)
+
+
+def _score(signed: np.ndarray, labels: np.ndarray, eps: float, segments, weights,
+           log_end: int, want_grad: bool, levels: np.ndarray, counts: np.ndarray):
+    """The one arithmetic from (k, P) margins to losses, which every
+    ordinal kernel calls. ``signed`` holds each pair's margin times its
+    label's sign (:func:`_signs`) and ``labels`` the int8 labels; each
+    (level, pair slice, ...) segment holds one level's pairs.
+
+    Counts into ``counts[level]`` view 0's pairs whose thresholded label
+    disagrees with the ground truth's (the sign turns that into a
+    threshold of ``signed`` against ``|label|``), and writes each
+    segment's per-view mean error into ``levels[level]``. A violated pair
+    (``signed > 0``) errs by ``log1p(signed)`` if it is one of the first
+    ``log_end`` pairs (a depth pair) and by ``signed`` otherwise (a
+    vector part pair); a label-0 pair errs by 0 and a NaN margin by NaN.
+    ``signed`` is overwritten by the errors. Returns the violated entries
+    (flat index, view row, pair, in the order of ``signed.ravel()``) and
+    each one's gradient weight with respect to its signed margin,
+    ``|label| * w_level / P_level``, over ``1 + signed`` for a depth pair;
+    None without ``want_grad``."""
     P = signed.shape[1]
-    hit = (signed > 0).ravel().nonzero()[0]
+    sizes = [max(pairs.stop - pairs.start, 1) for _, pairs, *_ in segments]
+    _count_disagreements(signed[:1], np.abs(labels[:1]), eps, segments, counts)
+    hit = np.flatnonzero(signed > 0.0)  # violated, in the order of ``signed.ravel()``
+    margin = signed.take(hit)
+    # max(0, m) in place: +0.0 but at the violated entries, NaN at a NaN margin
+    np.maximum(0.0, signed, out=signed)
+    size = np.abs(labels.take(hit))  # 0 for a label-0 pair: no error, no weight
     row = hit // P  # not divmod, whose remainder is several times slower
-    return hit, row, hit - row * P
+    pair = hit - row * P
+    logged = slice(None) if log_end >= P else pair < log_end
+    hits = None
+    if want_grad:
+        w = size.astype(float)
+        w[logged] /= 1.0 + margin[logged]
+        scale = np.array([weights[level] / n for (level, *_), n in zip(segments, sizes)])
+        if len(segments) > 1:  # each pair's level weight / P
+            scale = scale.take(np.array([pairs.stop for _, pairs, *_ in segments])
+                               .searchsorted(pair, "right"))
+        w *= scale
+        hits = hit, row, pair, w
+    if log_end:
+        margin[logged] = np.log1p(margin[logged])
+    if not size.all():
+        margin *= size
+    signed.put(hit, margin)
+    for (level, pairs, *_), n in zip(segments, sizes):
+        levels[level] = signed[:, pairs].sum(axis=1) / n
+    return hits
+
+
+def _weighted(levels: np.ndarray, cfg: HmorConfig) -> np.ndarray:
+    """(k,) weighted totals of (3, k) per-level mean errors."""
+    return cfg.w_instance * levels[0] + cfg.w_part * levels[1] + cfg.w_joint * levels[2]
 
 
 def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPairs,
@@ -451,13 +522,13 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     :func:`violation_counts`, the per-view counter, counts them; zeros
     with no view); and the gradient of ``totals.sum()`` with respect to
     every joint coordinate (None when want_grad is off). Margins come
-    from the per-entity points ``X = E @ K`` (:func:`_entity_map`), means
-    and counts from contiguous slices of the stack; int8 labels count
-    disagreements and are cast to float64 once for the rest.
+    from the per-entity points ``X = E @ K`` (:func:`_entity_map`);
+    :func:`_score` turns them into errors, means, counts and gradient
+    weights.
 
     Only violated pairs have a gradient or an error, so both are built
-    from the violated (view, pair) entries alone (:func:`_violated`; a
-    NaN margin's error is NaN) and their work grows with them, not with
+    from the violated (view, pair) entries alone (a NaN margin's error is
+    NaN) and their work grows with them, not with
     pairs times views. A depth pair (a, b) violated by m under view v
     errs by ``log1p(m)`` and weighs ``W = label / (1 + m) * (w_level /
     P_level)``, added at ``g[v, a]`` and subtracted at ``g[v, b]``; ``dX
@@ -478,48 +549,34 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     eps = cfg.equality_tolerance
     weights = (cfg.w_instance, cfg.w_part, cfg.w_joint)
     levels = np.zeros((3, len(V)))
-    first = slice(0, 1)  # the view counted
-    violations = np.zeros((3, len(V[first])), dtype=int)
+    violations = np.zeros((3, min(len(V), 1)), dtype=int)  # view 0's
 
-    # Float labels keep the multiplies float64 x float64 (int8 x float64 casts in
-    # buffered chunks); margins turn signed, then errors, in place (no (k, P) temporary).
+    # signed margins, then errors, in place (no (k, P) temporary)
     margins = _depth_margins(X, V, layout)
     labels = labelled.depth_labels
-    _count_disagreements(margins[first], labels[first], eps, layout.segments, violations)
-    labels = labels.astype(float)
-    margins *= labels  # signed margins from here on
-    sizes = [max(pairs.stop - pairs.start, 1) for _, pairs, *_ in layout.segments]
+    margins *= _signs(labels)
+    hits = _score(margins, labels, eps, layout.segments, weights, margins.shape[1], want_grad,
+                  levels, violations)
     if want_grad:
-        flat, row, pair = _violated(margins)
-        W = labels.take(flat) / (1.0 + margins.take(flat))  # take reads the flattened array
-        scale = np.array([weights[level] / P for (level, *_), P in zip(layout.segments, sizes)])
-        W *= scale.take(layout.ends.searchsorted(pair, "right"))  # each pair's level weight / P
+        flat, row, pair, W = hits
+        W *= labels.take(flat)  # the weight of the raw margin
         n = len(X) * layout.width
         a, b = row * n + layout.pairs.take(pair, axis=1)  # (view, entity) ids of the ends
         g = np.bincount(a, W, len(V) * n) - np.bincount(b, W, len(V) * n)
         dX = (g.reshape(-1, n).T @ V).reshape(X.shape)
-    # errors: log1p of the violated or NaN entries, +0.0 elsewhere (as
-    # log1p(max(0, m)) reads), summed in the same order
-    hit = np.flatnonzero(~(margins <= 0.0))
-    errs = np.log1p(margins.take(hit))
-    margins.fill(0.0)
-    margins.put(hit, errs)
-    for (level, pairs, *_), P in zip(layout.segments, sizes):
-        levels[level] = margins[:, pairs].sum(axis=1) / P
 
     if layout.flat is not None:
         margins, C = _part_margins(X, V, layout)
         labels = labelled.part_labels
-        P = max(margins.shape[1], 1)
-        _count_disagreements(margins[first], labels[first], eps, ((1, slice(None)),),
-                             violations)
-        labels = labels.astype(float)
-        margins *= labels
-        if want_grad and cfg.w_part > 0:
+        margins *= _signs(labels)
+        part_grad = want_grad and cfg.w_part > 0
+        hits = _score(margins, labels, eps, ((1, slice(0, len(layout.flat))),), weights, 0,
+                      part_grad, levels, violations)
+        if part_grad:
             S = layout.per_person[0]
             n = len(X) * S
-            flat, row, pair = _violated(margins)
-            W = labels.take(flat) * (cfg.w_part / P)
+            flat, row, pair, W = hits
+            W *= labels.take(flat)
             b = layout.flat.take(pair)
             a = b // n
             b -= a * n
@@ -532,11 +589,110 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
             dT = np.bincount(cells.ravel(), (W[:, None] * C.reshape(-1, 3).take(other, axis=0))
                              .ravel(), 3 * n)
             dX[:, 1:1 + S] += dT.reshape(len(X), S, 3)  # the part rows
-        levels[1] = np.maximum(0.0, margins, out=margins).sum(axis=1) / P
 
     dK = E.T @ dX if want_grad else None
-    totals = cfg.w_instance * levels[0] + cfg.w_part * levels[1] + cfg.w_joint * levels[2]
-    return totals, levels, violations.sum(axis=1), dK  # the sum of one column, or zeros
+    return _weighted(levels, cfg), levels, violations.sum(axis=1), dK  # one column, or zeros
+
+
+class _RootForm:
+    """The ordinal loss of a prediction whose root depths alone move,
+    reduced to those N scaled depths: what :func:`root_pass` reads.
+
+    Under ``root_depths_only`` the scaled joints are ``K = K0 + e *
+    dx[person]``, with ``K0`` the (N, J, 3) joints at the start point,
+    ``e = (a, b, 1)`` each joint's (N, J, 3) derivative in its person's
+    root depth and ``dx`` the (N,) root offsets, so the entity points are
+    ``X0 + H * dx[person]`` (``X0 = E @ K0``, ``H = E @ e``). Under a view
+    each depth margin is then ``M0 + CA * dx[pa] + CB * dx[pb]``, for the
+    pair's persons pa and pb, and each vector-part margin ``(t_a x t_b) .
+    v = t_a . (t_b x v)`` is ``Q0 + Qa * da + Qb * db + Qab * da * db``,
+    its coefficients read from one product per view of ``[T0; Ht] @ [T0 x
+    v; Ht x v].T`` (the part rows of ``X0`` and ``H``).
+
+    The depth pairs and then the vector part pairs are laid side by side
+    as P columns: ``M0`` holds M0 | Q0, ``A`` CA | Qa and ``B`` CB | Qb,
+    each (k, P), ``Qab`` the (k, P_part) products, ``persons`` each
+    column's (2, P) persons and ``labels`` its (k, P) labels, under the
+    ``segments`` of its levels. Every coefficient is stored times its
+    label's sign (:func:`_signs`), so an evaluation forms signed margins
+    directly. Built once per labelled stack; ``margins`` and ``product``
+    are the buffers each evaluation writes (one evaluation at a time).
+    """
+
+    def __init__(self, K0: np.ndarray, e: np.ndarray, topology: SkeletonTopology,
+                 labelled: RelationPairs, config: HmorConfig):
+        layout = labelled.layout
+        layout.check_labels(config)
+        self.K0, self.e, self.labelled, self.config = K0, e, labelled, config
+        X = _entity_map(topology, config.part_mode) @ np.stack([K0, e])  # [X0, H]
+        V = labelled.views
+        self.labels = np.concatenate([labelled.depth_labels, labelled.part_labels], axis=1)
+        k, P = self.labels.shape
+        self.depth = D = layout.pairs.shape[1]  # the depth pairs' columns
+        self.persons, blocks = _root_columns(
+            (layout.person_count, *layout.per_person,
+             tuple(getattr(layout, name) for name in _LABEL_SETTINGS)))
+        self.segments = list(layout.segments)
+        self.M0, self.A, self.B = (np.empty((k, P)) for _ in range(3))
+        # both projections in one: z0 then zh, as _depth_margins projects
+        z = _project(X.reshape(-1, 3), V).reshape(k, 2, -1)
+        a, b = (z.take(ends, axis=2) for ends in layout.pairs)
+        np.subtract(a[:, 0], b[:, 0], out=self.M0[:, :D])
+        self.A[:, :D] = a[:, 1]
+        np.negative(b[:, 1], out=self.B[:, :D])
+        sign = _signs(self.labels)
+        if P > D:  # vector parts
+            S = layout.per_person[0]
+            T = X[:, :, 1:1 + S].reshape(-1, 3)  # [T0; Ht]
+            self.Qab = np.empty((k, P - D))
+            for row, Cv in enumerate(_cross_views(T, V)):
+                (self.M0[row, D:], self.A[row, D:], self.B[row, D:],
+                 self.Qab[row]) = (T @ Cv.T).take(blocks)
+            self.Qab *= sign[:, D:]
+            self.segments.append((1, slice(D, P)))
+        for out in (self.M0, self.A, self.B):
+            out *= sign
+        self.margins, self.product = np.empty((k, P)), np.empty((k, P))  # an evaluation's
+
+
+def root_pass(form: _RootForm, dx: np.ndarray, want_grad: bool = True):
+    """:func:`ordinal_pass` of the prediction at root offsets ``dx`` ((N,),
+    scaled units) from its reduced form: the (k,) totals, (3, k) levels,
+    (3,) view-0 counts and the (N,) gradient of ``totals.sum()`` with
+    respect to ``dx`` (None when want_grad is off). Signed margins come
+    from the stored coefficients, every level's in one (k, P) array, and
+    go through :func:`_score` as the entity-map kernel's do; a violated
+    pair's weight scatters onto its two persons through its margin's
+    derivatives (``CA``, ``CB``; ``Qa + Qab * db``, ``Qb + Qab * da``),
+    one ``bincount`` per end."""
+    cfg, D = form.config, form.depth
+    k = len(form.labels)
+    da, db = dx.take(form.persons)
+    margins, product = form.margins, form.product
+    np.multiply(form.A, da, out=margins)
+    margins += np.multiply(form.B, db, out=product)
+    margins += form.M0
+    if form.labels.shape[1] > D:
+        product = np.multiply(form.Qab, da[D:] * db[D:], out=product[:, D:])
+        margins[:, D:] += product
+    levels = np.zeros((3, k))
+    violations = np.zeros((3, min(k, 1)), dtype=int)  # view 0's
+    hits = _score(margins, form.labels, cfg.equality_tolerance, form.segments,
+                  (cfg.w_instance, cfg.w_part, cfg.w_joint), D, want_grad, levels, violations)
+    g = None
+    if want_grad:
+        flat, row, pair, w = hits
+        ga, gb = form.A.take(flat), form.B.take(flat)
+        part = pair >= D
+        if part.any():
+            cross = form.Qab.take(row[part] * (form.labels.shape[1] - D) + pair[part] - D)
+            ga[part] += cross * db.take(pair[part])
+            gb[part] += cross * da.take(pair[part])
+        pa, pb = form.persons.take(pair, axis=1)
+        g = np.zeros(len(dx))  # += also takes an empty bincount's int zeros
+        g += np.bincount(pa, w * ga, len(dx))
+        g += np.bincount(pb, w * gb, len(dx))
+    return _weighted(levels, cfg), levels, violations.sum(axis=1), g
 
 
 def hmor_loss(pred_scene: Scene, pairs: RelationPairs, view=None,

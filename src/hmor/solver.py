@@ -24,7 +24,8 @@ from .depth import (equivalent_depth, init_term, l1_residual, l1_term, normalize
 from .errors import InvalidDepthError, InvalidInputError, NumericalError, SolverError
 from .geometry import back_project_points, sample_views
 from .ordinal import (HmorConfig, LabelledTruth, RelationPairs, _depth_margins, _entity_map,
-                      _part_margins, check_finite_fields, ordinal_pass, violation_counts)
+                      _part_margins, _RootForm, check_finite_fields, ordinal_pass, root_pass,
+                      violation_counts)
 from .skeleton import RelativePose, Scene, check_topologies_match
 
 # the objective's terms, in the order the weighted total sums them
@@ -130,6 +131,7 @@ class _SceneVars:
         self.N, self.J = self.U.shape
         self.nonroot = np.array([j for j in range(self.J) if j != self.root])
         self.start = (self.pack(), self.ZR, self.U, self.V, self.Zrel)
+        self.dx = np.zeros_like(self.start[0])  # x - x0, as unpack leaves it
 
     def pack(self) -> np.ndarray:
         s = self.scale
@@ -145,7 +147,8 @@ class _SceneVars:
         s``, so ``unpack(pack())`` restores the scene exactly (``x0 / s``
         can miss a coordinate by an ulp)."""
         x0, ZR, U, V, Zrel = self.start
-        d = (x - x0) / self.scale
+        self.dx = x - x0
+        d = self.dx / self.scale
         n, j = self.N, self.J
         self.ZR = ZR + d[:n]
         if self.cfg.free_variables == "full_pose":
@@ -185,6 +188,17 @@ class _SceneVars:
         g_v = dK[:, :, 1] * d / self.camera.fy
         g_zrel = per_joint[:, self.nonroot]
         return np.concatenate([g_zr, g_u.ravel(), g_v.ravel(), g_zrel.ravel()])
+
+    def root_form(self, labelled: RelationPairs) -> _RootForm | None:
+        """The ordinal term under ``labelled`` reduced to the root depths
+        (:class:`_RootForm`), about the start point, which it moves the
+        variables to; None under ``full_pose``."""
+        if self.cfg.free_variables != "root_depths_only":
+            return None
+        self.unpack(self.start[0])
+        K0, _, a, b = self.joints_scaled()
+        return _RootForm(K0, np.stack([a, b, np.ones_like(a)], axis=-1), self.topology,
+                         labelled, self.cfg.hmor)
 
     def to_scene(self) -> Scene:
         persons = []
@@ -254,10 +268,15 @@ def _mean(per_view: np.ndarray, rows) -> float:
 
 
 def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config: SolverConfig,
-              value_rows, want_grad: bool, all_terms: bool = True) -> _Evaluation:
+              value_rows, want_grad: bool, all_terms: bool = True,
+              form: _RootForm | None = None) -> _Evaluation:
     """The objective at the current variables under row selections of the
     ``labelled`` view stack, from one :func:`ordinal_pass`, as one
-    :class:`_Evaluation`.
+    :class:`_Evaluation`. With ``form``, ``labelled`` reduced to the root
+    depths (:meth:`_SceneVars.root_form`), the ordinal term is one
+    :func:`root_pass` at ``sv.dx`` instead, the abs term reads the joints
+    ``K0 + e * dx`` and both pull their gradients back through ``e``: no
+    joint array is back-projected and no entity point projected.
 
     ``totals`` holds the weighted total ``sum w_t * term_t`` of each
     selection in ``value_rows``, summed in the order of ``_TERMS`` with
@@ -282,7 +301,10 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config
     nj = n * sv.J
     grad = np.zeros_like(sv.start[0]) if want_grad else None
     dK = None  # gradient w.r.t. the scaled joints
-    K, d, a, b = sv.joints_scaled()
+    if form is None:
+        K, d, a, b = sv.joints_scaled()
+    elif all_terms or config.w_abs:
+        K = form.K0 + form.e * sv.dx[:, None, None]
     data = {}
     if all_terms or config.w_pose:
         data["pose"], sign = anchors.pose or l1_term(sv.rel(), anchors.rel)
@@ -312,22 +334,28 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config
     hmor = None
     if all_terms or config.w_hmor:
         hmor_grad = want_grad and config.w_hmor > 0
-        per_view, levels, counts, dK_hmor = ordinal_pass(
-            K, sv.topology, labelled, config.hmor, want_grad=hmor_grad)
+        if form is None:
+            per_view, levels, counts, dK_hmor = ordinal_pass(
+                K, sv.topology, labelled, config.hmor, want_grad=hmor_grad)
+        else:  # its gradient is w.r.t. the root depths
+            per_view, levels, counts, g_hmor = root_pass(form, sv.dx, hmor_grad)
         means = [_check_finite("hmor", _mean(per_view, rows)) for rows in value_rows]
         totals = [total + config.w_hmor * m if config.w_hmor else total for m in means]
         if all_terms:
             hmor = [{"hmor": m, **{f"hmor.{name}": _mean(level, rows)
                                    for name, level in zip(("instance", "part", "joint"), levels)}}
                     for m, rows in zip(means, value_rows)]
-        if hmor_grad:
+        if hmor_grad and form is not None:
+            grad += g_hmor * (config.w_hmor / len(per_view))
+        elif hmor_grad:
             dK_hmor = dK_hmor * (config.w_hmor / len(per_view))
             dK = dK_hmor if dK is None else dK + dK_hmor
     else:
-        counts = violation_counts(K, sv.topology, labelled.rows(slice(0, 1)), config.hmor)[:, 0]
+        counts = (violation_counts(K, sv.topology, labelled.rows(slice(0, 1)), config.hmor)[:, 0]
+                  if form is None else root_pass(form, sv.dx, False)[2])
         totals = [total] * len(value_rows)
     if dK is not None:
-        grad += sv.grad_to_x(dK, d, a, b)
+        grad += sv.grad_to_x(dK, d, a, b) if form is None else (dK * form.e).sum(axis=(1, 2))
     return _Evaluation(totals, data, hmor, counts, grad)
 
 
@@ -345,7 +373,7 @@ def objective(pred_scene: Scene, gt_pairs, anchors: Scene, config: SolverConfig)
     _check_matched(pred_scene, anchors)
     sv = _SceneVars(pred_scene, config)
     record = _evaluate(sv, labelled, _Anchors.of(_SceneVars(anchors, config), sv), config,
-                       (slice(None),), True, all_terms=False)
+                       (slice(None),), True, all_terms=False, form=sv.root_form(labelled))
     return record.totals[0], record.grad
 
 
@@ -410,7 +438,9 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
     the descent uses: the totals, the gradient and view 0's violations.
     The ground truth's targets are prepared once (:class:`_Anchors`), terms
     of weight 0 are not computed, and under ``root_depths_only`` the pose
-    term is computed once.
+    term is computed once and the ordinal term reduced to the root depths
+    once (:meth:`_SceneVars.root_form`). A halved candidate is evaluated
+    without the gradient, and an accepted one once more with it.
     """
     cfg = config or SolverConfig()
     sv = _SceneVars(pred_scene, cfg)
@@ -418,10 +448,12 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
     anchors, truth = _targets(sv, gt_scene, cfg)  # anchor="input" anchors at the input
     k = cfg.views_per_step if cfg.w_hmor > 0 else 1
     labelled = _labelled_views(truth, gt_scene, k, cfg.seed)
+    form = sv.root_form(labelled)
 
     def evaluate(point: np.ndarray, want_grad: bool, value_rows=(slice(None),)):
         sv.unpack(point)
-        return _evaluate(sv, labelled, anchors, cfg, value_rows, want_grad, all_terms=False)
+        return _evaluate(sv, labelled, anchors, cfg, value_rows, want_grad, all_terms=False,
+                         form=form)
 
     # at the input itself: trace row 0 under the normal alone, step 1's f under every view
     here = evaluate(x, True, (slice(0, 1), slice(None)))
@@ -513,14 +545,15 @@ def grad_check(scene: Scene, gt_scene: Scene, epsilon: float = 1e-5,
     cfg = config or SolverConfig(free_variables="full_pose")
     sv = _SceneVars(scene, cfg)
     anchors, labelled = _checked_objective(sv, gt_scene, cfg)
+    form = sv.root_form(labelled)
     every = (slice(None),)
     grads = [_evaluate(sv, labelled, anchors,
                        dataclasses.replace(cfg, **{f"w_{t}": float(t == term) for t in _TERMS}),
-                       every, True, all_terms=False).grad for term in _TERMS]
+                       every, True, all_terms=False, form=form).grad for term in _TERMS]
 
     def terms_at(x):
         sv.unpack(x)
-        terms = _evaluate(sv, labelled, anchors, cfg, every, False).terms()
+        terms = _evaluate(sv, labelled, anchors, cfg, every, False, form=form).terms()
         return [terms[t] for t in _TERMS]
 
     worst = _fd_max_rel_err(terms_at, sv.pack(), np.array(grads), epsilon)

@@ -10,8 +10,8 @@ from hmor import (GaussNoise, GenSpec, HmorConfig, HmorLoss, InvalidInputError,
                   enumerate_pairs, evaluate, generate_scene, hmor_loss, objective,
                   ordinal_violations, part_relations_from_2d, perturb, refine, sample_view)
 from hmor.ordinal import (LabelledTruth, RelationPairs, _entity_map, _full_layout, _Layout,
-                          ordinal_pass, scene_joint_array, violation_counts)
-from hmor.solver import _fd_max_rel_err
+                          ordinal_pass, root_pass, scene_joint_array, violation_counts)
+from hmor.solver import _fd_max_rel_err, _SceneVars
 from conftest import (brute_force_labels, brute_force_pairs, err_instance, err_instance_grad,
                       err_joint, err_joint_grad, err_part, err_part_grad, err_part_particle,
                       ordinal_brute_force, project_to_plane, relation_instance, relation_joint,
@@ -602,6 +602,68 @@ def _assert_equals_brute_force(pred, gt, views, labelled, cfg):
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
     assert np.abs(want_dK).max() > 0.0
     return counts
+
+
+def _assert_close(got, want):
+    """``got`` equals ``want`` to 1e-12 of the larger of 1 and ``want``'s size."""
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
+
+
+class TestRootFormOracle:
+    """root_pass, the ordinal kernel reduced to the root depths, against
+    the entity-map kernel (ordinal_pass, then grad_to_x) at the moved
+    joints, and the per-pair brute force against both kernels in their
+    free-variable modes, at random root offsets."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 10_000), n_persons=st.integers(1, 5),
+           k=st.sampled_from([1, 4, 7]), part_mode=st.sampled_from(["vector", "particle"]),
+           eps=st.sampled_from([0.0, 0.02]), w_part=st.sampled_from([1.0, 0.0]))
+    def test_equals_entity_map_kernel(self, seed, n_persons, k, part_mode, eps, w_part):
+        cfg = HmorConfig(part_mode=part_mode, equality_tolerance=eps, w_part=w_part)
+        gt, pred, views = _kernel_case(seed, n_persons, k)
+        labelled = LabelledTruth(gt, cfg).label(views)
+        if eps:  # label-0 pairs occur, and are counted from their raw margins
+            assert not (labelled.depth_labels.all() and labelled.part_labels.all())
+        sv = _SceneVars(pred, SolverConfig(hmor=cfg))
+        form = sv.root_form(labelled)
+        rng = np.random.default_rng(seed)
+        for spread in (0.0, 0.05, 0.3, 1.0):  # scaled units: 0-1000 mm
+            sv.unpack(sv.start[0] + rng.normal(0.0, spread, n_persons))
+            totals, levels, violations, g = root_pass(form, sv.dx)
+            K, d, a, b = sv.joints_scaled()
+            want = ordinal_pass(K, gt.topology, labelled, cfg)
+            assert np.array_equal(violations, want[2])
+            for got, expected in ((totals, want[0]), (levels, want[1]),
+                                  (g, sv.grad_to_x(want[3], d, a, b))):
+                _assert_close(got, expected)
+            no_grad = root_pass(form, sv.dx, want_grad=False)
+            assert no_grad[3] is None
+            assert all(np.array_equal(x, y) for x, y in zip(no_grad[:3], (totals, levels,
+                                                                          violations)))
+
+    @pytest.mark.parametrize("free_variables", ["root_depths_only", "full_pose"])
+    @pytest.mark.parametrize("name", ["vector", "particle", "vector_tolerance",
+                                      "particle_tolerance"])
+    def test_equals_per_pair_brute_force(self, name, free_variables):
+        cfg = ORACLE_CONFIGS[name]
+        gt, pred, views = _kernel_case(71, 3, 3)
+        labelled = LabelledTruth(gt, cfg).label(views)
+        sv = _SceneVars(pred, SolverConfig(free_variables=free_variables, hmor=cfg))
+        form = sv.root_form(labelled)
+        x = sv.start[0] + np.random.default_rng(71).normal(0.0, 0.1, len(sv.start[0]))
+        sv.unpack(x)
+        K, d, a, b = sv.joints_scaled()
+        want = ordinal_brute_force(sv.to_scene(), gt, views, cfg, labelled.index)
+        if form is None:  # full_pose: the entity-map kernel
+            totals, levels, violations, dK = ordinal_pass(K, gt.topology, labelled, cfg)
+            g = sv.grad_to_x(dK, d, a, b)
+        else:
+            totals, levels, violations, g = root_pass(form, sv.dx)
+        assert np.array_equal(violations, want[2][:, 0]) and violations.any()
+        for got, expected in ((totals, want[0]), (levels, want[1]),
+                              (g, sv.grad_to_x(want[3], d, a, b))):
+            _assert_close(got, expected)
 
 
 # every knob the loss-free count must follow; each example draws one

@@ -442,13 +442,13 @@ class TestCarriedEvaluation:
         gt = generate_scene(spec)
         noisy = perturb(gt, spec)
         calls = []
-        kernel = hmor.solver.ordinal_pass
+        kernel = hmor.solver.root_pass  # the ordinal kernel under root_depths_only
 
         def spy(*args, **kwargs):
             calls.append(args)
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(hmor.solver, "ordinal_pass", spy)
+        monkeypatch.setattr(hmor.solver, "root_pass", spy)
         cfg = SolverConfig(steps=10, views_per_step=views, step_halving=False)
         _, trace = refine(noisy, gt, cfg)
         # one pass at the start point for trace row 0 and step 1's
@@ -553,27 +553,38 @@ class TestWhatAnEvaluationComputes:
     def test_refine_computes_only_what_it_reads(self, monkeypatch, free_variables, w_abs):
         calls = Counter()
 
-        def spy(name):
-            real = getattr(hmor.solver, name)
+        def spy(name, owner=hmor.solver):
+            real = getattr(owner, name)
 
             def counted(*args, **kwargs):
                 calls[name] += 1
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(hmor.solver, name, counted)
+            monkeypatch.setattr(owner, name, counted)
 
         for name in ("normalize_depth", "equivalent_depth", "l1_term", "init_term",
-                     "refine_term", "ordinal_pass"):
+                     "refine_term", "ordinal_pass", "root_pass"):
             spy(name)
+        spy("joints_scaled", _SceneVars)
+        spy("grad_to_x", _SceneVars)
         cfg = SolverConfig(steps=8, views_per_step=2, step_size=0.5,
                            free_variables=free_variables, w_abs=w_abs)
         refine(*self._pair(), cfg)
-        evaluations = calls["ordinal_pass"]  # w_hmor > 0: one pass per evaluation
+        # the ordinal kernel of the free variables, reduced to the root depths under
+        # root_depths_only; w_hmor > 0: one pass per evaluation
+        root = free_variables == "root_depths_only"
+        kernel, other = ("root_pass", "ordinal_pass") if root else ("ordinal_pass", "root_pass")
+        evaluations = calls[kernel]
+        assert calls[other] == 0
         assert evaluations > cfg.steps + 1  # some first candidates were rejected
         assert calls["normalize_depth"] == calls["equivalent_depth"] == 1
         assert calls["init_term"] == calls["refine_term"] == evaluations
-        pose = 1 if free_variables == "root_depths_only" else evaluations
+        pose = 1 if root else evaluations
         assert calls["l1_term"] == pose + (evaluations if w_abs else 0)  # pose, then abs
+        # joints are lifted for the anchors, and for the reduced form or at every
+        # evaluation; the reduced form pulls no joint gradient back
+        assert calls["joints_scaled"] == (2 if root else 1 + evaluations)
+        assert (calls["grad_to_x"] == 0) if root else (0 < calls["grad_to_x"] <= evaluations)
 
     def test_every_term_reported_at_weight_zero(self, tmp_path, capsys):
         pred, gt = self._pair()
@@ -592,13 +603,13 @@ class TestWhatAnEvaluationComputes:
     @pytest.mark.parametrize("views", [1, 2, 4])
     def test_grad_check_draws_refine_first_step_views(self, monkeypatch, views):
         stacks = []
-        kernel = hmor.solver.ordinal_pass
+        kernel = hmor.solver.root_pass  # the ordinal kernel under root_depths_only
 
-        def spy(K, topology, labelled, *args, **kwargs):
-            stacks.append(labelled.views)
-            return kernel(K, topology, labelled, *args, **kwargs)
+        def spy(form, *args, **kwargs):
+            stacks.append(form.labelled.views)
+            return kernel(form, *args, **kwargs)
 
-        monkeypatch.setattr(hmor.solver, "ordinal_pass", spy)
+        monkeypatch.setattr(hmor.solver, "root_pass", spy)
         pred, gt = self._pair(32)
         for steps in (1, 10):  # one run's draw holds every step's views
             cfg = SolverConfig(steps=steps, views_per_step=views, seed=41)
