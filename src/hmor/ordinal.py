@@ -1,19 +1,11 @@
-"""Hierarchical ordinal relations between persons, body parts, and joints.
+"""Hierarchical ordinal relations between persons, body parts, and joints:
+the depth order of whole persons (mean of joints), the turning direction
+of bone-vector pairs seen along a view, and the depth order of joints.
 
-Three levels of pairwise order supervision over a multi-person scene:
-
-* instance level -- depth order of whole persons (mean of joints),
-* part level -- turning direction of bone-vector pairs seen along a view,
-* joint level -- depth order of individual joints.
-
-Ground-truth relation labels take values +1/-1/0. The error of a pair is
-zero whenever the predicted pair is ordered consistently with its label,
-and grows with the violation margin otherwise, so a prediction equal to
-the ground truth always scores exactly zero.
-
-Depth margins enter the losses in scaled units (default meters, via
-``HmorConfig.depth_unit_scale``) to keep the log penalties well-scaled
-for human-size scenes.
+Labels are +1/-1/0. A pair's error is zero whenever the prediction orders
+it as its label does and grows with the violation margin otherwise, so
+the ground truth scores exactly zero. Margins are in scaled units
+(default meters, ``HmorConfig.depth_unit_scale``).
 """
 
 from __future__ import annotations
@@ -41,13 +33,10 @@ def check_finite_fields(config) -> None:
 class HmorConfig:
     """Labelling settings and level weights of the ordinal loss.
 
-    depth_unit_scale converts millimeters into the unit depth margins are
-    penalized in (1/1000 = meters). equality_tolerance widens the band of
-    margins labeled 0; the default 0 keeps labels strict, which is right
-    for exact synthetic ground truth. part_mode selects the bone-pair
-    representation: "vector" compares turning directions, "particle"
-    compares the depths of bone midpoints. Every level holds every pair
-    of its entities, within and across persons.
+    depth_unit_scale converts millimeters into the margins' unit (1/1000:
+    meters). equality_tolerance widens the band of margins labeled 0.
+    part_mode "vector" compares turning directions, "particle" the depths
+    of bone midpoints. Every level holds every pair of its entities.
     """
 
     depth_unit_scale: float = 1e-3
@@ -73,19 +62,14 @@ class HmorConfig:
 class RelationPairs:
     """A ground-truth scene's pair sets, labelled under a stack of k views.
 
-    ``views`` is (k, 3). ``layout`` (:class:`_Layout`) holds the pairs and
-    their labelling settings; ``depth_labels`` and ``part_labels`` hold the
-    (k, P) int8 labels of its stacked depth pairs and of its vector parts
-    (none under particle parts), one row per view. ``per_person`` (S, J)
-    and ``person_count`` (N) are read from the layout.
-
-    Built on access: ``index``, each level's (2, P) entity pairs (persons,
-    flat part ids ``person * S + part``, flat joint ids ``person * J +
-    joint``; pairs are unordered, first index smaller), and ``labels``,
-    each level's (k, P) labels. ``view`` and the integer row arrays are
-    read from view 0: instance_pairs rows are (person_a, person_b, label);
-    part_pairs rows are (person_1, part_1, person_2, part_2, label);
-    joint_pairs rows are (person_1, joint_1, person_2, joint_2, label).
+    ``views`` is (k, 3), ``layout`` (:class:`_Layout`) the pairs and their
+    labelling settings, ``depth_labels`` and ``part_labels`` the (k, P)
+    int8 labels of its stacked depth pairs and of its vector parts (none
+    under particle parts). Built on access: ``index``, each level's (2, P)
+    entity pairs a < b (persons, ``person * S + part``, ``person * J +
+    joint``), ``labels``, each level's (k, P) labels, and view 0's integer
+    rows ``instance_pairs`` (m_a, m_b, label), ``part_pairs`` and
+    ``joint_pairs`` (m_1, i_1, m_2, i_2, label).
     """
 
     views: np.ndarray
@@ -188,11 +172,8 @@ def _threshold_label(margin, eps: float):
 # scene-level enumeration and loss
 
 def scene_joint_array(scene: Scene, scale: float = 1.0) -> np.ndarray:
-    """Absolute joints of every person as one (N, J, 3) array times scale.
-
-    Same arithmetic as per-person back-projection, vectorized across the
-    scene (this sits on the hot path of loss evaluation).
-    """
+    """Absolute joints of every person as one (N, J, 3) array times scale,
+    with per-person back-projection's arithmetic."""
     rel = np.stack([p.rel_pose.joints for p in scene.persons])
     u_top = np.array([p.box.u_top for p in scene.persons])[:, None]
     v_top = np.array([p.box.v_top for p in scene.persons])[:, None]
@@ -208,12 +189,9 @@ def scene_joint_array(scene: Scene, scale: float = 1.0) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _entity_map(topology: SkeletonTopology, part_mode: str) -> np.ndarray:
-    """(1 + S + J, J) matrix E, one row per entity of a person: ``E @ K``
-    maps a person's (J, 3) joints to its position (row 0, weights 1/J),
-    its part points (rows 1..S: bone vectors end - start under "vector"
-    parts, bone midpoints under "particle" parts) and its joints (the
-    identity). Every level's points are these rows and every gradient
-    goes back through ``E.T``."""
+    """(1 + S + J, J) matrix E: ``E @ K`` maps a person's (J, 3) joints to
+    its position (row 0), its part points (bone vectors end - start, or
+    midpoints under "particle" parts) and its joints (the identity)."""
     S, J = topology.part_count, topology.joint_count
     starts, ends = np.asarray(topology.parts, dtype=int).reshape(-1, 2).T
     E = np.vstack([np.full((1, J), 1.0 / J), np.zeros((S, J)), np.eye(J)])
@@ -230,18 +208,13 @@ _LABEL_SETTINGS = ("part_mode", "equality_tolerance", "depth_unit_scale")
 class _Layout:
     """A pair set in the stacked form the kernels read: its only stored form.
 
-    Entities are the rows of a scene's (N, width = 1 + S + J, 3) points
-    ``E @ K`` (:func:`_entity_map`) flattened person-major: entity ``m *
-    width + row`` is row ``row`` of person m. The depth levels' pairs
-    (instance, joint, and part under particle parts) form one (2, P)
-    ``pairs`` index into them, in level order, built from the per-level
-    ``index`` (:attr:`RelationPairs.index`); ``segments`` holds each
-    depth level's (level, pair slice, entities per person, first row) and
-    ``ends`` their stops. ``flat`` is the vector-part index ``a * n + b``
-    into a flattened (n, n) part product (None under particle parts).
-    ``per_person`` is (S, J), ``person_count`` the N persons, ``sizes``
-    each level's pair count, and the ``_LABEL_SETTINGS`` attributes the
-    settings the labels are thresholded under.
+    Entity ``m * width + row`` is row ``row`` of person m's ``E @ K``
+    points (:func:`_entity_map`, width ``1 + S + J``). The depth levels'
+    pairs (instance, joint, and part under particle parts) form one (2, P)
+    ``pairs`` index, in level order; ``segments`` holds each depth level's
+    (level, pair slice, entities per person, first row). ``flat`` indexes
+    the vector parts' flattened (n, n) product (None under particle
+    parts); the ``_LABEL_SETTINGS`` attributes are the labelling settings.
     """
 
     def __init__(self, index, per_person: tuple[int, int], person_count: int, settings):
@@ -259,7 +232,6 @@ class _Layout:
             ids.append(m * self.width + r + row)
             p += P
         self.sizes = tuple(level.shape[1] for level in index)
-        self.ends = np.array([pairs.stop for _, pairs, *_ in self.segments])
         # pairs and flat stay writeable although cached: ``take`` copies a
         # read-only index array on every call
         self.pairs = np.concatenate(ids, axis=1)
@@ -295,13 +267,10 @@ def _full_layout(N: int, S: int, J: int, settings: tuple) -> _Layout:
 
 @functools.lru_cache(maxsize=32)
 def _root_columns(layout_key: tuple):
-    """For :class:`_RootForm` of a :func:`_full_layout`: the (2, P)
-    persons of its depth pairs and then of its vector part pairs, and the
-    index of each part pair's four coefficients ``T0_a . (T0_b x v)``,
-    ``Ht_a . (T0_b x v)``, ``T0_a . (Ht_b x v)`` and ``Ht_a . (Ht_b x v)``
-    in a flattened ``[T0; Ht] @ [T0 x v; Ht x v].T`` product, one row
-    each (None under particle parts). Cached apart from the layout, which
-    labelling alone keeps."""
+    """:class:`_RootForm`'s (2, P) persons of a layout's depth and then
+    vector part pairs, and its (4, P_part) index of their coefficients in
+    a flattened (2n, 2n) product (None under particle parts). Cached apart
+    from the layout, which labelling alone keeps."""
     layout = _full_layout(*layout_key)
     persons = layout.pairs // layout.width
     if layout.flat is None:
@@ -338,12 +307,10 @@ def _depth_margins(X: np.ndarray, views: np.ndarray, layout: _Layout) -> np.ndar
 
 
 def _part_margins(X: np.ndarray, views: np.ndarray, layout: _Layout):
-    """Raw (k, P) vector-part margins ``(t_a x t_b) . v = t_a . (t_b x v)``
-    of the bone vectors ``T`` (the part rows of the entity points ``X``)
-    under (k, 3) views, read from ``M = T @ C_v.T`` with ``C = T x v``;
-    also returns C. The (n, n) products are made one view at a time: a
-    (k, n, n) stack soon passes glibc's default 128 KiB mmap threshold,
-    and then every call pays for fresh pages."""
+    """Raw (k, P) vector-part margins ``t_a . (t_b x v)`` of the part rows
+    ``T`` of ``X``, read from ``T @ C_v.T`` with ``C = T x v``; also
+    returns C. One view at a time: a (k, n, n) stack soon passes glibc's
+    128 KiB mmap threshold, and every call would pay for fresh pages."""
     T = X[:, 1:1 + layout.per_person[0]].reshape(-1, 3)
     C = _cross_views(T, views)
     parts = np.empty((len(views), len(layout.flat)))
@@ -370,18 +337,10 @@ def _view_stack(views) -> np.ndarray:
 
 
 class LabelledTruth:
-    """The pair sets of a ground-truth scene, enumerated once and labelled
-    under any stack of views.
-
-    The pairs are kept as one :class:`_Layout` (:func:`_full_layout`),
-    shared between scenes of the same shape and settings, with the
-    ground truth's (N, 1 + S + J, 3) entity points ``E @ K``
-    (:func:`_entity_map`, as :func:`ordinal_pass` maps a prediction);
-    labelling k views thresholds the margins of those points into int8
-    labels, so the ground truth itself scores exactly zero. ``joints``,
-    when given, is the (N, J, 3) array :func:`scene_joint_array` would lift at
-    ``depth_unit_scale``, and the scene then gives only the topology.
-    """
+    """A ground truth's pair sets, enumerated once (one cached
+    :class:`_Layout`) and labelled under any views from its points ``E @
+    K``, as the kernels map a prediction: the truth scores exactly zero.
+    ``joints`` replaces the scene's :func:`scene_joint_array`, if given."""
 
     def __init__(self, gt_scene: Scene, config: HmorConfig | None = None, *,
                  joints: np.ndarray | None = None):
@@ -404,21 +363,16 @@ class LabelledTruth:
 
 
 def enumerate_pairs(gt_scene: Scene, view, config: HmorConfig | None = None) -> RelationPairs:
-    """Enumerate all relation pairs of a scene and label them from ground truth.
-
-    Instance pairs are all unordered person pairs (none for a single
-    person). Part and joint pairs cover the whole scene, both within and
-    across persons.
-    """
+    """Enumerate all relation pairs of a scene, within and across persons,
+    and label them from the ground truth under ``view``."""
     return LabelledTruth(gt_scene, config).label(_view_array(view))
 
 
 def _count_disagreements(m: np.ndarray, labels: np.ndarray, eps: float, segments,
                          out: np.ndarray) -> None:
-    """Count into ``out[level]``, per view row, the pairs of each (level,
-    pair slice, ...) segment whose label thresholded from the (k, P) raw
-    margins ``m`` differs from ``labels``. A NaN margin thresholds to 0,
-    so it disagrees with +-1 and agrees with 0."""
+    """Count into ``out[level]``, per view row, each (level, pair slice,
+    ...) segment's pairs whose margin in ``m`` thresholds (NaN to 0) to
+    another label than ``labels``."""
     differ = _threshold_label(m, eps) != labels
     for level, pairs, *_ in segments:
         # a loop over k rows beats count_nonzero(axis=1) for the few views used
@@ -428,11 +382,8 @@ def _count_disagreements(m: np.ndarray, labels: np.ndarray, eps: float, segments
 def violation_counts(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPairs,
                      config: HmorConfig | None = None) -> np.ndarray:
     """The violations :func:`ordinal_pass` counts, alone and under every
-    view, as (3, k): per level (instance, part, joint) and view, the
-    pairs whose label thresholded from the margins of the (N, J, 3)
-    scaled joint array differs from the ground truth's. No weights,
-    errors or float labels are formed. A config that labels otherwise
-    than the pairs were labelled is InvalidInputError."""
+    view, as (3, k) per level and view, from the (N, J, 3) scaled joints.
+    No weights, errors or float labels are formed."""
     cfg = config or HmorConfig()
     layout = labelled.layout
     layout.check_labels(cfg)
@@ -449,30 +400,21 @@ def violation_counts(K: np.ndarray, topology: SkeletonTopology, labelled: Relati
 
 
 def _signs(labels: np.ndarray) -> np.ndarray:
-    """Float +-1 of int8 labels, +1 for a label 0: a margin times its sign
-    keeps its size, so a label-0 pair is still counted (:func:`_score`)."""
+    """Float +-1 of int8 labels, +1 for a label 0 (:func:`_score`)."""
     return (labels | 1).astype(float)
 
 
 def _score(signed: np.ndarray, labels: np.ndarray, eps: float, segments, weights,
            log_end: int, want_grad: bool, levels: np.ndarray, counts: np.ndarray):
-    """The one arithmetic from (k, P) margins to losses, which every
-    ordinal kernel calls. ``signed`` holds each pair's margin times its
-    label's sign (:func:`_signs`) and ``labels`` the int8 labels; each
-    (level, pair slice, ...) segment holds one level's pairs.
-
-    Counts into ``counts[level]`` view 0's pairs whose thresholded label
-    disagrees with the ground truth's (the sign turns that into a
-    threshold of ``signed`` against ``|label|``), and writes each
-    segment's per-view mean error into ``levels[level]``. A violated pair
-    (``signed > 0``) errs by ``log1p(signed)`` if it is one of the first
-    ``log_end`` pairs (a depth pair) and by ``signed`` otherwise (a
-    vector part pair); a label-0 pair errs by 0 and a NaN margin by NaN.
-    ``signed`` is overwritten by the errors. Returns the violated entries
-    (flat index, view row, pair, in the order of ``signed.ravel()``) and
-    each one's gradient weight with respect to its signed margin,
-    ``|label| * w_level / P_level``, over ``1 + signed`` for a depth pair;
-    None without ``want_grad``."""
+    """Every ordinal kernel's one step from (k, P) margins, each times its
+    label's sign (:func:`_signs`), to losses: view 0's counts per level
+    (a signed margin thresholds against ``|label|``) and each (level, pair
+    slice, ...) segment's per-view mean error, ``signed`` overwritten by
+    the errors: ``log1p(m)`` for a violated (``m > 0``) depth pair (the
+    first ``log_end``), ``m`` for a part pair, 0 for a label 0, NaN for
+    NaN. Returns the violated (flat index, view row, pair) and their
+    weights w.r.t. ``m``, ``|label| * w_level / P_level`` (over ``1 + m``
+    for a depth pair); None without ``want_grad``."""
     P = signed.shape[1]
     sizes = [max(pairs.stop - pairs.start, 1) for _, pairs, *_ in segments]
     _count_disagreements(signed[:1], np.abs(labels[:1]), eps, segments, counts)
@@ -488,11 +430,9 @@ def _score(signed: np.ndarray, labels: np.ndarray, eps: float, segments, weights
     if want_grad:
         w = size.astype(float)
         w[logged] /= 1.0 + margin[logged]
-        scale = np.array([weights[level] / n for (level, *_), n in zip(segments, sizes)])
-        if len(segments) > 1:  # each pair's level weight / P
-            scale = scale.take(np.array([pairs.stop for _, pairs, *_ in segments])
-                               .searchsorted(pair, "right"))
-        w *= scale
+        stops = [pairs.stop for _, pairs, *_ in segments]
+        w *= np.take([weights[level] / n for (level, *_), n in zip(segments, sizes)],
+                     np.searchsorted(stops, pair, "right"))  # each pair's level weight / P
         hits = hit, row, pair, w
     if log_end:
         margin[logged] = np.log1p(margin[logged])
@@ -511,34 +451,15 @@ def _weighted(levels: np.ndarray, cfg: HmorConfig) -> np.ndarray:
 
 def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPairs,
                  config: HmorConfig | None = None, want_grad: bool = True):
-    """Per-view losses, violation counts and gradient of an (N, J, 3)
-    scaled joint array under k labelled views, in one pass over the
-    stacked depth levels and one over vector parts.
-
-    Returns (totals, levels, violations, dK): the (k,) weighted totals;
-    the (3, k) per-level mean errors (instance, part, joint); the (3,)
-    per-level counts of pairs whose predicted label disagrees with the
-    ground truth under the first labelled view only (as
-    :func:`violation_counts`, the per-view counter, counts them; zeros
-    with no view); and the gradient of ``totals.sum()`` with respect to
-    every joint coordinate (None when want_grad is off). Margins come
-    from the per-entity points ``X = E @ K`` (:func:`_entity_map`);
-    :func:`_score` turns them into errors, means, counts and gradient
-    weights.
-
-    Only violated pairs have a gradient or an error, so both are built
-    from the violated (view, pair) entries alone (a NaN margin's error is
-    NaN) and their work grows with them, not with
-    pairs times views. A depth pair (a, b) violated by m under view v
-    errs by ``log1p(m)`` and weighs ``W = label / (1 + m) * (w_level /
-    P_level)``, added at ``g[v, a]`` and subtracted at ``g[v, b]``; ``dX
-    = g.T @ V``. A vector part pair weighs ``W = label * w_part / P`` and
-    adds ``W * C_v[b]`` to part row a of dX and ``-W * C_v[a]`` to part
-    row b (``C_v = T x v``); ``dK = E.T @ dX``. A NaN margin is no
-    violation, so dK stays finite where levels read NaN. Weight-0 levels
-    are counted and move no gradient, nor do clamp boundaries. A config
-    that labels otherwise than the pairs (:meth:`_Layout.check_labels`)
-    is InvalidInputError.
+    """The entity-map kernel: the (k,) weighted totals, (3, k) per-level
+    mean errors, view 0's (3,) counts (zeros with no view) and the
+    gradient of ``totals.sum()`` w.r.t. the (N, J, 3) scaled joints ``K``
+    (None without want_grad), from the points ``X = E @ K`` and
+    :func:`_score`. A violated depth pair (a, b) weighs ``W = label / (1 +
+    m) * w_level / P_level`` at ``g[v, a]`` and ``-W`` at ``g[v, b]``, ``dX
+    = g.T @ V``; a vector part pair weighs ``W = label * w_part / P``:
+    ``W * C_v[b]`` at part row a, ``-W * C_v[a]`` at b (``C_v = T x v``).
+    ``dK = E.T @ dX``; a NaN margin errs by NaN and moves no gradient.
     """
     cfg = config or HmorConfig()
     V = labelled.views
@@ -595,29 +516,14 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
 
 
 class _RootForm:
-    """The ordinal loss of a prediction whose root depths alone move,
-    reduced to those N scaled depths: what :func:`root_pass` reads.
-
-    Under ``root_depths_only`` the scaled joints are ``K = K0 + e *
-    dx[person]``, with ``K0`` the (N, J, 3) joints at the start point,
-    ``e = (a, b, 1)`` each joint's (N, J, 3) derivative in its person's
-    root depth and ``dx`` the (N,) root offsets, so the entity points are
-    ``X0 + H * dx[person]`` (``X0 = E @ K0``, ``H = E @ e``). Under a view
-    each depth margin is then ``M0 + CA * dx[pa] + CB * dx[pb]``, for the
-    pair's persons pa and pb, and each vector-part margin ``(t_a x t_b) .
-    v = t_a . (t_b x v)`` is ``Q0 + Qa * da + Qb * db + Qab * da * db``,
-    its coefficients read from one product per view of ``[T0; Ht] @ [T0 x
-    v; Ht x v].T`` (the part rows of ``X0`` and ``H``).
-
-    The depth pairs and then the vector part pairs are laid side by side
-    as P columns: ``M0`` holds M0 | Q0, ``A`` CA | Qa and ``B`` CB | Qb,
-    each (k, P), ``Qab`` the (k, P_part) products, ``persons`` each
-    column's (2, P) persons and ``labels`` its (k, P) labels, under the
-    ``segments`` of its levels. Every coefficient is stored times its
-    label's sign (:func:`_signs`), so an evaluation forms signed margins
-    directly. Built once per labelled stack; ``margins`` and ``product``
-    are the buffers each evaluation writes (one evaluation at a time).
-    """
+    """The ordinal loss reduced to N root depths, built once per stack.
+    Joints are ``K0 + e * dx[person]`` (``e = (a, b, 1)``), so a depth
+    margin is ``M0 + CA * da + CB * db`` (da, db: its persons' offsets)
+    and a vector-part margin ``Q0 + Qa * da + Qb * db + Qab * da * db``,
+    from one product per view of ``[T0; Ht] @ [T0 x v; Ht x v].T`` (``H =
+    E @ e``). Depth then part columns, each (k, P) and label-signed
+    (:func:`_signs`): ``M0`` is M0 | Q0, ``A`` CA | Qa, ``B`` CB | Qb.
+    ``margins`` and ``product`` are one evaluation's buffers."""
 
     def __init__(self, K0: np.ndarray, e: np.ndarray, topology: SkeletonTopology,
                  labelled: RelationPairs, config: HmorConfig):
@@ -656,15 +562,10 @@ class _RootForm:
 
 
 def root_pass(form: _RootForm, dx: np.ndarray, want_grad: bool = True):
-    """:func:`ordinal_pass` of the prediction at root offsets ``dx`` ((N,),
-    scaled units) from its reduced form: the (k,) totals, (3, k) levels,
-    (3,) view-0 counts and the (N,) gradient of ``totals.sum()`` with
-    respect to ``dx`` (None when want_grad is off). Signed margins come
-    from the stored coefficients, every level's in one (k, P) array, and
-    go through :func:`_score` as the entity-map kernel's do; a violated
-    pair's weight scatters onto its two persons through its margin's
-    derivatives (``CA``, ``CB``; ``Qa + Qab * db``, ``Qb + Qab * da``),
-    one ``bincount`` per end."""
+    """:func:`ordinal_pass` at root offsets ``dx`` (N,) from the reduced
+    form, with the (N,) gradient w.r.t. ``dx``: a violated pair's weight
+    reaches its persons through ``CA``, ``CB`` or ``Qa + Qab * db``, ``Qb
+    + Qab * da``, one ``bincount`` per end."""
     cfg, D = form.config, form.depth
     k = len(form.labels)
     da, db = dx.take(form.persons)
@@ -697,13 +598,9 @@ def root_pass(form: _RootForm, dx: np.ndarray, want_grad: bool = True):
 
 def hmor_loss(pred_scene: Scene, pairs: RelationPairs, view=None,
               config: HmorConfig | None = None) -> HmorLoss:
-    """Evaluate the hierarchical ordinal loss of a predicted scene.
-
-    ``pairs`` must have been enumerated from the ground truth under the
-    same view; the loss is read under its first view. The total is the
-    weighted sum of the per-level mean errors; a level with no pairs
-    contributes zero.
-    """
+    """The hierarchical ordinal loss of a predicted scene under the first
+    view of ``pairs``: the weighted sum of the per-level mean errors (0 for
+    a level with no pairs)."""
     cfg = config or HmorConfig()
     pairs.check_fits(pred_scene)
     if view is not None and not np.array_equal(_view_array(view), pairs.view):
@@ -718,14 +615,10 @@ def hmor_loss(pred_scene: Scene, pairs: RelationPairs, view=None,
 def part_relations_from_2d(gt_pixels: Sequence[np.ndarray],
                            topology: SkeletonTopology,
                            eps: float = 0.0) -> np.ndarray:
-    """Part-pair labels from 2D keypoints alone.
-
-    2D skeletons are treated as image-plane projections of the bone
-    vectors: each pixel-space bone (du, dv) lifts to (du, dv, 0) and the
-    turning-direction rule is applied with the view (0, 0, 1). Rows match
-    the part_pairs layout (m1, s1, m2, s2, label). At least one person's
-    finite keypoints and a finite ``eps >= 0`` are required
-    (InvalidInputError otherwise).
+    """Part-pair labels from 2D keypoints alone: each pixel-space bone (du,
+    dv) lifts to (du, dv, 0) and the turning-direction rule is applied
+    with the view (0, 0, 1). Rows are (m1, s1, m2, s2, label). At least
+    one person's finite keypoints and a finite ``eps >= 0`` are required.
     """
     if not 0.0 <= eps < math.inf:  # HmorConfig.equality_tolerance's rule
         raise InvalidInputError(f"eps must be finite and >= 0, got {eps!r}")

@@ -1,14 +1,9 @@
 """Gradient-based refinement of predicted scenes.
 
-The optimizer treats scene quantities (root depths, optionally every
-box-relative joint coordinate) as free variables and descends a weighted
-sum of the data terms and the hierarchical ordinal loss with exact
-analytic gradients. Clamp kinks contribute zero subgradient, matching
-the usual convention for hinge-style losses.
-
-Free variables are optimized in scaled units (millimeters and pixels
-times ``depth_unit_scale``), the same units depth margins are penalized
-in, so the default step size is meaningful across terms.
+The root depths, and optionally every box-relative joint coordinate, are
+free variables in scaled units (``depth_unit_scale``, as margins are).
+The solver descends the weighted data terms and ordinal loss with exact
+analytic gradients; clamp kinks contribute zero subgradient.
 """
 
 from __future__ import annotations
@@ -34,27 +29,14 @@ _TERMS = ("pose", "init", "refine", "abs", "hmor")
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Descent parameters and objective term weights.
-
-    ``views_per_step`` counts the views the ordinal term averages over:
-    the camera normal and ``views_per_step - 1`` views drawn once per run
-    from the seed, the same views at every step (see :func:`refine`).
-    ``free_variables`` is either
-    "root_depths_only" or "full_pose". ``anchor`` selects the target of
-    the data terms: the ground-truth scene, or the solver's own input at
-    its start point, where they read exactly 0 with a zero gradient
-    (useful as a no-restoring-force baseline). With ``step_halving`` the
-    step size is halved until the objective does not increase, which
-    keeps the trace monotone from row 1 on at every ``views_per_step``
-    (row 0 reads the input under the camera normal alone).
-
-    Every data term is L1, so its gradient does not shrink with its
-    residual. Under ``full_pose`` the pose term adds ``w_pose / (N·J·s)``
-    (``s = hmor.depth_unit_scale``) to the gradient of every box-relative
-    coordinate whose residual is nonzero, however small: 19.6 at 3
-    persons of 17 joints, so one step of the default ``step_size`` moves
-    such a coordinate by 196 mm or px, and it oscillates around its
-    anchor instead of settling.
+    """Descent parameters and objective term weights. The ordinal term
+    averages over ``views_per_step`` views drawn once per run (see
+    :func:`refine`). ``anchor`` targets the data terms at the ground truth
+    or at the input, where they read 0 with a zero gradient.
+    ``step_halving`` keeps the trace monotone from row 1 on. Every data
+    term is L1, so under ``full_pose`` the pose term adds ``w_pose /
+    (N·J·s)`` to the gradient of any coordinate off its anchor, however
+    slightly (19.6, a 196 mm step, at 3 persons): such a one oscillates.
     """
 
     steps: int = 500
@@ -99,14 +81,9 @@ class TraceEntry:
 
 
 class _SceneVars:
-    """Mutable array view of a scene's free quantities.
-
-    Holds box-relative coordinates, root depths, and the fixed box and
-    area data; converts between the packed scaled variable vector and
-    absolute scaled joints, and pushes loss gradients w.r.t. those joints
-    back onto the variable vector. Every joint of the scene must lie in
-    front of the camera.
-    """
+    """Mutable array view of a scene's free quantities: converts the
+    packed scaled variables to absolute scaled joints and pulls joint
+    gradients back. Every joint must lie in front of the camera."""
 
     def __init__(self, scene: Scene, config: SolverConfig):
         self.scene = scene
@@ -225,13 +202,9 @@ class _Anchors:
 
     @classmethod
     def of(cls, anchor: _SceneVars, sv: _SceneVars):
-        """Targets at ``anchor``'s current point for the prediction ``sv``.
-        Joints are back-projected as the prediction is
-        (:meth:`_SceneVars.joints_scaled`), so a prediction at its anchor
-        reads exactly 0 with a zero gradient in every data term; root
-        depths go through :func:`normalize_depth` under the prediction's
-        camera and :func:`equivalent_depth` under its boxes, validated
-        here once."""
+        """Targets at ``anchor``'s current point for the prediction ``sv``,
+        back-projected as the prediction is, so a prediction at its anchor
+        reads exactly 0 with a zero gradient in every data term."""
         rel = anchor.rel()
         z_norm = normalize_depth(anchor.ZR, sv.camera)
         return cls(rel, anchor.joints_scaled()[0] / anchor.scale, z_norm,
@@ -270,32 +243,14 @@ def _mean(per_view: np.ndarray, rows) -> float:
 def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config: SolverConfig,
               value_rows, want_grad: bool, all_terms: bool = True,
               form: _RootForm | None = None) -> _Evaluation:
-    """The objective at the current variables under row selections of the
-    ``labelled`` view stack, from one :func:`ordinal_pass`, as one
-    :class:`_Evaluation`. With ``form``, ``labelled`` reduced to the root
-    depths (:meth:`_SceneVars.root_form`), the ordinal term is one
-    :func:`root_pass` at ``sv.dx`` instead, the abs term reads the joints
-    ``K0 + e * dx`` and both pull their gradients back through ``e``: no
-    joint array is back-projected and no entity point projected.
-
-    ``totals`` holds the weighted total ``sum w_t * term_t`` of each
-    selection in ``value_rows``, summed in the order of ``_TERMS`` with
-    weight-0 terms left out; the ordinal term ``hmor`` is averaged over the
-    selection's views. ``grad`` is the total's gradient w.r.t. the packed
-    variables with the ordinal term averaged over every view (None unless
-    ``want_grad``), and ``violations`` the per-level counts under the
-    first labelled view. The data terms are :mod:`hmor.depth`'s on the
-    run's prepared targets (:class:`_Anchors`), computed once and shared by
-    every selection; each term's gradient is its sign times the term's
-    weight over its rows and the chain to the scaled variables.
-
-    With ``all_terms`` (every caller but :func:`refine`) every term is
-    computed, and ``hmor`` holds each selection's ordinal term and its
-    levels hmor.instance, hmor.part and hmor.joint. Without it a term of
-    weight 0 is not computed at all, ``data`` holds the others, and with
-    ``w_hmor == 0`` the violations are counted alone
-    (:func:`violation_counts`). Under ``root_depths_only`` the pose term
-    is the one :class:`_Anchors` computed.
+    """The objective at the current variables as one :class:`_Evaluation`:
+    the weighted total under each ``value_rows`` selection of the
+    ``labelled`` views (terms summed in ``_TERMS`` order), the gradient
+    w.r.t. the packed variables (ordinal term over every view) and view
+    0's counts. With ``all_terms`` every term is computed, with each
+    selection's levels; without it weight-0 terms are skipped. With
+    ``form`` (:meth:`_SceneVars.root_form`) the ordinal term is one
+    :func:`root_pass` and the abs term reads the joints ``K0 + e * dx``.
     """
     s, n = sv.scale, sv.N
     nj = n * sv.J
@@ -360,14 +315,10 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config
 
 
 def objective(pred_scene: Scene, gt_pairs, anchors: Scene, config: SolverConfig):
-    """Objective value and analytic gradient for a predicted scene.
-
-    ``gt_pairs`` is one RelationPairs or a sequence of them holding the
-    same pairs under different views (the ordinal term averages over the
-    sequence); ``anchors`` supplies the data-term targets. The gradient
-    is with respect to the packed free-variable vector selected by the
-    config.
-    """
+    """Objective value and analytic gradient w.r.t. the packed free
+    variables. ``gt_pairs`` is one RelationPairs or a sequence of them
+    holding the same pairs under different views (the ordinal term
+    averages over them); ``anchors`` supplies the data-term targets."""
     labelled = gt_pairs if isinstance(gt_pairs, RelationPairs) else RelationPairs.stack(gt_pairs)
     labelled.check_fits(pred_scene)
     _check_matched(pred_scene, anchors)
@@ -409,9 +360,8 @@ def objective_terms(pred_scene: Scene, gt_scene: Scene,
 
 def _labelled_views(truth: LabelledTruth, gt_scene: Scene, k: int, seed: int) -> RelationPairs:
     """The ground truth labelled under the camera normal and ``k - 1``
-    views from one ``sample_views`` draw of ``default_rng(seed)``. With
-    ``k == 1`` nothing is drawn, so a one-view run never imports
-    ``numpy.random`` (10-20 ms of a cold ``hmor refine``)."""
+    views drawn from ``default_rng(seed)``; none at ``k == 1``, so a
+    one-view run never imports ``numpy.random``."""
     views = sample_views(k - 1, np.random.default_rng(seed)) if k > 1 else []
     return truth.label([gt_scene.camera.normal, *views])
 
@@ -423,23 +373,12 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
     total ordinal violations under the camera normal). Deterministic
     given the config seed. Raises SolverError past the divergence limit.
 
-    The ground truth is enumerated once (:class:`LabelledTruth`) and
-    labelled once, under the camera normal and ``views_per_step - 1``
-    views drawn once per run (:func:`_labelled_views`, the stack
-    :func:`grad_check` checks). Every evaluation reads its value and
-    gradient on that one stack, so each step descends the same objective:
-    with ``step_halving`` the trace does not increase from row 1 on at any
-    view count. Row 0 is the input's value under the camera normal alone,
-    ``objective_terms``' ``total``. A step that leaves ``x`` and the step
-    size unchanged, bit for bit, is repeated by every later step, so the
-    remaining rows are copies of its row.
-
-    Each evaluation is one :func:`_evaluate` record, and reads only what
-    the descent uses: the totals, the gradient and view 0's violations.
-    The ground truth's targets are prepared once (:class:`_Anchors`), terms
-    of weight 0 are not computed, and under ``root_depths_only`` the pose
-    term is computed once and the ordinal term reduced to the root depths
-    once (:meth:`_SceneVars.root_form`). A halved candidate is evaluated
+    Every step descends one view stack, labelled once
+    (:func:`_labelled_views`); row 0 is the input under the camera normal
+    alone. A step that leaves ``x`` and the step size unchanged, bit for
+    bit, ends the run, its row copied to the end. Under
+    ``root_depths_only`` the ordinal term is reduced once
+    (:meth:`_SceneVars.root_form`). A halved candidate is evaluated
     without the gradient, and an accepted one once more with it.
     """
     cfg = config or SolverConfig()
@@ -521,26 +460,14 @@ def grad_check(scene: Scene, gt_scene: Scene, epsilon: float = 1e-5,
                config: SolverConfig | None = None) -> dict[str, float]:
     """Worst relative error between the analytic and the central-difference
     gradient of each objective term, by name (pose, init, refine, abs,
-    hmor), at ``scene`` against ``gt_scene``.
+    hmor), at ``scene`` against ``gt_scene``, of the objective every
+    :func:`refine` step descends with the data terms anchored at the
+    ground truth. Each analytic gradient is ``_evaluate``'s with that
+    term's weight alone set to 1.
 
-    Views: the objective is the one every :func:`refine` step descends,
-    its ordinal term averaged over the camera normal and ``views_per_step
-    - 1`` views drawn from ``default_rng(seed)``, its data terms anchored
-    at the ground truth. One sweep of :func:`_evaluate` at ``x +-
-    epsilon`` per coordinate differences every term; each analytic
-    gradient is ``_evaluate``'s with that term's weight alone set to 1.
-
-    Floor: a coordinate's error is ``|g - fd| / max(|g|, |fd|, 1e6 *
-    ulp(max(|f+|, |f-|, 1)) / epsilon)``. The floor bounds the
-    difference's roundoff: up to 20 such ulps read below 1e-5, so a zero
-    gradient against pure roundoff agrees. The 1 stands for the unit-size
-    quantities a term is computed from (an ordinal loss of 2e-6 is a mean
-    of margins between depths of 4 m).
-
-    Kinks: a difference that straddles a kink of an L1 residual or an
-    ordinal margin compares two linear pieces, so the point should have
-    none within ``2 epsilon`` along any coordinate, as
-    :func:`_gradcheck_point` draws it for the default epsilon.
+    An error is ``|g - fd| / max(|g|, |fd|, 1e6 * ulp(max(|f+|, |f-|, 1))
+    / epsilon)``, whose floor bounds the difference's roundoff. The point
+    should have no kink within ``2 epsilon`` (:func:`_gradcheck_point`).
     """
     cfg = config or SolverConfig(free_variables="full_pose")
     sv = _SceneVars(scene, cfg)
@@ -561,14 +488,11 @@ def grad_check(scene: Scene, gt_scene: Scene, epsilon: float = 1e-5,
 
 
 def _gradcheck_point(rng: np.random.Generator, i: int, config: SolverConfig):
-    """Point i of a gradient check from ``rng``: a generated ground truth of
-    ``1 + i % 3`` persons, the prediction with every free variable of
-    ``config`` (its free variables alternating by i) jittered by 250 mm
-    on root depths and 25 px or mm on the rest, and that config. A draw
-    is kept only when no L1 residual and no labelled ordinal margin moves
-    by more than its size over ``2e-5 e_j`` (twice grad_check's default
-    epsilon): linear along a coordinate (vector-part margins nearly), none
-    then changes sign within 2e-5 of the point."""
+    """Point i of a gradient check: a generated ground truth of ``1 + i %
+    3`` persons, the prediction with every free variable (alternating
+    modes by i) jittered by 250 mm on root depths and 25 px or mm on the
+    rest, and the config. A draw is kept only when no L1 residual or
+    labelled margin changes sign within ``2e-5`` along any coordinate."""
     from .synth import GenSpec, generate_scene
     cfg = dataclasses.replace(config, free_variables=("root_depths_only", "full_pose")[i % 2])
     while True:
