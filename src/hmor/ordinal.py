@@ -404,8 +404,8 @@ def _signs(labels: np.ndarray) -> np.ndarray:
     return (labels | 1).astype(float)
 
 
-def _score(signed: np.ndarray, labels: np.ndarray, eps: float, segments, weights,
-           log_end: int, want_grad: bool, levels: np.ndarray, counts: np.ndarray):
+def _score(signed: np.ndarray, labels: np.ndarray, eps: float, segments, scale,
+           log_end: int, levels: np.ndarray, counts: np.ndarray):
     """Every ordinal kernel's one step from (k, P) margins, each times its
     label's sign (:func:`_signs`), to losses: view 0's counts per level
     (a signed margin thresholds against ``|label|``) and each (level, pair
@@ -413,8 +413,9 @@ def _score(signed: np.ndarray, labels: np.ndarray, eps: float, segments, weights
     the errors: ``log1p(m)`` for a violated (``m > 0``) depth pair (the
     first ``log_end``), ``m`` for a part pair, 0 for a label 0, NaN for
     NaN. Returns the violated (flat index, view row, pair) and their
-    weights w.r.t. ``m``, ``|label| * w_level / P_level`` (over ``1 + m``
-    for a depth pair); None without ``want_grad``."""
+    weights w.r.t. ``m``, ``|label| * scale[pair]`` (over ``1 + m`` for a
+    depth pair), ``scale`` being each pair's ``w_level / P_level``; None
+    when ``scale`` is."""
     P = signed.shape[1]
     sizes = [max(pairs.stop - pairs.start, 1) for _, pairs, *_ in segments]
     _count_disagreements(signed[:1], np.abs(labels[:1]), eps, segments, counts)
@@ -425,23 +426,27 @@ def _score(signed: np.ndarray, labels: np.ndarray, eps: float, segments, weights
     size = np.abs(labels.take(hit))  # 0 for a label-0 pair: no error, no weight
     row = hit // P  # not divmod, whose remainder is several times slower
     pair = hit - row * P
-    logged = slice(None) if log_end >= P else pair < log_end
+    logged = True if log_end >= P else pair < log_end
     hits = None
-    if want_grad:
-        w = size.astype(float)
-        w[logged] /= 1.0 + margin[logged]
-        stops = [pairs.stop for _, pairs, *_ in segments]
-        w *= np.take([weights[level] / n for (level, *_), n in zip(segments, sizes)],
-                     np.searchsorted(stops, pair, "right"))  # each pair's level weight / P
+    if scale is not None:
+        w = size / np.where(logged, 1.0 + margin, 1.0)
+        w *= scale.take(pair)
         hits = hit, row, pair, w
     if log_end:
-        margin[logged] = np.log1p(margin[logged])
+        margin = np.where(logged, np.log1p(margin), margin)
     if not size.all():
         margin *= size
     signed.put(hit, margin)
     for (level, pairs, *_), n in zip(segments, sizes):
         levels[level] = signed[:, pairs].sum(axis=1) / n
     return hits
+
+
+def _column_scale(segments, weights) -> np.ndarray:
+    """Each pair's ``w_level / P_level`` over (level, pair slice, ...) segments."""
+    sizes = [pairs.stop - pairs.start for _, pairs, *_ in segments]
+    return np.repeat([weights[level] / max(n, 1) for (level, *_), n in zip(segments, sizes)],
+                     sizes)
 
 
 def _weighted(levels: np.ndarray, cfg: HmorConfig) -> np.ndarray:
@@ -476,8 +481,9 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     margins = _depth_margins(X, V, layout)
     labels = labelled.depth_labels
     margins *= _signs(labels)
-    hits = _score(margins, labels, eps, layout.segments, weights, margins.shape[1], want_grad,
-                  levels, violations)
+    hits = _score(margins, labels, eps, layout.segments,
+                  _column_scale(layout.segments, weights) if want_grad else None,
+                  margins.shape[1], levels, violations)
     if want_grad:
         flat, row, pair, W = hits
         W *= labels.take(flat)  # the weight of the raw margin
@@ -491,8 +497,9 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
         labels = labelled.part_labels
         margins *= _signs(labels)
         part_grad = want_grad and cfg.w_part > 0
-        hits = _score(margins, labels, eps, ((1, slice(0, len(layout.flat))),), weights, 0,
-                      part_grad, levels, violations)
+        parts = ((1, slice(0, len(layout.flat))),)
+        hits = _score(margins, labels, eps, parts,
+                      _column_scale(parts, weights) if part_grad else None, 0, levels, violations)
         if part_grad:
             S = layout.per_person[0]
             n = len(X) * S
@@ -556,6 +563,8 @@ class _RootForm:
                  self.Qab[row]) = (T @ Cv.T).take(blocks)
             self.Qab *= sign[:, D:]
             self.segments.append((1, slice(D, P)))
+        self.scale = _column_scale(self.segments, (config.w_instance, config.w_part,
+                                                   config.w_joint))
         for out in (self.M0, self.A, self.B):
             out *= sign
         self.margins, self.product = np.empty((k, P)), np.empty((k, P))  # an evaluation's
@@ -579,7 +588,7 @@ def root_pass(form: _RootForm, dx: np.ndarray, want_grad: bool = True):
     levels = np.zeros((3, k))
     violations = np.zeros((3, min(k, 1)), dtype=int)  # view 0's
     hits = _score(margins, form.labels, cfg.equality_tolerance, form.segments,
-                  (cfg.w_instance, cfg.w_part, cfg.w_joint), D, want_grad, levels, violations)
+                  form.scale if want_grad else None, D, levels, violations)
     g = None
     if want_grad:
         flat, row, pair, w = hits
