@@ -529,8 +529,9 @@ class _RootForm:
     and a vector-part margin ``Q0 + Qa * da + Qb * db + Qab * da * db``,
     from one product per view of ``[T0; Ht] @ [T0 x v; Ht x v].T`` (``H =
     E @ e``). Depth then part columns, each (k, P) and label-signed
-    (:func:`_signs`): ``M0`` is M0 | Q0, ``A`` CA | Qa, ``B`` CB | Qb.
-    ``margins`` and ``product`` are one evaluation's buffers."""
+    (:func:`_signs`): ``M0`` is M0 | Q0, ``A`` CA | Qa, ``B`` CB | Qb,
+    ``Qab`` 0 | Qab. ``margins`` and ``product`` are one evaluation's
+    buffers."""
 
     def __init__(self, K0: np.ndarray, e: np.ndarray, topology: SkeletonTopology,
                  labelled: RelationPairs, config: HmorConfig):
@@ -554,18 +555,19 @@ class _RootForm:
         self.A[:, :D] = a[:, 1]
         np.negative(b[:, 1], out=self.B[:, :D])
         sign = _signs(self.labels)
+        coefficients = [self.M0, self.A, self.B]
         if P > D:  # vector parts
+            self.Qab = np.zeros((k, P))  # 0 for a depth pair
+            coefficients.append(self.Qab)
             S = layout.per_person[0]
             T = X[:, :, 1:1 + S].reshape(-1, 3)  # [T0; Ht]
-            self.Qab = np.empty((k, P - D))
             for row, Cv in enumerate(_cross_views(T, V)):
                 (self.M0[row, D:], self.A[row, D:], self.B[row, D:],
-                 self.Qab[row]) = (T @ Cv.T).take(blocks)
-            self.Qab *= sign[:, D:]
+                 self.Qab[row, D:]) = (T @ Cv.T).take(blocks)
             self.segments.append((1, slice(D, P)))
         self.scale = _column_scale(self.segments, (config.w_instance, config.w_part,
                                                    config.w_joint))
-        for out in (self.M0, self.A, self.B):
+        for out in coefficients:
             out *= sign
         self.margins, self.product = np.empty((k, P)), np.empty((k, P))  # an evaluation's
 
@@ -583,8 +585,7 @@ def root_pass(form: _RootForm, dx: np.ndarray, want_grad: bool = True):
     margins += np.multiply(form.B, db, out=product)
     margins += form.M0
     if form.labels.shape[1] > D:
-        product = np.multiply(form.Qab, da[D:] * db[D:], out=product[:, D:])
-        margins[:, D:] += product
+        margins += np.multiply(form.Qab, da * db, out=product)
     levels = np.zeros((3, k))
     violations = np.zeros((3, min(k, 1)), dtype=int)  # view 0's
     hits = _score(margins, form.labels, cfg.equality_tolerance, form.segments,
@@ -593,11 +594,10 @@ def root_pass(form: _RootForm, dx: np.ndarray, want_grad: bool = True):
     if want_grad:
         flat, row, pair, w = hits
         ga, gb = form.A.take(flat), form.B.take(flat)
-        part = pair >= D
-        if part.any():
-            cross = form.Qab.take(row[part] * (form.labels.shape[1] - D) + pair[part] - D)
-            ga[part] += cross * db.take(pair[part])
-            gb[part] += cross * da.take(pair[part])
+        if form.labels.shape[1] > D:
+            cross = form.Qab.take(flat)
+            ga += cross * db.take(pair)
+            gb += cross * da.take(pair)
         pa, pb = form.persons.take(pair, axis=1)
         g = np.zeros(len(dx))  # += also takes an empty bincount's int zeros
         g += np.bincount(pa, w * ga, len(dx))
