@@ -548,12 +548,12 @@ class _RootForm:
              tuple(getattr(layout, name) for name in _LABEL_SETTINGS)))
         self.segments = list(layout.segments)
         self.M0, self.A, self.B = (np.empty((k, P)) for _ in range(3))
-        # both projections in one: z0 then zh, as _depth_margins projects
-        z = _project(X.reshape(-1, 3), V).reshape(k, 2, -1)
-        a, b = (z.take(ends, axis=2) for ends in layout.pairs)
-        np.subtract(a[:, 0], b[:, 0], out=self.M0[:, :D])
-        self.A[:, :D] = a[:, 1]
-        np.negative(b[:, 1], out=self.B[:, :D])
+        # both projections in one, rows z0 and zh per view, as _depth_margins projects
+        z = _project(X.reshape(-1, 3), V).reshape(2 * k, -1)
+        a, b = (z.take(ends, axis=1) for ends in layout.pairs)
+        np.subtract(a[::2], b[::2], out=self.M0[:, :D])
+        self.A[:, :D] = a[1::2]
+        np.negative(b[1::2], out=self.B[:, :D])
         sign = _signs(self.labels)
         coefficients = [self.M0, self.A, self.B]
         if P > D:  # vector parts
