@@ -169,8 +169,9 @@ class _SceneVars:
     def root_form(self, labelled: RelationPairs) -> _RootForm | None:
         """The ordinal term under ``labelled`` reduced to the root depths
         (:class:`_RootForm`), about the start point, which it moves the
-        variables to; None under ``full_pose``."""
-        if self.cfg.free_variables != "root_depths_only":
+        variables to; None under ``full_pose`` or with no ordinal term
+        (``w_hmor == 0``), where violations are only counted."""
+        if self.cfg.free_variables != "root_depths_only" or not self.cfg.w_hmor:
             return None
         self.unpack(self.start[0])
         K0, _, a, b = self.joints_scaled()
