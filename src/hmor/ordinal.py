@@ -547,7 +547,11 @@ class _RootForm:
             (layout.person_count, *layout.per_person,
              tuple(getattr(layout, name) for name in _LABEL_SETTINGS)))
         self.segments = list(layout.segments)
-        self.M0, self.A, self.B = (np.empty((k, P)) for _ in range(3))
+        # one block past glibc's 128 KiB mmap threshold: freeing it raises that
+        # and the trim threshold, so a later run reuses heap pages where
+        # separate arrays are trimmed off the heap and faulted in again
+        block = np.empty((5 + (P > D), k, P))
+        self.M0, self.A, self.B, self.margins, self.product = block[:5]
         # both projections in one, rows z0 and zh per view, as _depth_margins projects
         z = _project(X.reshape(-1, 3), V).reshape(2 * k, -1)
         a, b = (z.take(ends, axis=1) for ends in layout.pairs)
@@ -557,7 +561,8 @@ class _RootForm:
         sign = _signs(self.labels)
         coefficients = [self.M0, self.A, self.B]
         if P > D:  # vector parts
-            self.Qab = np.zeros((k, P))  # 0 for a depth pair
+            self.Qab = block[5]
+            self.Qab[:, :D] = 0.0  # a depth pair's
             coefficients.append(self.Qab)
             S = layout.per_person[0]
             T = X[:, :, 1:1 + S].reshape(-1, 3)  # [T0; Ht]
@@ -569,7 +574,6 @@ class _RootForm:
                                                    config.w_joint))
         for out in coefficients:
             out *= sign
-        self.margins, self.product = np.empty((k, P)), np.empty((k, P))  # an evaluation's
 
 
 def root_pass(form: _RootForm, dx: np.ndarray, want_grad: bool = True):
