@@ -265,23 +265,6 @@ def _full_layout(N: int, S: int, J: int, settings: tuple) -> _Layout:
     return _Layout(index, (S, J), N, settings)
 
 
-@functools.lru_cache(maxsize=32)
-def _root_columns(layout_key: tuple):
-    """:class:`_RootForm`'s (2, P) persons of a layout's depth and then
-    vector part pairs, and its (4, P_part) index of their coefficients in
-    a flattened (2n, 2n) product (None under particle parts). Cached apart
-    from the layout, which labelling alone keeps."""
-    layout = _full_layout(*layout_key)
-    persons = layout.pairs // layout.width
-    if layout.flat is None:
-        return persons, None
-    n = layout.person_count * layout.per_person[0]
-    a, b = np.divmod(layout.flat, n)
-    at = a * (2 * n) + b
-    return (np.concatenate([persons, np.stack([a, b]) // layout.per_person[0]], axis=1),
-            np.stack([at, at + 2 * n * n, at + n, at + 2 * n * n + n]))
-
-
 def _project(X: np.ndarray, views: np.ndarray) -> np.ndarray:
     """(k, n) projections of (n, 3) points on (k, 3) views, written out so
     a view's row has the same bits in any stack (a matmul's do not)."""
@@ -520,93 +503,6 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
 
     dK = E.T @ dX if want_grad else None
     return _weighted(levels, cfg), levels, violations.sum(axis=1), dK  # one column, or zeros
-
-
-class _RootForm:
-    """The ordinal loss reduced to N root depths, built once per stack.
-    Joints are ``K0 + e * dx[person]`` (``e = (a, b, 1)``), so a depth
-    margin is ``M0 + CA * da + CB * db`` (da, db: its persons' offsets)
-    and a vector-part margin ``Q0 + Qa * da + Qb * db + Qab * da * db``,
-    from one product per view of ``[T0; Ht] @ [T0 x v; Ht x v].T`` (``H =
-    E @ e``). Depth then part columns, each (k, P) and label-signed
-    (:func:`_signs`): ``M0`` is M0 | Q0, ``A`` CA | Qa, ``B`` CB | Qb,
-    ``Qab`` 0 | Qab. ``margins`` and ``product`` are one evaluation's
-    buffers."""
-
-    def __init__(self, K0: np.ndarray, e: np.ndarray, topology: SkeletonTopology,
-                 labelled: RelationPairs, config: HmorConfig):
-        layout = labelled.layout
-        layout.check_labels(config)
-        self.K0, self.e, self.labelled, self.config = K0, e, labelled, config
-        X = _entity_map(topology, config.part_mode) @ np.stack([K0, e])  # [X0, H]
-        V = labelled.views
-        self.labels = np.concatenate([labelled.depth_labels, labelled.part_labels], axis=1)
-        k, P = self.labels.shape
-        self.depth = D = layout.pairs.shape[1]  # the depth pairs' columns
-        self.persons, blocks = _root_columns(
-            (layout.person_count, *layout.per_person,
-             tuple(getattr(layout, name) for name in _LABEL_SETTINGS)))
-        self.segments = list(layout.segments)
-        # one block past glibc's 128 KiB mmap threshold: freeing it raises that
-        # and the trim threshold, so a later run reuses heap pages where
-        # separate arrays are trimmed off the heap and faulted in again
-        block = np.empty((5 + (P > D), k, P))
-        self.M0, self.A, self.B, self.margins, self.product = block[:5]
-        # both projections in one, rows z0 and zh per view, as _depth_margins projects
-        z = _project(X.reshape(-1, 3), V).reshape(2 * k, -1)
-        a, b = (z.take(ends, axis=1) for ends in layout.pairs)
-        np.subtract(a[::2], b[::2], out=self.M0[:, :D])
-        self.A[:, :D] = a[1::2]
-        np.negative(b[1::2], out=self.B[:, :D])
-        sign = _signs(self.labels)
-        coefficients = [self.M0, self.A, self.B]
-        if P > D:  # vector parts
-            self.Qab = block[5]
-            self.Qab[:, :D] = 0.0  # a depth pair's
-            coefficients.append(self.Qab)
-            S = layout.per_person[0]
-            T = X[:, :, 1:1 + S].reshape(-1, 3)  # [T0; Ht]
-            for row, Cv in enumerate(_cross_views(T, V)):
-                (self.M0[row, D:], self.A[row, D:], self.B[row, D:],
-                 self.Qab[row, D:]) = (T @ Cv.T).take(blocks)
-            self.segments.append((1, slice(D, P)))
-        self.scale = _column_scale(self.segments, (config.w_instance, config.w_part,
-                                                   config.w_joint))
-        for out in coefficients:
-            out *= sign
-
-
-def root_pass(form: _RootForm, dx: np.ndarray, want_grad: bool = True):
-    """:func:`ordinal_pass` at root offsets ``dx`` (N,) from the reduced
-    form, with the (N,) gradient w.r.t. ``dx``: a violated pair's weight
-    reaches its persons through ``CA``, ``CB`` or ``Qa + Qab * db``, ``Qb
-    + Qab * da``, one ``bincount`` per end."""
-    cfg, D = form.config, form.depth
-    k = len(form.labels)
-    da, db = dx.take(form.persons)
-    margins, product = form.margins, form.product
-    np.multiply(form.A, da, out=margins)
-    margins += np.multiply(form.B, db, out=product)
-    margins += form.M0
-    if form.labels.shape[1] > D:
-        margins += np.multiply(form.Qab, da * db, out=product)
-    levels = np.zeros((3, k))
-    violations = np.zeros((3, min(k, 1)), dtype=int)  # view 0's
-    hits = _score(margins, form.labels, cfg.equality_tolerance, form.segments,
-                  form.scale if want_grad else None, D, levels, violations)
-    g = None
-    if want_grad:
-        flat, row, pair, w = hits
-        ga, gb = form.A.take(flat), form.B.take(flat)
-        if form.labels.shape[1] > D:
-            cross = form.Qab.take(flat)
-            ga += cross * db.take(pair)
-            gb += cross * da.take(pair)
-        pa, pb = form.persons.take(pair, axis=1)
-        g = np.zeros(len(dx))  # += also takes an empty bincount's int zeros
-        g += np.bincount(pa, w * ga, len(dx))
-        g += np.bincount(pb, w * gb, len(dx))
-    return _weighted(levels, cfg), levels, violations.sum(axis=1), g
 
 
 def hmor_loss(pred_scene: Scene, pairs: RelationPairs, view=None,

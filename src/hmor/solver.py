@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,9 +20,11 @@ from .depth import (equivalent_depth, init_term, l1_residual, l1_term, normalize
 from .errors import InvalidDepthError, InvalidInputError, NumericalError, SolverError
 from .geometry import back_project_points, sample_views
 from .ordinal import (HmorConfig, LabelledTruth, RelationPairs, _depth_margins, _entity_map,
-                      _part_margins, _RootForm, check_finite_fields, ordinal_pass, root_pass,
-                      violation_counts)
+                      _part_margins, check_finite_fields, ordinal_pass, violation_counts)
 from .skeleton import RelativePose, Scene, check_topologies_match
+
+if typing.TYPE_CHECKING:  # hmor.rootform is imported where a form is built
+    from .rootform import _RootForm
 
 # the objective's terms, in the order the weighted total sums them
 _TERMS = ("pose", "init", "refine", "abs", "hmor")
@@ -173,6 +176,7 @@ class _SceneVars:
         (``w_hmor == 0``), where violations are only counted."""
         if self.cfg.free_variables != "root_depths_only" or not self.cfg.w_hmor:
             return None
+        from .rootform import _RootForm
         self.unpack(self.start[0])
         K0, _, a, b = self.joints_scaled()
         return _RootForm(K0, np.stack([a, b, np.ones_like(a)], axis=-1), self.topology,
@@ -287,6 +291,8 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config
         if w := getattr(config, f"w_{name}"):
             total += w * value
 
+    if form is not None:
+        from .rootform import root_pass
     hmor = None
     if all_terms or config.w_hmor:
         hmor_grad = want_grad and config.w_hmor > 0

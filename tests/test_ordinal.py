@@ -10,7 +10,8 @@ from hmor import (GaussNoise, GenSpec, HmorConfig, HmorLoss, InvalidInputError,
                   enumerate_pairs, evaluate, generate_scene, hmor_loss, objective,
                   ordinal_violations, part_relations_from_2d, perturb, refine, sample_view)
 from hmor.ordinal import (LabelledTruth, RelationPairs, _entity_map, _full_layout, _Layout,
-                          ordinal_pass, root_pass, scene_joint_array, violation_counts)
+                          ordinal_pass, scene_joint_array, violation_counts)
+from hmor.rootform import root_pass
 from hmor.solver import _fd_max_rel_err, _SceneVars
 from conftest import (brute_force_labels, brute_force_pairs, err_instance, err_instance_grad,
                       err_joint, err_joint_grad, err_part, err_part_grad, err_part_particle,

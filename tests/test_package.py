@@ -97,12 +97,13 @@ class TestSubcommandModules:
 
     @pytest.mark.parametrize("argv, absent", [
         (("gen", "--out", "{root}/out"), {"hmor.solver", "hmor.ordinal", "hmor.metrics",
-                                          "hmor.depth"}),
-        (("loss", "{root}/pred/s0.json", "{root}/gt/s0.json"), {"hmor.metrics", "hmor.synth"}),
+                                          "hmor.depth", "hmor.rootform"}),
+        (("loss", "{root}/pred/s0.json", "{root}/gt/s0.json"),
+         {"hmor.metrics", "hmor.synth", "hmor.rootform"}),
         (("refine", "{root}/pred/s0.json", "{root}/gt/s0.json", "--out", "{root}/r.json",
           "--steps", "2"), {"hmor.metrics", "hmor.synth"}),
-        (("eval", "{root}/pred/s0.json", "{root}/gt/s0.json"), {"hmor.synth"}),
-        (("eval", "{root}/pred", "{root}/gt", "--jobs", "1"), {"hmor.synth"}),
+        (("eval", "{root}/pred/s0.json", "{root}/gt/s0.json"), {"hmor.synth", "hmor.rootform"}),
+        (("eval", "{root}/pred", "{root}/gt", "--jobs", "1"), {"hmor.synth", "hmor.rootform"}),
     ], ids=["gen", "loss", "refine", "eval_file", "eval_dir"])
     def test_subcommand_skips_what_it_does_not_run(self, files, argv, absent):
         modules = self.loaded(files, *(a.format(root=files) for a in argv))

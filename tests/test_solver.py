@@ -16,6 +16,7 @@ from hmor import (DepthEstimate, GaussNoise, GenSpec, HmorConfig, InvalidDepthEr
 from hmor import sample_view
 from hmor.cli import main
 from hmor.depth import init_term, l1_term, refine_term
+import hmor.rootform
 import hmor.solver
 from hmor.ordinal import LabelledTruth, scene_joint_array
 from hmor.solver import (_Anchors, _checked_objective, _evaluate, _fd_max_rel_err,
@@ -442,13 +443,13 @@ class TestCarriedEvaluation:
         gt = generate_scene(spec)
         noisy = perturb(gt, spec)
         calls = []
-        kernel = hmor.solver.root_pass  # the ordinal kernel under root_depths_only
+        kernel = hmor.rootform.root_pass  # the ordinal kernel under root_depths_only
 
         def spy(*args, **kwargs):
             calls.append(args)
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(hmor.solver, "root_pass", spy)
+        monkeypatch.setattr(hmor.rootform, "root_pass", spy)
         cfg = SolverConfig(steps=10, views_per_step=views, step_halving=False)
         _, trace = refine(noisy, gt, cfg)
         # one pass at the start point for trace row 0 and step 1's
@@ -563,8 +564,9 @@ class TestWhatAnEvaluationComputes:
             monkeypatch.setattr(owner, name, counted)
 
         for name in ("normalize_depth", "equivalent_depth", "l1_term", "init_term",
-                     "refine_term", "ordinal_pass", "root_pass"):
+                     "refine_term", "ordinal_pass"):
             spy(name)
+        spy("root_pass", hmor.rootform)
         spy("joints_scaled", _SceneVars)
         spy("grad_to_x", _SceneVars)
         cfg = SolverConfig(steps=8, views_per_step=2, step_size=0.5,
@@ -603,13 +605,13 @@ class TestWhatAnEvaluationComputes:
     @pytest.mark.parametrize("views", [1, 2, 4])
     def test_grad_check_draws_refine_first_step_views(self, monkeypatch, views):
         stacks = []
-        kernel = hmor.solver.root_pass  # the ordinal kernel under root_depths_only
+        kernel = hmor.rootform.root_pass  # the ordinal kernel under root_depths_only
 
         def spy(form, *args, **kwargs):
             stacks.append(form.labelled.views)
             return kernel(form, *args, **kwargs)
 
-        monkeypatch.setattr(hmor.solver, "root_pass", spy)
+        monkeypatch.setattr(hmor.rootform, "root_pass", spy)
         pred, gt = self._pair(32)
         for steps in (1, 10):  # one run's draw holds every step's views
             cfg = SolverConfig(steps=steps, views_per_step=views, seed=41)
