@@ -86,6 +86,10 @@ class _RootForm:
         for out in coefficients:
             out *= sign
 
+    def __call__(self, dx: np.ndarray, want_grad: bool = True):
+        """:func:`root_pass` at ``dx``."""
+        return root_pass(self, dx, want_grad)
+
 
 def root_pass(form: _RootForm, dx: np.ndarray, want_grad: bool = True):
     """:func:`ordinal_pass` at root offsets ``dx`` (N,) from the reduced

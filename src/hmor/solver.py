@@ -255,7 +255,8 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config
     0's counts. With ``all_terms`` every term is computed, with each
     selection's levels; without it weight-0 terms are skipped. With
     ``form`` (:meth:`_SceneVars.root_form`) the ordinal term is one
-    :func:`root_pass` and the abs term reads the joints ``K0 + e * dx``.
+    :func:`~hmor.rootform.root_pass` and the abs term reads the joints
+    ``K0 + e * dx``.
     """
     s, n = sv.scale, sv.N
     nj = n * sv.J
@@ -291,8 +292,6 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config
         if w := getattr(config, f"w_{name}"):
             total += w * value
 
-    if form is not None:
-        from .rootform import root_pass
     hmor = None
     if all_terms or config.w_hmor:
         hmor_grad = want_grad and config.w_hmor > 0
@@ -300,7 +299,7 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config
             per_view, levels, counts, dK_hmor = ordinal_pass(
                 K, sv.topology, labelled, config.hmor, want_grad=hmor_grad)
         else:  # its gradient is w.r.t. the root depths
-            per_view, levels, counts, g_hmor = root_pass(form, sv.dx, hmor_grad)
+            per_view, levels, counts, g_hmor = form(sv.dx, hmor_grad)
         means = [_check_finite("hmor", _mean(per_view, rows)) for rows in value_rows]
         totals = [total + config.w_hmor * m if config.w_hmor else total for m in means]
         if all_terms:
@@ -314,7 +313,7 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config
             dK = dK_hmor if dK is None else dK + dK_hmor
     else:
         counts = (violation_counts(K, sv.topology, labelled.rows(slice(0, 1)), config.hmor)[:, 0]
-                  if form is None else root_pass(form, sv.dx, False)[2])
+                  if form is None else form(sv.dx, False)[2])
         totals = [total] * len(value_rows)
     if dK is not None:
         grad += sv.grad_to_x(dK, d, a, b) if form is None else (dK * form.e).sum(axis=(1, 2))
