@@ -19,7 +19,7 @@ from .errors import InvalidInputError, NumericalError
 from .geometry import project_points
 from .ordinal import (HmorConfig, LabelledTruth, _view_array, scene_joint_array,
                       violation_counts)
-from .skeleton import AbsolutePose, Scene, check_topologies_match
+from .skeleton import AbsolutePose, Scene, check_matched, check_topologies_match
 
 DEFAULT_PCK_THRESHOLD_MM = 150.0
 DEFAULT_AUC_GRID_MM = (1.0, 150.0, 1.0)  # first and last threshold, step
@@ -359,9 +359,7 @@ def ordinal_violations(pred: Scene, gt: Scene, views,
     matched person-for-person (same count, same order). Each scene is
     lifted once, the ground truth enumerated once and every view counted
     in one :func:`violation_counts`, which forms no loss."""
-    check_topologies_match(pred, gt)
-    if pred.person_count != gt.person_count:
-        raise InvalidInputError("scenes must contain the same persons in the same order")
+    check_matched(pred, gt)
     return _audit(scene_joint_array(pred), scene_joint_array(gt), gt, views, config)
 
 

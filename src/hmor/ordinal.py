@@ -62,14 +62,10 @@ class HmorConfig:
 class RelationPairs:
     """A ground-truth scene's pair sets, labelled under a stack of k views.
 
-    ``views`` is (k, 3), ``layout`` (:class:`_Layout`) the pairs and their
-    labelling settings, ``depth_labels`` and ``part_labels`` the (k, P)
-    int8 labels of its stacked depth pairs and of its vector parts (none
-    under particle parts). Built on access: ``index``, each level's (2, P)
-    entity pairs a < b (persons, ``person * S + part``, ``person * J +
-    joint``), ``labels``, each level's (k, P) labels, and view 0's integer
-    rows ``instance_pairs`` (m_a, m_b, label), ``part_pairs`` and
-    ``joint_pairs`` (m_1, i_1, m_2, i_2, label).
+    ``views`` is (k, 3) (``view`` is view 0), ``layout`` (:class:`_Layout`)
+    the pairs and their labelling settings, ``depth_labels`` and
+    ``part_labels`` the (k, P) int8 labels of its stacked depth pairs and
+    of its vector parts (none under particle parts).
     """
 
     views: np.ndarray
@@ -77,30 +73,7 @@ class RelationPairs:
     depth_labels: np.ndarray = field(repr=False)
     part_labels: np.ndarray = field(repr=False)
 
-    def _level(self, level: int):
-        """Level ``level``'s (2, P) entity pairs and (k, P) labels."""
-        layout = self.layout
-        for depth_level, pairs, per, row in layout.segments:
-            if depth_level == level:
-                m, r = np.divmod(layout.pairs[:, pairs], layout.width)
-                return m * per + r - row, self.depth_labels[:, pairs]
-        n = layout.person_count * layout.per_person[0]
-        return np.stack(np.divmod(layout.flat, n)), self.part_labels
-
-    def _level_rows(self, level: int) -> np.ndarray:
-        (a, b), labels = self._level(level)
-        per = (None, *self.per_person)[level]
-        cols = [a, b] if per is None else [*np.divmod(a, per), *np.divmod(b, per)]
-        return np.column_stack(cols + [labels[0].astype(int)])
-
-    index = property(lambda self: tuple(self._level(level)[0] for level in range(3)))
-    labels = property(lambda self: tuple(self._level(level)[1] for level in range(3)))
-    per_person = property(lambda self: self.layout.per_person)
-    person_count = property(lambda self: self.layout.person_count)
     view = property(lambda self: self.views[0])
-    instance_pairs = property(lambda self: self._level_rows(0))
-    part_pairs = property(lambda self: self._level_rows(1))
-    joint_pairs = property(lambda self: self._level_rows(2))
 
     def rows(self, rows) -> RelationPairs:
         """The sub-stack of the view rows ``rows`` (any numpy index; an
@@ -110,38 +83,23 @@ class RelationPairs:
         return RelationPairs(self.views[rows], self.layout, self.depth_labels[rows],
                              self.part_labels[rows])
 
-    @classmethod
-    def stack(cls, pairs_seq: Sequence[RelationPairs]) -> RelationPairs:
-        """One pair set holding every element's views in order. Every element
-        must hold the same pairs under the same labelling settings (as
-        ``enumerate_pairs`` gives for any view of one scene and config)."""
-        if not pairs_seq:
-            raise InvalidInputError("no pair sets to stack")
-        first = pairs_seq[0]
-        if any(p.layout != first.layout for p in pairs_seq[1:]):
-            raise InvalidInputError("pair sets differ between views; enumerate every view "
-                                    "of one scene with the same config")
-        return cls(np.concatenate([p.views for p in pairs_seq]), first.layout,
-                   *(np.concatenate([getattr(p, name) for p in pairs_seq])
-                     for name in ("depth_labels", "part_labels")))
-
     def check_fits(self, scene: Scene) -> None:
         """Raise InvalidInputError unless the pairs hold a view and ``scene``
         has the persons, and the parts and joints per person, the pairs
         were enumerated for."""
         if not len(self.views):
             raise InvalidInputError("the pair set holds no views")
-        S, J = self.per_person
+        S, J = self.layout.per_person
         topology = scene.topology
         if (topology.part_count, topology.joint_count) != (S, J):
             raise InvalidInputError(
                 f"topology mismatch: the scene has {topology.part_count} parts and "
                 f"{topology.joint_count} joints per person, the pairs were enumerated "
                 f"for {S} and {J}")
-        if scene.person_count != self.person_count:
+        if scene.person_count != self.layout.person_count:
             raise InvalidInputError(
                 f"person count mismatch: the scene has {scene.person_count} persons, "
-                f"the pairs were enumerated for {self.person_count}")
+                f"the pairs were enumerated for {self.layout.person_count}")
 
 
 @dataclass(frozen=True)
@@ -248,13 +206,6 @@ class _Layout:
     def __repr__(self) -> str:
         return (f"_Layout(pairs={self.sizes}, N={self.person_count}, (S, J)={self.per_person}, "
                 + ", ".join(f"{name}={getattr(self, name)!r}" for name in _LABEL_SETTINGS) + ")")
-
-    def __eq__(self, other) -> bool:  # content: an evicted cache entry is rebuilt as a new object
-        names = ("sizes", "person_count", "per_person", *_LABEL_SETTINGS)
-        return self is other or (isinstance(other, _Layout)
-                                 and all(getattr(self, n) == getattr(other, n) for n in names)
-                                 and np.array_equal(self.pairs, other.pairs)
-                                 and np.array_equal(self.flat, other.flat))
 
 
 @functools.lru_cache(maxsize=32)

@@ -138,12 +138,15 @@ def scene_from_dict(data: dict) -> Scene:
                         f"{ctx}.joints[{k}]")
             rel[k] = [_number(joint[c], f"{ctx}.joints[{k}].{c}")
                       for c in ("u", "v", "z_rel_mm")]
+        roi_area = _number(entry["roi_area"], f"{ctx}.roi_area")
+        if roi_area <= 0:  # Person would read 0 as "the box area"
+            raise InvalidInputError(f"{ctx}.roi_area must be positive, got {roi_area!r}")
         persons.append(Person(
             box=BoundingBox(*(_number(box[c], f"{ctx}.box.{c}")
                               for c in ("u_top", "v_top", "w", "h"))),
             rel_pose=RelativePose(rel, topology.root_index),
             root_depth=_number(entry["root_depth_mm"], f"{ctx}.root_depth_mm"),
-            roi_area=_number(entry["roi_area"], f"{ctx}.roi_area"),
+            roi_area=roi_area,
         ))
     return Scene(camera=camera, persons=tuple(persons), topology=topology)
 

@@ -214,6 +214,14 @@ def check_topologies_match(pred: Scene, gt: Scene) -> None:
         raise InvalidInputError("topology mismatch: " + "; ".join(problems))
 
 
+def check_matched(pred: Scene, other: Scene) -> None:
+    """Raise InvalidInputError unless ``other`` has the prediction's
+    topology and person count, as scenes matched person for person do."""
+    check_topologies_match(pred, other)
+    if pred.person_count != other.person_count:
+        raise InvalidInputError("scenes must be matched person-for-person")
+
+
 def assemble_absolute(person: Person, camera: Camera) -> AbsolutePose:
     """Back-project a person's relative pose into absolute 3D coordinates.
 

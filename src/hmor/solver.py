@@ -21,7 +21,7 @@ from .errors import InvalidDepthError, InvalidInputError, NumericalError, Solver
 from .geometry import back_project_points, sample_views
 from .ordinal import (HmorConfig, LabelledTruth, RelationPairs, _depth_margins, _entity_map,
                       _part_margins, check_finite_fields, ordinal_pass, violation_counts)
-from .skeleton import RelativePose, Scene, check_topologies_match
+from .skeleton import RelativePose, Scene, check_matched
 
 if typing.TYPE_CHECKING:  # hmor.rootform is imported where a form is built
     from .rootform import _RootForm
@@ -320,33 +320,26 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config
     return _Evaluation(totals, data, hmor, counts, grad)
 
 
-def objective(pred_scene: Scene, gt_pairs, anchors: Scene, config: SolverConfig):
+def objective(pred_scene: Scene, gt_pairs: RelationPairs, anchors: Scene, config: SolverConfig):
     """Objective value and analytic gradient w.r.t. the packed free
-    variables. ``gt_pairs`` is one RelationPairs or a sequence of them
-    holding the same pairs under different views (the ordinal term
-    averages over them); ``anchors`` supplies the data-term targets."""
-    labelled = gt_pairs if isinstance(gt_pairs, RelationPairs) else RelationPairs.stack(gt_pairs)
-    labelled.check_fits(pred_scene)
-    _check_matched(pred_scene, anchors)
+    variables. The ordinal term averages over the views of ``gt_pairs``
+    (several at once from ``LabelledTruth(gt, config.hmor).label(views)``);
+    ``anchors`` supplies the data-term targets."""
+    if not isinstance(gt_pairs, RelationPairs):
+        raise InvalidInputError(f"gt_pairs must be a RelationPairs, got {type(gt_pairs).__name__}")
+    gt_pairs.check_fits(pred_scene)
+    check_matched(pred_scene, anchors)
     sv = _SceneVars(pred_scene, config)
-    record = _evaluate(sv, labelled, _Anchors.of(_SceneVars(anchors, config), sv), config,
-                       (slice(None),), True, all_terms=False, form=sv.root_form(labelled))
+    record = _evaluate(sv, gt_pairs, _Anchors.of(_SceneVars(anchors, config), sv), config,
+                       (slice(None),), True, all_terms=False, form=sv.root_form(gt_pairs))
     return record.totals[0], record.grad
-
-
-def _check_matched(pred_scene: Scene, other: Scene) -> None:
-    """Raise InvalidInputError unless ``other`` has the prediction's
-    topology and person count."""
-    check_topologies_match(pred_scene, other)
-    if pred_scene.person_count != other.person_count:
-        raise InvalidInputError("scenes must be matched person-for-person")
 
 
 def _targets(sv: _SceneVars, gt_scene: Scene, config: SolverConfig):
     """The anchors ``config.anchor`` selects, the ground truth or the
     prediction's variables where they stand, and the enumerated ground
     truth."""
-    _check_matched(sv.scene, gt_scene)
+    check_matched(sv.scene, gt_scene)
     anchor = sv if config.anchor == "input" else _SceneVars(gt_scene, config)
     return _Anchors.of(anchor, sv), LabelledTruth(gt_scene, config.hmor)
 

@@ -204,6 +204,41 @@ def brute_force_pairs(gt):
                  for n in (N, N * S, N * J))
 
 
+# ---------------------------------------------------------------------------
+# Per-level views of a RelationPairs, read from its stacked layout: the
+# entity pairs, labels and rows the oracles compare level by level.
+
+def _level(pairs, level: int):
+    """Level ``level``'s (2, P) entity pairs and (k, P) labels."""
+    layout = pairs.layout
+    for depth_level, cols, per, row in layout.segments:
+        if depth_level == level:
+            m, r = np.divmod(layout.pairs[:, cols], layout.width)
+            return m * per + r - row, pairs.depth_labels[:, cols]
+    n = layout.person_count * layout.per_person[0]
+    return np.stack(np.divmod(layout.flat, n)), pairs.part_labels
+
+
+def level_index(pairs):
+    """Each level's (2, P) entity pairs a < b: persons, flat parts ``person
+    * S + part`` and flat joints ``person * J + joint``."""
+    return tuple(_level(pairs, level)[0] for level in range(3))
+
+
+def level_labels(pairs):
+    """Each level's (k, P) int8 labels."""
+    return tuple(_level(pairs, level)[1] for level in range(3))
+
+
+def level_rows(pairs, level: int) -> np.ndarray:
+    """View 0's integer rows of one level: (m_a, m_b, label) for persons,
+    (m_1, i_1, m_2, i_2, label) for parts and joints."""
+    (a, b), labels = _level(pairs, level)
+    per = (None, *pairs.layout.per_person)[level]
+    cols = [a, b] if per is None else [*np.divmod(a, per), *np.divmod(b, per)]
+    return np.column_stack(cols + [labels[0].astype(int)])
+
+
 def _brute_force_entities(K, topo, particle):
     """Each level's points of an (N, J, 3) joint array, one by one: person
     means, bone midpoints (particle) or bone vectors, and joints."""

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -245,6 +247,8 @@ class TestLoss:
         ("fx", True, "camera.fx"),
         ("normal", [0.0, 0.0, 2.0], "normal"),
         ("normal", [0.0, 1.0], "camera.normal"),
+        ("roi_area", 0, "persons[0].roi_area must be positive"),
+        ("roi_area", -0.0, "persons[0].roi_area must be positive"),
     ])
     def test_malformed_value_is_validation_error(self, fixture_files, capsys,
                                                  where, value, named):
@@ -254,6 +258,8 @@ class TestLoss:
             data["persons"][0]["joints"][1]["u"] = value
         elif where == "part":
             data["topology"]["parts"][0] = value
+        elif where == "roi_area":
+            data["persons"][0]["roi_area"] = value
         else:
             data["camera"][where] = value
         pred.write_text(json.dumps(data))
@@ -593,6 +599,70 @@ class TestOneErrorLine:
         assert done.stderr.startswith("i/o error: " if code == 3 else "error: ")
         assert message in done.stderr
         assert not out.exists()
+
+
+# what a mutated leaf of a scene file, or a whole random file, may hold; most
+# scene leaves are numbers, so numbers get a strategy of their own
+NUMBERS = (st.integers(-10**6, 10**6) | st.floats(-1e6, 1e6)
+           | st.sampled_from([0, -0.0, 1e-300, 1e308, -1.0]))
+JSON_SCALARS = st.none() | st.booleans() | NUMBERS | st.text(max_size=4)
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                           max_leaves=8)
+
+
+def leaf_paths(node, path=()):
+    """The key path of every scalar, empty list and empty dict in a JSON tree."""
+    if isinstance(node, (dict, list)) and node:
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from leaf_paths(child, (*path, key))
+    else:
+        yield path
+
+
+class TestSceneFileFuzz:
+    """Whatever a scene file holds, ``loss``, ``eval`` and ``refine`` exit
+    0, 2, 3 or 4, and a failure prints one stderr line, no traceback."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_exit_codes_and_one_error_line(self, tmp_path_factory, data):
+        spec = GenSpec(seed=data.draw(st.integers(0, 2**31)),
+                       n_persons=data.draw(st.integers(1, 2)),
+                       perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        docs = {"pred": scene_to_dict(perturb(gt, spec)), "gt": scene_to_dict(gt)}
+        name = data.draw(st.sampled_from(sorted(docs)))
+        if data.draw(st.integers(0, 3)) == 3:  # a random JSON document
+            docs[name] = data.draw(JSON_VALUES)
+        else:  # 1-3 leaves replaced (mostly by numbers) or removed
+            for _ in range(data.draw(st.integers(1, 3))):
+                path = data.draw(st.sampled_from(list(leaf_paths(docs[name]))))
+                if not path:  # every key is gone
+                    break
+                *parents, key = path
+                parent = docs[name]
+                for k in parents:
+                    parent = parent[k]
+                action = data.draw(st.sampled_from(["number", "remove", "number", "value"]))
+                if action == "remove":
+                    del parent[key]
+                else:
+                    parent[key] = data.draw(NUMBERS if action == "number" else JSON_VALUES)
+        root = tmp_path_factory.getbasetemp() / "fuzz"
+        root.mkdir(exist_ok=True)
+        for kind, doc in docs.items():
+            (root / f"{kind}.json").write_text(json.dumps(doc))
+        pred, gt_path = root / "pred.json", root / "gt.json"
+        for argv in (("loss", pred, gt_path), ("eval", pred, gt_path),
+                     ("refine", pred, gt_path, "--out", root / "out.json", "--steps", 2)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(*argv)
+            assert code in (0, 2, 3, 4), (argv[0], code)
+            if code:
+                assert err.getvalue().count("\n") == 1, (argv[0], err.getvalue())
+                assert "Traceback" not in err.getvalue()
 
 
 GRADCHECK_ROWS = [f"objective[{term}]" for term in ("pose", "init", "refine", "abs", "hmor")]

@@ -15,8 +15,9 @@ from hmor.rootform import root_pass
 from hmor.solver import _fd_max_rel_err, _SceneVars
 from conftest import (brute_force_labels, brute_force_pairs, err_instance, err_instance_grad,
                       err_joint, err_joint_grad, err_part, err_part_grad, err_part_particle,
-                      ordinal_brute_force, project_to_plane, relation_instance, relation_joint,
-                      relation_part, swap_root_depths, two_person_depth_fixture)
+                      level_index, level_labels, level_rows, ordinal_brute_force,
+                      project_to_plane, relation_instance, relation_joint, relation_part,
+                      swap_root_depths, two_person_depth_fixture)
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -127,16 +128,16 @@ class TestEnumeratePairs:
     def test_single_person_counts(self, camera):
         scene = generate_scene(GenSpec(seed=0, n_persons=1))
         pairs = enumerate_pairs(scene, scene.camera.normal)
-        assert len(pairs.instance_pairs) == 0
-        assert len(pairs.part_pairs) == 91    # C(14, 2)
-        assert len(pairs.joint_pairs) == 136  # C(17, 2)
+        assert len(level_rows(pairs, 0)) == 0
+        assert len(level_rows(pairs, 1)) == 91   # C(14, 2)
+        assert len(level_rows(pairs, 2)) == 136  # C(17, 2)
 
     def test_two_person_counts(self):
         scene = generate_scene(GenSpec(seed=1, n_persons=2))
         pairs = enumerate_pairs(scene, scene.camera.normal)
-        assert len(pairs.instance_pairs) == 1
-        assert len(pairs.part_pairs) == 378   # C(28, 2)
-        assert len(pairs.joint_pairs) == 561  # C(34, 2)
+        assert len(level_rows(pairs, 0)) == 1
+        assert len(level_rows(pairs, 1)) == 378  # C(28, 2)
+        assert len(level_rows(pairs, 2)) == 561  # C(34, 2)
 
     def test_labels_match_scalar_relations(self):
         scene = generate_scene(GenSpec(seed=3, n_persons=2))
@@ -146,13 +147,13 @@ class TestEnumeratePairs:
         K = scene_joint_array(scene, cfg.depth_unit_scale)
         topo = scene.topology
         positions = [K[m].mean(axis=0) for m in range(2)]
-        for a, b, lab in pairs.instance_pairs:
+        for a, b, lab in level_rows(pairs, 0):
             assert lab == relation_instance(positions[a], positions[b], view)
         parts = [(K[m][e] - K[m][s]) for m in range(2) for s, e in topo.parts]
         S = topo.part_count
-        for m1, s1, m2, s2, lab in pairs.part_pairs[:100]:
+        for m1, s1, m2, s2, lab in level_rows(pairs, 1)[:100]:
             assert lab == relation_part(parts[m1 * S + s1], parts[m2 * S + s2], view)
-        for m1, j1, m2, j2, lab in pairs.joint_pairs[:100]:
+        for m1, j1, m2, j2, lab in level_rows(pairs, 2)[:100]:
             assert lab == relation_joint(K[m1][j1], K[m2][j2], view)
 
 
@@ -209,11 +210,11 @@ class TestHmorLoss:
         parts = [(K[m][e] - K[m][s]) for m in range(2) for s, e in topo.parts]
 
         ins = [err_instance(positions[a], positions[b], lab, view)
-               for a, b, lab in pairs.instance_pairs]
+               for a, b, lab in level_rows(pairs, 0)]
         prt = [err_part(parts[m1 * S + s1], parts[m2 * S + s2], lab, view)
-               for m1, s1, m2, s2, lab in pairs.part_pairs]
+               for m1, s1, m2, s2, lab in level_rows(pairs, 1)]
         jnt = [err_joint(K[m1][j1], K[m2][j2], lab, view)
-               for m1, j1, m2, j2, lab in pairs.joint_pairs]
+               for m1, j1, m2, j2, lab in level_rows(pairs, 2)]
         assert abs(loss.instance - np.mean(ins)) < 1e-12
         assert abs(loss.part - np.mean(prt)) < 1e-12
         assert abs(loss.joint - np.mean(jnt)) < 1e-12
@@ -234,7 +235,7 @@ class TestHmorLoss:
         S = topo.part_count
         mids = [0.5 * (K[m][e] + K[m][s]) for m in range(2) for s, e in topo.parts]
         prt = [err_part_particle(mids[m1 * S + s1], mids[m2 * S + s2], lab, view)
-               for m1, s1, m2, s2, lab in pairs.part_pairs]
+               for m1, s1, m2, s2, lab in level_rows(pairs, 1)]
         assert abs(loss.part - np.mean(prt)) < 1e-12
 
     def test_zero_loss_iff_zero_violations_per_view(self):
@@ -323,8 +324,8 @@ class TestPartRelationsFrom2D:
                 pixels.append(np.column_stack([rel[:, 0] + person.box.u_top,
                                                rel[:, 1] + person.box.v_top]))
             pairs2d = part_relations_from_2d(pixels, scene.topology)
-            assert np.array_equal(pairs2d[:, :4], pairs3d.part_pairs[:, :4])
-            assert np.array_equal(pairs2d[:, 4], pairs3d.part_pairs[:, 4])
+            assert np.array_equal(pairs2d[:, :4], level_rows(pairs3d, 1)[:, :4])
+            assert np.array_equal(pairs2d[:, 4], level_rows(pairs3d, 1)[:, 4])
 
     def test_collinear_parts_label_zero(self):
         topo = SkeletonTopology(joint_count=4, parts=((0, 1), (2, 3)))
@@ -416,22 +417,22 @@ class TestCountViolations:
             if cfg.part_mode == "particle":
                 mids = [0.5 * (K[m][e] + K[m][s]) for m in range(2) for s, e in topo.parts]
                 part_label = [relation_instance(mids[m1 * S + s1], mids[m2 * S + s2], view, eps)
-                              for m1, s1, m2, s2, _ in pairs.part_pairs]
+                              for m1, s1, m2, s2, _ in level_rows(pairs, 1)]
             else:
                 parts = [(K[m][e] - K[m][s]) for m in range(2) for s, e in topo.parts]
                 part_label = [relation_part(parts[m1 * S + s1], parts[m2 * S + s2], view, eps)
-                              for m1, s1, m2, s2, _ in pairs.part_pairs]
-            ins = sum(1 for a, b, lab in pairs.instance_pairs
+                              for m1, s1, m2, s2, _ in level_rows(pairs, 1)]
+            ins = sum(1 for a, b, lab in level_rows(pairs, 0)
                       if relation_instance(positions[a], positions[b], view, eps) != lab)
-            prt = sum(1 for pred, lab in zip(part_label, pairs.part_pairs[:, 4])
+            prt = sum(1 for pred, lab in zip(part_label, level_rows(pairs, 1)[:, 4])
                       if pred != lab)
-            jnt = sum(1 for m1, j1, m2, j2, lab in pairs.joint_pairs
+            jnt = sum(1 for m1, j1, m2, j2, lab in level_rows(pairs, 2)
                       if relation_joint(K[m1][j1], K[m2][j2], view, eps) != lab)
             assert got == (ins, prt, jnt)
             assert tuple(violation_counts(K, topo, pairs, cfg)[:, 0].tolist()) == got
             if eps > 0:
-                assert np.any(pairs.part_pairs[:, 4] == 0)
-                assert np.any(pairs.joint_pairs[:, 4] == 0)
+                assert np.any(level_rows(pairs, 1)[:, 4] == 0)
+                assert np.any(level_rows(pairs, 2)[:, 4] == 0)
                 saw_zero_label = True
         assert saw_zero_label
 
@@ -441,9 +442,9 @@ class TestCountViolations:
         noisy = perturb(gt, spec)
         K = scene_joint_array(noisy, 1e-3)
         pairs = enumerate_pairs(gt, gt.camera.normal)
-        index = pairs.index
-        layout = _Layout((index[0], np.empty((2, 0), int), index[2]), pairs.per_person,
-                         pairs.person_count, ("vector", 0.0, 1e-3))
+        index = level_index(pairs)
+        layout = _Layout((index[0], np.empty((2, 0), int), index[2]),
+                         pairs.layout.per_person, pairs.layout.person_count, ("vector", 0.0, 1e-3))
         no_parts = RelationPairs(pairs.views, layout, pairs.depth_labels,
                                  pairs.part_labels[:, :0])
         cfg = HmorConfig(w_part=0.0)
@@ -564,10 +565,10 @@ class TestOrdinalPassOracle:
         rng = np.random.default_rng(k)
         views = np.array([sample_view(rng=rng).direction for _ in range(k)])
         labelled = LabelledTruth(gt, cfg).label(views)
-        for got, want in zip(labelled.index, brute_force_pairs(gt)):
+        for got, want in zip(level_index(labelled), brute_force_pairs(gt)):
             assert np.array_equal(got, want)
         if cfg.equality_tolerance:
-            assert not all(labels.all() for labels in labelled.labels[1:])
+            assert not all(labels.all() for labels in level_labels(labelled)[1:])
         _assert_equals_brute_force(pred, gt, views, labelled, cfg)
 
     @pytest.mark.parametrize("k", [1, 4])
@@ -593,7 +594,7 @@ def _assert_equals_brute_force(pred, gt, views, labelled, cfg):
     K = scene_joint_array(pred, cfg.depth_unit_scale)
     totals, levels, violations, dK = ordinal_pass(K, gt.topology, labelled, cfg)
     want_totals, want_levels, want_violations, want_dK = ordinal_brute_force(
-        pred, gt, views, cfg, labelled.index)
+        pred, gt, views, cfg, level_index(labelled))
 
     assert np.array_equal(violations, want_violations[:, 0])
     counts = violation_counts(K, gt.topology, labelled, cfg)
@@ -655,7 +656,7 @@ class TestRootFormOracle:
         x = sv.start[0] + np.random.default_rng(71).normal(0.0, 0.1, len(sv.start[0]))
         sv.unpack(x)
         K, d, a, b = sv.joints_scaled()
-        want = ordinal_brute_force(sv.to_scene(), gt, views, cfg, labelled.index)
+        want = ordinal_brute_force(sv.to_scene(), gt, views, cfg, level_index(labelled))
         if form is None:  # full_pose: the entity-map kernel
             totals, levels, violations, dK = ordinal_pass(K, gt.topology, labelled, cfg)
             g = sv.grad_to_x(dK, d, a, b)
@@ -690,15 +691,15 @@ class TestViolationCounts:
         assert np.array_equal(first, ordinal_pass(K, gt.topology, labelled, cfg,
                                                   want_grad=False)[2])
         assert np.array_equal(counts,
-                              ordinal_brute_force(pred, gt, views, cfg, labelled.index)[2])
+                              ordinal_brute_force(pred, gt, views, cfg, level_index(labelled))[2])
 
     @pytest.mark.parametrize("part_mode", ["vector", "particle"])
     def test_sixteen_persons_equal_ordinal_pass(self, part_mode):
         cfg = HmorConfig(part_mode=part_mode, equality_tolerance=0.02)
         gt, pred, views = _kernel_case(16, 16, 2)
         labelled = LabelledTruth(gt, cfg).label(views)
-        assert all(labels.dtype == np.int8 for labels in labelled.labels)
-        assert not all(labels.all() for labels in labelled.labels[1:])  # label-0 pairs
+        assert all(labels.dtype == np.int8 for labels in level_labels(labelled))
+        assert not all(labels.all() for labels in level_labels(labelled)[1:])  # label-0 pairs
         K = scene_joint_array(pred, cfg.depth_unit_scale)
         counts = violation_counts(K, gt.topology, labelled, cfg)
         assert counts.all()
@@ -747,7 +748,7 @@ class TestLossProperties:
         assert np.all(levels[counts == 0] == 0.0)
         if cfg.equality_tolerance == 0.0:
             own = LabelledTruth(pred, cfg).label(views)
-            if all(labels.all() for labels in (*labelled.labels, *own.labels)):
+            if all(labels.all() for labels in (*level_labels(labelled), *level_labels(own))):
                 assert np.all(counts[levels == 0.0] == 0)
 
 
@@ -760,41 +761,35 @@ class TestOneStoredForm:
         cfg = ORACLE_CONFIGS[name]
         gt, _, views = _kernel_case(21, 3, 3)
         labelled = LabelledTruth(gt, cfg).label(views)
-        index = labelled.index
+        index = level_index(labelled)
         for got, want in zip(index, brute_force_pairs(gt)):
             assert np.array_equal(got, want)
         want_labels = brute_force_labels(gt, views, cfg, index)
         first = labelled.rows([0])
-        level_rows = (first.instance_pairs, first.part_pairs, first.joint_pairs)
-        for level, (got, want) in enumerate(zip(labelled.labels, want_labels)):
+        for level, (got, want) in enumerate(zip(level_labels(labelled), want_labels)):
             assert got.dtype == np.int8 and np.array_equal(got, want)
-            per = (None, *labelled.per_person)[level]
+            per = (None, *labelled.layout.per_person)[level]
             a, b = index[level]
             cols = [a, b] if per is None else [a // per, a % per, b // per, b % per]
-            assert np.array_equal(level_rows[level], np.column_stack(cols + [want[0]]))
+            assert np.array_equal(level_rows(first, level), np.column_stack(cols + [want[0]]))
         if cfg.equality_tolerance:
-            assert not all(labels.all() for labels in labelled.labels[1:])
+            assert not all(labels.all() for labels in level_labels(labelled)[1:])
 
     @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
     def test_rows_and_stack_keep_every_label(self, name):
+        # a sub-stack holds its rows' labels, as labelling those views alone does
         cfg = ORACLE_CONFIGS[name]
         gt, _, views = _kernel_case(22, 2, 4)
         truth = LabelledTruth(gt, cfg)
         labelled = truth.label(views)
-        parts = [labelled.rows([0]), labelled.rows(slice(1, 3)), labelled.rows(np.array([3]))]
-        restacked = RelationPairs.stack(parts)
-        labelled_apart = RelationPairs.stack([truth.label(views[:2]), truth.label(views[2:])])
-        for got in (restacked, labelled_apart):
-            assert np.array_equal(got.views, labelled.views)
-            assert np.array_equal(got.depth_labels, labelled.depth_labels)
-            assert np.array_equal(got.part_labels, labelled.part_labels)
-            for a, b in zip(got.labels, labelled.labels):
-                assert np.array_equal(a, b)
-        for rows in ([2], [0, 3], slice(1, None)):
+        for rows in ([2], [0, 3], slice(1, None), slice(0, 2)):
             sub = labelled.rows(rows)
             assert np.array_equal(sub.views, labelled.views[rows])
-            for a, b in zip(sub.labels, labelled.labels):
+            for a, b in zip(level_labels(sub), level_labels(labelled)):
                 assert np.array_equal(a, b[rows])
+            apart = truth.label(views[rows])
+            assert np.array_equal(apart.depth_labels, sub.depth_labels)
+            assert np.array_equal(apart.part_labels, sub.part_labels)
 
     def test_integer_row_keeps_the_view_axis(self):
         gt, pred, views = _kernel_case(24, 2, 3)
@@ -802,37 +797,12 @@ class TestOneStoredForm:
         for i in range(3):
             got, want = labelled.rows(i), labelled.rows(slice(i, i + 1))
             assert got.views.shape == (1, 3)
-            for name in ("views", "depth_labels", "part_labels", "instance_pairs",
-                         "part_pairs", "joint_pairs"):
+            for name in ("views", "depth_labels", "part_labels"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
+            for level in range(3):
+                assert np.array_equal(level_rows(got, level), level_rows(want, level))
             assert hmor_loss(pred, got) == hmor_loss(pred, want)
         assert hmor_loss(pred, labelled.rows(np.int64(0))) == hmor_loss(pred, labelled)
-
-    def test_separate_pair_cap_enumerations_stack(self):
-        # an evicted cache entry is rebuilt as a new object, which still stacks
-        scene = generate_scene(GenSpec(seed=2, n_persons=3))
-        rng = np.random.default_rng(5)
-        sets = []
-        for v in (scene.camera.normal, sample_view(rng=rng), sample_view(rng=rng)):
-            _full_layout.cache_clear()
-            sets.append(enumerate_pairs(scene, v))
-        assert sets[0].layout is not sets[1].layout and sets[0].layout == sets[1].layout
-        stacked = RelationPairs.stack(sets)
-        assert np.array_equal(stacked.views, [p.view for p in sets])
-        for level in range(3):
-            assert np.array_equal(stacked.labels[level],
-                                  np.concatenate([p.labels[level] for p in sets]))
-
-    def test_sets_that_differ_do_not_stack(self):
-        scene = generate_scene(GenSpec(seed=2, n_persons=3))
-        normal = scene.camera.normal
-        base = enumerate_pairs(scene, normal)
-        others = [enumerate_pairs(scene, normal, HmorConfig(equality_tolerance=0.02)),
-                  enumerate_pairs(generate_scene(GenSpec(seed=2, n_persons=2)), normal)]
-        for other in others:
-            assert base.layout != other.layout
-            with pytest.raises(InvalidInputError, match="pair sets differ"):
-                RelationPairs.stack([base, other])
 
     def test_sixteen_persons_retain_one_form(self):
         # the layout is the one stored form: no per-level index is kept
@@ -927,12 +897,12 @@ class TestPairInputChecks:
         gt, pred, _ = _kernel_case(6, 2, 1)
         cfg = SolverConfig()
         none = LabelledTruth(gt).label([])
-        calls = (lambda: RelationPairs.stack([]),
-                 lambda: objective(pred, [], gt, cfg),
-                 lambda: hmor_loss(pred, none),
-                 lambda: objective(pred, none, gt, cfg))
-        for call in calls:
-            with pytest.raises(InvalidInputError, match="^no pair sets to stack$|no views$"):
+        # a multi-view set comes from one label(views) call, not a sequence of sets
+        with pytest.raises(InvalidInputError,
+                           match="^gt_pairs must be a RelationPairs, got list$"):
+            objective(pred, [], gt, cfg)
+        for call in (lambda: hmor_loss(pred, none), lambda: objective(pred, none, gt, cfg)):
+            with pytest.raises(InvalidInputError, match="^the pair set holds no views$"):
                 call()
         K = scene_joint_array(pred, 1e-3)
         assert violation_counts(K, gt.topology, none).shape == (3, 0)

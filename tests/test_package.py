@@ -19,6 +19,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 REMOVED = ("count_violations", "err_instance", "err_joint", "err_part", "err_part_particle",
            "instance_position", "part_vectors", "project_to_plane", "relation_instance",
            "relation_joint", "relation_part")
+# RelationPairs members that left it: stacking, and row views read from its layout
+REMOVED_PAIR_ATTRIBUTES = ("stack", "index", "labels", "instance_pairs", "part_pairs",
+                           "joint_pairs", "per_person", "person_count")
 
 
 def run_python(*args):
@@ -54,6 +57,15 @@ class TestPublicNames:
     def test_removed_name_stays_absent(self, name):
         assert name not in hmor.__all__ and name not in dir(hmor)
         assert not hasattr(hmor, name)
+
+    @pytest.mark.parametrize("name", REMOVED_PAIR_ATTRIBUTES)
+    def test_removed_pair_attribute_stays_absent(self, name):
+        from hmor.ordinal import RelationPairs
+        assert not hasattr(RelationPairs, name)
+
+    def test_layout_compares_by_identity(self):
+        from hmor.ordinal import _Layout
+        assert "__eq__" not in vars(_Layout)
 
     def test_fresh_import_loads_no_submodule(self):
         done = run_python("-c", "import hmor, sys\n"

@@ -73,21 +73,22 @@ class TestObjective:
         noisy = perturb(gt, spec)
         cfg = SolverConfig(free_variables="full_pose", **HMOR_ONLY)
         rng = np.random.default_rng(2)
-        pairs = [enumerate_pairs(gt, v, cfg.hmor) for v in
-                 [gt.camera.normal] + [sample_view(rng=rng) for _ in range(3)]]
+        views = [gt.camera.normal] + [sample_view(rng=rng).direction for _ in range(3)]
+        pairs = LabelledTruth(gt, cfg.hmor).label(views)
         value, grad = objective(noisy, pairs, gt, cfg)
-        singles = [objective(noisy, p, gt, cfg) for p in pairs]
+        singles = [objective(noisy, pairs.rows(i), gt, cfg) for i in range(len(views))]
         assert value == pytest.approx(np.mean([v for v, _ in singles]), rel=1e-12)
         assert np.allclose(grad, np.mean([g for _, g in singles], axis=0),
                            rtol=1e-12, atol=1e-15)
 
-    def test_view_sequence_with_different_pair_sets_rejected(self):
+    @pytest.mark.parametrize("kind", ["list", "tuple", "NoneType"])
+    def test_anything_but_one_pair_set_rejected(self, kind):
         gt = generate_scene(GenSpec(seed=12, n_persons=2))
-        cfg = SolverConfig()
-        pairs = [enumerate_pairs(gt, gt.camera.normal, HmorConfig(equality_tolerance=eps))
-                 for eps in (0.0, 0.02)]
-        with pytest.raises(InvalidInputError, match="pair sets differ"):
-            objective(gt, pairs, gt, cfg)
+        pairs = enumerate_pairs(gt, gt.camera.normal)
+        arg = {"list": [pairs, pairs], "tuple": (pairs,), "NoneType": None}[kind]
+        with pytest.raises(InvalidInputError,
+                           match=f"^gt_pairs must be a RelationPairs, got {kind}$"):
+            objective(gt, arg, gt, SolverConfig())
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
@@ -190,11 +191,18 @@ def test_topology_mismatch_is_invalid_input(camera, entry):
         MISMATCH_ENTRY_POINTS[entry](pred, gt)
 
 
-# pairs enumerated on a 3-person truth, read with a 2-person scene
+# pairs enumerated on a 3-person truth, read with a 2-person scene, and the
+# message each call raises: the pairs' own count check, or the one
+# person-for-person check (hmor.skeleton.check_matched)
+UNMATCHED = "^scenes must be matched person-for-person$"
 PERSON_COUNT_CALLS = {
-    "hmor_loss": lambda gt3, gt2, pairs, cfg: hmor_loss(gt2, pairs),
-    "objective_pred": lambda gt3, gt2, pairs, cfg: objective(gt2, pairs, gt3, cfg),
-    "objective_anchors": lambda gt3, gt2, pairs, cfg: objective(gt3, pairs, gt2, cfg),
+    "hmor_loss": (lambda gt3, gt2, pairs, cfg: hmor_loss(gt2, pairs), "^person count mismatch: "),
+    "objective_pred": (lambda gt3, gt2, pairs, cfg: objective(gt2, pairs, gt3, cfg),
+                       "^person count mismatch: "),
+    "objective_anchors": (lambda gt3, gt2, pairs, cfg: objective(gt3, pairs, gt2, cfg), UNMATCHED),
+    "refine": (lambda gt3, gt2, pairs, cfg: refine(gt2, gt3, cfg), UNMATCHED),
+    "ordinal_violations": (lambda gt3, gt2, pairs, cfg: ordinal_violations(
+        gt2, gt3, [gt3.camera.normal]), UNMATCHED),
 }
 
 
@@ -203,8 +211,9 @@ def test_person_count_mismatch_is_invalid_input(call):
     gt3 = generate_scene(GenSpec(seed=0, n_persons=3))
     gt2 = dataclasses.replace(gt3, persons=gt3.persons[:2])
     pairs = enumerate_pairs(gt3, gt3.camera.normal)
-    with pytest.raises(InvalidInputError, match="person"):
-        PERSON_COUNT_CALLS[call](gt3, gt2, pairs, SolverConfig())
+    fn, message = PERSON_COUNT_CALLS[call]
+    with pytest.raises(InvalidInputError, match=message):
+        fn(gt3, gt2, pairs, SolverConfig())
 
 
 class TestTermsOracle:
