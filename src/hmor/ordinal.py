@@ -102,6 +102,12 @@ class RelationPairs:
                 f"the pairs were enumerated for {self.layout.person_count}")
 
 
+def _check_pair_set(value, name: str) -> None:
+    """Raise InvalidInputError unless the argument ``name`` is a RelationPairs."""
+    if not isinstance(value, RelationPairs):
+        raise InvalidInputError(f"{name} must be a RelationPairs, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class HmorLoss:
     """Weighted total, the per-level mean errors, and the per-level
@@ -318,6 +324,7 @@ def violation_counts(K: np.ndarray, topology: SkeletonTopology, labelled: Relati
     """The violations :func:`ordinal_pass` counts, alone and under every
     view, as (3, k) per level and view, from the (N, J, 3) scaled joints.
     No weights, errors or float labels are formed."""
+    _check_pair_set(labelled, "labelled")
     cfg = config or HmorConfig()
     layout = labelled.layout
     layout.check_labels(cfg)
@@ -338,41 +345,57 @@ def _signs(labels: np.ndarray) -> np.ndarray:
     return (labels | 1).astype(float)
 
 
+def _edges(segments) -> list:
+    """The (level, pair slice, ...) segments' starts and stops, interleaved."""
+    return [end for _, pairs, *_ in segments for end in (pairs.start, pairs.stop)]
+
+
 def _score(signed: np.ndarray, labels: np.ndarray, eps: float, segments, scale,
-           log_end: int, levels: np.ndarray, counts: np.ndarray):
-    """Every ordinal kernel's one step from (k, P) margins, each times its
-    label's sign (:func:`_signs`), to losses: view 0's counts per level
-    (a signed margin thresholds against ``|label|``) and each (level, pair
-    slice, ...) segment's per-view mean error, ``signed`` overwritten by
-    the errors: ``log1p(m)`` for a violated (``m > 0``) depth pair (the
-    first ``log_end``), ``m`` for a part pair, 0 for a label 0, NaN for
-    NaN. Returns the violated (flat index, view row, pair) and their
-    weights w.r.t. ``m``, ``|label| * scale[pair]`` (over ``1 + m`` for a
-    depth pair), ``scale`` being each pair's ``w_level / P_level``; None
-    when ``scale`` is."""
-    P = signed.shape[1]
+           log_end: int, levels: np.ndarray, counts: np.ndarray, errors: np.ndarray,
+           active: tuple | None = None):
+    """Every ordinal kernel's one step from margins, each times its
+    label's sign (:func:`_signs`), to losses, over the 1-D ``signed`` and
+    ``labels`` of a (k, P) stack's entries: every entry (``signed`` is
+    ``errors.ravel()``), or the ``active`` flat indices, ascending, with
+    the :func:`_edges` of view 0's entries in them. Sets view 0's counts
+    per level (a signed margin thresholds against ``|label|``) and each
+    (level, pair slice, ...) segment's per-view mean error, ``errors``
+    (k, P) taking at the entries ``log1p(m)`` for a violated (``m > 0``)
+    depth pair (the first ``log_end``), ``m`` for a part pair, 0 for a
+    label 0, NaN for NaN; elsewhere it must read +0.0, as an unviolated
+    entry that agrees with its label would. Returns the violated (flat
+    index, view row, pair) and their weights w.r.t. ``m``, ``|label| *
+    scale[pair]`` (over ``1 + m`` for a depth pair), ``scale`` being each
+    pair's ``w_level / P_level``; None when ``scale`` is."""
+    P = errors.shape[1]
     sizes = [max(pairs.stop - pairs.start, 1) for _, pairs, *_ in segments]
-    _count_disagreements(signed[:1], np.abs(labels[:1]), eps, segments, counts)
-    hit = np.flatnonzero(signed > 0.0)  # violated, in the order of ``signed.ravel()``
+    index, edges = active or (None, _edges(segments))
+    differ = _threshold_label(signed[:edges[-1]], eps) != np.abs(labels[:edges[-1]])
+    for (level, *_), start, stop in zip(segments, edges[::2], edges[1::2]):
+        counts[level] = np.count_nonzero(differ[start:stop])
+    hit = np.flatnonzero(signed > 0.0)  # violated, in flat order
     margin = signed.take(hit)
     # max(0, m) in place: +0.0 but at the violated entries, NaN at a NaN margin
     np.maximum(0.0, signed, out=signed)
     size = np.abs(labels.take(hit))  # 0 for a label-0 pair: no error, no weight
-    row = hit // P  # not divmod, whose remainder is several times slower
-    pair = hit - row * P
+    flat = hit if index is None else index.take(hit)
+    row = flat // P  # not divmod, whose remainder is several times slower
+    pair = flat - row * P
     logged = True if log_end >= P else pair < log_end
     hits = None
     if scale is not None:
         w = size / np.where(logged, 1.0 + margin, 1.0)
         w *= scale.take(pair)
-        hits = hit, row, pair, w
+        hits = flat, row, pair, w
     if log_end:
         margin = np.where(logged, np.log1p(margin), margin)
     if not size.all():
         margin *= size
     signed.put(hit, margin)
+    if index is not None:
+        errors.put(index, signed)
     for (level, pairs, *_), n in zip(segments, sizes):
-        levels[level] = signed[:, pairs].sum(axis=1) / n
+        levels[level] = np.add.reduce(errors[:, pairs], axis=1) / n
     return hits
 
 
@@ -400,6 +423,7 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     ``W * C_v[b]`` at part row a, ``-W * C_v[a]`` at b (``C_v = T x v``).
     ``dK = E.T @ dX``; a NaN margin errs by NaN and moves no gradient.
     """
+    _check_pair_set(labelled, "labelled")
     cfg = config or HmorConfig()
     V = labelled.views
     layout = labelled.layout
@@ -415,9 +439,9 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     margins = _depth_margins(X, V, layout)
     labels = labelled.depth_labels
     margins *= _signs(labels)
-    hits = _score(margins, labels, eps, layout.segments,
+    hits = _score(margins.ravel(), labels.ravel(), eps, layout.segments,
                   _column_scale(layout.segments, weights) if want_grad else None,
-                  margins.shape[1], levels, violations)
+                  margins.shape[1], levels, violations, margins)
     if want_grad:
         flat, row, pair, W = hits
         W *= labels.take(flat)  # the weight of the raw margin
@@ -432,8 +456,9 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
         margins *= _signs(labels)
         part_grad = want_grad and cfg.w_part > 0
         parts = ((1, slice(0, len(layout.flat))),)
-        hits = _score(margins, labels, eps, parts,
-                      _column_scale(parts, weights) if part_grad else None, 0, levels, violations)
+        hits = _score(margins.ravel(), labels.ravel(), eps, parts,
+                      _column_scale(parts, weights) if part_grad else None, 0, levels,
+                      violations, margins)
         if part_grad:
             S = layout.per_person[0]
             n = len(X) * S
@@ -461,6 +486,7 @@ def hmor_loss(pred_scene: Scene, pairs: RelationPairs, view=None,
     """The hierarchical ordinal loss of a predicted scene under the first
     view of ``pairs``: the weighted sum of the per-level mean errors (0 for
     a level with no pairs)."""
+    _check_pair_set(pairs, "pairs")
     cfg = config or HmorConfig()
     pairs.check_fits(pred_scene)
     if view is not None and not np.array_equal(_view_array(view), pairs.view):

@@ -12,7 +12,7 @@ import functools
 import numpy as np
 
 from .ordinal import (_LABEL_SETTINGS, HmorConfig, RelationPairs, _column_scale, _cross_views,
-                      _entity_map, _full_layout, _project, _score, _signs, _weighted)
+                      _edges, _entity_map, _full_layout, _project, _score, _signs, _weighted)
 from .skeleton import SkeletonTopology
 
 
@@ -41,8 +41,10 @@ class _RootForm:
     from one product per view of ``[T0; Ht] @ [T0 x v; Ht x v].T`` (``H =
     E @ e``). Depth then part columns, each (k, P) and label-signed
     (:func:`_signs`): ``M0`` is M0 | Q0, ``A`` CA | Qa, ``B`` CB | Qb,
-    ``Qab`` 0 | Qab. ``margins`` and ``product`` are one evaluation's
-    buffers."""
+    ``Qab`` 0 | Qab. Below an entry's ``radius`` in ``max|dx|`` its signed
+    margin stays under ``-eps``: it is unviolated, agrees with its label
+    and errs by +0.0, as ``errors`` reads off the active set (:meth:`select`).
+    ``margins`` and ``product`` are an evaluation's buffers."""
 
     def __init__(self, K0: np.ndarray, e: np.ndarray, topology: SkeletonTopology,
                  labelled: RelationPairs, config: HmorConfig):
@@ -61,20 +63,19 @@ class _RootForm:
         # one block past glibc's 128 KiB mmap threshold: freeing it raises that
         # and the trim threshold, so a later run reuses heap pages where
         # separate arrays are trimmed off the heap and faulted in again
-        block = np.empty((5 + (P > D), k, P))
-        self.M0, self.A, self.B, self.margins, self.product = block[:5]
+        block = np.empty((8, k, P))  # M0, A, B, Qab (vector parts), radius, errors, buffers
+        self.M0, self.A, self.B, _, self.radius, self.errors = block[:6]
+        self.margins, self.product = block[6:].reshape(2, -1)
+        self.coefficients = block[:3 + (P > D)].reshape(3 + (P > D), -1)
         # both projections in one, rows z0 and zh per view, as _depth_margins projects
         z = _project(X.reshape(-1, 3), V).reshape(2 * k, -1)
         a, b = (z.take(ends, axis=1) for ends in layout.pairs)
         np.subtract(a[::2], b[::2], out=self.M0[:, :D])
         self.A[:, :D] = a[1::2]
         np.negative(b[1::2], out=self.B[:, :D])
-        sign = _signs(self.labels)
-        coefficients = [self.M0, self.A, self.B]
         if P > D:  # vector parts
-            self.Qab = block[5]
+            self.Qab = block[3]
             self.Qab[:, :D] = 0.0  # a depth pair's
-            coefficients.append(self.Qab)
             S = layout.per_person[0]
             T = X[:, :, 1:1 + S].reshape(-1, 3)  # [T0; Ht]
             for row, Cv in enumerate(_cross_views(T, V)):
@@ -83,8 +84,44 @@ class _RootForm:
             self.segments.append((1, slice(D, P)))
         self.scale = _column_scale(self.segments, (config.w_instance, config.w_part,
                                                    config.w_joint))
-        for out in coefficients:
-            out *= sign
+        self.coefficients *= _signs(self.labels).ravel()
+        # |A * da + B * db + Qab * da * db| <= L * r + Q * r * r at max|dx| = r
+        # (L = |A| + |B|, Q = |Qab|): the radius is the root of L * r + Q * r * r
+        # = -eps - M0 less 1e-12 of |M0| + eps, past the rounding of margin and
+        # root; 0, negative or NaN for a label 0 or a margin at or past the band.
+        # In place: (k, P) temporaries would fault in again on every run
+        slack, L, t, radius = block[6], block[7], self.errors, self.radius
+        np.multiply(self.M0, 1e-12 - 1.0, out=slack)  # where M0 < 0
+        slack -= config.equality_tolerance * (1.0 + 1e-12)
+        slack[self.labels == 0] = 0.0
+        np.abs(self.A, out=L)
+        L += np.abs(self.B, out=t)
+        with np.errstate(divide="ignore", invalid="ignore"):  # inf: a margin no dx moves
+            if P > D:  # 2 * slack / (L + sqrt(L * L + 4 * Q * slack)), Q = 0 for depth
+                np.multiply(np.abs(self.Qab, out=radius), slack, out=radius)
+                np.multiply(L, L, out=t)
+                t += np.multiply(radius, 4.0, out=radius)
+                np.sqrt(t, out=t)
+                t += L
+                np.divide(slack, t, out=radius)
+                radius *= 2.0
+            else:
+                np.divide(slack, L, out=radius)
+        self.errors.fill(0.0)
+        self.reach = -1.0  # nothing selected yet
+
+    def select(self, reach: float) -> None:
+        """Make the entries of radius up to ``reach`` active: ``active`` is
+        their flat indices with view 0's segment edges in them (:func:`_score`),
+        ``gathered``, ``active_labels`` and ``ends`` their coefficients,
+        labels and persons."""
+        self.reach = reach
+        active = np.flatnonzero(~(self.radius > reach))  # NaN too
+        self.active = active, active.searchsorted(_edges(self.segments)).tolist()
+        P = self.labels.shape[1]
+        self.ends = self.persons.take(active - active // P * P, axis=1)
+        self.gathered = self.coefficients.take(active, axis=1)
+        self.active_labels = self.labels.take(active)
 
     def __call__(self, dx: np.ndarray, want_grad: bool = True):
         """:func:`root_pass` at ``dx``."""
@@ -95,29 +132,38 @@ def root_pass(form: _RootForm, dx: np.ndarray, want_grad: bool = True):
     """:func:`ordinal_pass` at root offsets ``dx`` (N,) from the reduced
     form, with the (N,) gradient w.r.t. ``dx``: a violated pair's weight
     reaches its persons through ``CA``, ``CB`` or ``Qa + Qab * db``, ``Qb
-    + Qab * da``, one ``bincount`` per end."""
-    cfg, D = form.config, form.depth
+    + Qab * da``, one ``bincount`` per end. It scores the active entries,
+    reselected for twice a ``max|dx|`` past ``form.reach`` (all at a NaN, an
+    inf or a square past float range, as ``0 * inf`` is NaN), with the bits
+    of a pass over every entry."""
+    cfg = form.config
     k = len(form.labels)
-    da, db = dx.take(form.persons)
-    margins, product = form.margins, form.product
-    np.multiply(form.A, da, out=margins)
-    margins += np.multiply(form.B, db, out=product)
-    margins += form.M0
-    if form.labels.shape[1] > D:
-        margins += np.multiply(form.Qab, da * db, out=product)
+    r = np.abs(dx).max()
+    if not r <= form.reach:
+        form.select(2.0 * r if r < 1e150 else np.inf)
+    M0, A, B, *Qab = form.gathered
+    n = len(M0)
+    da, db = dx.take(form.ends)
+    margins, product = form.margins[:n], form.product[:n]
+    np.multiply(A, da, out=margins)
+    margins += np.multiply(B, db, out=product)
+    margins += M0
+    if Qab:
+        margins += np.multiply(Qab[0], da * db, out=product)
     levels = np.zeros((3, k))
     violations = np.zeros((3, min(k, 1)), dtype=int)  # view 0's
-    hits = _score(margins, form.labels, cfg.equality_tolerance, form.segments,
-                  form.scale if want_grad else None, D, levels, violations)
+    hits = _score(margins, form.active_labels, cfg.equality_tolerance, form.segments,
+                  form.scale if want_grad else None, form.depth, levels, violations,
+                  form.errors, form.active)
     g = None
     if want_grad:
         flat, row, pair, w = hits
-        ga, gb = form.A.take(flat), form.B.take(flat)
-        if form.labels.shape[1] > D:
-            cross = form.Qab.take(flat)
-            ga += cross * db.take(pair)
-            gb += cross * da.take(pair)
+        at = form.coefficients.take(flat, axis=1)  # M0, A, B and Qab at the hits
+        ga, gb = at[1], at[2]
         pa, pb = form.persons.take(pair, axis=1)
+        if Qab:
+            ga += at[3] * dx.take(pb)
+            gb += at[3] * dx.take(pa)
         g = np.zeros(len(dx))  # += also takes an empty bincount's int zeros
         g += np.bincount(pa, w * ga, len(dx))
         g += np.bincount(pb, w * gb, len(dx))

@@ -55,6 +55,14 @@ def _fixed_list(value, length: int, context: str) -> list:
     return value
 
 
+def _built(make, context: str, *args, **kwargs):
+    """``make(*args, **kwargs)``, its rejection (same type) naming ``context``."""
+    try:
+        return make(*args, **kwargs)
+    except InvalidInputError as exc:
+        raise type(exc)(f"{context}: {exc}") from None
+
+
 def scene_to_dict(scene: Scene) -> dict:
     camera = {"fx": scene.camera.fx, "fy": scene.camera.fy,
               "cx": scene.camera.cx, "cy": scene.camera.cy}
@@ -99,7 +107,8 @@ def scene_from_dict(data: dict) -> Scene:
     _check_keys(cam, {"fx", "fy", "cx", "cy", "normal"}, {"fx", "fy", "cx", "cy"}, "camera")
     normal = [_number(x, "camera.normal")
               for x in _fixed_list(cam.get("normal", list(DEFAULT_NORMAL)), 3, "camera.normal")]
-    camera = Camera(*(_number(cam[k], f"camera.{k}") for k in ("fx", "fy", "cx", "cy")),
+    camera = _built(Camera, "camera",
+                    *(_number(cam[k], f"camera.{k}") for k in ("fx", "fy", "cx", "cy")),
                     normal=np.array(normal))
 
     if "topology" in data:
@@ -111,9 +120,9 @@ def scene_from_dict(data: dict) -> Scene:
         parts = tuple(tuple(_integer(x, f"topology.parts[{k}]")
                             for x in _fixed_list(part, 2, f"topology.parts[{k}]"))
                       for k, part in enumerate(topo["parts"]))
-        topology = SkeletonTopology(_integer(topo["joints"], "topology.joints"),
-                                    _integer(topo["root_index"], "topology.root_index"),
-                                    parts)
+        topology = _built(SkeletonTopology, "topology",
+                          _integer(topo["joints"], "topology.joints"),
+                          _integer(topo["root_index"], "topology.root_index"), parts)
     else:
         topology = SkeletonTopology()
 
@@ -139,12 +148,15 @@ def scene_from_dict(data: dict) -> Scene:
             rel[k] = [_number(joint[c], f"{ctx}.joints[{k}].{c}")
                       for c in ("u", "v", "z_rel_mm")]
         roi_area = _number(entry["roi_area"], f"{ctx}.roi_area")
-        if roi_area <= 0:  # Person would read 0 as "the box area"
-            raise InvalidInputError(f"{ctx}.roi_area must be positive, got {roi_area!r}")
-        persons.append(Person(
-            box=BoundingBox(*(_number(box[c], f"{ctx}.box.{c}")
-                              for c in ("u_top", "v_top", "w", "h"))),
-            rel_pose=RelativePose(rel, topology.root_index),
+        if not 0 < roi_area < math.inf:  # Person would read 0 as "the box area"
+            raise InvalidInputError(f"{ctx}.roi_area must be positive and finite, "
+                                    f"got {roi_area!r}")
+        # the root depth is the one field Person checks that is not checked above
+        persons.append(_built(
+            Person, f"{ctx}.root_depth_mm",
+            box=_built(BoundingBox, f"{ctx}.box",
+                       *(_number(box[c], f"{ctx}.box.{c}") for c in ("u_top", "v_top", "w", "h"))),
+            rel_pose=_built(RelativePose, f"{ctx}.joints", rel, topology.root_index),
             root_depth=_number(entry["root_depth_mm"], f"{ctx}.root_depth_mm"),
             roi_area=roi_area,
         ))

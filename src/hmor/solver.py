@@ -19,8 +19,9 @@ from .depth import (equivalent_depth, init_term, l1_residual, l1_term, normalize
                     refine_residual, refine_term)
 from .errors import InvalidDepthError, InvalidInputError, NumericalError, SolverError
 from .geometry import back_project_points, sample_views
-from .ordinal import (HmorConfig, LabelledTruth, RelationPairs, _depth_margins, _entity_map,
-                      _part_margins, check_finite_fields, ordinal_pass, violation_counts)
+from .ordinal import (HmorConfig, LabelledTruth, RelationPairs, _check_pair_set, _depth_margins,
+                      _entity_map, _part_margins, check_finite_fields, ordinal_pass,
+                      violation_counts)
 from .skeleton import RelativePose, Scene, check_matched
 
 if typing.TYPE_CHECKING:  # hmor.rootform is imported where a form is built
@@ -325,8 +326,7 @@ def objective(pred_scene: Scene, gt_pairs: RelationPairs, anchors: Scene, config
     variables. The ordinal term averages over the views of ``gt_pairs``
     (several at once from ``LabelledTruth(gt, config.hmor).label(views)``);
     ``anchors`` supplies the data-term targets."""
-    if not isinstance(gt_pairs, RelationPairs):
-        raise InvalidInputError(f"gt_pairs must be a RelationPairs, got {type(gt_pairs).__name__}")
+    _check_pair_set(gt_pairs, "gt_pairs")
     gt_pairs.check_fits(pred_scene)
     check_matched(pred_scene, anchors)
     sv = _SceneVars(pred_scene, config)

@@ -249,6 +249,10 @@ class TestLoss:
         ("normal", [0.0, 1.0], "camera.normal"),
         ("roi_area", 0, "persons[0].roi_area must be positive"),
         ("roi_area", -0.0, "persons[0].roi_area must be positive"),
+        # values the scene's value objects reject, named by their field path
+        ("root_depth_mm", -1, "persons[1].root_depth_mm: root depth must be positive"),
+        ("box_w", 0, "persons[1].box: box size must be positive"),
+        ("fx", 0, "camera: focal lengths must be positive"),
     ])
     def test_malformed_value_is_validation_error(self, fixture_files, capsys,
                                                  where, value, named):
@@ -260,6 +264,10 @@ class TestLoss:
             data["topology"]["parts"][0] = value
         elif where == "roi_area":
             data["persons"][0]["roi_area"] = value
+        elif where == "root_depth_mm":
+            data["persons"][1]["root_depth_mm"] = value
+        elif where == "box_w":
+            data["persons"][1]["box"]["w"] = value
         else:
             data["camera"][where] = value
         pred.write_text(json.dumps(data))

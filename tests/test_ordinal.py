@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from hmor import (GaussNoise, GenSpec, HmorConfig, HmorLoss, InvalidInputError,
                   ordinal_violations, part_relations_from_2d, perturb, refine, sample_view)
 from hmor.ordinal import (LabelledTruth, RelationPairs, _entity_map, _full_layout, _Layout,
                           ordinal_pass, scene_joint_array, violation_counts)
+import hmor.rootform
 from hmor.rootform import root_pass
 from hmor.solver import _fd_max_rel_err, _SceneVars
 from conftest import (brute_force_labels, brute_force_pairs, err_instance, err_instance_grad,
@@ -668,6 +670,130 @@ class TestRootFormOracle:
             _assert_close(got, expected)
 
 
+def _tied(gt):
+    """``gt`` with person 1 a copy of person 0 at another box corner: under
+    the camera normal their joint and instance pairs tie (label 0)."""
+    first = gt.persons[0]
+    box = dataclasses.replace(first.box, u_top=first.box.u_top + 150.0)
+    twin = dataclasses.replace(first, box=box, roi_area=box.area)
+    return dataclasses.replace(gt, persons=(first, twin, *gt.persons[2:]))
+
+
+def _same_bits(got, want) -> bool:
+    if got is None or want is None:
+        return got is want
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# a step of a dx sequence: a spread of random offsets (scaled units), a
+# non-finite value or one whose square overflows at one person, one
+# entry's signed margin moved onto a band edge, -eps or +eps, or the
+# reach pushed against an entry's radius
+DX_STEPS = st.one_of(st.sampled_from([0.0, 1e-4, 0.003, 0.02, 0.1, 0.5]),
+                     st.sampled_from(["nan", "inf", "-inf", "1e200", "-edge", "+edge", "push"]))
+
+
+class TestRootFormActiveSet:
+    """root_pass scores only the active entries, those whose margin a
+    max|dx| up to the form's reach could move to the band; the rest are
+    provably unviolated. Its outputs equal, bit for bit, a pass over
+    every entry (a form selected for an infinite reach)."""
+
+    @staticmethod
+    def _edge_dx(form, dx, rng, target):
+        """``dx`` with one person moved so that a depth entry's signed
+        margin lands on ``target`` (None if no entry gets there within 1)."""
+        D = form.depth
+        M0, A, B = (c[:, :D].ravel() for c in (form.M0, form.A, form.B))
+        pa, pb = np.tile(form.persons[:, :D], len(form.labels))
+        moved = dx.copy()
+        with np.errstate(all="ignore"):  # dx may hold NaN or inf
+            rest = np.where(pa == pb, 0.0, B * dx[pb])
+            step = (target - M0 - rest) / np.where(pa == pb, A + B, A)
+        near = np.flatnonzero(np.abs(step) < 1.0)
+        if not len(near):
+            return None
+        entry = rng.choice(near)
+        moved[pa[entry]] = step[entry]
+        return moved
+
+    @staticmethod
+    def _push_dx(form, rng):
+        """Offsets of ``max|dx|`` the form's reach that raise a depth entry's
+        signed margin by its bound, ``(|A| + |B|) * reach``, onto or past
+        the band, for an entry whose radius lies within the reach (None if
+        there is none): no reselection, so only a radius that errs low
+        keeps it scored."""
+        reach, D = form.reach, form.depth
+        if not 0.0 < reach < np.inf:
+            return None
+        M0, A, B, labels = (c[:, :D].ravel() for c in (form.M0, form.A, form.B, form.labels))
+        pa, pb = np.tile(form.persons[:, :D], len(form.labels))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            radius = (-form.config.equality_tolerance - M0) / (np.abs(A) + np.abs(B))
+        near = np.flatnonzero((pa != pb) & (labels != 0) & (radius > 0.5 * reach)
+                              & (radius <= reach))
+        if not len(near):
+            return None
+        entry = rng.choice(near)
+        dx = rng.uniform(-reach, reach, len(form.K0))
+        dx[pa[entry]], dx[pb[entry]] = reach * np.sign(A[entry]), reach * np.sign(B[entry])
+        return dx
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 10_000), n_persons=st.integers(1, 4), k=st.sampled_from([1, 4]),
+           part_mode=st.sampled_from(["vector", "particle"]), eps=st.sampled_from([0.0, 0.02]),
+           ties=st.booleans(), steps=st.lists(DX_STEPS, min_size=1, max_size=10))
+    def test_pruned_pass_equals_full_pass(self, seed, n_persons, k, part_mode, eps, ties,
+                                          steps):
+        cfg = HmorConfig(part_mode=part_mode, equality_tolerance=eps)
+        gt, pred, views = _kernel_case(seed, n_persons, k)
+        if ties and n_persons > 1:
+            gt = _tied(gt)
+        labelled = LabelledTruth(gt, cfg).label(views)
+        if ties and n_persons > 1:
+            assert not labelled.depth_labels[0].all()
+        sv = _SceneVars(pred, SolverConfig(hmor=cfg))
+        form, full = sv.root_form(labelled), sv.root_form(labelled)
+        full.select(np.inf)
+        rng = np.random.default_rng(seed)
+        dx = np.zeros(n_persons)
+        for step in steps:
+            if isinstance(step, float):
+                dx = rng.uniform(-step, step, n_persons)
+            elif step.endswith("edge"):
+                dx = self._edge_dx(form, dx, rng, eps if step[0] == "+" else -eps)
+            elif step == "push":
+                dx = self._push_dx(form, rng)
+            else:
+                dx = dx.copy()
+                dx[rng.integers(n_persons)] = float(step)
+            if dx is None:
+                dx = np.zeros(n_persons)
+            for want_grad in (True, False):  # the second repeats the radius
+                with np.errstate(all="ignore"):  # inf - inf, 0 * inf, overflow
+                    got, want = root_pass(form, dx, want_grad), root_pass(full, dx, want_grad)
+                assert all(_same_bits(x, y) for x, y in zip(got, want))
+            assert form.reach >= np.abs(dx).max() or np.isnan(dx).any()
+
+    def test_benchmark_shaped_run_scores_a_subset(self, monkeypatch):
+        # the pinned benchmark-shaped run: 4 persons, 10 steps of 4 views
+        scored = []
+        kernel = hmor.rootform.root_pass
+
+        def spy(form, dx, want_grad=True):
+            out = kernel(form, dx, want_grad)
+            scored.append((len(form.active[0]), form.labels.size))
+            return out
+
+        monkeypatch.setattr(hmor.rootform, "root_pass", spy)
+        spec = GenSpec(seed=7, n_persons=4, perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        refine(perturb(gt, spec), gt, SolverConfig(seed=5, steps=10, views_per_step=4))
+        assert len(scored) > 2 and scored[0][1] == 4 * 3824
+        assert all(n < total for n, total in scored[1:])  # every call from step 1 on
+
+
 # every knob the loss-free count must follow; each example draws one
 COUNT_CONFIGS = [HmorConfig(part_mode=mode, equality_tolerance=eps)
                  for mode in ("vector", "particle") for eps in (0.0, 0.02)]
@@ -891,6 +1017,19 @@ class TestPairInputChecks:
         for call in (lambda: ordinal_violations(pred, gt, views),
                      lambda: evaluate(pred, gt, views=views)):
             with pytest.raises(InvalidInputError, match="^view must be a 3-vector, got shape"):
+                call()
+
+    @pytest.mark.parametrize("kind", ["list", "tuple", "NoneType"])
+    def test_anything_but_one_pair_set_rejected(self, kind):
+        gt, pred, views = _kernel_case(5, 2, 1)
+        pairs = LabelledTruth(gt).label(views)
+        arg = {"list": [pairs], "tuple": (pairs,), "NoneType": None}[kind]
+        K = scene_joint_array(pred, 1e-3)
+        for name, call in (("pairs", lambda: hmor_loss(pred, arg)),
+                           ("labelled", lambda: ordinal_pass(K, gt.topology, arg)),
+                           ("labelled", lambda: violation_counts(K, gt.topology, arg))):
+            with pytest.raises(InvalidInputError,
+                               match=f"^{name} must be a RelationPairs, got {kind}$"):
                 call()
 
     def test_empty_pair_inputs_raise(self):

@@ -742,6 +742,31 @@ class TestFixedPoint:
             refine(pred, gt, dataclasses.replace(cfg, divergence_limit=value / 2))
 
 
+def _faults_per_refine_op() -> float:
+    """Mean minor page faults of this process per benchmark-shaped refine
+    op (4 persons, 10 steps of 4 views), over 32 ops after 8 warm-up ops."""
+    import resource
+    inputs = []
+    for k in range(32):
+        spec = GenSpec(seed=930_000 + k, n_persons=4, perturbation=GaussNoise(sigma_z=300.0))
+        gt = generate_scene(spec)
+        inputs.append((perturb(gt, spec), gt))
+    for k in range(8):
+        refine(*inputs[k], SolverConfig(steps=10, views_per_step=4, seed=k))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for k, (pred, gt) in enumerate(inputs):
+        refine(pred, gt, SolverConfig(steps=10, views_per_step=4, seed=k))
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(inputs)
+
+
+def test_refine_ops_reuse_heap_pages():
+    # a run's (k, P) arrays are one block past glibc's mmap threshold, and
+    # none are built as (k, P) temporaries: a heap trimmed and regrown
+    # around every run faults its pages in again, hundreds per op
+    faults = _faults_per_refine_op()
+    assert faults < 50, f"{faults:.1f} minor faults per refine op"
+
+
 class TestGradCheck:
     def test_every_term_matches_finite_differences(self):
         pred, gt, cfg = _gradcheck_point(np.random.default_rng(8), 1, SolverConfig())
