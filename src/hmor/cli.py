@@ -296,8 +296,6 @@ def cmd_refine(args) -> int:
         overrides["free_variables"] = args.free_vars
     if args.views_per_step is not None:
         overrides["views_per_step"] = args.views_per_step
-    if args.no_halving:
-        overrides["step_halving"] = False
     if overrides:
         solver_cfg = dataclasses.replace(solver_cfg, **overrides)
 
@@ -386,9 +384,12 @@ def cmd_eval(args) -> int:
             raise InvalidInputError(f"ground-truth files missing for {missing}")
         tasks = [(n, str(pred_path / n), str(gt_path / n), threshold, thresholds, cfg.hmor)
                  for n in names]
-        if args.jobs > 1:
+        # a fork pool starts every worker at the first submit: no more than
+        # there are scenes or CPUs
+        jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
+        if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = dict(pool.map(_eval_worker, tasks))
         else:
             results = dict(map(_eval_worker, tasks))
@@ -485,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--views-per-step", type=int, default=None,
                    help="views the ordinal term averages over: the camera normal plus "
                         "k - 1 seeded views, drawn once per run")
-    p.add_argument("--no-halving", action="store_true")
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("eval", help="pose metrics of pred vs gt (files or directories)")
@@ -494,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gt")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", help="prefix; writes <out>.json and <out>.csv")
-    p.add_argument("--jobs", type=int, default=1, help="parallel scene evaluation")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel scene evaluation, at most one worker per scene and CPU")
     p.add_argument("--threshold", type=float, default=None, help="PCK threshold in mm")
     p.set_defaults(func=cmd_eval)
 

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .geometry import project_points
-from .ordinal import (HmorConfig, LabelledTruth, _view_array, scene_joint_array,
-                      violation_counts)
+from .ordinal import HmorConfig, LabelledTruth, _view_array, scene_joint_array
 from .skeleton import AbsolutePose, Scene, check_matched, check_topologies_match
 
 DEFAULT_PCK_THRESHOLD_MM = 150.0
@@ -342,23 +341,27 @@ def auc(pred: Scene, gt: Scene, alignment: str = "root",
 def _audit(P: np.ndarray, G: np.ndarray, gt: Scene, views,
            config: HmorConfig | None) -> ViolationCounts:
     """:func:`ordinal_violations` of the (M, J, 3) joint arrays of matched
-    persons, lifted at scale 1 and in the same order. Scaling them here
-    repeats :func:`scene_joint_array`'s own multiply, so no bit moves."""
+    persons, lifted at scale 1 and in the same order: both are labelled by
+    one :class:`LabelledTruth` rule under the views, and a violation is a
+    pair whose two labels differ. Scaling them here repeats
+    :func:`scene_joint_array`'s own multiply, so no bit moves."""
     cfg = config or HmorConfig()
     scale = cfg.depth_unit_scale
-    labelled = LabelledTruth(gt, cfg, joints=G * scale).label(
-        [_view_array(view) for view in views])
-    counts = violation_counts(P * scale, gt.topology, labelled, cfg).sum(axis=1)
+    views = [_view_array(view) for view in views]
+    truth, pred = (LabelledTruth(gt, cfg, joints=K * scale).label(views) for K in (G, P))
+    differ = truth.depth_labels != pred.depth_labels
+    counts = [0, np.count_nonzero(truth.part_labels != pred.part_labels), 0]
+    for level, pairs, *_ in truth.layout.segments:
+        counts[level] = np.count_nonzero(differ[:, pairs])
     return ViolationCounts(*(int(c) for c in counts))
 
 
 def ordinal_violations(pred: Scene, gt: Scene, views,
                        config: HmorConfig | None = None) -> ViolationCounts:
-    """Pairs per relation level whose predicted order disagrees with the
-    ground truth, summed over the audit views. Scenes must already be
+    """Pairs per relation level whose predicted label differs from the
+    ground truth's, summed over the audit views. Scenes must already be
     matched person-for-person (same count, same order). Each scene is
-    lifted once, the ground truth enumerated once and every view counted
-    in one :func:`violation_counts`, which forms no loss."""
+    lifted once and labelled once under every view; no loss is formed."""
     check_matched(pred, gt)
     return _audit(scene_joint_array(pred), scene_joint_array(gt), gt, views, config)
 

@@ -75,14 +75,6 @@ class RelationPairs:
 
     view = property(lambda self: self.views[0])
 
-    def rows(self, rows) -> RelationPairs:
-        """The sub-stack of the view rows ``rows`` (any numpy index; an
-        integer keeps the view axis, as a one-row slice does)."""
-        if isinstance(rows, (int, np.integer)):
-            rows = [rows]
-        return RelationPairs(self.views[rows], self.layout, self.depth_labels[rows],
-                             self.part_labels[rows])
-
     def check_fits(self, scene: Scene) -> None:
         """Raise InvalidInputError unless the pairs hold a view and ``scene``
         has the persons, and the parts and joints per person, the pairs
@@ -306,38 +298,6 @@ def enumerate_pairs(gt_scene: Scene, view, config: HmorConfig | None = None) -> 
     """Enumerate all relation pairs of a scene, within and across persons,
     and label them from the ground truth under ``view``."""
     return LabelledTruth(gt_scene, config).label(_view_array(view))
-
-
-def _count_disagreements(m: np.ndarray, labels: np.ndarray, eps: float, segments,
-                         out: np.ndarray) -> None:
-    """Count into ``out[level]``, per view row, each (level, pair slice,
-    ...) segment's pairs whose margin in ``m`` thresholds (NaN to 0) to
-    another label than ``labels``."""
-    differ = _threshold_label(m, eps) != labels
-    for level, pairs, *_ in segments:
-        # a loop over k rows beats count_nonzero(axis=1) for the few views used
-        out[level] = [np.count_nonzero(row) for row in differ[:, pairs]]
-
-
-def violation_counts(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPairs,
-                     config: HmorConfig | None = None) -> np.ndarray:
-    """The violations :func:`ordinal_pass` counts, alone and under every
-    view, as (3, k) per level and view, from the (N, J, 3) scaled joints.
-    No weights, errors or float labels are formed."""
-    _check_pair_set(labelled, "labelled")
-    cfg = config or HmorConfig()
-    layout = labelled.layout
-    layout.check_labels(cfg)
-    X = _entity_map(topology, cfg.part_mode) @ K
-    V = labelled.views
-    counts = np.zeros((3, len(V)), dtype=int)
-    eps = cfg.equality_tolerance
-    _count_disagreements(_depth_margins(X, V, layout), labelled.depth_labels,
-                         eps, layout.segments, counts)
-    if layout.flat is not None:
-        _count_disagreements(_part_margins(X, V, layout)[0], labelled.part_labels, eps,
-                             ((1, slice(None)),), counts)
-    return counts
 
 
 def _signs(labels: np.ndarray) -> np.ndarray:

@@ -20,8 +20,7 @@ from .depth import (equivalent_depth, init_term, l1_residual, l1_term, normalize
 from .errors import InvalidDepthError, InvalidInputError, NumericalError, SolverError
 from .geometry import back_project_points, sample_views
 from .ordinal import (HmorConfig, LabelledTruth, RelationPairs, _check_pair_set, _depth_margins,
-                      _entity_map, _part_margins, check_finite_fields, ordinal_pass,
-                      violation_counts)
+                      _entity_map, _part_margins, check_finite_fields, ordinal_pass)
 from .skeleton import RelativePose, Scene, check_matched
 
 if typing.TYPE_CHECKING:  # hmor.rootform is imported where a form is built
@@ -36,11 +35,12 @@ class SolverConfig:
     """Descent parameters and objective term weights. The ordinal term
     averages over ``views_per_step`` views drawn once per run (see
     :func:`refine`). ``anchor`` targets the data terms at the ground truth
-    or at the input, where they read 0 with a zero gradient.
-    ``step_halving`` keeps the trace monotone from row 1 on. Every data
-    term is L1, so under ``full_pose`` the pose term adds ``w_pose /
-    (N·J·s)`` to the gradient of any coordinate off its anchor, however
-    slightly (19.6, a 196 mm step, at 3 persons): such a one oscillates.
+    or at the input, where they read 0 with a zero gradient. A step that
+    would raise the objective is halved until it does not, so the trace is
+    monotone from row 1 on (:func:`refine`). Every data term is L1, so
+    under ``full_pose`` the pose term adds ``w_pose / (N·J·s)`` to the
+    gradient of any coordinate off its anchor, however slightly (19.6, a
+    196 mm step, at 3 persons): such a one oscillates.
     """
 
     steps: int = 500
@@ -53,7 +53,6 @@ class SolverConfig:
     views_per_step: int = 1
     free_variables: str = "root_depths_only"
     seed: int = 0
-    step_halving: bool = True
     anchor: str = "ground_truth"
     hmor: HmorConfig = field(default_factory=HmorConfig)
     divergence_limit: float = 1e12
@@ -173,9 +172,9 @@ class _SceneVars:
     def root_form(self, labelled: RelationPairs) -> _RootForm | None:
         """The ordinal term under ``labelled`` reduced to the root depths
         (:class:`_RootForm`), about the start point, which it moves the
-        variables to; None under ``full_pose`` or with no ordinal term
-        (``w_hmor == 0``), where violations are only counted."""
-        if self.cfg.free_variables != "root_depths_only" or not self.cfg.w_hmor:
+        variables to; None under ``full_pose``. Built whatever ``w_hmor``
+        is: with no ordinal term it still counts the violations."""
+        if self.cfg.free_variables != "root_depths_only":
             return None
         from .rootform import _RootForm
         self.unpack(self.start[0])
@@ -223,16 +222,16 @@ class _Anchors:
 class _Evaluation:
     """One objective evaluation (:func:`_evaluate`)."""
 
-    totals: list[float]         # the weighted total under each value_rows selection
+    total: float                # the weighted total, the ordinal term over every view
+    first: float                # the weighted total under view 0 alone (trace row 0)
     data: dict[str, float]      # each computed data term's unweighted value, by name
-    hmor: list[dict] | None     # per selection: hmor and its levels, by name (all_terms)
-    violations: np.ndarray      # (3,) per-level violations under the first labelled view
+    hmor: dict | None           # hmor and its levels over every view, by name (all_terms)
+    violations: np.ndarray      # (3,) per-level violations under view 0
     grad: np.ndarray | None
 
     def terms(self) -> dict[str, float]:
-        """Every unweighted term of the first selection, by name, and its
-        total."""
-        return {**self.data, **self.hmor[0], "total": self.totals[0]}
+        """Every unweighted term, by name, and the total."""
+        return {**self.data, **self.hmor, "total": self.total}
 
 
 def _check_finite(term: str, value: float) -> float:
@@ -241,23 +240,25 @@ def _check_finite(term: str, value: float) -> float:
     return value
 
 
-def _mean(per_view: np.ndarray, rows) -> float:
-    picked = per_view[rows].tolist()
-    return sum(picked) / len(picked)
+def _mean(per_view: np.ndarray) -> float:
+    values = per_view.tolist()
+    return sum(values) / len(values)
 
 
 def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config: SolverConfig,
-              value_rows, want_grad: bool, all_terms: bool = True,
+              want_grad: bool, all_terms: bool = True,
               form: _RootForm | None = None) -> _Evaluation:
     """The objective at the current variables as one :class:`_Evaluation`:
-    the weighted total under each ``value_rows`` selection of the
-    ``labelled`` views (terms summed in ``_TERMS`` order), the gradient
-    w.r.t. the packed variables (ordinal term over every view) and view
-    0's counts. With ``all_terms`` every term is computed, with each
-    selection's levels; without it weight-0 terms are skipped. With
-    ``form`` (:meth:`_SceneVars.root_form`) the ordinal term is one
+    the weighted total with the ordinal term averaged over every
+    ``labelled`` view and under view 0 alone (terms summed in ``_TERMS``
+    order), the gradient w.r.t. the packed variables (ordinal term over
+    every view) and view 0's counts. With ``all_terms`` every term is
+    computed, with the ordinal levels; without it weight-0 terms are
+    skipped. The ordinal kernel always runs, for the counts, with its
+    gradient only at ``w_hmor > 0``. With ``form``
+    (:meth:`_SceneVars.root_form`) it is one
     :func:`~hmor.rootform.root_pass` and the abs term reads the joints
-    ``K0 + e * dx``.
+    ``K0 + e * dx``; otherwise one :func:`ordinal_pass`.
     """
     s, n = sv.scale, sv.N
     nj = n * sv.J
@@ -293,32 +294,29 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config
         if w := getattr(config, f"w_{name}"):
             total += w * value
 
-    hmor = None
+    hmor_grad = want_grad and config.w_hmor > 0
+    if form is None:
+        per_view, levels, counts, dK_hmor = ordinal_pass(
+            K, sv.topology, labelled, config.hmor, want_grad=hmor_grad)
+    else:  # its gradient is w.r.t. the root depths
+        per_view, levels, counts, g_hmor = form(sv.dx, hmor_grad)
+    first, hmor = total, None
     if all_terms or config.w_hmor:
-        hmor_grad = want_grad and config.w_hmor > 0
-        if form is None:
-            per_view, levels, counts, dK_hmor = ordinal_pass(
-                K, sv.topology, labelled, config.hmor, want_grad=hmor_grad)
-        else:  # its gradient is w.r.t. the root depths
-            per_view, levels, counts, g_hmor = form(sv.dx, hmor_grad)
-        means = [_check_finite("hmor", _mean(per_view, rows)) for rows in value_rows]
-        totals = [total + config.w_hmor * m if config.w_hmor else total for m in means]
+        mean = _check_finite("hmor", _mean(per_view))
+        if config.w_hmor:
+            first = total + config.w_hmor * per_view[0].item()
+            total += config.w_hmor * mean
         if all_terms:
-            hmor = [{"hmor": m, **{f"hmor.{name}": _mean(level, rows)
-                                   for name, level in zip(("instance", "part", "joint"), levels)}}
-                    for m, rows in zip(means, value_rows)]
-        if hmor_grad and form is not None:
-            grad += g_hmor * (config.w_hmor / len(per_view))
-        elif hmor_grad:
-            dK_hmor = dK_hmor * (config.w_hmor / len(per_view))
-            dK = dK_hmor if dK is None else dK + dK_hmor
-    else:
-        counts = (violation_counts(K, sv.topology, labelled.rows(slice(0, 1)), config.hmor)[:, 0]
-                  if form is None else form(sv.dx, False)[2])
-        totals = [total] * len(value_rows)
+            hmor = {"hmor": mean, **{f"hmor.{name}": _mean(level)
+                                     for name, level in zip(("instance", "part", "joint"), levels)}}
+    if hmor_grad and form is not None:
+        grad += g_hmor * (config.w_hmor / len(per_view))
+    elif hmor_grad:
+        dK_hmor = dK_hmor * (config.w_hmor / len(per_view))
+        dK = dK_hmor if dK is None else dK + dK_hmor
     if dK is not None:
         grad += sv.grad_to_x(dK, d, a, b) if form is None else (dK * form.e).sum(axis=(1, 2))
-    return _Evaluation(totals, data, hmor, counts, grad)
+    return _Evaluation(total, first, data, hmor, counts, grad)
 
 
 def objective(pred_scene: Scene, gt_pairs: RelationPairs, anchors: Scene, config: SolverConfig):
@@ -331,8 +329,8 @@ def objective(pred_scene: Scene, gt_pairs: RelationPairs, anchors: Scene, config
     check_matched(pred_scene, anchors)
     sv = _SceneVars(pred_scene, config)
     record = _evaluate(sv, gt_pairs, _Anchors.of(_SceneVars(anchors, config), sv), config,
-                       (slice(None),), True, all_terms=False, form=sv.root_form(gt_pairs))
-    return record.totals[0], record.grad
+                       True, all_terms=False, form=sv.root_form(gt_pairs))
+    return record.total, record.grad
 
 
 def _targets(sv: _SceneVars, gt_scene: Scene, config: SolverConfig):
@@ -353,8 +351,7 @@ def objective_terms(pred_scene: Scene, gt_scene: Scene,
     cfg = config or SolverConfig()
     sv = _SceneVars(pred_scene, cfg)
     anchors, truth = _targets(sv, gt_scene, cfg)
-    return _evaluate(sv, truth.label(gt_scene.camera.normal), anchors, cfg,
-                     (slice(None),), False).terms()
+    return _evaluate(sv, truth.label(gt_scene.camera.normal), anchors, cfg, False).terms()
 
 
 def _labelled_views(truth: LabelledTruth, gt_scene: Scene, k: int, seed: int) -> RelationPairs:
@@ -388,18 +385,17 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
     labelled = _labelled_views(truth, gt_scene, k, cfg.seed)
     form = sv.root_form(labelled)
 
-    def evaluate(point: np.ndarray, want_grad: bool, value_rows=(slice(None),)):
+    def evaluate(point: np.ndarray, want_grad: bool):
         sv.unpack(point)
-        return _evaluate(sv, labelled, anchors, cfg, value_rows, want_grad, all_terms=False,
-                         form=form)
+        return _evaluate(sv, labelled, anchors, cfg, want_grad, all_terms=False, form=form)
 
     # at the input itself: trace row 0 under the normal alone, step 1's f under every view
-    here = evaluate(x, True, (slice(0, 1), slice(None)))
-    trace = [TraceEntry(0, here.totals[0], int(here.violations.sum()))]
+    here = evaluate(x, True)
+    trace = [TraceEntry(0, here.first, int(here.violations.sum()))]
     eta, fixed = cfg.step_size, False
 
     for step in range(1, cfg.steps + 1):
-        f, g = here.totals[-1], here.grad
+        f, g = here.total, here.grad
         if f > cfg.divergence_limit:
             raise SolverError(f"objective diverged to {f!r} at step {step}")
         if fixed:
@@ -408,17 +404,16 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
         want_grad, eta_in = step < cfg.steps, eta
         cand = x - eta * g
         record = evaluate(cand, want_grad)
-        f_cand = record.totals[0]
-        if cfg.step_halving:
-            while f_cand > f and eta > cfg.min_step:
-                eta *= 0.5
-                cand = x - eta * g
-                record = evaluate(cand, False)  # most halved candidates are rejected
-                f_cand = record.totals[0]
-            if f_cand > f:
-                cand, f_cand, record = x, f, here
-            elif want_grad and record.grad is None:  # an accepted halved candidate
-                record = evaluate(cand, True)
+        f_cand = record.total
+        while f_cand > f and eta > cfg.min_step:
+            eta *= 0.5
+            cand = x - eta * g
+            record = evaluate(cand, False)  # most halved candidates are rejected
+            f_cand = record.total
+        if f_cand > f:
+            cand, f_cand, record = x, f, here
+        elif want_grad and record.grad is None:  # an accepted halved candidate
+            record = evaluate(cand, True)
         # same x and step size: every later step evaluates what this one did
         fixed = eta == eta_in and cand.tobytes() == x.tobytes()
         x, here = cand, record
@@ -472,14 +467,13 @@ def grad_check(scene: Scene, gt_scene: Scene, epsilon: float = 1e-5,
     sv = _SceneVars(scene, cfg)
     anchors, labelled = _checked_objective(sv, gt_scene, cfg)
     form = sv.root_form(labelled)
-    every = (slice(None),)
     grads = [_evaluate(sv, labelled, anchors,
                        dataclasses.replace(cfg, **{f"w_{t}": float(t == term) for t in _TERMS}),
-                       every, True, all_terms=False, form=form).grad for term in _TERMS]
+                       True, all_terms=False, form=form).grad for term in _TERMS]
 
     def terms_at(x):
         sv.unpack(x)
-        terms = _evaluate(sv, labelled, anchors, cfg, every, False, form=form).terms()
+        terms = _evaluate(sv, labelled, anchors, cfg, False, form=form).terms()
         return [terms[t] for t in _TERMS]
 
     worst = _fd_max_rel_err(terms_at, sv.pack(), np.array(grads), epsilon)

@@ -449,6 +449,42 @@ class TestEval:
         assert serial["aggregate"]["pck_rel"] == 100.0
         assert len(serial["scenes"]) == 3
 
+    # (--jobs, os.cpu_count(), the max_workers of each pool started)
+    @pytest.mark.parametrize("jobs, cpus, pools", [
+        (64, 64, [2]), (2, 64, [2]), (10_000, 4, [2]), (64, 1, []), (64, None, []), (1, 64, []),
+    ], ids=["scenes", "jobs", "huge_jobs", "one_cpu", "unknown_cpus", "one_job"])
+    def test_jobs_capped_by_scenes_and_cpus(self, tmp_path, capsys, monkeypatch, jobs, cpus,
+                                            pools):
+        # a fork pool starts every worker at once: it never gets more workers
+        # than scenes or CPUs, and one worker is the serial path
+        import concurrent.futures
+        assert run("gen", "--seed", 34, "--persons", 2, "--count", 2,
+                   "--out", tmp_path / "gt") == 0
+        (tmp_path / "pred").mkdir()
+        for p in (tmp_path / "gt").glob("scene_*.json"):
+            (tmp_path / "pred" / p.name).write_bytes(p.read_bytes())
+        started = []
+
+        class Pool:  # records the pool and runs its tasks in this process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        capsys.readouterr()
+        assert run("eval", tmp_path / "pred", tmp_path / "gt", "--jobs", jobs) == 0
+        assert started == pools
+        assert len(json.loads(capsys.readouterr().out)["scenes"]) == 2
+
     def test_auc_without_config_equals_evaluate(self, tmp_path, capsys):
         assert run("gen", "--seed", 35, "--persons", 3, "--out", tmp_path,
                    "--perturb", "gauss", "--sigma-xy", 30, "--sigma-z", 300) == 0
@@ -796,6 +832,19 @@ class TestEnvironment:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and message in captured.err
+
+    def test_removed_solver_key_rejected(self, tmp_path, capsys, camera):
+        # step halving is the one step rule: its switch is gone
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"solver": {"step_halving": False}}))
+        scene = tmp_path / "scene.json"
+        save_scene(two_person_depth_fixture(camera), scene)
+        out = tmp_path / "refined.json"
+        assert run("refine", scene, scene, "--out", out, "--config", cfg_path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.count("\n") == 1
+        assert captured.err.endswith(": solver has unknown keys ['step_halving']\n")
 
     # the last three name HmorConfig fields that were removed
     @pytest.mark.parametrize("key, value", [("w_banana", 1.0), ("pair_cap", 100),

@@ -11,7 +11,7 @@ from hmor import (GaussNoise, GenSpec, HmorConfig, HmorLoss, InvalidInputError,
                   enumerate_pairs, evaluate, generate_scene, hmor_loss, objective,
                   ordinal_violations, part_relations_from_2d, perturb, refine, sample_view)
 from hmor.ordinal import (LabelledTruth, RelationPairs, _entity_map, _full_layout, _Layout,
-                          ordinal_pass, scene_joint_array, violation_counts)
+                          ordinal_pass, scene_joint_array)
 import hmor.rootform
 from hmor.rootform import root_pass
 from hmor.solver import _fd_max_rel_err, _SceneVars
@@ -25,6 +25,11 @@ Z = np.array([0.0, 0.0, 1.0])
 
 LOG_1_5 = 0.4054651081081644
 LOG_1_2 = 0.18232155679395463
+
+
+def audit_counts(pred, gt, views, cfg=None) -> np.ndarray:
+    """ordinal_violations of matched scenes as a (3,) per-level array."""
+    return np.array(dataclasses.astuple(ordinal_violations(pred, gt, views, cfg)))
 
 
 class TestRelationInstance:
@@ -431,7 +436,7 @@ class TestCountViolations:
             jnt = sum(1 for m1, j1, m2, j2, lab in level_rows(pairs, 2)
                       if relation_joint(K[m1][j1], K[m2][j2], view, eps) != lab)
             assert got == (ins, prt, jnt)
-            assert tuple(violation_counts(K, topo, pairs, cfg)[:, 0].tolist()) == got
+            assert tuple(audit_counts(noisy, gt, [view], cfg).tolist()) == got
             if eps > 0:
                 assert np.any(level_rows(pairs, 1)[:, 4] == 0)
                 assert np.any(level_rows(pairs, 2)[:, 4] == 0)
@@ -489,13 +494,12 @@ class TestOrdinalPass:
         K = scene_joint_array(pred, cfg.depth_unit_scale)
         labelled = LabelledTruth(gt, cfg).label(views)
         totals, levels, violations, dK = ordinal_pass(K, gt.topology, labelled, cfg)
-        counts = violation_counts(K, gt.topology, labelled, cfg)
-        assert np.array_equal(violations, counts[:, 0])  # the pass counts the first view
 
         singles = [ordinal_pass(K, gt.topology, enumerate_pairs(gt, v, cfg), cfg)
                    for v in views]
+        assert np.array_equal(violations, singles[0][2])  # the pass counts the first view
         for i, (total, level, violation, _) in enumerate(singles):
-            assert np.array_equal(counts[:, i], violation)
+            assert np.array_equal(audit_counts(pred, gt, views[i:i + 1], cfg), violation)
             assert abs(totals[i] - total[0]) <= 1e-12 * max(1.0, abs(total[0]))
             assert np.allclose(levels[:, i], level[:, 0], rtol=1e-12, atol=1e-12)
         mean_total = np.mean([total[0] for total, *_ in singles])
@@ -515,7 +519,7 @@ class TestOrdinalPass:
         totals, levels, violations, dK = ordinal_pass(K, gt.topology, labelled, cfg)
         assert np.all(totals == 0.0) and np.all(levels == 0.0)
         assert not violations.any()
-        assert not violation_counts(K, gt.topology, labelled, cfg).any()
+        assert not audit_counts(gt, gt, views, cfg).any()
         assert np.all(dK == 0.0)
 
     def test_no_views_give_empty_totals_and_zero_gradient(self):
@@ -591,16 +595,16 @@ class TestOrdinalPassOracle:
 
 def _assert_equals_brute_force(pred, gt, views, labelled, cfg):
     """Assert ordinal_pass equals ordinal_brute_force (counts exactly, the
-    rest to 1e-12) with violations and a gradient, and violation_counts
-    the brute force's per-view counts; return those counts."""
+    rest to 1e-12) with violations and a gradient, and ordinal_violations
+    the brute force's counts summed over the views; return that sum."""
     K = scene_joint_array(pred, cfg.depth_unit_scale)
     totals, levels, violations, dK = ordinal_pass(K, gt.topology, labelled, cfg)
     want_totals, want_levels, want_violations, want_dK = ordinal_brute_force(
         pred, gt, views, cfg, level_index(labelled))
 
     assert np.array_equal(violations, want_violations[:, 0])
-    counts = violation_counts(K, gt.topology, labelled, cfg)
-    assert np.array_equal(counts, want_violations)
+    counts = audit_counts(pred, gt, views, cfg)
+    assert np.array_equal(counts, want_violations.sum(axis=1))
     assert want_violations.any()
     for got, want in ((totals, want_totals), (levels, want_levels), (dK, want_dK)):
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
@@ -794,14 +798,15 @@ class TestRootFormActiveSet:
         assert all(n < total for n, total in scored[1:])  # every call from step 1 on
 
 
-# every knob the loss-free count must follow; each example draws one
+# every knob the audit must follow; each example draws one
 COUNT_CONFIGS = [HmorConfig(part_mode=mode, equality_tolerance=eps)
                  for mode in ("vector", "particle") for eps in (0.0, 0.02)]
 
 
 class TestViolationCounts:
-    """violation_counts, which forms no loss, against the counts of
-    ordinal_pass and of the per-pair brute force."""
+    """ordinal_violations, which labels the prediction as the ground
+    truth and forms no loss, against the counts of ordinal_pass and of
+    the per-pair brute force."""
 
     @settings(max_examples=24, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 10_000), n_persons=st.integers(1, 5), k=st.integers(0, 4),
@@ -811,13 +816,12 @@ class TestViolationCounts:
         views = views[:k]
         labelled = LabelledTruth(gt, cfg).label(views)
         K = scene_joint_array(pred, cfg.depth_unit_scale)
-        counts = violation_counts(K, gt.topology, labelled, cfg)
-        assert counts.shape == (3, k)
-        first = counts[:, 0] if k else np.zeros(3, int)  # the pass counts the first view
+        want = ordinal_brute_force(pred, gt, views, cfg, level_index(labelled))[2]
+        assert want.shape == (3, k)
+        assert np.array_equal(audit_counts(pred, gt, views, cfg), want.sum(axis=1))
+        first = want[:, 0] if k else np.zeros(3, int)  # the pass counts the first view
         assert np.array_equal(first, ordinal_pass(K, gt.topology, labelled, cfg,
                                                   want_grad=False)[2])
-        assert np.array_equal(counts,
-                              ordinal_brute_force(pred, gt, views, cfg, level_index(labelled))[2])
 
     @pytest.mark.parametrize("part_mode", ["vector", "particle"])
     def test_sixteen_persons_equal_ordinal_pass(self, part_mode):
@@ -827,19 +831,19 @@ class TestViolationCounts:
         assert all(labels.dtype == np.int8 for labels in level_labels(labelled))
         assert not all(labels.all() for labels in level_labels(labelled)[1:])  # label-0 pairs
         K = scene_joint_array(pred, cfg.depth_unit_scale)
-        counts = violation_counts(K, gt.topology, labelled, cfg)
-        assert counts.all()
-        assert np.array_equal(counts[:, 0], ordinal_pass(K, gt.topology, labelled, cfg,
-                                                         want_grad=False)[2])
+        counts = [audit_counts(pred, gt, [view], cfg) for view in views]
+        assert all(c.all() for c in counts)
+        assert np.array_equal(counts[0], ordinal_pass(K, gt.topology, labelled, cfg,
+                                                      want_grad=False)[2])
+        assert np.array_equal(audit_counts(pred, gt, views, cfg), sum(counts))
 
     def test_hmor_loss_reads_the_first_view(self):
         gt, pred, views = _kernel_case(8, 3, 3)
         cfg = HmorConfig(part_mode="particle")
         labelled = LabelledTruth(gt, cfg).label(views)
-        K = scene_joint_array(pred, cfg.depth_unit_scale)
-        counts = violation_counts(K, gt.topology, labelled, cfg)
-        assert not np.array_equal(counts[:, 0], counts[:, 1])  # the views disagree
-        assert hmor_loss(pred, labelled, config=cfg).violations == tuple(counts[:, 0].tolist())
+        first, second = (audit_counts(pred, gt, [view], cfg) for view in views[:2])
+        assert not np.array_equal(first, second)  # the views disagree
+        assert hmor_loss(pred, labelled, config=cfg).violations == tuple(first.tolist())
 
 
 PROPERTY_CONFIGS = [HmorConfig(part_mode=mode, equality_tolerance=eps)
@@ -868,7 +872,7 @@ class TestLossProperties:
         K = scene_joint_array(pred, cfg.depth_unit_scale)
         totals, levels, violations, _ = ordinal_pass(K, gt.topology, labelled, cfg,
                                                      want_grad=False)
-        counts = violation_counts(K, gt.topology, labelled, cfg)
+        counts = np.column_stack([audit_counts(pred, gt, [view], cfg) for view in views])
         assert np.array_equal(violations, counts[:, 0])
         assert np.all(levels >= 0.0) and np.all(totals >= 0.0)
         assert np.all(levels[counts == 0] == 0.0)
@@ -891,7 +895,7 @@ class TestOneStoredForm:
         for got, want in zip(index, brute_force_pairs(gt)):
             assert np.array_equal(got, want)
         want_labels = brute_force_labels(gt, views, cfg, index)
-        first = labelled.rows([0])
+        first = LabelledTruth(gt, cfg).label(views[:1])
         for level, (got, want) in enumerate(zip(level_labels(labelled), want_labels)):
             assert got.dtype == np.int8 and np.array_equal(got, want)
             per = (None, *labelled.layout.per_person)[level]
@@ -903,32 +907,31 @@ class TestOneStoredForm:
 
     @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
     def test_rows_and_stack_keep_every_label(self, name):
-        # a sub-stack holds its rows' labels, as labelling those views alone does
+        # labelling some of a stack's views alone gives their rows' labels
         cfg = ORACLE_CONFIGS[name]
         gt, _, views = _kernel_case(22, 2, 4)
         truth = LabelledTruth(gt, cfg)
         labelled = truth.label(views)
         for rows in ([2], [0, 3], slice(1, None), slice(0, 2)):
-            sub = labelled.rows(rows)
-            assert np.array_equal(sub.views, labelled.views[rows])
-            for a, b in zip(level_labels(sub), level_labels(labelled)):
-                assert np.array_equal(a, b[rows])
             apart = truth.label(views[rows])
-            assert np.array_equal(apart.depth_labels, sub.depth_labels)
-            assert np.array_equal(apart.part_labels, sub.part_labels)
+            assert np.array_equal(apart.views, labelled.views[rows])
+            for a, b in zip(level_labels(apart), level_labels(labelled)):
+                assert np.array_equal(a, b[rows])
 
     def test_integer_row_keeps_the_view_axis(self):
+        # one view (a stack's integer row) is labelled as a stack of one
         gt, pred, views = _kernel_case(24, 2, 3)
-        labelled = LabelledTruth(gt).label(views)
+        truth = LabelledTruth(gt)
+        labelled = truth.label(views)
         for i in range(3):
-            got, want = labelled.rows(i), labelled.rows(slice(i, i + 1))
+            got, want = truth.label(views[i]), truth.label(views[i:i + 1])
             assert got.views.shape == (1, 3)
             for name in ("views", "depth_labels", "part_labels"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
             for level in range(3):
                 assert np.array_equal(level_rows(got, level), level_rows(want, level))
             assert hmor_loss(pred, got) == hmor_loss(pred, want)
-        assert hmor_loss(pred, labelled.rows(np.int64(0))) == hmor_loss(pred, labelled)
+        assert hmor_loss(pred, truth.label(views[0])) == hmor_loss(pred, labelled)
 
     def test_sixteen_persons_retain_one_form(self):
         # the layout is the one stored form: no per-level index is kept
@@ -984,7 +987,6 @@ class TestPairInputChecks:
         pairs = LabelledTruth(gt, label_cfg).label(views)
         K = scene_joint_array(gt, score_cfg.depth_unit_scale)
         calls = (lambda: ordinal_pass(K, gt.topology, pairs, score_cfg),
-                 lambda: violation_counts(K, gt.topology, pairs, score_cfg),
                  lambda: hmor_loss(gt, pairs, config=score_cfg),
                  lambda: objective(gt, pairs, gt, SolverConfig(hmor=score_cfg)))
         for call in calls:
@@ -1026,8 +1028,7 @@ class TestPairInputChecks:
         arg = {"list": [pairs], "tuple": (pairs,), "NoneType": None}[kind]
         K = scene_joint_array(pred, 1e-3)
         for name, call in (("pairs", lambda: hmor_loss(pred, arg)),
-                           ("labelled", lambda: ordinal_pass(K, gt.topology, arg)),
-                           ("labelled", lambda: violation_counts(K, gt.topology, arg))):
+                           ("labelled", lambda: ordinal_pass(K, gt.topology, arg))):
             with pytest.raises(InvalidInputError,
                                match=f"^{name} must be a RelationPairs, got {kind}$"):
                 call()
@@ -1043,5 +1044,4 @@ class TestPairInputChecks:
         for call in (lambda: hmor_loss(pred, none), lambda: objective(pred, none, gt, cfg)):
             with pytest.raises(InvalidInputError, match="^the pair set holds no views$"):
                 call()
-        K = scene_joint_array(pred, 1e-3)
-        assert violation_counts(K, gt.topology, none).shape == (3, 0)
+        assert not audit_counts(pred, gt, []).any()

@@ -21,7 +21,9 @@ REMOVED = ("count_violations", "err_instance", "err_joint", "err_part", "err_par
            "relation_joint", "relation_part")
 # RelationPairs members that left it: stacking, and row views read from its layout
 REMOVED_PAIR_ATTRIBUTES = ("stack", "index", "labels", "instance_pairs", "part_pairs",
-                           "joint_pairs", "per_person", "person_count")
+                           "joint_pairs", "per_person", "person_count", "rows")
+# hmor.ordinal functions that left it: the counts-only kernel and its helper
+REMOVED_ORDINAL_NAMES = ("violation_counts", "_count_disagreements")
 
 
 def run_python(*args):
@@ -62,6 +64,11 @@ class TestPublicNames:
     def test_removed_pair_attribute_stays_absent(self, name):
         from hmor.ordinal import RelationPairs
         assert not hasattr(RelationPairs, name)
+
+    @pytest.mark.parametrize("name", REMOVED_ORDINAL_NAMES)
+    def test_removed_ordinal_name_stays_absent(self, name):
+        import hmor.ordinal
+        assert not hasattr(hmor.ordinal, name)
 
     def test_layout_compares_by_identity(self):
         from hmor.ordinal import _Layout

@@ -74,9 +74,9 @@ class TestObjective:
         cfg = SolverConfig(free_variables="full_pose", **HMOR_ONLY)
         rng = np.random.default_rng(2)
         views = [gt.camera.normal] + [sample_view(rng=rng).direction for _ in range(3)]
-        pairs = LabelledTruth(gt, cfg.hmor).label(views)
-        value, grad = objective(noisy, pairs, gt, cfg)
-        singles = [objective(noisy, pairs.rows(i), gt, cfg) for i in range(len(views))]
+        truth = LabelledTruth(gt, cfg.hmor)
+        value, grad = objective(noisy, truth.label(views), gt, cfg)
+        singles = [objective(noisy, truth.label(view), gt, cfg) for view in views]
         assert value == pytest.approx(np.mean([v for v, _ in singles]), rel=1e-12)
         assert np.allclose(grad, np.mean([g for _, g in singles], axis=0),
                            rtol=1e-12, atol=1e-15)
@@ -124,7 +124,7 @@ class TestAnchorIsExactZero:
     @pytest.mark.parametrize("anchor", ["ground_truth", "input"])
     def test_refine_trace_at_its_anchor(self, pair, anchor, free_variables):
         pred, gt = pair
-        cfg = SolverConfig(steps=2, w_abs=1.0, w_hmor=0.0, step_halving=False,
+        cfg = SolverConfig(steps=2, w_abs=1.0, w_hmor=0.0,
                            anchor=anchor, free_variables=free_variables)
         if anchor == "ground_truth":
             gt = pred  # refine(p, p): row 0 is read at p itself
@@ -313,16 +313,25 @@ class TestRefine:
         assert ordinal_violations(refined, gt, [gt.camera.normal]).instance == 1
 
     def test_hmor_off_counts_without_the_loss_pass(self, monkeypatch):
+        # under root_depths_only the reduced form counts whatever w_hmor is,
+        # without its gradient, and the entity-map kernel never runs
         spec = GenSpec(seed=5, n_persons=3, perturbation=GaussNoise(30.0, 300.0))
         gt = generate_scene(spec)
         noisy = perturb(gt, spec)
         pairs = enumerate_pairs(gt, gt.camera.normal)
+        kernel, grads = hmor.rootform.root_pass, []
+
+        def spy(form, dx, want_grad=True):
+            grads.append(want_grad)
+            return kernel(form, dx, want_grad)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("refine with w_hmor = 0 ran the loss pass")
 
+        monkeypatch.setattr(hmor.rootform, "root_pass", spy)
         monkeypatch.setattr(hmor.solver, "ordinal_pass", forbidden)
         refined, trace = refine(noisy, gt, SolverConfig(steps=5, w_hmor=0.0, w_abs=1.0))
+        assert len(grads) >= len(trace) and not any(grads)
         assert trace[0].violations == sum(hmor_loss(noisy, pairs).violations) > 0
         assert trace[-1].violations == sum(hmor_loss(refined, pairs).violations)
 
@@ -330,7 +339,7 @@ class TestRefine:
         spec = GenSpec(seed=3, n_persons=3, perturbation=GaussNoise(40.0, 400.0))
         gt = generate_scene(spec)
         noisy = perturb(gt, spec)
-        cfg = SolverConfig(steps=120, step_size=5e-2, step_halving=True, **HMOR_ONLY)
+        cfg = SolverConfig(steps=120, step_size=5e-2, **HMOR_ONLY)
         _, trace = refine(noisy, gt, cfg)
         values = [t.value for t in trace]
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
@@ -459,7 +468,7 @@ class TestCarriedEvaluation:
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(hmor.rootform, "root_pass", spy)
-        cfg = SolverConfig(steps=10, views_per_step=views, step_halving=False)
+        cfg = SolverConfig(steps=10, views_per_step=views)
         _, trace = refine(noisy, gt, cfg)
         # one pass at the start point for trace row 0 and step 1's
         # gradient, then one per step's candidate
@@ -478,8 +487,8 @@ class TestCarriedEvaluation:
         points = []
 
         def spy(sv, *args, forced=False, **kwargs):
-            points.append((sv.ZR.tobytes(), args[4]))
-            return evaluate(sv, *args[:4], args[4] or forced, *args[5:], **kwargs)
+            points.append((sv.ZR.tobytes(), args[3]))
+            return evaluate(sv, *args[:3], args[3] or forced, *args[4:], **kwargs)
 
         monkeypatch.setattr(hmor.solver, "_evaluate", spy)
         refined, trace = refine(noisy, gt, cfg)
