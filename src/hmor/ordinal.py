@@ -301,8 +301,8 @@ def enumerate_pairs(gt_scene: Scene, view, config: HmorConfig | None = None) -> 
 
 
 def _signs(labels: np.ndarray) -> np.ndarray:
-    """Float +-1 of int8 labels, +1 for a label 0 (:func:`_score`)."""
-    return (labels | 1).astype(float)
+    """Int8 +-1 of int8 labels, +1 for a label 0 (:func:`_score`), cast in a multiply."""
+    return labels | 1
 
 
 def _edges(segments) -> list:
@@ -326,13 +326,16 @@ def _score(signed: np.ndarray, labels: np.ndarray, eps: float, segments, scale,
     entry that agrees with its label would. Returns the violated (flat
     index, view row, pair) and their weights w.r.t. ``m``, ``|label| *
     scale[pair]`` (over ``1 + m`` for a depth pair), ``scale`` being each
-    pair's ``w_level / P_level``; None when ``scale`` is."""
-    P = errors.shape[1]
-    sizes = [max(pairs.stop - pairs.start, 1) for _, pairs, *_ in segments]
+    pair's ``w_level / P_level``; None when ``scale`` is. With ``levels``
+    None it sets the counts alone, leaving ``signed`` and ``errors``."""
     index, edges = active or (None, _edges(segments))
     differ = _threshold_label(signed[:edges[-1]], eps) != np.abs(labels[:edges[-1]])
     for (level, *_), start, stop in zip(segments, edges[::2], edges[1::2]):
         counts[level] = np.count_nonzero(differ[start:stop])
+    if levels is None:
+        return None
+    P = errors.shape[1]
+    sizes = [max(pairs.stop - pairs.start, 1) for _, pairs, *_ in segments]
     hit = np.flatnonzero(signed > 0.0)  # violated, in flat order
     margin = signed.take(hit)
     # max(0, m) in place: +0.0 but at the violated entries, NaN at a NaN margin
@@ -372,12 +375,13 @@ def _weighted(levels: np.ndarray, cfg: HmorConfig) -> np.ndarray:
 
 
 def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPairs,
-                 config: HmorConfig | None = None, want_grad: bool = True):
+                 config: HmorConfig | None = None, want_grad: bool = True, counts_only=False):
     """The entity-map kernel: the (k,) weighted totals, (3, k) per-level
     mean errors, view 0's (3,) counts (zeros with no view) and the
     gradient of ``totals.sum()`` w.r.t. the (N, J, 3) scaled joints ``K``
     (None without want_grad), from the points ``X = E @ K`` and
-    :func:`_score`. A violated depth pair (a, b) weighs ``W = label / (1 +
+    :func:`_score`; with ``counts_only`` the counts alone (None, None,
+    counts, None). A violated depth pair (a, b) weighs ``W = label / (1 +
     m) * w_level / P_level`` at ``g[v, a]`` and ``-W`` at ``g[v, b]``, ``dX
     = g.T @ V``; a vector part pair weighs ``W = label * w_part / P``:
     ``W * C_v[b]`` at part row a, ``-W * C_v[a]`` at b (``C_v = T x v``).
@@ -392,7 +396,8 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     X = E @ K
     eps = cfg.equality_tolerance
     weights = (cfg.w_instance, cfg.w_part, cfg.w_joint)
-    levels = np.zeros((3, len(V)))
+    want_grad = want_grad and not counts_only
+    levels = None if counts_only else np.zeros((3, len(V)))
     violations = np.zeros((3, min(len(V), 1)), dtype=int)  # view 0's
 
     # signed margins, then errors, in place (no (k, P) temporary)
@@ -438,7 +443,8 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
             dX[:, 1:1 + S] += dT.reshape(len(X), S, 3)  # the part rows
 
     dK = E.T @ dX if want_grad else None
-    return _weighted(levels, cfg), levels, violations.sum(axis=1), dK  # one column, or zeros
+    totals = None if counts_only else _weighted(levels, cfg)
+    return totals, levels, violations.sum(axis=1), dK  # one column, or zeros
 
 
 def hmor_loss(pred_scene: Scene, pairs: RelationPairs, view=None,

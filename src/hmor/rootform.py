@@ -123,19 +123,19 @@ class _RootForm:
         self.gathered = self.coefficients.take(active, axis=1)
         self.active_labels = self.labels.take(active)
 
-    def __call__(self, dx: np.ndarray, want_grad: bool = True):
+    def __call__(self, dx: np.ndarray, want_grad: bool = True, counts_only=False):
         """:func:`root_pass` at ``dx``."""
-        return root_pass(self, dx, want_grad)
+        return root_pass(self, dx, want_grad, counts_only)
 
 
-def root_pass(form: _RootForm, dx: np.ndarray, want_grad: bool = True):
+def root_pass(form: _RootForm, dx: np.ndarray, want_grad: bool = True, counts_only=False):
     """:func:`ordinal_pass` at root offsets ``dx`` (N,) from the reduced
     form, with the (N,) gradient w.r.t. ``dx``: a violated pair's weight
     reaches its persons through ``CA``, ``CB`` or ``Qa + Qab * db``, ``Qb
     + Qab * da``, one ``bincount`` per end. It scores the active entries,
     reselected for twice a ``max|dx|`` past ``form.reach`` (all at a NaN, an
     inf or a square past float range, as ``0 * inf`` is NaN), with the bits
-    of a pass over every entry."""
+    of a pass over every entry; ``counts_only`` as in :func:`ordinal_pass`."""
     cfg = form.config
     k = len(form.labels)
     r = np.abs(dx).max()
@@ -150,7 +150,8 @@ def root_pass(form: _RootForm, dx: np.ndarray, want_grad: bool = True):
     margins += M0
     if Qab:
         margins += np.multiply(Qab[0], da * db, out=product)
-    levels = np.zeros((3, k))
+    want_grad = want_grad and not counts_only
+    levels = None if counts_only else np.zeros((3, k))
     violations = np.zeros((3, min(k, 1)), dtype=int)  # view 0's
     hits = _score(margins, form.active_labels, cfg.equality_tolerance, form.segments,
                   form.scale if want_grad else None, form.depth, levels, violations,
@@ -167,4 +168,4 @@ def root_pass(form: _RootForm, dx: np.ndarray, want_grad: bool = True):
         g = np.zeros(len(dx))  # += also takes an empty bincount's int zeros
         g += np.bincount(pa, w * ga, len(dx))
         g += np.bincount(pb, w * gb, len(dx))
-    return _weighted(levels, cfg), levels, violations.sum(axis=1), g
+    return None if counts_only else _weighted(levels, cfg), levels, violations.sum(axis=1), g

@@ -255,7 +255,8 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config
     every view) and view 0's counts. With ``all_terms`` every term is
     computed, with the ordinal levels; without it weight-0 terms are
     skipped. The ordinal kernel always runs, for the counts, with its
-    gradient only at ``w_hmor > 0``. With ``form``
+    gradient only at ``w_hmor > 0``, and for the counts alone when no
+    ordinal term is read (``w_hmor = 0`` without ``all_terms``). With ``form``
     (:meth:`_SceneVars.root_form`) it is one
     :func:`~hmor.rootform.root_pass` and the abs term reads the joints
     ``K0 + e * dx``; otherwise one :func:`ordinal_pass`.
@@ -295,11 +296,12 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config
             total += w * value
 
     hmor_grad = want_grad and config.w_hmor > 0
+    counts_only = not (all_terms or config.w_hmor)
     if form is None:
         per_view, levels, counts, dK_hmor = ordinal_pass(
-            K, sv.topology, labelled, config.hmor, want_grad=hmor_grad)
+            K, sv.topology, labelled, config.hmor, hmor_grad, counts_only)
     else:  # its gradient is w.r.t. the root depths
-        per_view, levels, counts, g_hmor = form(sv.dx, hmor_grad)
+        per_view, levels, counts, g_hmor = form(sv.dx, hmor_grad, counts_only)
     first, hmor = total, None
     if all_terms or config.w_hmor:
         mean = _check_finite("hmor", _mean(per_view))

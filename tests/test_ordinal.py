@@ -778,6 +778,10 @@ class TestRootFormActiveSet:
                 with np.errstate(all="ignore"):  # inf - inf, 0 * inf, overflow
                     got, want = root_pass(form, dx, want_grad), root_pass(full, dx, want_grad)
                 assert all(_same_bits(x, y) for x, y in zip(got, want))
+            with np.errstate(all="ignore"):
+                only = root_pass(form, dx, counts_only=True)
+            assert only[:2] == (None, None) and only[3] is None
+            assert np.array_equal(only[2], want[2])
             assert form.reach >= np.abs(dx).max() or np.isnan(dx).any()
 
     def test_benchmark_shaped_run_scores_a_subset(self, monkeypatch):
@@ -785,8 +789,8 @@ class TestRootFormActiveSet:
         scored = []
         kernel = hmor.rootform.root_pass
 
-        def spy(form, dx, want_grad=True):
-            out = kernel(form, dx, want_grad)
+        def spy(form, *args):
+            out = kernel(form, *args)
             scored.append((len(form.active[0]), form.labels.size))
             return out
 
@@ -822,6 +826,9 @@ class TestViolationCounts:
         first = want[:, 0] if k else np.zeros(3, int)  # the pass counts the first view
         assert np.array_equal(first, ordinal_pass(K, gt.topology, labelled, cfg,
                                                   want_grad=False)[2])
+        only = ordinal_pass(K, gt.topology, labelled, cfg, counts_only=True)
+        assert only[:2] == (None, None) and only[3] is None
+        assert np.array_equal(first, only[2])
 
     @pytest.mark.parametrize("part_mode", ["vector", "particle"])
     def test_sixteen_persons_equal_ordinal_pass(self, part_mode):

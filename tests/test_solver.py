@@ -122,15 +122,26 @@ class TestAnchorIsExactZero:
 
     @pytest.mark.parametrize("free_variables", ["root_depths_only", "full_pose"])
     @pytest.mark.parametrize("anchor", ["ground_truth", "input"])
-    def test_refine_trace_at_its_anchor(self, pair, anchor, free_variables):
+    def test_refine_trace_at_its_anchor(self, pair, anchor, free_variables, monkeypatch):
         pred, gt = pair
         cfg = SolverConfig(steps=2, w_abs=1.0, w_hmor=0.0,
                            anchor=anchor, free_variables=free_variables)
         if anchor == "ground_truth":
             gt = pred  # refine(p, p): row 0 is read at p itself
+        evaluate, grads = hmor.solver._evaluate, []
+
+        def spy(*args, **kwargs):
+            record = evaluate(*args, **kwargs)
+            grads.append(record.grad)
+            return record
+
+        monkeypatch.setattr(hmor.solver, "_evaluate", spy)
         _, trace = refine(pred, gt, cfg)
-        # row 0 is the value at the anchor, and a zero gradient keeps it there
+        # row 0 is the value at the anchor, and a zero gradient keeps it
+        # there: step 1 evaluates the anchor again, halves nothing and ends
+        # the run at its fixed point
         assert [t.value for t in trace] == [0.0] * 3
+        assert len(grads) == 2 and not any(g.any() for g in grads)
 
     def test_joint_behind_camera_rejected(self, pair, tmp_path, capsys):
         pred, gt = pair
@@ -314,16 +325,16 @@ class TestRefine:
 
     def test_hmor_off_counts_without_the_loss_pass(self, monkeypatch):
         # under root_depths_only the reduced form counts whatever w_hmor is,
-        # without its gradient, and the entity-map kernel never runs
+        # for the counts alone, and the entity-map kernel never runs
         spec = GenSpec(seed=5, n_persons=3, perturbation=GaussNoise(30.0, 300.0))
         gt = generate_scene(spec)
         noisy = perturb(gt, spec)
         pairs = enumerate_pairs(gt, gt.camera.normal)
-        kernel, grads = hmor.rootform.root_pass, []
+        kernel, calls = hmor.rootform.root_pass, []
 
-        def spy(form, dx, want_grad=True):
-            grads.append(want_grad)
-            return kernel(form, dx, want_grad)
+        def spy(form, dx, want_grad=True, counts_only=False):
+            calls.append(counts_only)
+            return kernel(form, dx, want_grad, counts_only)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("refine with w_hmor = 0 ran the loss pass")
@@ -331,7 +342,25 @@ class TestRefine:
         monkeypatch.setattr(hmor.rootform, "root_pass", spy)
         monkeypatch.setattr(hmor.solver, "ordinal_pass", forbidden)
         refined, trace = refine(noisy, gt, SolverConfig(steps=5, w_hmor=0.0, w_abs=1.0))
-        assert len(grads) >= len(trace) and not any(grads)
+        assert len(calls) >= len(trace) and all(calls)
+        assert trace[0].violations == sum(hmor_loss(noisy, pairs).violations) > 0
+        assert trace[-1].violations == sum(hmor_loss(refined, pairs).violations)
+
+    def test_hmor_off_full_pose_counts_alone(self, monkeypatch):
+        spec = GenSpec(seed=5, n_persons=3, perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        noisy = perturb(gt, spec)
+        pairs = enumerate_pairs(gt, gt.camera.normal)
+        kernel, calls = hmor.solver.ordinal_pass, []
+
+        def spy(*args):
+            calls.append(args[-1])  # counts_only
+            return kernel(*args)
+
+        monkeypatch.setattr(hmor.solver, "ordinal_pass", spy)
+        refined, trace = refine(noisy, gt, SolverConfig(steps=5, w_hmor=0.0, w_abs=1.0,
+                                                        free_variables="full_pose"))
+        assert len(calls) >= len(trace) and all(calls)
         assert trace[0].violations == sum(hmor_loss(noisy, pairs).violations) > 0
         assert trace[-1].violations == sum(hmor_loss(refined, pairs).violations)
 
