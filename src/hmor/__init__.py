@@ -23,7 +23,7 @@ _EXPORTS = {
     "depth": ("DepthEstimate", "equivalent_depth", "loss_abs", "loss_init", "loss_pose",
               "loss_refine", "normalize_depth", "recover_absolute_depth"),
     "errors": ("BehindCameraError", "GenerationError", "HmorError", "InvalidDepthError",
-               "InvalidInputError", "NumericalError", "SolverError"),
+               "InvalidInputError", "NumericalError"),
     "geometry": ("Camera", "ViewVector", "back_project", "project", "sample_view"),
     "metrics": ("Matching", "MetricReport", "ViolationCounts", "auc", "evaluate",
                 "match_persons", "mpjpe", "optimal_assignment", "ordinal_violations", "pck",

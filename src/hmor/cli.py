@@ -6,8 +6,9 @@ is refine's trace row 0), refine (gradient-descent refinement with an
 objective trace), eval (pose metrics), and gradcheck (each objective
 term's analytic gradient against central differences at random scenes).
 
-Exit codes: 0 success, 2 validation error, 3 I/O error, 4 numerical or
-solver error. Set HMOR_LOG={error,info,debug} to control verbosity.
+Exit codes: 0 success, 2 validation error, 3 I/O error, 4 numerical error
+(a non-finite result or objective, or a failed gradient check). Set
+HMOR_LOG={error,info,debug} to control verbosity.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (HmorError, InvalidInputError, NumericalError, SolverError)
+from .errors import HmorError, InvalidInputError, NumericalError
 from .sceneio import load_scene, save_scene
 
 if typing.TYPE_CHECKING:
@@ -528,7 +529,7 @@ def main(argv=None) -> int:
         # a non-finite result is reported once, as exit 4, not as warnings
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (NumericalError, SolverError) as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except HmorError as exc:  # InvalidInputError and the other input errors

@@ -28,7 +28,3 @@ class GenerationError(HmorError):
 
 class NumericalError(HmorError):
     """A computation produced a non-finite value."""
-
-
-class SolverError(HmorError):
-    """The refinement solver diverged or could not make progress."""

@@ -10,21 +10,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .depth import (equivalent_depth, init_term, l1_residual, l1_term, normalize_depth,
                     refine_residual, refine_term)
-from .errors import InvalidDepthError, InvalidInputError, NumericalError, SolverError
+from .errors import InvalidDepthError, InvalidInputError, NumericalError
 from .geometry import back_project_points, sample_views
-from .ordinal import (HmorConfig, LabelledTruth, RelationPairs, _check_pair_set, _depth_margins,
-                      _entity_map, _part_margins, check_finite_fields, ordinal_pass)
+from .ordinal import (HmorConfig, LabelledTruth, RelationPairs, _check_pair_set, _RootForm,
+                      check_finite_fields, ordinal_pass, root_pass)
 from .skeleton import RelativePose, Scene, check_matched
-
-if typing.TYPE_CHECKING:  # hmor.rootform is imported where a form is built
-    from .rootform import _RootForm
 
 # the objective's terms, in the order the weighted total sums them
 _TERMS = ("pose", "init", "refine", "abs", "hmor")
@@ -40,7 +36,8 @@ class SolverConfig:
     monotone from row 1 on (:func:`refine`). Every data term is L1, so
     under ``full_pose`` the pose term adds ``w_pose / (N·J·s)`` to the
     gradient of any coordinate off its anchor, however slightly (19.6, a
-    196 mm step, at 3 persons): such a one oscillates.
+    196 mm step, at 3 persons): such a one oscillates. A term or weighted
+    total that is not finite raises NumericalError (:func:`_evaluate`).
     """
 
     steps: int = 500
@@ -55,7 +52,6 @@ class SolverConfig:
     seed: int = 0
     anchor: str = "ground_truth"
     hmor: HmorConfig = field(default_factory=HmorConfig)
-    divergence_limit: float = 1e12
     min_step: float = 1e-12
 
     def __post_init__(self):
@@ -176,7 +172,6 @@ class _SceneVars:
         is: with no ordinal term it still counts the violations."""
         if self.cfg.free_variables != "root_depths_only":
             return None
-        from .rootform import _RootForm
         self.unpack(self.start[0])
         K0, _, a, b = self.joints_scaled()
         return _RootForm(K0, np.stack([a, b, np.ones_like(a)], axis=-1), self.topology,
@@ -257,9 +252,9 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config
     skipped. The ordinal kernel always runs, for the counts, with its
     gradient only at ``w_hmor > 0``, and for the counts alone when no
     ordinal term is read (``w_hmor = 0`` without ``all_terms``). With ``form``
-    (:meth:`_SceneVars.root_form`) it is one
-    :func:`~hmor.rootform.root_pass` and the abs term reads the joints
-    ``K0 + e * dx``; otherwise one :func:`ordinal_pass`.
+    (:meth:`_SceneVars.root_form`) it is one :func:`root_pass` and the abs
+    term reads the joints ``K0 + e * dx``; otherwise one :func:`ordinal_pass`.
+    A non-finite term or weighted total raises NumericalError.
     """
     s, n = sv.scale, sv.N
     nj = n * sv.J
@@ -301,7 +296,7 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config
         per_view, levels, counts, dK_hmor = ordinal_pass(
             K, sv.topology, labelled, config.hmor, hmor_grad, counts_only)
     else:  # its gradient is w.r.t. the root depths
-        per_view, levels, counts, g_hmor = form(sv.dx, hmor_grad, counts_only)
+        per_view, levels, counts, g_hmor = root_pass(form, sv.dx, hmor_grad, counts_only)
     first, hmor = total, None
     if all_terms or config.w_hmor:
         mean = _check_finite("hmor", _mean(per_view))
@@ -311,6 +306,8 @@ def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config
         if all_terms:
             hmor = {"hmor": mean, **{f"hmor.{name}": _mean(level)
                                      for name, level in zip(("instance", "part", "joint"), levels)}}
+    _check_finite("total", total)
+    _check_finite("total", first)
     if hmor_grad and form is not None:
         grad += g_hmor * (config.w_hmor / len(per_view))
     elif hmor_grad:
@@ -348,12 +345,13 @@ def objective_terms(pred_scene: Scene, gt_scene: Scene,
                     config: SolverConfig | None = None) -> dict[str, float]:
     """Every unweighted term of the objective :func:`refine` minimises,
     by name (see :func:`_evaluate`), and the weighted ``total``, all from
-    one :func:`ordinal_pass` under the ground truth's camera normal.
+    one pass of ``refine``'s kernel under the ground truth's camera normal.
     ``total`` is ``refine``'s trace row 0, bit for bit."""
     cfg = config or SolverConfig()
     sv = _SceneVars(pred_scene, cfg)
     anchors, truth = _targets(sv, gt_scene, cfg)
-    return _evaluate(sv, truth.label(gt_scene.camera.normal), anchors, cfg, False).terms()
+    labelled = truth.label(gt_scene.camera.normal)
+    return _evaluate(sv, labelled, anchors, cfg, False, form=sv.root_form(labelled)).terms()
 
 
 def _labelled_views(truth: LabelledTruth, gt_scene: Scene, k: int, seed: int) -> RelationPairs:
@@ -369,7 +367,7 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
 
     Returns the refined scene and a trace of (step, objective value,
     total ordinal violations under the camera normal). Deterministic
-    given the config seed. Raises SolverError past the divergence limit.
+    given the config seed. Raises NumericalError on a non-finite total.
 
     Every step descends one view stack, labelled once
     (:func:`_labelled_views`); row 0 is the input under the camera normal
@@ -398,8 +396,6 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
 
     for step in range(1, cfg.steps + 1):
         f, g = here.total, here.grad
-        if f > cfg.divergence_limit:
-            raise SolverError(f"objective diverged to {f!r} at step {step}")
         if fixed:
             trace += [dataclasses.replace(trace[-1], step=t) for t in range(step, cfg.steps + 1)]
             break
@@ -496,19 +492,16 @@ def _gradcheck_point(rng: np.random.Generator, i: int, config: SolverConfig):
         x0 = sv.pack()
         x0 += rng.normal(0.0, np.where(np.arange(len(x0)) < sv.N, 250.0, 25.0)) * sv.scale
         anchors, labelled = _checked_objective(sv, gt, cfg)
-        layout, V = labelled.layout, labelled.views
 
         def residuals(x):
             # every data term's residual (hmor.depth's), then the labelled margins
             sv.unpack(x)
             K = sv.joints_scaled()[0]
-            X = _entity_map(sv.topology, cfg.hmor.part_mode) @ K
+            depth, parts = LabelledTruth(gt, cfg.hmor, joints=K).margins(labelled.views)
             out = [l1_residual(sv.rel(), anchors.rel), l1_residual(sv.z_norm(), anchors.z_norm),
                    refine_residual(np.zeros(sv.N), sv.z_eq(), anchors.z_eq),
                    l1_residual(K / sv.scale, anchors.abs_mm),
-                   _depth_margins(X, V, layout) * labelled.depth_labels]
-            if layout.flat is not None:
-                out.append(_part_margins(X, V, layout)[0] * labelled.part_labels)
+                   depth * labelled.depth_labels, parts * labelled.part_labels]
             return np.concatenate([r.ravel() for r in out])
 
         at_x0 = residuals(x0)

@@ -306,19 +306,22 @@ class TestLoss:
         # row 0 is evaluated at the input itself, as `hmor loss` is
         assert total == row0
 
-    def test_one_ordinal_pass(self, fixture_files, monkeypatch, capsys):
+    @pytest.mark.parametrize("free_variables", ["root_depths_only", "full_pose"])
+    def test_one_kernel(self, fixture_files, tmp_path, monkeypatch, capsys, free_variables):
+        # one pass of the kernel refine runs under the config's free variables
         calls = []
-        kernel = hmor.solver.ordinal_pass
+        for name in ("ordinal_pass", "root_pass"):
+            def spy(*args, kernel=getattr(hmor.ordinal, name), name=name, **kwargs):
+                calls.append(name)
+                return kernel(*args, **kwargs)
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return kernel(*args, **kwargs)
-
-        for module in (hmor.ordinal, hmor.solver):
-            monkeypatch.setattr(module, "ordinal_pass", spy)
+            for module in (hmor.ordinal, hmor.solver):
+                monkeypatch.setattr(module, name, spy)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"solver": {"free_variables": free_variables}}))
         pred, gt = fixture_files
-        assert run("loss", pred, gt) == 0
-        assert len(calls) == 1
+        assert run("loss", pred, gt, "--config", config) == 0
+        assert calls == ["root_pass" if free_variables == "root_depths_only" else "ordinal_pass"]
 
     def test_fields_follow_the_anchor(self, tmp_path, capsys):
         assert run("gen", "--seed", 8, "--persons", 3, "--perturb", "gauss",
@@ -392,6 +395,40 @@ class TestRefine:
                        "--steps", 50, "--views-per-step", 2, "--seed", 5) == 0
             outputs.append((out.read_bytes(), trace.read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+class TestObjectiveScale:
+    """A refine objective has no bound but overflow: a large finite one
+    runs, one that overflows exits 4."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("scale")
+        assert run("gen", "--seed", 3, "--persons", 3, "--perturb", "gauss",
+                   "--sigma-xy", 30, "--sigma-z", 300, "--out", root) == 0
+        return root / "pred_000.json", root / "scene_000.json"
+
+    def test_large_objective_runs(self, files, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"solver": {"w_init": 1e13}}))
+        assert run("loss", *files, "--config", config) == 0
+        total = json.loads(capsys.readouterr().out)["total"]
+        trace = tmp_path / "trace.csv"
+        assert run("refine", *files, "--config", config, "--out", tmp_path / "r.json",
+                   "--trace", trace) == 0
+        with open(trace, newline="") as fh:
+            values = [float(row["value"]) for row in csv.DictReader(fh)]
+        assert values[0] == total > 1e12
+        assert all(np.isfinite(values)) and all(b <= a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("weight", ["w_init", "w_refine", "w_pose"])
+    def test_overflow_exits_4_with_one_line(self, files, tmp_path, weight):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"solver": {weight: 1.7e308}}))
+        out = tmp_path / "r.json"
+        done = run_process("refine", *files, "--config", config, "--out", out)
+        assert done.returncode == 4 and done.stdout == "" and not out.exists()
+        assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
 
 
 class TestEval:
@@ -834,17 +871,19 @@ class TestEnvironment:
         assert captured.err.count("\n") == 1 and message in captured.err
 
     def test_removed_solver_key_rejected(self, tmp_path, capsys, camera):
-        # step halving is the one step rule: its switch is gone
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"solver": {"step_halving": False}}))
+        # step halving is the one step rule, and the objective has no bound
+        # but overflow: neither the switch nor the limit is a key
         scene = tmp_path / "scene.json"
         save_scene(two_person_depth_fixture(camera), scene)
         out = tmp_path / "refined.json"
-        assert run("refine", scene, scene, "--out", out, "--config", cfg_path) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and not out.exists()
-        assert captured.err.count("\n") == 1
-        assert captured.err.endswith(": solver has unknown keys ['step_halving']\n")
+        for key, value in (("step_halving", False), ("divergence_limit", 1e12)):
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps({"solver": {key: value}}))
+            assert run("refine", scene, scene, "--out", out, "--config", cfg_path) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err.count("\n") == 1
+            assert captured.err.endswith(f": solver has unknown keys ['{key}']\n")
 
     # the last three name HmorConfig fields that were removed
     @pytest.mark.parametrize("key, value", [("w_banana", 1.0), ("pair_cap", 100),

@@ -11,9 +11,8 @@ from hmor import (GaussNoise, GenSpec, HmorConfig, HmorLoss, InvalidInputError,
                   enumerate_pairs, evaluate, generate_scene, hmor_loss, objective,
                   ordinal_violations, part_relations_from_2d, perturb, refine, sample_view)
 from hmor.ordinal import (LabelledTruth, RelationPairs, _entity_map, _full_layout, _Layout,
-                          ordinal_pass, scene_joint_array)
-import hmor.rootform
-from hmor.rootform import root_pass
+                          ordinal_pass, root_pass, scene_joint_array)
+import hmor.solver
 from hmor.solver import _fd_max_rel_err, _SceneVars
 from conftest import (brute_force_labels, brute_force_pairs, err_instance, err_instance_grad,
                       err_joint, err_joint_grad, err_part, err_part_grad, err_part_particle,
@@ -787,14 +786,14 @@ class TestRootFormActiveSet:
     def test_benchmark_shaped_run_scores_a_subset(self, monkeypatch):
         # the pinned benchmark-shaped run: 4 persons, 10 steps of 4 views
         scored = []
-        kernel = hmor.rootform.root_pass
+        kernel = hmor.solver.root_pass
 
         def spy(form, *args):
             out = kernel(form, *args)
             scored.append((len(form.active[0]), form.labels.size))
             return out
 
-        monkeypatch.setattr(hmor.rootform, "root_pass", spy)
+        monkeypatch.setattr(hmor.solver, "root_pass", spy)
         spec = GenSpec(seed=7, n_persons=4, perturbation=GaussNoise(30.0, 300.0))
         gt = generate_scene(spec)
         refine(perturb(gt, spec), gt, SolverConfig(seed=5, steps=10, views_per_step=4))

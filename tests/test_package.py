@@ -1,7 +1,9 @@
 """The lazy ``hmor`` package: its public names, and the modules each
 subcommand loads in a fresh interpreter."""
 
+import ast
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -18,7 +20,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # public names that left the package; they must not come back through __getattr__
 REMOVED = ("count_violations", "err_instance", "err_joint", "err_part", "err_part_particle",
            "instance_position", "part_vectors", "project_to_plane", "relation_instance",
-           "relation_joint", "relation_part")
+           "relation_joint", "relation_part", "SolverError")
 # RelationPairs members that left it: stacking, and row views read from its layout
 REMOVED_PAIR_ATTRIBUTES = ("stack", "index", "labels", "instance_pairs", "part_pairs",
                            "joint_pairs", "per_person", "person_count", "rows")
@@ -83,6 +85,32 @@ class TestPublicNames:
         assert done.stdout.split("\n")[0] == "['hmor']"
 
 
+# hmor.ordinal's internals: the pair layout, the margins and the scoring of both kernels
+ORDINAL_INTERNALS = {"_score", "_Layout", "_full_layout", "_LABEL_SETTINGS", "_entity_map",
+                     "_project", "_cross_views", "_depth_margins", "_part_margins", "_signs",
+                     "_edges", "_column_scale", "_weighted", "_root_columns"}
+
+
+class TestModuleBoundary:
+    """The labelled pair stack lives in hmor.ordinal alone."""
+
+    def test_no_other_module_reads_ordinal_internals(self):
+        for path in sorted((SRC / "hmor").glob("*.py")):
+            if path.name == "ordinal.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom):
+                    names = {alias.name for alias in node.names}
+                elif isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                else:
+                    continue
+                assert not names & ORDINAL_INTERNALS, f"{path.name}:{node.lineno}"
+
+    def test_reduced_form_has_no_module_of_its_own(self):
+        assert importlib.util.find_spec("hmor.rootform") is None
+
+
 _LOADED = """
 import json, sys
 import hmor.cli
@@ -116,13 +144,12 @@ class TestSubcommandModules:
 
     @pytest.mark.parametrize("argv, absent", [
         (("gen", "--out", "{root}/out"), {"hmor.solver", "hmor.ordinal", "hmor.metrics",
-                                          "hmor.depth", "hmor.rootform"}),
-        (("loss", "{root}/pred/s0.json", "{root}/gt/s0.json"),
-         {"hmor.metrics", "hmor.synth", "hmor.rootform"}),
+                                          "hmor.depth"}),
+        (("loss", "{root}/pred/s0.json", "{root}/gt/s0.json"), {"hmor.metrics", "hmor.synth"}),
         (("refine", "{root}/pred/s0.json", "{root}/gt/s0.json", "--out", "{root}/r.json",
           "--steps", "2"), {"hmor.metrics", "hmor.synth"}),
-        (("eval", "{root}/pred/s0.json", "{root}/gt/s0.json"), {"hmor.synth", "hmor.rootform"}),
-        (("eval", "{root}/pred", "{root}/gt", "--jobs", "1"), {"hmor.synth", "hmor.rootform"}),
+        (("eval", "{root}/pred/s0.json", "{root}/gt/s0.json"), {"hmor.synth"}),
+        (("eval", "{root}/pred", "{root}/gt", "--jobs", "1"), {"hmor.synth"}),
     ], ids=["gen", "loss", "refine", "eval_file", "eval_dir"])
     def test_subcommand_skips_what_it_does_not_run(self, files, argv, absent):
         modules = self.loaded(files, *(a.format(root=files) for a in argv))

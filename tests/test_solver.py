@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmor import (DepthEstimate, GaussNoise, GenSpec, HmorConfig, InvalidDepthError,
-                  InvalidInputError, SolverConfig, SolverError, assemble_absolute,
+                  InvalidInputError, SolverConfig, assemble_absolute,
                   enumerate_pairs, equivalent_depth, generate_scene,
                   grad_check, hmor_loss, loss_abs, loss_init, loss_pose, loss_refine,
                   normalize_depth, objective, objective_terms, ordinal_violations, perturb,
@@ -16,7 +16,6 @@ from hmor import (DepthEstimate, GaussNoise, GenSpec, HmorConfig, InvalidDepthEr
 from hmor import sample_view
 from hmor.cli import main
 from hmor.depth import init_term, l1_term, refine_term
-import hmor.rootform
 import hmor.solver
 from hmor.ordinal import LabelledTruth, scene_joint_array
 from hmor.solver import (_Anchors, _checked_objective, _evaluate, _fd_max_rel_err,
@@ -330,7 +329,7 @@ class TestRefine:
         gt = generate_scene(spec)
         noisy = perturb(gt, spec)
         pairs = enumerate_pairs(gt, gt.camera.normal)
-        kernel, calls = hmor.rootform.root_pass, []
+        kernel, calls = hmor.solver.root_pass, []
 
         def spy(form, dx, want_grad=True, counts_only=False):
             calls.append(counts_only)
@@ -339,7 +338,7 @@ class TestRefine:
         def forbidden(*args, **kwargs):
             raise AssertionError("refine with w_hmor = 0 ran the loss pass")
 
-        monkeypatch.setattr(hmor.rootform, "root_pass", spy)
+        monkeypatch.setattr(hmor.solver, "root_pass", spy)
         monkeypatch.setattr(hmor.solver, "ordinal_pass", forbidden)
         refined, trace = refine(noisy, gt, SolverConfig(steps=5, w_hmor=0.0, w_abs=1.0))
         assert len(calls) >= len(trace) and all(calls)
@@ -383,14 +382,6 @@ class TestRefine:
         assert [t.value for t in trace1] == [t.value for t in trace2]
         for a, b in zip(refined1.persons, refined2.persons):
             assert a.root_depth == b.root_depth
-
-    def test_divergence_raises(self):
-        spec = GenSpec(seed=5, n_persons=2, perturbation=GaussNoise(0.0, 500.0))
-        gt = generate_scene(spec)
-        noisy = perturb(gt, spec)
-        cfg = SolverConfig(steps=5, divergence_limit=1e-9, **HMOR_ONLY)
-        with pytest.raises(SolverError):
-            refine(noisy, gt, cfg)
 
     def test_person_count_mismatch_rejected(self):
         gt = generate_scene(GenSpec(seed=6, n_persons=2))
@@ -490,13 +481,13 @@ class TestCarriedEvaluation:
         gt = generate_scene(spec)
         noisy = perturb(gt, spec)
         calls = []
-        kernel = hmor.rootform.root_pass  # the ordinal kernel under root_depths_only
+        kernel = hmor.solver.root_pass  # the ordinal kernel under root_depths_only
 
         def spy(*args, **kwargs):
             calls.append(args)
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(hmor.rootform, "root_pass", spy)
+        monkeypatch.setattr(hmor.solver, "root_pass", spy)
         cfg = SolverConfig(steps=10, views_per_step=views)
         _, trace = refine(noisy, gt, cfg)
         # one pass at the start point for trace row 0 and step 1's
@@ -613,7 +604,7 @@ class TestWhatAnEvaluationComputes:
         for name in ("normalize_depth", "equivalent_depth", "l1_term", "init_term",
                      "refine_term", "ordinal_pass"):
             spy(name)
-        spy("root_pass", hmor.rootform)
+        spy("root_pass")
         spy("joints_scaled", _SceneVars)
         spy("grad_to_x", _SceneVars)
         cfg = SolverConfig(steps=8, views_per_step=2, step_size=0.5,
@@ -652,13 +643,13 @@ class TestWhatAnEvaluationComputes:
     @pytest.mark.parametrize("views", [1, 2, 4])
     def test_grad_check_draws_refine_first_step_views(self, monkeypatch, views):
         stacks = []
-        kernel = hmor.rootform.root_pass  # the ordinal kernel under root_depths_only
+        kernel = hmor.solver.root_pass  # the ordinal kernel under root_depths_only
 
         def spy(form, *args, **kwargs):
             stacks.append(form.labelled.views)
             return kernel(form, *args, **kwargs)
 
-        monkeypatch.setattr(hmor.rootform, "root_pass", spy)
+        monkeypatch.setattr(hmor.solver, "root_pass", spy)
         pred, gt = self._pair(32)
         for steps in (1, 10):  # one run's draw holds every step's views
             cfg = SolverConfig(steps=steps, views_per_step=views, seed=41)
@@ -763,21 +754,6 @@ class TestFixedPoint:
         assert head == trace[:t + 1] and [row.step for row in trace] == list(range(cfg.steps + 1))
         # a run that evaluated every step would make at least steps + 1 evaluations
         assert len(calls) == full_run < cfg.steps + 1
-
-    def test_fixed_point_above_the_limit_still_raises(self):
-        # the pose term alone has a nonzero value and, with root depths the
-        # only variables, a zero gradient: step 1 leaves x where it is. The
-        # step that reaches a fixed point has checked its value already, so
-        # the raise comes at step 1, as in a run that evaluates every step.
-        spec = GenSpec(seed=9, n_persons=3, perturbation=GaussNoise(30.0, 300.0))
-        gt = generate_scene(spec)
-        pred = perturb(gt, spec)
-        cfg = SolverConfig(steps=5, w_pose=1.0, w_init=0.0, w_refine=0.0, w_hmor=0.0)
-        _, trace = refine(pred, gt, cfg)
-        value = trace[0].value
-        assert value > 0.0 and all(row.value == value for row in trace)
-        with pytest.raises(SolverError, match="at step 1$"):
-            refine(pred, gt, dataclasses.replace(cfg, divergence_limit=value / 2))
 
 
 def _faults_per_refine_op() -> float:
