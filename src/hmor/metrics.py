@@ -349,11 +349,7 @@ def _audit(P: np.ndarray, G: np.ndarray, gt: Scene, views,
     scale = cfg.depth_unit_scale
     views = [_view_array(view) for view in views]
     truth, pred = (LabelledTruth(gt, cfg, joints=K * scale).label(views) for K in (G, P))
-    differ = truth.depth_labels != pred.depth_labels
-    counts = [0, np.count_nonzero(truth.part_labels != pred.part_labels), 0]
-    for level, pairs, *_ in truth.layout.segments:
-        counts[level] = np.count_nonzero(differ[:, pairs])
-    return ViolationCounts(*(int(c) for c in counts))
+    return ViolationCounts(*truth.disagreements(pred))
 
 
 def ordinal_violations(pred: Scene, gt: Scene, views,

@@ -65,17 +65,26 @@ class RelationPairs:
     """A ground-truth scene's pair sets, labelled under a stack of k views.
 
     ``views`` is (k, 3) (``view`` is view 0), ``layout`` (:class:`_Layout`)
-    the pairs and their labelling settings, ``depth_labels`` and
-    ``part_labels`` the (k, P) int8 labels of its stacked depth pairs and
-    of its vector parts (none under particle parts).
+    the pairs and their labelling settings, ``labels`` the (k, P) int8
+    labels of its columns: the stacked depth pairs, then the vector parts.
     """
 
     views: np.ndarray
     layout: _Layout
-    depth_labels: np.ndarray = field(repr=False)
-    part_labels: np.ndarray = field(repr=False)
+    labels: np.ndarray = field(repr=False)
 
     view = property(lambda self: self.views[0])
+
+    def disagreements(self, other: RelationPairs) -> tuple[int, int, int]:
+        """Per level (instance, part, joint), the labels of ``other``, a
+        pair set of the same layout and view count, that differ from
+        these, summed over every view."""
+        if other.layout is not self.layout or other.labels.shape != self.labels.shape:
+            raise InvalidInputError("the pair sets differ in their pairs or views")
+        differ, counts = self.labels != other.labels, [0, 0, 0]
+        for level, columns in self.layout.segments:
+            counts[level] = int(np.count_nonzero(differ[:, columns]))
+        return tuple(counts)
 
     def check_fits(self, scene: Scene) -> None:
         """Raise InvalidInputError unless the pairs hold a view and ``scene``
@@ -167,12 +176,13 @@ class _Layout:
     """A pair set in the stacked form the kernels read: its only stored form.
 
     Entity ``m * width + row`` is row ``row`` of person m's ``E @ K``
-    points (:func:`_entity_map`, width ``1 + S + J``). The depth levels'
-    pairs (instance, joint, and part under particle parts) form one (2, P)
-    ``pairs`` index, in level order; ``segments`` holds each depth level's
-    (level, pair slice, entities per person, first row). ``flat`` indexes
-    the vector parts' flattened (n, n) product (None under particle
-    parts); the ``_LABEL_SETTINGS`` attributes are the labelling settings.
+    points (:func:`_entity_map`, width ``1 + S + J``). The columns of a
+    pair set are the ``depth`` depth pairs (instance, joint, and part under
+    particle parts) in level order, one (2, depth) ``pairs`` index, then
+    the vector parts, ``flat`` indexing their flattened (n, n) product
+    (None under particle parts); ``segments`` holds each level's (level,
+    column slice). The ``_LABEL_SETTINGS`` attributes are the labelling
+    settings.
     """
 
     def __init__(self, index, per_person: tuple[int, int], person_count: int, settings):
@@ -181,15 +191,17 @@ class _Layout:
         S, J = per_person
         self.width = 1 + S + J  # entity rows per person
         vector_parts = self.part_mode == "vector"
+        self.sizes = tuple(level.shape[1] for level in index)
         self.segments, ids, p = [], [], 0
         for level in (0, 2) if vector_parts else (0, 1, 2):
             per, row = ((1, 0), (S, 1), (J, 1 + S))[level]
-            P = index[level].shape[1]
-            self.segments.append((level, slice(p, p + P), per, row))
+            self.segments.append((level, slice(p, p + self.sizes[level])))
+            p += self.sizes[level]
             m, r = np.divmod(index[level], per)
             ids.append(m * self.width + r + row)
-            p += P
-        self.sizes = tuple(level.shape[1] for level in index)
+        self.depth = p
+        if vector_parts:
+            self.segments.append((1, slice(p, p + self.sizes[1])))
         # pairs and flat stay writeable although cached: ``take`` copies a
         # read-only index array on every call
         self.pairs = np.concatenate(ids, axis=1)
@@ -229,29 +241,28 @@ def _cross_views(T: np.ndarray, views: np.ndarray) -> np.ndarray:
     return np.stack([y * vz - z * vy, z * vx - x * vz, x * vy - y * vx], axis=-1)
 
 
-def _depth_margins(X: np.ndarray, views: np.ndarray, layout: _Layout) -> np.ndarray:
-    """Raw (k, P) margins ``z_a - z_b`` of the stacked depth pairs under
-    (k, 3) views, from the projections ``z`` of a scene's (N, 1 + S + J,
-    3) entity points ``X`` (one scalar per entity and view)."""
+def _margins(X: np.ndarray, views: np.ndarray, layout: _Layout):
+    """Raw (k, P) margins of ``layout``'s columns under (k, 3) views, from
+    a scene's (N, 1 + S + J, 3) entity points ``X``: ``z_a - z_b`` of the
+    projections ``z`` (one scalar per entity and view) for a depth pair,
+    then ``t_a . (t_b x v)`` of the part rows ``T`` for a vector part,
+    read from ``T @ C_v.T`` with ``C = T x v``. Also returns C (None under
+    particle parts). One view at a time: a (k, n, n) stack soon passes
+    glibc's 128 KiB mmap threshold, and every call would pay for fresh pages."""
     z = _project(X.reshape(-1, 3), views)
-    a, b = layout.pairs
-    depth = z.take(a, axis=1)
-    depth -= z.take(b, axis=1)
-    return depth
-
-
-def _part_margins(X: np.ndarray, views: np.ndarray, layout: _Layout):
-    """Raw (k, P) vector-part margins ``t_a . (t_b x v)`` of the part rows
-    ``T`` of ``X``, read from ``T @ C_v.T`` with ``C = T x v``; also
-    returns C. One view at a time: a (k, n, n) stack soon passes glibc's
-    128 KiB mmap threshold, and every call would pay for fresh pages."""
+    D = layout.depth
+    margins = np.empty((len(views), sum(layout.sizes)))
+    depth = margins[:, :D]  # written in place: a temporary would fault in again on each call
+    z.take(layout.pairs[0], axis=1, out=depth, mode="clip")
+    depth -= z.take(layout.pairs[1], axis=1)
+    if layout.flat is None:
+        return margins, None
     T = X[:, 1:1 + layout.per_person[0]].reshape(-1, 3)
     C = _cross_views(T, views)
-    parts = np.empty((len(views), len(layout.flat)))
-    for row, Cv in zip(parts, C):
+    for row, Cv in zip(margins[:, D:], C):
         # the index is in range; mode="raise" would buffer ``out``
         (T @ Cv.T).take(layout.flat, out=row, mode="clip")
-    return parts, C
+    return margins, C
 
 
 def _view_stack(views) -> np.ndarray:
@@ -285,20 +296,16 @@ class LabelledTruth:
         self.layout = _full_layout(N, gt_scene.topology.part_count, J, settings)
         self.points = _entity_map(gt_scene.topology, cfg.part_mode) @ K
 
-    def margins(self, views: np.ndarray):
-        """The raw (k, P) depth and vector-part margins (k, 0 under particle
-        parts) of the points under a (k, 3) stack of unit ``views``."""
-        X, layout = self.points, self.layout
-        parts = (np.empty((len(views), 0)) if layout.flat is None
-                 else _part_margins(X, views, layout)[0])
-        return _depth_margins(X, views, layout), parts
+    def margins(self, views: np.ndarray) -> np.ndarray:
+        """The raw (k, P) margins of the points under a (k, 3) stack of
+        unit ``views``, depth then vector-part columns (:func:`_margins`)."""
+        return _margins(self.points, views, self.layout)[0]
 
     def label(self, views) -> RelationPairs:
         """Label the (k, 3) ``views`` (finite unit vectors)."""
         views = _view_stack(views)
-        depth, parts = (_threshold_label(m, self.layout.equality_tolerance)
-                        for m in self.margins(views))
-        return RelationPairs(views, self.layout, depth, parts)
+        return RelationPairs(views, self.layout,
+                             _threshold_label(self.margins(views), self.layout.equality_tolerance))
 
 
 def enumerate_pairs(gt_scene: Scene, view, config: HmorConfig | None = None) -> RelationPairs:
@@ -312,37 +319,36 @@ def _signs(labels: np.ndarray) -> np.ndarray:
     return labels | 1
 
 
-def _edges(segments) -> list:
-    """The (level, pair slice, ...) segments' starts and stops, interleaved."""
-    return [end for _, pairs, *_ in segments for end in (pairs.start, pairs.stop)]
+def _edges(layout: _Layout) -> list:
+    """The starts and stops of ``layout``'s segments, interleaved."""
+    return [end for _, columns in layout.segments for end in (columns.start, columns.stop)]
 
 
-def _score(signed: np.ndarray, labels: np.ndarray, eps: float, segments, scale,
-           log_end: int, levels: np.ndarray, counts: np.ndarray, errors: np.ndarray,
-           active: tuple | None = None):
+def _score(signed: np.ndarray, labels: np.ndarray, layout: _Layout, scale, levels: np.ndarray,
+           counts: np.ndarray, errors: np.ndarray, active: tuple | None = None):
     """Every ordinal kernel's one step from margins, each times its
     label's sign (:func:`_signs`), to losses, over the 1-D ``signed`` and
-    ``labels`` of a (k, P) stack's entries: every entry (``signed`` is
-    ``errors.ravel()``), or the ``active`` flat indices, ascending, with
-    the :func:`_edges` of view 0's entries in them. Sets view 0's counts
-    per level (a signed margin thresholds against ``|label|``) and each
-    (level, pair slice, ...) segment's per-view mean error, ``errors``
-    (k, P) taking at the entries ``log1p(m)`` for a violated (``m > 0``)
-    depth pair (the first ``log_end``), ``m`` for a part pair, 0 for a
-    label 0, NaN for NaN; elsewhere it must read +0.0, as an unviolated
-    entry that agrees with its label would. Returns the violated (flat
-    index, view row, pair) and their weights w.r.t. ``m``, ``|label| *
-    scale[pair]`` (over ``1 + m`` for a depth pair), ``scale`` being each
-    pair's ``w_level / P_level``; None when ``scale`` is. With ``levels``
-    None it sets the counts alone, leaving ``signed`` and ``errors``."""
-    index, edges = active or (None, _edges(segments))
-    differ = _threshold_label(signed[:edges[-1]], eps) != np.abs(labels[:edges[-1]])
-    for (level, *_), start, stop in zip(segments, edges[::2], edges[1::2]):
+    ``labels`` of a (k, P) stack of ``layout``'s columns: every entry
+    (``signed`` is ``errors.ravel()``), or the ``active`` flat indices,
+    ascending, with the :func:`_edges` of view 0's entries in them. Sets
+    view 0's counts per level (a signed margin thresholds against
+    ``|label|`` under the layout's tolerance) and each segment's per-view
+    mean error, ``errors`` (k, P) taking at the entries ``log1p(m)`` for
+    a violated (``m > 0``) depth pair (the first ``layout.depth``
+    columns), ``m`` for a part pair, 0 for a label 0, NaN for NaN;
+    elsewhere it must read +0.0, as an unviolated entry that agrees with
+    its label would. Returns the violated (flat index, view row, column)
+    and their weights w.r.t. ``m``, ``|label| * scale[column]`` (over ``1
+    + m`` for a depth pair, ``scale`` from :func:`_column_scale`); None
+    when ``scale`` is. With ``levels`` None it sets the counts alone."""
+    index, edges = active or (None, _edges(layout))
+    differ = (_threshold_label(signed[:edges[-1]], layout.equality_tolerance)
+              != np.abs(labels[:edges[-1]]))
+    for (level, _), start, stop in zip(layout.segments, edges[::2], edges[1::2]):
         counts[level] = np.count_nonzero(differ[start:stop])
     if levels is None:
         return None
-    P = errors.shape[1]
-    sizes = [max(pairs.stop - pairs.start, 1) for _, pairs, *_ in segments]
+    P, D = errors.shape[1], layout.depth
     hit = np.flatnonzero(signed > 0.0)  # violated, in flat order
     margin = signed.take(hit)
     # max(0, m) in place: +0.0 but at the violated entries, NaN at a NaN margin
@@ -351,28 +357,29 @@ def _score(signed: np.ndarray, labels: np.ndarray, eps: float, segments, scale,
     flat = hit if index is None else index.take(hit)
     row = flat // P  # not divmod, whose remainder is several times slower
     pair = flat - row * P
-    logged = True if log_end >= P else pair < log_end
+    logged = True if D >= P else pair < D
     hits = None
     if scale is not None:
         w = size / np.where(logged, 1.0 + margin, 1.0)
         w *= scale.take(pair)
         hits = flat, row, pair, w
-    if log_end:
+    if D:
         margin = np.where(logged, np.log1p(margin), margin)
     if not size.all():
         margin *= size
     signed.put(hit, margin)
     if index is not None:
         errors.put(index, signed)
-    for (level, pairs, *_), n in zip(segments, sizes):
-        levels[level] = np.add.reduce(errors[:, pairs], axis=1) / n
+    for level, columns in layout.segments:
+        levels[level] = np.add.reduce(errors[:, columns], axis=1) / max(layout.sizes[level], 1)
     return hits
 
 
-def _column_scale(segments, weights) -> np.ndarray:
-    """Each pair's ``w_level / P_level`` over (level, pair slice, ...) segments."""
-    sizes = [pairs.stop - pairs.start for _, pairs, *_ in segments]
-    return np.repeat([weights[level] / max(n, 1) for (level, *_), n in zip(segments, sizes)],
+def _column_scale(layout: _Layout, cfg: HmorConfig) -> np.ndarray:
+    """Each of ``layout``'s columns' ``w_level / P_level``."""
+    weights = (cfg.w_instance, cfg.w_part, cfg.w_joint)
+    sizes = [layout.sizes[level] for level, _ in layout.segments]
+    return np.repeat([weights[level] / max(n, 1) for (level, _), n in zip(layout.segments, sizes)],
                      sizes)
 
 
@@ -401,42 +408,32 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     layout.check_labels(cfg)
     E = _entity_map(topology, cfg.part_mode)
     X = E @ K
-    eps = cfg.equality_tolerance
-    weights = (cfg.w_instance, cfg.w_part, cfg.w_joint)
     want_grad = want_grad and not counts_only
     levels = None if counts_only else np.zeros((3, len(V)))
     violations = np.zeros((3, min(len(V), 1)), dtype=int)  # view 0's
 
     # signed margins, then errors, in place (no (k, P) temporary)
-    margins = _depth_margins(X, V, layout)
-    labels = labelled.depth_labels
+    margins, C = _margins(X, V, layout)
+    labels = labelled.labels
     margins *= _signs(labels)
-    hits = _score(margins.ravel(), labels.ravel(), eps, layout.segments,
-                  _column_scale(layout.segments, weights) if want_grad else None,
-                  margins.shape[1], levels, violations, margins)
+    hits = _score(margins.ravel(), labels.ravel(), layout,
+                  _column_scale(layout, cfg) if want_grad else None, levels, violations, margins)
     if want_grad:
         flat, row, pair, W = hits
         W *= labels.take(flat)  # the weight of the raw margin
+        part = pair >= layout.depth  # the hits split, each in its flat order
+        depth = ~part
+        Wd = W[depth]
         n = len(X) * layout.width
-        a, b = row * n + layout.pairs.take(pair, axis=1)  # (view, entity) ids of the ends
-        g = np.bincount(a, W, len(V) * n) - np.bincount(b, W, len(V) * n)
+        a, b = row[depth] * n + layout.pairs.take(pair[depth], axis=1)  # (view, entity) ids
+        g = np.bincount(a, Wd, len(V) * n) - np.bincount(b, Wd, len(V) * n)
         dX = (g.reshape(-1, n).T @ V).reshape(X.shape)
 
-    if layout.flat is not None:
-        margins, C = _part_margins(X, V, layout)
-        labels = labelled.part_labels
-        margins *= _signs(labels)
-        part_grad = want_grad and cfg.w_part > 0
-        parts = ((1, slice(0, len(layout.flat))),)
-        hits = _score(margins.ravel(), labels.ravel(), eps, parts,
-                      _column_scale(parts, weights) if part_grad else None, 0, levels,
-                      violations, margins)
-        if part_grad:
+        if C is not None and cfg.w_part > 0:
             S = layout.per_person[0]
             n = len(X) * S
-            flat, row, pair, W = hits
-            W *= labels.take(flat)
-            b = layout.flat.take(pair)
+            W, row = W[part], row[part]
+            b = layout.flat.take(pair[part] - layout.depth)
             a = b // n
             b -= a * n
             row *= n  # C's (k * n, 3) form: end a gets W * C_v[b], end b -W * C_v[a]
@@ -476,9 +473,10 @@ class _RootForm:
     margin is ``M0 + CA * da + CB * db`` (da, db: its persons' offsets)
     and a vector-part margin ``Q0 + Qa * da + Qb * db + Qab * da * db``,
     from one product per view of ``[T0; Ht] @ [T0 x v; Ht x v].T`` (``H =
-    E @ e``). Depth then part columns, each (k, P) and label-signed
-    (:func:`_signs`): ``M0`` is M0 | Q0, ``A`` CA | Qa, ``B`` CB | Qb,
-    ``Qab`` 0 | Qab. Below an entry's ``radius`` in ``max|dx|`` its signed
+    E @ e``). The columns are the pair set's (:class:`_Layout`), depth
+    then vector parts, each (k, P) and signed by ``labels``, the pair
+    set's own stack (:func:`_signs`): ``M0`` is M0 | Q0, ``A`` CA | Qa,
+    ``B`` CB | Qb, ``Qab`` 0 | Qab. Below an entry's ``radius`` in ``max|dx|`` its signed
     margin stays under ``-eps``: it is unviolated, agrees with its label
     and errs by +0.0, as ``errors`` reads off the active set (:meth:`select`).
     ``margins`` and ``product`` are an evaluation's buffers."""
@@ -490,11 +488,10 @@ class _RootForm:
         self.K0, self.e, self.labelled, self.config = K0, e, labelled, config
         X = _entity_map(topology, config.part_mode) @ np.stack([K0, e])  # [X0, H]
         V = labelled.views
-        self.labels = np.concatenate([labelled.depth_labels, labelled.part_labels], axis=1)
+        self.labels = labelled.labels
         k, P = self.labels.shape
-        self.depth = D = layout.pairs.shape[1]  # the depth pairs' columns
+        D = layout.depth
         self.persons, blocks = _root_columns(layout)
-        self.segments = list(layout.segments)
         # one block past glibc's 128 KiB mmap threshold: freeing it raises that
         # and the trim threshold, so a later run reuses heap pages where
         # separate arrays are trimmed off the heap and faulted in again
@@ -502,7 +499,7 @@ class _RootForm:
         self.M0, self.A, self.B, _, self.radius, self.errors = block[:6]
         self.margins, self.product = block[6:].reshape(2, -1)
         self.coefficients = block[:3 + (P > D)].reshape(3 + (P > D), -1)
-        # both projections in one, rows z0 and zh per view, as _depth_margins projects
+        # both projections in one, rows z0 and zh per view, as _margins projects
         z = _project(X.reshape(-1, 3), V).reshape(2 * k, -1)
         a, b = (z.take(ends, axis=1) for ends in layout.pairs)
         np.subtract(a[::2], b[::2], out=self.M0[:, :D])
@@ -516,9 +513,7 @@ class _RootForm:
             for row, Cv in enumerate(_cross_views(T, V)):
                 (self.M0[row, D:], self.A[row, D:], self.B[row, D:],
                  self.Qab[row, D:]) = (T @ Cv.T).take(blocks)
-            self.segments.append((1, slice(D, P)))
-        self.scale = _column_scale(self.segments, (config.w_instance, config.w_part,
-                                                   config.w_joint))
+        self.scale = _column_scale(layout, config)
         self.coefficients *= _signs(self.labels).ravel()
         # |A * da + B * db + Qab * da * db| <= L * r + Q * r * r at max|dx| = r
         # (L = |A| + |B|, Q = |Qab|): the radius is the root of L * r + Q * r * r
@@ -552,7 +547,7 @@ class _RootForm:
         labels and persons."""
         self.reach = reach
         active = np.flatnonzero(~(self.radius > reach))  # NaN too
-        self.active = active, active.searchsorted(_edges(self.segments)).tolist()
+        self.active = active, active.searchsorted(_edges(self.labelled.layout)).tolist()
         P = self.labels.shape[1]
         self.ends = self.persons.take(active - active // P * P, axis=1)
         self.gathered = self.coefficients.take(active, axis=1)
@@ -584,9 +579,8 @@ def root_pass(form: _RootForm, dx: np.ndarray, want_grad: bool = True, counts_on
     want_grad = want_grad and not counts_only
     levels = None if counts_only else np.zeros((3, k))
     violations = np.zeros((3, min(k, 1)), dtype=int)  # view 0's
-    hits = _score(margins, form.active_labels, cfg.equality_tolerance, form.segments,
-                  form.scale if want_grad else None, form.depth, levels, violations,
-                  form.errors, form.active)
+    hits = _score(margins, form.active_labels, form.labelled.layout,
+                  form.scale if want_grad else None, levels, violations, form.errors, form.active)
     g = None
     if want_grad:
         flat, row, pair, w = hits

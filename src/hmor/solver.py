@@ -497,11 +497,10 @@ def _gradcheck_point(rng: np.random.Generator, i: int, config: SolverConfig):
             # every data term's residual (hmor.depth's), then the labelled margins
             sv.unpack(x)
             K = sv.joints_scaled()[0]
-            depth, parts = LabelledTruth(gt, cfg.hmor, joints=K).margins(labelled.views)
+            margins = LabelledTruth(gt, cfg.hmor, joints=K).margins(labelled.views)
             out = [l1_residual(sv.rel(), anchors.rel), l1_residual(sv.z_norm(), anchors.z_norm),
                    refine_residual(np.zeros(sv.N), sv.z_eq(), anchors.z_eq),
-                   l1_residual(K / sv.scale, anchors.abs_mm),
-                   depth * labelled.depth_labels, parts * labelled.part_labels]
+                   l1_residual(K / sv.scale, anchors.abs_mm), margins * labelled.labels]
             return np.concatenate([r.ravel() for r in out])
 
         at_x0 = residuals(x0)

@@ -211,12 +211,14 @@ def brute_force_pairs(gt):
 def _level(pairs, level: int):
     """Level ``level``'s (2, P) entity pairs and (k, P) labels."""
     layout = pairs.layout
-    for depth_level, cols, per, row in layout.segments:
-        if depth_level == level:
-            m, r = np.divmod(layout.pairs[:, cols], layout.width)
-            return m * per + r - row, pairs.depth_labels[:, cols]
-    n = layout.person_count * layout.per_person[0]
-    return np.stack(np.divmod(layout.flat, n)), pairs.part_labels
+    (cols,) = [cols for at, cols in layout.segments if at == level]
+    if level == 1 and layout.flat is not None:  # the vector parts
+        n = layout.person_count * layout.per_person[0]
+        return np.stack(np.divmod(layout.flat, n)), pairs.labels[:, cols]
+    S, J = layout.per_person
+    per, row = ((1, 0), (S, 1), (J, 1 + S))[level]
+    m, r = np.divmod(layout.pairs[:, cols], layout.width)
+    return m * per + r - row, pairs.labels[:, cols]
 
 
 def level_index(pairs):

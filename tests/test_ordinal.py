@@ -451,8 +451,7 @@ class TestCountViolations:
         index = level_index(pairs)
         layout = _Layout((index[0], np.empty((2, 0), int), index[2]),
                          pairs.layout.per_person, pairs.layout.person_count, ("vector", 0.0, 1e-3))
-        no_parts = RelationPairs(pairs.views, layout, pairs.depth_labels,
-                                 pairs.part_labels[:, :0])
+        no_parts = RelationPairs(pairs.views, layout, pairs.labels[:, :layout.depth])
         cfg = HmorConfig(w_part=0.0)
         totals, levels, violations, dK = ordinal_pass(K, gt.topology, pairs, cfg)
         totals_np, _, violations_np, dK_np = ordinal_pass(K, gt.topology, no_parts, cfg)
@@ -631,7 +630,7 @@ class TestRootFormOracle:
         gt, pred, views = _kernel_case(seed, n_persons, k)
         labelled = LabelledTruth(gt, cfg).label(views)
         if eps:  # label-0 pairs occur, and are counted from their raw margins
-            assert not (labelled.depth_labels.all() and labelled.part_labels.all())
+            assert not labelled.labels.all()
         sv = _SceneVars(pred, SolverConfig(hmor=cfg))
         form = sv.root_form(labelled)
         rng = np.random.default_rng(seed)
@@ -706,7 +705,7 @@ class TestRootFormActiveSet:
     def _edge_dx(form, dx, rng, target):
         """``dx`` with one person moved so that a depth entry's signed
         margin lands on ``target`` (None if no entry gets there within 1)."""
-        D = form.depth
+        D = form.labelled.layout.depth
         M0, A, B = (c[:, :D].ravel() for c in (form.M0, form.A, form.B))
         pa, pb = np.tile(form.persons[:, :D], len(form.labels))
         moved = dx.copy()
@@ -727,7 +726,7 @@ class TestRootFormActiveSet:
         the band, for an entry whose radius lies within the reach (None if
         there is none): no reselection, so only a radius that errs low
         keeps it scored."""
-        reach, D = form.reach, form.depth
+        reach, D = form.reach, form.labelled.layout.depth
         if not 0.0 < reach < np.inf:
             return None
         M0, A, B, labels = (c[:, :D].ravel() for c in (form.M0, form.A, form.B, form.labels))
@@ -755,7 +754,7 @@ class TestRootFormActiveSet:
             gt = _tied(gt)
         labelled = LabelledTruth(gt, cfg).label(views)
         if ties and n_persons > 1:
-            assert not labelled.depth_labels[0].all()
+            assert not labelled.labels[0, :labelled.layout.depth].all()
         sv = _SceneVars(pred, SolverConfig(hmor=cfg))
         form, full = sv.root_form(labelled), sv.root_form(labelled)
         full.select(np.inf)
@@ -932,7 +931,7 @@ class TestOneStoredForm:
         for i in range(3):
             got, want = truth.label(views[i]), truth.label(views[i:i + 1])
             assert got.views.shape == (1, 3)
-            for name in ("views", "depth_labels", "part_labels"):
+            for name in ("views", "labels"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
             for level in range(3):
                 assert np.array_equal(level_rows(got, level), level_rows(want, level))
@@ -953,6 +952,55 @@ class TestOneStoredForm:
             tracemalloc.stop()
         assert labelled.layout.pairs.shape == (2, 120 + 36856)
         assert retained <= 1100 * 1024
+
+    def test_pair_set_holds_one_label_stack(self):
+        assert {f.name for f in dataclasses.fields(RelationPairs)} == {"views", "layout", "labels"}
+
+    @pytest.mark.parametrize("part_mode", ["vector", "particle"])
+    def test_root_form_reads_the_pair_sets_labels(self, part_mode):
+        gt, pred, views = _kernel_case(25, 3, 2)
+        cfg = HmorConfig(part_mode=part_mode)
+        labelled = LabelledTruth(gt, cfg).label(views)
+        form = _SceneVars(pred, SolverConfig(hmor=cfg)).root_form(labelled)
+        assert form.labels is labelled.labels
+        assert not hasattr(form, "depth") and not hasattr(form, "segments")
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CONFIGS))
+    def test_one_score_call_per_pass(self, name, monkeypatch):
+        cfg = KERNEL_CONFIGS[name]
+        calls = []
+        score = hmor.ordinal._score
+
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(hmor.ordinal, "_score", spy)
+        gt, pred, views = _kernel_case(26, 3, 4)
+        labelled = LabelledTruth(gt, cfg).label(views)
+        K = scene_joint_array(pred, cfg.depth_unit_scale)
+        for want_grad in (True, False):
+            ordinal_pass(K, gt.topology, labelled, cfg, want_grad)
+        assert calls == [labelled.layout] * 2
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CONFIGS))
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_disagreements_count_each_level(self, name, k):
+        cfg = KERNEL_CONFIGS[name]
+        gt, pred, views = _kernel_case(27, 3, k)
+        truth = LabelledTruth(gt, cfg).label(views)
+        guess = LabelledTruth(gt, cfg, joints=scene_joint_array(pred, cfg.depth_unit_scale))
+        guess = guess.label(views)
+        want = tuple(int(np.count_nonzero(a != b))
+                     for a, b in zip(level_labels(truth), level_labels(guess)))
+        assert truth.disagreements(guess) == want and any(want)
+        assert guess.disagreements(truth) == want
+        assert truth.disagreements(truth) == (0, 0, 0)
+        others = (LabelledTruth(gt, HmorConfig(part_mode="particle", equality_tolerance=0.5))
+                  .label(views), LabelledTruth(gt, cfg).label(views[:0]))
+        for other in others:
+            with pytest.raises(InvalidInputError, match="^the pair sets differ"):
+                truth.disagreements(other)
 
     def test_repr_is_short_and_holds_no_address(self):
         gt, _, views = _kernel_case(23, 4, 2)

@@ -25,7 +25,8 @@ REMOVED = ("count_violations", "err_instance", "err_joint", "err_part", "err_par
 REMOVED_PAIR_ATTRIBUTES = ("stack", "index", "labels", "instance_pairs", "part_pairs",
                            "joint_pairs", "per_person", "person_count", "rows")
 # hmor.ordinal functions that left it: the counts-only kernel and its helper
-REMOVED_ORDINAL_NAMES = ("violation_counts", "_count_disagreements")
+REMOVED_ORDINAL_NAMES = ("violation_counts", "_count_disagreements", "_depth_margins",
+                         "_part_margins")
 
 
 def run_python(*args):
@@ -87,8 +88,8 @@ class TestPublicNames:
 
 # hmor.ordinal's internals: the pair layout, the margins and the scoring of both kernels
 ORDINAL_INTERNALS = {"_score", "_Layout", "_full_layout", "_LABEL_SETTINGS", "_entity_map",
-                     "_project", "_cross_views", "_depth_margins", "_part_margins", "_signs",
-                     "_edges", "_column_scale", "_weighted", "_root_columns"}
+                     "_project", "_cross_views", "_margins", "_signs", "_edges", "_column_scale",
+                     "_weighted", "_root_columns", "segments"}
 
 
 class TestModuleBoundary:

@@ -703,7 +703,7 @@ class TestWhatAnEvaluationComputes:
         checked = _checked_objective(_SceneVars(pred, cfg), gt, cfg)[1]
         assert len(stacks) > cfg.steps and all(s is stacks[0] for s in stacks)
         assert stacks[0].views.shape == (views, 3)
-        for name in ("views", "depth_labels", "part_labels"):
+        for name in ("views", "labels"):
             assert getattr(stacks[0], name).tobytes() == getattr(checked, name).tobytes()
 
 
