@@ -165,6 +165,10 @@ class _SceneVars:
         g_zrel = per_joint[:, self.nonroot]
         return np.concatenate([g_zr, g_u.ravel(), g_v.ravel(), g_zrel.ravel()])
 
+    def in_front(self) -> bool:
+        """Whether every joint at the variables lies in front of the camera."""
+        return bool((self.Zrel + self.ZR[:, None]).min() > 0)  # False at a NaN
+
     def root_form(self, labelled: RelationPairs) -> _RootForm | None:
         """The ordinal term under ``labelled`` reduced to the root depths
         (:class:`_RootForm`), about the start point, which it moves the
@@ -375,7 +379,9 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
     bit, ends the run, its row copied to the end. Under
     ``root_depths_only`` the ordinal term is reduced once
     (:meth:`_SceneVars.root_form`). A halved candidate is evaluated
-    without the gradient, and an accepted one once more with it.
+    without the gradient, and an accepted one once more with it. A
+    candidate that puts a joint behind the camera is refused as one that
+    raises the objective (:meth:`_SceneVars.in_front`).
     """
     cfg = config or SolverConfig()
     sv = _SceneVars(pred_scene, cfg)
@@ -403,12 +409,12 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
         cand = x - eta * g
         record = evaluate(cand, want_grad)
         f_cand = record.total
-        while f_cand > f and eta > cfg.min_step:
+        while (refused := f_cand > f or not sv.in_front()) and eta > cfg.min_step:
             eta *= 0.5
             cand = x - eta * g
             record = evaluate(cand, False)  # most halved candidates are rejected
             f_cand = record.total
-        if f_cand > f:
+        if refused:
             cand, f_cand, record = x, f, here
         elif want_grad and record.grad is None:  # an accepted halved candidate
             record = evaluate(cand, True)

@@ -381,6 +381,24 @@ class TestRefine:
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
         load_scene(out)  # refined scene is a valid scene file
 
+    @pytest.mark.parametrize("free_vars", ["root_depths_only", "full_pose"])
+    def test_step_behind_the_camera_is_refused(self, tmp_path, free_vars):
+        # a long step at a heavy ordinal weight would put joints behind the
+        # camera, where the back-projected objective still reads lower
+        assert run("gen", "--seed", 4, "--persons", 3, "--perturb", "depth_swap",
+                   "--out", tmp_path / "s") == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"solver": {"step_size": 1.0, "w_hmor": 1000.0, "steps": 5}}))
+        out, trace = tmp_path / "r.json", tmp_path / "trace.csv"
+        assert run("refine", tmp_path / "s" / "pred_000.json", tmp_path / "s" / "scene_000.json",
+                   "--config", cfg, "--free-vars", free_vars, "--out", out,
+                   "--trace", trace) == 0
+        for person in load_scene(out).persons:
+            assert (person.rel_pose.joints[:, 2] + person.root_depth > 0).all()
+        with open(trace, newline="") as fh:
+            values = [float(r["value"]) for r in csv.DictReader(fh)]
+        assert len(values) == 6 and all(b <= a for a, b in zip(values, values[1:]))
+
     def test_zero_steps_rejected(self, tmp_path, swapped_pair):
         pred, gt = swapped_pair
         assert run("refine", pred, gt, "--out", tmp_path / "r.json", "--steps", 0) == 2
