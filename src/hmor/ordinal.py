@@ -267,12 +267,17 @@ def _margins(X: np.ndarray, views: np.ndarray, layout: _Layout):
 
 def _view_stack(views) -> np.ndarray:
     """``views`` as a (k, 3) float stack of finite unit vectors (one
-    3-vector is a stack of one); InvalidInputError otherwise."""
+    3-vector or :class:`ViewVector` is a stack of one); InvalidInputError
+    otherwise."""
+    if isinstance(views, ViewVector):
+        views = views.direction
+    elif isinstance(views, (list, tuple)):
+        views = [v.direction if isinstance(v, ViewVector) else v for v in views]
     try:
         views = np.asarray(views, dtype=float)
         if views.ndim > 2 or views.shape[-1:] != (3,) and views.shape != (0,):
             raise ValueError
-    except ValueError:  # a ragged stack raises it too
+    except (TypeError, ValueError):  # a ragged stack raises ValueError too
         raise InvalidInputError("views must be one 3-vector or a (k, 3) stack of them") from None
     views = views.reshape(-1, 3)
     bad = ~(np.abs(np.linalg.norm(views, axis=1) - 1.0) <= _UNIT_TOL)  # _as_unit's rule

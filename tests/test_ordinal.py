@@ -1075,6 +1075,26 @@ class TestPairInputChecks:
             with pytest.raises(InvalidInputError, match="^view must be a 3-vector, got shape"):
                 call()
 
+    def test_view_vectors_label_as_their_directions(self):
+        gt, _, _ = _kernel_case(7, 2, 1)
+        truth = LabelledTruth(gt)
+        rng = np.random.default_rng(7)
+        v, w = sample_view(rng=rng), sample_view(rng=rng)
+        got, want = truth.label(v), truth.label(v.direction)
+        for name in ("views", "labels"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for stack in ([v, w], (v, w.direction)):
+            pairs = truth.label(stack)
+            assert pairs.views.shape == (2, 3)
+            assert np.array_equal(pairs.labels, truth.label([v.direction, w.direction]).labels)
+
+    def test_view_of_no_number_raises(self):
+        gt, _, _ = _kernel_case(7, 2, 1)
+        for views in ([object()], object(), [[0.0, "x", 1.0]]):
+            with pytest.raises(InvalidInputError, match="^views must be one 3-vector or a "
+                                                        r"\(k, 3\) stack of them$"):
+                LabelledTruth(gt).label(views)
+
     @pytest.mark.parametrize("kind", ["list", "tuple", "NoneType"])
     def test_anything_but_one_pair_set_rejected(self, kind):
         gt, pred, views = _kernel_case(5, 2, 1)
