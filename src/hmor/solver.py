@@ -19,11 +19,12 @@ from .depth import (equivalent_depth, init_term, l1_residual, l1_term, normalize
 from .errors import InvalidDepthError, InvalidInputError, NumericalError
 from .geometry import back_project_points, sample_views
 from .ordinal import (HmorConfig, LabelledTruth, RelationPairs, _check_pair_set, _RootForm,
-                      check_finite_fields, ordinal_pass, root_pass)
+                      check_finite_fields, ordinal_pass, root_pass, scene_joint_array)
 from .skeleton import RelativePose, Scene, check_matched
 
 # the objective's terms, in the order the weighted total sums them
 _TERMS = ("pose", "init", "refine", "abs", "hmor")
+_FD_EPSILON = 1e-5  # grad_check's central-difference step
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class SolverConfig:
     under ``full_pose`` the pose term adds ``w_pose / (N·J·s)`` to the
     gradient of any coordinate off its anchor, however slightly (19.6, a
     196 mm step, at 3 persons): such a one oscillates. A term or weighted
-    total that is not finite raises NumericalError (:func:`_evaluate`).
+    total that is not finite raises NumericalError (:meth:`_Objective.evaluate`).
     """
 
     steps: int = 500
@@ -169,18 +170,6 @@ class _SceneVars:
         """Whether every joint at the variables lies in front of the camera."""
         return bool((self.Zrel + self.ZR[:, None]).min() > 0)  # False at a NaN
 
-    def root_form(self, labelled: RelationPairs) -> _RootForm | None:
-        """The ordinal term under ``labelled`` reduced to the root depths
-        (:class:`_RootForm`), about the start point, which it moves the
-        variables to; None under ``full_pose``. Built whatever ``w_hmor``
-        is: with no ordinal term it still counts the violations."""
-        if self.cfg.free_variables != "root_depths_only":
-            return None
-        self.unpack(self.start[0])
-        K0, _, a, b = self.joints_scaled()
-        return _RootForm(K0, np.stack([a, b, np.ones_like(a)], axis=-1), self.topology,
-                         labelled, self.cfg.hmor)
-
     def to_scene(self) -> Scene:
         persons = []
         for m, person in enumerate(self.scene.persons):
@@ -193,33 +182,9 @@ class _SceneVars:
         return dataclasses.replace(self.scene, persons=tuple(persons))
 
 
-@dataclass(frozen=True)
-class _Anchors:
-    """What every evaluation of one run shares: the data terms' targets,
-    and the pose term when no step can move it."""
-
-    rel: np.ndarray      # (N, J, 3) box-relative targets
-    abs_mm: np.ndarray   # (N, J, 3) absolute targets, millimeters
-    z_norm: np.ndarray   # (N,) init targets, focal-normalized root depths
-    z_eq: np.ndarray     # (N,) refine targets, their equivalent depths
-    pose: tuple | None   # the pose term, under root_depths_only (U, V, Zrel fixed)
-
-    @classmethod
-    def of(cls, anchor: _SceneVars, sv: _SceneVars):
-        """Targets at ``anchor``'s current point for the prediction ``sv``,
-        back-projected as the prediction is, so a prediction at its anchor
-        reads exactly 0 with a zero gradient in every data term."""
-        rel = anchor.rel()
-        z_norm = normalize_depth(anchor.ZR, sv.camera)
-        return cls(rel, anchor.joints_scaled()[0] / anchor.scale, z_norm,
-                   equivalent_depth(z_norm, sv.a_box, sv.a_roi),
-                   l1_term(sv.rel(), rel) if sv.cfg.free_variables == "root_depths_only"
-                   else None)
-
-
 @dataclass(frozen=True, slots=True)
 class _Evaluation:
-    """One objective evaluation (:func:`_evaluate`)."""
+    """One objective evaluation (:meth:`_Objective.evaluate`)."""
 
     total: float                # the weighted total, the ordinal term over every view
     first: float                # the weighted total under view 0 alone (trace row 0)
@@ -244,82 +209,125 @@ def _mean(per_view: np.ndarray) -> float:
     return sum(values) / len(values)
 
 
-def _evaluate(sv: _SceneVars, labelled: RelationPairs, anchors: _Anchors, config: SolverConfig,
-              want_grad: bool, all_terms: bool = True,
-              form: _RootForm | None = None) -> _Evaluation:
-    """The objective at the current variables as one :class:`_Evaluation`:
-    the weighted total with the ordinal term averaged over every
-    ``labelled`` view and under view 0 alone (terms summed in ``_TERMS``
-    order), the gradient w.r.t. the packed variables (ordinal term over
-    every view) and view 0's counts. With ``all_terms`` every term is
-    computed, with the ordinal levels; without it weight-0 terms are
-    skipped. The ordinal kernel always runs, for the counts, with its
-    gradient only at ``w_hmor > 0``, and for the counts alone when no
-    ordinal term is read (``w_hmor = 0`` without ``all_terms``). With ``form``
-    (:meth:`_SceneVars.root_form`) it is one :func:`root_pass` and the abs
-    term reads the joints ``K0 + e * dx``; otherwise one :func:`ordinal_pass`.
-    A non-finite term or weighted total raises NumericalError.
-    """
-    s, n = sv.scale, sv.N
-    nj = n * sv.J
-    grad = np.zeros_like(sv.start[0]) if want_grad else None
-    dK = None  # gradient w.r.t. the scaled joints
-    if form is None:
-        K, d, a, b = sv.joints_scaled()
-    elif all_terms or config.w_abs:
-        K = form.K0 + form.e * sv.dx[:, None, None]
-    data = {}
-    if all_terms or config.w_pose:
-        data["pose"], sign = anchors.pose or l1_term(sv.rel(), anchors.rel)
-        if want_grad and config.w_pose and config.free_variables == "full_pose":
-            g = sign * (config.w_pose / (nj * s))
-            grad[n:n + nj] += g[:, :, 0].ravel()
-            grad[n + nj:n + 2 * nj] += g[:, :, 1].ravel()
-            grad[n + 2 * nj:] += g[:, sv.nonroot, 2].ravel()
-    if all_terms or config.w_init:
-        data["init"], sign = init_term(sv.z_norm(), anchors.z_norm)
-        if want_grad and config.w_init:
-            grad[:n] += sign * (config.w_init / (n * sv.froot * s))
-    if all_terms or config.w_refine:
-        data["refine"], sign = refine_term(np.zeros(n), sv.z_eq(), anchors.z_eq)
-        if want_grad and config.w_refine:
-            grad[:n] += sign * sv.ratio * (config.w_refine / (n * sv.froot * s))
-    if all_terms or config.w_abs:
-        data["abs"], sign = l1_term(K / s, anchors.abs_mm)
-        if want_grad and config.w_abs:
-            dK = sign * (config.w_abs / (nj * s))
-    total = 0.0
-    for name, value in data.items():
-        _check_finite(name, value)
-        if w := getattr(config, f"w_{name}"):
-            total += w * value
+class _Objective:
+    """One run's objective, built once: the prediction's variables
+    (``sv``), the data terms' targets read from the ``targets`` scene and
+    back-projected as the prediction is, so a prediction at its targets
+    reads exactly 0 with a zero gradient in every data term, and the
+    ``labelled`` view stack. Under ``root_depths_only`` it also holds the
+    pose term, which no step moves, and the ordinal term reduced to the
+    root depths about the start point (``form``, a :class:`_RootForm`),
+    built whatever ``w_hmor`` is: with no ordinal term it still counts the
+    violations."""
 
-    hmor_grad = want_grad and config.w_hmor > 0
-    counts_only = not (all_terms or config.w_hmor)
-    if form is None:
-        per_view, levels, counts, dK_hmor = ordinal_pass(
-            K, sv.topology, labelled, config.hmor, hmor_grad, counts_only)
-    else:  # its gradient is w.r.t. the root depths
-        per_view, levels, counts, g_hmor = root_pass(form, sv.dx, hmor_grad, counts_only)
-    first, hmor = total, None
-    if all_terms or config.w_hmor:
-        mean = _check_finite("hmor", _mean(per_view))
-        if config.w_hmor:
-            first = total + config.w_hmor * per_view[0].item()
-            total += config.w_hmor * mean
-        if all_terms:
-            hmor = {"hmor": mean, **{f"hmor.{name}": _mean(level)
-                                     for name, level in zip(("instance", "part", "joint"), levels)}}
-    _check_finite("total", total)
-    _check_finite("total", first)
-    if hmor_grad and form is not None:
-        grad += g_hmor * (config.w_hmor / len(per_view))
-    elif hmor_grad:
-        dK_hmor = dK_hmor * (config.w_hmor / len(per_view))
-        dK = dK_hmor if dK is None else dK + dK_hmor
-    if dK is not None:
-        grad += sv.grad_to_x(dK, d, a, b) if form is None else (dK * form.e).sum(axis=(1, 2))
-    return _Evaluation(total, first, data, hmor, counts, grad)
+    def __init__(self, pred: Scene, targets: Scene, labelled: RelationPairs,
+                 config: SolverConfig):
+        self.sv = sv = _SceneVars(pred, config)
+        self.labelled, self.config = labelled, config
+        self.rel = np.stack([p.rel_pose.joints for p in targets.persons])  # (N, J, 3)
+        self.abs_mm = scene_joint_array(targets, sv.scale) / sv.scale      # (N, J, 3)
+        self.z_norm = normalize_depth(np.array([p.root_depth for p in targets.persons]),
+                                      sv.camera)
+        self.z_eq = equivalent_depth(self.z_norm, sv.a_box, sv.a_roi)
+        self.pose = self.form = None
+        if config.free_variables == "root_depths_only":
+            self.pose = l1_term(sv.rel(), self.rel)
+            K0, _, a, b = sv.joints_scaled()
+            self.form = _RootForm(K0, np.stack([a, b, np.ones_like(a)], axis=-1), sv.topology,
+                                  labelled, config.hmor)
+
+    @classmethod
+    def of(cls, pred: Scene, gt: Scene, config: SolverConfig, k: int) -> _Objective:
+        """The objective of refining ``pred`` against ``gt``: the data
+        terms target the scene ``config.anchor`` selects, and the ordinal
+        term averages over ``gt`` labelled under its camera normal and
+        ``k - 1`` views drawn from ``default_rng(config.seed)``; none at
+        ``k == 1``, so a one-view run never imports ``numpy.random``."""
+        check_matched(pred, gt)
+        truth = LabelledTruth(gt, config.hmor)
+        views = sample_views(k - 1, np.random.default_rng(config.seed)) if k > 1 else []
+        return cls(pred, pred if config.anchor == "input" else gt,
+                   truth.label([gt.camera.normal, *views]), config)
+
+    def evaluate(self, x: np.ndarray, want_grad: bool, all_terms: bool = False,
+                 config: SolverConfig | None = None) -> _Evaluation:
+        """The objective with the variables moved to ``x``, as one
+        :class:`_Evaluation`: the weighted total with the ordinal term
+        averaged over every labelled view and under view 0 alone (terms
+        summed in ``_TERMS`` order), the gradient w.r.t. the packed
+        variables (ordinal term over every view) and view 0's counts. With
+        ``all_terms`` every term is computed, with the ordinal levels;
+        without it weight-0 terms are skipped. The ordinal kernel always
+        runs, for the counts, with its gradient only at ``w_hmor > 0``, and
+        for the counts alone when no ordinal term is read (``w_hmor = 0``
+        without ``all_terms``). With ``form`` it is one :func:`root_pass`
+        and the abs term reads the joints ``K0 + e * dx``; otherwise one
+        :func:`ordinal_pass`. ``config`` replaces the run's weights for
+        this evaluation. A non-finite term or weighted total raises
+        NumericalError.
+        """
+        sv, form, config = self.sv, self.form, config or self.config
+        sv.unpack(x)
+        s, n = sv.scale, sv.N
+        nj = n * sv.J
+        grad = np.zeros_like(sv.start[0]) if want_grad else None
+        dK = None  # gradient w.r.t. the scaled joints
+        if form is None:
+            K, d, a, b = sv.joints_scaled()
+        elif all_terms or config.w_abs:
+            K = form.K0 + form.e * sv.dx[:, None, None]
+        data = {}
+        if all_terms or config.w_pose:
+            data["pose"], sign = self.pose or l1_term(sv.rel(), self.rel)
+            if want_grad and config.w_pose and config.free_variables == "full_pose":
+                g = sign * (config.w_pose / (nj * s))
+                grad[n:n + nj] += g[:, :, 0].ravel()
+                grad[n + nj:n + 2 * nj] += g[:, :, 1].ravel()
+                grad[n + 2 * nj:] += g[:, sv.nonroot, 2].ravel()
+        if all_terms or config.w_init:
+            data["init"], sign = init_term(sv.z_norm(), self.z_norm)
+            if want_grad and config.w_init:
+                grad[:n] += sign * (config.w_init / (n * sv.froot * s))
+        if all_terms or config.w_refine:
+            data["refine"], sign = refine_term(np.zeros(n), sv.z_eq(), self.z_eq)
+            if want_grad and config.w_refine:
+                grad[:n] += sign * sv.ratio * (config.w_refine / (n * sv.froot * s))
+        if all_terms or config.w_abs:
+            data["abs"], sign = l1_term(K / s, self.abs_mm)
+            if want_grad and config.w_abs:
+                dK = sign * (config.w_abs / (nj * s))
+        total = 0.0
+        for name, value in data.items():
+            _check_finite(name, value)
+            if w := getattr(config, f"w_{name}"):
+                total += w * value
+
+        hmor_grad = want_grad and config.w_hmor > 0
+        counts_only = not (all_terms or config.w_hmor)
+        if form is None:
+            per_view, levels, counts, dK_hmor = ordinal_pass(
+                K, sv.topology, self.labelled, config.hmor, hmor_grad, counts_only)
+        else:  # its gradient is w.r.t. the root depths
+            per_view, levels, counts, g_hmor = root_pass(form, sv.dx, hmor_grad, counts_only)
+        first, hmor = total, None
+        if all_terms or config.w_hmor:
+            mean = _check_finite("hmor", _mean(per_view))
+            if config.w_hmor:
+                first = total + config.w_hmor * per_view[0].item()
+                total += config.w_hmor * mean
+            if all_terms:
+                hmor = {"hmor": mean, **{f"hmor.{name}": _mean(level) for name, level
+                                         in zip(("instance", "part", "joint"), levels)}}
+        _check_finite("total", total)
+        _check_finite("total", first)
+        if hmor_grad and form is not None:
+            grad += g_hmor * (config.w_hmor / len(per_view))
+        elif hmor_grad:
+            dK_hmor = dK_hmor * (config.w_hmor / len(per_view))
+            dK = dK_hmor if dK is None else dK + dK_hmor
+        if dK is not None:
+            grad += sv.grad_to_x(dK, d, a, b) if form is None else (dK * form.e).sum(axis=(1, 2))
+        return _Evaluation(total, first, data, hmor, counts, grad)
 
 
 def objective(pred_scene: Scene, gt_pairs: RelationPairs, anchors: Scene, config: SolverConfig):
@@ -330,40 +338,19 @@ def objective(pred_scene: Scene, gt_pairs: RelationPairs, anchors: Scene, config
     _check_pair_set(gt_pairs, "gt_pairs")
     gt_pairs.check_fits(pred_scene)
     check_matched(pred_scene, anchors)
-    sv = _SceneVars(pred_scene, config)
-    record = _evaluate(sv, gt_pairs, _Anchors.of(_SceneVars(anchors, config), sv), config,
-                       True, all_terms=False, form=sv.root_form(gt_pairs))
+    obj = _Objective(pred_scene, anchors, gt_pairs, config)
+    record = obj.evaluate(obj.sv.start[0], True)
     return record.total, record.grad
-
-
-def _targets(sv: _SceneVars, gt_scene: Scene, config: SolverConfig):
-    """The anchors ``config.anchor`` selects, the ground truth or the
-    prediction's variables where they stand, and the enumerated ground
-    truth."""
-    check_matched(sv.scene, gt_scene)
-    anchor = sv if config.anchor == "input" else _SceneVars(gt_scene, config)
-    return _Anchors.of(anchor, sv), LabelledTruth(gt_scene, config.hmor)
 
 
 def objective_terms(pred_scene: Scene, gt_scene: Scene,
                     config: SolverConfig | None = None) -> dict[str, float]:
     """Every unweighted term of the objective :func:`refine` minimises,
-    by name (see :func:`_evaluate`), and the weighted ``total``, all from
-    one pass of ``refine``'s kernel under the ground truth's camera normal.
-    ``total`` is ``refine``'s trace row 0, bit for bit."""
-    cfg = config or SolverConfig()
-    sv = _SceneVars(pred_scene, cfg)
-    anchors, truth = _targets(sv, gt_scene, cfg)
-    labelled = truth.label(gt_scene.camera.normal)
-    return _evaluate(sv, labelled, anchors, cfg, False, form=sv.root_form(labelled)).terms()
-
-
-def _labelled_views(truth: LabelledTruth, gt_scene: Scene, k: int, seed: int) -> RelationPairs:
-    """The ground truth labelled under the camera normal and ``k - 1``
-    views drawn from ``default_rng(seed)``; none at ``k == 1``, so a
-    one-view run never imports ``numpy.random``."""
-    views = sample_views(k - 1, np.random.default_rng(seed)) if k > 1 else []
-    return truth.label([gt_scene.camera.normal, *views])
+    by name (see :meth:`_Objective.evaluate`), and the weighted ``total``,
+    all from one pass of ``refine``'s kernel under the ground truth's
+    camera normal. ``total`` is ``refine``'s trace row 0, bit for bit."""
+    obj = _Objective.of(pred_scene, gt_scene, config or SolverConfig(), 1)
+    return obj.evaluate(obj.sv.start[0], False, all_terms=True).terms()
 
 
 def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = None):
@@ -373,30 +360,20 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
     total ordinal violations under the camera normal). Deterministic
     given the config seed. Raises NumericalError on a non-finite total.
 
-    Every step descends one view stack, labelled once
-    (:func:`_labelled_views`); row 0 is the input under the camera normal
+    Every step descends one objective, built once with its view stack
+    (:meth:`_Objective.of`); row 0 is the input under the camera normal
     alone. A step that leaves ``x`` and the step size unchanged, bit for
-    bit, ends the run, its row copied to the end. Under
-    ``root_depths_only`` the ordinal term is reduced once
-    (:meth:`_SceneVars.root_form`). A halved candidate is evaluated
-    without the gradient, and an accepted one once more with it. A
-    candidate that puts a joint behind the camera is refused as one that
-    raises the objective (:meth:`_SceneVars.in_front`).
+    bit, ends the run, its row copied to the end. A halved candidate is
+    evaluated without the gradient, and an accepted one once more with
+    it. A candidate that puts a joint behind the camera is refused as one
+    that raises the objective (:meth:`_SceneVars.in_front`).
     """
     cfg = config or SolverConfig()
-    sv = _SceneVars(pred_scene, cfg)
-    x = sv.pack()
-    anchors, truth = _targets(sv, gt_scene, cfg)  # anchor="input" anchors at the input
-    k = cfg.views_per_step if cfg.w_hmor > 0 else 1
-    labelled = _labelled_views(truth, gt_scene, k, cfg.seed)
-    form = sv.root_form(labelled)
-
-    def evaluate(point: np.ndarray, want_grad: bool):
-        sv.unpack(point)
-        return _evaluate(sv, labelled, anchors, cfg, want_grad, all_terms=False, form=form)
-
+    obj = _Objective.of(pred_scene, gt_scene, cfg, cfg.views_per_step if cfg.w_hmor > 0 else 1)
+    sv = obj.sv
+    x = sv.start[0]
     # at the input itself: trace row 0 under the normal alone, step 1's f under every view
-    here = evaluate(x, True)
+    here = obj.evaluate(x, True)
     trace = [TraceEntry(0, here.first, int(here.violations.sum()))]
     eta, fixed = cfg.step_size, False
 
@@ -407,17 +384,17 @@ def refine(pred_scene: Scene, gt_scene: Scene, config: SolverConfig | None = Non
             break
         want_grad, eta_in = step < cfg.steps, eta
         cand = x - eta * g
-        record = evaluate(cand, want_grad)
+        record = obj.evaluate(cand, want_grad)
         f_cand = record.total
         while (refused := f_cand > f or not sv.in_front()) and eta > cfg.min_step:
             eta *= 0.5
             cand = x - eta * g
-            record = evaluate(cand, False)  # most halved candidates are rejected
+            record = obj.evaluate(cand, False)  # most halved candidates are rejected
             f_cand = record.total
         if refused:
             cand, f_cand, record = x, f, here
         elif want_grad and record.grad is None:  # an accepted halved candidate
-            record = evaluate(cand, True)
+            record = obj.evaluate(cand, True)
         # same x and step size: every later step evaluates what this one did
         fixed = eta == eta_in and cand.tobytes() == x.tobytes()
         x, here = cand, record
@@ -447,40 +424,38 @@ def _fd_max_rel_err(fn, x0: np.ndarray, grad, epsilon: float):
     return worst if worst.ndim else float(worst)
 
 
-def _checked_objective(sv: _SceneVars, gt_scene: Scene, config: SolverConfig):
-    """The ground truth's anchors and the view stack every :func:`refine`
-    step evaluates (:func:`_labelled_views`)."""
-    anchors, truth = _targets(sv, gt_scene, dataclasses.replace(config, anchor="ground_truth"))
-    return anchors, _labelled_views(truth, gt_scene, config.views_per_step, config.seed)
+def _checked_objective(scene: Scene, gt_scene: Scene, config: SolverConfig) -> _Objective:
+    """The objective every :func:`refine` step descends at ``scene``, its
+    data terms anchored at the ground truth (:meth:`_Objective.of`)."""
+    return _Objective.of(scene, gt_scene, dataclasses.replace(config, anchor="ground_truth"),
+                         config.views_per_step)
 
 
-def grad_check(scene: Scene, gt_scene: Scene, epsilon: float = 1e-5,
+def grad_check(scene: Scene, gt_scene: Scene,
                config: SolverConfig | None = None) -> dict[str, float]:
     """Worst relative error between the analytic and the central-difference
     gradient of each objective term, by name (pose, init, refine, abs,
     hmor), at ``scene`` against ``gt_scene``, of the objective every
     :func:`refine` step descends with the data terms anchored at the
-    ground truth. Each analytic gradient is ``_evaluate``'s with that
-    term's weight alone set to 1.
+    ground truth (:func:`_checked_objective`). Each analytic gradient is
+    :meth:`_Objective.evaluate`'s with that term's weight alone set to 1.
 
     An error is ``|g - fd| / max(|g|, |fd|, 1e6 * ulp(max(|f+|, |f-|, 1))
-    / epsilon)``, whose floor bounds the difference's roundoff. The point
-    should have no kink within ``2 epsilon`` (:func:`_gradcheck_point`).
+    / epsilon)`` at the step ``epsilon = _FD_EPSILON``, whose floor bounds
+    the difference's roundoff. The point should have no kink within ``2
+    epsilon`` (:func:`_gradcheck_point`).
     """
     cfg = config or SolverConfig(free_variables="full_pose")
-    sv = _SceneVars(scene, cfg)
-    anchors, labelled = _checked_objective(sv, gt_scene, cfg)
-    form = sv.root_form(labelled)
-    grads = [_evaluate(sv, labelled, anchors,
-                       dataclasses.replace(cfg, **{f"w_{t}": float(t == term) for t in _TERMS}),
-                       True, all_terms=False, form=form).grad for term in _TERMS]
+    obj = _checked_objective(scene, gt_scene, cfg)
+    x0 = obj.sv.start[0]
+    grads = [obj.evaluate(x0, True, config=dataclasses.replace(
+        cfg, **{f"w_{t}": float(t == term) for t in _TERMS})).grad for term in _TERMS]
 
     def terms_at(x):
-        sv.unpack(x)
-        terms = _evaluate(sv, labelled, anchors, cfg, False, form=form).terms()
+        terms = obj.evaluate(x, False, all_terms=True).terms()
         return [terms[t] for t in _TERMS]
 
-    worst = _fd_max_rel_err(terms_at, sv.pack(), np.array(grads), epsilon)
+    worst = _fd_max_rel_err(terms_at, x0, np.array(grads), _FD_EPSILON)
     return dict(zip(_TERMS, worst.tolist()))
 
 
@@ -489,28 +464,29 @@ def _gradcheck_point(rng: np.random.Generator, i: int, config: SolverConfig):
     3`` persons, the prediction with every free variable (alternating
     modes by i) jittered by 250 mm on root depths and 25 px or mm on the
     rest, and the config. A draw is kept only when no L1 residual or
-    labelled margin changes sign within ``2e-5`` along any coordinate."""
+    labelled margin changes sign within ``2 * _FD_EPSILON`` along any
+    coordinate."""
     from .synth import GenSpec, generate_scene
     cfg = dataclasses.replace(config, free_variables=("root_depths_only", "full_pose")[i % 2])
     while True:
         gt = generate_scene(GenSpec(seed=int(rng.integers(2**31)), n_persons=1 + i % 3))
-        sv = _SceneVars(gt, cfg)
+        obj = _checked_objective(gt, gt, cfg)
+        sv, labelled = obj.sv, obj.labelled
         x0 = sv.pack()
         x0 += rng.normal(0.0, np.where(np.arange(len(x0)) < sv.N, 250.0, 25.0)) * sv.scale
-        anchors, labelled = _checked_objective(sv, gt, cfg)
 
         def residuals(x):
             # every data term's residual (hmor.depth's), then the labelled margins
             sv.unpack(x)
             K = sv.joints_scaled()[0]
             margins = LabelledTruth(gt, cfg.hmor, joints=K).margins(labelled.views)
-            out = [l1_residual(sv.rel(), anchors.rel), l1_residual(sv.z_norm(), anchors.z_norm),
-                   refine_residual(np.zeros(sv.N), sv.z_eq(), anchors.z_eq),
-                   l1_residual(K / sv.scale, anchors.abs_mm), margins * labelled.labels]
+            out = [l1_residual(sv.rel(), obj.rel), l1_residual(sv.z_norm(), obj.z_norm),
+                   refine_residual(np.zeros(sv.N), sv.z_eq(), obj.z_eq),
+                   l1_residual(K / sv.scale, obj.abs_mm), margins * labelled.labels]
             return np.concatenate([r.ravel() for r in out])
 
         at_x0 = residuals(x0)
-        if all(np.all(abs(residuals(x0 + 2e-5 * e) - at_x0) <= abs(at_x0))
+        if all(np.all(abs(residuals(x0 + 2 * _FD_EPSILON * e) - at_x0) <= abs(at_x0))
                for e in np.eye(len(x0))):
             sv.unpack(x0)
             return sv.to_scene(), gt, cfg

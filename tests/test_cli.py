@@ -791,16 +791,16 @@ def double_joint_pullback(monkeypatch):
 
 
 def negate_init_only_gradient(monkeypatch):
-    real = hmor.solver._evaluate
+    real = hmor.solver._Objective.evaluate
 
-    def wrapped(sv, labelled, anchors, config, *args, **kwargs):
-        record = real(sv, labelled, anchors, config, *args, **kwargs)
-        weights = {term: getattr(config, f"w_{term}") for term in hmor.solver._TERMS}
+    def wrapped(obj, *args, config=None, **kwargs):
+        record = real(obj, *args, config=config, **kwargs)
+        weights = {term: getattr(config or obj.config, f"w_{term}") for term in hmor.solver._TERMS}
         if record.grad is not None and weights == {**dict.fromkeys(weights, 0.0), "init": 1.0}:
             record = dataclasses.replace(record, grad=-record.grad)
         return record
 
-    monkeypatch.setattr(hmor.solver, "_evaluate", wrapped)
+    monkeypatch.setattr(hmor.solver._Objective, "evaluate", wrapped)
 
 
 class TestGradcheckCommand:

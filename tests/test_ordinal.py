@@ -13,7 +13,7 @@ from hmor import (GaussNoise, GenSpec, HmorConfig, HmorLoss, InvalidInputError,
 from hmor.ordinal import (LabelledTruth, RelationPairs, _entity_map, _full_layout, _Layout,
                           ordinal_pass, root_pass, scene_joint_array)
 import hmor.solver
-from hmor.solver import _fd_max_rel_err, _SceneVars
+from hmor.solver import _fd_max_rel_err, _Objective
 from conftest import (brute_force_labels, brute_force_pairs, err_instance, err_instance_grad,
                       err_joint, err_joint_grad, err_part, err_part_grad, err_part_particle,
                       level_index, level_labels, level_rows, ordinal_brute_force,
@@ -631,8 +631,8 @@ class TestRootFormOracle:
         labelled = LabelledTruth(gt, cfg).label(views)
         if eps:  # label-0 pairs occur, and are counted from their raw margins
             assert not labelled.labels.all()
-        sv = _SceneVars(pred, SolverConfig(hmor=cfg))
-        form = sv.root_form(labelled)
+        obj = _Objective(pred, pred, labelled, SolverConfig(hmor=cfg))
+        sv, form = obj.sv, obj.form
         rng = np.random.default_rng(seed)
         for spread in (0.0, 0.05, 0.3, 1.0):  # scaled units: 0-1000 mm
             sv.unpack(sv.start[0] + rng.normal(0.0, spread, n_persons))
@@ -655,8 +655,9 @@ class TestRootFormOracle:
         cfg = ORACLE_CONFIGS[name]
         gt, pred, views = _kernel_case(71, 3, 3)
         labelled = LabelledTruth(gt, cfg).label(views)
-        sv = _SceneVars(pred, SolverConfig(free_variables=free_variables, hmor=cfg))
-        form = sv.root_form(labelled)
+        obj = _Objective(pred, pred, labelled,
+                         SolverConfig(free_variables=free_variables, hmor=cfg))
+        sv, form = obj.sv, obj.form
         x = sv.start[0] + np.random.default_rng(71).normal(0.0, 0.1, len(sv.start[0]))
         sv.unpack(x)
         K, d, a, b = sv.joints_scaled()
@@ -755,8 +756,8 @@ class TestRootFormActiveSet:
         labelled = LabelledTruth(gt, cfg).label(views)
         if ties and n_persons > 1:
             assert not labelled.labels[0, :labelled.layout.depth].all()
-        sv = _SceneVars(pred, SolverConfig(hmor=cfg))
-        form, full = sv.root_form(labelled), sv.root_form(labelled)
+        solver_cfg = SolverConfig(hmor=cfg)
+        form, full = (_Objective(pred, pred, labelled, solver_cfg).form for _ in range(2))
         full.select(np.inf)
         rng = np.random.default_rng(seed)
         dx = np.zeros(n_persons)
@@ -961,7 +962,7 @@ class TestOneStoredForm:
         gt, pred, views = _kernel_case(25, 3, 2)
         cfg = HmorConfig(part_mode=part_mode)
         labelled = LabelledTruth(gt, cfg).label(views)
-        form = _SceneVars(pred, SolverConfig(hmor=cfg)).root_form(labelled)
+        form = _Objective(pred, pred, labelled, SolverConfig(hmor=cfg)).form
         assert form.labels is labelled.labels
         assert not hasattr(form, "depth") and not hasattr(form, "segments")
 

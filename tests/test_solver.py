@@ -18,8 +18,8 @@ from hmor.cli import main
 from hmor.depth import init_term, l1_term, refine_term
 import hmor.solver
 from hmor.ordinal import LabelledTruth, scene_joint_array
-from hmor.solver import (_Anchors, _checked_objective, _evaluate, _fd_max_rel_err,
-                         _gradcheck_point, _SceneVars)
+from hmor.solver import (_checked_objective, _fd_max_rel_err, _gradcheck_point, _Objective,
+                         _SceneVars)
 from conftest import (loss_init_grad, loss_pose_grad, loss_refine_grad, swap_root_depths,
                       two_person_depth_fixture)
 
@@ -127,14 +127,14 @@ class TestAnchorIsExactZero:
                            anchor=anchor, free_variables=free_variables)
         if anchor == "ground_truth":
             gt = pred  # refine(p, p): row 0 is read at p itself
-        evaluate, grads = hmor.solver._evaluate, []
+        evaluate, grads = _Objective.evaluate, []
 
         def spy(*args, **kwargs):
             record = evaluate(*args, **kwargs)
             grads.append(record.grad)
             return record
 
-        monkeypatch.setattr(hmor.solver, "_evaluate", spy)
+        monkeypatch.setattr(_Objective, "evaluate", spy)
         _, trace = refine(pred, gt, cfg)
         # row 0 is the value at the anchor, and a zero gradient keeps it
         # there: step 1 evaluates the anchor again, halves nothing and ends
@@ -503,14 +503,14 @@ class TestCarriedEvaluation:
         gt = generate_scene(spec)
         noisy = perturb(gt, spec)
         cfg = SolverConfig(steps=10, views_per_step=4, step_size=100.0, seed=seed)
-        evaluate = hmor.solver._evaluate
+        evaluate = _Objective.evaluate
         points = []
 
-        def spy(sv, *args, forced=False, **kwargs):
-            points.append((sv.ZR.tobytes(), args[3]))
-            return evaluate(sv, *args[:3], args[3] or forced, *args[4:], **kwargs)
+        def spy(obj, x, want_grad, *args, forced=False, **kwargs):
+            points.append((x.tobytes(), want_grad))
+            return evaluate(obj, x, want_grad or forced, *args, **kwargs)
 
-        monkeypatch.setattr(hmor.solver, "_evaluate", spy)
+        monkeypatch.setattr(_Objective, "evaluate", spy)
         refined, trace = refine(noisy, gt, cfg)
         grads = [point for point, want in points if want]
         halved = [point for point, want in points[1:] if not want]
@@ -520,7 +520,7 @@ class TestCarriedEvaluation:
         # and one per accepted halved candidate; the rest go without
         assert len(grads) == cfg.steps + len(again) and len(halved) > len(again) > 0
         points.clear()
-        monkeypatch.setattr(hmor.solver, "_evaluate",
+        monkeypatch.setattr(_Objective, "evaluate",
                             lambda *args, **kwargs: spy(*args, forced=True, **kwargs))
         every, every_trace = refine(noisy, gt, cfg)  # a gradient at every evaluation
         assert every_trace == trace and every == refined
@@ -602,7 +602,7 @@ class TestWhatAnEvaluationComputes:
             monkeypatch.setattr(owner, name, counted)
 
         for name in ("normalize_depth", "equivalent_depth", "l1_term", "init_term",
-                     "refine_term", "ordinal_pass"):
+                     "refine_term", "ordinal_pass", "scene_joint_array"):
             spy(name)
         spy("root_pass")
         spy("joints_scaled", _SceneVars)
@@ -621,10 +621,32 @@ class TestWhatAnEvaluationComputes:
         assert calls["init_term"] == calls["refine_term"] == evaluations
         pose = 1 if root else evaluations
         assert calls["l1_term"] == pose + (evaluations if w_abs else 0)  # pose, then abs
-        # joints are lifted for the anchors, and for the reduced form or at every
-        # evaluation; the reduced form pulls no joint gradient back
-        assert calls["joints_scaled"] == (2 if root else 1 + evaluations)
+        # the anchors' joints are lifted once, and the variables' for the reduced
+        # form or at every evaluation; the reduced form pulls no joint gradient back
+        assert calls["scene_joint_array"] == 1
+        assert calls["joints_scaled"] == (1 if root else evaluations)
         assert (calls["grad_to_x"] == 0) if root else (0 < calls["grad_to_x"] <= evaluations)
+
+    @pytest.mark.parametrize("free_variables", ["root_depths_only", "full_pose"])
+    def test_one_objective_per_call(self, monkeypatch, free_variables):
+        # every entry point builds its objective, and so labels and reduces it, once
+        built = []
+        init = _Objective.__init__
+
+        def spy(*args, **kwargs):
+            built.append(None)
+            init(*args, **kwargs)
+
+        monkeypatch.setattr(_Objective, "__init__", spy)
+        pred, gt = self._pair()
+        cfg = SolverConfig(steps=4, views_per_step=2, free_variables=free_variables)
+        pairs = LabelledTruth(gt, cfg.hmor).label([gt.camera.normal])
+        for call in (lambda: refine(pred, gt, cfg), lambda: objective(pred, pairs, gt, cfg),
+                     lambda: objective_terms(pred, gt, cfg),
+                     lambda: grad_check(pred, gt, config=cfg)):
+            built.clear()
+            call()
+            assert len(built) == 1
 
     def test_every_term_reported_at_weight_zero(self, tmp_path, capsys):
         pred, gt = self._pair()
@@ -689,18 +711,18 @@ class TestWhatAnEvaluationComputes:
     def test_every_step_evaluates_the_checked_stack(self, monkeypatch, views, free_variables):
         # grad_check differences _checked_objective's stack, so it covers every step
         stacks = []
-        evaluate = hmor.solver._evaluate
+        evaluate = _Objective.evaluate
 
-        def spy(sv, labelled, *args, **kwargs):
-            stacks.append(labelled)
-            return evaluate(sv, labelled, *args, **kwargs)
+        def spy(obj, *args, **kwargs):
+            stacks.append(obj.labelled)
+            return evaluate(obj, *args, **kwargs)
 
-        monkeypatch.setattr(hmor.solver, "_evaluate", spy)
+        monkeypatch.setattr(_Objective, "evaluate", spy)
         pred, gt = self._pair(33)
         cfg = SolverConfig(steps=6, views_per_step=views, seed=17, step_size=0.5,
                            free_variables=free_variables)
         refine(pred, gt, cfg)
-        checked = _checked_objective(_SceneVars(pred, cfg), gt, cfg)[1]
+        checked = _checked_objective(pred, gt, cfg).labelled
         assert len(stacks) > cfg.steps and all(s is stacks[0] for s in stacks)
         assert stacks[0].views.shape == (views, 3)
         for name in ("views", "labels"):
@@ -732,13 +754,13 @@ class TestFixedPoint:
     @pytest.mark.parametrize("name", sorted(CRITERION_7))
     def test_evaluations_stop_at_the_fixed_point(self, monkeypatch, name):
         calls = []
-        evaluate = hmor.solver._evaluate
+        evaluate = _Objective.evaluate
 
         def spy(*args, **kwargs):
             calls.append(None)
             return evaluate(*args, **kwargs)
 
-        monkeypatch.setattr(hmor.solver, "_evaluate", spy)
+        monkeypatch.setattr(_Objective, "evaluate", spy)
         pred, gt = self._criterion_7_pair(2)  # fixed at step 127 under the HMOR config
         cfg = CRITERION_7[name]
         _, trace = refine(pred, gt, cfg)
