@@ -6,9 +6,11 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +29,8 @@ REMOVED_PAIR_ATTRIBUTES = ("stack", "index", "labels", "instance_pairs", "part_p
 # hmor.ordinal functions that left it: the counts-only kernel and its helper
 REMOVED_ORDINAL_NAMES = ("violation_counts", "_count_disagreements", "_depth_margins",
                          "_part_margins")
+# hmor.solver names that left it: each run's objective is one _Objective
+REMOVED_SOLVER_NAMES = ("_Anchors", "_evaluate", "_targets", "_labelled_views")
 
 
 def run_python(*args):
@@ -73,6 +77,15 @@ class TestPublicNames:
         import hmor.ordinal
         assert not hasattr(hmor.ordinal, name)
 
+    @pytest.mark.parametrize("name", REMOVED_SOLVER_NAMES)
+    def test_removed_solver_name_stays_absent(self, name):
+        import hmor.solver
+        assert not hasattr(hmor.solver, name)
+
+    def test_scene_variables_build_no_reduced_form(self):
+        from hmor.solver import _SceneVars
+        assert not hasattr(_SceneVars, "root_form")
+
     def test_layout_compares_by_identity(self):
         from hmor.ordinal import _Layout
         assert "__eq__" not in vars(_Layout)
@@ -110,6 +123,43 @@ class TestModuleBoundary:
 
     def test_reduced_form_has_no_module_of_its_own(self):
         assert importlib.util.find_spec("hmor.rootform") is None
+
+
+# a Sphinx cross-reference in a docstring or comment: its target, without a leading ~
+CROSS_REFERENCE = re.compile(r":(?:func|meth|class|attr):`~?([\w.]+)`")
+
+
+def _resolves(target: str, scopes) -> bool:
+    for obj in scopes:
+        for part in target.split("."):
+            obj = getattr(obj, part, CROSS_REFERENCE)  # the pattern stands for "missing"
+            if obj is CROSS_REFERENCE:
+                break
+        else:
+            return True
+    return False
+
+
+class TestCrossReferences:
+    """Every cross-reference in ``src/hmor`` names something that exists:
+    in its module, in an enclosing class or as ``hmor.<module>.<name>``."""
+
+    def test_every_reference_resolves(self):
+        paths = sorted((SRC / "hmor").glob("*.py"))
+        modules = [importlib.import_module(f"hmor.{path.stem}") for path in paths]
+        seen, stale = 0, []
+        for path, module in zip(paths, modules):
+            source = path.read_text()
+            classes = [node for node in ast.walk(ast.parse(source))
+                       if isinstance(node, ast.ClassDef)]
+            for lineno, line in enumerate(source.splitlines(), 1):
+                owners = [getattr(module, node.name) for node in classes
+                          if node.lineno <= lineno <= node.end_lineno]
+                for target in CROSS_REFERENCE.findall(line):
+                    seen += 1
+                    if not _resolves(target, [module, *owners, SimpleNamespace(hmor=hmor)]):
+                        stale.append(f"{path.name}:{lineno}: {target}")
+        assert seen >= 60 and not stale, stale
 
 
 _LOADED = """
