@@ -305,9 +305,10 @@ def cmd_refine(args) -> int:
     refined, trace = refine(pred, gt, solver_cfg)
 
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_scene(refined, out)
     trace_path = Path(args.trace) if args.trace else out.with_suffix(".trace.csv")
+    for path in (out, trace_path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+    save_scene(refined, out)
     with open(trace_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "value", "violations"])
@@ -406,11 +407,10 @@ def cmd_eval(args) -> int:
 
     _emit(record, args.format)
     if args.out:
-        prefix = Path(args.out)
-        prefix.parent.mkdir(parents=True, exist_ok=True)
-        with open(prefix.with_suffix(".json"), "w", encoding="utf-8") as fh:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        with open(f"{args.out}.json", "w", encoding="utf-8") as fh:
             _emit(record, "json", fh)
-        with open(prefix.with_suffix(".csv"), "w", newline="", encoding="utf-8") as fh:
+        with open(f"{args.out}.csv", "w", newline="", encoding="utf-8") as fh:
             _emit(record, "csv", fh)
     return EXIT_OK
 

@@ -399,6 +399,12 @@ class TestRefine:
             values = [float(r["value"]) for r in csv.DictReader(fh)]
         assert len(values) == 6 and all(b <= a for a, b in zip(values, values[1:]))
 
+    def test_trace_into_a_missing_directory(self, tmp_path, swapped_pair):
+        # the trace's directory is made as the refined scene's is
+        out, trace = tmp_path / "r" / "refined.json", tmp_path / "t" / "x" / "trace.csv"
+        assert run("refine", *swapped_pair, "--out", out, "--trace", trace, "--steps", 2) == 0
+        assert out.exists() and trace.read_text().startswith("step,value,violations")
+
     def test_zero_steps_rejected(self, tmp_path, swapped_pair):
         pred, gt = swapped_pair
         assert run("refine", pred, gt, "--out", tmp_path / "r.json", "--steps", 0) == 2
@@ -486,6 +492,14 @@ class TestEval:
         as_json = json.loads((tmp_path / "report.json").read_text())
         assert (tmp_path / "report.csv").exists()
         assert as_json["pck_rel"] == 100.0
+
+    def test_dotted_out_prefix_keeps_its_suffix(self, tmp_path, capsys):
+        assert run("gen", "--seed", 32, "--persons", 2, "--out", tmp_path) == 0
+        scene = tmp_path / "scene_000.json"
+        assert run("eval", scene, scene, "--out", tmp_path / "out" / "run.v2") == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["run.v2.csv",
+                                                                        "run.v2.json"]
 
     def test_directory_mode_with_jobs(self, tmp_path, capsys):
         assert run("gen", "--seed", 33, "--persons", 2, "--count", 3,
