@@ -407,10 +407,11 @@ def cmd_eval(args) -> int:
 
     _emit(record, args.format)
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        with open(f"{args.out}.json", "w", encoding="utf-8") as fh:
+        json_path, csv_path = Path(f"{args.out}.json"), Path(f"{args.out}.csv")
+        json_path.parent.mkdir(parents=True, exist_ok=True)
+        with open(json_path, "w", encoding="utf-8") as fh:
             _emit(record, "json", fh)
-        with open(f"{args.out}.csv", "w", newline="", encoding="utf-8") as fh:
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
             _emit(record, "csv", fh)
     return EXIT_OK
 
