@@ -7,10 +7,13 @@ learned in that normalized space and inverted back to millimeters at
 recovery time. All losses are plain L1 means, defined once on
 whole-scene arrays (:func:`l1_term`, :func:`init_term`,
 :func:`refine_term`) from one residual each (:func:`l1_residual`,
-:func:`refine_residual`). The depth terms take prepared targets, the
-ground truth's depths through :func:`normalize_depth` (and
-:func:`equivalent_depth`), which the solver builds once per run and the
-``loss_*`` functions per call for per-person arguments.
+:func:`refine_residual`) through :func:`_l1`. The depth terms take
+prepared targets, the ground truth's depths through
+:func:`normalize_depth` (and :func:`equivalent_depth`), which the solver
+builds once per run and the ``loss_*`` functions per call for per-person
+arguments. The solver also checks its arrays' shapes once per run
+(:func:`_checked`) and evaluates each step's terms as :func:`_l1` of the
+unchecked residuals (``pred - target``, :func:`_refine_residual`).
 """
 
 from __future__ import annotations
@@ -95,7 +98,14 @@ def _checked(*arrays) -> list[np.ndarray]:
 
 
 def _l1(diff: np.ndarray):
-    return float(np.abs(diff).sum() / math.prod(diff.shape[:2])), np.sign(diff)
+    """A term and its sign from its float residual: ``|diff|`` summed,
+    over the rows of its first two axes, and ``sign(diff)``."""
+    return float(np.add.reduce(np.abs(diff), axis=None)) / math.prod(diff.shape[:2]), np.sign(diff)
+
+
+def _refine_residual(delta, z_eq_init, target_z_eq):
+    """:func:`refine_residual` of float arrays of one shape, unchecked."""
+    return delta - (target_z_eq - z_eq_init)
 
 
 def l1_residual(pred, target) -> np.ndarray:
@@ -108,8 +118,7 @@ def refine_residual(delta, z_eq_init, target_z_eq) -> np.ndarray:
     """The refine term's residual ``delta - (target_z_eq - z_eq_init)``:
     predicted residuals against the ones that take the initial equivalent
     depths to the targets."""
-    delta, z_eq_init, target = _checked(delta, z_eq_init, target_z_eq)
-    return delta - (target - z_eq_init)
+    return _refine_residual(*_checked(delta, z_eq_init, target_z_eq))
 
 
 def l1_term(pred, target):

@@ -75,6 +75,12 @@ class RelationPairs:
 
     view = property(lambda self: self.views[0])
 
+    @functools.cached_property
+    def _entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each flat entry's ``|label|`` and column (:func:`_score`)."""
+        k, P = self.labels.shape
+        return np.abs(self.labels).ravel(), np.tile(np.arange(P), k)
+
     def disagreements(self, other: RelationPairs) -> tuple[int, int, int]:
         """Per level (instance, part, joint), the labels of ``other``, a
         pair set of the same layout and view count, that differ from
@@ -320,8 +326,9 @@ def enumerate_pairs(gt_scene: Scene, view, config: HmorConfig | None = None) -> 
 
 
 def _signs(labels: np.ndarray) -> np.ndarray:
-    """Int8 +-1 of int8 labels, +1 for a label 0 (:func:`_score`), cast in a multiply."""
-    return labels | 1
+    """Float +-1 of int8 labels, +1 for a label 0 (:func:`_score`): a float
+    multiply by them is about twice as fast as one that casts int8 labels."""
+    return (labels | 1).astype(float)
 
 
 def _edges(layout: _Layout) -> list:
@@ -329,63 +336,65 @@ def _edges(layout: _Layout) -> list:
     return [end for _, columns in layout.segments for end in (columns.start, columns.stop)]
 
 
-def _score(signed: np.ndarray, labels: np.ndarray, layout: _Layout, scale, levels: np.ndarray,
-           counts: np.ndarray, errors: np.ndarray, active: tuple | None = None):
+def _score(signed: np.ndarray, sizes: np.ndarray, layout: _Layout, columns: np.ndarray, scale,
+           levels: np.ndarray, counts: np.ndarray, errors: np.ndarray, active: tuple | None = None):
     """Every ordinal kernel's one step from margins, each times its
-    label's sign (:func:`_signs`), to losses, over the 1-D ``signed`` and
-    ``labels`` of a (k, P) stack of ``layout``'s columns: every entry
-    (``signed`` is ``errors.ravel()``), or the ``active`` flat indices,
-    ascending, with the :func:`_edges` of view 0's entries in them. Sets
-    view 0's counts per level (a signed margin thresholds against
-    ``|label|`` under the layout's tolerance) and each segment's per-view
-    mean error, ``errors`` (k, P) taking at the entries ``log1p(m)`` for
-    a violated (``m > 0``) depth pair (the first ``layout.depth``
-    columns), ``m`` for a part pair, 0 for a label 0, NaN for NaN;
-    elsewhere it must read +0.0, as an unviolated entry that agrees with
-    its label would. Returns the violated (flat index, view row, column)
+    label's sign (:func:`_signs`), to losses, over the 1-D ``signed``
+    margins of entries of a (k, P) stack of ``layout``'s columns, with
+    their ``sizes`` (``|label|``) and ``columns``: every entry (``signed``
+    is ``errors.ravel()``), or the ``active`` flat indices, ascending,
+    with the :func:`_edges` of view 0's entries in them. Sets view 0's
+    counts per level (a signed margin thresholds against its size under
+    the layout's tolerance) and each segment's per-view mean error,
+    ``errors`` (k, P) taking at the entries ``log1p(m)`` for a violated
+    (``m > 0``) depth pair (the first ``layout.depth`` columns), ``m`` for
+    a part pair, 0 for a label 0, NaN for NaN; elsewhere it must read
+    +0.0, as an unviolated entry that agrees with its label would.
+    Returns the violated entries' positions in ``signed``, their columns
     and their weights w.r.t. ``m``, ``|label| * scale[column]`` (over ``1
     + m`` for a depth pair, ``scale`` from :func:`_column_scale`); None
     when ``scale`` is. With ``levels`` None it sets the counts alone."""
     index, edges = active or (None, _edges(layout))
     differ = (_threshold_label(signed[:edges[-1]], layout.equality_tolerance)
-              != np.abs(labels[:edges[-1]]))
+              != sizes[:edges[-1]])
     for (level, _), start, stop in zip(layout.segments, edges[::2], edges[1::2]):
         counts[level] = np.count_nonzero(differ[start:stop])
     if levels is None:
         return None
-    P, D = errors.shape[1], layout.depth
-    hit = np.flatnonzero(signed > 0.0)  # violated, in flat order
+    hit = (signed > 0.0).nonzero()[0]  # violated, in flat order
     margin = signed.take(hit)
     # max(0, m) in place: +0.0 but at the violated entries, NaN at a NaN margin
     np.maximum(0.0, signed, out=signed)
-    size = np.abs(labels.take(hit))  # 0 for a label-0 pair: no error, no weight
-    flat = hit if index is None else index.take(hit)
-    row = flat // P  # not divmod, whose remainder is several times slower
-    pair = flat - row * P
-    logged = True if D >= P else pair < D
+    size = sizes.take(hit)  # 0 for a label-0 pair: no error, no weight
+    pair = columns.take(hit)
+    logged = True if layout.depth >= errors.shape[1] else pair < layout.depth
     hits = None
     if scale is not None:
         w = size / np.where(logged, 1.0 + margin, 1.0)
         w *= scale.take(pair)
-        hits = flat, row, pair, w
-    if D:
+        hits = hit, pair, w
+    if layout.depth:
         margin = np.where(logged, np.log1p(margin), margin)
     if not size.all():
         margin *= size
     signed.put(hit, margin)
     if index is not None:
         errors.put(index, signed)
-    for level, columns in layout.segments:
-        levels[level] = np.add.reduce(errors[:, columns], axis=1) / max(layout.sizes[level], 1)
+    for level, span in layout.segments:
+        np.add.reduce(errors[:, span], axis=1, out=levels[level])
+        levels[level] /= max(layout.sizes[level], 1)
     return hits
 
 
+@functools.lru_cache(maxsize=32)
 def _column_scale(layout: _Layout, cfg: HmorConfig) -> np.ndarray:
-    """Each of ``layout``'s columns' ``w_level / P_level``."""
+    """Each of ``layout``'s columns' ``w_level / P_level``, cached."""
     weights = (cfg.w_instance, cfg.w_part, cfg.w_joint)
     sizes = [layout.sizes[level] for level, _ in layout.segments]
-    return np.repeat([weights[level] / max(n, 1) for (level, _), n in zip(layout.segments, sizes)],
-                     sizes)
+    scale = np.repeat([weights[level] / max(n, 1) for (level, _), n in zip(layout.segments, sizes)],
+                      sizes)
+    scale.setflags(write=False)  # shared between callers
+    return scale
 
 
 def _weighted(levels: np.ndarray, cfg: HmorConfig) -> np.ndarray:
@@ -421,10 +430,12 @@ def ordinal_pass(K: np.ndarray, topology: SkeletonTopology, labelled: RelationPa
     margins, C = _margins(X, V, layout)
     labels = labelled.labels
     margins *= _signs(labels)
-    hits = _score(margins.ravel(), labels.ravel(), layout,
+    sizes, columns = labelled._entries
+    hits = _score(margins.ravel(), sizes, layout, columns,
                   _column_scale(layout, cfg) if want_grad else None, levels, violations, margins)
     if want_grad:
-        flat, row, pair, W = hits
+        flat, pair, W = hits
+        row = flat // margins.shape[1]  # the view
         W *= labels.take(flat)  # the weight of the raw margin
         part = pair >= layout.depth  # the hits split, each in its flat order
         depth = ~part
@@ -481,10 +492,13 @@ class _RootForm:
     E @ e``). The columns are the pair set's (:class:`_Layout`), depth
     then vector parts, each (k, P) and signed by ``labels``, the pair
     set's own stack (:func:`_signs`): ``M0`` is M0 | Q0, ``A`` CA | Qa,
-    ``B`` CB | Qb, ``Qab`` 0 | Qab. Below an entry's ``radius`` in ``max|dx|`` its signed
-    margin stays under ``-eps``: it is unviolated, agrees with its label
-    and errs by +0.0, as ``errors`` reads off the active set (:meth:`select`).
-    ``margins`` and ``product`` are an evaluation's buffers."""
+    ``B`` CB | Qb, ``Qab`` 0 | Qab. An entry's ``slack`` is how far its
+    signed margin lies below ``-eps``; below its ``radius`` in
+    ``max|dx|`` the signed margin stays under ``-eps``: it is unviolated,
+    agrees with its label and errs by +0.0, as ``errors`` reads off the
+    active set (:meth:`select`). The radii are computed at the first
+    selection past reach 0. ``margins`` and ``product`` are an
+    evaluation's buffers."""
 
     def __init__(self, K0: np.ndarray, e: np.ndarray, topology: SkeletonTopology,
                  labelled: RelationPairs, config: HmorConfig):
@@ -500,9 +514,9 @@ class _RootForm:
         # one block past glibc's 128 KiB mmap threshold: freeing it raises that
         # and the trim threshold, so a later run reuses heap pages where
         # separate arrays are trimmed off the heap and faulted in again
-        block = np.empty((8, k, P))  # M0, A, B, Qab (vector parts), radius, errors, buffers
-        self.M0, self.A, self.B, _, self.radius, self.errors = block[:6]
-        self.margins, self.product = block[6:].reshape(2, -1)
+        block = np.empty((9, k, P))  # M0, A, B, Qab (vector parts), slack, radius, errors, buffers
+        self.M0, self.A, self.B, _, self.slack, self._radius, self.errors = block[:7]
+        self.margins, self.product = block[7:].reshape(2, -1)
         self.coefficients = block[:3 + (P > D)].reshape(3 + (P > D), -1)
         # both projections in one, rows z0 and zh per view, as _margins projects
         z = _project(X.reshape(-1, 3), V).reshape(2 * k, -1)
@@ -520,19 +534,30 @@ class _RootForm:
                  self.Qab[row, D:]) = (T @ Cv.T).take(blocks)
         self.scale = _column_scale(layout, config)
         self.coefficients *= _signs(self.labels).ravel()
-        # |A * da + B * db + Qab * da * db| <= L * r + Q * r * r at max|dx| = r
-        # (L = |A| + |B|, Q = |Qab|): the radius is the root of L * r + Q * r * r
-        # = -eps - M0 less 1e-12 of |M0| + eps, past the rounding of margin and
-        # root; 0, negative or NaN for a label 0 or a margin at or past the band.
-        # In place: (k, P) temporaries would fault in again on every run
-        slack, L, t, radius = block[6], block[7], self.errors, self.radius
-        np.multiply(self.M0, 1e-12 - 1.0, out=slack)  # where M0 < 0
-        slack -= config.equality_tolerance * (1.0 + 1e-12)
-        slack[self.labels == 0] = 0.0
+        # -eps - M0 less 1e-12 of |M0| + eps, past the rounding of margin and
+        # root; 0 for a label 0, 0, negative or NaN for a margin at or past the
+        # band. In place: (k, P) temporaries would fault in again on every run
+        np.multiply(self.M0, 1e-12 - 1.0, out=self.slack)  # where M0 < 0
+        self.slack -= config.equality_tolerance * (1.0 + 1e-12)
+        self.slack[self.labels == 0] = 0.0
+        # every coefficient finite, as products of entity points within 1e100
+        self.bounded = bool(np.abs(X).max() <= 1e100)
+        self.errors.fill(0.0)
+        self.reach = -1.0  # nothing selected yet
+
+    @functools.cached_property
+    def radius(self) -> np.ndarray:
+        """Each entry's radius, computed in place in the block at the first
+        read: ``|A * da + B * db + Qab * da * db| <= L * r + Q * r * r`` at
+        ``max|dx| = r`` (``L = |A| + |B|``, ``Q = |Qab|``), so it is the
+        root of ``L * r + Q * r * r = slack``; 0, negative or NaN where the
+        slack is."""
+        slack, radius = self.slack, self._radius
+        L, t = (buffer.reshape(slack.shape) for buffer in (self.product, self.margins))
         np.abs(self.A, out=L)
         L += np.abs(self.B, out=t)
         with np.errstate(divide="ignore", invalid="ignore"):  # inf: a margin no dx moves
-            if P > D:  # 2 * slack / (L + sqrt(L * L + 4 * Q * slack)), Q = 0 for depth
+            if len(self.coefficients) > 3:  # 2 * slack / (L + sqrt(L * L + 4 * Q * slack))
                 np.multiply(np.abs(self.Qab, out=radius), slack, out=radius)
                 np.multiply(L, L, out=t)
                 t += np.multiply(radius, 4.0, out=radius)
@@ -542,39 +567,45 @@ class _RootForm:
                 radius *= 2.0
             else:
                 np.divide(slack, L, out=radius)
-        self.errors.fill(0.0)
-        self.reach = -1.0  # nothing selected yet
+        return radius
 
     def select(self, reach: float) -> None:
         """Make the entries of radius up to ``reach`` active: ``active`` is
         their flat indices with view 0's segment edges in them (:func:`_score`),
-        ``gathered``, ``active_labels`` and ``ends`` their coefficients,
-        labels and persons."""
+        ``gathered``, ``ends``, ``columns`` and ``sizes`` their coefficients,
+        persons, columns and ``|label|``. At reach 0 with bounded
+        coefficients the entries of positive slack stay inactive, radii or
+        not: at ``dx = 0`` each reads its margin ``M0 < -eps``."""
         self.reach = reach
-        active = np.flatnonzero(~(self.radius > reach))  # NaN too
+        if reach > 0.0 or not self.bounded:
+            active = np.flatnonzero(~(self.radius > reach))  # NaN too
+        else:
+            active = np.flatnonzero(~(self.slack > 0.0))
         self.active = active, active.searchsorted(_edges(self.labelled.layout)).tolist()
         P = self.labels.shape[1]
-        self.ends = self.persons.take(active - active // P * P, axis=1)
+        self.columns = active - active // P * P
+        self.sizes = np.abs(self.labels.take(active))
+        self.ends = self.persons.take(self.columns, axis=1)
         self.gathered = self.coefficients.take(active, axis=1)
-        self.active_labels = self.labels.take(active)
 
 
 def root_pass(form: _RootForm, dx: np.ndarray, want_grad: bool = True, counts_only=False):
     """:func:`ordinal_pass` at root offsets ``dx`` (N,) from the reduced
     form, with the (N,) gradient w.r.t. ``dx``: a violated pair's weight
     reaches its persons through ``CA``, ``CB`` or ``Qa + Qab * db``, ``Qb
-    + Qab * da``, one ``bincount`` per end. It scores the active entries,
-    reselected for twice a ``max|dx|`` past ``form.reach`` (all at a NaN, an
-    inf or a square past float range, as ``0 * inf`` is NaN), with the bits
-    of a pass over every entry; ``counts_only`` as in :func:`ordinal_pass`."""
+    + Qab * da``, one ``bincount`` per end, all read from the active set
+    at the hits. It scores the active entries, reselected for four times a
+    ``max|dx|`` past ``form.reach`` (all at a NaN, an inf or a square past
+    float range, as ``0 * inf`` is NaN), with the bits of a pass over
+    every entry; ``counts_only`` as in :func:`ordinal_pass`."""
     cfg = form.config
     k = len(form.labels)
-    r = np.abs(dx).max()
+    r = np.maximum.reduce(np.abs(dx))
     if not r <= form.reach:
-        form.select(2.0 * r if r < 1e150 else np.inf)
+        form.select(4.0 * r if r < 1e150 else np.inf)
     M0, A, B, *Qab = form.gathered
     n = len(M0)
-    da, db = dx.take(form.ends)
+    da, db = moved = dx.take(form.ends)
     margins, product = form.margins[:n], form.product[:n]
     np.multiply(A, da, out=margins)
     margins += np.multiply(B, db, out=product)
@@ -583,22 +614,22 @@ def root_pass(form: _RootForm, dx: np.ndarray, want_grad: bool = True, counts_on
         margins += np.multiply(Qab[0], da * db, out=product)
     want_grad = want_grad and not counts_only
     levels = None if counts_only else np.zeros((3, k))
-    violations = np.zeros((3, min(k, 1)), dtype=int)  # view 0's
-    hits = _score(margins, form.active_labels, form.labelled.layout,
+    violations = np.zeros(3, dtype=int)  # view 0's
+    hits = _score(margins, form.sizes, form.labelled.layout, form.columns,
                   form.scale if want_grad else None, levels, violations, form.errors, form.active)
     g = None
     if want_grad:
-        flat, row, pair, w = hits
-        at = form.coefficients.take(flat, axis=1)  # M0, A, B and Qab at the hits
-        ga, gb = at[1], at[2]
-        pa, pb = form.persons.take(pair, axis=1)
+        hit, _, w = hits
+        ga, gb, *at = form.gathered[1:].take(hit, axis=1)  # A, B and Qab at the hits
+        pa, pb = form.ends.take(hit, axis=1)
         if Qab:
-            ga += at[3] * dx.take(pb)
-            gb += at[3] * dx.take(pa)
+            da, db = moved.take(hit, axis=1)
+            ga += at[0] * db
+            gb += at[0] * da
         g = np.zeros(len(dx))  # += also takes an empty bincount's int zeros
         g += np.bincount(pa, w * ga, len(dx))
         g += np.bincount(pb, w * gb, len(dx))
-    return None if counts_only else _weighted(levels, cfg), levels, violations.sum(axis=1), g
+    return None if counts_only else _weighted(levels, cfg), levels, violations, g
 
 
 def hmor_loss(pred_scene: Scene, pairs: RelationPairs, view=None,

@@ -9,13 +9,14 @@ analytic gradients; clamp kinks contribute zero subgradient.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .depth import (equivalent_depth, init_term, l1_residual, l1_term, normalize_depth,
-                    refine_residual, refine_term)
+from .depth import (_checked, _l1, _refine_residual, equivalent_depth, l1_residual,
+                    normalize_depth, refine_residual)
 from .errors import InvalidDepthError, InvalidInputError, NumericalError
 from .geometry import back_project_points, sample_views
 from .ordinal import (HmorConfig, LabelledTruth, RelationPairs, _check_pair_set, _RootForm,
@@ -212,29 +213,44 @@ def _mean(per_view: np.ndarray) -> float:
 class _Objective:
     """One run's objective, built once: the prediction's variables
     (``sv``), the data terms' targets read from the ``targets`` scene and
-    back-projected as the prediction is, so a prediction at its targets
-    reads exactly 0 with a zero gradient in every data term, and the
-    ``labelled`` view stack. Under ``root_depths_only`` it also holds the
-    pose term, which no step moves, and the ordinal term reduced to the
-    root depths about the start point (``form``, a :class:`_RootForm`),
-    built whatever ``w_hmor`` is: with no ordinal term it still counts the
-    violations."""
+    back-projected as the prediction is (``joints``, the targets' scaled
+    :func:`scene_joint_array`, if already lifted), so a prediction at its
+    targets reads exactly 0 with a zero gradient in every data term, and
+    the ``labelled`` view stack. Every data term's arrays are checked
+    against the prediction's once, here. Under ``root_depths_only`` it
+    also holds the pose term, which no step moves, and, from the first
+    evaluation on, the ordinal term reduced to the root depths about the
+    start point (``form``, a :class:`_RootForm`), built whatever
+    ``w_hmor`` is: with no ordinal term it still counts the violations."""
 
     def __init__(self, pred: Scene, targets: Scene, labelled: RelationPairs,
-                 config: SolverConfig):
+                 config: SolverConfig, joints: np.ndarray | None = None):
         self.sv = sv = _SceneVars(pred, config)
         self.labelled, self.config = labelled, config
-        self.rel = np.stack([p.rel_pose.joints for p in targets.persons])  # (N, J, 3)
-        self.abs_mm = scene_joint_array(targets, sv.scale) / sv.scale      # (N, J, 3)
-        self.z_norm = normalize_depth(np.array([p.root_depth for p in targets.persons]),
-                                      sv.camera)
+        if joints is None:
+            joints = scene_joint_array(targets, sv.scale)
+        depths = np.array([p.root_depth for p in targets.persons])
+        # hmor.depth's shape rule, once: each evaluation reads the arrays unchecked
+        rel, self.rel, self.abs_mm = _checked(  # (N, J, 3) each
+            sv.rel(), np.stack([p.rel_pose.joints for p in targets.persons]), joints / sv.scale)
+        self.z_norm = normalize_depth(depths, sv.camera)
         self.z_eq = equivalent_depth(self.z_norm, sv.a_box, sv.a_roi)
-        self.pose = self.form = None
+        self.delta = np.zeros(sv.N)  # the refine term's predicted residuals
+        self.pose = None
         if config.free_variables == "root_depths_only":
-            self.pose = l1_term(sv.rel(), self.rel)
-            K0, _, a, b = sv.joints_scaled()
-            self.form = _RootForm(K0, np.stack([a, b, np.ones_like(a)], axis=-1), sv.topology,
-                                  labelled, config.hmor)
+            self.pose = _l1(rel - self.rel)
+
+    @functools.cached_property
+    def form(self) -> _RootForm | None:
+        """The reduced ordinal term under ``root_depths_only`` (None
+        otherwise), built about the start point at its first read."""
+        if self.config.free_variables != "root_depths_only":
+            return None
+        sv = self.sv
+        sv.unpack(sv.start[0])
+        K0, _, a, b = sv.joints_scaled()
+        return _RootForm(K0, np.stack([a, b, np.ones_like(a)], axis=-1), sv.topology,
+                         self.labelled, self.config.hmor)
 
     @classmethod
     def of(cls, pred: Scene, gt: Scene, config: SolverConfig, k: int) -> _Objective:
@@ -242,12 +258,16 @@ class _Objective:
         terms target the scene ``config.anchor`` selects, and the ordinal
         term averages over ``gt`` labelled under its camera normal and
         ``k - 1`` views drawn from ``default_rng(config.seed)``; none at
-        ``k == 1``, so a one-view run never imports ``numpy.random``."""
+        ``k == 1``, so a one-view run never imports ``numpy.random``.
+        ``gt`` is lifted once, for the labels and the abs term's targets."""
         check_matched(pred, gt)
-        truth = LabelledTruth(gt, config.hmor)
+        joints = scene_joint_array(gt, config.hmor.depth_unit_scale)
+        truth = LabelledTruth(gt, config.hmor, joints=joints)
         views = sample_views(k - 1, np.random.default_rng(config.seed)) if k > 1 else []
-        return cls(pred, pred if config.anchor == "input" else gt,
-                   truth.label([gt.camera.normal, *views]), config)
+        labelled = truth.label([gt.camera.normal, *views])
+        if config.anchor == "input":
+            return cls(pred, pred, labelled, config)
+        return cls(pred, gt, labelled, config, joints)
 
     def evaluate(self, x: np.ndarray, want_grad: bool, all_terms: bool = False,
                  config: SolverConfig | None = None) -> _Evaluation:
@@ -264,41 +284,42 @@ class _Objective:
         and the abs term reads the joints ``K0 + e * dx``; otherwise one
         :func:`ordinal_pass`. ``config`` replaces the run's weights for
         this evaluation. A non-finite term or weighted total raises
-        NumericalError.
+        NumericalError naming the first in ``_TERMS`` order, then the total.
         """
         sv, form, config = self.sv, self.form, config or self.config
         sv.unpack(x)
         s, n = sv.scale, sv.N
         nj = n * sv.J
-        grad = np.zeros_like(sv.start[0]) if want_grad else None
+        grad = np.zeros(len(x)) if want_grad else None
         dK = None  # gradient w.r.t. the scaled joints
         if form is None:
             K, d, a, b = sv.joints_scaled()
         elif all_terms or config.w_abs:
             K = form.K0 + form.e * sv.dx[:, None, None]
+        # each term is hmor.depth's, of the arrays checked when the objective was built
         data = {}
         if all_terms or config.w_pose:
-            data["pose"], sign = self.pose or l1_term(sv.rel(), self.rel)
+            data["pose"], sign = self.pose or _l1(sv.rel() - self.rel)
             if want_grad and config.w_pose and config.free_variables == "full_pose":
                 g = sign * (config.w_pose / (nj * s))
                 grad[n:n + nj] += g[:, :, 0].ravel()
                 grad[n + nj:n + 2 * nj] += g[:, :, 1].ravel()
                 grad[n + 2 * nj:] += g[:, sv.nonroot, 2].ravel()
+        z = sv.z_norm()
         if all_terms or config.w_init:
-            data["init"], sign = init_term(sv.z_norm(), self.z_norm)
+            data["init"], sign = _l1(z - self.z_norm)
             if want_grad and config.w_init:
                 grad[:n] += sign * (config.w_init / (n * sv.froot * s))
         if all_terms or config.w_refine:
-            data["refine"], sign = refine_term(np.zeros(n), sv.z_eq(), self.z_eq)
+            data["refine"], sign = _l1(_refine_residual(self.delta, z * sv.ratio, self.z_eq))
             if want_grad and config.w_refine:
                 grad[:n] += sign * sv.ratio * (config.w_refine / (n * sv.froot * s))
         if all_terms or config.w_abs:
-            data["abs"], sign = l1_term(K / s, self.abs_mm)
+            data["abs"], sign = _l1(K / s - self.abs_mm)
             if want_grad and config.w_abs:
                 dK = sign * (config.w_abs / (nj * s))
         total = 0.0
         for name, value in data.items():
-            _check_finite(name, value)
             if w := getattr(config, f"w_{name}"):
                 total += w * value
 
@@ -309,17 +330,20 @@ class _Objective:
                 K, sv.topology, self.labelled, config.hmor, hmor_grad, counts_only)
         else:  # its gradient is w.r.t. the root depths
             per_view, levels, counts, g_hmor = root_pass(form, sv.dx, hmor_grad, counts_only)
-        first, hmor = total, None
+        first, hmor, mean = total, None, 0.0
         if all_terms or config.w_hmor:
-            mean = _check_finite("hmor", _mean(per_view))
+            mean = _mean(per_view)
             if config.w_hmor:
                 first = total + config.w_hmor * per_view[0].item()
                 total += config.w_hmor * mean
             if all_terms:
                 hmor = {"hmor": mean, **{f"hmor.{name}": _mean(level) for name, level
                                          in zip(("instance", "part", "joint"), levels)}}
-        _check_finite("total", total)
-        _check_finite("total", first)
+        # one check: a sum of floats is finite only if every one is
+        if not math.isfinite(sum(data.values()) + mean + total + first):
+            for name, value in (*data.items(), ("hmor", mean), ("total", total),
+                                ("total", first)):
+                _check_finite(name, value)
         if hmor_grad and form is not None:
             grad += g_hmor * (config.w_hmor / len(per_view))
         elif hmor_grad:

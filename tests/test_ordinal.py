@@ -783,6 +783,37 @@ class TestRootFormActiveSet:
             assert np.array_equal(only[2], want[2])
             assert form.reach >= np.abs(dx).max() or np.isnan(dx).any()
 
+    @pytest.mark.parametrize("part_mode", ["vector", "particle"])
+    def test_radii_wait_for_a_reach_past_zero(self, part_mode):
+        # a reach-0 selection reads each entry's slack alone, with a full pass's bits
+        cfg = HmorConfig(part_mode=part_mode, equality_tolerance=0.02)
+        gt, pred, views = _kernel_case(11, 3, 4)
+        labelled = LabelledTruth(gt, cfg).label(views)
+        form, full = (_Objective(pred, pred, labelled, SolverConfig(hmor=cfg)).form
+                      for _ in range(2))
+        full.select(np.inf)
+        assert form.bounded
+        for dx in (np.zeros(3), np.zeros(3), np.array([0.0, 1e-3, 0.0])):
+            before = "radius" in vars(form)
+            got, want = root_pass(form, dx), root_pass(full, dx)
+            assert all(_same_bits(x, y) for x, y in zip(got, want))
+            assert before or ("radius" in vars(form)) == (form.reach > 0.0)
+        assert "radius" in vars(form) and 0 < len(form.active[0]) < form.labels.size
+
+    def test_unbounded_coefficients_select_by_radius(self):
+        # entity points past 1e100 may give coefficients past float range: a reach-0
+        # selection then takes the radius rule, which makes every non-finite one active
+        gt, pred, views = _kernel_case(12, 2, 2)
+        far = dataclasses.replace(pred.persons[0], root_depth=1e160)
+        pred = dataclasses.replace(pred, persons=(far, *pred.persons[1:]))
+        labelled = LabelledTruth(gt).label(views)
+        with np.errstate(all="ignore"):  # products past float range
+            form, full = (_Objective(pred, pred, labelled, SolverConfig()).form for _ in range(2))
+            full.select(np.inf)
+            got, want = root_pass(form, np.zeros(2)), root_pass(full, np.zeros(2))
+        assert not form.bounded and form.reach == 0.0 and "radius" in vars(form)
+        assert all(_same_bits(x, y) for x, y in zip(got, want))
+
     def test_benchmark_shaped_run_scores_a_subset(self, monkeypatch):
         # the pinned benchmark-shaped run: 4 persons, 10 steps of 4 views
         scored = []

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmor import (DepthEstimate, GaussNoise, GenSpec, HmorConfig, InvalidDepthError,
-                  InvalidInputError, SolverConfig, assemble_absolute,
+                  InvalidInputError, NumericalError, SolverConfig, assemble_absolute,
                   enumerate_pairs, equivalent_depth, generate_scene,
                   grad_check, hmor_loss, loss_abs, loss_init, loss_pose, loss_refine,
                   normalize_depth, objective, objective_terms, ordinal_violations, perturb,
@@ -592,18 +592,21 @@ class TestWhatAnEvaluationComputes:
     def test_refine_computes_only_what_it_reads(self, monkeypatch, free_variables, w_abs):
         calls = Counter()
 
-        def spy(name, owner=hmor.solver):
+        def spy(name, owner=hmor.solver, key=None):
             real = getattr(owner, name)
 
             def counted(*args, **kwargs):
-                calls[name] += 1
+                calls[key or name] += 1
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
 
-        for name in ("normalize_depth", "equivalent_depth", "l1_term", "init_term",
-                     "refine_term", "ordinal_pass", "scene_joint_array"):
+        for name in ("normalize_depth", "equivalent_depth", "_checked", "_l1",
+                     "_refine_residual", "ordinal_pass", "scene_joint_array"):
             spy(name)
+        for name in ("l1_term", "init_term", "refine_term", "l1_residual", "refine_residual"):
+            spy(name, hmor.depth)
+        spy("scene_joint_array", hmor.ordinal, key="LabelledTruth's lift")
         spy("root_pass")
         spy("joints_scaled", _SceneVars)
         spy("grad_to_x", _SceneVars)
@@ -618,12 +621,18 @@ class TestWhatAnEvaluationComputes:
         assert calls[other] == 0
         assert evaluations > cfg.steps + 1  # some first candidates were rejected
         assert calls["normalize_depth"] == calls["equivalent_depth"] == 1
-        assert calls["init_term"] == calls["refine_term"] == evaluations
+        # the data terms' shapes are checked once, when the objective is built; each
+        # evaluation then takes every term it reads as hmor.depth's _l1 of its residual
+        assert calls["_checked"] == 1
+        assert not any(calls[name] for name in ("l1_term", "init_term", "refine_term",
+                                                "l1_residual", "refine_residual"))
+        assert calls["_refine_residual"] == evaluations
         pose = 1 if root else evaluations
-        assert calls["l1_term"] == pose + (evaluations if w_abs else 0)  # pose, then abs
-        # the anchors' joints are lifted once, and the variables' for the reduced
-        # form or at every evaluation; the reduced form pulls no joint gradient back
-        assert calls["scene_joint_array"] == 1
+        assert calls["_l1"] == pose + 2 * evaluations + (evaluations if w_abs else 0)
+        # the ground truth is lifted once, for the labels and the abs targets, and the
+        # variables' joints for the reduced form or at every evaluation; the reduced
+        # form pulls no joint gradient back
+        assert calls["scene_joint_array"] == 1 and calls["LabelledTruth's lift"] == 0
         assert calls["joints_scaled"] == (1 if root else evaluations)
         assert (calls["grad_to_x"] == 0) if root else (0 < calls["grad_to_x"] <= evaluations)
 
@@ -737,6 +746,95 @@ CRITERION_7 = {
     "baseline": SolverConfig(steps=500, step_size=5e-2, w_pose=0.0, w_init=0.0, w_refine=0.0,
                              w_hmor=0.0, w_abs=1.0, anchor="input"),
 }
+
+
+class TestPreparedDataTerms:
+    """An objective checks its data terms' arrays once, when it is built;
+    each evaluation's terms are still hmor.depth's, bit for bit."""
+
+    @staticmethod
+    def _pair(seed=31, n_persons=3):
+        spec = GenSpec(seed=seed, n_persons=n_persons, perturbation=GaussNoise(30.0, 300.0))
+        gt = generate_scene(spec)
+        return perturb(gt, spec), gt
+
+    @pytest.mark.parametrize("anchor", ["ground_truth", "input"])
+    @pytest.mark.parametrize("free_variables", ["root_depths_only", "full_pose"])
+    def test_terms_equal_hmor_depths_bit_for_bit(self, free_variables, anchor):
+        pred, gt = self._pair()
+        cfg = SolverConfig(free_variables=free_variables, anchor=anchor)
+        obj = _Objective.of(pred, gt, cfg, 2)
+        sv, n, rng = obj.sv, obj.sv.N, np.random.default_rng(5)
+        x0 = sv.start[0]
+        points = [x0] + [x0 + rng.normal(0.0, 0.3, len(x0)) * (np.arange(len(x0)) < n)
+                         for _ in range(10)]
+        for x in points:  # the start point first: under anchor="input" every residual is 0
+            for term, scale in (("init", 1.0), ("refine", sv.ratio)):
+                only = dataclasses.replace(cfg, **{f"w_{t}": float(t == term) for t in
+                                                   ("pose", "init", "refine", "abs", "hmor")})
+                record = obj.evaluate(x, True, config=only)
+                if term == "init":
+                    value, sign = init_term(sv.z_norm(), obj.z_norm)
+                else:
+                    value, sign = refine_term(np.zeros(n), sv.z_eq(), obj.z_eq)
+                grad = np.zeros(len(x))
+                grad[:n] += sign * scale * (1.0 / (n * sv.froot * sv.scale))
+                assert record.data[term].hex() == value.hex()
+                assert record.grad.tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("free_variables", ["root_depths_only", "full_pose"])
+    def test_shape_mismatch_rejected_when_built(self, free_variables):
+        pred, _ = self._pair(31, 2)
+        _, gt = self._pair(32, 3)
+        cfg = SolverConfig(free_variables=free_variables)
+        labelled = LabelledTruth(gt, cfg.hmor).label([gt.camera.normal])
+        with pytest.raises(InvalidInputError, match="data-term arrays must share one"):
+            _Objective(pred, gt, labelled, cfg)
+
+    @pytest.mark.parametrize("w_abs", [0.0, 1.0])
+    @pytest.mark.parametrize("free_variables", ["root_depths_only", "full_pose"])
+    def test_non_finite_term_named_first(self, free_variables, w_abs):
+        # a NaN joint: the pose term is the first non-finite one in _TERMS order
+        cfg = SolverConfig(free_variables=free_variables, w_abs=w_abs, steps=2, views_per_step=2)
+        for call in (objective_terms, refine):
+            pred, gt = self._pair()
+            pred.persons[1].rel_pose.joints[5, 2] = np.nan  # the constructors reject NaN
+            with pytest.raises(NumericalError, match=r"^objective term 'pose' is non-finite: nan$"):
+                call(pred, gt, cfg)
+
+    @pytest.mark.parametrize("i", [0, 1, 2, 3])
+    def test_gradcheck_draw_builds_no_reduced_form(self, monkeypatch, i):
+        built = []
+        form = hmor.solver._RootForm
+
+        def spy(*args, **kwargs):
+            built.append(None)
+            return form(*args, **kwargs)
+
+        monkeypatch.setattr(hmor.solver, "_RootForm", spy)
+        pred, gt, cfg = _gradcheck_point(np.random.default_rng(8), i, SolverConfig())
+        assert not built
+        grad_check(pred, gt, config=cfg)
+        assert len(built) == (cfg.free_variables == "root_depths_only")
+
+    def test_only_a_step_computes_radii(self, monkeypatch):
+        # objective and objective_terms evaluate at dx = 0 alone
+        forms = []
+        form = hmor.solver._RootForm
+
+        def spy(*args, **kwargs):
+            forms.append(form(*args, **kwargs))
+            return forms[-1]
+
+        monkeypatch.setattr(hmor.solver, "_RootForm", spy)
+        pred, gt = self._pair()
+        cfg = SolverConfig(steps=3, views_per_step=2)
+        pairs = LabelledTruth(gt, cfg.hmor).label([gt.camera.normal])
+        objective(pred, pairs, gt, cfg)
+        objective_terms(pred, gt, cfg)
+        refine(pred, gt, cfg)
+        assert [("radius" in vars(f), f.reach > 0.0) for f in forms] == [
+            (False, False), (False, False), (True, True)]
 
 
 class TestFixedPoint:
