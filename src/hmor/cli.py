@@ -305,7 +305,9 @@ def cmd_refine(args) -> int:
     refined, trace = refine(pred, gt, solver_cfg)
 
     out = Path(args.out)
-    trace_path = Path(args.trace) if args.trace else out.with_suffix(".trace.csv")
+    # the default trace replaces a .json suffix and keeps any other (run.v2 -> run.v2.trace.csv)
+    trace_path = Path(args.trace) if args.trace else out.with_name(
+        (out.stem if out.suffix == ".json" else out.name) + ".trace.csv")
     for path in (out, trace_path):
         path.parent.mkdir(parents=True, exist_ok=True)
     save_scene(refined, out)
@@ -481,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pred")
     p.add_argument("gt")
     p.add_argument("--out", required=True, help="refined scene file")
-    p.add_argument("--trace", help="objective trace CSV (default: <out>.trace.csv)")
+    p.add_argument("--trace", help="objective trace CSV (default: <out> with a .json suffix "
+                                   "replaced, or any other kept, and .trace.csv added)")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--step-size", type=float, default=None)
     p.add_argument("--free-vars", choices=["root_depths_only", "full_pose"], default=None)

@@ -405,6 +405,15 @@ class TestRefine:
         assert run("refine", *swapped_pair, "--out", out, "--trace", trace, "--steps", 2) == 0
         assert out.exists() and trace.read_text().startswith("step,value,violations")
 
+    @pytest.mark.parametrize("name, trace", [
+        ("run.json", "run.trace.csv"), ("run.v2", "run.v2.trace.csv"), ("run", "run.trace.csv"),
+    ], ids=["json", "dotted", "bare"])
+    def test_default_trace_keeps_a_dotted_out(self, tmp_path, swapped_pair, name, trace):
+        # a .json suffix is replaced; run.v2 and run.v3 get traces of their own
+        out = tmp_path / "r" / name
+        assert run("refine", *swapped_pair, "--out", out, "--steps", 2) == 0
+        assert sorted(p.name for p in out.parent.iterdir()) == sorted([name, trace])
+
     def test_zero_steps_rejected(self, tmp_path, swapped_pair):
         pred, gt = swapped_pair
         assert run("refine", pred, gt, "--out", tmp_path / "r.json", "--steps", 0) == 2
