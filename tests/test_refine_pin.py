@@ -11,10 +11,15 @@ change is meant to alter ``refine``'s results:
 which prints, per config, how the new record differs from the file it
 overwrites: the largest relative change of a trace value, the steps
 whose violation count changed, and whether the scene's sha256 changed.
+With ``--check`` it prints the same lines, writes nothing, and exits 1
+if any config differs from the file: the bit-identity gate of a change
+meant to leave ``refine``'s results alone.
 """
 
+import argparse
 import hashlib
 import json
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -77,11 +82,42 @@ def pin_change(old: dict | None, new: dict) -> str:
             f"scene sha256 {sha}")
 
 
-if __name__ == "__main__":
-    previous = json.loads(PIN_FILE.read_text()) if PIN_FILE.exists() else {}
+def main(argv: list[str], pin_file: Path = PIN_FILE) -> int:
+    """Rewrite ``pin_file`` from fresh runs, or with ``--check`` compare
+    them to it; print each config's :func:`pin_change` line."""
+    parser = argparse.ArgumentParser(description="Record or check refine_pin.json.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the file, write nothing, exit 1 on a difference")
+    check = parser.parse_args(argv).check
+    previous = json.loads(pin_file.read_text()) if pin_file.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         record = {name: pinned_run(name, Path(tmp)) for name in CONFIGS}
     for name, new in record.items():
         print(f"{name}: {pin_change(previous.get(name), new)}")
-    PIN_FILE.write_text(json.dumps(record, indent=1) + "\n")
-    sys.exit(0)
+    if check:
+        return int(record != {name: previous.get(name) for name in record})
+    pin_file.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+def test_check_mode_reports_and_writes_nothing(tmp_path, capsys):
+    pins = tmp_path / "pins.json"
+    shutil.copy(PIN_FILE, pins)
+    assert main(["--check"], pins) == 0
+    assert pins.read_bytes() == PIN_FILE.read_bytes()
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == list(CONFIGS)
+    assert all(line.endswith("violations unchanged; scene sha256 unchanged") for line in lines)
+    # one changed trace value fails the check, and the file is left as it was
+    tampered = json.loads(PIN_FILE.read_text())
+    tampered["four_views"]["values"][3] = repr(1.5 * float(tampered["four_views"]["values"][3]))
+    pins.write_text(json.dumps(tampered))
+    assert main(["--check"], pins) == 1
+    assert json.loads(pins.read_text()) == tampered
+    changed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+               if ": max relative value change 0;" not in line]
+    assert changed == ["four_views"]
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
