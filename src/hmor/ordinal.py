@@ -208,6 +208,7 @@ class _Layout:
         self.depth = p
         if vector_parts:
             self.segments.append((1, slice(p, p + self.sizes[1])))
+        self.divisors = np.array([[max(n, 1)] for n in self.sizes], dtype=float)  # per level
         # pairs and flat stay writeable although cached: ``take`` copies a
         # read-only index array on every call
         self.pairs = np.concatenate(ids, axis=1)
@@ -382,7 +383,7 @@ def _score(signed: np.ndarray, sizes: np.ndarray, layout: _Layout, columns: np.n
         errors.put(index, signed)
     for level, span in layout.segments:
         np.add.reduce(errors[:, span], axis=1, out=levels[level])
-        levels[level] /= max(layout.sizes[level], 1)
+    levels /= layout.divisors
     return hits
 
 
