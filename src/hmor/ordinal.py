@@ -535,9 +535,9 @@ class _RootForm:
                  self.Qab[row, D:]) = (T @ Cv.T).take(blocks)
         self.scale = _column_scale(layout, config)
         self.coefficients *= _signs(self.labels).ravel()
-        # -eps - M0 less 1e-12 of |M0| + eps, past the rounding of margin and
-        # root; 0 for a label 0, 0, negative or NaN for a margin at or past the
-        # band. In place: (k, P) temporaries would fault in again on every run
+        # the slack: -eps - M0 less 1e-12 of |M0| + eps, past the rounding of
+        # margin and radius; 0 for a label 0, and 0, negative or NaN for a margin
+        # at or past the band. In place: (k, P) temporaries would fault in again
         np.multiply(self.M0, 1e-12 - 1.0, out=self.slack)  # where M0 < 0
         self.slack -= config.equality_tolerance * (1.0 + 1e-12)
         self.slack[self.labels == 0] = 0.0

@@ -199,10 +199,9 @@ class _Evaluation:
         return {**self.data, **self.hmor, "total": self.total}
 
 
-def _check_finite(term: str, value: float) -> float:
+def _check_finite(term: str, value: float) -> None:
     if not math.isfinite(value):
         raise NumericalError(f"objective term {term!r} is non-finite: {value}")
-    return value
 
 
 def _mean(per_view: np.ndarray) -> float:
